@@ -62,7 +62,6 @@ from .calibration import (
     LowConfidenceError,
     calibrate,
     coarse_calibration,
-    fine_tune,
     load_calibration,
     save_calibration,
     suppress_bearing,

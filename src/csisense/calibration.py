@@ -9,10 +9,11 @@ location, assuming the direct path dominates:
 2. normalize each frame's random common phase and remove its best-fit
    linear phase slope across subcarriers (packet-detection phase and
    time-of-flight, which the expected-CSI model omits),
-3. take the phase of the first left-singular vector of the stacked
+3. take the phase of the first left-singular vector u0 of the stacked
    snapshots (the dominant common structure is the hardware bias),
-4. re-project onto unit-modulus-element matrices with a
-   Levenberg-Marquardt refinement started from the SVD estimate.
+4. use that phase as the calibration: for every unit-modulus-element x,
+   |u0^H x| <= sum_i |u0_i| with equality at x = exp(j*angle(u0)), so it
+   minimizes n - |u0^H x|^2 in closed form and needs no refinement.
 
 The recovered bias is returned *negated* and referenced to antenna 0
 (row 0 identically zero), so the stored matrix is the correction that
@@ -24,7 +25,7 @@ estimation; comparisons against ground truth must quotient it out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,16 +78,11 @@ class CalibrationDataset:
 
 @dataclass
 class CoarseResult:
-    """SVD stage output: coarse phase plus the full left-singular basis."""
+    """SVD stage output: closed-form phase plus its singular vector."""
 
-    phi_coarse: np.ndarray  # (n_rx, n_sub) radians
-    basis: np.ndarray  # (n, n) unitary, columns = left singular vectors
-    singular_values: np.ndarray  # descending, non-negative
-
-    def __post_init__(self):
-        sv = np.asarray(self.singular_values, dtype=np.float64)
-        if np.any(np.diff(sv) > 1e-9) or np.any(sv < 0):
-            raise CalibrationError("singular values must be descending and non-negative")
+    phi_coarse: np.ndarray  # (n_rx, n_sub) radians, angle of u0
+    u0: np.ndarray  # (n,) first left-singular vector, unit norm
+    singular_values: np.ndarray  # descending, non-negative (LAPACK order)
 
     @property
     def spectral_gap(self) -> float:
@@ -98,18 +94,11 @@ class CoarseResult:
 
 
 @dataclass
-class FineTuneResult:
-    phi: np.ndarray  # (n_rx, n_sub) radians
-    objective: float
-    initial_objective: float
-    iterations: int
-    converged: bool
-    iterates: list[np.ndarray] = field(default_factory=list)
-
-
-@dataclass
 class CalibrationResult:
-    """Recovered correction plus the fit diagnostics the CLI reports."""
+    """Recovered correction plus the fit diagnostics the CLI reports.
+
+    Closed form: both objectives are equal and `converged` is always true.
+    """
 
     matrix: CalibrationMatrix
     spectral_gap: float
@@ -146,9 +135,10 @@ def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
     """Stack suppressed snapshots and extract the dominant component.
 
     Each snapshot is flattened rx-major into one column of the data
-    matrix; a full complex SVD (conjugate-transpose semantics) yields the
-    strongest shared structure in its first left-singular vector, whose
-    element-wise phase is the coarse calibration estimate.
+    matrix; an economy complex SVD (conjugate-transpose semantics) yields
+    the strongest shared structure in its first left-singular vector,
+    whose element-wise phase is the calibration estimate.  Only that
+    vector and the singular values (for the spectral gap) are kept.
     """
     if len(sups) < 2:
         raise CalibrationError("need at least 2 snapshots")
@@ -159,115 +149,11 @@ def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
     if not np.any(stacked):
         raise CalibrationError("degenerate all-zero snapshots")
     try:
-        basis, sv, _vh = np.linalg.svd(stacked, full_matrices=True)
+        u, sv, _vh = np.linalg.svd(stacked, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise CalibrationError(f"SVD failed: {exc}") from exc
-    phi = np.angle(basis[:, 0]).reshape(shape)
-    return CoarseResult(phi_coarse=phi, basis=basis, singular_values=sv)
-
-
-def complement_power(basis: np.ndarray, phi: np.ndarray) -> float:
-    """||U_[1:]^H flatten(exp(j*phi))||^2 evaluated via the first column.
-
-    For a unitary basis this equals n - |U_0^H x|^2 because the element
-    count n is exactly ||x||^2 when every element of x has unit modulus.
-    """
-    x = np.exp(1j * np.asarray(phi, dtype=np.float64).ravel())
-    s = np.vdot(basis[:, 0], x)
-    return max(float(x.size - np.abs(s) ** 2), 0.0)
-
-
-def fine_tune(
-    coarse: CoarseResult,
-    damping_init: float = 1e-3,
-    max_iter: int = 200,
-    ftol: float = 1e-10,
-    gtol: float = 1e-8,
-    keep_iterates: bool = False,
-) -> FineTuneResult:
-    """Minimize the off-component projection of exp(j*phi) from phi_coarse.
-
-    Levenberg-Marquardt over the real phases, complex residuals split
-    into real and imaginary parts.  Because the basis is unitary and
-    every element of exp(j*phi) has unit modulus, the residual Jacobian
-    products reduce to rank-2 updates of the identity
-    (J^T J = I - Re(v) Re(v)^T - Im(v) Im(v)^T with
-    v = conj(j*x) * U_0), so each step costs O(n); the minimized
-    objective is identical to the materialized-residual form.
-
-    Damping starts at 1e-3, x10 on reject, /10 on accept; stops when the
-    relative objective decrease drops below ftol or the gradient
-    infinity-norm below gtol.  Only improving steps are accepted, so the
-    result never exceeds the starting objective.  If the iteration
-    budget runs out, the best iterate is returned with converged=False.
-    """
-    basis = coarse.basis
-    u0 = basis[:, 0]
-    n = u0.size
-    phi = np.asarray(coarse.phi_coarse, dtype=np.float64).ravel().copy()
-    shape = coarse.phi_coarse.shape
-
-    # One-time consistency check of the fast objective against the full
-    # basis (Parseval: the projections onto all columns must add to n).
-    x0 = np.exp(1j * phi)
-    proj = basis.conj().T @ x0
-    total = float(np.sum(np.abs(proj) ** 2))
-    if abs(total - n) > 1e-6 * n:
-        raise CalibrationError("basis is not orthonormal (projection power != n)")
-
-    def objective(p):
-        x = np.exp(1j * p)
-        return max(float(n - np.abs(np.vdot(u0, x)) ** 2), 0.0), x
-
-    f, x = objective(phi)
-    initial = f
-    lam = damping_init
-    eye2 = np.eye(2)
-    converged = False
-    iterates: list[np.ndarray] = [phi.copy()] if keep_iterates else []
-    it = 0
-    for it in range(1, max_iter + 1):
-        s = np.vdot(u0, x)
-        w = x - u0 * s  # projection of x off the dominant component
-        g = 1j * x
-        grad = 2.0 * np.real(np.conj(g) * w)
-        if np.max(np.abs(grad)) < gtol:
-            converged = True
-            break
-        v = np.conj(g) * u0
-        bmat = np.column_stack([v.real, v.imag])  # J^T J = I - B B^T
-        gram = bmat.T @ bmat
-        rhs = -0.5 * grad
-        accepted = False
-        while lam < 1e12:
-            a = 1.0 + lam
-            w2 = np.linalg.solve(a * eye2 - gram, bmat.T @ rhs)
-            delta = (rhs + bmat @ w2) / a
-            trial = phi + delta
-            f_trial, x_trial = objective(trial)
-            if f_trial < f:
-                rel = (f - f_trial) / max(f, np.finfo(float).tiny)
-                phi, f, x = trial, f_trial, x_trial
-                lam = max(lam / 10.0, 1e-15)
-                if keep_iterates:
-                    iterates.append(phi.copy())
-                accepted = True
-                if rel < ftol:
-                    converged = True
-                break
-            lam *= 10.0
-        if not accepted or converged:
-            if not accepted:
-                converged = True  # damping exhausted: local minimum to precision
-            break
-    return FineTuneResult(
-        phi=phi.reshape(shape),
-        objective=f,
-        initial_objective=initial,
-        iterations=it,
-        converged=converged,
-        iterates=iterates,
-    )
+    u0 = u[:, 0].copy()  # a view would keep the whole n x T factor alive
+    return CoarseResult(phi_coarse=np.angle(u0).reshape(shape), u0=u0, singular_values=sv)
 
 
 def calibrate(
@@ -317,18 +203,21 @@ def calibrate(
             f"spectral gap {gap:.2f} below {spectral_gap_min:.2f}: "
             "data does not look line-of-sight dominated"
         )
-    fine = fine_tune(coarse)
+    # Off-component power n - |u0^H exp(j*phi)|^2, already at its minimum.
+    phi, u0 = coarse.phi_coarse, coarse.u0
+    x = np.exp(1j * phi.ravel())
+    objective = max(float(u0.size - np.abs(np.vdot(u0, x)) ** 2), 0.0)
 
     # Negate the recovered bias to get the correction, and reference it
     # to antenna 0 (row 0 becomes zero: the inter-antenna relative form).
-    correction = wrap_angle(-(fine.phi - fine.phi[0:1, :]))
+    correction = wrap_angle(-(phi - phi[0:1, :]))
     matrix = CalibrationMatrix(phase=correction, chanspec=chanspec)
     return CalibrationResult(
         matrix=matrix,
         spectral_gap=gap,
-        coarse_objective=fine.initial_objective,
-        fine_objective=fine.objective,
-        converged=fine.converged,
+        coarse_objective=objective,
+        fine_objective=objective,
+        converged=True,
         n_pairs=len(dataset.pairs),
     )
 
@@ -384,11 +273,20 @@ def format_geometry(geom: ArrayGeometry) -> str:
     return "; ".join(f"{x:.10g},{y:.10g}" for x, y in geom.positions)
 
 
+def parse_point(text: str) -> tuple[float, float]:
+    """Parse one finite "x,y" pair; CalibrationError names a bad one."""
+    try:
+        x, y = (float(v) for v in text.split(","))
+    except ValueError:
+        x = y = float("nan")
+    if not (np.isfinite(x) and np.isfinite(y)):
+        raise CalibrationError(f'bad point "{text.strip()}": expected finite "x,y"')
+    return x, y
+
+
 def parse_geometry(text: str) -> ArrayGeometry:
-    points = []
-    for chunk in text.split(";"):
-        sx, _, sy = chunk.partition(",")
-        points.append((float(sx), float(sy)))
+    """Parse antenna positions "x,y; x,y; ..." (meters)."""
+    points = [parse_point(chunk) for chunk in text.split(";")]
     return ArrayGeometry(np.array(points, dtype=np.float64))
 
 

@@ -48,6 +48,7 @@ from .calibration import (
     calibrate,
     load_calibration,
     parse_geometry,
+    parse_point,
     save_calibration,
 )
 from .codec import (
@@ -352,8 +353,7 @@ def _cmd_calibrate(args) -> int:
                 "poses and capture must be time-aligned"
             )
         pairs.append((pose, frame))
-    sx, _, sy = args.tx.partition(",")
-    tx_location = np.array([float(sx), float(sy)])
+    tx_location = np.array(parse_point(args.tx))
     geom = parse_geometry(args.geometry)
     if not frames:
         raise CalibrationError("capture holds no frames")
@@ -418,8 +418,12 @@ def _cmd_bearing(args) -> int:
                   f"{np.degrees(result.theta):.4f},{result.strength:.6g},"
                   f"{result.rssi_dbm:.2f}")
     write_bearings_csv(args.out, estimates)
+    # The floor is applied at ingest and again by the estimators; a frame
+    # dropped at ingest never reaches the second check, so the sum counts
+    # each rejected frame once.
+    rssi_rejected = stats.dropped_rssi + rejected
     print(f"{len(estimates)} bearings written to {args.out} "
-          f"({rejected} rejected by rssi floor, {stats.dropped_mac} by mac filter)",
+          f"({rssi_rejected} rejected by rssi floor, {stats.dropped_mac} by mac filter)",
           file=sys.stderr)
     if smoothing_used is not None:
         print(f"spotfi smoothing = {smoothing_used[0]},{smoothing_used[1]}", file=sys.stderr)

@@ -13,19 +13,13 @@ from csisense import (
     apply_calibration,
     calibrate,
     coarse_calibration,
-    fine_tune,
     suppress_bearing,
     expected_csi,
     synth_frame,
     synth_trajectory,
     wrap_angle,
 )
-from csisense.calibration import (
-    CoarseResult,
-    complement_power,
-    load_calibration,
-    save_calibration,
-)
+from csisense.calibration import load_calibration, parse_geometry, save_calibration
 from csisense.core import CsiFrame
 from csisense.scenario import disc_trajectory, random_bias
 from csisense.synth import PathComponent
@@ -90,13 +84,6 @@ class TestCoarseCalibration:
         coarse = coarse_calibration(snaps)
         assert coarse.singular_values[0] > 10 * coarse.singular_values[1]
 
-    def test_basis_orthonormal(self, rng):
-        snaps = [rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
-                 for _ in range(6)]
-        coarse = coarse_calibration(snaps)
-        gram = coarse.basis.conj().T @ coarse.basis
-        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
-
     def test_requires_two_snapshots(self, rng):
         with pytest.raises(CalibrationError):
             coarse_calibration([np.ones((2, 5), complex)])
@@ -106,84 +93,37 @@ class TestCoarseCalibration:
             coarse_calibration([np.zeros((2, 5), complex)] * 4)
 
 
-class TestFineTune:
+def off_component_power(u0, phi):
+    """n - |u0^H exp(j*phi)|^2, the objective the calibration minimizes."""
+    return u0.size - np.abs(np.vdot(u0, np.exp(1j * np.ravel(phi)))) ** 2
+
+
+class TestClosedForm:
     def test_noiseless_rank_one_objective_near_zero(self, rng):
         phi = rng.uniform(-np.pi, np.pi, (4, 52))
         coarse = coarse_calibration([np.exp(1j * phi)] * 8)
-        result = fine_tune(coarse)
-        assert result.objective < 1e-6
-        delta = wrap_angle(result.phi - coarse.phi_coarse)
-        assert np.max(np.abs(wrap_angle(delta - delta.flat[0]))) < 1e-6
+        assert off_component_power(coarse.u0, coarse.phi_coarse) < 1e-6
 
-    def test_never_increases_objective(self, rng):
-        phi = rng.uniform(-np.pi, np.pi, (2, 30))
-        snaps = [np.exp(1j * phi)
-                 + 0.3 * (rng.standard_normal((2, 30)) + 1j * rng.standard_normal((2, 30)))
-                 for _ in range(25)]
-        coarse = coarse_calibration(snaps)
-        result = fine_tune(coarse)
-        assert result.objective <= result.initial_objective
-
-    def test_descends_from_perturbed_initialization(self, rng):
+    def test_phase_of_leading_vector_is_optimal(self, rng):
+        # |u0^H x| <= sum |u0_i| = |u0^H exp(j*phi_coarse)| for every
+        # unit-modulus x, so no perturbation of phi_coarse can improve it
         phi = rng.uniform(-np.pi, np.pi, (4, 40))
         snaps = [np.exp(1j * phi)
-                 + 0.05 * (rng.standard_normal((4, 40)) + 1j * rng.standard_normal((4, 40)))
+                 + 0.3 * (rng.standard_normal((4, 40)) + 1j * rng.standard_normal((4, 40)))
                  for _ in range(30)]
         coarse = coarse_calibration(snaps)
-        perturbed = CoarseResult(
-            phi_coarse=coarse.phi_coarse + rng.normal(0, 0.4, coarse.phi_coarse.shape),
-            basis=coarse.basis,
-            singular_values=coarse.singular_values,
-        )
-        result = fine_tune(perturbed, keep_iterates=True)
-        assert result.objective < result.initial_objective / 10
-        # optimum matches the closed-form phase of the first singular
-        # vector up to one global constant
-        delta = wrap_angle(result.phi - coarse.phi_coarse)
-        assert np.max(np.abs(wrap_angle(delta - np.mean(delta)))) < 1e-5
-
-    def test_parseval_identity(self, rng):
-        # |U_0^H x|^2 + ||U_[1:]^H x||^2 == n for unit-modulus-element x
-        snaps = [rng.standard_normal((3, 20)) + 1j * rng.standard_normal((3, 20))
-                 for _ in range(12)]
-        coarse = coarse_calibration(snaps)
-        phi = rng.uniform(-np.pi, np.pi, 60)
-        x = np.exp(1j * phi)
-        head = np.abs(np.vdot(coarse.basis[:, 0], x)) ** 2
-        tail = np.sum(np.abs(coarse.basis[:, 1:].conj().T @ x) ** 2)
-        assert head + tail == pytest.approx(60.0, rel=1e-6)
-
-    def test_fast_objective_matches_materialized_residuals(self, rng):
-        snaps = [rng.standard_normal((3, 20)) + 1j * rng.standard_normal((3, 20))
-                 for _ in range(12)]
-        coarse = coarse_calibration(snaps)
-        for _ in range(5):
-            phi = rng.uniform(-np.pi, np.pi, (3, 20))
-            fast = complement_power(coarse.basis, phi)
-            literal = float(np.sum(np.abs(
-                coarse.basis[:, 1:].conj().T @ np.exp(1j * phi.ravel())) ** 2))
-            assert fast == pytest.approx(literal, rel=1e-9, abs=1e-9)
-
-    def test_both_objectives_order_iterates_identically(self, rng):
-        # minimizing ||U_[1:]^H x||^2 and maximizing |U_0^H x|^2 must
-        # rank every pair of iterates the same way
-        snaps = [rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-                 for _ in range(10)]
-        coarse = coarse_calibration(snaps)
-        perturbed = CoarseResult(
-            phi_coarse=coarse.phi_coarse + rng.normal(0, 0.5, coarse.phi_coarse.shape),
-            basis=coarse.basis,
-            singular_values=coarse.singular_values,
-        )
-        result = fine_tune(perturbed, keep_iterates=True)
-        assert len(result.iterates) >= 2
-        u0 = coarse.basis[:, 0]
-        for a, b in zip(result.iterates, result.iterates[1:]):
-            comp_a, comp_b = (complement_power(coarse.basis, p) for p in (a, b))
-            gain_a, gain_b = (
-                np.abs(np.vdot(u0, np.exp(1j * p.ravel()))) ** 2 for p in (a, b)
-            )
-            assert (comp_a > comp_b) == (gain_a < gain_b)
+        u0 = coarse.u0
+        l1 = float(np.sum(np.abs(u0)))
+        best = np.abs(np.vdot(u0, np.exp(1j * coarse.phi_coarse.ravel())))
+        assert best == pytest.approx(l1, rel=1e-12)
+        for _ in range(50):
+            x = np.exp(1j * rng.uniform(-np.pi, np.pi, u0.size))
+            assert np.abs(np.vdot(u0, x)) <= l1 * (1 + 1e-12)
+        base = off_component_power(u0, coarse.phi_coarse)
+        for scale in (1e-4, 1e-2, 0.4):
+            for _ in range(20):
+                nudged = coarse.phi_coarse + rng.normal(0, scale, coarse.phi_coarse.shape)
+                assert off_component_power(u0, nudged) >= base - 1e-9
 
 
 class TestCalibrate:
@@ -265,6 +205,23 @@ class TestCalibrationFile:
         path.write_text("channel = 155\n\n1,2,3\n")
         with pytest.raises(CalibrationError):
             load_calibration(path)
+
+
+class TestParseGeometry:
+    def test_round_trip_of_valid_text(self):
+        geom = parse_geometry("0,0; 0.02,0; 0.02,0.02")
+        assert np.allclose(geom.positions, [[0, 0], [0.02, 0], [0.02, 0.02]])
+
+    @pytest.mark.parametrize("text,chunk", [
+        ("0,0; x,1", "x,1"),
+        ("0,0; 1", "1"),
+        ("0,0; 1,2,3", "1,2,3"),
+        ("0,0;", ""),
+        ("0,0; nan,1", "nan,1"),
+    ])
+    def test_bad_chunk_named_in_calibration_error(self, text, chunk):
+        with pytest.raises(CalibrationError, match=f'bad point "{chunk}"'):
+            parse_geometry(text)
 
 
 class TestMultiTxSlicing:

@@ -204,6 +204,36 @@ class TestErrors:
                      "--out", str(tmp_path / "b.csv"), "--config", str(config)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value,chunk", [
+        ("--geometry", "0,0; x,1", "x,1"),
+        ("--geometry", "0,0; 1", "1"),
+        ("--tx", "0", "0"),
+        ("--tx", "1,y", "1,y"),
+    ])
+    def test_calibrate_malformed_point_exit_2(self, workspace, capsys, flag, value, chunk):
+        tmp_path, scenario = workspace
+        capture, poses = tmp_path / "c.wcap", tmp_path / "p.csv"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--capture", str(capture), "--poses", str(poses)]) == 0
+        argv = {"--capture": str(capture), "--poses": str(poses), "--tx": "0,0",
+                "--geometry": GEOMETRY, "--out": str(tmp_path / "cal.txt")}
+        argv[flag] = value
+        code = main(["calibrate", *(item for pair in argv.items() for item in pair)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: data:") and f'"{chunk}"' in err[-1]
+        assert not (tmp_path / "cal.txt").exists()
+
+    def test_profile_malformed_geometry_exit_2(self, workspace, capsys):
+        tmp_path, scenario = workspace
+        capture, poses = tmp_path / "c.wcap", tmp_path / "p.csv"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--capture", str(capture), "--poses", str(poses)]) == 0
+        code = main(["profile", "--capture", str(capture), "--geometry", "0,0; 1;2",
+                     "--out", str(tmp_path / "p.pgm")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: data:")
+
     def test_low_confidence_exit_3(self, tmp_path, capsys):
         # pure-noise data has no dominant component: spectral gap < 3
         scenario = tmp_path / "noisy.ini"
@@ -240,6 +270,24 @@ class TestBearingAlgorithms:
         assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
                      "--out", str(out), "--algorithm", "music"]) == 0
         assert len(out.read_text().splitlines()) == 81
+
+    @pytest.mark.parametrize("algorithm", ["bartlett", "music"])
+    def test_rssi_rejections_include_ingest_drops(self, workspace, capsys, algorithm):
+        # every frame is either written or counted as rejected by the
+        # floor, whichever of the ingest and estimator checks dropped it
+        tmp_path, scenario = workspace
+        capture, _, cal, _ = run_pipeline(tmp_path, scenario)
+        capsys.readouterr()
+        out = tmp_path / "floor.csv"
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(out), "--algorithm", algorithm,
+                     "--rssi-floor", "-41"]) == 0
+        summary = capsys.readouterr().err.splitlines()[0]
+        written = int(summary.split()[0])
+        rejected = int(summary.split("(")[1].split()[0])
+        assert rejected > 0
+        assert written == len(out.read_text().splitlines()) - 1
+        assert written + rejected == len(read_capture(capture))
 
 
 class TestUdpDecode:
