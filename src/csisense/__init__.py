@@ -48,6 +48,7 @@ from .codec import (
     decode_frame,
     encode_frame,
     format_mac,
+    filter_frames,
     ingest_stream,
     iter_capture,
     parse_mac,

@@ -15,12 +15,22 @@ the part of the calibration the pipeline cannot observe.
 
 `triangulate` turns bearings taken from known sensor poses into a
 least-squares position fix for the localization case studies.
+
+Grid kernels that depend only on the channel and the distance grid --
+Bartlett's subcarrier x distance range phasors and SpotFi's sub-array
+delay steering -- are built once per (channel, grid) by small private
+caches and handed out read-only, so a stream of frames pays for them
+once.  Every contraction runs in the order that keeps the antenna axis
+(the smallest) innermost: Bartlett multiplies the range phasors into the
+n_rx x n_sub CSI before steering over bearings, and SpotFi projects the
+signal subspace on the antenna steering before the delay steering.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -71,7 +81,7 @@ class AoaConfig:
     rssi_floor_dbm: float = -65.0
     algorithm: str = "bartlett"
     smoothing: tuple[int, int] | None = None  # (n_ant_sub, n_sub_sub); None = auto
-    window: int = 1  # packets averaged per profile
+    window: int = 1  # frames per bearing (bartlett: profiles, music: covariance)
     n_sources: int = 1
 
     def __post_init__(self):
@@ -87,6 +97,10 @@ class AoaConfig:
             raise ConfigurationError("averaging window must be >= 1")
         if self.n_sources < 1:
             raise ConfigurationError("source count must be >= 1")
+        if self.algorithm == "spotfi" and self.window > 1:
+            # SpotFi estimates from one frame; a window it ignored would
+            # mean something else than it does for bartlett and music.
+            raise ConfigurationError("spotfi does not support an averaging window > 1")
 
 
 @dataclass(frozen=True)
@@ -122,14 +136,18 @@ def bartlett_profile(
 
     Peaks sit at each path's (bearing, c * delay); the range axis is
     relative path length with an arbitrary common offset.
+
+    The n_sub x n_dist range phasors exp(+j 2 pi f_j d / c) come from a
+    cache keyed on the channel and the distance grid.  The double sum is
+    evaluated as conj(A) @ (csi @ R): the range transform first runs on
+    the n_rx rows of the frame, so the bearing steering A contracts only
+    n_rx terms per cell instead of n_sub.
     """
     _check_frame(frame, geom, tx_index)
     csi = frame.csi[:, tx_index, :].astype(np.complex128)
-    freqs = subcarrier_frequencies(frame.chanspec)
     a = steering_matrix(cfg.theta_grid, geom, wavelength(frame.chanspec))
-    per_theta = np.conj(a) @ csi  # (n_theta, n_sub)
-    range_phasors = np.exp(2j * np.pi * np.outer(freqs, cfg.dist_grid) / SPEED_OF_LIGHT)
-    power = np.abs(per_theta @ range_phasors) ** 2
+    range_phasors = _range_phasors(frame.chanspec, _grid_key(cfg.dist_grid))
+    power = np.abs(np.conj(a) @ (csi @ range_phasors)) ** 2
     peak = power.max()
     if peak > 0:
         power = power / peak
@@ -219,32 +237,8 @@ def spotfi_estimate(
     """
     _check_frame(frame, geom, tx_index)
     _require_ula(geom)
-    csi_full = interpolate_subcarriers(
-        frame.csi[:, tx_index, :].astype(np.complex128), frame.chanspec
-    )
-    n_rx, n_cols = csi_full.shape
-    n_ant_sub, n_sub_sub = spotfi_smoothing_dims(n_rx, n_cols, cfg)
-    windows = np.lib.stride_tricks.sliding_window_view(csi_full, (n_ant_sub, n_sub_sub))
-    snapshots = windows.reshape(-1, n_ant_sub * n_sub_sub).T  # (dim, n_windows)
-    dim = n_ant_sub * n_sub_sub
-    if cfg.n_sources >= dim:
-        raise ConfigurationError("source count leaves no noise subspace")
-    cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
-    cov = 0.5 * (cov + cov.conj().T)
-    _eigvals, eigvecs = np.linalg.eigh(cov)
-    signal = eigvecs[:, dim - cfg.n_sources:].reshape(n_ant_sub, n_sub_sub, cfg.n_sources)
-
+    pseudo = _spotfi_pseudospectrum(frame, geom, cfg, tx_index)
     tau_grid = cfg.dist_grid / SPEED_OF_LIGHT
-    sub_geom = ArrayGeometry(geom.positions[:n_ant_sub])
-    ant = steering_matrix(cfg.theta_grid, sub_geom, wavelength(frame.chanspec))
-    sub = np.exp(-2j * np.pi * SUBCARRIER_SPACING_HZ * np.outer(np.arange(n_sub_sub), tau_grid))
-    # ||E_n^H v||^2 = dim - ||E_s^H v||^2 for unit-modulus-element v:
-    # project onto the n_sources signal vectors instead of dim-K noise ones.
-    t1 = np.einsum("ta,ask->tsk", np.conj(ant), signal)
-    t2 = np.einsum("sd,tsk->tdk", np.conj(sub), t1)
-    sig_power = np.sum(np.abs(t2) ** 2, axis=2)
-    denom = np.maximum(dim - sig_power, 1e-9 * dim)
-    pseudo = 1.0 / denom
 
     local_max = pseudo == maximum_filter(pseudo, size=3, mode="nearest")
     peak_idx = np.argwhere(local_max)
@@ -260,6 +254,45 @@ def spotfi_estimate(
             )
         )
     return paths
+
+
+def _spotfi_pseudospectrum(
+    frame: CsiFrame,
+    geom: ArrayGeometry,
+    cfg: AoaConfig,
+    tx_index: int,
+) -> np.ndarray:
+    """Smoothed 2-D MUSIC pseudospectrum over (theta grid, dist grid)."""
+    csi_full = interpolate_subcarriers(
+        frame.csi[:, tx_index, :].astype(np.complex128), frame.chanspec
+    )
+    n_rx, n_cols = csi_full.shape
+    n_ant_sub, n_sub_sub = spotfi_smoothing_dims(n_rx, n_cols, cfg)
+    windows = np.lib.stride_tricks.sliding_window_view(csi_full, (n_ant_sub, n_sub_sub))
+    snapshots = windows.reshape(-1, n_ant_sub * n_sub_sub).T  # (dim, n_windows)
+    dim = n_ant_sub * n_sub_sub
+    n_sources = cfg.n_sources
+    if n_sources >= dim:
+        raise ConfigurationError("source count leaves no noise subspace")
+    cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
+    cov = 0.5 * (cov + cov.conj().T)
+    _eigvals, eigvecs = np.linalg.eigh(cov)
+    signal = eigvecs[:, dim - n_sources:]
+
+    sub_geom = ArrayGeometry(geom.positions[:n_ant_sub])
+    ant = steering_matrix(cfg.theta_grid, sub_geom, wavelength(frame.chanspec))
+    sub = _delay_steering(n_sub_sub, _grid_key(cfg.dist_grid))
+    # ||E_n^H v||^2 = dim - ||E_s^H v||^2 for unit-modulus-element v:
+    # project onto the n_sources signal vectors instead of dim-K noise ones.
+    # The joint steering v = s(theta) (x) sub(tau) is separable, so E_s^H v
+    # is two matmuls: over antennas per source, then one over subcarriers
+    # for every (source, theta) row.
+    per_theta = np.conj(ant) @ signal.T.reshape(n_sources, n_ant_sub, n_sub_sub)
+    projection = per_theta.reshape(-1, n_sub_sub) @ np.conj(sub)
+    projection = projection.reshape(n_sources, cfg.theta_grid.size, -1)
+    sig_power = np.sum(np.abs(projection) ** 2, axis=0)
+    denom = np.maximum(dim - sig_power, 1e-9 * dim)
+    return 1.0 / denom
 
 
 def average_profiles(profiles: list[Profile2D], window: int) -> Profile2D:
@@ -288,8 +321,10 @@ def average_profiles(profiles: list[Profile2D], window: int) -> Profile2D:
 class ProfileAverager:
     """Sliding-window incoherent averager for one consumer stream.
 
-    Holds per-source mutable state; confine each instance to a single
-    stream of profiles.
+    Keeps a running sum of the profiles in the window: each push adds
+    the new profile and subtracts the one leaving, so a push costs the
+    same at any window length.  Holds per-source mutable state; confine
+    each instance to a single stream of profiles.
     """
 
     def __init__(self, window: int):
@@ -297,10 +332,27 @@ class ProfileAverager:
             raise ConfigurationError("window must be >= 1")
         self.window = window
         self._buffer: deque[Profile2D] = deque(maxlen=window)
+        self._sum: np.ndarray | None = None
 
     def push(self, profile: Profile2D) -> Profile2D:
+        if not self._buffer:
+            self._sum = np.array(profile.values, dtype=np.float64)
+        else:
+            oldest = self._buffer[0]
+            if not (np.array_equal(profile.theta_grid, oldest.theta_grid)
+                    and np.array_equal(profile.dist_grid, oldest.dist_grid)):
+                raise DimensionMismatchError("profiles must share identical grids")
+            if len(self._buffer) == self.window:
+                self._sum -= oldest.values
+            self._sum += profile.values
+            # Rounding in the subtraction can leave a cell a few ulps
+            # below zero where the true sum is ~0; powers are never negative.
+            np.maximum(self._sum, 0.0, out=self._sum)
         self._buffer.append(profile)
-        return average_profiles(list(self._buffer), len(self._buffer))
+        peak = self._sum.max()
+        values = self._sum / peak if peak > 0 else self._sum.copy()
+        return Profile2D(values=values, theta_grid=profile.theta_grid,
+                         dist_grid=profile.dist_grid)
 
 
 def estimate_bearing(
@@ -459,6 +511,33 @@ def read_profile_pgm(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     theta = np.radians([float(v) for v in meta.pop("theta_deg").split(",")])
     dist = np.array([float(v) for v in meta.pop("dist_m").split(",")])
     return image, theta, dist, meta
+
+
+# Kernels are keyed on the grid's float64 bytes (arrays are unhashable)
+# and returned read-only, since every caller shares the cached array.  A
+# few entries cover every (channel, grid) a process alternates between.
+def _grid_key(grid: np.ndarray) -> bytes:
+    return np.asarray(grid, dtype=np.float64).tobytes()
+
+
+@lru_cache(maxsize=8)
+def _range_phasors(chanspec: ChannelSpec, dist_bytes: bytes) -> np.ndarray:
+    """Bartlett range phasors exp(+j 2 pi f_j d / c), shape (n_sub, n_dist)."""
+    dist_grid = np.frombuffer(dist_bytes, dtype=np.float64)
+    freqs = subcarrier_frequencies(chanspec)
+    kernel = np.exp(2j * np.pi * np.outer(freqs, dist_grid) / SPEED_OF_LIGHT)
+    kernel.flags.writeable = False
+    return kernel
+
+
+@lru_cache(maxsize=8)
+def _delay_steering(n_sub_sub: int, dist_bytes: bytes) -> np.ndarray:
+    """SpotFi sub-array delay steering exp(-j 2 pi k df tau), shape (n_sub_sub, n_dist)."""
+    tau_grid = np.frombuffer(dist_bytes, dtype=np.float64) / SPEED_OF_LIGHT
+    kernel = np.exp(-2j * np.pi * SUBCARRIER_SPACING_HZ
+                    * np.outer(np.arange(n_sub_sub), tau_grid))
+    kernel.flags.writeable = False
+    return kernel
 
 
 def _check_frame(frame: CsiFrame, geom: ArrayGeometry, tx_index: int) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ from .codec import (
     DEFAULT_UDP_PORT,
     CaptureTruncatedError,
     IngestStats,
-    encode_frame,
+    filter_frames,
     format_mac,
     ingest_stream,
     parse_mac,
@@ -285,16 +286,15 @@ def _cmd_simulate(args) -> int:
 
 def _frame_source(args, cfg: RunConfig, stats: IngestStats):
     if args.capture:
-        frames = read_capture(args.capture)
-        return ingest_stream(
-            (encode_frame(f) for f in frames),
-            mac_allow=cfg.mac_filter or None,
-            rssi_floor_dbm=cfg.rssi_floor_dbm,
-            stats=stats,
-        )
+        return _filter(read_capture(args.capture), cfg, stats)
     datagrams = udp_datagrams(port=args.udp, max_datagrams=args.count,
                               timeout_s=args.timeout)
     return ingest_stream(datagrams, mac_allow=cfg.mac_filter or None,
+                         rssi_floor_dbm=cfg.rssi_floor_dbm, stats=stats)
+
+
+def _filter(frames, cfg: RunConfig, stats: IngestStats):
+    return filter_frames(frames, mac_allow=cfg.mac_filter or None,
                          rssi_floor_dbm=cfg.rssi_floor_dbm, stats=stats)
 
 
@@ -304,17 +304,10 @@ def _cmd_decode(args) -> int:
     truncated = None
     rows = []
     try:
-        for frame in _frame_source(args, cfg, stats):
-            rows.append(frame)
+        rows.extend(_frame_source(args, cfg, stats))
     except CaptureTruncatedError as exc:
         truncated = exc
-        for frame in ingest_stream(
-            (encode_frame(f) for f in exc.frames),
-            mac_allow=cfg.mac_filter or None,
-            rssi_floor_dbm=cfg.rssi_floor_dbm,
-            stats=stats,
-        ):
-            rows.append(frame)
+        rows.extend(_filter(exc.frames, cfg, stats))
     lines = [
         f"{f.timestamp_ns},{f.seq},{format_mac(f.source_mac)},"
         f"{f.chanspec.channel_number},{f.chanspec.bandwidth_mhz},"
@@ -377,6 +370,7 @@ def _cmd_bearing(args) -> int:
     streaming = args.udp is not None
     stats = IngestStats()
     averager = ProfileAverager(cfg.window) if cfg.window > 1 else None
+    recent = deque(maxlen=cfg.window)  # music: calibrated frames in the window
     estimates: list[BearingEstimate] = []
     rejected = 0
     smoothing_used: tuple[int, int] | None = None
@@ -390,7 +384,8 @@ def _cmd_bearing(args) -> int:
                                       source_mac=frame.source_mac,
                                       timestamp_ns=frame.timestamp_ns)
         elif cfg.algorithm == "music":
-            spectrum = music_spectrum([calibrated], geom, aoa_cfg)
+            recent.append(calibrated)
+            spectrum = music_spectrum(list(recent), geom, aoa_cfg)
             result = estimate_bearing(spectrum, frame.rssi_dbm, aoa_cfg,
                                       source_mac=frame.source_mac,
                                       timestamp_ns=frame.timestamp_ns)

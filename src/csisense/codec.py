@@ -187,6 +187,31 @@ class IngestStats:
     dropped_rssi: int = 0
 
 
+def filter_frames(
+    frames: Iterable[CsiFrame],
+    mac_allow: set[bytes] | None = None,
+    rssi_floor_dbm: float | None = None,
+    stats: IngestStats | None = None,
+) -> Iterator[CsiFrame]:
+    """Drop frames failing the MAC allow-list or the RSSI floor, in order.
+
+    Every frame counts as received; the dropped ones are counted by
+    reason.  An empty/None allow-list passes every MAC.
+    """
+    if stats is None:
+        stats = IngestStats()
+    for frame in frames:
+        stats.received += 1
+        if mac_allow and frame.source_mac not in mac_allow:
+            stats.dropped_mac += 1
+            continue
+        if rssi_floor_dbm is not None and frame.rssi_dbm < rssi_floor_dbm:
+            stats.dropped_rssi += 1
+            continue
+        stats.delivered += 1
+        yield frame
+
+
 def ingest_stream(
     datagrams: Iterable[bytes],
     mac_allow: set[bytes] | None = None,
@@ -195,26 +220,23 @@ def ingest_stream(
 ) -> Iterator[CsiFrame]:
     """Decode datagrams (one frame each), filter, preserve arrival order.
 
-    Frames failing the MAC allow-list or the RSSI floor are dropped and
-    counted; malformed datagrams are counted and skipped, never fatal.
-    An empty/None allow-list passes every MAC.
+    Malformed datagrams are counted as received and dropped, never
+    fatal; the decoded frames go through `filter_frames`.
     """
     if stats is None:
         stats = IngestStats()
+    return filter_frames(_decode_datagrams(datagrams, stats), mac_allow, rssi_floor_dbm,
+                         stats)
+
+
+def _decode_datagrams(datagrams: Iterable[bytes], stats: IngestStats) -> Iterator[CsiFrame]:
     for buf in datagrams:
-        stats.received += 1
         try:
             frame = decode_frame(buf)
         except CodecError:
+            stats.received += 1
             stats.dropped_decode += 1
             continue
-        if mac_allow and frame.source_mac not in mac_allow:
-            stats.dropped_mac += 1
-            continue
-        if rssi_floor_dbm is not None and frame.rssi_dbm < rssi_floor_dbm:
-            stats.dropped_rssi += 1
-            continue
-        stats.delivered += 1
         yield frame
 
 

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from csisense import (
     ArrayGeometry,
+    ChannelSpec,
     ConfigurationError,
     DegenerateGeometryError,
     DimensionMismatchError,
@@ -11,10 +17,13 @@ from csisense import (
     Profile2D,
     BearingEstimate,
     ground_truth_bearing,
+    steering_vector,
+    subcarrier_frequencies,
     synth_frame,
     wavelength,
     wrap_angle,
 )
+from csisense import aoa
 from csisense.aoa import (
     AoaConfig,
     ProfileAverager,
@@ -22,7 +31,9 @@ from csisense.aoa import (
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
+    default_dist_grid,
     estimate_bearing,
+    interpolate_subcarriers,
     music_spectrum,
     read_profile_pgm,
     spotfi_estimate,
@@ -30,7 +41,9 @@ from csisense.aoa import (
     triangulate,
     write_profile_pgm,
 )
-from csisense.core import SPEED_OF_LIGHT
+from csisense.core import SPEED_OF_LIGHT, SUBCARRIER_SPACING_HZ
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -86,6 +99,55 @@ class TestBartlett:
         frame = single_path_frame(ArrayGeometry.square(0.02), chan80, 0.0)
         with pytest.raises(DimensionMismatchError):
             bartlett_profile(frame, geom3, cfg)
+
+
+class TestBartlettKernels:
+    @pytest.mark.parametrize("channel,bw", [(36, 20), (38, 40), (155, 80)])
+    def test_matches_naive_double_sum(self, channel, bw):
+        chan = ChannelSpec(channel, bw)
+        geom = ArrayGeometry.square(0.45 * wavelength(chan))
+        cfg = AoaConfig(theta_grid=np.radians(np.arange(-175.0, 180.0, 10.0)),
+                        dist_grid=np.arange(0.0, 30.0 + 1e-9, 1.0))
+        frame = synth_frame(
+            [PathComponent(aoa=0.7, delay_s=14e-9),
+             PathComponent(aoa=-2.0, delay_s=45e-9, amplitude=0.5)],
+            geom, chan, snr_db=10.0, rng_seed=3,
+        )
+        csi = frame.csi[:, 0, :].astype(np.complex128)
+        freqs = subcarrier_frequencies(chan)
+        naive = np.empty((cfg.theta_grid.size, cfg.dist_grid.size))
+        for ti, theta in enumerate(cfg.theta_grid):
+            s = steering_vector(theta, geom, wavelength(chan))
+            for di, d in enumerate(cfg.dist_grid):
+                terms = (csi * np.conj(s)[:, None]
+                         * np.exp(2j * np.pi * freqs * d / SPEED_OF_LIGHT)[None, :])
+                naive[ti, di] = abs(np.sum(terms)) ** 2
+        profile = bartlett_profile(frame, geom, cfg)
+        # both sides are normalized to a peak of 1, so this is relative to it
+        assert np.max(np.abs(profile.values - naive / naive.max())) <= 1e-12
+
+    def test_alternating_channels_and_grids_match_cold(self):
+        geom = ArrayGeometry.square(0.02)
+        chans = [ChannelSpec(36, 20), ChannelSpec(155, 80)]
+        grids = [default_dist_grid(), np.arange(0.0, 12.0 + 1e-9, 0.5)]
+        frames = {c: single_path_frame(geom, c, 0.9, snr_db=15.0, seed=1) for c in chans}
+        cold = {}
+        for c in chans:
+            for g, grid in enumerate(grids):
+                aoa._range_phasors.cache_clear()
+                cold[c, g] = bartlett_profile(frames[c], geom,
+                                              AoaConfig(dist_grid=grid)).values
+        for _ in range(3):
+            for c in chans:
+                for g, grid in enumerate(grids):
+                    warm = bartlett_profile(frames[c], geom, AoaConfig(dist_grid=grid))
+                    assert np.array_equal(warm.values, cold[c, g])
+
+    def test_cached_kernels_are_read_only(self, chan80):
+        key = default_dist_grid().tobytes()
+        for kernel in (aoa._range_phasors(chan80, key), aoa._delay_steering(122, key)):
+            with pytest.raises(ValueError):
+                kernel[0, 0] = 0.0
 
 
 class TestMusic:
@@ -159,6 +221,86 @@ class TestSpotfi:
         with pytest.raises(UnsupportedGeometryError):
             spotfi_estimate(frame, square_geom, cfg)
 
+    def test_window_rejected(self):
+        AoaConfig(algorithm="spotfi", window=1)
+        with pytest.raises(ConfigurationError, match="window"):
+            AoaConfig(algorithm="spotfi", window=2)
+
+    @pytest.mark.parametrize("n_sources", [1, 2, 3])
+    def test_pseudospectrum_matches_einsum_reference(self, ula_geom, chan80, n_sources):
+        cfg = AoaConfig(theta_grid=np.radians(np.arange(-89.0, 90.0, 2.0)),
+                        n_sources=n_sources)
+        frame = synth_frame(
+            [PathComponent(aoa=0.2, delay_s=10e-9),
+             PathComponent(aoa=-0.6, delay_s=25e-9, amplitude=0.6),
+             PathComponent(aoa=1.0, delay_s=40e-9, amplitude=0.4)],
+            ula_geom, chan80, snr_db=20.0, rng_seed=5,
+        )
+        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
+        ref, dim = spotfi_einsum_reference(frame, ula_geom, cfg)
+        # compare denominators dim - ||E_s^H v||^2, whose rounding scales with dim
+        assert np.max(np.abs(1.0 / pseudo - 1.0 / ref)) <= 1e-12 * dim
+
+    def test_alternating_grids_and_smoothing_match_cold(self, ula_geom, chan80):
+        frame = single_path_frame(ula_geom, chan80, 0.3, snr_db=20.0, seed=2)
+        theta = np.radians(np.arange(-89.0, 90.0, 3.0))
+        cfgs = [AoaConfig(theta_grid=theta),
+                AoaConfig(theta_grid=theta, dist_grid=np.arange(0.0, 12.0 + 1e-9, 0.5)),
+                AoaConfig(theta_grid=theta, smoothing=(3, 60))]
+        cold = []
+        for cfg in cfgs:
+            aoa._delay_steering.cache_clear()
+            cold.append(aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0))
+        for _ in range(2):
+            for cfg, ref in zip(cfgs, cold):
+                assert np.array_equal(aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0), ref)
+
+    def test_leaves_scipy_linalg_unimported(self):
+        # importing scipy.linalg alone costs ~5 MB of resident memory
+        code = (
+            "import sys\n"
+            "import csisense\n"
+            "from csisense import ArrayGeometry, ChannelSpec, PathComponent, synth_frame, "
+            "wavelength\n"
+            "from csisense.aoa import AoaConfig, spotfi_estimate\n"
+            "chan = ChannelSpec(155, 80)\n"
+            "ula = ArrayGeometry.uniform_linear(4, wavelength(chan) / 2, axis='y')\n"
+            "frame = synth_frame([PathComponent(aoa=0.3, delay_s=1e-8)], ula, chan)\n"
+            "spotfi_estimate(frame, ula, AoaConfig())\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "False"
+
+
+def spotfi_einsum_reference(frame, geom, cfg):
+    """SpotFi pseudospectrum with the two einsum contractions it used to have."""
+    csi_full = interpolate_subcarriers(frame.csi[:, 0, :].astype(np.complex128),
+                                       frame.chanspec)
+    n_rx, n_cols = csi_full.shape
+    n_ant_sub, n_sub_sub = 2, n_cols // 2
+    windows = np.lib.stride_tricks.sliding_window_view(csi_full, (n_ant_sub, n_sub_sub))
+    snapshots = windows.reshape(-1, n_ant_sub * n_sub_sub).T
+    dim = n_ant_sub * n_sub_sub
+    cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
+    cov = 0.5 * (cov + cov.conj().T)
+    _eigvals, eigvecs = np.linalg.eigh(cov)
+    signal = eigvecs[:, dim - cfg.n_sources:].reshape(n_ant_sub, n_sub_sub, cfg.n_sources)
+    tau_grid = cfg.dist_grid / SPEED_OF_LIGHT
+    ant = np.array([steering_vector(t, ArrayGeometry(geom.positions[:n_ant_sub]),
+                                    wavelength(frame.chanspec)) for t in cfg.theta_grid])
+    sub = np.exp(-2j * np.pi * SUBCARRIER_SPACING_HZ * np.outer(np.arange(n_sub_sub), tau_grid))
+    t1 = np.einsum("ta,ask->tsk", np.conj(ant), signal)
+    t2 = np.einsum("sd,tsk->tdk", np.conj(sub), t1)
+    sig_power = np.sum(np.abs(t2) ** 2, axis=2)
+    return 1.0 / np.maximum(dim - sig_power, 1e-9 * dim), dim
+
 
 class TestAveraging:
     def test_window_one_is_identity(self, square_geom, chan80, cfg):
@@ -194,6 +336,34 @@ class TestAveraging:
             out = averager.push(p)
         batch = average_profiles(profiles, 4)
         assert np.allclose(out.values, batch.values)
+
+    def test_running_sum_matches_batch_after_1000_pushes(self, rng):
+        theta, dist = np.radians(np.arange(-170.0, 181.0, 30.0)), np.arange(0.0, 5.0, 0.5)
+        profiles = []
+        for _ in range(1000):
+            values = rng.random((theta.size, dist.size)) ** 8  # cells spanning decades
+            profiles.append(Profile2D(values / values.max(), theta, dist))
+        averager = ProfileAverager(window=8)
+        for k, p in enumerate(profiles, start=1):
+            out = averager.push(p)
+            if k % 100 == 0:
+                batch = average_profiles(profiles[:k], 8)
+                assert np.max(np.abs(out.values - batch.values)) <= 1e-12
+        assert np.all(out.values >= 0)
+
+    def test_averager_rejects_grid_mismatch_and_keeps_state(self, square_geom, chan80, cfg):
+        frames = [single_path_frame(square_geom, chan80, 0.5, snr_db=5.0, seed=s)
+                  for s in range(3)]
+        profiles = [bartlett_profile(f, square_geom, cfg) for f in frames]
+        other = bartlett_profile(frames[0], square_geom,
+                                 AoaConfig(dist_grid=np.arange(0.0, 10.0, 0.5)))
+        averager = ProfileAverager(window=3)
+        averager.push(profiles[0])
+        with pytest.raises(DimensionMismatchError):
+            averager.push(other)
+        averager.push(profiles[1])
+        out = averager.push(profiles[2])
+        assert np.allclose(out.values, average_profiles(profiles, 3).values, atol=1e-12)
 
     def test_suppresses_randomly_phased_reflection(self, square_geom, chan80, rng):
         # one frozen window where some per-packet argmaxes stray but the

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from csisense import read_capture, wrap_angle
-from csisense.aoa import read_profile_pgm
+from csisense import apply_calibration, codec, load_calibration, read_capture, wrap_angle
+from csisense.aoa import (
+    AoaConfig,
+    estimate_bearing,
+    music_spectrum,
+    read_profile_pgm,
+    write_bearings_csv,
+)
 from csisense.cli import main
 from csisense.scenario import read_poses_csv
 
@@ -164,6 +170,27 @@ class TestDecode:
         assert "error: data:" in err
         assert len(out.read_text().splitlines()) == 80  # header + 79 frames
 
+    def test_capture_decoded_once(self, workspace, monkeypatch):
+        tmp_path, scenario = workspace
+        capture, _, cal, _ = run_pipeline(tmp_path, scenario)
+        n_frames = len(read_capture(capture))
+        calls = {"decode": 0, "encode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(codec, "decode_frame", counted("decode", codec.decode_frame))
+        monkeypatch.setattr(codec, "encode_frame", counted("encode", codec.encode_frame))
+        for argv in (["decode", "--capture", str(capture), "--csv", str(tmp_path / "f.csv")],
+                     ["bearing", "--capture", str(capture), "--calibration", str(cal),
+                      "--out", str(tmp_path / "b.csv")]):
+            calls.update(decode=0, encode=0)
+            assert main(argv) == 0
+            assert calls == {"decode": n_frames, "encode": 0}
+
     def test_rssi_floor_filters(self, workspace, capsys):
         tmp_path, scenario = workspace
         capture, *_ = run_pipeline(tmp_path, scenario)
@@ -270,6 +297,35 @@ class TestBearingAlgorithms:
         assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
                      "--out", str(out), "--algorithm", "music"]) == 0
         assert len(out.read_text().splitlines()) == 81
+
+    def test_music_window_uses_last_frames(self, workspace):
+        tmp_path, scenario = workspace
+        capture, _, cal, _ = run_pipeline(tmp_path, scenario)
+        out = tmp_path / "music3.csv"
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(out), "--algorithm", "music", "--window", "3"]) == 0
+        correction, geom = load_calibration(str(cal))
+        cfg = AoaConfig(algorithm="music", window=3)
+        calibrated = [apply_calibration(correction, f) for f in read_capture(capture)]
+        expected = []
+        for k, frame in enumerate(calibrated):
+            spectrum = music_spectrum(calibrated[max(0, k - 2): k + 1], geom, cfg)
+            expected.append(estimate_bearing(spectrum, frame.rssi_dbm, cfg,
+                                             source_mac=frame.source_mac,
+                                             timestamp_ns=frame.timestamp_ns))
+        reference = tmp_path / "expected.csv"
+        write_bearings_csv(reference, expected)
+        assert out.read_text() == reference.read_text()
+
+    def test_spotfi_window_rejected(self, workspace, capsys):
+        tmp_path, scenario = workspace
+        capture, _, cal, _ = run_pipeline(tmp_path, scenario)
+        capsys.readouterr()
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(tmp_path / "s.csv"), "--algorithm", "spotfi",
+                     "--window", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "window" in err
 
     @pytest.mark.parametrize("algorithm", ["bartlett", "music"])
     def test_rssi_rejections_include_ingest_drops(self, workspace, capsys, algorithm):

@@ -16,6 +16,7 @@ from csisense.codec import (
     UnsupportedVersionError,
     decode_frame,
     encode_frame,
+    filter_frames,
     format_mac,
     ingest_stream,
     iter_capture,
@@ -212,6 +213,28 @@ class TestIngest:
         frames = [random_frame(rng) for _ in range(25)]
         out = list(ingest_stream([encode_frame(f) for f in frames]))
         assert [f.seq for f in out] == [f.seq for f in frames]
+
+    def test_filter_frames_counts_like_ingest(self, rng):
+        frames = [random_frame(rng) for _ in range(30)]
+        for f in frames[::4]:
+            f.source_mac = bytes(6)
+        for f in frames[1::5]:
+            f.rssi_dbm = -90.0
+        allow = {f.source_mac for f in frames} - {bytes(6)}
+        datagrams = [encode_frame(f) for f in frames]
+        datagrams[7:7] = [b"junk", b""]
+        by_bytes, by_frame = IngestStats(), IngestStats()
+        out_bytes = list(ingest_stream(datagrams, mac_allow=allow, rssi_floor_dbm=-80.0,
+                                       stats=by_bytes))
+        out_frames = list(filter_frames(frames, mac_allow=allow, rssi_floor_dbm=-80.0,
+                                        stats=by_frame))
+        assert out_frames == out_bytes
+        assert by_bytes == IngestStats(received=32, delivered=len(out_frames),
+                                       dropped_decode=2, dropped_mac=by_frame.dropped_mac,
+                                       dropped_rssi=by_frame.dropped_rssi)
+        assert by_frame.received == 30 and by_frame.dropped_decode == 0
+        assert by_frame.delivered + by_frame.dropped_mac + by_frame.dropped_rssi == 30
+        assert by_frame.dropped_mac > 0 and by_frame.dropped_rssi > 0
 
 
 class TestUdp:
