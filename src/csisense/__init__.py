@@ -53,6 +53,7 @@ from .codec import (
     iter_capture,
     parse_mac,
     read_capture,
+    read_capture_frame,
     write_capture,
 )
 from .calibration import (

@@ -16,14 +16,22 @@ the part of the calibration the pipeline cannot observe.
 `triangulate` turns bearings taken from known sensor poses into a
 least-squares position fix for the localization case studies.
 
-Grid kernels that depend only on the channel and the distance grid --
-Bartlett's subcarrier x distance range phasors and SpotFi's sub-array
-delay steering -- are built once per (channel, grid) by small private
-caches and handed out read-only, so a stream of frames pays for them
-once.  Every contraction runs in the order that keeps the antenna axis
-(the smallest) innermost: Bartlett multiplies the range phasors into the
-n_rx x n_sub CSI before steering over bearings, and SpotFi projects the
-signal subspace on the antenna steering before the delay steering.
+Grid kernels that depend only on the geometry, the channel and the
+grids -- the bearing steering matrices, Bartlett's subcarrier x distance
+range phasors and SpotFi's sub-array delay steering -- are built once per
+(geometry, channel, grid) by small private caches and handed out
+read-only, so a stream of frames pays for them once.  Every contraction
+runs in the order that keeps the antenna axis (the smallest) innermost:
+Bartlett multiplies the range phasors into the n_rx x n_sub CSI before
+steering over bearings, and SpotFi projects the signal subspace on the
+antenna steering before the delay steering.
+
+SpotFi needs only the n_sources leading eigenvectors of its smoothed
+covariance (244 x 244 at 80 MHz).  A numpy-only block Krylov solver
+finds them from products with the snapshot matrix, without forming the
+covariance; when they do not separate from the rest of the spectrum
+within a fixed basis size (more sources asked for than the frame has
+paths), it falls back to the dense covariance and a full `eigh`.
 """
 
 from __future__ import annotations
@@ -145,7 +153,7 @@ def bartlett_profile(
     """
     _check_frame(frame, geom, tx_index)
     csi = frame.csi[:, tx_index, :].astype(np.complex128)
-    a = steering_matrix(cfg.theta_grid, geom, wavelength(frame.chanspec))
+    a = _steering(cfg.theta_grid, geom.positions, wavelength(frame.chanspec))
     range_phasors = _range_phasors(frame.chanspec, _grid_key(cfg.dist_grid))
     power = np.abs(np.conj(a) @ (csi @ range_phasors)) ** 2
     peak = power.max()
@@ -186,7 +194,7 @@ def music_spectrum(
         cov = cov + (1e-9 * trace) * np.eye(n_rx)
         eigvals, eigvecs = np.linalg.eigh(cov)
     noise = eigvecs[:, : n_rx - cfg.n_sources]
-    a = steering_matrix(cfg.theta_grid, geom, wavelength(frames[0].chanspec))
+    a = _steering(cfg.theta_grid, geom.positions, wavelength(frames[0].chanspec))
     denom = np.sum(np.abs(np.conj(a) @ noise) ** 2, axis=1)
     denom = np.maximum(denom, np.finfo(float).tiny)
     return 1.0 / denom
@@ -262,7 +270,14 @@ def _spotfi_pseudospectrum(
     cfg: AoaConfig,
     tx_index: int,
 ) -> np.ndarray:
-    """Smoothed 2-D MUSIC pseudospectrum over (theta grid, dist grid)."""
+    """Smoothed 2-D MUSIC pseudospectrum over (theta grid, dist grid).
+
+    The signal subspace is the top n_sources eigenvectors of the smoothed
+    covariance X X^H / n_windows, from `_signal_subspace`: a block Krylov
+    solver that never forms the dim x dim covariance, falling back to the
+    dense covariance and a full `eigh` when the subspace is not separated
+    from the rest of the spectrum (n_sources above the path count).
+    """
     csi_full = interpolate_subcarriers(
         frame.csi[:, tx_index, :].astype(np.complex128), frame.chanspec
     )
@@ -274,13 +289,9 @@ def _spotfi_pseudospectrum(
     n_sources = cfg.n_sources
     if n_sources >= dim:
         raise ConfigurationError("source count leaves no noise subspace")
-    cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
-    cov = 0.5 * (cov + cov.conj().T)
-    _eigvals, eigvecs = np.linalg.eigh(cov)
-    signal = eigvecs[:, dim - n_sources:]
+    signal = _signal_subspace(snapshots, n_sources)
 
-    sub_geom = ArrayGeometry(geom.positions[:n_ant_sub])
-    ant = steering_matrix(cfg.theta_grid, sub_geom, wavelength(frame.chanspec))
+    ant = _steering(cfg.theta_grid, geom.positions[:n_ant_sub], wavelength(frame.chanspec))
     sub = _delay_steering(n_sub_sub, _grid_key(cfg.dist_grid))
     # ||E_n^H v||^2 = dim - ||E_s^H v||^2 for unit-modulus-element v:
     # project onto the n_sources signal vectors instead of dim-K noise ones.
@@ -293,6 +304,100 @@ def _spotfi_pseudospectrum(
     sig_power = np.sum(np.abs(projection) ** 2, axis=0)
     denom = np.maximum(dim - sig_power, 1e-9 * dim)
     return 1.0 / denom
+
+
+# Block Krylov settings for `_signal_subspace`.  The start block is drawn
+# from its own seeded generator, so results repeat bit for bit and the
+# global np.random state is never touched.  A residual of 1e-13 times the
+# gap below the subspace bounds the projector error by 1e-13 (sin-theta
+# theorem), well inside the 1e-12 the pseudospectrum denominators need.
+_KRYLOV_SEED = 2015
+_KRYLOV_TOL = 1e-13
+# Basis size at which the Krylov solve gives up and pays for the dense
+# one.  On 80 MHz frames (dim 244, one BLAS thread) a resolvable subspace
+# converged within 4-7 vectors at n_sources = 1, 8-14 at 2 and 15-27 at 3,
+# and each vector costs ~0.25 ms against ~20-25 ms for the dense
+# covariance + eigh.  24 vectors (~6 ms) bound the time lost on a weak
+# last source that converges too slowly; a source inside the noise
+# (n_sources above the path count) is caught earlier by the rounding test.
+_KRYLOV_MAX_BASIS = 24
+
+
+def _signal_subspace(snapshots: np.ndarray, n_sources: int) -> np.ndarray:
+    """Top n_sources eigenvectors of C = X X^H / n, X = snapshots (dim, n).
+
+    Block Krylov iteration with Rayleigh-Ritz (Musco & Musco, NeurIPS
+    2015): the basis grows by blocks C^j X G from a seeded Gaussian G,
+    C applied as X (X^H V) / n, so no dim x dim matrix is formed.  It
+    stops when the Ritz residual ||C y - theta y|| is below _KRYLOV_TOL
+    times the Ritz gap below the subspace.  It falls back to the dense
+    covariance and a full `eigh` when that bound drops below the rounding
+    floor eps * ||C|| of the residual (the subspace is not separated from
+    the rest of the spectrum), or when the basis reaches
+    _KRYLOV_MAX_BASIS unconverged.  Columns come in ascending eigenvalue
+    order, as from `eigh`.
+    """
+    dim, n = snapshots.shape
+    rows = snapshots.T  # X^H V = conj(X^T conj(V)) without a conjugated copy of X
+    limit = min(_KRYLOV_MAX_BASIS, dim)
+    rng = np.random.default_rng(_KRYLOV_SEED)
+    basis = np.empty((dim, limit), dtype=np.complex128)
+    images = np.empty_like(basis)  # C @ basis
+    gram = np.empty((limit, limit), dtype=np.complex128)  # basis^H C basis, upper half
+    block = snapshots @ _gaussian(rng, (n, n_sources))
+    m = 0
+    while m + n_sources <= limit:
+        start = m
+        for v in block.T:
+            m = _append_orthonormal(basis, m, v, rng)
+        new = basis[:, start:m]
+        images[:, start:m] = snapshots @ np.conj(rows @ np.conj(new)) / n
+        gram[:m, start:m] = basis[:, :m].conj().T @ images[:, start:m]
+        ritz_vals, ritz_coef = np.linalg.eigh(gram[:m, :m], UPLO="U")
+        if m > n_sources:
+            gap = ritz_vals[m - n_sources] - ritz_vals[m - n_sources - 1]
+            if _KRYLOV_TOL * gap <= np.finfo(float).eps * ritz_vals[-1]:
+                break  # the test would ask for less than rounding in C y leaves
+            top = ritz_coef[:, m - n_sources:]
+            vectors = basis[:, :m] @ top
+            residual = images[:, :m] @ top - vectors * ritz_vals[m - n_sources:]
+            if np.linalg.norm(residual) <= _KRYLOV_TOL * gap:
+                return vectors
+        block = images[:, start:m]
+    cov = snapshots @ snapshots.conj().T / n
+    cov = 0.5 * (cov + cov.conj().T)
+    _eigvals, eigvecs = np.linalg.eigh(cov)
+    return eigvecs[:, dim - n_sources:]
+
+
+def _append_orthonormal(basis: np.ndarray, m: int, v: np.ndarray, rng) -> int:
+    """Store v, orthonormalized against basis[:, :m], as column m; return m + 1.
+
+    Classical Gram-Schmidt run twice, which keeps the basis orthonormal
+    to working precision.  A column with nothing left once projected (a
+    rank-deficient block, as from an all-zero frame or a noiseless single
+    path at zero delay, whose covariance has rank 0 or 1) is replaced by
+    a seeded random direction, orthogonalized the same way, so the basis
+    still grows.
+    """
+    q = basis[:, :m]
+    w = _project_out(v, q)
+    norm = np.linalg.norm(w)
+    if not norm > 1e-12 * np.linalg.norm(v):
+        w = _project_out(_gaussian(rng, v.shape), q)
+        norm = np.linalg.norm(w)
+    basis[:, m] = w / norm
+    return m + 1
+
+
+def _project_out(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    for _ in range(2):
+        v = v - q @ (q.conj().T @ v)
+    return v
+
+
+def _gaussian(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def average_profiles(profiles: list[Profile2D], window: int) -> Profile2D:
@@ -513,11 +618,26 @@ def read_profile_pgm(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     return image, theta, dist, meta
 
 
-# Kernels are keyed on the grid's float64 bytes (arrays are unhashable)
-# and returned read-only, since every caller shares the cached array.  A
-# few entries cover every (channel, grid) a process alternates between.
+# Kernels are keyed on the float64 bytes of their grids and antenna
+# positions (arrays are unhashable) and returned read-only, since every
+# caller shares the cached array.  A few entries cover every (geometry,
+# channel, grid) a process alternates between.
 def _grid_key(grid: np.ndarray) -> bytes:
     return np.asarray(grid, dtype=np.float64).tobytes()
+
+
+def _steering(theta_grid: np.ndarray, positions: np.ndarray, lambda_m: float) -> np.ndarray:
+    return _steering_kernel(_grid_key(positions), float(lambda_m), _grid_key(theta_grid))
+
+
+@lru_cache(maxsize=8)
+def _steering_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
+    """Bearing steering `steering_matrix`, shape (n_theta, n_antennas)."""
+    positions = np.frombuffer(positions_bytes, dtype=np.float64).reshape(-1, 2)
+    kernel = steering_matrix(np.frombuffer(theta_bytes, dtype=np.float64),
+                             ArrayGeometry(positions), lambda_m)
+    kernel.flags.writeable = False
+    return kernel
 
 
 @lru_cache(maxsize=8)

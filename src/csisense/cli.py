@@ -61,6 +61,7 @@ from .codec import (
     ingest_stream,
     parse_mac,
     read_capture,
+    read_capture_frame,
     udp_datagrams,
     write_capture,
 )
@@ -441,12 +442,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_profile(args) -> int:
     cfg = _load_run_config(args)
-    frames = read_capture(args.capture)
-    if not 0 <= args.index < len(frames):
-        raise ConfigurationError(
-            f"frame index {args.index} out of range (capture has {len(frames)} frames)"
-        )
-    frame = frames[args.index]
+    frame = read_capture_frame(args.capture, args.index)
     geom = None
     if args.calibration:
         cal, geom = load_calibration(args.calibration)

@@ -285,33 +285,9 @@ def iter_capture(path) -> Iterator[CsiFrame]:
     yielded remain valid).
     """
     with open(path, "rb") as fh:
-        head = fh.read(CAPTURE_HEADER_SIZE)
-        if len(head) < CAPTURE_HEADER_SIZE:
-            raise CaptureFormatError("file too short for capture header")
-        magic, version, count = _CAPTURE_HEADER.unpack(head)
-        if magic != CAPTURE_MAGIC:
-            raise CaptureFormatError(f"bad capture magic {magic!r}")
-        if version != CAPTURE_VERSION:
-            raise CaptureFormatError(f"unsupported capture version {version}")
-        max_frame = HEADER_SIZE + 8 * 4 * 4 * 1024  # no valid frame is bigger
-        for k in range(count):
-            prefix = fh.read(_LENGTH_PREFIX.size)
-            if len(prefix) < _LENGTH_PREFIX.size:
-                raise CaptureTruncatedError(f"capture ends at frame {k} of {count}")
-            (length,) = _LENGTH_PREFIX.unpack(prefix)
-            if length > max_frame:
-                raise CaptureTruncatedError(
-                    f"frame {k} of {count} has implausible length {length}"
-                )
-            buf = fh.read(length)
-            if len(buf) < length:
-                raise CaptureTruncatedError(f"frame {k} of {count} cut short")
-            try:
-                yield decode_frame(buf)
-            except CodecError as exc:
-                raise CaptureTruncatedError(f"frame {k} of {count} undecodable: {exc}") from exc
-        if fh.read(1):
-            raise CaptureFormatError("trailing bytes after final frame")
+        count = _read_capture_header(fh)
+        for k, buf in enumerate(_capture_records(fh, count)):
+            yield _decode_record(buf, k, count)
 
 
 def read_capture(path) -> list[CsiFrame]:
@@ -324,6 +300,66 @@ def read_capture(path) -> list[CsiFrame]:
         exc.frames = frames
         raise
     return frames
+
+
+def read_capture_frame(path, index: int) -> CsiFrame:
+    """Decode frame `index` of a capture, and no other.
+
+    The other frames are stepped over by their length prefixes, so the
+    capture's framing is still checked end to end: a corrupt header, a
+    truncated file or trailing bytes fail as in `read_capture`.  An index
+    outside the header's frame count raises ConfigurationError.
+    """
+    with open(path, "rb") as fh:
+        count = _read_capture_header(fh)
+        if not 0 <= index < count:
+            raise ConfigurationError(
+                f"frame index {index} out of range (capture has {count} frames)"
+            )
+        for k, buf in enumerate(_capture_records(fh, count)):
+            if k == index:
+                frame = _decode_record(buf, k, count)
+    return frame
+
+
+def _read_capture_header(fh) -> int:
+    """Check a capture's header; returns its frame count."""
+    head = fh.read(CAPTURE_HEADER_SIZE)
+    if len(head) < CAPTURE_HEADER_SIZE:
+        raise CaptureFormatError("file too short for capture header")
+    magic, version, count = _CAPTURE_HEADER.unpack(head)
+    if magic != CAPTURE_MAGIC:
+        raise CaptureFormatError(f"bad capture magic {magic!r}")
+    if version != CAPTURE_VERSION:
+        raise CaptureFormatError(f"unsupported capture version {version}")
+    return count
+
+
+def _capture_records(fh, count: int) -> Iterator[bytes]:
+    """Yield the `count` length-prefixed wire frames that follow the header, undecoded."""
+    max_frame = HEADER_SIZE + 8 * 4 * 4 * 1024  # no valid frame is bigger
+    for k in range(count):
+        prefix = fh.read(_LENGTH_PREFIX.size)
+        if len(prefix) < _LENGTH_PREFIX.size:
+            raise CaptureTruncatedError(f"capture ends at frame {k} of {count}")
+        (length,) = _LENGTH_PREFIX.unpack(prefix)
+        if length > max_frame:
+            raise CaptureTruncatedError(
+                f"frame {k} of {count} has implausible length {length}"
+            )
+        buf = fh.read(length)
+        if len(buf) < length:
+            raise CaptureTruncatedError(f"frame {k} of {count} cut short")
+        yield buf
+    if fh.read(1):
+        raise CaptureFormatError("trailing bytes after final frame")
+
+
+def _decode_record(buf: bytes, k: int, count: int) -> CsiFrame:
+    try:
+        return decode_frame(buf)
+    except CodecError as exc:
+        raise CaptureTruncatedError(f"frame {k} of {count} undecodable: {exc}") from exc
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> None:

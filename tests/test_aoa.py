@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from csisense import (
     ground_truth_bearing,
     steering_vector,
     subcarrier_frequencies,
+    subcarrier_indices,
     synth_frame,
     wavelength,
     wrap_angle,
@@ -150,6 +152,42 @@ class TestBartlettKernels:
                 kernel[0, 0] = 0.0
 
 
+class TestSteeringCache:
+    def test_alternating_geometries_channels_and_grids_match_cold(self):
+        chans = [ChannelSpec(36, 20), ChannelSpec(155, 80)]
+        geoms = [ArrayGeometry.uniform_linear(4, 0.025, axis="y"),
+                 ArrayGeometry.uniform_linear(3, 0.02, axis="x")]
+        grids = [np.radians(np.arange(-89.0, 90.0, 2.0)), np.radians(np.arange(-60.0, 61.0))]
+        cases = [(c, g, t) for c in range(2) for g in range(2) for t in range(2)]
+        dist = np.arange(0.0, 12.0 + 1e-9, 0.5)
+
+        def outputs(c, g, t):
+            chan, geom = chans[c], geoms[g]
+            cfg = AoaConfig(theta_grid=grids[t], dist_grid=dist)
+            frame = single_path_frame(geom, chan, 0.4, snr_db=15.0, seed=c + 2 * g)
+            return (bartlett_profile(frame, geom, cfg).values,
+                    music_spectrum([frame], geom, cfg),
+                    aoa._spotfi_pseudospectrum(frame, geom, cfg, 0))
+
+        cold = {}
+        for case in cases:
+            aoa._steering_kernel.cache_clear()
+            cold[case] = outputs(*case)
+        for _ in range(2):
+            for case in cases:
+                for warm, ref in zip(outputs(*case), cold[case]):
+                    assert np.array_equal(warm, ref)
+
+    def test_cached_steering_equals_uncached_and_is_read_only(self, square_geom, chan80):
+        theta = AoaConfig().theta_grid
+        lam = wavelength(chan80)
+        cached = aoa._steering(theta, square_geom.positions, lam)
+        assert np.array_equal(cached, aoa.steering_matrix(theta, square_geom, lam))
+        assert aoa._steering(theta, square_geom.positions, lam) is cached
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+
+
 class TestMusic:
     def test_single_source_peak_and_ratio(self, square_geom, chan80, cfg):
         theta = np.radians(-58.0)
@@ -277,6 +315,78 @@ class TestSpotfi:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "False"
+
+    def test_eigh_sizes_default_path_and_noise_source(self, ula_geom, chan80, monkeypatch):
+        frame = synth_frame(
+            [PathComponent(aoa=0.3, delay_s=12e-9),
+             PathComponent(aoa=-0.8, delay_s=42e-9, amplitude=0.2)],
+            ula_geom, chan80, snr_db=30.0, rng_seed=7,
+        )
+        cfg = AoaConfig()
+        idx = subcarrier_indices(chan80)
+        n_ant_sub, n_sub_sub = aoa.spotfi_smoothing_dims(4, int(idx[-1] - idx[0] + 1), cfg)
+        dim = n_ant_sub * n_sub_sub
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        spotfi_estimate(frame, ula_geom, cfg)
+        assert dim == 244
+        assert (dim, dim) not in shapes
+        # a third source sits inside the noise: the Krylov solve stops at
+        # its first convergence test (two blocks) and the dense eigh runs
+        shapes.clear()
+        spotfi_estimate(frame, ula_geom, AoaConfig(n_sources=3))
+        assert shapes == [(3, 3), (6, 6), (dim, dim)]
+
+    @pytest.mark.parametrize("tau", [0.0, 16e-9])
+    @pytest.mark.parametrize("n_sources", [1, 2, 3])
+    def test_noiseless_single_path_matches_eigh_top_path(self, ula_geom, chan80, n_sources,
+                                                         tau):
+        # (near) rank-1 covariance: n_sources > 1 asks for eigenvectors of a
+        # zero eigenvalue; at zero delay the rank is exactly 1, so Krylov
+        # columns after the first can have nothing left once orthogonalized
+        cfg = AoaConfig(theta_grid=np.radians(np.arange(-89.0, 90.0)), n_sources=n_sources)
+        frame = single_path_frame(ula_geom, chan80, np.radians(23.0), tau)
+        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
+        ref, _dim = spotfi_einsum_reference(frame, ula_geom, cfg)
+        assert np.all(np.isfinite(pseudo))
+        ti, di = np.unravel_index(np.argmax(ref), ref.shape)
+        assert np.unravel_index(np.argmax(pseudo), pseudo.shape) == (ti, di)
+        top = spotfi_estimate(frame, ula_geom, cfg)[0]
+        assert top.theta == cfg.theta_grid[ti]
+        assert top.tau == cfg.dist_grid[di] / SPEED_OF_LIGHT
+
+    @pytest.mark.parametrize("n_sources", [1, 2])
+    def test_all_zero_frame_matches_eigh_reference(self, ula_geom, chan80, n_sources):
+        cfg = AoaConfig(theta_grid=np.radians(np.arange(-89.0, 90.0, 2.0)),
+                        n_sources=n_sources)
+        frame = single_path_frame(ula_geom, chan80, 0.3)
+        frame = dataclasses.replace(frame, csi=np.zeros_like(frame.csi))
+        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
+        ref, dim = spotfi_einsum_reference(frame, ula_geom, cfg)
+        assert np.max(np.abs(1.0 / pseudo - 1.0 / ref)) <= 1e-12 * dim
+
+    @pytest.mark.parametrize("n_sources", [1, 3])
+    def test_repeatable_and_leaves_global_random_state(self, ula_geom, chan80, n_sources):
+        cfg = AoaConfig(theta_grid=np.radians(np.arange(-89.0, 90.0, 2.0)),
+                        n_sources=n_sources)
+        frame = synth_frame(
+            [PathComponent(aoa=0.2, delay_s=10e-9),
+             PathComponent(aoa=-0.6, delay_s=25e-9, amplitude=0.6)],
+            ula_geom, chan80, snr_db=20.0, rng_seed=4,
+        )
+        before = np.random.get_state()
+        first = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
+        second = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
+        after = np.random.get_state()
+        assert np.array_equal(first, second)
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
 
 
 def spotfi_einsum_reference(frame, geom, cfg):

@@ -147,6 +147,43 @@ class TestPipeline:
         assert image.shape == (theta.size, dist.size)
         assert meta["channel"] == "155"
 
+    def test_profile_decodes_only_its_frame(self, workspace, monkeypatch):
+        tmp_path, scenario = workspace
+        capture, _, cal, _ = run_pipeline(tmp_path, scenario)
+        frames = read_capture(capture)
+        calls = []
+        decode = codec.decode_frame
+
+        def counted(buf):
+            calls.append(len(buf))
+            return decode(buf)
+
+        monkeypatch.setattr(codec, "decode_frame", counted)
+        out = tmp_path / "p.pgm"
+        for index in (0, 3, len(frames) - 1):
+            calls.clear()
+            assert main(["profile", "--capture", str(capture), "--index", str(index),
+                         "--calibration", str(cal), "--out", str(out)]) == 0
+            assert len(calls) == 1
+            assert read_profile_pgm(out)[3]["seq"] == str(frames[index].seq)
+
+    def test_profile_bad_index_or_damaged_capture_exit_2(self, workspace, capsys):
+        tmp_path, scenario = workspace
+        capture, _, cal, _ = run_pipeline(tmp_path, scenario)
+        raw = capture.read_bytes()
+        damaged = {"cut.wcap": raw[: len(raw) - 100], "trailing.wcap": raw + b"\0",
+                   "magic.wcap": b"XCAP" + raw[4:]}
+        cases = [(capture, 80, "frame index 80 out of range (capture has 80 frames)"),
+                 (capture, -1, "frame index -1 out of range (capture has 80 frames)")]
+        for name, data in damaged.items():
+            (tmp_path / name).write_bytes(data)
+            cases.append((tmp_path / name, 0, "error: data:"))
+        for path, index, message in cases:
+            capsys.readouterr()
+            assert main(["profile", "--capture", str(path), "--index", str(index),
+                         "--calibration", str(cal), "--out", str(tmp_path / "p.pgm")]) == 2
+            assert message in capsys.readouterr().err
+
 
 class TestDecode:
     def test_decode_to_csv(self, workspace, capsys):
