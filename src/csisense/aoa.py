@@ -27,11 +27,12 @@ steering over bearings, and SpotFi projects the signal subspace on the
 antenna steering before the delay steering.
 
 SpotFi needs only the n_sources leading eigenvectors of its smoothed
-covariance (244 x 244 at 80 MHz).  A numpy-only block Krylov solver
-finds them from products with the snapshot matrix, without forming the
-covariance; when they do not separate from the rest of the spectrum
-within a fixed basis size (more sources asked for than the frame has
-paths), it falls back to the dense covariance and a full `eigh`.
+covariance (244 x 244 at 80 MHz).  The numpy-only block Krylov solver
+in `core`, which the calibration shares, finds them from products with
+the snapshot matrix, without forming the covariance; when they do not
+separate from the rest of the spectrum within a fixed basis size (more
+sources asked for than the frame has paths), SpotFi falls back to the
+dense covariance and a full `eigh`.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .core import (
     DimensionMismatchError,
     Pose2D,
     Profile2D,
+    _leading_eigenpairs,
     subcarrier_indices,
     subcarrier_frequencies,
     wavelength,
@@ -273,10 +275,10 @@ def _spotfi_pseudospectrum(
     """Smoothed 2-D MUSIC pseudospectrum over (theta grid, dist grid).
 
     The signal subspace is the top n_sources eigenvectors of the smoothed
-    covariance X X^H / n_windows, from `_signal_subspace`: a block Krylov
-    solver that never forms the dim x dim covariance, falling back to the
-    dense covariance and a full `eigh` when the subspace is not separated
-    from the rest of the spectrum (n_sources above the path count).
+    covariance X X^H / n_windows, from `core._leading_eigenpairs`: a block
+    Krylov solver that never forms the dim x dim covariance.  When the
+    subspace is not separated from the rest of the spectrum (n_sources
+    above the path count), the dense covariance and a full `eigh` give it.
     """
     csi_full = interpolate_subcarriers(
         frame.csi[:, tx_index, :].astype(np.complex128), frame.chanspec
@@ -289,7 +291,13 @@ def _spotfi_pseudospectrum(
     n_sources = cfg.n_sources
     if n_sources >= dim:
         raise ConfigurationError("source count leaves no noise subspace")
-    signal = _signal_subspace(snapshots, n_sources)
+    leading = _leading_eigenpairs(snapshots, n_sources)
+    if leading is not None:
+        signal = leading[1]
+    else:
+        cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
+        cov = 0.5 * (cov + cov.conj().T)
+        signal = np.linalg.eigh(cov)[1][:, dim - n_sources:]
 
     ant = _steering(cfg.theta_grid, geom.positions[:n_ant_sub], wavelength(frame.chanspec))
     sub = _delay_steering(n_sub_sub, _grid_key(cfg.dist_grid))
@@ -304,100 +312,6 @@ def _spotfi_pseudospectrum(
     sig_power = np.sum(np.abs(projection) ** 2, axis=0)
     denom = np.maximum(dim - sig_power, 1e-9 * dim)
     return 1.0 / denom
-
-
-# Block Krylov settings for `_signal_subspace`.  The start block is drawn
-# from its own seeded generator, so results repeat bit for bit and the
-# global np.random state is never touched.  A residual of 1e-13 times the
-# gap below the subspace bounds the projector error by 1e-13 (sin-theta
-# theorem), well inside the 1e-12 the pseudospectrum denominators need.
-_KRYLOV_SEED = 2015
-_KRYLOV_TOL = 1e-13
-# Basis size at which the Krylov solve gives up and pays for the dense
-# one.  On 80 MHz frames (dim 244, one BLAS thread) a resolvable subspace
-# converged within 4-7 vectors at n_sources = 1, 8-14 at 2 and 15-27 at 3,
-# and each vector costs ~0.25 ms against ~20-25 ms for the dense
-# covariance + eigh.  24 vectors (~6 ms) bound the time lost on a weak
-# last source that converges too slowly; a source inside the noise
-# (n_sources above the path count) is caught earlier by the rounding test.
-_KRYLOV_MAX_BASIS = 24
-
-
-def _signal_subspace(snapshots: np.ndarray, n_sources: int) -> np.ndarray:
-    """Top n_sources eigenvectors of C = X X^H / n, X = snapshots (dim, n).
-
-    Block Krylov iteration with Rayleigh-Ritz (Musco & Musco, NeurIPS
-    2015): the basis grows by blocks C^j X G from a seeded Gaussian G,
-    C applied as X (X^H V) / n, so no dim x dim matrix is formed.  It
-    stops when the Ritz residual ||C y - theta y|| is below _KRYLOV_TOL
-    times the Ritz gap below the subspace.  It falls back to the dense
-    covariance and a full `eigh` when that bound drops below the rounding
-    floor eps * ||C|| of the residual (the subspace is not separated from
-    the rest of the spectrum), or when the basis reaches
-    _KRYLOV_MAX_BASIS unconverged.  Columns come in ascending eigenvalue
-    order, as from `eigh`.
-    """
-    dim, n = snapshots.shape
-    rows = snapshots.T  # X^H V = conj(X^T conj(V)) without a conjugated copy of X
-    limit = min(_KRYLOV_MAX_BASIS, dim)
-    rng = np.random.default_rng(_KRYLOV_SEED)
-    basis = np.empty((dim, limit), dtype=np.complex128)
-    images = np.empty_like(basis)  # C @ basis
-    gram = np.empty((limit, limit), dtype=np.complex128)  # basis^H C basis, upper half
-    block = snapshots @ _gaussian(rng, (n, n_sources))
-    m = 0
-    while m + n_sources <= limit:
-        start = m
-        for v in block.T:
-            m = _append_orthonormal(basis, m, v, rng)
-        new = basis[:, start:m]
-        images[:, start:m] = snapshots @ np.conj(rows @ np.conj(new)) / n
-        gram[:m, start:m] = basis[:, :m].conj().T @ images[:, start:m]
-        ritz_vals, ritz_coef = np.linalg.eigh(gram[:m, :m], UPLO="U")
-        if m > n_sources:
-            gap = ritz_vals[m - n_sources] - ritz_vals[m - n_sources - 1]
-            if _KRYLOV_TOL * gap <= np.finfo(float).eps * ritz_vals[-1]:
-                break  # the test would ask for less than rounding in C y leaves
-            top = ritz_coef[:, m - n_sources:]
-            vectors = basis[:, :m] @ top
-            residual = images[:, :m] @ top - vectors * ritz_vals[m - n_sources:]
-            if np.linalg.norm(residual) <= _KRYLOV_TOL * gap:
-                return vectors
-        block = images[:, start:m]
-    cov = snapshots @ snapshots.conj().T / n
-    cov = 0.5 * (cov + cov.conj().T)
-    _eigvals, eigvecs = np.linalg.eigh(cov)
-    return eigvecs[:, dim - n_sources:]
-
-
-def _append_orthonormal(basis: np.ndarray, m: int, v: np.ndarray, rng) -> int:
-    """Store v, orthonormalized against basis[:, :m], as column m; return m + 1.
-
-    Classical Gram-Schmidt run twice, which keeps the basis orthonormal
-    to working precision.  A column with nothing left once projected (a
-    rank-deficient block, as from an all-zero frame or a noiseless single
-    path at zero delay, whose covariance has rank 0 or 1) is replaced by
-    a seeded random direction, orthogonalized the same way, so the basis
-    still grows.
-    """
-    q = basis[:, :m]
-    w = _project_out(v, q)
-    norm = np.linalg.norm(w)
-    if not norm > 1e-12 * np.linalg.norm(v):
-        w = _project_out(_gaussian(rng, v.shape), q)
-        norm = np.linalg.norm(w)
-    basis[:, m] = w / norm
-    return m + 1
-
-
-def _project_out(v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    for _ in range(2):
-        v = v - q @ (q.conj().T @ v)
-    return v
-
-
-def _gaussian(rng, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def average_profiles(profiles: list[Profile2D], window: int) -> Profile2D:

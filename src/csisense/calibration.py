@@ -15,6 +15,11 @@ location, assuming the direct path dominates:
    |u0^H x| <= sum_i |u0_i| with equality at x = exp(j*angle(u0)), so it
    minimizes n - |u0^H x|^2 in closed form and needs no refinement.
 
+Only u0 and the spectral gap sigma_1/sigma_2 are needed, so step 3 finds
+the leading singular pair with the block Krylov solver SpotFi also uses,
+then sigma_2 as the leading singular value of the matrix with u0
+deflated out; an SVD runs only when one of the two does not separate.
+
 The recovered bias is returned *negated* and referenced to antenna 0
 (row 0 identically zero), so the stored matrix is the correction that
 `apply_calibration` multiplies in directly.  Anything common to all
@@ -37,11 +42,14 @@ from .core import (
     CsiSenseError,
     DimensionMismatchError,
     Pose2D,
-    expected_csi,
+    SUBCARRIER_SPACING_HZ,
+    _leading_eigenpairs,
+    ground_truth_bearing,
+    steering_vector,
     subcarrier_frequencies,
+    wavelength,
     wrap_angle,
 )
-from .core import SUBCARRIER_SPACING_HZ
 
 
 class CalibrationError(CsiSenseError):
@@ -78,11 +86,11 @@ class CalibrationDataset:
 
 @dataclass
 class CoarseResult:
-    """SVD stage output: closed-form phase plus its singular vector."""
+    """Leading singular pair stage output: closed-form phase and its vector."""
 
     phi_coarse: np.ndarray  # (n_rx, n_sub) radians, angle of u0
     u0: np.ndarray  # (n,) first left-singular vector, unit norm
-    singular_values: np.ndarray  # descending, non-negative (LAPACK order)
+    singular_values: np.ndarray  # (sigma_1, sigma_2); (sigma_1,) when M has one row
 
     @property
     def spectral_gap(self) -> float:
@@ -119,7 +127,9 @@ def suppress_bearing(
 
     Removes the bearing-induced inter-antenna phase, leaving bias, common
     phase and the per-subcarrier time-of-flight slope.  Magnitudes are
-    unchanged (the expected CSI is unit modulus).
+    unchanged (the expected CSI is unit modulus).  The expected CSI is one
+    steering vector repeated over subcarriers, so its conjugate is
+    broadcast across them rather than materialized.
     """
     if frame.n_rx != geom.n_antennas:
         raise DimensionMismatchError(
@@ -127,18 +137,27 @@ def suppress_bearing(
         )
     if not 0 <= tx_index < frame.n_tx:
         raise DimensionMismatchError(f"tx index {tx_index} out of range")
-    expected = expected_csi(pose, tx_location, geom, frame.chanspec)
-    return frame.csi[:, tx_index, :].astype(np.complex128) * np.conj(expected)
+    theta = ground_truth_bearing(pose, tx_location)
+    steering = steering_vector(theta, geom, wavelength(frame.chanspec))
+    return frame.csi[:, tx_index, :].astype(np.complex128) * np.conj(steering)[:, None]
 
 
 def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
     """Stack suppressed snapshots and extract the dominant component.
 
     Each snapshot is flattened rx-major into one column of the data
-    matrix; an economy complex SVD (conjugate-transpose semantics) yields
-    the strongest shared structure in its first left-singular vector,
-    whose element-wise phase is the calibration estimate.  Only that
-    vector and the singular values (for the spectral gap) are kept.
+    matrix M (n x T); the strongest shared structure is its first
+    left-singular vector u0, whose element-wise phase is the calibration
+    estimate.  Only u0, sigma_1 and sigma_2 (for the spectral gap) are
+    kept, so no SVD of M runs on the default path:
+
+    * u0 and sigma_1 = sqrt(T * lambda_1) come from the block Krylov
+      solver on M, as the top eigenpair of M M^H / T;
+    * sigma_2 is the top singular value of the deflated M - u0 (u0^H M),
+      from the same solver;
+    * when the first solve does not separate, the economy SVD of M gives
+      all three; when only the second does not (sigma_2 inside a noise
+      bulk), a values-only SVD of M gives sigma_2.
     """
     if len(sups) < 2:
         raise CalibrationError("need at least 2 snapshots")
@@ -148,12 +167,39 @@ def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
     stacked = np.stack([np.asarray(s, dtype=np.complex128).ravel() for s in sups], axis=1)
     if not np.any(stacked):
         raise CalibrationError("degenerate all-zero snapshots")
+    n_pairs = stacked.shape[1]
+    leading = _leading_eigenpairs(stacked, 1)
+    if leading is None:
+        u, sv, _vh = _svd(stacked, full_matrices=False)
+        u0 = u[:, 0].copy()  # a view would keep the whole n x T factor alive
+        sv = sv[:2]
+    else:
+        u0 = leading[1][:, 0]
+        sigma_1 = _singular_value(n_pairs, leading[0][0])
+        second = _leading_eigenpairs(stacked - np.outer(u0, u0.conj() @ stacked), 1)
+        if second is None:
+            sigma_2 = _svd(stacked, compute_uv=False)[1]
+        else:
+            sigma_2 = _singular_value(n_pairs, second[0][0])
+        sv = np.array([sigma_1, sigma_2])
+    return CoarseResult(phi_coarse=np.angle(u0).reshape(shape), u0=u0, singular_values=sv)
+
+
+def _singular_value(n_pairs: int, eigenvalue: float) -> float:
+    """sigma = sqrt(T * lambda) for an eigenvalue lambda of M M^H / T.
+
+    A Ritz value of this positive semi-definite matrix can land a rounding
+    error below zero; the clamp keeps the spectral gap a number.
+    """
+    return float(np.sqrt(n_pairs * max(float(eigenvalue), 0.0)))
+
+
+def _svd(stacked: np.ndarray, **kwargs):
+    """`np.linalg.svd`, failing as a CalibrationError."""
     try:
-        u, sv, _vh = np.linalg.svd(stacked, full_matrices=False)
+        return np.linalg.svd(stacked, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise CalibrationError(f"SVD failed: {exc}") from exc
-    u0 = u[:, 0].copy()  # a view would keep the whole n x T factor alive
-    return CoarseResult(phi_coarse=np.angle(u0).reshape(shape), u0=u0, singular_values=sv)
 
 
 def calibrate(
@@ -192,8 +238,9 @@ def calibrate(
     # which lands in the unobservable gauge.
     ref_sup = sups[0]
     rel_freq = freqs - freqs[mid]
+    unit = np.isclose(np.diff(freqs), SUBCARRIER_SPACING_HZ)
     for t in range(len(sups)):
-        slope = _fit_common_slope(sups[t] * np.conj(ref_sup), freqs)
+        slope = _fit_common_slope(sups[t] * np.conj(ref_sup), unit)
         sups[t] = sups[t] * np.exp(-1j * slope * rel_freq)[None, :]
 
     coarse = coarse_calibration(sups)
@@ -290,14 +337,13 @@ def parse_geometry(text: str) -> ArrayGeometry:
     return ArrayGeometry(np.array(points, dtype=np.float64))
 
 
-def _fit_common_slope(ratios: np.ndarray, freqs: np.ndarray) -> float:
+def _fit_common_slope(ratios: np.ndarray, unit: np.ndarray) -> float:
     """Best-fit linear phase slope (rad/Hz) across subcarriers.
 
-    Uses only adjacent subcarrier pairs at the base spacing, summed over
-    antennas, so pilot/DC gaps never alias the estimate.
+    Uses only the adjacent subcarrier pairs that `unit` marks as sitting at
+    the base spacing (np.diff of the frequencies), summed over antennas,
+    so pilot/DC gaps never alias the estimate.
     """
-    gaps = np.diff(freqs)
-    unit = np.isclose(gaps, SUBCARRIER_SPACING_HZ)
     prod = ratios[:, 1:][:, unit] * np.conj(ratios[:, :-1][:, unit])
     z = np.sum(prod)
     if z == 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csisense import calibration
 from csisense import (
     ArrayGeometry,
     CalibrationDataset,
@@ -60,6 +61,14 @@ class TestSuppressBearing:
         sup = suppress_bearing(frame, pose, (0, 0), square_geom)
         assert np.max(np.abs(wrap_angle(np.angle(sup) - phi))) < 1e-4
 
+    def test_equals_product_with_conj_expected_csi(self, square_geom, chan80):
+        frame = synth_frame([PathComponent(aoa=0.4, delay_s=10e-9)], square_geom, chan80,
+                            snr_db=20.0, rng_seed=2)
+        pose = Pose2D(1.5, -2.0, 0.9)
+        model = expected_csi(pose, (0.3, 0.1), square_geom, chan80)
+        ref = frame.csi[:, 0, :].astype(np.complex128) * np.conj(model)
+        assert np.array_equal(suppress_bearing(frame, pose, (0.3, 0.1), square_geom), ref)
+
     def test_magnitudes_unchanged(self, square_geom, chan80):
         frame = synth_frame([PathComponent(aoa=0.4, delay_s=10e-9, amplitude=1.7)],
                             square_geom, chan80)
@@ -91,6 +100,90 @@ class TestCoarseCalibration:
     def test_all_zero_rejected(self):
         with pytest.raises(CalibrationError):
             coarse_calibration([np.zeros((2, 5), complex)] * 4)
+
+
+def pipeline_snapshots(chan, geom, monkeypatch, n_pairs=120, seed=31):
+    """The suppressed, slope-removed snapshots `calibrate` hands to `coarse_calibration`."""
+    captured = []
+
+    def capture(sups):
+        captured.append(sups)
+        return coarse_calibration(sups)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calibration, "coarse_calibration", capture)
+        calibrate(make_dataset(chan, geom, n_pairs=n_pairs,
+                               bias=random_bias(chan, 4, seed=seed), seed=seed))
+    return captured[0]
+
+
+def noisy_snapshots(rng, shape, n, noise):
+    phi = rng.uniform(-np.pi, np.pi, shape)
+    return [np.exp(1j * phi)
+            + noise * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(n)]
+
+
+def svd_calls(monkeypatch):
+    """Record the keyword arguments of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append(kwargs)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+def assert_matches_economy_svd(coarse, sups, rank_one=False):
+    stacked = np.stack([np.asarray(s, dtype=np.complex128).ravel() for s in sups], axis=1)
+    u, sv, _vh = np.linalg.svd(stacked, full_matrices=False)
+    ref_u0 = u[:, 0]
+    phase = np.vdot(ref_u0, coarse.u0)
+    phase /= np.abs(phase)  # u0 is defined up to one global phase
+    assert np.max(np.abs(coarse.u0 - phase * ref_u0)) <= 1e-12
+    assert coarse.singular_values[0] == pytest.approx(sv[0], rel=1e-12)
+    if rank_one:
+        # sigma_2 is rounding noise on both sides: only its size compares
+        assert coarse.singular_values[1] <= 1e-12 * sv[0] and sv[1] <= 1e-12 * sv[0]
+        assert coarse.spectral_gap > 1e12
+    else:
+        assert coarse.singular_values[1] == pytest.approx(sv[1], rel=1e-12)
+        assert coarse.spectral_gap == pytest.approx(sv[0] / sv[1], rel=1e-12)
+
+
+class TestCoarseLeadingPair:
+    def test_survey_like_data_calls_no_svd(self, square_geom, chan80, monkeypatch):
+        sups = pipeline_snapshots(chan80, square_geom, monkeypatch)
+        calls = svd_calls(monkeypatch)
+        coarse = coarse_calibration(sups)
+        assert calls == []
+        assert_matches_economy_svd(coarse, sups)
+
+    def test_noise_bulk_takes_sigma_2_from_values_only_svd(self, rng, monkeypatch):
+        # sigma_2 ~ sigma_3: the deflated solve does not separate
+        sups = noisy_snapshots(rng, (4, 52), 60, noise=0.3)
+        calls = svd_calls(monkeypatch)
+        coarse = coarse_calibration(sups)
+        assert calls == [{"compute_uv": False}]
+        assert_matches_economy_svd(coarse, sups)
+
+    def test_exact_rank_one(self, rng):
+        phi = rng.uniform(-np.pi, np.pi, (4, 52))
+        weights = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        sups = [w * np.exp(1j * phi) for w in weights]
+        assert_matches_economy_svd(coarse_calibration(sups), sups, rank_one=True)
+
+    @pytest.mark.parametrize("n_pairs", [2, 3])
+    def test_few_pairs(self, rng, n_pairs):
+        sups = noisy_snapshots(rng, (4, 52), n_pairs, noise=0.3)
+        assert_matches_economy_svd(coarse_calibration(sups), sups)
+
+    def test_more_pairs_than_rows(self, rng):
+        sups = noisy_snapshots(rng, (2, 5), 40, noise=0.3)
+        assert_matches_economy_svd(coarse_calibration(sups), sups)
 
 
 def off_component_power(u0, phi):

@@ -21,6 +21,7 @@ from csisense import (
     wavelength,
     wrap_angle,
 )
+from csisense import core
 from csisense.core import SPEED_OF_LIGHT, SUBCARRIER_SPACING_HZ
 from csisense.synth import synth_frame, PathComponent
 
@@ -227,3 +228,59 @@ class TestSynthSlopeOracle:
         steps = np.angle(row[1:][unit] * np.conj(row[:-1][unit]))
         expected = wrap_angle(-2 * np.pi * SUBCARRIER_SPACING_HZ * tau)
         assert np.allclose(steps, expected, atol=1e-4)
+
+
+def _low_rank_plus_noise(rng, dim, n, strengths, noise=0.01):
+    """dim x n complex snapshots: one random direction per strength, plus noise."""
+    x = noise * (rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n)))
+    for s in strengths:
+        direction = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x += s * np.outer(direction / np.linalg.norm(direction), weights)
+    return x
+
+
+class TestLeadingEigenpairs:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_eigh(self, rng, k):
+        x = _low_rank_plus_noise(rng, 150, 300, [3.0, 2.0, 1.2][:k] + [0.5])
+        values, vectors = core._leading_eigenpairs(x, k)
+        ref_vals, ref_vecs = np.linalg.eigh(x @ x.conj().T / x.shape[1])
+        scale = ref_vals[-1]
+        assert values.shape == (k,) and vectors.shape == (150, k)
+        assert np.max(np.abs(values - ref_vals[-k:])) <= 1e-12 * scale
+        # the same subspace: equal orthogonal projectors
+        top = ref_vecs[:, -k:]
+        assert np.max(np.abs(vectors @ vectors.conj().T - top @ top.conj().T)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["equal eigenvalues", "noise bulk"])
+    def test_not_separated_returns_none_without_dense_solve(self, rng, case, monkeypatch):
+        if case == "equal eigenvalues":
+            x = np.eye(40, dtype=np.complex128)  # rounding-floor stop at the first test
+        else:
+            x = rng.standard_normal((200, 400)) + 1j * rng.standard_normal((200, 400))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense SVD inside the solver")
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        assert core._leading_eigenpairs(x, 1) is None
+        assert shapes and max(s[0] for s in shapes) <= core._KRYLOV_MAX_BASIS
+
+    def test_repeatable_and_leaves_global_random_state(self, rng):
+        x = _low_rank_plus_noise(rng, 100, 80, [2.0, 1.0])
+        before = np.random.get_state()
+        first = core._leading_eigenpairs(x, 2)
+        second = core._leading_eigenpairs(x, 2)
+        after = np.random.get_state()
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
