@@ -9,9 +9,12 @@ Estimators:
 * `spotfi_estimate` -- joint (bearing, delay) via 2-D MUSIC on spatially
   smoothed antenna/subcarrier sub-arrays (uniform linear arrays only).
 
-All estimators are invariant to a global unit-phase factor on the input
-and to any per-subcarrier phase common to all antennas, which is exactly
-the part of the calibration the pipeline cannot observe.
+All estimators are invariant to a global unit-phase factor on the input.
+Only MUSIC, which estimates bearing alone, is also blind to a
+per-subcarrier phase common to all antennas -- the part of the
+calibration the pipeline cannot observe.  Bartlett's range axis and
+SpotFi's subcarrier smoothing are not: both need a clean phase across
+subcarriers to separate coherent paths.
 
 `triangulate` turns bearings taken from known sensor poses into a
 least-squares position fix for the localization case studies.
@@ -43,7 +46,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .core import (
     SPEED_OF_LIGHT,
@@ -250,7 +252,7 @@ def spotfi_estimate(
     pseudo = _spotfi_pseudospectrum(frame, geom, cfg, tx_index)
     tau_grid = cfg.dist_grid / SPEED_OF_LIGHT
 
-    local_max = pseudo == maximum_filter(pseudo, size=3, mode="nearest")
+    local_max = pseudo == _max_filter3(pseudo)
     peak_idx = np.argwhere(local_max)
     order = np.argsort(pseudo[local_max])[::-1]
     paths = []
@@ -264,6 +266,13 @@ def spotfi_estimate(
             )
         )
     return paths
+
+
+def _max_filter3(values: np.ndarray) -> np.ndarray:
+    """3 x 3 sliding maximum of a 2-D array, borders replicating the edge."""
+    padded = np.pad(values, 1, mode="edge")
+    rows = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
+    return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
 
 
 def _spotfi_pseudospectrum(
@@ -394,6 +403,12 @@ def estimate_bearing(
             reason=f"rssi {rssi_dbm:.1f} dBm below floor {cfg.rssi_floor_dbm:.1f} dBm",
             rssi_dbm=rssi_dbm,
         )
+    return _argmax_bearing(profile_or_spectrum, rssi_dbm, cfg, source_mac, timestamp_ns)
+
+
+def _argmax_bearing(profile_or_spectrum, rssi_dbm: float, cfg: AoaConfig,
+                    source_mac: bytes, timestamp_ns: int) -> BearingEstimate:
+    """`estimate_bearing` without the RSSI floor, for frames already past it."""
     if isinstance(profile_or_spectrum, Profile2D):
         curve = profile_or_spectrum.values.max(axis=1)
         grid = profile_or_spectrum.theta_grid

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +35,8 @@ from . import __version__
 from .aoa import (
     AoaConfig,
     ProfileAverager,
-    RejectedBearing,
+    _argmax_bearing,
     bartlett_profile,
-    estimate_bearing,
     music_spectrum,
     spotfi_estimate,
     spotfi_smoothing_dims,
@@ -59,6 +60,7 @@ from .codec import (
     filter_frames,
     format_mac,
     ingest_stream,
+    iter_capture,
     parse_mac,
     read_capture,
     read_capture_frame,
@@ -66,8 +68,10 @@ from .codec import (
     write_capture,
 )
 from .core import (
+    ArrayGeometry,
     BearingEstimate,
     ConfigurationError,
+    CsiFrame,
     CsiSenseError,
     apply_calibration,
     subcarrier_indices,
@@ -104,15 +108,18 @@ class RunConfig:
     scan_policy: ScanPolicy = field(default_factory=ScanPolicy)
 
     def aoa_config(self) -> AoaConfig:
+        """Estimator settings; an unset RSSI floor takes AoaConfig's default."""
+        if not (self.theta_step_deg > 0 and self.dist_step_m > 0):
+            raise ConfigurationError("theta_step_deg and dist_step_m must be positive")
         theta = np.radians(
             np.arange(self.theta_min_deg, self.theta_max_deg + 1e-9, self.theta_step_deg)
         )
         dist = np.arange(0.0, self.dist_max_m + 1e-9, self.dist_step_m)
-        floor = self.rssi_floor_dbm if self.rssi_floor_dbm is not None else -65.0
         return AoaConfig(
             theta_grid=theta,
             dist_grid=dist,
-            rssi_floor_dbm=floor,
+            rssi_floor_dbm=(AoaConfig.rssi_floor_dbm if self.rssi_floor_dbm is None
+                            else self.rssi_floor_dbm),
             algorithm=self.algorithm,
             smoothing=self.smoothing,
             window=self.window,
@@ -132,34 +139,37 @@ def load_config(path) -> RunConfig:
         if unknown:
             raise ConfigurationError(f"unknown keys {sorted(unknown)} in [{section}] of {path}")
     cfg = RunConfig()
-    if parser.has_section("packet"):
-        sec = parser["packet"]
-        if "mac_filter" in sec:
-            cfg.mac_filter = {parse_mac(m) for m in sec["mac_filter"].split(",") if m.strip()}
-        if "rssi_floor_dbm" in sec:
-            cfg.rssi_floor_dbm = sec.getfloat("rssi_floor_dbm")
-    if parser.has_section("algorithm"):
-        sec = parser["algorithm"]
-        cfg.algorithm = sec.get("algorithm", cfg.algorithm).strip().lower()
-        cfg.theta_min_deg = sec.getfloat("theta_min_deg", cfg.theta_min_deg)
-        cfg.theta_max_deg = sec.getfloat("theta_max_deg", cfg.theta_max_deg)
-        cfg.theta_step_deg = sec.getfloat("theta_step_deg", cfg.theta_step_deg)
-        cfg.dist_max_m = sec.getfloat("dist_max_m", cfg.dist_max_m)
-        cfg.dist_step_m = sec.getfloat("dist_step_m", cfg.dist_step_m)
-        cfg.window = sec.getint("window", cfg.window)
-        cfg.n_sources = sec.getint("n_sources", cfg.n_sources)
-        if "smoothing" in sec:
-            a, _, s = sec["smoothing"].partition(",")
-            cfg.smoothing = (int(a), int(s))
-    if parser.has_section("setup"):
-        sec = parser["setup"]
-        cfg.scan_policy = ScanPolicy(
-            scan_period_s=sec.getfloat("scan_period_s", 30.0),
-            dwell_ms=sec.getint("dwell_ms", 100),
-            switch_margin_db=sec.getfloat("switch_margin_db", 6.0),
-            switch_cost_ms=sec.getint("switch_cost_ms", 400),
-            stale_timeout_s=sec.getfloat("stale_timeout_s", 120.0),
-        )
+    try:
+        if parser.has_section("packet"):
+            sec = parser["packet"]
+            if "mac_filter" in sec:
+                cfg.mac_filter = {parse_mac(m) for m in sec["mac_filter"].split(",") if m.strip()}
+            if "rssi_floor_dbm" in sec:
+                cfg.rssi_floor_dbm = sec.getfloat("rssi_floor_dbm")
+        if parser.has_section("algorithm"):
+            sec = parser["algorithm"]
+            cfg.algorithm = sec.get("algorithm", cfg.algorithm).strip().lower()
+            cfg.theta_min_deg = sec.getfloat("theta_min_deg", cfg.theta_min_deg)
+            cfg.theta_max_deg = sec.getfloat("theta_max_deg", cfg.theta_max_deg)
+            cfg.theta_step_deg = sec.getfloat("theta_step_deg", cfg.theta_step_deg)
+            cfg.dist_max_m = sec.getfloat("dist_max_m", cfg.dist_max_m)
+            cfg.dist_step_m = sec.getfloat("dist_step_m", cfg.dist_step_m)
+            cfg.window = sec.getint("window", cfg.window)
+            cfg.n_sources = sec.getint("n_sources", cfg.n_sources)
+            if "smoothing" in sec:
+                a, _, s = sec["smoothing"].partition(",")
+                cfg.smoothing = (int(a), int(s))
+        if parser.has_section("setup"):
+            sec = parser["setup"]
+            cfg.scan_policy = ScanPolicy(
+                scan_period_s=sec.getfloat("scan_period_s", 30.0),
+                dwell_ms=sec.getint("dwell_ms", 100),
+                switch_margin_db=sec.getfloat("switch_margin_db", 6.0),
+                switch_cost_ms=sec.getint("switch_cost_ms", 400),
+                stale_timeout_s=sec.getfloat("stale_timeout_s", 120.0),
+            )
+    except ValueError as exc:
+        raise ConfigurationError(f"bad value in {path}: {exc}") from exc
     return cfg
 
 
@@ -285,46 +295,34 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _frame_source(args, cfg: RunConfig, stats: IngestStats):
+def _frame_source(args, cfg: RunConfig, rssi_floor_dbm: float | None, stats: IngestStats):
+    """Decoded capture or UDP frames that pass the MAC allow-list and the RSSI floor.
+
+    `decode` and `bearing` apply both filters here and nowhere else, so a
+    dropped frame reaches no estimator and is counted once in `stats`.
+    """
+    mac_allow = cfg.mac_filter or None
     if args.capture:
-        return _filter(read_capture(args.capture), cfg, stats)
+        return filter_frames(iter_capture(args.capture), mac_allow, rssi_floor_dbm, stats)
     datagrams = udp_datagrams(port=args.udp, max_datagrams=args.count,
                               timeout_s=args.timeout)
-    return ingest_stream(datagrams, mac_allow=cfg.mac_filter or None,
-                         rssi_floor_dbm=cfg.rssi_floor_dbm, stats=stats)
-
-
-def _filter(frames, cfg: RunConfig, stats: IngestStats):
-    return filter_frames(frames, mac_allow=cfg.mac_filter or None,
-                         rssi_floor_dbm=cfg.rssi_floor_dbm, stats=stats)
+    return ingest_stream(datagrams, mac_allow, rssi_floor_dbm, stats)
 
 
 def _cmd_decode(args) -> int:
     cfg = _load_run_config(args)
     stats = IngestStats()
     truncated = None
-    rows = []
-    try:
-        rows.extend(_frame_source(args, cfg, stats))
-    except CaptureTruncatedError as exc:
-        truncated = exc
-        rows.extend(_filter(exc.frames, cfg, stats))
-    lines = [
-        f"{f.timestamp_ns},{f.seq},{format_mac(f.source_mac)},"
-        f"{f.chanspec.channel_number},{f.chanspec.bandwidth_mhz},"
-        f"{f.n_rx},{f.n_tx},{f.n_sub},{f.rssi_dbm:.1f}"
-        for f in rows
-    ]
-    header = "timestamp_ns,seq,source_mac,channel,bandwidth_mhz,n_rx,n_tx,n_sub,rssi_dbm"
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(header + "\n")
-            for line in lines:
-                fh.write(line + "\n")
-    else:
-        print(header)
-        for line in lines:
-            print(line)
+    sink = open(args.csv, "w") if args.csv else contextlib.nullcontext(sys.stdout)
+    with sink as out:
+        out.write("timestamp_ns,seq,source_mac,channel,bandwidth_mhz,n_rx,n_tx,n_sub,rssi_dbm\n")
+        try:
+            for f in _frame_source(args, cfg, cfg.rssi_floor_dbm, stats):
+                out.write(f"{f.timestamp_ns},{f.seq},{format_mac(f.source_mac)},"
+                          f"{f.chanspec.channel_number},{f.chanspec.bandwidth_mhz},"
+                          f"{f.n_rx},{f.n_tx},{f.n_sub},{f.rssi_dbm:.1f}\n")
+        except CaptureTruncatedError as exc:
+            truncated = exc  # the rows before the cut are written
     print(f"decoded {stats.delivered} frames "
           f"(dropped: {stats.dropped_decode} decode, {stats.dropped_mac} mac, "
           f"{stats.dropped_rssi} rssi)", file=sys.stderr)
@@ -368,62 +366,57 @@ def _cmd_bearing(args) -> int:
     cfg = _load_run_config(args)
     cal, geom = load_calibration(args.calibration)
     aoa_cfg = cfg.aoa_config()
-    streaming = args.udp is not None
+    if aoa_cfg.algorithm == "spotfi":
+        idx = subcarrier_indices(cal.chanspec)
+        dims = spotfi_smoothing_dims(geom.n_antennas, int(idx[-1] - idx[0] + 1), aoa_cfg)
+        print(f"spotfi smoothing = {dims[0]},{dims[1]}", file=sys.stderr)
+    estimate = _bearing_estimator(geom, aoa_cfg)
     stats = IngestStats()
-    averager = ProfileAverager(cfg.window) if cfg.window > 1 else None
-    recent = deque(maxlen=cfg.window)  # music: calibrated frames in the window
     estimates: list[BearingEstimate] = []
-    rejected = 0
-    smoothing_used: tuple[int, int] | None = None
-    for frame in _frame_source(args, cfg, stats):
-        calibrated = apply_calibration(cal, frame)
-        if cfg.algorithm == "bartlett":
-            profile = bartlett_profile(calibrated, geom, aoa_cfg)
-            if averager is not None:
-                profile = averager.push(profile)
-            result = estimate_bearing(profile, frame.rssi_dbm, aoa_cfg,
-                                      source_mac=frame.source_mac,
-                                      timestamp_ns=frame.timestamp_ns)
-        elif cfg.algorithm == "music":
-            recent.append(calibrated)
-            spectrum = music_spectrum(list(recent), geom, aoa_cfg)
-            result = estimate_bearing(spectrum, frame.rssi_dbm, aoa_cfg,
-                                      source_mac=frame.source_mac,
-                                      timestamp_ns=frame.timestamp_ns)
-        else:  # spotfi
-            if smoothing_used is None:
-                idx = subcarrier_indices(frame.chanspec)
-                smoothing_used = spotfi_smoothing_dims(
-                    frame.n_rx, int(idx[-1] - idx[0] + 1), aoa_cfg
-                )
-            if frame.rssi_dbm < aoa_cfg.rssi_floor_dbm:
-                result = RejectedBearing("rssi below floor", frame.rssi_dbm)
-            else:
-                paths = spotfi_estimate(calibrated, geom, aoa_cfg)
-                top = paths[0]
-                result = BearingEstimate(theta=top.theta, strength=top.power,
-                                         rssi_dbm=frame.rssi_dbm,
-                                         source_mac=frame.source_mac,
-                                         timestamp_ns=frame.timestamp_ns)
-        if isinstance(result, RejectedBearing):
-            rejected += 1
-            continue
+    for frame in _frame_source(args, cfg, aoa_cfg.rssi_floor_dbm, stats):
+        result = estimate(apply_calibration(cal, frame))
         estimates.append(result)
-        if streaming:
+        if args.udp is not None:
             print(f"{result.timestamp_ns},{format_mac(result.source_mac)},"
                   f"{np.degrees(result.theta):.4f},{result.strength:.6g},"
                   f"{result.rssi_dbm:.2f}")
     write_bearings_csv(args.out, estimates)
-    # The floor is applied at ingest and again by the estimators; a frame
-    # dropped at ingest never reaches the second check, so the sum counts
-    # each rejected frame once.
-    rssi_rejected = stats.dropped_rssi + rejected
     print(f"{len(estimates)} bearings written to {args.out} "
-          f"({rssi_rejected} rejected by rssi floor, {stats.dropped_mac} by mac filter)",
+          f"({stats.dropped_rssi} rejected by rssi floor, {stats.dropped_mac} by mac filter)",
           file=sys.stderr)
-    if smoothing_used is not None:
-        print(f"spotfi smoothing = {smoothing_used[0]},{smoothing_used[1]}", file=sys.stderr)
     return 0
+
+
+def _bearing_estimator(geom: ArrayGeometry,
+                       cfg: AoaConfig) -> Callable[[CsiFrame], BearingEstimate]:
+    """One calibrated frame -> its bearing, for cfg.algorithm.
+
+    The returned function owns the averaging window: Bartlett's running
+    profile average or MUSIC's last cfg.window frames.
+    """
+    if cfg.algorithm == "spotfi":
+        def spotfi(frame: CsiFrame) -> BearingEstimate:
+            top = spotfi_estimate(frame, geom, cfg)[0]
+            return BearingEstimate(theta=top.theta, strength=top.power,
+                                   rssi_dbm=frame.rssi_dbm, source_mac=frame.source_mac,
+                                   timestamp_ns=frame.timestamp_ns)
+        return spotfi
+    if cfg.algorithm == "music":
+        recent: deque[CsiFrame] = deque(maxlen=cfg.window)
+
+        def spectrum(frame: CsiFrame):
+            recent.append(frame)
+            return music_spectrum(list(recent), geom, cfg)
+    else:
+        averager = ProfileAverager(cfg.window)
+
+        def spectrum(frame: CsiFrame):
+            return averager.push(bartlett_profile(frame, geom, cfg))
+
+    def peak(frame: CsiFrame) -> BearingEstimate:
+        return _argmax_bearing(spectrum(frame), frame.rssi_dbm, cfg, frame.source_mac,
+                               frame.timestamp_ns)
+    return peak
 
 
 def _cmd_scan(args) -> int:

@@ -80,11 +80,7 @@ class CaptureFormatError(CodecError):
 
 
 class CaptureTruncatedError(CodecError):
-    """Capture ended mid-frame; `frames` holds everything before the cut."""
-
-    def __init__(self, message: str, frames: list[CsiFrame] | None = None):
-        super().__init__(message)
-        self.frames = frames if frames is not None else []
+    """Capture ended mid-frame or holds an undecodable frame."""
 
 
 def encode_frame(frame: CsiFrame) -> bytes:
@@ -291,15 +287,8 @@ def iter_capture(path) -> Iterator[CsiFrame]:
 
 
 def read_capture(path) -> list[CsiFrame]:
-    """Read a whole capture; on truncation the error carries partial frames."""
-    frames: list[CsiFrame] = []
-    try:
-        for frame in iter_capture(path):
-            frames.append(frame)
-    except CaptureTruncatedError as exc:
-        exc.frames = frames
-        raise
-    return frames
+    """Read a whole capture; raises as `iter_capture` does."""
+    return list(iter_capture(path))
 
 
 def read_capture_frame(path, index: int) -> CsiFrame:

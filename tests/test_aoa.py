@@ -316,6 +316,37 @@ class TestSpotfi:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "False"
 
+    def test_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import csisense\n"
+            "from csisense import ArrayGeometry, ChannelSpec, PathComponent, synth_frame, "
+            "wavelength\n"
+            "from csisense.aoa import AoaConfig, spotfi_estimate\n"
+            "chan = ChannelSpec(155, 80)\n"
+            "ula = ArrayGeometry.uniform_linear(4, wavelength(chan) / 2, axis='y')\n"
+            "frame = synth_frame([PathComponent(aoa=0.3, delay_s=1e-8)], ula, chan)\n"
+            "spotfi_estimate(frame, ula, AoaConfig(n_sources=2))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                                   else [])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 5), (9, 13)])
+    def test_max_filter3_matches_brute_force(self, rng, shape):
+        # small integer values make ties (plateaus) common
+        for values in (rng.integers(0, 3, size=shape).astype(float),
+                       rng.standard_normal(shape)):
+            rows, cols = shape
+            expected = np.array([[values[max(i - 1, 0): i + 2, max(j - 1, 0): j + 2].max()
+                                  for j in range(cols)] for i in range(rows)])
+            assert np.array_equal(aoa._max_filter3(values), expected)
+
     def test_eigh_sizes_default_path_and_noise_source(self, ula_geom, chan80, monkeypatch):
         frame = synth_frame(
             [PathComponent(aoa=0.3, delay_s=12e-9),

@@ -288,6 +288,30 @@ class TestErrors:
         assert err[-1].startswith("error: data:") and f'"{chunk}"' in err[-1]
         assert not (tmp_path / "cal.txt").exists()
 
+    @pytest.mark.parametrize("section,line", [
+        ("algorithm", "window = abc"),
+        ("algorithm", "smoothing = 2"),
+        ("packet", "rssi_floor_dbm = low"),
+        ("setup", "dwell_ms = x"),
+        ("algorithm", "theta_step_deg = 0"),
+        ("algorithm", "dist_step_m = 0"),
+    ])
+    def test_malformed_config_value_exit_2(self, tmp_path, capsys, section, line):
+        from csisense import ArrayGeometry, CalibrationMatrix, ChannelSpec, save_calibration
+
+        chan = ChannelSpec(155, 80)
+        cal = tmp_path / "cal.txt"
+        save_calibration(cal, CalibrationMatrix(np.zeros((4, chan.n_sub)), chan),
+                         ArrayGeometry.square(0.02336))
+        capture = tmp_path / "empty.wcap"
+        codec.write_capture(capture, [])
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{section}]\n{line}\n")
+        code = main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(tmp_path / "b.csv"), "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: data:")
+
     def test_profile_malformed_geometry_exit_2(self, workspace, capsys):
         tmp_path, scenario = workspace
         capture, poses = tmp_path / "c.wcap", tmp_path / "p.csv"
@@ -381,6 +405,26 @@ class TestBearingAlgorithms:
         assert rejected > 0
         assert written == len(out.read_text().splitlines()) - 1
         assert written + rejected == len(read_capture(capture))
+
+    @pytest.mark.parametrize("algorithm", ["bartlett", "music"])
+    def test_default_floor_applies_before_the_window(self, tmp_path, algorithm):
+        # a weaker, farther transmitter: most frames arrive below -65 dBm,
+        # the default floor, and must never enter the averaging window
+        scenario = tmp_path / "far.ini"
+        scenario.write_text(CALIB_SCENARIO.replace("power_dbm = -30", "power_dbm = -55")
+                            .replace("radius_m = 5.0", "radius_m = 12.0"))
+        capture, _, cal, _ = run_pipeline(tmp_path, scenario)
+        n_above = sum(f.rssi_dbm >= -65 for f in read_capture(capture))
+        assert 0 < n_above < 20
+        written = []
+        for floor in ([], ["--rssi-floor", "-65"]):
+            out = tmp_path / f"window{len(floor)}.csv"
+            assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                         "--out", str(out), "--algorithm", algorithm, "--window", "4",
+                         *floor]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == 1 + n_above
 
 
 class TestUdpDecode:
