@@ -72,7 +72,6 @@ from .aoa import (
     AoaConfig,
     PathEstimate,
     ProfileAverager,
-    RejectedBearing,
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,

@@ -30,12 +30,11 @@ steering over bearings, and SpotFi projects the signal subspace on the
 antenna steering before the delay steering.
 
 SpotFi needs only the n_sources leading eigenvectors of its smoothed
-covariance (244 x 244 at 80 MHz).  The numpy-only block Krylov solver
-in `core`, which the calibration shares, finds them from products with
-the snapshot matrix, without forming the covariance; when they do not
-separate from the rest of the spectrum within a fixed basis size (more
-sources asked for than the frame has paths), SpotFi falls back to the
-dense covariance and a full `eigh`.
+covariance (244 x 244 at 80 MHz).  It takes them from the numpy-only
+eigensolver in `core`, which the calibration shares: a block Krylov
+solve from products with the snapshot matrix, which owns its dense
+fallback for a subspace that does not separate from the rest of the
+spectrum (more sources asked for than the frame has paths).
 """
 
 from __future__ import annotations
@@ -86,11 +85,10 @@ def default_dist_grid() -> np.ndarray:
 
 @dataclass
 class AoaConfig:
-    """Processing parameters: grids, thresholds, algorithm selection."""
+    """Processing parameters: grids, algorithm selection, averaging."""
 
     theta_grid: np.ndarray = field(default_factory=default_theta_grid)
     dist_grid: np.ndarray = field(default_factory=default_dist_grid)
-    rssi_floor_dbm: float = -65.0
     algorithm: str = "bartlett"
     smoothing: tuple[int, int] | None = None  # (n_ant_sub, n_sub_sub); None = auto
     window: int = 1  # frames per bearing (bartlett: profiles, music: covariance)
@@ -113,14 +111,6 @@ class AoaConfig:
             # SpotFi estimates from one frame; a window it ignored would
             # mean something else than it does for bartlett and music.
             raise ConfigurationError("spotfi does not support an averaging window > 1")
-
-
-@dataclass(frozen=True)
-class RejectedBearing:
-    """A measurement refused by the packet filter, with the reason."""
-
-    reason: str
-    rssi_dbm: float
 
 
 class PathEstimate(NamedTuple):
@@ -192,12 +182,7 @@ def music_spectrum(
     )
     cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
     cov = 0.5 * (cov + cov.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    trace = float(np.sum(np.abs(eigvals)))
-    if eigvals[0] < -1e-9 * max(trace, 1.0):
-        cov = cov + (1e-9 * trace) * np.eye(n_rx)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-    noise = eigvecs[:, : n_rx - cfg.n_sources]
+    noise = np.linalg.eigh(cov)[1][:, : n_rx - cfg.n_sources]
     a = _steering(cfg.theta_grid, geom.positions, wavelength(frames[0].chanspec))
     denom = np.sum(np.abs(np.conj(a) @ noise) ** 2, axis=1)
     denom = np.maximum(denom, np.finfo(float).tiny)
@@ -284,10 +269,7 @@ def _spotfi_pseudospectrum(
     """Smoothed 2-D MUSIC pseudospectrum over (theta grid, dist grid).
 
     The signal subspace is the top n_sources eigenvectors of the smoothed
-    covariance X X^H / n_windows, from `core._leading_eigenpairs`: a block
-    Krylov solver that never forms the dim x dim covariance.  When the
-    subspace is not separated from the rest of the spectrum (n_sources
-    above the path count), the dense covariance and a full `eigh` give it.
+    covariance X X^H / n_windows, from `core._leading_eigenpairs`.
     """
     csi_full = interpolate_subcarriers(
         frame.csi[:, tx_index, :].astype(np.complex128), frame.chanspec
@@ -300,13 +282,7 @@ def _spotfi_pseudospectrum(
     n_sources = cfg.n_sources
     if n_sources >= dim:
         raise ConfigurationError("source count leaves no noise subspace")
-    leading = _leading_eigenpairs(snapshots, n_sources)
-    if leading is not None:
-        signal = leading[1]
-    else:
-        cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
-        cov = 0.5 * (cov + cov.conj().T)
-        signal = np.linalg.eigh(cov)[1][:, dim - n_sources:]
+    signal = _leading_eigenpairs(snapshots, n_sources)[1]
 
     ant = _steering(cfg.theta_grid, geom.positions[:n_ant_sub], wavelength(frame.chanspec))
     sub = _delay_steering(n_sub_sub, _grid_key(cfg.dist_grid))
@@ -389,26 +365,15 @@ def estimate_bearing(
     cfg: AoaConfig,
     source_mac: bytes = b"\x00" * 6,
     timestamp_ns: int = 0,
-) -> BearingEstimate | RejectedBearing:
-    """Pick the bearing at the profile/spectrum argmax, or reject on RSSI.
+) -> BearingEstimate:
+    """Pick the bearing at the profile/spectrum argmax.
 
-    Rejection (rssi below cfg.rssi_floor_dbm) is a value, not an error.
     For a 2-D profile the per-bearing maximum over distance is taken
     first.  Ties break toward the smallest bearing index, so the result
     is deterministic; any monotone rescaling of the input leaves the
-    returned bearing unchanged.
+    returned bearing unchanged.  `rssi_dbm` is only carried into the
+    estimate: the RSSI floor is applied at ingest (`codec.filter_frames`).
     """
-    if rssi_dbm < cfg.rssi_floor_dbm:
-        return RejectedBearing(
-            reason=f"rssi {rssi_dbm:.1f} dBm below floor {cfg.rssi_floor_dbm:.1f} dBm",
-            rssi_dbm=rssi_dbm,
-        )
-    return _argmax_bearing(profile_or_spectrum, rssi_dbm, cfg, source_mac, timestamp_ns)
-
-
-def _argmax_bearing(profile_or_spectrum, rssi_dbm: float, cfg: AoaConfig,
-                    source_mac: bytes, timestamp_ns: int) -> BearingEstimate:
-    """`estimate_bearing` without the RSSI floor, for frames already past it."""
     if isinstance(profile_or_spectrum, Profile2D):
         curve = profile_or_spectrum.values.max(axis=1)
         grid = profile_or_spectrum.theta_grid

@@ -16,9 +16,10 @@ location, assuming the direct path dominates:
    minimizes n - |u0^H x|^2 in closed form and needs no refinement.
 
 Only u0 and the spectral gap sigma_1/sigma_2 are needed, so step 3 finds
-the leading singular pair with the block Krylov solver SpotFi also uses,
-then sigma_2 as the leading singular value of the matrix with u0
-deflated out; an SVD runs only when one of the two does not separate.
+the leading singular pair with the eigensolver SpotFi also uses, then
+sigma_2 as the leading singular value of the matrix with u0 deflated
+out.  No SVD runs: when either solve does not separate, the solver's
+own dense fallback is an `eigh` of the smaller Gram matrix.
 
 The recovered bias is returned *negated* and referenced to antenna 0
 (row 0 identically zero), so the stored matrix is the correction that
@@ -90,15 +91,13 @@ class CoarseResult:
 
     phi_coarse: np.ndarray  # (n_rx, n_sub) radians, angle of u0
     u0: np.ndarray  # (n,) first left-singular vector, unit norm
-    singular_values: np.ndarray  # (sigma_1, sigma_2); (sigma_1,) when M has one row
+    singular_values: np.ndarray  # (sigma_1, sigma_2)
 
     @property
     def spectral_gap(self) -> float:
         """sigma_1 / sigma_2 (inf for exactly rank-1 data)."""
-        sv = self.singular_values
-        if sv.size < 2 or sv[1] == 0.0:
-            return float("inf")
-        return float(sv[0] / sv[1])
+        sigma_1, sigma_2 = self.singular_values
+        return float(sigma_1 / sigma_2) if sigma_2 > 0 else float("inf")
 
 
 @dataclass
@@ -149,15 +148,13 @@ def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
     matrix M (n x T); the strongest shared structure is its first
     left-singular vector u0, whose element-wise phase is the calibration
     estimate.  Only u0, sigma_1 and sigma_2 (for the spectral gap) are
-    kept, so no SVD of M runs on the default path:
+    kept, so no SVD of M runs:
 
-    * u0 and sigma_1 = sqrt(T * lambda_1) come from the block Krylov
-      solver on M, as the top eigenpair of M M^H / T;
+    * u0 and sigma_1 = sqrt(T * lambda_1) come from
+      `core._leading_eigenpairs` on M, as the top eigenpair of M M^H / T;
     * sigma_2 is the top singular value of the deflated M - u0 (u0^H M),
-      from the same solver;
-    * when the first solve does not separate, the economy SVD of M gives
-      all three; when only the second does not (sigma_2 inside a noise
-      bulk), a values-only SVD of M gives sigma_2.
+      from the same solver, which ends in one `eigh` of the T x T Gram
+      matrix when sigma_2 does not separate (inside a noise bulk, say).
     """
     if len(sups) < 2:
         raise CalibrationError("need at least 2 snapshots")
@@ -168,38 +165,24 @@ def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
     if not np.any(stacked):
         raise CalibrationError("degenerate all-zero snapshots")
     n_pairs = stacked.shape[1]
-    leading = _leading_eigenpairs(stacked, 1)
-    if leading is None:
-        u, sv, _vh = _svd(stacked, full_matrices=False)
-        u0 = u[:, 0].copy()  # a view would keep the whole n x T factor alive
-        sv = sv[:2]
-    else:
-        u0 = leading[1][:, 0]
-        sigma_1 = _singular_value(n_pairs, leading[0][0])
-        second = _leading_eigenpairs(stacked - np.outer(u0, u0.conj() @ stacked), 1)
-        if second is None:
-            sigma_2 = _svd(stacked, compute_uv=False)[1]
-        else:
-            sigma_2 = _singular_value(n_pairs, second[0][0])
-        sv = np.array([sigma_1, sigma_2])
+    try:
+        lambda_1, leading = _leading_eigenpairs(stacked, 1)
+        u0 = leading[:, 0]
+        lambda_2 = _leading_eigenpairs(stacked - np.outer(u0, u0.conj() @ stacked), 1)[0]
+    except np.linalg.LinAlgError as exc:
+        raise CalibrationError(f"eigensolver failed: {exc}") from exc
+    sv = np.array([_singular_value(n_pairs, lambda_1[0]),
+                   _singular_value(n_pairs, lambda_2[0])])
     return CoarseResult(phi_coarse=np.angle(u0).reshape(shape), u0=u0, singular_values=sv)
 
 
 def _singular_value(n_pairs: int, eigenvalue: float) -> float:
     """sigma = sqrt(T * lambda) for an eigenvalue lambda of M M^H / T.
 
-    A Ritz value of this positive semi-definite matrix can land a rounding
-    error below zero; the clamp keeps the spectral gap a number.
+    An eigenvalue of this positive semi-definite matrix can land a
+    rounding error below zero; the clamp keeps the spectral gap a number.
     """
     return float(np.sqrt(n_pairs * max(float(eigenvalue), 0.0)))
-
-
-def _svd(stacked: np.ndarray, **kwargs):
-    """`np.linalg.svd`, failing as a CalibrationError."""
-    try:
-        return np.linalg.svd(stacked, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise CalibrationError(f"SVD failed: {exc}") from exc
 
 
 def calibrate(
@@ -292,15 +275,18 @@ def load_calibration(path) -> tuple[CalibrationMatrix, ArrayGeometry]:
     header: dict[str, str] = {}
     rows: list[list[float]] = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" in line and not rows:
                 key, _, value = line.partition("=")
                 header[key.strip()] = value.strip()
-            else:
+                continue
+            try:
                 rows.append([float(v) for v in line.split(",")])
+            except ValueError as exc:
+                raise CalibrationError(f"bad value on line {lineno} of {path}: {exc}") from exc
     try:
         chanspec = ChannelSpec(int(header["channel"]), int(header["bandwidth_mhz"]))
         n_rx = int(header["n_rx"])
@@ -308,11 +294,11 @@ def load_calibration(path) -> tuple[CalibrationMatrix, ArrayGeometry]:
         geom = parse_geometry(header["geometry"])
     except (KeyError, ValueError) as exc:
         raise CalibrationError(f"bad calibration file header: {exc}") from exc
-    phase = np.radians(np.array(rows, dtype=np.float64))
-    if phase.shape != (n_rx, n_sub):
+    if len(rows) != n_rx or any(len(row) != n_sub for row in rows):
         raise CalibrationError(
-            f"calibration matrix is {phase.shape}, header says ({n_rx}, {n_sub})"
+            f"calibration matrix is not the {n_rx} rows of {n_sub} values the header says"
         )
+    phase = np.radians(np.array(rows, dtype=np.float64))
     return CalibrationMatrix(phase=phase, chanspec=chanspec), geom
 
 

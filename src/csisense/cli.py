@@ -22,7 +22,6 @@ from the single --seed flag.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import sys
 from collections import deque
@@ -35,8 +34,8 @@ from . import __version__
 from .aoa import (
     AoaConfig,
     ProfileAverager,
-    _argmax_bearing,
     bartlett_profile,
+    estimate_bearing,
     music_spectrum,
     spotfi_estimate,
     spotfi_smoothing_dims,
@@ -77,8 +76,11 @@ from .core import (
     subcarrier_indices,
 )
 from .scanner import ScanPolicy, run_walkthrough, write_walkthrough_csv
-from .scenario import load_scenario, read_poses_csv, write_poses_csv
+from .scenario import _read_ini, _Section, load_scenario, read_poses_csv, write_poses_csv
 from .synth import synth_trajectory
+
+# `bearing`'s RSSI floor when neither config nor flag sets one (`decode` has none).
+_BEARING_RSSI_FLOOR_DBM = -65.0
 
 _CONFIG_SECTIONS = {
     "channel": {"channel", "bandwidth"},
@@ -108,7 +110,7 @@ class RunConfig:
     scan_policy: ScanPolicy = field(default_factory=ScanPolicy)
 
     def aoa_config(self) -> AoaConfig:
-        """Estimator settings; an unset RSSI floor takes AoaConfig's default."""
+        """Estimator settings: grids, algorithm, smoothing, window, sources."""
         if not (self.theta_step_deg > 0 and self.dist_step_m > 0):
             raise ConfigurationError("theta_step_deg and dist_step_m must be positive")
         theta = np.radians(
@@ -118,8 +120,6 @@ class RunConfig:
         return AoaConfig(
             theta_grid=theta,
             dist_grid=dist,
-            rssi_floor_dbm=(AoaConfig.rssi_floor_dbm if self.rssi_floor_dbm is None
-                            else self.rssi_floor_dbm),
             algorithm=self.algorithm,
             smoothing=self.smoothing,
             window=self.window,
@@ -129,55 +129,52 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; unknown sections/keys are errors."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
-        raise ConfigurationError(f"cannot read config file {path}")
-    for section in parser.sections():
-        if section not in _CONFIG_SECTIONS:
-            raise ConfigurationError(f"unknown section [{section}] in {path}")
-        unknown = set(parser[section]) - _CONFIG_SECTIONS[section]
-        if unknown:
-            raise ConfigurationError(f"unknown keys {sorted(unknown)} in [{section}] of {path}")
+    parser = _read_ini(path, "config", _CONFIG_SECTIONS.get)
     cfg = RunConfig()
-    try:
-        if parser.has_section("packet"):
-            sec = parser["packet"]
-            if "mac_filter" in sec:
-                cfg.mac_filter = {parse_mac(m) for m in sec["mac_filter"].split(",") if m.strip()}
-            if "rssi_floor_dbm" in sec:
-                cfg.rssi_floor_dbm = sec.getfloat("rssi_floor_dbm")
-        if parser.has_section("algorithm"):
-            sec = parser["algorithm"]
-            cfg.algorithm = sec.get("algorithm", cfg.algorithm).strip().lower()
-            cfg.theta_min_deg = sec.getfloat("theta_min_deg", cfg.theta_min_deg)
-            cfg.theta_max_deg = sec.getfloat("theta_max_deg", cfg.theta_max_deg)
-            cfg.theta_step_deg = sec.getfloat("theta_step_deg", cfg.theta_step_deg)
-            cfg.dist_max_m = sec.getfloat("dist_max_m", cfg.dist_max_m)
-            cfg.dist_step_m = sec.getfloat("dist_step_m", cfg.dist_step_m)
-            cfg.window = sec.getint("window", cfg.window)
-            cfg.n_sources = sec.getint("n_sources", cfg.n_sources)
-            if "smoothing" in sec:
-                a, _, s = sec["smoothing"].partition(",")
-                cfg.smoothing = (int(a), int(s))
-        if parser.has_section("setup"):
-            sec = parser["setup"]
-            cfg.scan_policy = ScanPolicy(
-                scan_period_s=sec.getfloat("scan_period_s", 30.0),
-                dwell_ms=sec.getint("dwell_ms", 100),
-                switch_margin_db=sec.getfloat("switch_margin_db", 6.0),
-                switch_cost_ms=sec.getint("switch_cost_ms", 400),
-                stale_timeout_s=sec.getfloat("stale_timeout_s", 120.0),
-            )
-    except ValueError as exc:
-        raise ConfigurationError(f"bad value in {path}: {exc}") from exc
+    packet, algorithm, setup = (_Section(parser, name, path)
+                                for name in ("packet", "algorithm", "setup"))
+    cfg.mac_filter = packet.get("mac_filter", _parse_macs, cfg.mac_filter)
+    cfg.rssi_floor_dbm = packet.get("rssi_floor_dbm", _rssi_floor, cfg.rssi_floor_dbm)
+    cfg.algorithm = algorithm.get("algorithm", str.lower, cfg.algorithm)
+    for key in ("theta_min_deg", "theta_max_deg", "theta_step_deg", "dist_max_m",
+                "dist_step_m"):
+        setattr(cfg, key, algorithm.get(key, float, getattr(cfg, key)))
+    cfg.window = algorithm.get("window", int, cfg.window)
+    cfg.n_sources = algorithm.get("n_sources", int, cfg.n_sources)
+    cfg.smoothing = algorithm.get("smoothing", _parse_pair, cfg.smoothing)
+    if parser.has_section("setup"):
+        cfg.scan_policy = ScanPolicy(
+            scan_period_s=setup.get("scan_period_s", float, 30.0),
+            dwell_ms=setup.get("dwell_ms", int, 100),
+            switch_margin_db=setup.get("switch_margin_db", float, 6.0),
+            switch_cost_ms=setup.get("switch_cost_ms", int, 400),
+            stale_timeout_s=setup.get("stale_timeout_s", float, 120.0),
+        )
     return cfg
+
+
+def _parse_macs(text: str) -> set[bytes]:
+    return {parse_mac(m) for m in text.split(",") if m.strip()}
+
+
+def _parse_pair(text: str) -> tuple[int, int]:
+    first, _, second = text.partition(",")
+    return int(first), int(second)
+
+
+def _rssi_floor(value) -> float:
+    """An RSSI floor in dBm.  NaN is refused: no frame compares below it."""
+    floor = float(value)
+    if np.isnan(floor):
+        raise ConfigurationError("RSSI floor must be a number, not NaN")
+    return floor
 
 
 def _merge_flags(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "mac_filter", None):
-        cfg.mac_filter = {parse_mac(m) for m in args.mac_filter.split(",") if m.strip()}
+        cfg.mac_filter = _parse_macs(args.mac_filter)
     if getattr(args, "rssi_floor", None) is not None:
-        cfg.rssi_floor_dbm = args.rssi_floor
+        cfg.rssi_floor_dbm = _rssi_floor(args.rssi_floor)
     if getattr(args, "algorithm", None):
         cfg.algorithm = args.algorithm
     if getattr(args, "window", None) is not None:
@@ -371,9 +368,10 @@ def _cmd_bearing(args) -> int:
         dims = spotfi_smoothing_dims(geom.n_antennas, int(idx[-1] - idx[0] + 1), aoa_cfg)
         print(f"spotfi smoothing = {dims[0]},{dims[1]}", file=sys.stderr)
     estimate = _bearing_estimator(geom, aoa_cfg)
+    floor = _BEARING_RSSI_FLOOR_DBM if cfg.rssi_floor_dbm is None else cfg.rssi_floor_dbm
     stats = IngestStats()
     estimates: list[BearingEstimate] = []
-    for frame in _frame_source(args, cfg, aoa_cfg.rssi_floor_dbm, stats):
+    for frame in _frame_source(args, cfg, floor, stats):
         result = estimate(apply_calibration(cal, frame))
         estimates.append(result)
         if args.udp is not None:
@@ -414,8 +412,8 @@ def _bearing_estimator(geom: ArrayGeometry,
             return averager.push(bartlett_profile(frame, geom, cfg))
 
     def peak(frame: CsiFrame) -> BearingEstimate:
-        return _argmax_bearing(spectrum(frame), frame.rssi_dbm, cfg, frame.source_mac,
-                               frame.timestamp_ns)
+        return estimate_bearing(spectrum(frame), frame.rssi_dbm, cfg, frame.source_mac,
+                                frame.timestamp_ns)
     return peak
 
 

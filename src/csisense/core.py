@@ -381,32 +381,33 @@ def apply_calibration(cal: CalibrationMatrix, frame: CsiFrame) -> CsiFrame:
 # denominators and the calibration phase need.
 _KRYLOV_SEED = 2015
 _KRYLOV_TOL = 1e-13
-# Basis size at which the Krylov solve gives up and the caller pays for
-# its dense solve.  On SpotFi's 80 MHz frames (dim 244, one BLAS thread) a
-# resolvable subspace converged within 4-7 vectors at k = 1, 8-14 at 2 and
-# 15-27 at 3, and each vector costs ~0.25 ms against ~20-25 ms for the
-# dense covariance + eigh.  The calibration's 936 x 500 snapshot matrix
-# converged within 4 vectors for u0 and 11 for sigma_2, at ~1.2-1.4 ms
-# per vector against ~400 ms for the economy SVD.  24 vectors bound the time
-# lost on a weak last eigenvalue that converges too slowly; one inside a
-# noise bulk is usually caught earlier by the rounding test.
+# Basis size at which the Krylov solve gives up for the dense solve.  On
+# SpotFi's 80 MHz frames (dim 244, one BLAS thread) a resolvable subspace
+# converged within 4-7 vectors at k = 1, 8-14 at 2 and 15-27 at 3, and
+# each vector costs ~0.25 ms against ~20-25 ms for the dense covariance +
+# eigh.  The calibration's 936 x 500 snapshot matrix converged within 4
+# vectors for u0 and 11 for sigma_2, at ~1.2-1.4 ms per vector against
+# ~210 ms for the 500 x 500 Gram + eigh.  24 vectors bound the time lost
+# on a weak last eigenvalue that converges too slowly; one inside a noise
+# bulk is usually caught earlier by the rounding test.
 _KRYLOV_MAX_BASIS = 24
 
 
-def _leading_eigenpairs(snapshots: np.ndarray, k: int):
-    """Top k eigenpairs of C = X X^H / n, X = snapshots (dim, n), or None.
+def _leading_eigenpairs(snapshots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top k eigenpairs of C = X X^H / n, X = snapshots (dim, n).
+
+    Returns (values, vectors): the k largest eigenvalues in ascending
+    order and their unit eigenvectors as columns, ordered as from `eigh`.
 
     Block Krylov iteration with Rayleigh-Ritz (Musco & Musco, NeurIPS
-    2015): the basis grows by blocks C^j X G from a seeded Gaussian G,
-    C applied as X (X^H V) / n, so no dim x dim matrix is formed.  It
-    stops when the Ritz residual ||C y - theta y|| is below _KRYLOV_TOL
-    times the Ritz gap below the k pairs, and returns (values, vectors):
-    the k Ritz values in ascending order and their unit Ritz vectors as
-    columns, ordered as from `eigh`.  It returns None, leaving the dense
-    solve to the caller, when that bound drops below the rounding floor
-    eps * ||C|| of the residual (the k pairs are not separated from the
-    rest of the spectrum), or when the basis reaches _KRYLOV_MAX_BASIS
-    unconverged.
+    2015) runs first: the basis grows by blocks C^j X G from a seeded
+    Gaussian G, C applied as X (X^H V) / n, so no dim x dim matrix is
+    formed.  It stops when the Ritz residual ||C y - theta y|| is below
+    _KRYLOV_TOL times the Ritz gap below the k pairs.  When that bound
+    drops below the rounding floor eps * ||C|| of the residual (the k
+    pairs do not separate from the rest of the spectrum), or the basis
+    reaches _KRYLOV_MAX_BASIS unconverged, `_dense_eigenpairs` solves
+    instead.  np.linalg.LinAlgError propagates.
     """
     dim, n = snapshots.shape
     rows = snapshots.T  # X^H V = conj(X^T conj(V)) without a conjugated copy of X
@@ -428,14 +429,36 @@ def _leading_eigenpairs(snapshots: np.ndarray, k: int):
         if m > k:
             gap = ritz_vals[m - k] - ritz_vals[m - k - 1]
             if _KRYLOV_TOL * gap <= np.finfo(float).eps * ritz_vals[-1]:
-                return None  # the test would ask for less than rounding in C y leaves
+                break  # the test would ask for less than rounding in C y leaves
             top = ritz_coef[:, m - k:]
             vectors = basis[:, :m] @ top
             residual = images[:, :m] @ top - vectors * ritz_vals[m - k:]
             if np.linalg.norm(residual) <= _KRYLOV_TOL * gap:
                 return ritz_vals[m - k:], vectors
         block = images[:, start:m]
-    return None
+    return _dense_eigenpairs(snapshots, k)
+
+
+def _dense_eigenpairs(snapshots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_leading_eigenpairs` from one `eigh` of the smaller Gram matrix.
+
+    For dim <= n that is C = X X^H / n itself.  Otherwise X^H X / n has
+    the same nonzero eigenvalues, and each of its eigenvectors v maps to
+    X v, normalized; an X v that is exactly zero lies in the null space of
+    X, so its eigenvalue is reported as 0 and its column stays zero.
+    Fewer snapshots than the k pairs asked for leave C itself to solve.
+    """
+    dim, n = snapshots.shape
+    wide = k <= n < dim
+    x = snapshots.conj().T if wide else snapshots
+    gram = x @ x.conj().T / n
+    values, vectors = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    values, vectors = values[-k:], vectors[:, -k:]
+    if not wide:
+        return values, vectors
+    vectors = snapshots @ vectors
+    norms = np.linalg.norm(vectors, axis=0)
+    return np.where(norms > 0, values, 0.0), vectors / np.where(norms > 0, norms, 1.0)
 
 
 def _append_orthonormal(basis: np.ndarray, m: int, v: np.ndarray, rng) -> int:

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import ChannelSpec, ConfigurationError, CsiSenseError, Pose2D
-from .synth import SimScenario, environment_beacons, rssi_at
+from .synth import SimScenario, environment_beacons
 
 
 class ScannerError(CsiSenseError):
@@ -210,16 +208,13 @@ def run_walkthrough(scenario: SimScenario, policy: ScanPolicy) -> WalkthroughRes
             switch_count += 1
             label = "switch" if label == "stay" else "rescan+switch"
 
-        by_rssi = sorted(
-            ((rssi_at(ap.tx_power_dbm, max(float(np.linalg.norm(pose.position - ap.location)), 1e-6),
-                      exponent), ap) for ap in aps),
-            key=lambda pair: -pair[0],
-        )
-        nearest_rssi, nearest_ap = by_rssi[0]
-        tuned_rssi = max(
-            (r for r, ap in by_rssi if ap.chanspec == state.current_chanspec),
-            default=float("-inf"),
-        )
+        # env lists each channel's APs in scenario order, so this pairs every
+        # AP with its own beacon; max keeps the earliest AP on ties.
+        beacons = {chanspec: iter(heard) for chanspec, heard in env.items()}
+        ap_rssi = [next(beacons[ap.chanspec])[1] for ap in aps]
+        nearest_rssi, nearest_ap = max(zip(ap_rssi, aps), key=lambda pair: pair[0])
+        tuned_rssi = max((rssi for _mac, rssi in env.get(state.current_chanspec, [])),
+                         default=float("-inf"))
         entry = WalkthroughEntry(
             time_s=ts / 1e9, pose=pose, tuned=state.current_chanspec,
             nearest=nearest_ap.chanspec, rssi_dbm=tuned_rssi, action=label,

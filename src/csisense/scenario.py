@@ -63,10 +63,11 @@ from .core import (
     CalibrationMatrix,
     ChannelSpec,
     ConfigurationError,
+    CsiSenseError,
     Pose2D,
     wavelength,
 )
-from .synth import ApSpec, Reflection, SimScenario
+from .synth import DEFAULT_MAC, ApSpec, Reflection, SimScenario
 
 _SECTIONS = {
     "channel": {"channel", "bandwidth"},
@@ -76,40 +77,39 @@ _SECTIONS = {
                    "source_mac"},
     "trajectory": {"kind", "n", "radius_m", "rate_hz", "center_x", "center_y",
                    "x0", "y0", "x1", "y1", "length_m", "width_m", "laps", "file"},
+    # numbered sections: [reflection.1], [ap.2], ...
+    "reflection.": {"aoa_offset_deg", "excess_delay_ns", "rel_amplitude", "random_phase"},
+    "ap.": {"x", "y", "channel", "bandwidth", "power_dbm", "mac"},
 }
-_REFLECTION_KEYS = {"aoa_offset_deg", "excess_delay_ns", "rel_amplitude", "random_phase"}
-_AP_KEYS = {"x", "y", "channel", "bandwidth", "power_dbm", "mac"}
 
 
 def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeometry]:
-    """Parse a scenario file; `seed` overrides the file's seed when given."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigurationError(f"cannot read scenario file {path}")
-    _validate_sections(parser, path)
+    """Parse a scenario file; `seed` overrides the file's seed when given.
 
-    chan = parser["channel"]
-    chanspec = ChannelSpec(chan.getint("channel"), chan.getint("bandwidth"))
+    A missing or malformed value raises ConfigurationError naming the
+    file, the section and the key.
+    """
+    # a numbered section such as [ap.2] takes the keys of "ap."
+    parser = _read_ini(path, "scenario",
+                       lambda name: _SECTIONS.get("".join(name.partition(".")[:2])))
+    for required in ("channel", "transmitter", "array", "trajectory"):
+        if not parser.has_section(required):
+            raise ConfigurationError(f"missing [{required}] section in {path}")
 
-    tx = parser["transmitter"]
-    tx_location = np.array([tx.getfloat("x"), tx.getfloat("y")])
-    tx_power = tx.getfloat("power_dbm", fallback=-30.0)
+    chan = _Section(parser, "channel", path)
+    chanspec = ChannelSpec(chan.get("channel", int), chan.get("bandwidth", int))
 
-    geom = _parse_array(parser["array"], chanspec)
+    tx = _Section(parser, "transmitter", path)
+    tx_location = np.array([tx.get("x", float), tx.get("y", float)])
 
-    sim = parser["simulation"] if parser.has_section("simulation") else {}
-    file_seed = int(sim.get("seed", 0)) if sim else 0
+    geom = _parse_array(_Section(parser, "array", path), chanspec)
+
+    sim = _Section(parser, "simulation", path)
+    file_seed = sim.get("seed", int, 0)
     eff_seed = file_seed if seed is None else seed
-    snr_raw = str(sim.get("snr_db", "30")).strip().lower() if sim else "30"
-    snr_db = None if snr_raw in ("none", "inf", "off") else float(snr_raw)
-    per_packet = _parse_bool(sim.get("per_packet_phase", "true")) if sim else True
-    bias_mode = str(sim.get("bias", "zero")).strip().lower() if sim else "zero"
-    exponent = float(sim.get("path_loss_exponent", 2.2)) if sim else 2.2
-    mac = parse_mac(sim.get("source_mac", "02:00:00:00:00:01")) if sim else \
-        parse_mac("02:00:00:00:00:01")
+    bias_mode = sim.get("bias", str.lower, "zero")
 
-    trajectory = _parse_trajectory(parser["trajectory"], tx_location, eff_seed)
+    trajectory = _parse_trajectory(_Section(parser, "trajectory", path), tx_location, eff_seed)
 
     true_cal = None
     if bias_mode == "random":
@@ -119,26 +119,25 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
 
     reflections = []
     for name in sorted(s for s in parser.sections() if s.startswith("reflection.")):
-        sec = parser[name]
+        sec = _Section(parser, name, path)
         reflections.append(
             Reflection(
-                aoa_offset=np.radians(sec.getfloat("aoa_offset_deg")),
-                excess_delay_s=sec.getfloat("excess_delay_ns") * 1e-9,
-                rel_amplitude=sec.getfloat("rel_amplitude"),
-                random_phase=sec.getboolean("random_phase", fallback=True),
+                aoa_offset=np.radians(sec.get("aoa_offset_deg", float)),
+                excess_delay_s=sec.get("excess_delay_ns", float) * 1e-9,
+                rel_amplitude=sec.get("rel_amplitude", float),
+                random_phase=sec.get("random_phase", _parse_bool, True),
             )
         )
 
     aps = []
     for k, name in enumerate(sorted(s for s in parser.sections() if s.startswith("ap."))):
-        sec = parser[name]
-        mac_text = sec.get("mac", f"02:00:00:00:01:{k + 1:02x}")
+        sec = _Section(parser, name, path)
         aps.append(
             ApSpec(
-                location=np.array([sec.getfloat("x"), sec.getfloat("y")]),
-                chanspec=ChannelSpec(sec.getint("channel"), sec.getint("bandwidth", fallback=80)),
-                tx_power_dbm=sec.getfloat("power_dbm", fallback=-30.0),
-                mac=parse_mac(mac_text),
+                location=np.array([sec.get("x", float), sec.get("y", float)]),
+                chanspec=ChannelSpec(sec.get("channel", int), sec.get("bandwidth", int, 80)),
+                tx_power_dbm=sec.get("power_dbm", float, -30.0),
+                mac=sec.get("mac", parse_mac, parse_mac(f"02:00:00:00:01:{k + 1:02x}")),
             )
         )
 
@@ -147,13 +146,13 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
         chanspec=chanspec,
         trajectory=trajectory,
         true_calibration=true_cal,
-        snr_db=snr_db,
-        per_packet_phase=per_packet,
+        snr_db=sim.get("snr_db", _parse_snr, 30.0),
+        per_packet_phase=sim.get("per_packet_phase", _parse_bool, True),
         reflections=reflections,
         aps=aps,
-        tx_power_dbm=tx_power,
-        path_loss_exponent=exponent,
-        source_mac=mac,
+        tx_power_dbm=tx.get("power_dbm", float, -30.0),
+        path_loss_exponent=sim.get("path_loss_exponent", float, 2.2),
+        source_mac=sim.get("source_mac", parse_mac, DEFAULT_MAC),
         seed=eff_seed,
     )
     return scenario, geom
@@ -251,85 +250,119 @@ def read_poses_csv(path) -> list[tuple[int, Pose2D]]:
         header = fh.readline().strip()
         if header.split(",")[:4] != ["timestamp_ns", "x", "y", "theta"]:
             raise ConfigurationError(f"bad pose file header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            ts, x, y, theta = line.split(",")
-            out.append((int(ts), Pose2D(float(x), float(y), np.radians(float(theta)))))
+            try:
+                ts, x, y, theta = line.split(",")
+                out.append((int(ts), Pose2D(float(x), float(y), np.radians(float(theta)))))
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"bad pose on line {lineno} of {path}: {line!r} ({exc})"
+                ) from exc
     return out
 
 
-def _validate_sections(parser: configparser.ConfigParser, path) -> None:
+def _read_ini(path, kind: str, allowed) -> configparser.ConfigParser:
+    """Parse an INI file; `allowed` maps a section name to its keys, or None.
+
+    An unknown section or key is an error, so typos fail loudly.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    if not parser.read(path):
+        raise ConfigurationError(f"cannot read {kind} file {path}")
     for section in parser.sections():
-        if section.startswith("reflection."):
-            allowed = _REFLECTION_KEYS
-        elif section.startswith("ap."):
-            allowed = _AP_KEYS
-        elif section in _SECTIONS:
-            allowed = _SECTIONS[section]
-        else:
+        keys = allowed(section)
+        if keys is None:
             raise ConfigurationError(f"unknown section [{section}] in {path}")
-        unknown = set(parser[section]) - allowed
+        unknown = set(parser[section]) - keys
         if unknown:
-            raise ConfigurationError(
-                f"unknown keys {sorted(unknown)} in [{section}] of {path}"
-            )
-    for required in ("channel", "transmitter", "array", "trajectory"):
-        if not parser.has_section(required):
-            raise ConfigurationError(f"missing [{required}] section in {path}")
+            raise ConfigurationError(f"unknown keys {sorted(unknown)} in [{section}] of {path}")
+    return parser
 
 
-def _parse_array(section, chanspec: ChannelSpec) -> ArrayGeometry:
-    if "antennas" in section:
-        return parse_geometry(section["antennas"])
-    layout = section.get("layout", "square").strip().lower()
-    spacing_raw = section.get("spacing", "half-wavelength").strip().lower()
-    if "spacing_m" in section:
-        spacing = float(section["spacing_m"])
-    elif spacing_raw in ("half-wavelength", "half-lambda"):
-        spacing = wavelength(chanspec) / 2.0
-    else:
-        spacing = float(spacing_raw)
+def _parse_array(section: _Section, chanspec: ChannelSpec) -> ArrayGeometry:
+    antennas = section.get("antennas", parse_geometry, None)
+    if antennas is not None:
+        return antennas
+    half = wavelength(chanspec) / 2.0
+
+    def spacing(text: str) -> float:
+        return half if text.lower() in ("half-wavelength", "half-lambda") else float(text)
+
+    spacing_m = section.get("spacing_m", float, None)
+    if spacing_m is None:
+        spacing_m = section.get("spacing", spacing, half)
+    layout = section.get("layout", str.lower, "square")
     if layout == "square":
-        return ArrayGeometry.square(spacing)
+        return ArrayGeometry.square(spacing_m)
     if layout in ("linear-x", "linear-y"):
-        count = int(section.get("count", 4))
-        return ArrayGeometry.uniform_linear(count, spacing, axis=layout[-1])
+        count = section.get("count", int, 4)
+        return ArrayGeometry.uniform_linear(count, spacing_m, axis=layout[-1])
     raise ConfigurationError(f"unknown array layout {layout!r}")
 
 
-def _parse_trajectory(section, tx_location, seed) -> list[tuple[int, Pose2D]]:
-    kind = section.get("kind", "disc").strip().lower()
-    n = section.getint("n", fallback=200)
-    rate = section.getfloat("rate_hz", fallback=1.0)
+def _parse_trajectory(section: _Section, tx_location, seed) -> list[tuple[int, Pose2D]]:
+    kind = section.get("kind", str.lower, "disc")
+    n = section.get("n", int, 200)
+    rate = section.get("rate_hz", float, 1.0)
     if kind == "disc":
         center = np.array([
-            section.getfloat("center_x", fallback=tx_location[0]),
-            section.getfloat("center_y", fallback=tx_location[1]),
+            section.get("center_x", float, tx_location[0]),
+            section.get("center_y", float, tx_location[1]),
         ])
-        return disc_trajectory(center, section.getfloat("radius_m", fallback=5.0),
-                               n, seed, rate)
+        return disc_trajectory(center, section.get("radius_m", float, 5.0), n, seed, rate)
     if kind == "loop":
         return loop_trajectory(
-            section.getfloat("x0", fallback=0.0), section.getfloat("y0", fallback=0.0),
-            section.getfloat("length_m", fallback=30.0),
-            section.getfloat("width_m", fallback=5.0),
-            section.getint("laps", fallback=2), n, rate,
+            section.get("x0", float, 0.0), section.get("y0", float, 0.0),
+            section.get("length_m", float, 30.0), section.get("width_m", float, 5.0),
+            section.get("laps", int, 2), n, rate,
         )
     if kind == "line":
         return line_trajectory(
-            section.getfloat("x0", fallback=0.0), section.getfloat("y0", fallback=0.0),
-            section.getfloat("x1", fallback=10.0), section.getfloat("y1", fallback=0.0),
+            section.get("x0", float, 0.0), section.get("y0", float, 0.0),
+            section.get("x1", float, 10.0), section.get("y1", float, 0.0),
             n, rate,
         )
     if kind == "file":
-        return read_poses_csv(section["file"])
+        return read_poses_csv(section.get("file", str))
     raise ConfigurationError(f"unknown trajectory kind {kind!r}")
 
 
-def _parse_bool(text) -> bool:
-    value = str(text).strip().lower()
+_REQUIRED = object()
+
+
+class _Section:
+    """Typed reads from one section of an INI file (scenario or CLI config).
+
+    A missing required key, or a value its converter refuses, raises
+    ConfigurationError naming the file, the section and the key.
+    """
+
+    def __init__(self, parser: configparser.ConfigParser, name: str, path):
+        self.parser, self.name, self.path = parser, name, path
+
+    def get(self, key: str, convert, default=_REQUIRED):
+        where = f"{key} in [{self.name}] of {self.path}"
+        if not self.parser.has_option(self.name, key):
+            if default is _REQUIRED:
+                raise ConfigurationError(f"missing {where}")
+            return default
+        text = self.parser[self.name][key]
+        try:
+            return convert(text)
+        except (ValueError, CsiSenseError) as exc:
+            raise ConfigurationError(f"bad value {text!r} for {where}: {exc}") from exc
+
+
+def _parse_snr(text: str) -> float | None:
+    """SNR in dB; "none", "inf" or "off" turn the noise off."""
+    return None if text.lower() in ("none", "inf", "off") else float(text)
+
+
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):

@@ -29,7 +29,6 @@ from csisense import aoa
 from csisense.aoa import (
     AoaConfig,
     ProfileAverager,
-    RejectedBearing,
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
@@ -531,13 +530,6 @@ class TestAveraging:
 
 
 class TestEstimateBearing:
-    def test_rssi_floor_rejects(self, cfg):
-        profile = Profile2D(values=np.ones((4, 3)), theta_grid=np.arange(4.0),
-                            dist_grid=np.arange(3.0))
-        result = estimate_bearing(profile, -70.0, cfg)
-        assert isinstance(result, RejectedBearing)
-        assert "floor" in result.reason
-
     def test_flat_profile_tie_breaks_to_first_grid_point(self, cfg):
         profile = Profile2D(values=np.ones((5, 2)), theta_grid=np.linspace(0, 1, 5),
                             dist_grid=np.arange(2.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csisense import calibration
+from csisense import calibration, core
 from csisense import (
     ArrayGeometry,
     CalibrationDataset,
@@ -154,35 +154,74 @@ def assert_matches_economy_svd(coarse, sups, rank_one=False):
         assert coarse.spectral_gap == pytest.approx(sv[0] / sv[1], rel=1e-12)
 
 
+def coarse_case(case, rng, geom, chan, monkeypatch):
+    """Snapshots for one TestCoarseLeadingPair input."""
+    if case == "survey-like":
+        return pipeline_snapshots(chan, geom, monkeypatch)
+    if case == "noise bulk":  # sigma_2 ~ sigma_3: the deflated solve does not separate
+        return noisy_snapshots(rng, (4, 52), 60, noise=0.3)
+    if case == "exact rank one":
+        phi = rng.uniform(-np.pi, np.pi, (4, 52))
+        weights = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        return [w * np.exp(1j * phi) for w in weights]
+    if case in ("2 pairs", "3 pairs"):
+        return noisy_snapshots(rng, (4, 52), int(case[0]), noise=0.3)
+    if case == "more pairs than rows":
+        return noisy_snapshots(rng, (2, 5), 40, noise=0.3)
+    raise ValueError(case)
+
+
+COARSE_CASES = ["survey-like", "noise bulk", "exact rank one", "2 pairs", "3 pairs",
+                "more pairs than rows"]
+
+
 class TestCoarseLeadingPair:
-    def test_survey_like_data_calls_no_svd(self, square_geom, chan80, monkeypatch):
-        sups = pipeline_snapshots(chan80, square_geom, monkeypatch)
+    def test_survey_like_data_calls_no_svd(self, rng, square_geom, chan80, monkeypatch):
+        sups = coarse_case("survey-like", rng, square_geom, chan80, monkeypatch)
         calls = svd_calls(monkeypatch)
         coarse = coarse_calibration(sups)
         assert calls == []
         assert_matches_economy_svd(coarse, sups)
 
-    def test_noise_bulk_takes_sigma_2_from_values_only_svd(self, rng, monkeypatch):
-        # sigma_2 ~ sigma_3: the deflated solve does not separate
-        sups = noisy_snapshots(rng, (4, 52), 60, noise=0.3)
-        calls = svd_calls(monkeypatch)
-        coarse = coarse_calibration(sups)
-        assert calls == [{"compute_uv": False}]
+    def test_noise_bulk_takes_sigma_2_from_dense_gram_eigh(self, rng, monkeypatch):
+        sups = coarse_case("noise bulk", rng, None, None, monkeypatch)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", recording)
+            coarse = coarse_calibration(sups)
+        # Krylov Ritz problems, then one eigh of the 60 x 60 Gram (T < n = 208)
+        assert shapes[-1] == (60, 60)
+        assert max(s[0] for s in shapes[:-1]) <= core._KRYLOV_MAX_BASIS
         assert_matches_economy_svd(coarse, sups)
 
+    @pytest.mark.parametrize("case", COARSE_CASES)
+    def test_no_input_calls_svd(self, rng, square_geom, chan80, monkeypatch, case):
+        sups = coarse_case(case, rng, square_geom, chan80, monkeypatch)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", forbidden)
+            coarse_calibration(sups)
+
     def test_exact_rank_one(self, rng):
-        phi = rng.uniform(-np.pi, np.pi, (4, 52))
-        weights = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        sups = [w * np.exp(1j * phi) for w in weights]
+        sups = coarse_case("exact rank one", rng, None, None, None)
         assert_matches_economy_svd(coarse_calibration(sups), sups, rank_one=True)
 
     @pytest.mark.parametrize("n_pairs", [2, 3])
     def test_few_pairs(self, rng, n_pairs):
-        sups = noisy_snapshots(rng, (4, 52), n_pairs, noise=0.3)
+        sups = coarse_case(f"{n_pairs} pairs", rng, None, None, None)
         assert_matches_economy_svd(coarse_calibration(sups), sups)
 
     def test_more_pairs_than_rows(self, rng):
-        sups = noisy_snapshots(rng, (2, 5), 40, noise=0.3)
+        sups = coarse_case("more pairs than rows", rng, None, None, None)
         assert_matches_economy_svd(coarse_calibration(sups), sups)
 
 

@@ -292,6 +292,7 @@ class TestErrors:
         ("algorithm", "window = abc"),
         ("algorithm", "smoothing = 2"),
         ("packet", "rssi_floor_dbm = low"),
+        ("packet", "rssi_floor_dbm = nan"),
         ("setup", "dwell_ms = x"),
         ("algorithm", "theta_step_deg = 0"),
         ("algorithm", "dist_step_m = 0"),
@@ -311,6 +312,64 @@ class TestErrors:
                      "--out", str(tmp_path / "b.csv"), "--config", str(config)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: data:")
+
+    def test_malformed_config_value_names_file_section_and_key(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text("[packet]\nrssi_floor_dbm = low\n")
+        code = main(["decode", "--capture", str(tmp_path / "none.wcap"),
+                     "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:")
+        assert "rssi_floor_dbm" in err and "[packet]" in err and str(config) in err
+
+    def test_nan_rssi_floor_flag_exit_2(self, tmp_path, capsys):
+        # a NaN floor would pass every frame: no RSSI compares below it
+        capture = tmp_path / "empty.wcap"
+        codec.write_capture(capture, [])
+        assert main(["decode", "--capture", str(capture), "--rssi-floor", "nan"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: data:") and "NaN" in err[-1]
+
+    def test_non_numeric_scenario_value_exit_2(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.ini"
+        scenario.write_text(CALIB_SCENARIO.replace("n = 80", "n = abc"))
+        code = main(["simulate", "--scenario", str(scenario),
+                     "--capture", str(tmp_path / "c.wcap"), "--poses", str(tmp_path / "p.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:")
+        assert "[trajectory]" in err and " n " in err and str(scenario) in err
+
+    def test_short_pose_row_exit_2(self, workspace, capsys):
+        tmp_path, scenario = workspace
+        capture, poses = tmp_path / "c.wcap", tmp_path / "p.csv"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--capture", str(capture), "--poses", str(poses)]) == 0
+        lines = poses.read_text().splitlines()
+        poses.write_text("\n".join(lines[:2] + ["0,1,2"] + lines[3:]) + "\n")
+        code = main(["calibrate", "--capture", str(capture), "--poses", str(poses),
+                     "--tx", "0,0", "--geometry", GEOMETRY,
+                     "--out", str(tmp_path / "cal.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "line 3" in err
+
+    def test_non_numeric_calibration_value_exit_2(self, tmp_path, capsys):
+        from csisense import ArrayGeometry, CalibrationMatrix, ChannelSpec, save_calibration
+
+        chan = ChannelSpec(155, 80)
+        cal = tmp_path / "cal.txt"
+        save_calibration(cal, CalibrationMatrix(np.zeros((4, chan.n_sub)), chan),
+                         ArrayGeometry.square(0.02336))
+        cal.write_text(cal.read_text().replace("\n0,", "\nzero,", 1))
+        capture = tmp_path / "empty.wcap"
+        codec.write_capture(capture, [])
+        code = main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(tmp_path / "b.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(cal) in err
 
     def test_profile_malformed_geometry_exit_2(self, workspace, capsys):
         tmp_path, scenario = workspace

@@ -254,7 +254,7 @@ class TestLeadingEigenpairs:
         assert np.max(np.abs(vectors @ vectors.conj().T - top @ top.conj().T)) <= 1e-12
 
     @pytest.mark.parametrize("case", ["equal eigenvalues", "noise bulk"])
-    def test_not_separated_returns_none_without_dense_solve(self, rng, case, monkeypatch):
+    def test_not_separated_ends_in_one_dense_gram_eigh(self, rng, case, monkeypatch):
         if case == "equal eigenvalues":
             x = np.eye(40, dtype=np.complex128)  # rounding-floor stop at the first test
         else:
@@ -271,8 +271,31 @@ class TestLeadingEigenpairs:
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
-        assert core._leading_eigenpairs(x, 1) is None
-        assert shapes and max(s[0] for s in shapes) <= core._KRYLOV_MAX_BASIS
+        values, vectors = core._leading_eigenpairs(x, 1)
+        monkeypatch.undo()
+        small = min(x.shape)
+        assert shapes[-1] == (small, small)
+        assert shapes[:-1] and max(s[0] for s in shapes[:-1]) <= core._KRYLOV_MAX_BASIS
+        ref_vals = np.linalg.eigvalsh(x @ x.conj().T / x.shape[1])
+        assert abs(values[0] - ref_vals[-1]) <= 1e-12 * ref_vals[-1]
+        assert np.linalg.norm(vectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dense_wide_snapshots_match_eigh(self, rng, k):
+        # dim > n: the dense solve runs on the n x n Gram X^H X / n
+        x = _low_rank_plus_noise(rng, 120, 30, [3.0, 2.0, 1.2][:k] + [0.5])
+        values, vectors = core._dense_eigenpairs(x, k)
+        ref_vals, ref_vecs = np.linalg.eigh(x @ x.conj().T / x.shape[1])
+        assert values.shape == (k,) and vectors.shape == (120, k)
+        assert np.max(np.abs(values - ref_vals[-k:])) <= 1e-12 * ref_vals[-1]
+        top = ref_vecs[:, -k:]
+        assert np.max(np.abs(vectors @ vectors.conj().T - top @ top.conj().T)) <= 1e-12
+
+    def test_dense_zero_image_gives_zero_value_not_nan(self):
+        # every Gram eigenvector maps to X v = 0: no division by a zero norm
+        values, vectors = core._dense_eigenpairs(np.zeros((12, 5), np.complex128), 2)
+        assert np.array_equal(values, [0.0, 0.0])
+        assert np.array_equal(vectors, np.zeros((12, 2)))
 
     def test_repeatable_and_leaves_global_random_state(self, rng):
         x = _low_rank_plus_noise(rng, 100, 80, [2.0, 1.0])

@@ -163,6 +163,24 @@ class TestWalkthrough:
         result = run_walkthrough(scen, ScanPolicy())
         assert result.switch_count == 0
 
+    def test_nearest_tie_goes_to_earliest_ap_across_interleaved_channels(self):
+        # aps 1 and 2 are equally near; the beacons list ap 2 under CH[0]
+        # with ap 0, ahead of ap 1 under CH[1], so only scenario order
+        # makes ap 1 the nearest
+        aps = [ApSpec(location=np.array([0.0, 40.0]), chanspec=CH[0],
+                      tx_power_dbm=-30.0, mac=MACS[0]),
+               ApSpec(location=np.array([5.0, 0.0]), chanspec=CH[1],
+                      tx_power_dbm=-30.0, mac=MACS[1]),
+               ApSpec(location=np.array([-5.0, 0.0]), chanspec=CH[0],
+                      tx_power_dbm=-30.0, mac=MACS[2])]
+        traj = [(int(k * 1e9), Pose2D(0.0, 0.0, 0.0)) for k in range(1, 4)]
+        scen = SimScenario(tx_location=np.array([1.0, 0.0]), chanspec=CH[0],
+                           trajectory=traj, aps=aps, snr_db=None, seed=5)
+        assert list(environment_beacons(aps, np.zeros(2))) == [CH[0], CH[1]]
+        result = run_walkthrough(scen, ScanPolicy())
+        assert [e.nearest for e in result.log] == [CH[1]] * 3
+        assert all(e.rssi_dbm == rssi_at(-30.0, 5.0) for e in result.log)
+
     def test_needs_two_channels(self):
         aps = [ApSpec(location=np.array([0.0, 5.0]), chanspec=CH[0],
                       tx_power_dbm=-30.0, mac=MACS[0])]
