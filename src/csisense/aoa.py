@@ -9,6 +9,9 @@ Estimators:
 * `spotfi_estimate` -- joint (bearing, delay) via 2-D MUSIC on spatially
   smoothed antenna/subcarrier sub-arrays (uniform linear arrays only).
 
+Each estimator reads transmit antenna 0; for the angle of departure,
+`transpose_for_aod` makes the transmit antennas the array.
+
 All estimators are invariant to a global unit-phase factor on the input.
 Only MUSIC, which estimates bearing alone, is also blind to a
 per-subcarrier phase common to all antennas -- the part of the
@@ -59,6 +62,7 @@ from .core import (
     DimensionMismatchError,
     Pose2D,
     Profile2D,
+    _dense_eigenpairs,
     _leading_eigenpairs,
     subcarrier_indices,
     subcarrier_frequencies,
@@ -73,22 +77,29 @@ class UnsupportedGeometryError(CsiSenseError):
     """The estimator requires a geometry the given array does not have."""
 
 
-def default_theta_grid() -> np.ndarray:
-    """1-degree bearing grid covering (-pi, pi], 360 points."""
-    return np.radians(np.arange(-179.0, 181.0))
+def build_grids(
+    theta_min_deg: float = -179.0,
+    theta_max_deg: float = 180.0,
+    theta_step_deg: float = 1.0,
+    dist_max_m: float = 30.0,
+    dist_step_m: float = 0.25,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bearing grid (radians) and relative path-length grid (meters), end points included.
 
-
-def default_dist_grid() -> np.ndarray:
-    """Relative path-length grid: 0 to 30 m in 0.25 m steps."""
-    return np.arange(0.0, 30.0 + 1e-9, 0.25)
+    By default 360 bearings over (-pi, pi] and 121 path lengths, 0 to 30 m.
+    """
+    if not (theta_step_deg > 0 and dist_step_m > 0):
+        raise ConfigurationError("theta_step_deg and dist_step_m must be positive")
+    theta = np.radians(np.arange(theta_min_deg, theta_max_deg + 1e-9, theta_step_deg))
+    return theta, np.arange(0.0, dist_max_m + 1e-9, dist_step_m)
 
 
 @dataclass
 class AoaConfig:
     """Processing parameters: grids, algorithm selection, averaging."""
 
-    theta_grid: np.ndarray = field(default_factory=default_theta_grid)
-    dist_grid: np.ndarray = field(default_factory=default_dist_grid)
+    theta_grid: np.ndarray = field(default_factory=lambda: build_grids()[0])
+    dist_grid: np.ndarray = field(default_factory=lambda: build_grids()[1])
     algorithm: str = "bartlett"
     smoothing: tuple[int, int] | None = None  # (n_ant_sub, n_sub_sub); None = auto
     window: int = 1  # frames per bearing (bartlett: profiles, music: covariance)
@@ -129,7 +140,6 @@ def bartlett_profile(
     frame: CsiFrame,
     geom: ArrayGeometry,
     cfg: AoaConfig,
-    tx_index: int = 0,
 ) -> Profile2D:
     """Bearing-range likelihood P(theta, d), normalized to max 1.
 
@@ -145,8 +155,8 @@ def bartlett_profile(
     the n_rx rows of the frame, so the bearing steering A contracts only
     n_rx terms per cell instead of n_sub.
     """
-    _check_frame(frame, geom, tx_index)
-    csi = frame.csi[:, tx_index, :].astype(np.complex128)
+    _check_frame(frame, geom)
+    csi = frame.csi[:, 0, :].astype(np.complex128)
     a = _steering(cfg.theta_grid, geom.positions, wavelength(frame.chanspec))
     range_phasors = _range_phasors(frame.chanspec, _grid_key(cfg.dist_grid))
     power = np.abs(np.conj(a) @ (csi @ range_phasors)) ** 2
@@ -160,29 +170,24 @@ def music_spectrum(
     frames: list[CsiFrame],
     geom: ArrayGeometry,
     cfg: AoaConfig,
-    tx_index: int = 0,
 ) -> np.ndarray:
     """MUSIC pseudospectrum 1 / ||E_n^H s(theta)||^2 over the bearing grid.
 
     The spatial covariance averages per-subcarrier antenna vectors
     across subcarriers and frames; the noise subspace holds the
-    n_antennas - n_sources smallest eigenvectors.
+    n_antennas - n_sources smallest eigenvectors (`core._dense_eigenpairs`).
     """
     if not frames:
         raise ConfigurationError("need at least one frame")
     for frame in frames:
-        _check_frame(frame, geom, tx_index)
+        _check_frame(frame, geom)
     n_rx = geom.n_antennas
     if cfg.n_sources >= n_rx:
         raise ConfigurationError(
             f"{cfg.n_sources} sources leave no noise subspace for {n_rx} antennas"
         )
-    snapshots = np.concatenate(
-        [f.csi[:, tx_index, :].astype(np.complex128) for f in frames], axis=1
-    )
-    cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
-    cov = 0.5 * (cov + cov.conj().T)
-    noise = np.linalg.eigh(cov)[1][:, : n_rx - cfg.n_sources]
+    snapshots = np.concatenate([f.csi[:, 0, :].astype(np.complex128) for f in frames], axis=1)
+    noise = _dense_eigenpairs(snapshots, n_rx)[1][:, : n_rx - cfg.n_sources]
     a = _steering(cfg.theta_grid, geom.positions, wavelength(frames[0].chanspec))
     denom = np.sum(np.abs(np.conj(a) @ noise) ** 2, axis=1)
     denom = np.maximum(denom, np.finfo(float).tiny)
@@ -219,7 +224,6 @@ def spotfi_estimate(
     frame: CsiFrame,
     geom: ArrayGeometry,
     cfg: AoaConfig,
-    tx_index: int = 0,
 ) -> list[PathEstimate]:
     """Joint (bearing, delay) estimates via smoothed 2-D MUSIC.
 
@@ -232,9 +236,9 @@ def spotfi_estimate(
 
     Requires a uniform linear array with at least two antennas.
     """
-    _check_frame(frame, geom, tx_index)
+    _check_frame(frame, geom)
     _require_ula(geom)
-    pseudo = _spotfi_pseudospectrum(frame, geom, cfg, tx_index)
+    pseudo = _spotfi_pseudospectrum(frame, geom, cfg)
     tau_grid = cfg.dist_grid / SPEED_OF_LIGHT
 
     local_max = pseudo == _max_filter3(pseudo)
@@ -264,16 +268,13 @@ def _spotfi_pseudospectrum(
     frame: CsiFrame,
     geom: ArrayGeometry,
     cfg: AoaConfig,
-    tx_index: int,
 ) -> np.ndarray:
     """Smoothed 2-D MUSIC pseudospectrum over (theta grid, dist grid).
 
     The signal subspace is the top n_sources eigenvectors of the smoothed
     covariance X X^H / n_windows, from `core._leading_eigenpairs`.
     """
-    csi_full = interpolate_subcarriers(
-        frame.csi[:, tx_index, :].astype(np.complex128), frame.chanspec
-    )
+    csi_full = interpolate_subcarriers(frame.csi[:, 0, :].astype(np.complex128), frame.chanspec)
     n_rx, n_cols = csi_full.shape
     n_ant_sub, n_sub_sub = spotfi_smoothing_dims(n_rx, n_cols, cfg)
     windows = np.lib.stride_tricks.sliding_window_view(csi_full, (n_ant_sub, n_sub_sub))
@@ -394,16 +395,14 @@ def estimate_bearing(
     )
 
 
-def transpose_for_aod(frame: CsiFrame, rx_index: int = 0) -> CsiFrame:
-    """View one rx antenna's measurements as an array over tx antennas.
+def transpose_for_aod(frame: CsiFrame) -> CsiFrame:
+    """View rx antenna 0's measurements as an array over tx antennas.
 
     Lets every estimator run on the transmit side (angle of departure)
     when the transmitter has multiple antennas; the caller must supply
     the transmitter's array geometry to the estimator.
     """
-    if not 0 <= rx_index < frame.n_rx:
-        raise DimensionMismatchError(f"rx index {rx_index} out of range")
-    swapped = frame.csi[rx_index][:, None, :]
+    swapped = frame.csi[0][:, None, :]
     return CsiFrame(
         csi=swapped,
         rssi_dbm=frame.rssi_dbm,
@@ -554,13 +553,11 @@ def _delay_steering(n_sub_sub: int, dist_bytes: bytes) -> np.ndarray:
     return kernel
 
 
-def _check_frame(frame: CsiFrame, geom: ArrayGeometry, tx_index: int) -> None:
+def _check_frame(frame: CsiFrame, geom: ArrayGeometry) -> None:
     if frame.n_rx != geom.n_antennas:
         raise DimensionMismatchError(
             f"frame has {frame.n_rx} antennas, geometry has {geom.n_antennas}"
         )
-    if not 0 <= tx_index < frame.n_tx:
-        raise DimensionMismatchError(f"tx index {tx_index} out of range")
 
 
 def _require_ula(geom: ArrayGeometry) -> None:

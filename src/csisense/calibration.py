@@ -53,6 +53,10 @@ from .core import (
 )
 
 
+# Least sigma_1 / sigma_2 that `calibrate` accepts as line-of-sight dominated.
+SPECTRAL_GAP_MIN = 3.0
+
+
 class CalibrationError(CsiSenseError):
     """Calibration pipeline failure (bad dataset, degenerate data)."""
 
@@ -188,14 +192,13 @@ def _singular_value(n_pairs: int, eigenvalue: float) -> float:
 def calibrate(
     dataset: CalibrationDataset,
     min_pairs: int = 50,
-    spectral_gap_min: float = 3.0,
     tx_index: int = 0,
 ) -> CalibrationResult:
     """Run the full pipeline on a pose/frame dataset.
 
     Raises CalibrationError for too few or inconsistent pairs and
     LowConfidenceError when sigma_1/sigma_2 falls below
-    `spectral_gap_min` (the line-of-sight dominance check).
+    `SPECTRAL_GAP_MIN` (the line-of-sight dominance check).
     """
     dataset.validate(min_pairs)
     chanspec = dataset.chanspec
@@ -228,9 +231,9 @@ def calibrate(
 
     coarse = coarse_calibration(sups)
     gap = coarse.spectral_gap
-    if gap < spectral_gap_min:
+    if gap < SPECTRAL_GAP_MIN:
         raise LowConfidenceError(
-            f"spectral gap {gap:.2f} below {spectral_gap_min:.2f}: "
+            f"spectral gap {gap:.2f} below {SPECTRAL_GAP_MIN:.2f}: "
             "data does not look line-of-sight dominated"
         )
     # Off-component power n - |u0^H exp(j*phi)|^2, already at its minimum.

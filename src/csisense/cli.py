@@ -13,19 +13,23 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 3 algorithm low confidence.  Every failure prints one machine-parsable
 line to stderr: ``error: <kind>: <message>``.
 
-Configuration files are INI-style with sections [channel], [packet],
-[setup] and [algorithm]; command-line flags override file values, and
-unknown keys are rejected before anything runs.  All randomness flows
-from the single --seed flag.
+Configuration files (--config) are INI-style: [packet] (MAC allow-list,
+RSSI floor) is read by `decode` and `bearing`, [algorithm] by `bearing`
+(`profile` reads only its grid keys) and [setup] (the `ScanPolicy`
+fields) by `scan`.  A key left out keeps the default of its owner:
+`aoa.build_grids`, `AoaConfig` or `ScanPolicy`.  Flags override file
+values; unknown sections and keys are rejected before anything runs.
+All randomness flows from the single --seed flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -35,6 +39,7 @@ from .aoa import (
     AoaConfig,
     ProfileAverager,
     bartlett_profile,
+    build_grids,
     estimate_bearing,
     music_spectrum,
     spotfi_estimate,
@@ -82,76 +87,6 @@ from .synth import synth_trajectory
 # `bearing`'s RSSI floor when neither config nor flag sets one (`decode` has none).
 _BEARING_RSSI_FLOOR_DBM = -65.0
 
-_CONFIG_SECTIONS = {
-    "channel": {"channel", "bandwidth"},
-    "packet": {"mac_filter", "rssi_floor_dbm"},
-    "setup": {"scan", "scan_period_s", "dwell_ms", "switch_margin_db",
-              "switch_cost_ms", "stale_timeout_s"},
-    "algorithm": {"algorithm", "theta_min_deg", "theta_max_deg", "theta_step_deg",
-                  "dist_max_m", "dist_step_m", "window", "n_sources", "smoothing"},
-}
-
-
-@dataclass
-class RunConfig:
-    """Validated configuration merged from file and flags."""
-
-    mac_filter: set[bytes] = field(default_factory=set)
-    rssi_floor_dbm: float | None = None
-    algorithm: str = "bartlett"
-    theta_min_deg: float = -179.0
-    theta_max_deg: float = 180.0
-    theta_step_deg: float = 1.0
-    dist_max_m: float = 30.0
-    dist_step_m: float = 0.25
-    window: int = 1
-    n_sources: int = 1
-    smoothing: tuple[int, int] | None = None
-    scan_policy: ScanPolicy = field(default_factory=ScanPolicy)
-
-    def aoa_config(self) -> AoaConfig:
-        """Estimator settings: grids, algorithm, smoothing, window, sources."""
-        if not (self.theta_step_deg > 0 and self.dist_step_m > 0):
-            raise ConfigurationError("theta_step_deg and dist_step_m must be positive")
-        theta = np.radians(
-            np.arange(self.theta_min_deg, self.theta_max_deg + 1e-9, self.theta_step_deg)
-        )
-        dist = np.arange(0.0, self.dist_max_m + 1e-9, self.dist_step_m)
-        return AoaConfig(
-            theta_grid=theta,
-            dist_grid=dist,
-            algorithm=self.algorithm,
-            smoothing=self.smoothing,
-            window=self.window,
-            n_sources=self.n_sources,
-        )
-
-
-def load_config(path) -> RunConfig:
-    """Parse and validate a config file; unknown sections/keys are errors."""
-    parser = _read_ini(path, "config", _CONFIG_SECTIONS.get)
-    cfg = RunConfig()
-    packet, algorithm, setup = (_Section(parser, name, path)
-                                for name in ("packet", "algorithm", "setup"))
-    cfg.mac_filter = packet.get("mac_filter", _parse_macs, cfg.mac_filter)
-    cfg.rssi_floor_dbm = packet.get("rssi_floor_dbm", _rssi_floor, cfg.rssi_floor_dbm)
-    cfg.algorithm = algorithm.get("algorithm", str.lower, cfg.algorithm)
-    for key in ("theta_min_deg", "theta_max_deg", "theta_step_deg", "dist_max_m",
-                "dist_step_m"):
-        setattr(cfg, key, algorithm.get(key, float, getattr(cfg, key)))
-    cfg.window = algorithm.get("window", int, cfg.window)
-    cfg.n_sources = algorithm.get("n_sources", int, cfg.n_sources)
-    cfg.smoothing = algorithm.get("smoothing", _parse_pair, cfg.smoothing)
-    if parser.has_section("setup"):
-        cfg.scan_policy = ScanPolicy(
-            scan_period_s=setup.get("scan_period_s", float, 30.0),
-            dwell_ms=setup.get("dwell_ms", int, 100),
-            switch_margin_db=setup.get("switch_margin_db", float, 6.0),
-            switch_cost_ms=setup.get("switch_cost_ms", int, 400),
-            stale_timeout_s=setup.get("stale_timeout_s", float, 120.0),
-        )
-    return cfg
-
 
 def _parse_macs(text: str) -> set[bytes]:
     return {parse_mac(m) for m in text.split(",") if m.strip()}
@@ -160,6 +95,58 @@ def _parse_macs(text: str) -> set[bytes]:
 def _parse_pair(text: str) -> tuple[int, int]:
     first, _, second = text.partition(",")
     return int(first), int(second)
+
+
+# [algorithm] keys: the grid keys are `build_grids`' parameters, the rest
+# `AoaConfig` fields; [setup] keys are the `ScanPolicy` fields, parsed as
+# the type of their defaults.
+_GRID_KEYS = dict.fromkeys(inspect.signature(build_grids).parameters, float)
+_ESTIMATOR_KEYS = {"algorithm": str.lower, "window": int, "n_sources": int,
+                   "smoothing": _parse_pair}
+_POLICY_KEYS = {f.name: type(f.default) for f in fields(ScanPolicy)}
+_CONFIG_SECTIONS = {
+    "packet": {"mac_filter", "rssi_floor_dbm"},
+    "algorithm": {*_GRID_KEYS, *_ESTIMATOR_KEYS},
+    "setup": set(_POLICY_KEYS),
+}
+
+
+@dataclass
+class RunConfig:
+    """Validated configuration merged from file and flags.
+
+    `grid` and `estimator` hold only the [algorithm] values that are set.
+    """
+
+    mac_filter: set[bytes] = field(default_factory=set)
+    rssi_floor_dbm: float | None = None
+    grid: dict[str, float] = field(default_factory=dict)
+    estimator: dict[str, object] = field(default_factory=dict)
+    scan_policy: ScanPolicy = field(default_factory=ScanPolicy)
+
+    def aoa_config(self) -> AoaConfig:
+        """Estimator settings: grids, algorithm, smoothing, window, sources."""
+        theta_grid, dist_grid = build_grids(**self.grid)
+        return AoaConfig(theta_grid, dist_grid, **self.estimator)
+
+
+def load_config(path) -> RunConfig:
+    """Parse and validate a config file; unknown sections/keys are errors."""
+    parser = _read_ini(path, "config", _CONFIG_SECTIONS.get)
+    packet, algorithm, setup = (_Section(parser, name, path)
+                                for name in ("packet", "algorithm", "setup"))
+
+    def given(section: _Section, keys: dict) -> dict:
+        return {key: section.get(key, convert) for key, convert in keys.items()
+                if parser.has_option(section.name, key)}
+
+    cfg = RunConfig()
+    cfg.mac_filter = packet.get("mac_filter", _parse_macs, cfg.mac_filter)
+    cfg.rssi_floor_dbm = packet.get("rssi_floor_dbm", _rssi_floor, cfg.rssi_floor_dbm)
+    cfg.grid = given(algorithm, _GRID_KEYS)
+    cfg.estimator = given(algorithm, _ESTIMATOR_KEYS)
+    cfg.scan_policy = ScanPolicy(**given(setup, _POLICY_KEYS))
+    return cfg
 
 
 def _rssi_floor(value) -> float:
@@ -175,12 +162,9 @@ def _merge_flags(cfg: RunConfig, args) -> RunConfig:
         cfg.mac_filter = _parse_macs(args.mac_filter)
     if getattr(args, "rssi_floor", None) is not None:
         cfg.rssi_floor_dbm = _rssi_floor(args.rssi_floor)
-    if getattr(args, "algorithm", None):
-        cfg.algorithm = args.algorithm
-    if getattr(args, "window", None) is not None:
-        cfg.window = args.window
-    if getattr(args, "n_sources", None) is not None:
-        cfg.n_sources = args.n_sources
+    for key in ("algorithm", "window", "n_sources"):
+        if getattr(args, key, None) is not None:
+            cfg.estimator[key] = getattr(args, key)
     return cfg
 
 

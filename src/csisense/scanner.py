@@ -40,7 +40,7 @@ class ApRecord:
 
 @dataclass(frozen=True)
 class ScanPolicy:
-    """Timing and hysteresis constants for the scanner."""
+    """Timing and hysteresis constants for the scanner; the CLI's [setup] keys."""
 
     scan_period_s: float = 30.0
     dwell_ms: int = 100

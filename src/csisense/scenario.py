@@ -165,32 +165,38 @@ def random_bias(chanspec: ChannelSpec, n_rx: int, seed: int) -> CalibrationMatri
     return CalibrationMatrix(phase=phase, chanspec=chanspec)
 
 
+# Disc poses nearer the center than this are drawn again, so path loss stays finite.
+_MIN_DISTANCE_M = 0.5
+
+
 def disc_trajectory(
     center: np.ndarray,
     radius_m: float,
     n: int,
     seed: int,
     rate_hz: float = 1.0,
-    min_distance_m: float = 0.5,
-    t0_ns: int = 0,
 ) -> list[tuple[int, Pose2D]]:
     """Poses uniform over a disc around `center`, random headings.
 
-    Poses closer than `min_distance_m` to the center are resampled so
-    the path-loss model stays finite.
+    Poses closer than 0.5 m to the center are resampled; a disc no wider
+    than that has none to keep and raises ConfigurationError.
     """
+    stamps = _pose_times(n, rate_hz)
+    if not _MIN_DISTANCE_M < radius_m < np.inf:
+        raise ConfigurationError(
+            f"[trajectory] radius_m must be finite and above {_MIN_DISTANCE_M} m, got {radius_m}"
+        )
     rng = np.random.default_rng(seed ^ 0x7A7E_C70A)
-    dt_ns = int(round(1e9 / rate_hz))
     out = []
-    for k in range(n):
+    for ts in stamps:
         while True:
             r = radius_m * np.sqrt(rng.uniform())
-            if r >= min_distance_m:
+            if r >= _MIN_DISTANCE_M:
                 break
         phi = rng.uniform(0.0, 2.0 * np.pi)
         heading = rng.uniform(-np.pi, np.pi)
         pose = Pose2D(center[0] + r * np.cos(phi), center[1] + r * np.sin(phi), heading)
-        out.append((t0_ns + k * dt_ns, pose))
+        out.append((ts, pose))
     return out
 
 
@@ -202,13 +208,11 @@ def loop_trajectory(
     laps: int,
     n: int,
     rate_hz: float = 1.0,
-    t0_ns: int = 0,
 ) -> list[tuple[int, Pose2D]]:
     """Rectangular circuit traversed `laps` times with n poses total."""
     per = 2.0 * (length_m + width_m)
-    dt_ns = int(round(1e9 / rate_hz))
     out = []
-    for k in range(n):
+    for k, ts in enumerate(_pose_times(n, rate_hz)):
         s = (k / n) * laps * per % per
         if s < length_m:
             x, y, th = x0 + s, y0, 0.0
@@ -218,22 +222,29 @@ def loop_trajectory(
             x, y, th = x0 + length_m - (s - length_m - width_m), y0 + width_m, np.pi
         else:
             x, y, th = x0, y0 + width_m - (s - 2 * length_m - width_m), -np.pi / 2
-        out.append((t0_ns + k * dt_ns, Pose2D(x, y, th)))
+        out.append((ts, Pose2D(x, y, th)))
     return out
 
 
 def line_trajectory(
-    x0: float, y0: float, x1: float, y1: float, n: int,
-    rate_hz: float = 1.0, t0_ns: int = 0,
+    x0: float, y0: float, x1: float, y1: float, n: int, rate_hz: float = 1.0,
 ) -> list[tuple[int, Pose2D]]:
     """Straight segment from (x0, y0) to (x1, y1), heading along motion."""
     heading = float(np.arctan2(y1 - y0, x1 - x0))
-    dt_ns = int(round(1e9 / rate_hz))
-    ts = np.linspace(0.0, 1.0, n)
     return [
-        (t0_ns + k * dt_ns, Pose2D(x0 + t * (x1 - x0), y0 + t * (y1 - y0), heading))
-        for k, t in enumerate(ts)
+        (ts, Pose2D(x0 + t * (x1 - x0), y0 + t * (y1 - y0), heading))
+        for ts, t in zip(_pose_times(n, rate_hz), np.linspace(0.0, 1.0, n))
     ]
+
+
+def _pose_times(n: int, rate_hz: float) -> list[int]:
+    """Timestamps (ns) of n poses from 0 at rate_hz; a bad n or rate_hz raises."""
+    if n < 1:
+        raise ConfigurationError(f"[trajectory] n must be at least 1, got {n}")
+    period_ns = 1e9 / rate_hz if rate_hz > 0 else 0.0  # NaN > 0 is false
+    if not 1.0 <= period_ns < np.inf:
+        raise ConfigurationError(f"[trajectory] rate_hz must be in (0, 1e9], got {rate_hz}")
+    return [k * int(round(period_ns)) for k in range(n)]
 
 
 def write_poses_csv(path, trajectory: list[tuple[int, Pose2D]]) -> None:
@@ -326,7 +337,10 @@ def _parse_trajectory(section: _Section, tx_location, seed) -> list[tuple[int, P
             n, rate,
         )
     if kind == "file":
-        return read_poses_csv(section.get("file", str))
+        poses = read_poses_csv(section.get("file", str))
+        if poses:
+            return poses
+        raise ConfigurationError("[trajectory] file holds no poses")
     raise ConfigurationError(f"unknown trajectory kind {kind!r}")
 
 

@@ -32,7 +32,7 @@ from csisense.aoa import (
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
-    default_dist_grid,
+    build_grids,
     estimate_bearing,
     interpolate_subcarriers,
     music_spectrum,
@@ -130,7 +130,7 @@ class TestBartlettKernels:
     def test_alternating_channels_and_grids_match_cold(self):
         geom = ArrayGeometry.square(0.02)
         chans = [ChannelSpec(36, 20), ChannelSpec(155, 80)]
-        grids = [default_dist_grid(), np.arange(0.0, 12.0 + 1e-9, 0.5)]
+        grids = [build_grids()[1], np.arange(0.0, 12.0 + 1e-9, 0.5)]
         frames = {c: single_path_frame(geom, c, 0.9, snr_db=15.0, seed=1) for c in chans}
         cold = {}
         for c in chans:
@@ -145,7 +145,7 @@ class TestBartlettKernels:
                     assert np.array_equal(warm.values, cold[c, g])
 
     def test_cached_kernels_are_read_only(self, chan80):
-        key = default_dist_grid().tobytes()
+        key = build_grids()[1].tobytes()
         for kernel in (aoa._range_phasors(chan80, key), aoa._delay_steering(122, key)):
             with pytest.raises(ValueError):
                 kernel[0, 0] = 0.0
@@ -166,7 +166,7 @@ class TestSteeringCache:
             frame = single_path_frame(geom, chan, 0.4, snr_db=15.0, seed=c + 2 * g)
             return (bartlett_profile(frame, geom, cfg).values,
                     music_spectrum([frame], geom, cfg),
-                    aoa._spotfi_pseudospectrum(frame, geom, cfg, 0))
+                    aoa._spotfi_pseudospectrum(frame, geom, cfg))
 
         cold = {}
         for case in cases:
@@ -273,7 +273,7 @@ class TestSpotfi:
              PathComponent(aoa=1.0, delay_s=40e-9, amplitude=0.4)],
             ula_geom, chan80, snr_db=20.0, rng_seed=5,
         )
-        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
+        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
         ref, dim = spotfi_einsum_reference(frame, ula_geom, cfg)
         # compare denominators dim - ||E_s^H v||^2, whose rounding scales with dim
         assert np.max(np.abs(1.0 / pseudo - 1.0 / ref)) <= 1e-12 * dim
@@ -287,10 +287,10 @@ class TestSpotfi:
         cold = []
         for cfg in cfgs:
             aoa._delay_steering.cache_clear()
-            cold.append(aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0))
+            cold.append(aoa._spotfi_pseudospectrum(frame, ula_geom, cfg))
         for _ in range(2):
             for cfg, ref in zip(cfgs, cold):
-                assert np.array_equal(aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0), ref)
+                assert np.array_equal(aoa._spotfi_pseudospectrum(frame, ula_geom, cfg), ref)
 
     def test_leaves_scipy_linalg_unimported(self):
         # importing scipy.linalg alone costs ~5 MB of resident memory
@@ -382,7 +382,7 @@ class TestSpotfi:
         # columns after the first can have nothing left once orthogonalized
         cfg = AoaConfig(theta_grid=np.radians(np.arange(-89.0, 90.0)), n_sources=n_sources)
         frame = single_path_frame(ula_geom, chan80, np.radians(23.0), tau)
-        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
+        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
         ref, _dim = spotfi_einsum_reference(frame, ula_geom, cfg)
         assert np.all(np.isfinite(pseudo))
         ti, di = np.unravel_index(np.argmax(ref), ref.shape)
@@ -397,7 +397,7 @@ class TestSpotfi:
                         n_sources=n_sources)
         frame = single_path_frame(ula_geom, chan80, 0.3)
         frame = dataclasses.replace(frame, csi=np.zeros_like(frame.csi))
-        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
+        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
         ref, dim = spotfi_einsum_reference(frame, ula_geom, cfg)
         assert np.max(np.abs(1.0 / pseudo - 1.0 / ref)) <= 1e-12 * dim
 
@@ -411,8 +411,8 @@ class TestSpotfi:
             ula_geom, chan80, snr_db=20.0, rng_seed=4,
         )
         before = np.random.get_state()
-        first = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
-        second = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg, 0)
+        first = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
+        second = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
         after = np.random.get_state()
         assert np.array_equal(first, second)
         assert before[0] == after[0] and np.array_equal(before[1], after[1])
@@ -555,7 +555,7 @@ class TestTransposeForAod:
         aod = np.radians(31.0)
         frame = synth_frame([PathComponent(aoa=0.9, aod=aod, delay_s=10e-9)],
                             square_geom, chan80, tx_geom=square_geom)
-        swapped = transpose_for_aod(frame, rx_index=0)
+        swapped = transpose_for_aod(frame)
         assert swapped.n_rx == 4 and swapped.n_tx == 1
         spectrum = music_spectrum([swapped], square_geom, cfg)
         k = int(np.argmax(spectrum))

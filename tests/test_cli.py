@@ -1,16 +1,26 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from csisense import apply_calibration, codec, load_calibration, read_capture, wrap_angle
 from csisense.aoa import (
     AoaConfig,
+    build_grids,
     estimate_bearing,
     music_spectrum,
     read_profile_pgm,
     write_bearings_csv,
 )
-from csisense.cli import main
+from csisense.cli import RunConfig, load_config, main
+from csisense.scanner import ScanPolicy
 from csisense.scenario import read_poses_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CALIB_SCENARIO = """
 [channel]
@@ -313,6 +323,51 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: data:")
 
+    @pytest.mark.parametrize("text,named", [
+        ("[channel]\nchannel = 36\n", "[channel]"),
+        ("[channel]\nbandwidth = 20\n", "[channel]"),
+        ("[setup]\nscan = true\n", "'scan'"),
+    ])
+    def test_config_keys_nothing_reads_exit_2(self, tmp_path, capsys, text, named):
+        capture = tmp_path / "empty.wcap"
+        codec.write_capture(capture, [])
+        config = tmp_path / "cfg.ini"
+        config.write_text(text)
+        assert main(["decode", "--capture", str(capture), "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: data:") and named in err[-1]
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    @pytest.mark.parametrize("key,value", [
+        ("rate_hz", "0"), ("rate_hz", "-2"), ("rate_hz", "nan"), ("n", "0"), ("n", "-3"),
+    ])
+    def test_bad_trajectory_value_exit_2(self, tmp_path, capsys, command, key, value):
+        assert main(_trajectory_argv(tmp_path, command, **{key: value})) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: data: [trajectory]") and f" {key} " in err[-1]
+        assert not (tmp_path / "c.wcap").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    def test_disc_inside_keep_out_exit_2(self, tmp_path, command):
+        # No pose of a 0.1 m disc clears the 0.5 m keep-out around its
+        # center; a subprocess with a timeout turns a hang into a failure.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        argv = _trajectory_argv(tmp_path, command, radius_m="0.1")
+        proc = subprocess.run([sys.executable, "-m", "csisense.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: data: [trajectory] radius_m ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    def test_empty_pose_file_trajectory_exit_2(self, tmp_path, capsys, command):
+        poses = tmp_path / "empty.csv"
+        poses.write_text("timestamp_ns,x,y,theta\n")
+        assert main(_trajectory_argv(tmp_path, command, kind="file", file=str(poses))) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: data: [trajectory] file holds no poses"
+
     def test_malformed_config_value_names_file_section_and_key(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[packet]\nrssi_floor_dbm = low\n")
@@ -547,6 +602,20 @@ class TestProfileOracle:
         assert abs(dist_grid[di] - 299792458.0 * tau) <= 0.25
 
 
+def _trajectory_argv(tmp_path, command: str, **overrides: str) -> list[str]:
+    """`simulate` or `scan` argv on a disc trajectory, some [trajectory] keys overridden."""
+    keys = {"kind": "disc", "n": "80", "radius_m": "5.0", "rate_hz": "1.0", **overrides}
+    trajectory = "[trajectory]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    scenario = tmp_path / "traj.ini"
+    if command == "simulate":
+        scenario.write_text(CALIB_SCENARIO.split("[trajectory]")[0] + trajectory)
+        return ["simulate", "--scenario", str(scenario), "--capture", str(tmp_path / "c.wcap"),
+                "--poses", str(tmp_path / "p.csv")]
+    head, _, aps = SCAN_SCENARIO.partition("[ap.")
+    scenario.write_text(head.split("[trajectory]")[0] + trajectory + "[ap." + aps)
+    return ["scan", "--scenario", str(scenario), "--out", str(tmp_path / "w.csv")]
+
+
 class TestScanPolicyConfig:
     def test_setup_section_overrides_policy(self, tmp_path, capsys):
         scenario = tmp_path / "scan.ini"
@@ -560,3 +629,40 @@ class TestScanPolicyConfig:
         assert main(["scan", "--scenario", str(scenario), "--out", str(base)]) == 0
         # a faster scan period and smaller margin change the behavior
         assert out.read_text() != base.read_text()
+
+    def test_empty_setup_section_gives_default_policy(self, tmp_path):
+        config = tmp_path / "cfg.ini"
+        config.write_text("[setup]\n")
+        assert load_config(config).scan_policy == ScanPolicy()
+
+    @pytest.mark.parametrize("key,text,value", [
+        ("scan_period_s", "10", 10.0),
+        ("dwell_ms", "50", 50),
+        ("switch_margin_db", "3", 3.0),
+        ("switch_cost_ms", "200", 200),
+        ("stale_timeout_s", "60", 60.0),
+    ])
+    def test_one_key_changes_only_its_field(self, tmp_path, key, text, value):
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[setup]\n{key} = {text}\n")
+        policy = load_config(config).scan_policy
+        assert policy == dataclasses.replace(ScanPolicy(), **{key: value})
+        assert type(getattr(policy, key)) is type(value)
+
+
+class TestAlgorithmConfig:
+    def test_default_is_aoa_configs_default(self):
+        cli_cfg, ref = RunConfig().aoa_config(), AoaConfig()
+        assert np.array_equal(cli_cfg.theta_grid, ref.theta_grid)
+        assert np.array_equal(cli_cfg.dist_grid, ref.dist_grid)
+        assert (cli_cfg.theta_grid.size, cli_cfg.dist_grid.size) == (360, 121)
+        for name in ("algorithm", "smoothing", "window", "n_sources"):
+            assert getattr(cli_cfg, name) == getattr(ref, name)
+
+    def test_one_grid_key_changes_only_its_grid(self, tmp_path):
+        config = tmp_path / "cfg.ini"
+        config.write_text("[algorithm]\ntheta_step_deg = 2\n")
+        cfg = load_config(config).aoa_config()
+        assert np.array_equal(cfg.theta_grid, build_grids(theta_step_deg=2.0)[0])
+        assert cfg.theta_grid.size == 180
+        assert np.array_equal(cfg.dist_grid, AoaConfig().dist_grid)
