@@ -44,7 +44,10 @@ from .core import (
     DimensionMismatchError,
     Pose2D,
     SUBCARRIER_SPACING_HZ,
+    _ground_truth_bearings,
     _leading_eigenpairs,
+    _pose_arrays,
+    _steering_vectors,
     ground_truth_bearing,
     steering_vector,
     subcarrier_frequencies,
@@ -55,6 +58,9 @@ from .core import (
 
 # Least sigma_1 / sigma_2 that `calibrate` accepts as line-of-sight dominated.
 SPECTRAL_GAP_MIN = 3.0
+
+# Least pose/frame pairs `calibrate` accepts by default.
+MIN_PAIRS = 50
 
 
 class CalibrationError(CsiSenseError):
@@ -77,7 +83,7 @@ class CalibrationDataset:
     def __post_init__(self):
         self.tx_location = np.asarray(self.tx_location, dtype=np.float64)
 
-    def validate(self, min_pairs: int = 50) -> None:
+    def validate(self, min_pairs: int = MIN_PAIRS) -> None:
         if len(self.pairs) < min_pairs:
             raise CalibrationError(
                 f"{len(self.pairs)} pose/frame pairs; at least {min_pairs} required"
@@ -166,13 +172,24 @@ def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
     if any(s.shape != shape for s in sups):
         raise CalibrationError("snapshots must share one shape")
     stacked = np.stack([np.asarray(s, dtype=np.complex128).ravel() for s in sups], axis=1)
+    return _coarse_from_columns(stacked, shape)
+
+
+def _coarse_from_columns(stacked: np.ndarray, shape: tuple[int, ...]) -> CoarseResult:
+    """`coarse_calibration` of the data matrix M itself, one snapshot per column.
+
+    The deflated matrix is computed into the buffer of the rank-1 term,
+    so M, that term and the solver's own arrays are all it holds at once.
+    """
     if not np.any(stacked):
         raise CalibrationError("degenerate all-zero snapshots")
     n_pairs = stacked.shape[1]
     try:
         lambda_1, leading = _leading_eigenpairs(stacked, 1)
         u0 = leading[:, 0]
-        lambda_2 = _leading_eigenpairs(stacked - np.outer(u0, u0.conj() @ stacked), 1)[0]
+        deflated = np.outer(u0, u0.conj() @ stacked)
+        np.subtract(stacked, deflated, out=deflated)
+        lambda_2 = _leading_eigenpairs(deflated, 1)[0]
     except np.linalg.LinAlgError as exc:
         raise CalibrationError(f"eigensolver failed: {exc}") from exc
     sv = np.array([_singular_value(n_pairs, lambda_1[0]),
@@ -191,45 +208,23 @@ def _singular_value(n_pairs: int, eigenvalue: float) -> float:
 
 def calibrate(
     dataset: CalibrationDataset,
-    min_pairs: int = 50,
+    min_pairs: int = MIN_PAIRS,
     tx_index: int = 0,
 ) -> CalibrationResult:
     """Run the full pipeline on a pose/frame dataset.
+
+    Steps 1 and 2 of the module docstring run on blocks of
+    `_SLOPE_BLOCK` frames (see `_snapshot_matrix`), with every pose's
+    bearing and steering vector computed in one array pass; step 3 runs
+    on the whole data matrix.
 
     Raises CalibrationError for too few or inconsistent pairs and
     LowConfidenceError when sigma_1/sigma_2 falls below
     `SPECTRAL_GAP_MIN` (the line-of-sight dominance check).
     """
     dataset.validate(min_pairs)
-    chanspec = dataset.chanspec
-    freqs = subcarrier_frequencies(chanspec)
-    mid = freqs.size // 2
-
-    sups = []
-    for pose, frame in dataset.pairs:
-        sup = suppress_bearing(frame, pose, dataset.tx_location, dataset.geom, tx_index)
-        # Packet-detection/CFO phase: rotate so the reference element
-        # (antenna 0, middle subcarrier) has zero phase.  Row 0 of the
-        # expected CSI is all ones, so this equals normalizing the raw
-        # frame by the same element.
-        ref = sup[0, mid]
-        mag = np.abs(ref)
-        if mag > 0:
-            sup = sup * (np.conj(ref) / mag)
-        sups.append(sup)
-
-    # Per-frame time-of-flight slope, fitted against the first snapshot
-    # so the (arbitrary) bias-phase structure cancels out of the fit.
-    # The removed slopes differ from the true ones by one common value,
-    # which lands in the unobservable gauge.
-    ref_sup = sups[0]
-    rel_freq = freqs - freqs[mid]
-    unit = np.isclose(np.diff(freqs), SUBCARRIER_SPACING_HZ)
-    for t in range(len(sups)):
-        slope = _fit_common_slope(sups[t] * np.conj(ref_sup), unit)
-        sups[t] = sups[t] * np.exp(-1j * slope * rel_freq)[None, :]
-
-    coarse = coarse_calibration(sups)
+    shape = (dataset.geom.n_antennas, dataset.chanspec.n_sub)
+    coarse = _coarse_from_columns(_snapshot_matrix(dataset, tx_index), shape)
     gap = coarse.spectral_gap
     if gap < SPECTRAL_GAP_MIN:
         raise LowConfidenceError(
@@ -244,7 +239,7 @@ def calibrate(
     # Negate the recovered bias to get the correction, and reference it
     # to antenna 0 (row 0 becomes zero: the inter-antenna relative form).
     correction = wrap_angle(-(phi - phi[0:1, :]))
-    matrix = CalibrationMatrix(phase=correction, chanspec=chanspec)
+    matrix = CalibrationMatrix(phase=correction, chanspec=dataset.chanspec)
     return CalibrationResult(
         matrix=matrix,
         spectral_gap=gap,
@@ -253,6 +248,69 @@ def calibrate(
         converged=True,
         n_pairs=len(dataset.pairs),
     )
+
+
+# Frames per block of `_snapshot_matrix`.  The slope fit's temporaries
+# grow with the block: one block of all 500 frames raised the peak memory
+# of the survey-sq80 benchmark (simulate, calibrate, scan) from 71 to 98 MB.
+_SLOPE_BLOCK = 64
+
+
+def _snapshot_matrix(dataset: CalibrationDataset, tx_index: int) -> np.ndarray:
+    """The data matrix M (n_rx * n_sub, T): frame t's processed snapshot in column t.
+
+    Each snapshot is `suppress_bearing` of its pair, rotated so the
+    reference element has zero phase, with its time-of-flight slope
+    removed: steps 1 and 2 of the module docstring, element for element
+    the operations of one frame at a time, run on blocks of frames.
+    """
+    if len(dataset.pairs) < 2:
+        raise CalibrationError("need at least 2 snapshots")
+    poses = [pose for pose, _ in dataset.pairs]
+    frames = [frame for _, frame in dataset.pairs]
+    if not all(0 <= tx_index < frame.n_tx for frame in frames):
+        raise DimensionMismatchError(f"tx index {tx_index} out of range")
+    freqs = subcarrier_frequencies(dataset.chanspec)
+    mid = freqs.size // 2
+    rel_freq = freqs - freqs[mid]
+    unit = np.isclose(np.diff(freqs), SUBCARRIER_SPACING_HZ)
+    xy, heading = _pose_arrays(poses)
+    theta = _ground_truth_bearings(xy, heading, dataset.tx_location)
+    conj_steering = np.conj(_steering_vectors(theta, dataset.geom,
+                                              wavelength(dataset.chanspec)))
+
+    columns = np.empty((dataset.geom.n_antennas * freqs.size, len(frames)),
+                       dtype=np.complex128)
+    ref_conj = None
+    for start in range(0, len(frames), _SLOPE_BLOCK):
+        stop = min(start + _SLOPE_BLOCK, len(frames))
+        sup = _suppress_block(frames[start:stop], conj_steering[start:stop], tx_index)
+        # Packet-detection/CFO phase: rotate so the reference element
+        # (antenna 0, middle subcarrier) has zero phase.  Row 0 of the
+        # expected CSI is all ones, so this equals normalizing the raw
+        # frame by the same element.  A frame whose element is 0 stays.
+        ref = sup[:, 0, mid]
+        mag = np.abs(ref)
+        rotor = np.conj(ref) / np.where(mag > 0, mag, 1.0)
+        np.multiply(sup, rotor[:, None, None], out=sup, where=(mag > 0)[:, None, None])
+        # Per-frame time-of-flight slope, fitted against the first snapshot
+        # so the (arbitrary) bias-phase structure cancels out of the fit.
+        # The removed slopes differ from the true ones by one common value,
+        # which lands in the unobservable gauge.
+        if ref_conj is None:
+            ref_conj = np.conj(sup[0])
+        slopes = _fit_common_slopes(sup * ref_conj, unit)
+        sup *= np.exp(-1j * slopes[:, None] * rel_freq)[:, None, :]
+        columns[:, start:stop] = sup.reshape(stop - start, -1).T
+    return columns
+
+
+def _suppress_block(frames: list[CsiFrame], conj_steering: np.ndarray,
+                    tx_index: int) -> np.ndarray:
+    """`suppress_bearing` of each frame, given its conjugated steering row: (B, n_rx, n_sub)."""
+    csi = np.array([frame.csi[:, tx_index, :] for frame in frames], dtype=np.complex128)
+    csi *= conj_steering[:, :, None]
+    return csi
 
 
 def save_calibration(path, cal: CalibrationMatrix, geom: ArrayGeometry) -> None:
@@ -326,15 +384,24 @@ def parse_geometry(text: str) -> ArrayGeometry:
     return ArrayGeometry(np.array(points, dtype=np.float64))
 
 
-def _fit_common_slope(ratios: np.ndarray, unit: np.ndarray) -> float:
-    """Best-fit linear phase slope (rad/Hz) across subcarriers.
+def _fit_common_slopes(ratios: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Best-fit linear phase slope (rad/Hz) across subcarriers, one per frame.
 
-    Uses only the adjacent subcarrier pairs that `unit` marks as sitting at
-    the base spacing (np.diff of the frequencies), summed over antennas,
-    so pilot/DC gaps never alias the estimate.
+    ratios is (frames, n_rx, n_sub).  Uses only the adjacent subcarrier
+    pairs that `unit` marks as sitting at the base spacing (np.diff of the
+    frequencies), summed over antennas, so pilot/DC gaps never alias the
+    estimate.  A frame whose sum is exactly 0 gets slope 0.
+
+    Each frame's products are laid out subcarrier-major, antennas
+    fastest, and summed as one contiguous run: the order in which the
+    fit of a single (n_rx, n_sub) frame has always added them.  The
+    factors are named before they multiply: numpy computes `x * temp`
+    for a temporary over 256 KiB as `temp * x`, and a fused complex
+    multiply is not bitwise commutative.
     """
-    prod = ratios[:, 1:][:, unit] * np.conj(ratios[:, :-1][:, unit])
-    z = np.sum(prod)
-    if z == 0:
-        return 0.0
-    return float(np.angle(z) / SUBCARRIER_SPACING_HZ)
+    pairs = np.flatnonzero(unit)
+    by_subcarrier = ratios.transpose(0, 2, 1)
+    upper = np.take(by_subcarrier, pairs + 1, axis=1)
+    lower = np.conj(np.take(by_subcarrier, pairs, axis=1))
+    z = np.sum(upper * lower, axis=(1, 2))
+    return np.where(z == 0, 0.0, np.angle(z) / SUBCARRIER_SPACING_HZ)

@@ -50,6 +50,7 @@ from .aoa import (
 from .calibration import (
     CalibrationDataset,
     CalibrationError,
+    MIN_PAIRS,
     LowConfidenceError,
     calibrate,
     load_calibration,
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tx", required=True, metavar="X,Y", help="transmitter location, meters")
     p.add_argument("--geometry", required=True, help='antenna positions "x,y; x,y; ..."')
     p.add_argument("--out", required=True, help="output calibration file")
-    p.add_argument("--min-pairs", type=int, default=50)
+    p.add_argument("--min-pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--tx-antenna", type=int, default=0)
 
     p = sub.add_parser("bearing", help="estimate bearings from calibrated frames")

@@ -57,11 +57,14 @@ class DimensionMismatchError(CsiSenseError):
 
 def wrap_angle(theta):
     """Wrap angles to the interval (-pi, pi].  Works on scalars and arrays."""
-    wrapped = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
-    wrapped = np.where(wrapped <= -np.pi, wrapped + 2.0 * np.pi, wrapped)
     if np.ndim(theta) == 0:
-        return float(wrapped)
-    return wrapped
+        # Python floats run the same IEEE operations as np.mod and np.where
+        # (% and np.mod share one remainder rule), without the array set-up
+        # that made this the costliest call of a Pose2D.
+        wrapped = (float(theta) + np.pi) % (2.0 * np.pi) - np.pi
+        return wrapped + 2.0 * np.pi if wrapped <= -np.pi else wrapped
+    wrapped = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(wrapped <= -np.pi, wrapped + 2.0 * np.pi, wrapped)
 
 
 @dataclass(frozen=True)
@@ -339,6 +342,41 @@ def steering_vector(theta: float, geom: ArrayGeometry, lambda_m: float) -> np.nd
         raise ConfigurationError("wavelength must be positive")
     direction = np.array([np.cos(theta), np.sin(theta)])
     phases = (2.0 * np.pi / lambda_m) * (geom.positions @ direction)
+    return np.exp(1j * phases)
+
+
+# Array forms of the two functions above, for code that handles a whole
+# trajectory at once.  Each runs the scalar function's operations element
+# by element, so every entry equals the scalar result bit for bit.
+
+def _pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (n, 2) and headings (n,) of a sequence of Pose2D."""
+    rows = np.array([(p.x, p.y, p.theta) for p in poses], dtype=np.float64).reshape(-1, 3)
+    return rows[:, :2], rows[:, 2]
+
+
+def _ground_truth_bearings(xy: np.ndarray, heading: np.ndarray, tx) -> np.ndarray:
+    """`ground_truth_bearing` of each pose (positions xy, headings heading)."""
+    tx = np.asarray(tx, dtype=np.float64)
+    dx = xy[:, 0] - tx[0]
+    dy = xy[:, 1] - tx[1]
+    if np.any((dx == 0.0) & (dy == 0.0)):
+        raise DegenerateGeometryError("robot position coincides with transmitter")
+    return wrap_angle(np.pi / 2.0 - (np.arctan2(dy, dx) - heading))
+
+
+def _steering_vectors(theta: np.ndarray, geom: ArrayGeometry, lambda_m: float) -> np.ndarray:
+    """`steering_vector` of each angle in theta, one row per angle: (n, n_rx).
+
+    The projections are a stack of matrix-vector products, one per angle,
+    which round as `steering_vector`'s own product does.  One
+    (n_rx, 2) x (2, n) matrix product rounds differently: on an AVX-512
+    OpenBLAS it changed about 40% of the phases of a square array.
+    """
+    if lambda_m <= 0:
+        raise ConfigurationError("wavelength must be positive")
+    directions = np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, :, None]
+    phases = (2.0 * np.pi / lambda_m) * (geom.positions @ directions)[:, :, 0]
     return np.exp(1j * phases)
 
 

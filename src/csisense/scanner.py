@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import ChannelSpec, ConfigurationError, CsiSenseError, Pose2D
-from .synth import SimScenario, environment_beacons
+import numpy as np
+
+from .core import ChannelSpec, ConfigurationError, CsiSenseError, Pose2D, _pose_arrays
+from .synth import SimScenario, _beacon_rssi, _beacons_by_channel
 
 
 class ScannerError(CsiSenseError):
@@ -170,15 +172,22 @@ def run_walkthrough(scenario: SimScenario, policy: ScanPolicy) -> WalkthroughRes
     switch.  A step counts as a hysteresis transition (and is excluded
     from the tuned-to-nearest fraction) when the nearest AP differs from
     the tuned one but does not yet beat it by the switch margin.
+
+    Every beacon level the walk hears is computed up front, as one
+    (poses x APs) RSSI matrix whose rows equal `environment_beacons` at
+    each pose; a step reads its row.  The nearest AP is the strongest in
+    the row, the earliest in `scenario.aps` on ties.
     """
     aps = scenario.aps
     if len({ap.chanspec for ap in aps}) < 2:
         raise ScannerError("walkthrough needs at least 2 APs on distinct channels")
-    exponent = scenario.path_loss_exponent
-    t0, pose0 = scenario.trajectory[0]
+    positions, _heading = _pose_arrays(pose for _, pose in scenario.trajectory)
+    levels = _beacon_rssi(aps, positions, scenario.path_loss_exponent)
+    nearest = np.argmax(levels, axis=1).tolist()  # first maximum: the earliest AP on ties
+    rssi = levels.tolist()
+    t0 = scenario.trajectory[0][0]
 
-    obs0 = environment_beacons(aps, pose0.position, exponent)
-    records, downtime = scan_all(obs0, policy, t0)
+    records, downtime = scan_all(_beacons_by_channel(aps, rssi[0]), policy, t0)
     state = ScannerState(current_chanspec=records[0].chanspec,
                          records={r.mac: r for r in records},
                          last_scan_ns=t0)
@@ -189,8 +198,8 @@ def run_walkthrough(scenario: SimScenario, policy: ScanPolicy) -> WalkthroughRes
     log: list[WalkthroughEntry] = []
     matched = 0
     transitions = 0
-    for ts, pose in scenario.trajectory:
-        env = environment_beacons(aps, pose.position, exponent)
+    for k, (ts, pose) in enumerate(scenario.trajectory):
+        env = _beacons_by_channel(aps, rssi[k])
         heard = env.get(state.current_chanspec, [])
         action = step(state, heard, policy, ts)
         label = "stay"
@@ -208,12 +217,8 @@ def run_walkthrough(scenario: SimScenario, policy: ScanPolicy) -> WalkthroughRes
             switch_count += 1
             label = "switch" if label == "stay" else "rescan+switch"
 
-        # env lists each channel's APs in scenario order, so this pairs every
-        # AP with its own beacon; max keeps the earliest AP on ties.
-        beacons = {chanspec: iter(heard) for chanspec, heard in env.items()}
-        ap_rssi = [next(beacons[ap.chanspec])[1] for ap in aps]
-        nearest_rssi, nearest_ap = max(zip(ap_rssi, aps), key=lambda pair: pair[0])
-        tuned_rssi = max((rssi for _mac, rssi in env.get(state.current_chanspec, [])),
+        nearest_ap = aps[nearest[k]]
+        tuned_rssi = max((level for _mac, level in env.get(state.current_chanspec, [])),
                          default=float("-inf"))
         entry = WalkthroughEntry(
             time_s=ts / 1e9, pose=pose, tuned=state.current_chanspec,
@@ -222,7 +227,7 @@ def run_walkthrough(scenario: SimScenario, policy: ScanPolicy) -> WalkthroughRes
         log.append(entry)
         if entry.tuned == entry.nearest:
             matched += 1
-        elif nearest_rssi - tuned_rssi < policy.switch_margin_db:
+        elif rssi[k][nearest[k]] - tuned_rssi < policy.switch_margin_db:
             transitions += 1
 
     denom = max(len(log) - transitions, 1)

@@ -4,7 +4,8 @@ A scenario is a flat INI-style text file describing everything the
 simulator needs: channel, transmitter, receiver array, trajectory,
 injected hardware bias, reflections, and (for scanner runs) the AP
 layout.  Section and key names are validated; unknown keys are
-rejected so typos fail loudly.
+rejected so typos fail loudly.  `[trajectory]` takes only the keys of its
+`kind` (see `_TRAJECTORY_KEYS`).
 
 Example::
 
@@ -69,14 +70,22 @@ from .core import (
 )
 from .synth import DEFAULT_MAC, ApSpec, Reflection, SimScenario
 
+# [trajectory] keys besides `kind`, per kind.
+_TRAJECTORY_KEYS = {
+    "disc": {"n", "rate_hz", "radius_m", "center_x", "center_y"},
+    "loop": {"n", "rate_hz", "x0", "y0", "length_m", "width_m", "laps"},
+    "line": {"n", "rate_hz", "x0", "y0", "x1", "y1"},
+    "file": {"file"},
+}
+
 _SECTIONS = {
     "channel": {"channel", "bandwidth"},
     "transmitter": {"x", "y", "power_dbm"},
     "array": {"antennas", "layout", "count", "spacing", "spacing_m"},
     "simulation": {"seed", "snr_db", "per_packet_phase", "bias", "path_loss_exponent",
                    "source_mac"},
-    "trajectory": {"kind", "n", "radius_m", "rate_hz", "center_x", "center_y",
-                   "x0", "y0", "x1", "y1", "length_m", "width_m", "laps", "file"},
+    # every kind's keys; `_parse_trajectory` narrows them to the section's kind
+    "trajectory": {"kind"}.union(*_TRAJECTORY_KEYS.values()),
     # numbered sections: [reflection.1], [ap.2], ...
     "reflection.": {"aoa_offset_deg", "excess_delay_ns", "rel_amplitude", "random_phase"},
     "ap.": {"x", "y", "channel", "bandwidth", "power_dbm", "mac"},
@@ -165,8 +174,14 @@ def random_bias(chanspec: ChannelSpec, n_rx: int, seed: int) -> CalibrationMatri
     return CalibrationMatrix(phase=phase, chanspec=chanspec)
 
 
+# Pose rate of the built-in trajectory kinds when a scenario gives none.
+DEFAULT_RATE_HZ = 1.0
+
 # Disc poses nearer the center than this are drawn again, so path loss stays finite.
 _MIN_DISTANCE_M = 0.5
+# Least disc radius.  A draw is kept with probability 1 - (0.5 / radius)^2,
+# at least 0.75 from here; just above 0.5 m, sampling all but hangs.
+_MIN_RADIUS_M = 1.0
 
 
 def disc_trajectory(
@@ -174,17 +189,19 @@ def disc_trajectory(
     radius_m: float,
     n: int,
     seed: int,
-    rate_hz: float = 1.0,
+    rate_hz: float = DEFAULT_RATE_HZ,
 ) -> list[tuple[int, Pose2D]]:
     """Poses uniform over a disc around `center`, random headings.
 
-    Poses closer than 0.5 m to the center are resampled; a disc no wider
-    than that has none to keep and raises ConfigurationError.
+    Poses closer than 0.5 m to the center are resampled.  A radius below
+    1 m raises ConfigurationError, as a disc that narrow would keep too
+    few draws.
     """
     stamps = _pose_times(n, rate_hz)
-    if not _MIN_DISTANCE_M < radius_m < np.inf:
+    if not _MIN_RADIUS_M <= radius_m < np.inf:
         raise ConfigurationError(
-            f"[trajectory] radius_m must be finite and above {_MIN_DISTANCE_M} m, got {radius_m}"
+            f"[trajectory] radius_m must be finite and at least {_MIN_RADIUS_M} m, "
+            f"got {radius_m}"
         )
     rng = np.random.default_rng(seed ^ 0x7A7E_C70A)
     out = []
@@ -207,7 +224,7 @@ def loop_trajectory(
     width_m: float,
     laps: int,
     n: int,
-    rate_hz: float = 1.0,
+    rate_hz: float = DEFAULT_RATE_HZ,
 ) -> list[tuple[int, Pose2D]]:
     """Rectangular circuit traversed `laps` times with n poses total."""
     per = 2.0 * (length_m + width_m)
@@ -227,7 +244,7 @@ def loop_trajectory(
 
 
 def line_trajectory(
-    x0: float, y0: float, x1: float, y1: float, n: int, rate_hz: float = 1.0,
+    x0: float, y0: float, x1: float, y1: float, n: int, rate_hz: float = DEFAULT_RATE_HZ,
 ) -> list[tuple[int, Pose2D]]:
     """Straight segment from (x0, y0) to (x1, y1), heading along motion."""
     heading = float(np.arctan2(y1 - y0, x1 - x0))
@@ -316,8 +333,19 @@ def _parse_array(section: _Section, chanspec: ChannelSpec) -> ArrayGeometry:
 
 def _parse_trajectory(section: _Section, tx_location, seed) -> list[tuple[int, Pose2D]]:
     kind = section.get("kind", str.lower, "disc")
+    if kind not in _TRAJECTORY_KEYS:
+        raise ConfigurationError(f"unknown trajectory kind {kind!r}")
+    unknown = section.keys() - _TRAJECTORY_KEYS[kind] - {"kind"}
+    if unknown:
+        raise ConfigurationError(f"unknown keys {sorted(unknown)} in [trajectory] of "
+                                 f"{section.path} for kind = {kind}")
+    if kind == "file":
+        poses = read_poses_csv(section.get("file", str))
+        if poses:
+            return poses
+        raise ConfigurationError("[trajectory] file holds no poses")
     n = section.get("n", int, 200)
-    rate = section.get("rate_hz", float, 1.0)
+    rate = section.get("rate_hz", float, DEFAULT_RATE_HZ)
     if kind == "disc":
         center = np.array([
             section.get("center_x", float, tx_location[0]),
@@ -330,18 +358,11 @@ def _parse_trajectory(section: _Section, tx_location, seed) -> list[tuple[int, P
             section.get("length_m", float, 30.0), section.get("width_m", float, 5.0),
             section.get("laps", int, 2), n, rate,
         )
-    if kind == "line":
-        return line_trajectory(
-            section.get("x0", float, 0.0), section.get("y0", float, 0.0),
-            section.get("x1", float, 10.0), section.get("y1", float, 0.0),
-            n, rate,
-        )
-    if kind == "file":
-        poses = read_poses_csv(section.get("file", str))
-        if poses:
-            return poses
-        raise ConfigurationError("[trajectory] file holds no poses")
-    raise ConfigurationError(f"unknown trajectory kind {kind!r}")
+    return line_trajectory(
+        section.get("x0", float, 0.0), section.get("y0", float, 0.0),
+        section.get("x1", float, 10.0), section.get("y1", float, 0.0),
+        n, rate,
+    )
 
 
 _REQUIRED = object()
@@ -356,6 +377,9 @@ class _Section:
 
     def __init__(self, parser: configparser.ConfigParser, name: str, path):
         self.parser, self.name, self.path = parser, name, path
+
+    def keys(self) -> set[str]:
+        return set(self.parser[self.name])
 
     def get(self, key: str, convert, default=_REQUIRED):
         where = f"{key} in [{self.name}] of {self.path}"

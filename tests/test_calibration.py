@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from csisense import (
     CalibrationError,
     CalibrationMatrix,
     ChannelSpec,
+    DegenerateGeometryError,
+    DimensionMismatchError,
     LowConfidenceError,
     Pose2D,
     SimScenario,
@@ -16,12 +20,14 @@ from csisense import (
     coarse_calibration,
     suppress_bearing,
     expected_csi,
+    subcarrier_frequencies,
     synth_frame,
     synth_trajectory,
+    wavelength,
     wrap_angle,
 )
 from csisense.calibration import load_calibration, parse_geometry, save_calibration
-from csisense.core import CsiFrame
+from csisense.core import SUBCARRIER_SPACING_HZ, CsiFrame
 from csisense.scenario import disc_trajectory, random_bias
 from csisense.synth import PathComponent
 
@@ -102,19 +108,12 @@ class TestCoarseCalibration:
             coarse_calibration([np.zeros((2, 5), complex)] * 4)
 
 
-def pipeline_snapshots(chan, geom, monkeypatch, n_pairs=120, seed=31):
-    """The suppressed, slope-removed snapshots `calibrate` hands to `coarse_calibration`."""
-    captured = []
-
-    def capture(sups):
-        captured.append(sups)
-        return coarse_calibration(sups)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(calibration, "coarse_calibration", capture)
-        calibrate(make_dataset(chan, geom, n_pairs=n_pairs,
-                               bias=random_bias(chan, 4, seed=seed), seed=seed))
-    return captured[0]
+def pipeline_snapshots(chan, geom, n_pairs=120, seed=31):
+    """The suppressed, slope-removed snapshots whose matrix `calibrate` decomposes."""
+    ds = make_dataset(chan, geom, n_pairs=n_pairs, bias=random_bias(chan, 4, seed=seed),
+                      seed=seed)
+    columns = calibration._snapshot_matrix(ds, 0)
+    return [columns[:, t].reshape(4, -1) for t in range(n_pairs)]
 
 
 def noisy_snapshots(rng, shape, n, noise):
@@ -154,10 +153,10 @@ def assert_matches_economy_svd(coarse, sups, rank_one=False):
         assert coarse.spectral_gap == pytest.approx(sv[0] / sv[1], rel=1e-12)
 
 
-def coarse_case(case, rng, geom, chan, monkeypatch):
+def coarse_case(case, rng, geom=None, chan=None):
     """Snapshots for one TestCoarseLeadingPair input."""
     if case == "survey-like":
-        return pipeline_snapshots(chan, geom, monkeypatch)
+        return pipeline_snapshots(chan, geom)
     if case == "noise bulk":  # sigma_2 ~ sigma_3: the deflated solve does not separate
         return noisy_snapshots(rng, (4, 52), 60, noise=0.3)
     if case == "exact rank one":
@@ -177,14 +176,14 @@ COARSE_CASES = ["survey-like", "noise bulk", "exact rank one", "2 pairs", "3 pai
 
 class TestCoarseLeadingPair:
     def test_survey_like_data_calls_no_svd(self, rng, square_geom, chan80, monkeypatch):
-        sups = coarse_case("survey-like", rng, square_geom, chan80, monkeypatch)
+        sups = coarse_case("survey-like", rng, square_geom, chan80)
         calls = svd_calls(monkeypatch)
         coarse = coarse_calibration(sups)
         assert calls == []
         assert_matches_economy_svd(coarse, sups)
 
     def test_noise_bulk_takes_sigma_2_from_dense_gram_eigh(self, rng, monkeypatch):
-        sups = coarse_case("noise bulk", rng, None, None, monkeypatch)
+        sups = coarse_case("noise bulk", rng)
         shapes = []
         eigh = np.linalg.eigh
 
@@ -202,7 +201,7 @@ class TestCoarseLeadingPair:
 
     @pytest.mark.parametrize("case", COARSE_CASES)
     def test_no_input_calls_svd(self, rng, square_geom, chan80, monkeypatch, case):
-        sups = coarse_case(case, rng, square_geom, chan80, monkeypatch)
+        sups = coarse_case(case, rng, square_geom, chan80)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("np.linalg.svd called")
@@ -212,16 +211,16 @@ class TestCoarseLeadingPair:
             coarse_calibration(sups)
 
     def test_exact_rank_one(self, rng):
-        sups = coarse_case("exact rank one", rng, None, None, None)
+        sups = coarse_case("exact rank one", rng)
         assert_matches_economy_svd(coarse_calibration(sups), sups, rank_one=True)
 
     @pytest.mark.parametrize("n_pairs", [2, 3])
     def test_few_pairs(self, rng, n_pairs):
-        sups = coarse_case(f"{n_pairs} pairs", rng, None, None, None)
+        sups = coarse_case(f"{n_pairs} pairs", rng)
         assert_matches_economy_svd(coarse_calibration(sups), sups)
 
     def test_more_pairs_than_rows(self, rng):
-        sups = coarse_case("more pairs than rows", rng, None, None, None)
+        sups = coarse_case("more pairs than rows", rng)
         assert_matches_economy_svd(coarse_calibration(sups), sups)
 
 
@@ -319,6 +318,83 @@ class TestCalibrate:
         ratio_a = a[1:, 0, :] / a[0:1, 0, :]
         ratio_b = b[1:, 0, :] / b[0:1, 0, :]
         assert np.allclose(ratio_a, ratio_b, atol=1e-4)
+
+
+def frame_by_frame_columns(ds, tx_index=0):
+    """Steps 1 and 2 of the calibration, one frame at a time, as M's columns."""
+    freqs = subcarrier_frequencies(ds.chanspec)
+    mid = freqs.size // 2
+    sups = []
+    for pose, frame in ds.pairs:
+        sup = suppress_bearing(frame, pose, ds.tx_location, ds.geom, tx_index)
+        ref = sup[0, mid]
+        mag = np.abs(ref)
+        if mag > 0:
+            sup = sup * (np.conj(ref) / mag)
+        sups.append(sup)
+    rel_freq = freqs - freqs[mid]
+    unit = np.isclose(np.diff(freqs), SUBCARRIER_SPACING_HZ)
+    columns = []
+    for sup in sups:
+        ratios = sup * np.conj(sups[0])
+        z = np.sum(ratios[:, 1:][:, unit] * np.conj(ratios[:, :-1][:, unit]))
+        slope = 0.0 if z == 0 else float(np.angle(z) / SUBCARRIER_SPACING_HZ)
+        columns.append((sup * np.exp(-1j * slope * rel_freq)[None, :]).ravel())
+    return np.stack(columns, axis=1)
+
+
+def batched_conj_steering(ds):
+    xy, heading = core._pose_arrays(pose for pose, _ in ds.pairs)
+    theta = core._ground_truth_bearings(xy, heading, ds.tx_location)
+    return np.conj(core._steering_vectors(theta, ds.geom, wavelength(ds.chanspec)))
+
+
+class TestBatchedSnapshots:
+    """calibrate's block pass equals the frame-by-frame pipeline bit for bit."""
+
+    def test_suppressed_block_matches_suppress_bearing(self, square_geom, chan80):
+        ds = make_dataset(chan80, square_geom, n_pairs=70, seed=5)
+        ds.tx_location = np.array([0.3, -0.2])
+        frames = [frame for _, frame in ds.pairs]
+        block = calibration._suppress_block(frames, batched_conj_steering(ds), 0)
+        for sup, (pose, frame) in zip(block, ds.pairs):
+            ref = suppress_bearing(frame, pose, ds.tx_location, square_geom)
+            assert sup.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n_pairs", [2, calibration._SLOPE_BLOCK, 150])
+    @pytest.mark.parametrize("channel,bw,layout", [(155, 80, "square"), (36, 20, "ula3"),
+                                                   (38, 40, "ula4")])
+    def test_snapshot_matrix_matches_frame_by_frame(self, n_pairs, channel, bw, layout):
+        chan = ChannelSpec(channel, bw)
+        lam = wavelength(chan)
+        geom = {"square": ArrayGeometry.square(0.45 * lam),
+                "ula3": ArrayGeometry.uniform_linear(3, lam / 2, axis="x"),
+                "ula4": ArrayGeometry.uniform_linear(4, lam / 2)}[layout]
+        ds = make_dataset(chan, geom, n_pairs=n_pairs,
+                          bias=random_bias(chan, geom.n_antennas, seed=6), seed=6)
+        # a frame whose reference element is 0 keeps its common phase
+        pose, frame = ds.pairs[-1]
+        csi = frame.csi.copy()
+        csi[0, 0, chan.n_sub // 2] = 0
+        ds.pairs[-1] = (pose, dataclasses.replace(frame, csi=csi))
+        columns = calibration._snapshot_matrix(ds, 0)
+        assert columns.tobytes() == frame_by_frame_columns(ds).tobytes()
+
+    def test_selected_tx_slice(self, square_geom, chan80):
+        ds = make_dataset(chan80, square_geom, n_pairs=20, seed=7)
+        ds.pairs = [(pose, dataclasses.replace(frame, csi=np.concatenate(
+                        [frame.csi, 0.5j * frame.csi[:, :, ::-1]], axis=1)))
+                    for pose, frame in ds.pairs]
+        columns = calibration._snapshot_matrix(ds, 1)
+        assert columns.tobytes() == frame_by_frame_columns(ds, 1).tobytes()
+        with pytest.raises(DimensionMismatchError):
+            calibrate(ds, min_pairs=20, tx_index=2)
+
+    def test_pose_on_transmitter_raises_degenerate_geometry(self, square_geom, chan80):
+        ds = make_dataset(chan80, square_geom, n_pairs=60, seed=8)
+        ds.pairs[3] = (Pose2D(0.0, 0.0, 0.2), ds.pairs[3][1])
+        with pytest.raises(DegenerateGeometryError):
+            calibrate(ds)
 
 
 class TestCalibrationFile:

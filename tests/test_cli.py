@@ -349,16 +349,31 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["simulate", "scan"])
     def test_disc_inside_keep_out_exit_2(self, tmp_path, command):
-        # No pose of a 0.1 m disc clears the 0.5 m keep-out around its
-        # center; a subprocess with a timeout turns a hang into a failure.
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        argv = _trajectory_argv(tmp_path, command, radius_m="0.1")
-        proc = subprocess.run([sys.executable, "-m", "csisense.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: data: [trajectory] radius_m ")
-        assert "Traceback" not in proc.stderr
+        # No pose of a 0.1 m disc clears the 0.5 m keep-out around its center.
+        _assert_radius_rejected(tmp_path, command, "0.1")
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    def test_disc_just_outside_keep_out_exit_2(self, tmp_path, command):
+        # Rejection sampling would keep about one draw in 2.5 million here.
+        _assert_radius_rejected(tmp_path, command, "0.5000001")
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    @pytest.mark.parametrize("kind,keys,named", [
+        ("disc", {"x0": "3", "length_m": "40", "laps": "7"}, "['laps', 'length_m', 'x0']"),
+        ("file", {"n": "80"}, "['n']"),
+        ("loop", {"radius_m": "5"}, "['radius_m']"),
+        ("line", {"laps": "2"}, "['laps']"),
+    ])
+    def test_foreign_trajectory_keys_exit_2(self, tmp_path, capsys, command, kind, keys,
+                                            named):
+        poses = tmp_path / "poses.csv"
+        poses.write_text("timestamp_ns,x,y,theta\n0,3,0,0\n")
+        own = {"file": {"file": str(poses)}}.get(kind, {})
+        argv = _trajectory_argv(tmp_path, command, kind=kind, **own, **keys)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"error: data: unknown keys {named} in [trajectory]")
+        assert err[-1].endswith(f"for kind = {kind}")
 
     @pytest.mark.parametrize("command", ["simulate", "scan"])
     def test_empty_pose_file_trajectory_exit_2(self, tmp_path, capsys, command):
@@ -602,9 +617,25 @@ class TestProfileOracle:
         assert abs(dist_grid[di] - 299792458.0 * tau) <= 0.25
 
 
+def _assert_radius_rejected(tmp_path, command: str, radius_m: str) -> None:
+    """The CLI exits 2 naming radius_m; a subprocess with a timeout turns a hang into a failure."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    argv = _trajectory_argv(tmp_path, command, radius_m=radius_m)
+    proc = subprocess.run([sys.executable, "-m", "csisense.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: data: [trajectory] radius_m ")
+    assert "Traceback" not in proc.stderr
+
+
 def _trajectory_argv(tmp_path, command: str, **overrides: str) -> list[str]:
-    """`simulate` or `scan` argv on a disc trajectory, some [trajectory] keys overridden."""
-    keys = {"kind": "disc", "n": "80", "radius_m": "5.0", "rate_hz": "1.0", **overrides}
+    """`simulate` or `scan` argv on a disc trajectory, some [trajectory] keys overridden.
+
+    Another `kind` starts from no keys, as the disc keys are foreign to it.
+    """
+    disc = {"kind": "disc", "n": "80", "radius_m": "5.0", "rate_hz": "1.0"}
+    keys = {**(disc if overrides.get("kind", "disc") == "disc" else {}), **overrides}
     trajectory = "[trajectory]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
     scenario = tmp_path / "traj.ini"
     if command == "simulate":

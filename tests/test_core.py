@@ -128,6 +128,64 @@ class TestSteeringVector:
             assert np.allclose(np.abs(sv), 1.0)
 
 
+def bits(a) -> bytes:
+    """The bytes of an array: equal bits, signed zeros included."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestBatchedGeometry:
+    """The array forms of the geometry agree with the scalar functions bit for bit."""
+
+    def test_bearings_match_scalar(self, rng):
+        poses = [Pose2D(*rng.uniform(-20.0, 20.0, 2), rng.uniform(-7.0, 7.0))
+                 for _ in range(2000)]
+        poses += [Pose2D(1.0, 0.0, 0.0), Pose2D(0.0, -1.0, np.pi), Pose2D(-3.0, 0.0, -np.pi)]
+        for tx in ((0.0, 0.0), rng.uniform(-2.0, 2.0, 2)):
+            xy, heading = core._pose_arrays(poses)
+            batched = core._ground_truth_bearings(xy, heading, tx)
+            scalar = np.array([ground_truth_bearing(p, tx) for p in poses])
+            assert bits(batched) == bits(scalar)
+
+    @pytest.mark.parametrize("layout", ["square 0.45", "square 0.5", "ula y", "ula x",
+                                        "three random"])
+    @pytest.mark.parametrize("chan", [ChannelSpec(155, 80), ChannelSpec(36, 20)])
+    def test_steering_rows_match_scalar(self, rng, layout, chan):
+        lam = wavelength(chan)
+        geom = {
+            "square 0.45": ArrayGeometry.square(0.45 * lam),
+            "square 0.5": ArrayGeometry.square(0.5 * lam),
+            "ula y": ArrayGeometry.uniform_linear(4, lam / 2),
+            "ula x": ArrayGeometry.uniform_linear(3, lam / 2, axis="x"),
+            "three random": ArrayGeometry(np.vstack([[0.0, 0.0],
+                                                     rng.uniform(-0.1, 0.1, (2, 2))])),
+        }[layout]
+        theta = np.concatenate([rng.uniform(-np.pi, np.pi, 500), [0.0, np.pi, -np.pi / 2]])
+        batched = core._steering_vectors(theta, geom, lam)
+        assert batched.shape == (theta.size, geom.n_antennas)
+        scalar = np.array([steering_vector(t, geom, lam) for t in theta])
+        assert bits(batched) == bits(scalar)
+
+    def test_empty_trajectory(self, square_geom, chan80):
+        xy, heading = core._pose_arrays([])
+        theta = core._ground_truth_bearings(xy, heading, (0.0, 0.0))
+        assert core._steering_vectors(theta, square_geom, wavelength(chan80)).shape == (0, 4)
+
+    def test_pose_on_transmitter_raises(self):
+        xy, heading = core._pose_arrays([Pose2D(3.0, 1.0, 0.0), Pose2D(1.0, 2.0, 0.5)])
+        with pytest.raises(DegenerateGeometryError):
+            core._ground_truth_bearings(xy, heading, (1.0, 2.0))
+
+    def test_scalar_wrap_matches_array_wrap(self, rng):
+        theta = np.concatenate([
+            rng.uniform(-40.0, 40.0, 5000), rng.uniform(-1e6, 1e6, 100),
+            [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -3 * np.pi, np.nextafter(-np.pi, 0.0),
+             np.nextafter(np.pi, 4.0), 1e-300, -5e-324],
+        ])
+        scalar = np.array([wrap_angle(t) for t in theta])
+        assert bits(scalar) == bits(wrap_angle(theta))
+        assert all(type(wrap_angle(t)) is float for t in (theta[0], float(theta[1]), 3))
+
+
 class TestExpectedCsi:
     def test_row0_all_ones(self, square_geom, chan80):
         mat = expected_csi(Pose2D(3, 1, 0.7), (0, 0), square_geom, chan80)

@@ -25,7 +25,7 @@ from csisense.scanner import (
     write_walkthrough_csv,
 )
 from csisense.scenario import loop_trajectory
-from csisense.synth import environment_beacons
+from csisense.synth import _beacon_rssi, environment_beacons
 
 CH = [ChannelSpec(c, 80) for c in (42, 58, 106, 122)]
 MACS = [bytes([2, 0, 0, 0, 9, k]) for k in range(6)]
@@ -64,6 +64,26 @@ class TestScanAll:
         obs = {CH[0]: [(MACS[0], -40.0), (MACS[1], -50.0)]}
         records, _ = scan_all(obs, ScanPolicy(), now_ns=0)
         assert {r.mac for r in records} == {MACS[0], MACS[1]}
+
+
+class TestBeaconRssiMatrix:
+    def test_rows_match_environment_beacons_bit_for_bit(self, rng):
+        aps = corridor_aps() + [ApSpec(location=rng.uniform(0.0, 80.0, 2), chanspec=CH[1],
+                                       tx_power_dbm=-27.5, mac=MACS[4])]
+        # random positions, plus one on each AP (its distance is clamped to 1e-6 m)
+        positions = np.vstack([rng.uniform(-10.0, 90.0, (2000, 2)),
+                               [ap.location for ap in aps]])
+        matrix = _beacon_rssi(aps, positions, 2.7)
+        assert matrix.shape == (len(positions), len(aps))
+        for pos, row in zip(positions, matrix):
+            env = environment_beacons(aps, pos, 2.7)
+            heard = {chanspec: iter(beacons) for chanspec, beacons in env.items()}
+            assert [next(heard[ap.chanspec]) for ap in aps] == list(zip(MACS, row))
+            # one distance at a time, as np.linalg.norm of a single row
+            ref = [rssi_at(ap.tx_power_dbm,
+                           max(float(np.linalg.norm(pos - ap.location)), 1e-6), 2.7)
+                   for ap in aps]
+            assert np.array(ref).tobytes() == row.tobytes()
 
 
 def fresh_state(now_ns=0):

@@ -70,6 +70,13 @@ class TestLoadScenario:
         # timestamps at 2 Hz
         assert scenario.trajectory[1][0] - scenario.trajectory[0][0] == 500_000_000
 
+    def test_trajectory_keys_of_another_kind_rejected(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO.replace("radius_m = 4.0", "radius_m = 4.0\nlaps = 3"))
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown keys \['laps'\] in \[trajectory\] .* kind = disc"):
+            load_scenario(path)
+
     def test_seed_override(self, tmp_path):
         path = tmp_path / "s.ini"
         path.write_text(SCENARIO)
@@ -122,6 +129,14 @@ class TestTrajectories:
         a = disc_trajectory(np.zeros(2), 5.0, 50, seed=7)
         b = disc_trajectory(np.zeros(2), 5.0, 50, seed=7)
         assert a == b
+
+    def test_disc_radius_floor_is_one_meter(self):
+        # at 1 m a draw clears the 0.5 m keep-out with probability 0.75
+        traj = disc_trajectory(np.zeros(2), 1.0, 200, seed=3)
+        assert all(0.5 <= np.hypot(p.x, p.y) <= 1.0 for _, p in traj)
+        for radius in (0.999, 0.5000001, np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match=r"^\[trajectory\] radius_m "):
+                disc_trajectory(np.zeros(2), radius, 200, seed=3)
 
     def test_loop_returns_to_start(self):
         traj = loop_trajectory(0.0, 0.0, 10.0, 4.0, laps=1, n=280)

@@ -3,6 +3,7 @@ import pytest
 
 from csisense import (
     ConfigurationError,
+    DegenerateGeometryError,
     PathComponent,
     Pose2D,
     Reflection,
@@ -15,8 +16,11 @@ from csisense import (
     synth_frame,
     synth_trajectory,
     wavelength,
+    wrap_angle,
 )
+from csisense import synth
 from csisense.scenario import disc_trajectory, random_bias
+from csisense.synth import REFERENCE_RSSI_DBM, SPEED_OF_LIGHT
 
 
 class TestSynthFrame:
@@ -157,3 +161,74 @@ class TestSynthTrajectory:
         with pytest.raises(ConfigurationError):
             _scenario(chan80, square_geom,
                       trajectory=[(0, Pose2D(1, 0, 0)), (0, Pose2D(2, 0, 0))])
+
+
+def direct_and_reflections(scen, pose, phases):
+    """The path list of one pose, built one pose at a time from the scalar functions."""
+    theta = ground_truth_bearing(pose, scen.tx_location)
+    d = float(np.hypot(pose.x - scen.tx_location[0], pose.y - scen.tx_location[1]))
+    amp = 10.0 ** ((rssi_at(scen.tx_power_dbm, d, scen.path_loss_exponent)
+                    - REFERENCE_RSSI_DBM) / 20.0)
+    paths = [PathComponent(aoa=theta, delay_s=d / SPEED_OF_LIGHT, amplitude=amp)]
+    for refl, phase in zip(scen.reflections, phases):
+        paths.append(PathComponent(aoa=wrap_angle(theta + refl.aoa_offset),
+                                   delay_s=d / SPEED_OF_LIGHT + refl.excess_delay_s,
+                                   amplitude=amp * refl.rel_amplitude * np.exp(1j * phase)))
+    return paths, amp
+
+
+REFLECTIONS = [Reflection(aoa_offset=0.5, excess_delay_s=10e-9, rel_amplitude=0.5,
+                          random_phase=False),
+               Reflection(aoa_offset=-2.0, excess_delay_s=31e-9, rel_amplitude=0.3,
+                          random_phase=False)]
+
+
+class TestBatchedTrajectory:
+    """synth_trajectory's array pass equals the pose-by-pose construction bit for bit."""
+
+    def test_noiseless_frames_match_synth_frame(self, chan80, square_geom):
+        # 200 poses: numpy treats arrays over 256 KiB differently (temporary elision)
+        scen = _scenario(chan80, square_geom, reflections=REFLECTIONS,
+                         tx_location=np.array([0.7, -0.4]),
+                         trajectory=disc_trajectory(np.array([0.0, 0.0]), 5.0, 200, seed=12))
+        pairs = synth_trajectory(scen, square_geom)
+        assert len(pairs) == len(scen.trajectory)
+        for k, ((ts, pose), (out_pose, frame)) in enumerate(zip(scen.trajectory, pairs)):
+            paths, _amp = direct_and_reflections(scen, pose, [0.0, 0.0])
+            ref = synth_frame(paths, square_geom, chan80, seq=k, timestamp_ns=ts)
+            assert out_pose is pose
+            assert frame == ref
+            assert frame.csi.tobytes() == ref.csi.tobytes()
+
+    def test_draws_follow_the_documented_order(self, chan80, square_geom):
+        # per pose: random reflection phases, then the common phase, then noise
+        refl = [Reflection(0.8, 12e-9, 0.6, True), REFLECTIONS[0], Reflection(-1.0, 5e-9, 0.2)]
+        truth = random_bias(chan80, 4, seed=4)
+        scen = _scenario(chan80, square_geom, reflections=refl, true_calibration=truth,
+                         snr_db=20.0, per_packet_phase=True, seed=77,
+                         trajectory=disc_trajectory(np.array([0.0, 0.0]), 5.0, 200, seed=13))
+        pairs = synth_trajectory(scen, square_geom)
+        rng = np.random.default_rng(77)
+        bias = np.exp(1j * truth.phase)[:, None, :]
+        for (ts, pose), (_, frame) in zip(scen.trajectory, pairs):
+            phases = [rng.uniform(0.0, 2.0 * np.pi) if r.random_phase else 0.0 for r in refl]
+            paths, amp = direct_and_reflections(scen, pose, phases)
+            signal = synth._ray_sum(paths, square_geom, chan80, None)
+            rssi = synth._rssi_of(signal)
+            signal = signal * bias * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            signal = signal + synth._noise_like(signal, amp, 20.0, rng)
+            assert frame.csi.tobytes() == signal.astype(np.complex64).tobytes()
+            assert frame.rssi_dbm == float(rssi)
+
+    def test_pose_on_transmitter_raises_degenerate_geometry(self, chan80, square_geom):
+        traj = [(0, Pose2D(2.0, 1.0, 0.0)), (1, Pose2D(0.0, 0.0, 0.3))]
+        with pytest.raises(DegenerateGeometryError):
+            synth_trajectory(_scenario(chan80, square_geom, trajectory=traj), square_geom)
+
+    def test_direct_path_amplitude_underflow_refused(self, chan80, square_geom):
+        scen = _scenario(chan80, square_geom, path_loss_exponent=1000.0)
+        with pytest.raises(ConfigurationError, match="amplitude must be non-zero"):
+            synth_trajectory(scen, square_geom)
+
+    def test_empty_trajectory_gives_no_frames(self, chan80, square_geom):
+        assert synth_trajectory(_scenario(chan80, square_geom, trajectory=[]), square_geom) == []
