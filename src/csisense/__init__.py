@@ -78,6 +78,7 @@ from .aoa import (
     estimate_bearing,
     music_spectrum,
     spotfi_estimate,
+    spotfi_profile,
     transpose_for_aod,
     triangulate,
     write_bearings_csv,

@@ -6,8 +6,18 @@ Estimators:
   cheap real-time option and the source of the profile visualizations.
 * `music_spectrum` -- subspace pseudospectrum over bearing only, from the
   antenna covariance averaged across subcarriers and frames.
-* `spotfi_estimate` -- joint (bearing, delay) via 2-D MUSIC on spatially
-  smoothed antenna/subcarrier sub-arrays (uniform linear arrays only).
+* `spotfi_profile` -- joint (bearing, delay) pseudospectrum via 2-D MUSIC
+  on spatially smoothed antenna/subcarrier sub-arrays of one or more
+  frames (uniform linear arrays only); `spotfi_estimate` lists one
+  frame's strongest (bearing, delay) paths.
+
+A stream of frames gets one bearing per frame from the estimator's
+output over its last `window` frames: Bartlett averages their profiles,
+MUSIC and SpotFi stack their snapshots into one covariance.  The bearing
+is `estimate_bearing`'s argmax, and ties break toward the smallest
+bearing index for every estimator.  That matters on a uniform linear
+array, where a bearing and its mirror across the array axis can tie
+exactly.
 
 Each estimator reads transmit antenna 0; for the angle of departure,
 `transpose_for_aod` makes the transmit antennas the array.
@@ -24,9 +34,10 @@ least-squares position fix for the localization case studies.
 
 Grid kernels that depend only on the geometry, the channel and the
 grids -- the bearing steering matrices, Bartlett's subcarrier x distance
-range phasors and SpotFi's sub-array delay steering -- are built once per
-(geometry, channel, grid) by small private caches and handed out
-read-only, so a stream of frames pays for them once.  Every contraction
+range phasors, SpotFi's subcarrier interpolation grids and its sub-array
+delay steering -- are built once per (geometry, channel, grid) by small
+private caches and handed out read-only, so a stream of frames pays for
+them once.  Every contraction
 runs in the order that keeps the antenna axis (the smallest) innermost:
 Bartlett multiplies the range phasors into the n_rx x n_sub CSI before
 steering over bearings, and SpotFi projects the signal subspace on the
@@ -49,6 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .codec import format_mac
 from .core import (
     SPEED_OF_LIGHT,
     SUBCARRIER_SPACING_HZ,
@@ -102,7 +114,7 @@ class AoaConfig:
     dist_grid: np.ndarray = field(default_factory=lambda: build_grids()[1])
     algorithm: str = "bartlett"
     smoothing: tuple[int, int] | None = None  # (n_ant_sub, n_sub_sub); None = auto
-    window: int = 1  # frames per bearing (bartlett: profiles, music: covariance)
+    window: int = 1  # frames per bearing (bartlett: profiles, music and spotfi: snapshots)
     n_sources: int = 1
 
     def __post_init__(self):
@@ -118,10 +130,6 @@ class AoaConfig:
             raise ConfigurationError("averaging window must be >= 1")
         if self.n_sources < 1:
             raise ConfigurationError("source count must be >= 1")
-        if self.algorithm == "spotfi" and self.window > 1:
-            # SpotFi estimates from one frame; a window it ignored would
-            # mean something else than it does for bartlett and music.
-            raise ConfigurationError("spotfi does not support an averaging window > 1")
 
 
 class PathEstimate(NamedTuple):
@@ -177,10 +185,7 @@ def music_spectrum(
     across subcarriers and frames; the noise subspace holds the
     n_antennas - n_sources smallest eigenvectors (`core._dense_eigenpairs`).
     """
-    if not frames:
-        raise ConfigurationError("need at least one frame")
-    for frame in frames:
-        _check_frame(frame, geom)
+    _check_window(frames, geom)
     n_rx = geom.n_antennas
     if cfg.n_sources >= n_rx:
         raise ConfigurationError(
@@ -194,8 +199,13 @@ def music_spectrum(
     return 1.0 / denom
 
 
-def spotfi_smoothing_dims(n_rx: int, n_cols: int, cfg: AoaConfig) -> tuple[int, int]:
-    """Effective sub-array size: configured, or (2, n_cols // 2)."""
+def spotfi_smoothing_dims(n_rx: int, chanspec: ChannelSpec, cfg: AoaConfig) -> tuple[int, int]:
+    """Effective sub-array size: configured, or (2, n_cols // 2).
+
+    n_cols is the channel's subcarrier count after interpolation onto the
+    full uniform index grid, pilot and DC holes included.
+    """
+    n_cols = _subcarrier_grid(chanspec)[1].size
     dims = cfg.smoothing if cfg.smoothing is not None else (2, n_cols // 2)
     n_ant_sub, n_sub_sub = int(dims[0]), int(dims[1])
     if not 1 <= n_ant_sub <= n_rx or not 1 <= n_sub_sub <= n_cols:
@@ -205,19 +215,52 @@ def spotfi_smoothing_dims(n_rx: int, n_cols: int, cfg: AoaConfig) -> tuple[int, 
     return n_ant_sub, n_sub_sub
 
 
-def interpolate_subcarriers(csi_slice: np.ndarray, chanspec: ChannelSpec) -> np.ndarray:
-    """Resample one (n_rx, n_sub) slice onto the full uniform index grid.
+def spotfi_profile(
+    frames: list[CsiFrame],
+    geom: ArrayGeometry,
+    cfg: AoaConfig,
+) -> Profile2D:
+    """Smoothed 2-D MUSIC pseudospectrum over (theta grid, dist grid).
 
-    Pilot and DC holes are filled by linear interpolation so that
-    adjacent columns are exactly one subcarrier spacing apart -- the
-    shift structure spatial smoothing relies on.
+    Overlapping sub-arrays of n_ant_sub antennas x n_sub_sub subcarriers
+    (stepped by one antenna / one subcarrier) decorrelate coherent
+    multipath.  Every frame's sub-arrays are snapshots (columns) of one
+    smoothed covariance X X^H / n; its n_sources leading eigenvectors
+    (`core._leading_eigenpairs`) span the signal subspace, and the
+    pseudospectrum is evaluated over joint steering
+    s_i(theta) * exp(-j 2 pi f_j tau) with tau = cfg.dist_grid / c.
+
+    The geometry must be a uniform linear array with at least two
+    antennas; `spotfi_estimate` and the CLI check it once.
     """
-    idx = subcarrier_indices(chanspec).astype(np.float64)
-    full = np.arange(idx[0], idx[-1] + 1)
-    out = np.empty((csi_slice.shape[0], full.size), dtype=np.complex128)
-    for i, row in enumerate(csi_slice):
-        out[i] = np.interp(full, idx, row.real) + 1j * np.interp(full, idx, row.imag)
-    return out
+    _check_window(frames, geom)
+    chanspec = frames[0].chanspec
+    n_ant_sub, n_sub_sub = spotfi_smoothing_dims(geom.n_antennas, chanspec, cfg)
+    dim = n_ant_sub * n_sub_sub
+    n_sources = cfg.n_sources
+    if n_sources >= dim:
+        raise ConfigurationError("source count leaves no noise subspace")
+    # np.stack copies every frame's sub-arrays once, straight from the
+    # sliding views, as (n_windows, dim) blocks of rows one after another.
+    windows = [np.lib.stride_tricks.sliding_window_view(
+        _interpolate_subcarriers(frame.csi[:, 0, :].astype(np.complex128), chanspec),
+        (n_ant_sub, n_sub_sub)) for frame in frames]
+    snapshots = np.stack(windows).reshape(-1, dim).T  # (dim, n_windows * n_frames)
+    signal = _leading_eigenpairs(snapshots, n_sources)[1]
+
+    ant = _steering(cfg.theta_grid, geom.positions[:n_ant_sub], wavelength(chanspec))
+    sub = _delay_steering(n_sub_sub, _grid_key(cfg.dist_grid))
+    # ||E_n^H v||^2 = dim - ||E_s^H v||^2 for unit-modulus-element v:
+    # project onto the n_sources signal vectors instead of dim-K noise ones.
+    # The joint steering v = s(theta) (x) sub(tau) is separable, so E_s^H v
+    # is two matmuls: over antennas per source, then one over subcarriers
+    # for every (source, theta) row.
+    per_theta = np.conj(ant) @ signal.T.reshape(n_sources, n_ant_sub, n_sub_sub)
+    projection = per_theta.reshape(-1, n_sub_sub) @ np.conj(sub)
+    projection = projection.reshape(n_sources, cfg.theta_grid.size, -1)
+    sig_power = np.sum(np.abs(projection) ** 2, axis=0)
+    denom = np.maximum(dim - sig_power, 1e-9 * dim)
+    return Profile2D(values=1.0 / denom, theta_grid=cfg.theta_grid, dist_grid=cfg.dist_grid)
 
 
 def spotfi_estimate(
@@ -225,25 +268,22 @@ def spotfi_estimate(
     geom: ArrayGeometry,
     cfg: AoaConfig,
 ) -> list[PathEstimate]:
-    """Joint (bearing, delay) estimates via smoothed 2-D MUSIC.
+    """One frame's joint (bearing, delay) paths from `spotfi_profile`.
 
-    Overlapping sub-arrays of n_ant_sub antennas x n_sub_sub subcarriers
-    (stepped by one antenna / one subcarrier) decorrelate coherent
-    multipath before the eigendecomposition; the pseudospectrum is
-    evaluated over joint steering s_i(theta) * exp(-j 2 pi f_j tau) and
-    up to n_sources local maxima are returned, strongest first.  Delays
-    are relative (the grid is cfg.dist_grid / c).
+    Up to n_sources local maxima of the pseudospectrum are returned,
+    strongest first.  Equal powers keep grid order (a stable sort), so
+    the first path has the bearing `estimate_bearing` picks from the same
+    profile.  Delays are relative (the grid is cfg.dist_grid / c).
 
     Requires a uniform linear array with at least two antennas.
     """
-    _check_frame(frame, geom)
     _require_ula(geom)
-    pseudo = _spotfi_pseudospectrum(frame, geom, cfg)
+    pseudo = spotfi_profile([frame], geom, cfg).values
     tau_grid = cfg.dist_grid / SPEED_OF_LIGHT
 
     local_max = pseudo == _max_filter3(pseudo)
     peak_idx = np.argwhere(local_max)
-    order = np.argsort(pseudo[local_max])[::-1]
+    order = np.argsort(-pseudo[local_max], kind="stable")
     paths = []
     for k in order[: cfg.n_sources]:
         ti, di = peak_idx[k]
@@ -257,47 +297,25 @@ def spotfi_estimate(
     return paths
 
 
+def _interpolate_subcarriers(csi_slice: np.ndarray, chanspec: ChannelSpec) -> np.ndarray:
+    """Resample one (n_rx, n_sub) slice onto the full uniform index grid.
+
+    Pilot and DC holes are filled by linear interpolation so that
+    adjacent columns are exactly one subcarrier spacing apart -- the
+    shift structure spatial smoothing relies on.
+    """
+    idx, full = _subcarrier_grid(chanspec)
+    out = np.empty((csi_slice.shape[0], full.size), dtype=np.complex128)
+    for i, row in enumerate(csi_slice):
+        out[i] = np.interp(full, idx, row.real) + 1j * np.interp(full, idx, row.imag)
+    return out
+
+
 def _max_filter3(values: np.ndarray) -> np.ndarray:
     """3 x 3 sliding maximum of a 2-D array, borders replicating the edge."""
     padded = np.pad(values, 1, mode="edge")
     rows = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
     return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
-
-
-def _spotfi_pseudospectrum(
-    frame: CsiFrame,
-    geom: ArrayGeometry,
-    cfg: AoaConfig,
-) -> np.ndarray:
-    """Smoothed 2-D MUSIC pseudospectrum over (theta grid, dist grid).
-
-    The signal subspace is the top n_sources eigenvectors of the smoothed
-    covariance X X^H / n_windows, from `core._leading_eigenpairs`.
-    """
-    csi_full = interpolate_subcarriers(frame.csi[:, 0, :].astype(np.complex128), frame.chanspec)
-    n_rx, n_cols = csi_full.shape
-    n_ant_sub, n_sub_sub = spotfi_smoothing_dims(n_rx, n_cols, cfg)
-    windows = np.lib.stride_tricks.sliding_window_view(csi_full, (n_ant_sub, n_sub_sub))
-    snapshots = windows.reshape(-1, n_ant_sub * n_sub_sub).T  # (dim, n_windows)
-    dim = n_ant_sub * n_sub_sub
-    n_sources = cfg.n_sources
-    if n_sources >= dim:
-        raise ConfigurationError("source count leaves no noise subspace")
-    signal = _leading_eigenpairs(snapshots, n_sources)[1]
-
-    ant = _steering(cfg.theta_grid, geom.positions[:n_ant_sub], wavelength(frame.chanspec))
-    sub = _delay_steering(n_sub_sub, _grid_key(cfg.dist_grid))
-    # ||E_n^H v||^2 = dim - ||E_s^H v||^2 for unit-modulus-element v:
-    # project onto the n_sources signal vectors instead of dim-K noise ones.
-    # The joint steering v = s(theta) (x) sub(tau) is separable, so E_s^H v
-    # is two matmuls: over antennas per source, then one over subcarriers
-    # for every (source, theta) row.
-    per_theta = np.conj(ant) @ signal.T.reshape(n_sources, n_ant_sub, n_sub_sub)
-    projection = per_theta.reshape(-1, n_sub_sub) @ np.conj(sub)
-    projection = projection.reshape(n_sources, cfg.theta_grid.size, -1)
-    sig_power = np.sum(np.abs(projection) ** 2, axis=0)
-    denom = np.maximum(dim - sig_power, 1e-9 * dim)
-    return 1.0 / denom
 
 
 def average_profiles(profiles: list[Profile2D], window: int) -> Profile2D:
@@ -444,17 +462,18 @@ def triangulate(
     return point, residual
 
 
+def bearing_row(est: BearingEstimate) -> str:
+    """One bearings CSV row, without its newline (columns as in `write_bearings_csv`)."""
+    return (f"{est.timestamp_ns},{format_mac(est.source_mac)},"
+            f"{np.degrees(est.theta):.4f},{est.strength:.6g},{est.rssi_dbm:.2f}")
+
+
 def write_bearings_csv(path, estimates: list[BearingEstimate]) -> None:
     """Bearing output file: timestamp_ns, source_mac, theta_deg, strength, rssi_dbm."""
-    from .codec import format_mac
-
     with open(path, "w") as fh:
         fh.write("timestamp_ns,source_mac,theta_deg,strength,rssi_dbm\n")
         for est in estimates:
-            fh.write(
-                f"{est.timestamp_ns},{format_mac(est.source_mac)},"
-                f"{np.degrees(est.theta):.4f},{est.strength:.6g},{est.rssi_dbm:.2f}\n"
-            )
+            fh.write(bearing_row(est) + "\n")
 
 
 def write_profile_pgm(path, profile: Profile2D, metadata: dict | None = None) -> None:
@@ -544,6 +563,17 @@ def _range_phasors(chanspec: ChannelSpec, dist_bytes: bytes) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _subcarrier_grid(chanspec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """SpotFi's interpolation grids: the measured subcarrier indices and the
+    full uniform index range they span, both float64."""
+    idx = subcarrier_indices(chanspec).astype(np.float64)
+    full = np.arange(idx[0], idx[-1] + 1)
+    idx.flags.writeable = False
+    full.flags.writeable = False
+    return idx, full
+
+
+@lru_cache(maxsize=8)
 def _delay_steering(n_sub_sub: int, dist_bytes: bytes) -> np.ndarray:
     """SpotFi sub-array delay steering exp(-j 2 pi k df tau), shape (n_sub_sub, n_dist)."""
     tau_grid = np.frombuffer(dist_bytes, dtype=np.float64) / SPEED_OF_LIGHT
@@ -558,6 +588,15 @@ def _check_frame(frame: CsiFrame, geom: ArrayGeometry) -> None:
         raise DimensionMismatchError(
             f"frame has {frame.n_rx} antennas, geometry has {geom.n_antennas}"
         )
+
+
+def _check_window(frames: list[CsiFrame], geom: ArrayGeometry) -> None:
+    if not frames:
+        raise ConfigurationError("need at least one frame")
+    for frame in frames:
+        _check_frame(frame, geom)
+        if frame.chanspec != frames[0].chanspec:
+            raise DimensionMismatchError("window frames must share one channel")
 
 
 def _require_ula(geom: ArrayGeometry) -> None:

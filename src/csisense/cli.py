@@ -38,11 +38,13 @@ from . import __version__
 from .aoa import (
     AoaConfig,
     ProfileAverager,
+    _require_ula,
     bartlett_profile,
+    bearing_row,
     build_grids,
     estimate_bearing,
     music_spectrum,
-    spotfi_estimate,
+    spotfi_profile,
     spotfi_smoothing_dims,
     write_bearings_csv,
     write_profile_pgm,
@@ -79,7 +81,6 @@ from .core import (
     CsiFrame,
     CsiSenseError,
     apply_calibration,
-    subcarrier_indices,
 )
 from .scanner import ScanPolicy, run_walkthrough, write_walkthrough_csv
 from .scenario import _read_ini, _Section, load_scenario, read_poses_csv, write_poses_csv
@@ -151,10 +152,10 @@ def load_config(path) -> RunConfig:
 
 
 def _rssi_floor(value) -> float:
-    """An RSSI floor in dBm.  NaN is refused: no frame compares below it."""
+    """An RSSI floor in dBm.  NaN, which no frame compares below, and +-inf are refused."""
     floor = float(value)
-    if np.isnan(floor):
-        raise ConfigurationError("RSSI floor must be a number, not NaN")
+    if not np.isfinite(floor):
+        raise ConfigurationError("RSSI floor must be a finite number, not NaN or infinite")
     return floor
 
 
@@ -349,8 +350,7 @@ def _cmd_bearing(args) -> int:
     cal, geom = load_calibration(args.calibration)
     aoa_cfg = cfg.aoa_config()
     if aoa_cfg.algorithm == "spotfi":
-        idx = subcarrier_indices(cal.chanspec)
-        dims = spotfi_smoothing_dims(geom.n_antennas, int(idx[-1] - idx[0] + 1), aoa_cfg)
+        dims = spotfi_smoothing_dims(geom.n_antennas, cal.chanspec, aoa_cfg)
         print(f"spotfi smoothing = {dims[0]},{dims[1]}", file=sys.stderr)
     estimate = _bearing_estimator(geom, aoa_cfg)
     floor = _BEARING_RSSI_FLOOR_DBM if cfg.rssi_floor_dbm is None else cfg.rssi_floor_dbm
@@ -360,9 +360,7 @@ def _cmd_bearing(args) -> int:
         result = estimate(apply_calibration(cal, frame))
         estimates.append(result)
         if args.udp is not None:
-            print(f"{result.timestamp_ns},{format_mac(result.source_mac)},"
-                  f"{np.degrees(result.theta):.4f},{result.strength:.6g},"
-                  f"{result.rssi_dbm:.2f}")
+            print(bearing_row(result))
     write_bearings_csv(args.out, estimates)
     print(f"{len(estimates)} bearings written to {args.out} "
           f"({stats.dropped_rssi} rejected by rssi floor, {stats.dropped_mac} by mac filter)",
@@ -375,26 +373,25 @@ def _bearing_estimator(geom: ArrayGeometry,
     """One calibrated frame -> its bearing, for cfg.algorithm.
 
     The returned function owns the averaging window: Bartlett's running
-    profile average or MUSIC's last cfg.window frames.
+    profile average, or the last cfg.window frames, whose snapshots MUSIC
+    and SpotFi stack.  Every algorithm's bearing is `estimate_bearing`'s
+    argmax.
     """
-    if cfg.algorithm == "spotfi":
-        def spotfi(frame: CsiFrame) -> BearingEstimate:
-            top = spotfi_estimate(frame, geom, cfg)[0]
-            return BearingEstimate(theta=top.theta, strength=top.power,
-                                   rssi_dbm=frame.rssi_dbm, source_mac=frame.source_mac,
-                                   timestamp_ns=frame.timestamp_ns)
-        return spotfi
-    if cfg.algorithm == "music":
-        recent: deque[CsiFrame] = deque(maxlen=cfg.window)
-
-        def spectrum(frame: CsiFrame):
-            recent.append(frame)
-            return music_spectrum(list(recent), geom, cfg)
-    else:
+    if cfg.algorithm == "bartlett":
         averager = ProfileAverager(cfg.window)
 
         def spectrum(frame: CsiFrame):
             return averager.push(bartlett_profile(frame, geom, cfg))
+    else:
+        over_window = music_spectrum
+        if cfg.algorithm == "spotfi":
+            _require_ula(geom)
+            over_window = spotfi_profile
+        recent: deque[CsiFrame] = deque(maxlen=cfg.window)
+
+        def spectrum(frame: CsiFrame):
+            recent.append(frame)
+            return over_window(list(recent), geom, cfg)
 
     def peak(frame: CsiFrame) -> BearingEstimate:
         return estimate_bearing(spectrum(frame), frame.rssi_dbm, cfg, frame.source_mac,

@@ -117,7 +117,9 @@ def decode_frame(buf: bytes) -> CsiFrame:
     """Decode one wire frame; raises a structured CodecError on any defect.
 
     Never reads past the buffer and never raises anything that is not a
-    CodecError, no matter the input bytes.
+    CodecError, no matter the input bytes.  The frame's csi is a
+    read-only view of the payload in `buf`, so encode_frame gives back
+    the same bytes.
     """
     if len(buf) < HEADER_SIZE:
         raise TruncatedFrameError(f"buffer too short for header: {len(buf)} bytes")
@@ -142,11 +144,10 @@ def decode_frame(buf: bytes) -> CsiFrame:
         raise TruncatedFrameError(f"payload truncated: {len(buf)} of {expected} bytes")
     if len(buf) > expected:
         raise FrameFormatError(f"{len(buf) - expected} trailing bytes")
-    pairs = np.frombuffer(buf, dtype="<f4", offset=HEADER_SIZE).reshape(n_rx, n_tx, n_sub, 2)
-    csi = pairs[..., 0] + 1j * pairs[..., 1]
+    csi = np.frombuffer(buf, dtype="<c8", offset=HEADER_SIZE).reshape(n_rx, n_tx, n_sub)
     try:
         return CsiFrame(
-            csi=csi.astype(np.complex64),
+            csi=csi,
             rssi_dbm=float(rssi),
             source_mac=mac,
             seq=seq,

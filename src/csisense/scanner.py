@@ -18,6 +18,7 @@ wall clock, so every run is replayable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,10 @@ class ScanPolicy:
     stale_timeout_s: float = 120.0
 
     def __post_init__(self):
+        values = (self.scan_period_s, self.dwell_ms, self.switch_margin_db,
+                  self.switch_cost_ms, self.stale_timeout_s)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigurationError("scan policy values must be finite")
         if not (0 < self.switch_cost_ms < 500):
             raise ConfigurationError("switch cost must be positive and under 500 ms")
         if min(self.scan_period_s, self.dwell_ms, self.switch_margin_db,

@@ -54,6 +54,7 @@ degrees, like every file in this package).
 from __future__ import annotations
 
 import configparser
+import math
 
 import numpy as np
 
@@ -284,7 +285,10 @@ def read_poses_csv(path) -> list[tuple[int, Pose2D]]:
                 continue
             try:
                 ts, x, y, theta = line.split(",")
-                out.append((int(ts), Pose2D(float(x), float(y), np.radians(float(theta)))))
+                x, y, theta = float(x), float(y), float(theta)
+                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+                    raise ValueError("not a finite number")
+                out.append((int(ts), Pose2D(x, y, np.radians(theta))))
             except ValueError as exc:
                 raise ConfigurationError(
                     f"bad pose on line {lineno} of {path}: {line!r} ({exc})"
@@ -371,8 +375,9 @@ _REQUIRED = object()
 class _Section:
     """Typed reads from one section of an INI file (scenario or CLI config).
 
-    A missing required key, or a value its converter refuses, raises
-    ConfigurationError naming the file, the section and the key.
+    A missing required key, a value its converter refuses, or a float
+    that is NaN or infinite raises ConfigurationError naming the file,
+    the section and the key.
     """
 
     def __init__(self, parser: configparser.ConfigParser, name: str, path):
@@ -389,13 +394,17 @@ class _Section:
             return default
         text = self.parser[self.name][key]
         try:
-            return convert(text)
+            value = convert(text)
         except (ValueError, CsiSenseError) as exc:
             raise ConfigurationError(f"bad value {text!r} for {where}: {exc}") from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"[{self.name}] {key} must be a finite number, "
+                                     f"got {text!r} in {self.path}")
+        return value
 
 
 def _parse_snr(text: str) -> float | None:
-    """SNR in dB; "none", "inf" or "off" turn the noise off."""
+    """SNR in dB; "none", "inf" or "off" turn the noise off (any other value must be finite)."""
     return None if text.lower() in ("none", "inf", "off") else float(text)
 
 

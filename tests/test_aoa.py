@@ -34,10 +34,10 @@ from csisense.aoa import (
     bartlett_profile,
     build_grids,
     estimate_bearing,
-    interpolate_subcarriers,
     music_spectrum,
     read_profile_pgm,
     spotfi_estimate,
+    spotfi_profile,
     transpose_for_aod,
     triangulate,
     write_profile_pgm,
@@ -166,7 +166,7 @@ class TestSteeringCache:
             frame = single_path_frame(geom, chan, 0.4, snr_db=15.0, seed=c + 2 * g)
             return (bartlett_profile(frame, geom, cfg).values,
                     music_spectrum([frame], geom, cfg),
-                    aoa._spotfi_pseudospectrum(frame, geom, cfg))
+                    spotfi_profile([frame], geom, cfg).values)
 
         cold = {}
         for case in cases:
@@ -258,10 +258,57 @@ class TestSpotfi:
         with pytest.raises(UnsupportedGeometryError):
             spotfi_estimate(frame, square_geom, cfg)
 
-    def test_window_rejected(self):
-        AoaConfig(algorithm="spotfi", window=1)
-        with pytest.raises(ConfigurationError, match="window"):
-            AoaConfig(algorithm="spotfi", window=2)
+    def test_window_stacks_every_frames_snapshots(self, ula_geom, chan80):
+        cfg = AoaConfig(theta_grid=np.radians(np.arange(-89.0, 90.0, 2.0)), n_sources=2,
+                        algorithm="spotfi", window=3)
+        frames = [synth_frame([PathComponent(aoa=0.2, delay_s=10e-9),
+                               PathComponent(aoa=-0.6, delay_s=25e-9, amplitude=0.6)],
+                              ula_geom, chan80, snr_db=15.0, rng_seed=seed)
+                  for seed in (11, 12, 13)]
+        pseudo = spotfi_profile(frames, ula_geom, cfg).values
+        ref, dim = spotfi_einsum_reference(frames, ula_geom, cfg)
+        assert np.max(np.abs(1.0 / pseudo - 1.0 / ref)) <= 1e-12 * dim
+        # a window is not the average of its frames' pseudospectra
+        single = spotfi_profile(frames[-1:], ula_geom, cfg).values
+        assert not np.allclose(pseudo, single)
+
+    @pytest.mark.parametrize("estimator", [spotfi_profile, music_spectrum])
+    def test_window_frames_must_share_a_channel(self, ula_geom, chan80, cfg, estimator):
+        frames = [single_path_frame(ula_geom, chan, 0.3)
+                  for chan in (chan80, ChannelSpec(42, 80), ChannelSpec(38, 40))]
+        for window in (frames[:2], frames[::2]):
+            with pytest.raises(DimensionMismatchError, match="channel"):
+                estimator(window, ula_geom, cfg)
+
+    def test_mirror_tie_breaks_to_smaller_index_under_any_argsort(self, chan80, monkeypatch):
+        # an x-axis ULA sees theta and -theta through bitwise-identical
+        # steering rows, so the profile ties exactly on the mirror pair
+        ula_x = ArrayGeometry.uniform_linear(4, wavelength(chan80) / 2.0, axis="x")
+        cfg = AoaConfig(algorithm="spotfi")
+        frame = single_path_frame(ula_x, chan80, np.radians(30.0), snr_db=25.0, seed=3)
+        profile = spotfi_profile([frame], ula_x, cfg)
+        curve = profile.values.max(axis=1)
+        k = int(np.argmax(curve))
+        mirror = int(np.flatnonzero(cfg.theta_grid == -cfg.theta_grid[k])[0])
+        assert curve[mirror] == curve[k] and k < mirror
+        assert abs(np.degrees(cfg.theta_grid[k]) + 30.0) <= 1.0
+        stable_sort = np.argsort
+
+        def reversed_ties(a, axis=-1, kind=None, order=None, **kwargs):
+            # a valid unstable sort: equal keys in descending index order
+            if kind == "stable":
+                return stable_sort(a, axis=axis, kind="stable")
+            a = np.asarray(a)
+            return (a.size - 1 - stable_sort(a[::-1], kind="stable"))
+
+        for argsort in (lambda a, *args, **kwargs: stable_sort(a, kind="stable"),
+                        reversed_ties):
+            monkeypatch.setattr(np, "argsort", argsort)
+            top = spotfi_estimate(frame, ula_x, cfg)[0]
+            assert top.theta == cfg.theta_grid[k]
+            assert top.power == curve[k]
+            bearing = estimate_bearing(profile, frame.rssi_dbm, cfg)
+            assert bearing.theta == wrap_angle(top.theta) and bearing.strength == top.power
 
     @pytest.mark.parametrize("n_sources", [1, 2, 3])
     def test_pseudospectrum_matches_einsum_reference(self, ula_geom, chan80, n_sources):
@@ -273,8 +320,8 @@ class TestSpotfi:
              PathComponent(aoa=1.0, delay_s=40e-9, amplitude=0.4)],
             ula_geom, chan80, snr_db=20.0, rng_seed=5,
         )
-        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
-        ref, dim = spotfi_einsum_reference(frame, ula_geom, cfg)
+        pseudo = spotfi_profile([frame], ula_geom, cfg).values
+        ref, dim = spotfi_einsum_reference([frame], ula_geom, cfg)
         # compare denominators dim - ||E_s^H v||^2, whose rounding scales with dim
         assert np.max(np.abs(1.0 / pseudo - 1.0 / ref)) <= 1e-12 * dim
 
@@ -287,10 +334,10 @@ class TestSpotfi:
         cold = []
         for cfg in cfgs:
             aoa._delay_steering.cache_clear()
-            cold.append(aoa._spotfi_pseudospectrum(frame, ula_geom, cfg))
+            cold.append(spotfi_profile([frame], ula_geom, cfg).values)
         for _ in range(2):
             for cfg, ref in zip(cfgs, cold):
-                assert np.array_equal(aoa._spotfi_pseudospectrum(frame, ula_geom, cfg), ref)
+                assert np.array_equal(spotfi_profile([frame], ula_geom, cfg).values, ref)
 
     def test_leaves_scipy_linalg_unimported(self):
         # importing scipy.linalg alone costs ~5 MB of resident memory
@@ -353,8 +400,7 @@ class TestSpotfi:
             ula_geom, chan80, snr_db=30.0, rng_seed=7,
         )
         cfg = AoaConfig()
-        idx = subcarrier_indices(chan80)
-        n_ant_sub, n_sub_sub = aoa.spotfi_smoothing_dims(4, int(idx[-1] - idx[0] + 1), cfg)
+        n_ant_sub, n_sub_sub = aoa.spotfi_smoothing_dims(4, chan80, cfg)
         dim = n_ant_sub * n_sub_sub
         shapes = []
         eigh = np.linalg.eigh
@@ -382,8 +428,8 @@ class TestSpotfi:
         # columns after the first can have nothing left once orthogonalized
         cfg = AoaConfig(theta_grid=np.radians(np.arange(-89.0, 90.0)), n_sources=n_sources)
         frame = single_path_frame(ula_geom, chan80, np.radians(23.0), tau)
-        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
-        ref, _dim = spotfi_einsum_reference(frame, ula_geom, cfg)
+        pseudo = spotfi_profile([frame], ula_geom, cfg).values
+        ref, _dim = spotfi_einsum_reference([frame], ula_geom, cfg)
         assert np.all(np.isfinite(pseudo))
         ti, di = np.unravel_index(np.argmax(ref), ref.shape)
         assert np.unravel_index(np.argmax(pseudo), pseudo.shape) == (ti, di)
@@ -397,8 +443,8 @@ class TestSpotfi:
                         n_sources=n_sources)
         frame = single_path_frame(ula_geom, chan80, 0.3)
         frame = dataclasses.replace(frame, csi=np.zeros_like(frame.csi))
-        pseudo = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
-        ref, dim = spotfi_einsum_reference(frame, ula_geom, cfg)
+        pseudo = spotfi_profile([frame], ula_geom, cfg).values
+        ref, dim = spotfi_einsum_reference([frame], ula_geom, cfg)
         assert np.max(np.abs(1.0 / pseudo - 1.0 / ref)) <= 1e-12 * dim
 
     @pytest.mark.parametrize("n_sources", [1, 3])
@@ -411,23 +457,26 @@ class TestSpotfi:
             ula_geom, chan80, snr_db=20.0, rng_seed=4,
         )
         before = np.random.get_state()
-        first = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
-        second = aoa._spotfi_pseudospectrum(frame, ula_geom, cfg)
+        first = spotfi_profile([frame], ula_geom, cfg).values
+        second = spotfi_profile([frame], ula_geom, cfg).values
         after = np.random.get_state()
         assert np.array_equal(first, second)
         assert before[0] == after[0] and np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]
 
 
-def spotfi_einsum_reference(frame, geom, cfg):
-    """SpotFi pseudospectrum with the two einsum contractions it used to have."""
-    csi_full = interpolate_subcarriers(frame.csi[:, 0, :].astype(np.complex128),
-                                       frame.chanspec)
-    n_rx, n_cols = csi_full.shape
+def spotfi_einsum_reference(frames, geom, cfg):
+    """SpotFi pseudospectrum of the frames' stacked snapshots, from a dense
+    covariance eigh and the two einsum contractions it used to have."""
+    frame = frames[0]
+    n_cols = aoa._subcarrier_grid(frame.chanspec)[1].size
     n_ant_sub, n_sub_sub = 2, n_cols // 2
-    windows = np.lib.stride_tricks.sliding_window_view(csi_full, (n_ant_sub, n_sub_sub))
-    snapshots = windows.reshape(-1, n_ant_sub * n_sub_sub).T
     dim = n_ant_sub * n_sub_sub
+    snapshots = np.hstack([
+        np.lib.stride_tricks.sliding_window_view(
+            aoa._interpolate_subcarriers(f.csi[:, 0, :].astype(np.complex128), f.chanspec),
+            (n_ant_sub, n_sub_sub)).reshape(-1, dim).T
+        for f in frames])
     cov = snapshots @ snapshots.conj().T / snapshots.shape[1]
     cov = 0.5 * (cov + cov.conj().T)
     _eigvals, eigvecs = np.linalg.eigh(cov)

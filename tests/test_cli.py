@@ -7,13 +7,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csisense import apply_calibration, codec, load_calibration, read_capture, wrap_angle
+from csisense import (
+    ArrayGeometry,
+    CalibrationMatrix,
+    ChannelSpec,
+    PathComponent,
+    apply_calibration,
+    codec,
+    load_calibration,
+    read_capture,
+    save_calibration,
+    synth_frame,
+    wavelength,
+    wrap_angle,
+)
 from csisense.aoa import (
     AoaConfig,
     build_grids,
     estimate_bearing,
     music_spectrum,
     read_profile_pgm,
+    spotfi_profile,
     write_bearings_csv,
 )
 from csisense.cli import RunConfig, load_config, main
@@ -108,6 +122,21 @@ def workspace(tmp_path):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(CALIB_SCENARIO)
     return tmp_path, scenario
+
+
+def ula_capture(tmp_path, axis, bearings):
+    """A capture of one noisy 80 MHz frame per bearing on a 4-element
+    half-wavelength ULA along `axis`, and an all-zero calibration for it."""
+    chan = ChannelSpec(155, 80)
+    ula = ArrayGeometry.uniform_linear(4, wavelength(chan) / 2.0, axis=axis)
+    frames = [synth_frame([PathComponent(aoa=theta, delay_s=12e-9),
+                           PathComponent(aoa=theta + 0.9, delay_s=40e-9, amplitude=0.3)],
+                          ula, chan, snr_db=20.0, rng_seed=k, seq=k, timestamp_ns=k)
+              for k, theta in enumerate(bearings)]
+    capture, cal = tmp_path / "ula.wcap", tmp_path / "ula_cal.txt"
+    codec.write_capture(capture, frames)
+    save_calibration(cal, CalibrationMatrix(np.zeros((4, chan.n_sub)), chan), ula)
+    return capture, cal
 
 
 def run_pipeline(tmp_path, scenario):
@@ -306,6 +335,9 @@ class TestErrors:
         ("setup", "dwell_ms = x"),
         ("algorithm", "theta_step_deg = 0"),
         ("algorithm", "dist_step_m = 0"),
+        ("algorithm", "theta_min_deg = nan"),
+        ("algorithm", "dist_max_m = inf"),
+        ("packet", "rssi_floor_dbm = -inf"),
     ])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, section, line):
         from csisense import ArrayGeometry, CalibrationMatrix, ChannelSpec, save_calibration
@@ -392,6 +424,41 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: data:")
         assert "rssi_floor_dbm" in err and "[packet]" in err and str(config) in err
+
+    @pytest.mark.parametrize("line", [
+        "scan_period_s = nan", "scan_period_s = inf", "stale_timeout_s = inf",
+        "switch_margin_db = nan",
+    ])
+    def test_non_finite_setup_value_exit_2(self, tmp_path, capsys, line):
+        scenario = tmp_path / "scan.ini"
+        scenario.write_text(SCAN_SCENARIO)
+        config = tmp_path / "setup.ini"
+        config.write_text(f"[setup]\n{line}\n")
+        assert main(["scan", "--scenario", str(scenario), "--config", str(config),
+                     "--out", str(tmp_path / "walk.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"error: data: [setup] {line.split()[0]} must be a finite")
+        assert not (tmp_path / "walk.csv").exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("snr_db = 30", "snr_db = nan"), ("snr_db = 30", "snr_db = -inf"),
+    ])
+    def test_non_finite_snr_exit_2(self, tmp_path, capsys, old, new):
+        scenario = tmp_path / "bad.ini"
+        scenario.write_text(CALIB_SCENARIO.replace(old, new))
+        assert main(["simulate", "--scenario", str(scenario), "--capture",
+                     str(tmp_path / "c.wcap"), "--poses", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: data: [simulation] snr_db must be a finite number")
+        assert not (tmp_path / "c.wcap").exists()
+
+    def test_non_finite_ap_power_exit_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scan.ini"
+        scenario.write_text(SCAN_SCENARIO.replace("power_dbm = -30", "power_dbm = nan", 1))
+        assert main(["scan", "--scenario", str(scenario), "--out",
+                     str(tmp_path / "walk.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "[ap.1] power_dbm must be a finite number, got 'nan'" in err
 
     def test_nan_rssi_floor_flag_exit_2(self, tmp_path, capsys):
         # a NaN floor would pass every frame: no RSSI compares below it
@@ -507,15 +574,41 @@ class TestBearingAlgorithms:
         write_bearings_csv(reference, expected)
         assert out.read_text() == reference.read_text()
 
-    def test_spotfi_window_rejected(self, workspace, capsys):
+    def test_spotfi_window_uses_last_frames(self, tmp_path, capsys):
+        capture, cal = ula_capture(tmp_path, "y", np.radians([12.0, 14.0, 17.0, 15.0]))
+        out = tmp_path / "spotfi2.csv"
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(out), "--algorithm", "spotfi", "--window", "2"]) == 0
+        assert capsys.readouterr().err.startswith("spotfi smoothing = 2,122\n")
+        correction, geom = load_calibration(str(cal))
+        cfg = AoaConfig(algorithm="spotfi", window=2)
+        calibrated = [apply_calibration(correction, f) for f in read_capture(capture)]
+        expected = [estimate_bearing(spotfi_profile(calibrated[max(0, k - 1): k + 1], geom, cfg),
+                                     frame.rssi_dbm, cfg, source_mac=frame.source_mac,
+                                     timestamp_ns=frame.timestamp_ns)
+                    for k, frame in enumerate(calibrated)]
+        reference = tmp_path / "expected.csv"
+        write_bearings_csv(reference, expected)
+        assert out.read_text() == reference.read_text()
+
+    def test_spotfi_mirror_tie_takes_the_smaller_grid_index(self, tmp_path):
+        # an x-axis ULA cannot tell theta from -theta: the two steering
+        # rows are bitwise equal, so every profile ties on the mirror pair
+        capture, cal = ula_capture(tmp_path, "x", np.radians([30.0, 30.0, 30.0]))
+        out = tmp_path / "tie.csv"
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(out), "--algorithm", "spotfi"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["-30.0000"] * 3
+
+    def test_spotfi_on_a_square_fails_before_any_frame(self, workspace, capsys):
         tmp_path, scenario = workspace
         capture, _, cal, _ = run_pipeline(tmp_path, scenario)
         capsys.readouterr()
         assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
                      "--out", str(tmp_path / "s.csv"), "--algorithm", "spotfi",
-                     "--window", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: data:") and "window" in err
+                     "--mac-filter", "02:00:00:00:00:99"]) == 2
+        assert "uniform linear array" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algorithm", ["bartlett", "music"])
     def test_rssi_rejections_include_ingest_drops(self, workspace, capsys, algorithm):

@@ -54,6 +54,15 @@ class TestWireRoundTrip:
             frame = random_frame(rng)
             assert decode_frame(encode_frame(frame)) == frame
 
+    def test_bytes_round_trip_keeps_signed_zeros(self, rng):
+        frame = random_frame(rng, n_rx=2, n_tx=1, bandwidth=20)
+        csi = frame.csi.view(np.float32).reshape(-1, 2)
+        signed = [(-0.0, 0.0), (-0.0, 1.5), (-0.0, -0.0), (0.0, -0.0), (2.0, -0.0), (-3.0, 0.0)]
+        csi[: len(signed)] = signed
+        buf = encode_frame(frame)
+        assert encode_frame(decode_frame(buf)) == buf
+        assert np.signbit(decode_frame(buf).csi.real.ravel()[0])
+
     def test_encoding_deterministic(self, rng):
         frame = random_frame(rng)
         assert encode_frame(frame) == encode_frame(frame)

@@ -44,6 +44,15 @@ class TestScanPolicy:
     def test_defaults_valid(self):
         ScanPolicy()
 
+    @pytest.mark.parametrize("field,value", [
+        ("scan_period_s", float("nan")), ("scan_period_s", float("inf")),
+        ("stale_timeout_s", float("inf")), ("switch_margin_db", float("nan")),
+        ("switch_margin_db", float("inf")),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ScanPolicy(**{field: value})
+
 
 class TestScanAll:
     def test_records_sorted_nearest_first(self):

@@ -87,6 +87,26 @@ class TestLoadScenario:
         assert a.trajectory == b.trajectory
         assert a.trajectory != c.trajectory
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("snr_db = 25", "snr_db = nan", "snr_db"),
+        ("snr_db = 25", "snr_db = -inf", "snr_db"),
+        ("power_dbm = -30", "power_dbm = nan", "power_dbm"),
+        ("x = 1.0", "x = inf", "x"),
+        ("rel_amplitude = 0.5", "rel_amplitude = nan", "rel_amplitude"),
+        ("spacing = half-wavelength", "spacing = inf", "spacing"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, old, new, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(SCENARIO.replace(old, new))
+        with pytest.raises(ConfigurationError, match=rf"^\[.*\] {key} must be a finite number, got "):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("keyword", ["none", "inf", "off", "INF"])
+    def test_snr_keywords_turn_noise_off(self, tmp_path, keyword):
+        path = tmp_path / "quiet.ini"
+        path.write_text(SCENARIO.replace("snr_db = 25", f"snr_db = {keyword}"))
+        assert load_scenario(path)[0].snr_db is None
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text(SCENARIO.replace("radius_m = 4.0", "radius_typo = 4.0"))
@@ -168,6 +188,13 @@ class TestPoseCsv:
         path = tmp_path / "bad.csv"
         path.write_text("time,x,y\n1,2,3\n")
         with pytest.raises(ConfigurationError):
+            read_poses_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,nan,1,0", "0,3,inf,0", "0,3,1,-inf"])
+    def test_non_finite_pose_rejected(self, tmp_path, row):
+        path = tmp_path / "poses.csv"
+        path.write_text(f"timestamp_ns,x,y,theta\n5,1,2,3\n{row}\n")
+        with pytest.raises(ConfigurationError, match="line 3 .*not a finite number"):
             read_poses_csv(path)
 
 
