@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -468,8 +468,13 @@ def bearing_row(est: BearingEstimate) -> str:
             f"{np.degrees(est.theta):.4f},{est.strength:.6g},{est.rssi_dbm:.2f}")
 
 
-def write_bearings_csv(path, estimates: list[BearingEstimate]) -> None:
-    """Bearing output file: timestamp_ns, source_mac, theta_deg, strength, rssi_dbm."""
+def write_bearings_csv(path, estimates: Iterable[BearingEstimate]) -> None:
+    """Bearing output file: timestamp_ns, source_mac, theta_deg, strength, rssi_dbm.
+
+    `estimates` may be any iterable, a lazy stream included: each row is
+    written as it is drawn, so if the stream raises, the file keeps the
+    header and every row before the fault.
+    """
     with open(path, "w") as fh:
         fh.write("timestamp_ns,source_mac,theta_deg,strength,rssi_dbm\n")
         for est in estimates:

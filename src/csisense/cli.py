@@ -13,6 +13,10 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 3 algorithm low confidence.  Every failure prints one machine-parsable
 line to stderr: ``error: <kind>: <message>``.
 
+`decode` and `bearing` share their ingest flags and one pipeline that
+writes each row as it is made.  A fault mid-stream keeps the rows before
+it and prints the summary line, then the error line, and exits 2.
+
 Configuration files (--config) are INI-style: [packet] (MAC allow-list,
 RSSI floor) is read by `decode` and `bearing`, [algorithm] by `bearing`
 (`profile` reads only its grid keys) and [setup] (the `ScanPolicy`
@@ -30,7 +34,7 @@ import inspect
 import sys
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -62,14 +66,12 @@ from .calibration import (
 )
 from .codec import (
     DEFAULT_UDP_PORT,
-    CaptureTruncatedError,
     IngestStats,
     filter_frames,
     format_mac,
     ingest_stream,
     iter_capture,
     parse_mac,
-    read_capture,
     read_capture_frame,
     udp_datagrams,
     write_capture,
@@ -159,7 +161,9 @@ def _rssi_floor(value) -> float:
     return floor
 
 
-def _merge_flags(cfg: RunConfig, args) -> RunConfig:
+def _load_run_config(args) -> RunConfig:
+    """The --config file's settings (or the defaults), overridden by the flags given."""
+    cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "mac_filter", None):
         cfg.mac_filter = _parse_macs(args.mac_filter)
     if getattr(args, "rssi_floor", None) is not None:
@@ -185,16 +189,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capture", required=True, help="output .wcap path")
     p.add_argument("--poses", required=True, help="output poses CSV path")
 
-    p = sub.add_parser("decode", help="decode a capture or UDP stream to summaries/CSV")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--capture")
-    src.add_argument("--udp", type=int, nargs="?", const=DEFAULT_UDP_PORT, metavar="PORT")
-    p.add_argument("--config")
+    # `decode` and `bearing` read the same frame source through the same filters
+    ingest = argparse.ArgumentParser(add_help=False)
+    src = ingest.add_mutually_exclusive_group(required=True)
+    src.add_argument("--capture", help="input .wcap capture")
+    src.add_argument("--udp", type=int, nargs="?", const=DEFAULT_UDP_PORT, metavar="PORT",
+                     help=f"listen for wire frames on this UDP port (default {DEFAULT_UDP_PORT})")
+    ingest.add_argument("--config", help="INI config file")
+    ingest.add_argument("--mac-filter", help="comma-separated source MACs to keep")
+    ingest.add_argument("--rssi-floor", type=float, help="drop frames below this RSSI, dBm")
+    ingest.add_argument("--count", type=int, default=None, help="stop after N datagrams (UDP)")
+    ingest.add_argument("--timeout", type=float, default=5.0, help="UDP receive timeout, s")
+
+    p = sub.add_parser("decode", parents=[ingest],
+                       help="decode a capture or UDP stream to summaries/CSV")
     p.add_argument("--csv", help="write per-frame summary CSV here instead of stdout text")
-    p.add_argument("--mac-filter")
-    p.add_argument("--rssi-floor", type=float)
-    p.add_argument("--count", type=int, default=None, help="stop after N datagrams (UDP)")
-    p.add_argument("--timeout", type=float, default=5.0, help="UDP receive timeout, seconds")
 
     p = sub.add_parser("calibrate", help="recover the phase calibration from capture + poses")
     p.add_argument("--capture", required=True)
@@ -205,20 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--tx-antenna", type=int, default=0)
 
-    p = sub.add_parser("bearing", help="estimate bearings from calibrated frames")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--capture")
-    src.add_argument("--udp", type=int, nargs="?", const=DEFAULT_UDP_PORT, metavar="PORT")
+    p = sub.add_parser("bearing", parents=[ingest],
+                       help="estimate bearings from calibrated frames")
     p.add_argument("--calibration", required=True)
-    p.add_argument("--config")
     p.add_argument("--out", required=True, help="output bearings CSV")
     p.add_argument("--algorithm", choices=["bartlett", "music", "spotfi"])
     p.add_argument("--window", type=int)
     p.add_argument("--n-sources", type=int)
-    p.add_argument("--mac-filter")
-    p.add_argument("--rssi-floor", type=float)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--timeout", type=float, default=5.0)
 
     p = sub.add_parser("scan", help="run a scanner walkthrough over a multi-AP scenario")
     p.add_argument("--scenario", required=True)
@@ -228,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="emit one frame's bearing-range profile as a PGM image")
     p.add_argument("--capture", required=True)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--calibration", help="calibration file (also supplies the geometry)")
-    p.add_argument("--geometry", help='antenna positions "x,y; x,y; ..." (uncalibrated data)')
+    layout = p.add_mutually_exclusive_group(required=True)
+    layout.add_argument("--calibration", help="calibration file (also supplies the geometry)")
+    layout.add_argument("--geometry", help='antenna positions "x,y; x,y; ..." (uncalibrated data)')
     p.add_argument("--config")
     p.add_argument("--out", required=True, help="output .pgm path")
 
@@ -260,11 +263,6 @@ def main(argv=None) -> int:
         return 2
 
 
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    return _merge_flags(cfg, args)
-
-
 def _cmd_simulate(args) -> int:
     scenario, geom = load_scenario(args.scenario, seed=args.seed)
     pairs = synth_trajectory(scenario, geom)
@@ -278,62 +276,69 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _frame_source(args, cfg: RunConfig, rssi_floor_dbm: float | None, stats: IngestStats):
-    """Decoded capture or UDP frames that pass the MAC allow-list and the RSSI floor.
+def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None,
+            write: Callable[[Iterator[CsiFrame]], None],
+            summary: Callable[[int, IngestStats], str]) -> int:
+    """`decode` and `bearing`: `write` turns each filtered frame into one row as it comes.
 
-    `decode` and `bearing` apply both filters here and nowhere else, so a
-    dropped frame reaches no estimator and is counted once in `stats`.
+    The MAC allow-list and the RSSI floor apply here and nowhere else, so a
+    dropped frame reaches no estimator and is counted once.  If anything
+    raises mid-stream, the rows written stay, and the summary of rows
+    written and ingest counts is printed before the exception goes on to `main`.
     """
+    stats = IngestStats()
     mac_allow = cfg.mac_filter or None
     if args.capture:
-        return filter_frames(iter_capture(args.capture), mac_allow, rssi_floor_dbm, stats)
-    datagrams = udp_datagrams(port=args.udp, max_datagrams=args.count,
-                              timeout_s=args.timeout)
-    return ingest_stream(datagrams, mac_allow, rssi_floor_dbm, stats)
+        source = filter_frames(iter_capture(args.capture), mac_allow, rssi_floor_dbm, stats)
+    else:
+        datagrams = udp_datagrams(port=args.udp, max_datagrams=args.count,
+                                  timeout_s=args.timeout)
+        source = ingest_stream(datagrams, mac_allow, rssi_floor_dbm, stats)
+    written = 0
+
+    def frames() -> Iterator[CsiFrame]:
+        nonlocal written
+        for frame in source:
+            yield frame
+            written += 1  # `write` asks for the next frame only once this one's row is out
+    try:
+        write(frames())
+    finally:
+        print(summary(written, stats), file=sys.stderr)
+    return 0
 
 
 def _cmd_decode(args) -> int:
     cfg = _load_run_config(args)
-    stats = IngestStats()
-    truncated = None
-    sink = open(args.csv, "w") if args.csv else contextlib.nullcontext(sys.stdout)
-    with sink as out:
-        out.write("timestamp_ns,seq,source_mac,channel,bandwidth_mhz,n_rx,n_tx,n_sub,rssi_dbm\n")
-        try:
-            for f in _frame_source(args, cfg, cfg.rssi_floor_dbm, stats):
-                out.write(f"{f.timestamp_ns},{f.seq},{format_mac(f.source_mac)},"
-                          f"{f.chanspec.channel_number},{f.chanspec.bandwidth_mhz},"
-                          f"{f.n_rx},{f.n_tx},{f.n_sub},{f.rssi_dbm:.1f}\n")
-        except CaptureTruncatedError as exc:
-            truncated = exc  # the rows before the cut are written
-    print(f"decoded {stats.delivered} frames "
-          f"(dropped: {stats.dropped_decode} decode, {stats.dropped_mac} mac, "
-          f"{stats.dropped_rssi} rssi)", file=sys.stderr)
-    if truncated is not None:
-        print(f"error: data: {truncated}", file=sys.stderr)
-        return 2
-    return 0
+
+    def write(frames: Iterator[CsiFrame]) -> None:
+        with open(args.csv, "w") if args.csv else contextlib.nullcontext(sys.stdout) as out:
+            out.write("timestamp_ns,seq,source_mac,channel,bandwidth_mhz,n_rx,n_tx,n_sub,"
+                      "rssi_dbm\n")
+            out.writelines(f"{f.timestamp_ns},{f.seq},{format_mac(f.source_mac)},"
+                           f"{f.chanspec.channel_number},{f.chanspec.bandwidth_mhz},"
+                           f"{f.n_rx},{f.n_tx},{f.n_sub},{f.rssi_dbm:.1f}\n" for f in frames)
+
+    return _ingest(args, cfg, cfg.rssi_floor_dbm, write,
+                   lambda n, stats: f"decoded {n} frames (dropped: {stats.dropped_decode} "
+                                    f"decode, {stats.dropped_mac} mac, {stats.dropped_rssi} rssi)")
 
 
 def _cmd_calibrate(args) -> int:
-    frames = read_capture(args.capture)
-    poses = read_poses_csv(args.poses)
-    by_ts = {ts: pose for ts, pose in poses}
-    pairs = []
-    for frame in frames:
-        pose = by_ts.get(frame.timestamp_ns)
-        if pose is None:
-            raise CalibrationError(
-                f"no pose with timestamp {frame.timestamp_ns}; "
-                "poses and capture must be time-aligned"
-            )
-        pairs.append((pose, frame))
     tx_location = np.array(parse_point(args.tx))
     geom = parse_geometry(args.geometry)
-    if not frames:
+    by_ts = dict(read_poses_csv(args.poses))
+    pairs = []
+    for frame in iter_capture(args.capture):
+        pose = by_ts.get(frame.timestamp_ns)
+        if pose is None:
+            raise CalibrationError(f"no pose with timestamp {frame.timestamp_ns}; "
+                                   "poses and capture must be time-aligned")
+        pairs.append((pose, frame))
+    if not pairs:
         raise CalibrationError("capture holds no frames")
     dataset = CalibrationDataset(pairs=pairs, tx_location=tx_location, geom=geom,
-                                 chanspec=frames[0].chanspec)
+                                 chanspec=pairs[0][1].chanspec)
     result = calibrate(dataset, min_pairs=args.min_pairs, tx_index=args.tx_antenna)
     save_calibration(args.out, result.matrix, geom)
     print(f"pairs = {result.n_pairs}")
@@ -354,18 +359,17 @@ def _cmd_bearing(args) -> int:
         print(f"spotfi smoothing = {dims[0]},{dims[1]}", file=sys.stderr)
     estimate = _bearing_estimator(geom, aoa_cfg)
     floor = _BEARING_RSSI_FLOOR_DBM if cfg.rssi_floor_dbm is None else cfg.rssi_floor_dbm
-    stats = IngestStats()
-    estimates: list[BearingEstimate] = []
-    for frame in _frame_source(args, cfg, floor, stats):
+
+    def bearing(frame: CsiFrame) -> BearingEstimate:
         result = estimate(apply_calibration(cal, frame))
-        estimates.append(result)
         if args.udp is not None:
             print(bearing_row(result))
-    write_bearings_csv(args.out, estimates)
-    print(f"{len(estimates)} bearings written to {args.out} "
-          f"({stats.dropped_rssi} rejected by rssi floor, {stats.dropped_mac} by mac filter)",
-          file=sys.stderr)
-    return 0
+        return result
+
+    return _ingest(args, cfg, floor,
+                   lambda frames: write_bearings_csv(args.out, map(bearing, frames)),
+                   lambda n, stats: f"{n} bearings written to {args.out} ({stats.dropped_rssi} "
+                                    f"rejected by rssi floor, {stats.dropped_mac} by mac filter)")
 
 
 def _bearing_estimator(geom: ArrayGeometry,
@@ -416,16 +420,11 @@ def _cmd_scan(args) -> int:
 def _cmd_profile(args) -> int:
     cfg = _load_run_config(args)
     frame = read_capture_frame(args.capture, args.index)
-    geom = None
     if args.calibration:
         cal, geom = load_calibration(args.calibration)
         frame = apply_calibration(cal, frame)
-    if args.geometry:
+    else:
         geom = parse_geometry(args.geometry)
-    if geom is None:
-        raise ConfigurationError(
-            "profile needs --calibration or --geometry to know the array layout"
-        )
     aoa_cfg = cfg.aoa_config()
     profile = bartlett_profile(frame, geom, aoa_cfg)
     metadata = {

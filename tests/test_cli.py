@@ -11,6 +11,7 @@ from csisense import (
     ArrayGeometry,
     CalibrationMatrix,
     ChannelSpec,
+    CsiFrame,
     PathComponent,
     apply_calibration,
     codec,
@@ -241,14 +242,16 @@ class TestDecode:
         cut = tmp_path / "cut.wcap"
         cut.write_bytes(raw[: len(raw) - 100])
         out = tmp_path / "frames.csv"
+        capsys.readouterr()
         assert main(["decode", "--capture", str(cut), "--csv", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "error: data:" in err
+        assert err.splitlines() == ["decoded 79 frames (dropped: 0 decode, 0 mac, 0 rssi)",
+                                    "error: data: frame 79 of 80 cut short"]
         assert len(out.read_text().splitlines()) == 80  # header + 79 frames
 
     def test_capture_decoded_once(self, workspace, monkeypatch):
         tmp_path, scenario = workspace
-        capture, _, cal, _ = run_pipeline(tmp_path, scenario)
+        capture, poses, cal, _ = run_pipeline(tmp_path, scenario)
         n_frames = len(read_capture(capture))
         calls = {"decode": 0, "encode": 0}
 
@@ -262,7 +265,9 @@ class TestDecode:
         monkeypatch.setattr(codec, "encode_frame", counted("encode", codec.encode_frame))
         for argv in (["decode", "--capture", str(capture), "--csv", str(tmp_path / "f.csv")],
                      ["bearing", "--capture", str(capture), "--calibration", str(cal),
-                      "--out", str(tmp_path / "b.csv")]):
+                      "--out", str(tmp_path / "b.csv")],
+                     ["calibrate", "--capture", str(capture), "--poses", str(poses),
+                      "--tx", "0,0", "--geometry", GEOMETRY, "--out", str(tmp_path / "c.txt")]):
             calls.update(decode=0, encode=0)
             assert main(argv) == 0
             assert calls == {"decode": n_frames, "encode": 0}
@@ -275,6 +280,76 @@ class TestDecode:
                      "--rssi-floor", "-41"]) == 0
         rows = out.read_text().splitlines()[1:]
         assert all(float(r.rsplit(",", 1)[1]) >= -41 for r in rows)
+
+
+def foreign_frame(n_rx: int, timestamp_ns: int) -> CsiFrame:
+    """A strong 36/20 MHz frame, as a channel switch puts into an 80 MHz stream."""
+    rng = np.random.default_rng(timestamp_ns)
+    csi = (rng.standard_normal((n_rx, 1, 52))
+           + 1j * rng.standard_normal((n_rx, 1, 52))).astype(np.complex64)
+    return CsiFrame(csi=csi, rssi_dbm=-40.0, source_mac=bytes.fromhex("020000000001"),
+                    seq=0, chanspec=ChannelSpec(36, 20), timestamp_ns=timestamp_ns)
+
+
+class TestIngestFaults:
+    """`decode` and `bearing` keep the rows made before a fault, print their
+    summary, then the one `error: data:` line, and exit 2."""
+
+    @pytest.fixture()
+    def capture60(self, tmp_path):
+        scenario = tmp_path / "s60.ini"
+        scenario.write_text(CALIB_SCENARIO.replace("n = 80", "n = 60"))
+        capture, _, cal, bearings = run_pipeline(tmp_path, scenario)
+        return capture, cal, bearings.read_text().splitlines()
+
+    @pytest.mark.parametrize("algorithm", ["bartlett", "music"])
+    def test_cut_capture_keeps_rows_before_the_cut(self, tmp_path, capsys, capture60,
+                                                    algorithm):
+        capture, cal, _ = capture60
+        raw = capture.read_bytes()
+        cut, out = tmp_path / "cut.wcap", tmp_path / "cut.csv"
+        cut.write_bytes(raw[: len(raw) - 100])
+        clean = tmp_path / "clean.csv"
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(clean), "--algorithm", algorithm]) == 0
+        capsys.readouterr()
+        assert main(["bearing", "--capture", str(cut), "--calibration", str(cal),
+                     "--out", str(out), "--algorithm", algorithm]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith(f"59 bearings written to {out} (")
+        assert err[1] == "error: data: frame 59 of 60 cut short"
+        assert out.read_text().splitlines() == clean.read_text().splitlines()[:60]
+
+    @pytest.mark.parametrize("algorithm", ["bartlett", "music"])
+    def test_foreign_channel_frame_keeps_rows_before_it(self, tmp_path, capsys, capture60,
+                                                         algorithm):
+        capture, cal, _ = capture60
+        frames = read_capture(capture)
+        mixed, out = tmp_path / "mixed.wcap", tmp_path / "mixed.csv"
+        codec.write_capture(mixed, frames[:50] + [foreign_frame(4, frames[49].timestamp_ns + 1)]
+                            + frames[50:])
+        clean = tmp_path / "clean.csv"
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(clean), "--algorithm", algorithm]) == 0
+        capsys.readouterr()
+        assert main(["bearing", "--capture", str(mixed), "--calibration", str(cal),
+                     "--out", str(out), "--algorithm", algorithm]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("50 bearings written to ")
+        assert err[1].startswith("error: data: calibration chanspec")
+        assert out.read_text().splitlines() == clean.read_text().splitlines()[:51]
+
+    def test_missing_capture_leaves_header_only_csv(self, tmp_path, capsys, capture60):
+        _, cal, rows = capture60
+        out = tmp_path / "none.csv"
+        capsys.readouterr()
+        assert main(["bearing", "--capture", str(tmp_path / "nope.wcap"),
+                     "--calibration", str(cal), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("0 bearings written to ")
+        assert err[1].startswith("error: data:") and len(err) == 2
+        assert out.read_text().splitlines() == rows[:1]
 
 
 class TestErrors:
@@ -508,6 +583,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and str(cal) in err
 
+    def test_profile_takes_one_array_layout_source(self, workspace, capsys):
+        tmp_path, scenario = workspace
+        capture, _, cal, _ = run_pipeline(tmp_path, scenario)
+        base = ["profile", "--capture", str(capture), "--out", str(tmp_path / "p.pgm")]
+        capsys.readouterr()
+        assert main(base) == 1
+        assert main([*base, "--calibration", str(cal), "--geometry", GEOMETRY]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "p.pgm").exists()
+
     def test_profile_malformed_geometry_exit_2(self, workspace, capsys):
         tmp_path, scenario = workspace
         capture, poses = tmp_path / "c.wcap", tmp_path / "p.csv"
@@ -649,15 +734,31 @@ class TestBearingAlgorithms:
         assert len(written[0].splitlines()) == 1 + n_above
 
 
+def run_over_udp(argv: list[str], datagrams: list[bytes]):
+    """`main(argv + ["--udp", port])` in a thread, fed `datagrams` over loopback; its exit code."""
+    import socket
+    import threading
+    import time
+
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    result = {}
+    thread = threading.Thread(
+        target=lambda: result.update(code=main([*argv, "--udp", str(port)])))
+    thread.start()
+    time.sleep(0.3)
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    for buf in datagrams:
+        sender.sendto(buf, ("127.0.0.1", port))
+    sender.close()
+    thread.join(timeout=10.0)
+    return result.get("code")
+
+
 class TestUdpDecode:
     def test_decode_from_udp_stream(self, tmp_path, capsys):
-        import socket
-        import threading
-        import time
-
-        from csisense import ChannelSpec, CsiFrame
-        from csisense.codec import encode_frame
-
         rng = np.random.default_rng(77)
         chanspec = ChannelSpec(36, 20)
         frames = []
@@ -666,24 +767,35 @@ class TestUdpDecode:
                    + 1j * rng.standard_normal((2, 1, 52))).astype(np.complex64)
             frames.append(CsiFrame(csi=csi, rssi_dbm=-40.0, source_mac=bytes(6),
                                    seq=k, chanspec=chanspec, timestamp_ns=k))
-        port = 56991
         out = tmp_path / "udp.csv"
-        result = {}
-
-        def run_cli():
-            result["code"] = main(["decode", "--udp", str(port), "--count", "3",
-                                   "--timeout", "5", "--csv", str(out)])
-
-        thread = threading.Thread(target=run_cli)
-        thread.start()
-        time.sleep(0.3)
-        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        for f in frames:
-            sender.sendto(encode_frame(f), ("127.0.0.1", port))
-        sender.close()
-        thread.join(timeout=10.0)
-        assert result["code"] == 0
+        assert run_over_udp(["decode", "--count", "3", "--timeout", "5", "--csv", str(out)],
+                            [codec.encode_frame(f) for f in frames]) == 0
         assert len(out.read_text().splitlines()) == 4
+
+
+class TestUdpBearing:
+    def test_echo_is_the_csv_rows_and_a_fault_keeps_them(self, tmp_path, capsys):
+        capture, cal = ula_capture(tmp_path, "y", np.radians([10.0, 20.0, 30.0, 40.0]))
+        wire = [codec.encode_frame(f) for f in read_capture(capture)]
+        out = tmp_path / "udp.csv"
+        argv = ["bearing", "--calibration", str(cal), "--out", str(out), "--count", "4",
+                "--timeout", "5", "--rssi-floor", "-200"]
+        capsys.readouterr()
+        assert run_over_udp(argv, wire) == 0
+        captured = capsys.readouterr()
+        rows = out.read_text().splitlines()
+        assert len(rows) == 5
+        assert captured.out.splitlines() == rows[1:]
+        assert captured.err.startswith(f"4 bearings written to {out} (")
+
+        foreign = codec.encode_frame(foreign_frame(4, timestamp_ns=99))
+        assert run_over_udp(argv, wire[:2] + [foreign] + wire[2:3]) == 2
+        captured = capsys.readouterr()
+        assert out.read_text().splitlines() == rows[:3]
+        assert captured.out.splitlines() == rows[1:3]
+        err = captured.err.splitlines()
+        assert err[0].startswith("2 bearings written to ")
+        assert err[1].startswith("error: data: calibration chanspec") and len(err) == 2
 
 
 class TestProfileOracle:
