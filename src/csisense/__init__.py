@@ -75,6 +75,7 @@ from .aoa import (
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
+    bearing_estimator,
     estimate_bearing,
     music_spectrum,
     spotfi_estimate,

@@ -13,11 +13,12 @@ Estimators:
 
 A stream of frames gets one bearing per frame from the estimator's
 output over its last `window` frames: Bartlett averages their profiles,
-MUSIC and SpotFi stack their snapshots into one covariance.  The bearing
-is `estimate_bearing`'s argmax, and ties break toward the smallest
-bearing index for every estimator.  That matters on a uniform linear
-array, where a bearing and its mirror across the array axis can tie
-exactly.
+MUSIC and SpotFi stack their snapshots into one covariance.
+`bearing_estimator` is that windowed stream, one frame in and one
+bearing out.  The bearing is `estimate_bearing`'s argmax, and ties
+break toward the smallest bearing index for every estimator.  That
+matters on a uniform linear array, where a bearing and its mirror
+across the array axis can tie exactly.
 
 Each estimator reads transmit antenna 0; for the angle of departure,
 `transpose_for_aod` makes the transmit antennas the array.
@@ -33,7 +34,8 @@ subcarriers to separate coherent paths.
 least-squares position fix for the localization case studies.
 
 Grid kernels that depend only on the geometry, the channel and the
-grids -- the bearing steering matrices, Bartlett's subcarrier x distance
+grids -- the bearing steering matrices (`core._steering_vectors`, the
+formula synthesis and calibration use), Bartlett's subcarrier x distance
 range phasors, SpotFi's subcarrier interpolation grids and its sub-array
 delay steering -- are built once per (geometry, channel, grid) by small
 private caches and handed out read-only, so a stream of frames pays for
@@ -56,7 +58,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -76,6 +78,7 @@ from .core import (
     Profile2D,
     _dense_eigenpairs,
     _leading_eigenpairs,
+    _steering_vectors,
     subcarrier_indices,
     subcarrier_frequencies,
     wavelength,
@@ -136,12 +139,6 @@ class PathEstimate(NamedTuple):
     theta: float  # radians
     tau: float  # seconds
     power: float
-
-
-def steering_matrix(theta_grid: np.ndarray, geom: ArrayGeometry, lambda_m: float) -> np.ndarray:
-    """Stack of steering vectors, shape (n_theta, n_antennas)."""
-    directions = np.stack([np.cos(theta_grid), np.sin(theta_grid)], axis=1)
-    return np.exp(1j * (2.0 * np.pi / lambda_m) * (directions @ geom.positions.T))
 
 
 def bartlett_profile(
@@ -231,7 +228,7 @@ def spotfi_profile(
     s_i(theta) * exp(-j 2 pi f_j tau) with tau = cfg.dist_grid / c.
 
     The geometry must be a uniform linear array with at least two
-    antennas; `spotfi_estimate` and the CLI check it once.
+    antennas; `spotfi_estimate` and `bearing_estimator` check it once.
     """
     _check_window(frames, geom)
     chanspec = frames[0].chanspec
@@ -413,6 +410,37 @@ def estimate_bearing(
     )
 
 
+def bearing_estimator(geom: ArrayGeometry,
+                      cfg: AoaConfig) -> Callable[[CsiFrame], BearingEstimate]:
+    """One calibrated frame -> its bearing, for cfg.algorithm.
+
+    The returned function owns the averaging window: Bartlett's running
+    profile average, or the last cfg.window frames, whose snapshots MUSIC
+    and SpotFi stack; confine it to one stream.  Every bearing is
+    `estimate_bearing`'s argmax.  SpotFi's array check runs here, first.
+    """
+    if cfg.algorithm == "bartlett":
+        averager = ProfileAverager(cfg.window)
+
+        def spectrum(frame: CsiFrame):
+            return averager.push(bartlett_profile(frame, geom, cfg))
+    else:
+        over_window = music_spectrum
+        if cfg.algorithm == "spotfi":
+            _require_ula(geom)
+            over_window = spotfi_profile
+        recent: deque[CsiFrame] = deque(maxlen=cfg.window)
+
+        def spectrum(frame: CsiFrame):
+            recent.append(frame)
+            return over_window(list(recent), geom, cfg)
+
+    def peak(frame: CsiFrame) -> BearingEstimate:
+        return estimate_bearing(spectrum(frame), frame.rssi_dbm, cfg, frame.source_mac,
+                                frame.timestamp_ns)
+    return peak
+
+
 def transpose_for_aod(frame: CsiFrame) -> CsiFrame:
     """View rx antenna 0's measurements as an array over tx antennas.
 
@@ -549,10 +577,10 @@ def _steering(theta_grid: np.ndarray, positions: np.ndarray, lambda_m: float) ->
 
 @lru_cache(maxsize=8)
 def _steering_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
-    """Bearing steering `steering_matrix`, shape (n_theta, n_antennas)."""
+    """Bearing steering `core._steering_vectors`, shape (n_theta, n_antennas)."""
     positions = np.frombuffer(positions_bytes, dtype=np.float64).reshape(-1, 2)
-    kernel = steering_matrix(np.frombuffer(theta_bytes, dtype=np.float64),
-                             ArrayGeometry(positions), lambda_m)
+    kernel = _steering_vectors(np.frombuffer(theta_bytes, dtype=np.float64),
+                               ArrayGeometry(positions), lambda_m)
     kernel.flags.writeable = False
     return kernel
 

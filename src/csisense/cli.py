@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
 import sys
-from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
@@ -41,14 +41,10 @@ import numpy as np
 from . import __version__
 from .aoa import (
     AoaConfig,
-    ProfileAverager,
-    _require_ula,
     bartlett_profile,
+    bearing_estimator,
     bearing_row,
     build_grids,
-    estimate_bearing,
-    music_spectrum,
-    spotfi_profile,
     spotfi_smoothing_dims,
     write_bearings_csv,
     write_profile_pgm,
@@ -77,7 +73,6 @@ from .codec import (
     write_capture,
 )
 from .core import (
-    ArrayGeometry,
     BearingEstimate,
     ConfigurationError,
     CsiFrame,
@@ -174,6 +169,7 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
+@functools.cache  # built once per process: parsing leaves the tree unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csisense",
@@ -281,11 +277,19 @@ def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None,
             summary: Callable[[int, IngestStats], str]) -> int:
     """`decode` and `bearing`: `write` turns each filtered frame into one row as it comes.
 
-    The MAC allow-list and the RSSI floor apply here and nowhere else, so a
-    dropped frame reaches no estimator and is counted once.  If anything
-    raises mid-stream, the rows written stay, and the summary of rows
-    written and ingest counts is printed before the exception goes on to `main`.
+    A UDP port, --count or --timeout that no listen can use is refused
+    before any socket is bound.  The MAC allow-list and the RSSI floor
+    apply here and nowhere else, so a dropped frame reaches no estimator
+    and is counted once.  If anything raises mid-stream, the rows written
+    stay, and the summary of rows written and ingest counts is printed
+    before the exception goes on to `main`.
     """
+    if args.udp is not None and not 0 <= args.udp <= 65535:
+        raise ConfigurationError(f"--udp port must be 0-65535, got {args.udp}")
+    if args.count is not None and args.count < 1:
+        raise ConfigurationError(f"--count must be at least 1, got {args.count}")
+    if not (np.isfinite(args.timeout) and args.timeout > 0):
+        raise ConfigurationError(f"--timeout must be finite and above 0 s, got {args.timeout}")
     stats = IngestStats()
     mac_allow = cfg.mac_filter or None
     if args.capture:
@@ -357,7 +361,7 @@ def _cmd_bearing(args) -> int:
     if aoa_cfg.algorithm == "spotfi":
         dims = spotfi_smoothing_dims(geom.n_antennas, cal.chanspec, aoa_cfg)
         print(f"spotfi smoothing = {dims[0]},{dims[1]}", file=sys.stderr)
-    estimate = _bearing_estimator(geom, aoa_cfg)
+    estimate = bearing_estimator(geom, aoa_cfg)
     floor = _BEARING_RSSI_FLOOR_DBM if cfg.rssi_floor_dbm is None else cfg.rssi_floor_dbm
 
     def bearing(frame: CsiFrame) -> BearingEstimate:
@@ -370,37 +374,6 @@ def _cmd_bearing(args) -> int:
                    lambda frames: write_bearings_csv(args.out, map(bearing, frames)),
                    lambda n, stats: f"{n} bearings written to {args.out} ({stats.dropped_rssi} "
                                     f"rejected by rssi floor, {stats.dropped_mac} by mac filter)")
-
-
-def _bearing_estimator(geom: ArrayGeometry,
-                       cfg: AoaConfig) -> Callable[[CsiFrame], BearingEstimate]:
-    """One calibrated frame -> its bearing, for cfg.algorithm.
-
-    The returned function owns the averaging window: Bartlett's running
-    profile average, or the last cfg.window frames, whose snapshots MUSIC
-    and SpotFi stack.  Every algorithm's bearing is `estimate_bearing`'s
-    argmax.
-    """
-    if cfg.algorithm == "bartlett":
-        averager = ProfileAverager(cfg.window)
-
-        def spectrum(frame: CsiFrame):
-            return averager.push(bartlett_profile(frame, geom, cfg))
-    else:
-        over_window = music_spectrum
-        if cfg.algorithm == "spotfi":
-            _require_ula(geom)
-            over_window = spotfi_profile
-        recent: deque[CsiFrame] = deque(maxlen=cfg.window)
-
-        def spectrum(frame: CsiFrame):
-            recent.append(frame)
-            return over_window(list(recent), geom, cfg)
-
-    def peak(frame: CsiFrame) -> BearingEstimate:
-        return estimate_bearing(spectrum(frame), frame.rssi_dbm, cfg, frame.source_mac,
-                                frame.timestamp_ns)
-    return peak
 
 
 def _cmd_scan(args) -> int:

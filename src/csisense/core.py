@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -241,17 +241,19 @@ class CsiFrame:
 class CalibrationMatrix:
     """Per-antenna, per-subcarrier phase corrections, radians.
 
-    The complex form exp(1j * phase) has unit modulus by construction.
-    The canonical form produced by the calibration pipeline has row 0
-    identically zero (antenna 0 is the phase reference); rows then hold
-    inter-antenna relative corrections.
+    The complex form exp(1j * phase), of unit modulus, is `rotor`,
+    shaped (n_rx, 1, n_sub) for a frame's csi; both are read-only copies
+    built once, so they cannot drift.  The canonical form produced by the
+    calibration pipeline has row 0 identically zero (antenna 0 is the
+    phase reference); rows then hold inter-antenna relative corrections.
     """
 
     phase: np.ndarray  # (n_rx, n_sub) float64, radians
     chanspec: ChannelSpec
+    rotor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        phase = np.asarray(self.phase, dtype=np.float64)
+        phase = np.array(self.phase, dtype=np.float64)
         if phase.ndim != 2:
             raise ConfigurationError("calibration phase must be 2-D (n_rx, n_sub)")
         if phase.shape[1] != self.chanspec.n_sub:
@@ -261,7 +263,10 @@ class CalibrationMatrix:
             )
         if not np.all(np.isfinite(phase)):
             raise ConfigurationError("calibration phase must be finite")
+        rotor = np.exp(1j * phase)[:, None, :]
+        phase.flags.writeable = rotor.flags.writeable = False
         object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "rotor", rotor)
 
     @property
     def n_rx(self) -> int:
@@ -368,7 +373,9 @@ def _ground_truth_bearings(xy: np.ndarray, heading: np.ndarray, tx) -> np.ndarra
 def _steering_vectors(theta: np.ndarray, geom: ArrayGeometry, lambda_m: float) -> np.ndarray:
     """`steering_vector` of each angle in theta, one row per angle: (n, n_rx).
 
-    The projections are a stack of matrix-vector products, one per angle,
+    Synthesis, the calibration and the bearing estimators' cached grid
+    kernel (`aoa._steering_kernel`) all build their steering here.  The
+    projections are a stack of matrix-vector products, one per angle,
     which round as `steering_vector`'s own product does.  One
     (n_rx, 2) x (2, n) matrix product rounds differently: on an AVX-512
     OpenBLAS it changed about 40% of the phases of a square array.
@@ -392,7 +399,7 @@ def expected_csi(robot: Pose2D, tx, geom: ArrayGeometry, chanspec: ChannelSpec) 
 
 
 def apply_calibration(cal: CalibrationMatrix, frame: CsiFrame) -> CsiFrame:
-    """Multiply each tx-antenna slice element-wise by exp(1j * cal.phase).
+    """Multiply each tx-antenna slice element-wise by exp(1j * cal.phase) (`cal.rotor`).
 
     Magnitudes are preserved exactly; metadata is unchanged.  Applying
     phase and then its negation recovers the original frame to float32
@@ -407,8 +414,7 @@ def apply_calibration(cal: CalibrationMatrix, frame: CsiFrame) -> CsiFrame:
             f"calibration shape {cal.phase.shape} does not match frame "
             f"({frame.n_rx}, {frame.n_sub})"
         )
-    rotor = np.exp(1j * cal.phase)[:, None, :]
-    return replace(frame, csi=(frame.csi * rotor).astype(np.complex64))
+    return replace(frame, csi=(frame.csi * cal.rotor).astype(np.complex64))
 
 
 # Block Krylov settings for `_leading_eigenpairs`.  The start block is

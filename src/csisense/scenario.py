@@ -135,7 +135,7 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
                 aoa_offset=np.radians(sec.get("aoa_offset_deg", float)),
                 excess_delay_s=sec.get("excess_delay_ns", float) * 1e-9,
                 rel_amplitude=sec.get("rel_amplitude", float),
-                random_phase=sec.get("random_phase", _parse_bool, True),
+                random_phase=sec.get("random_phase", _parse_bool, Reflection.random_phase),
             )
         )
 
@@ -156,12 +156,12 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
         chanspec=chanspec,
         trajectory=trajectory,
         true_calibration=true_cal,
-        snr_db=sim.get("snr_db", _parse_snr, 30.0),
-        per_packet_phase=sim.get("per_packet_phase", _parse_bool, True),
+        snr_db=sim.get("snr_db", _parse_snr, SimScenario.snr_db),
+        per_packet_phase=sim.get("per_packet_phase", _parse_bool, SimScenario.per_packet_phase),
         reflections=reflections,
         aps=aps,
-        tx_power_dbm=tx.get("power_dbm", float, -30.0),
-        path_loss_exponent=sim.get("path_loss_exponent", float, 2.2),
+        tx_power_dbm=tx.get("power_dbm", float, SimScenario.tx_power_dbm),
+        path_loss_exponent=sim.get("path_loss_exponent", float, SimScenario.path_loss_exponent),
         source_mac=sim.get("source_mac", parse_mac, DEFAULT_MAC),
         seed=eff_seed,
     )

@@ -184,7 +184,7 @@ def synth_trajectory(
             raise ConfigurationError("true_calibration chanspec does not match scenario")
         if cal.n_rx != geom.n_antennas:
             raise ConfigurationError("true_calibration antenna count does not match geometry")
-        bias = np.exp(1j * cal.phase)[:, None, :]
+        bias = cal.rotor
 
     freqs = subcarrier_frequencies(chanspec)
     lam = wavelength(chanspec)

@@ -42,7 +42,7 @@ from csisense.aoa import (
     triangulate,
     write_profile_pgm,
 )
-from csisense.core import SPEED_OF_LIGHT, SUBCARRIER_SPACING_HZ
+from csisense.core import SPEED_OF_LIGHT, SUBCARRIER_SPACING_HZ, _steering_vectors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -181,10 +181,23 @@ class TestSteeringCache:
         theta = AoaConfig().theta_grid
         lam = wavelength(chan80)
         cached = aoa._steering(theta, square_geom.positions, lam)
-        assert np.array_equal(cached, aoa.steering_matrix(theta, square_geom, lam))
+        assert np.array_equal(cached, _steering_vectors(theta, square_geom, lam))
         assert aoa._steering(theta, square_geom.positions, lam) is cached
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
+
+    @pytest.mark.parametrize("chan", [ChannelSpec(155, 80), ChannelSpec(36, 20)],
+                             ids=lambda c: f"{c.channel_number}-{c.bandwidth_mhz}")
+    @pytest.mark.parametrize("layout", ["square-0.45", "square-0.5", "ula-x", "ula-y"])
+    def test_cached_steering_is_steering_vector_bit_for_bit(self, layout, chan):
+        # the estimators steer with the formula synthesis and calibration use
+        lam = wavelength(chan)
+        kind, _, size = layout.partition("-")
+        geom = (ArrayGeometry.square(float(size) * lam) if kind == "square"
+                else ArrayGeometry.uniform_linear(4, lam / 2.0, axis=size))
+        theta = AoaConfig().theta_grid
+        per_angle = np.array([steering_vector(t, geom, lam) for t in theta])
+        assert np.array_equal(aoa._steering(theta, geom.positions, lam), per_angle)
 
 
 class TestMusic:

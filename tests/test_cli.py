@@ -24,6 +24,7 @@ from csisense import (
 )
 from csisense.aoa import (
     AoaConfig,
+    bearing_estimator,
     build_grids,
     estimate_bearing,
     music_spectrum,
@@ -353,6 +354,15 @@ class TestIngestFaults:
 
 
 class TestErrors:
+    def test_parser_built_once_per_process(self, capsys):
+        from csisense import cli
+
+        cli.build_parser.cache_clear()
+        assert main(["--version"]) == 0
+        assert main(["decode"]) == 1
+        assert cli.build_parser.cache_info().misses == 1
+        assert capsys.readouterr().out == f"csisense {cli.__version__}\n"
+
     def test_usage_error_exit_1(self):
         assert main(["bogus-subcommand"]) == 1
         assert main([]) == 1
@@ -676,6 +686,21 @@ class TestBearingAlgorithms:
         write_bearings_csv(reference, expected)
         assert out.read_text() == reference.read_text()
 
+    @pytest.mark.parametrize("algorithm, window", [("bartlett", 4), ("music", 3),
+                                                   ("spotfi", 2)])
+    def test_library_estimator_writes_the_cli_bytes(self, tmp_path, algorithm, window):
+        capture, cal = ula_capture(tmp_path, "y", np.radians([12.0, 14.0, 17.0, 15.0, 13.0]))
+        out = tmp_path / "cli.csv"
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(out), "--algorithm", algorithm, "--window", str(window)]) == 0
+        correction, geom = load_calibration(str(cal))
+        estimate = bearing_estimator(geom, AoaConfig(algorithm=algorithm, window=window))
+        reference = tmp_path / "library.csv"
+        write_bearings_csv(reference, (estimate(apply_calibration(correction, frame))
+                                       for frame in read_capture(capture)))
+        assert len(out.read_bytes().splitlines()) == 6
+        assert out.read_bytes() == reference.read_bytes()
+
     def test_spotfi_mirror_tie_takes_the_smaller_grid_index(self, tmp_path):
         # an x-axis ULA cannot tell theta from -theta: the two steering
         # rows are bitwise equal, so every profile ties on the mirror pair
@@ -771,6 +796,35 @@ class TestUdpDecode:
         assert run_over_udp(["decode", "--count", "3", "--timeout", "5", "--csv", str(out)],
                             [codec.encode_frame(f) for f in frames]) == 0
         assert len(out.read_text().splitlines()) == 4
+
+
+# (flags, the one stderr line's message): each is refused before a socket is bound
+BAD_UDP_FLAGS = [
+    (["--udp", "70000"], "--udp port must be 0-65535, got 70000"),
+    (["--udp", "0", "--timeout", "-1"], "--timeout must be finite and above 0 s, got -1.0"),
+    (["--udp", "0", "--timeout", "nan"], "--timeout must be finite and above 0 s, got nan"),
+    (["--udp", "0", "--timeout", "0"], "--timeout must be finite and above 0 s, got 0.0"),
+    (["--udp", "0", "--count", "-3"], "--count must be at least 1, got -3"),
+]
+
+
+class TestUdpFlags:
+    @pytest.mark.parametrize("flags, message", BAD_UDP_FLAGS,
+                             ids=["port", "timeout-negative", "timeout-nan", "timeout-zero",
+                                  "count"])
+    @pytest.mark.parametrize("command", ["decode", "bearing"])
+    def test_bad_value_exits_2_before_listening(self, tmp_path, capsys, monkeypatch,
+                                                command, flags, message):
+        monkeypatch.setattr(codec.socket, "socket", None)  # any bind attempt fails loudly
+        argv = [command, *flags]
+        out = tmp_path / "b.csv"
+        if command == "bearing":
+            _, cal = ula_capture(tmp_path, "y", [0.0])
+            argv += ["--calibration", str(cal), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: data: {message}\n"
+        assert not out.exists()
 
 
 class TestUdpBearing:

@@ -250,6 +250,24 @@ class TestApplyCalibration:
         out = apply_calibration(CalibrationMatrix(phase=phase, chanspec=chan20), frame)
         assert np.allclose(np.abs(out.csi), np.abs(frame.csi), rtol=1e-5)
 
+    def test_rotor_is_exp_of_phase_bit_for_bit(self, chan20, rng):
+        frame = _small_frame(chan20, rng)
+        phase = rng.uniform(-np.pi, np.pi, (4, 52))
+        out = apply_calibration(CalibrationMatrix(phase=phase, chanspec=chan20), frame)
+        reference = (frame.csi * np.exp(1j * phase)[:, None, :]).astype(np.complex64)
+        assert out.csi.dtype == np.complex64
+        assert out.csi.tobytes() == reference.tobytes()
+
+    def test_phase_and_rotor_read_only_and_detached(self, chan20, rng):
+        phase = rng.uniform(-np.pi, np.pi, (4, 52))
+        cal = CalibrationMatrix(phase=phase, chanspec=chan20)
+        phase[0, 0] = 1.0  # the caller's array is not the calibration's
+        assert cal.phase[0, 0] != 1.0
+        assert np.array_equal(cal.rotor, np.exp(1j * cal.phase)[:, None, :])
+        for array in (cal.phase, cal.rotor):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+
     def test_chanspec_mismatch_rejected(self, chan20, chan80, rng):
         frame = _small_frame(chan20, rng)
         cal = CalibrationMatrix(phase=np.zeros((4, 234)), chanspec=chan80)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csisense import ChannelSpec, ConfigurationError, Pose2D
+from csisense import ChannelSpec, ConfigurationError, Pose2D, Reflection, SimScenario
 from csisense.scenario import (
     disc_trajectory,
     line_trajectory,
@@ -11,6 +11,7 @@ from csisense.scenario import (
     read_poses_csv,
     write_poses_csv,
 )
+from csisense.synth import DEFAULT_PATH_LOSS_EXPONENT, REFERENCE_RSSI_DBM
 
 SCENARIO = """
 [channel]
@@ -69,6 +70,20 @@ class TestLoadScenario:
         assert geom.n_antennas == 4
         # timestamps at 2 Hz
         assert scenario.trajectory[1][0] - scenario.trajectory[0][0] == 500_000_000
+
+    def test_keys_left_out_take_their_owners_defaults(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("\n".join(line for line in SCENARIO.splitlines()
+                                  if line.split(" =")[0] not in {
+                                      "power_dbm", "snr_db", "per_packet_phase",
+                                      "random_phase"}))
+        scenario, _ = load_scenario(path)
+        assert scenario.snr_db == SimScenario.snr_db == 30.0
+        assert scenario.per_packet_phase is SimScenario.per_packet_phase is True
+        assert scenario.tx_power_dbm == REFERENCE_RSSI_DBM
+        assert scenario.path_loss_exponent == DEFAULT_PATH_LOSS_EXPONENT
+        refl = scenario.reflections[0]
+        assert refl.random_phase is Reflection(0.0, 0.0, 1.0).random_phase is True
 
     def test_trajectory_keys_of_another_kind_rejected(self, tmp_path):
         path = tmp_path / "s.ini"
