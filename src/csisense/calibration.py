@@ -71,7 +71,7 @@ class LowConfidenceError(CalibrationError):
     """Spectral gap below threshold: data likely not line-of-sight dominated."""
 
 
-@dataclass
+@dataclass(eq=False)
 class CalibrationDataset:
     """Time-aligned (pose, frame) pairs plus the measured setup geometry."""
 
@@ -95,7 +95,7 @@ class CalibrationDataset:
                 raise CalibrationError("frame antenna count does not match geometry")
 
 
-@dataclass
+@dataclass(eq=False)
 class CoarseResult:
     """Leading singular pair stage output: closed-form phase and its vector."""
 

@@ -22,7 +22,7 @@ RSSI floor) is read by `decode` and `bearing`, [algorithm] by `bearing`
 (`profile` reads only its grid keys) and [setup] (the `ScanPolicy`
 fields) by `scan`.  A key left out keeps the default of its owner:
 `aoa.build_grids`, `AoaConfig` or `ScanPolicy`.  Flags override file
-values; unknown sections and keys are rejected before anything runs.
+values; a section or key that nothing reads is rejected before anything runs.
 All randomness flows from the single --seed flag.
 """
 
@@ -80,7 +80,7 @@ from .core import (
     apply_calibration,
 )
 from .scanner import ScanPolicy, run_walkthrough, write_walkthrough_csv
-from .scenario import _read_ini, _Section, load_scenario, read_poses_csv, write_poses_csv
+from .scenario import _Ini, _Section, load_scenario, read_poses_csv, write_poses_csv
 from .synth import synth_trajectory
 
 # `bearing`'s RSSI floor when neither config nor flag sets one (`decode` has none).
@@ -103,11 +103,6 @@ _GRID_KEYS = dict.fromkeys(inspect.signature(build_grids).parameters, float)
 _ESTIMATOR_KEYS = {"algorithm": str.lower, "window": int, "n_sources": int,
                    "smoothing": _parse_pair}
 _POLICY_KEYS = {f.name: type(f.default) for f in fields(ScanPolicy)}
-_CONFIG_SECTIONS = {
-    "packet": {"mac_filter", "rssi_floor_dbm"},
-    "algorithm": {*_GRID_KEYS, *_ESTIMATOR_KEYS},
-    "setup": set(_POLICY_KEYS),
-}
 
 
 @dataclass
@@ -130,14 +125,13 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a config file; unknown sections/keys are errors."""
-    parser = _read_ini(path, "config", _CONFIG_SECTIONS.get)
-    packet, algorithm, setup = (_Section(parser, name, path)
-                                for name in ("packet", "algorithm", "setup"))
+    """Parse and validate a config file; a section or key nothing reads is an error."""
+    ini = _Ini(path, "config")
+    packet, algorithm, setup = map(ini.section, ("packet", "algorithm", "setup"))
 
     def given(section: _Section, keys: dict) -> dict:
         return {key: section.get(key, convert) for key, convert in keys.items()
-                if parser.has_option(section.name, key)}
+                if ini.parser.has_option(section.name, key)}
 
     cfg = RunConfig()
     cfg.mac_filter = packet.get("mac_filter", _parse_macs, cfg.mac_filter)
@@ -145,6 +139,7 @@ def load_config(path) -> RunConfig:
     cfg.grid = given(algorithm, _GRID_KEYS)
     cfg.estimator = given(algorithm, _ESTIMATOR_KEYS)
     cfg.scan_policy = ScanPolicy(**given(setup, _POLICY_KEYS))
+    ini.refuse_unread()
     return cfg
 
 

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -65,6 +65,24 @@ def wrap_angle(theta):
         return wrapped + 2.0 * np.pi if wrapped <= -np.pi else wrapped
     wrapped = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
     return np.where(wrapped <= -np.pi, wrapped + 2.0 * np.pi, wrapped)
+
+
+def _by_value(cls):
+    """Dataclass decorator: `==` compares the fields, ndarrays by shape and value.
+
+    Instances stay unhashable: a hash of array bytes would tell -0.0 from
+    0.0, which `==` does not.
+    """
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self) if f.compare)
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
+    cls.__eq__, cls.__hash__ = __eq__, None
+    return cls
 
 
 @dataclass(frozen=True)
@@ -120,6 +138,7 @@ def wavelength(chanspec: ChannelSpec) -> float:
     return SPEED_OF_LIGHT / chanspec.center_freq_hz
 
 
+@_by_value
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Relative 2-D antenna positions of the receiver array, meters.
@@ -178,6 +197,7 @@ class Pose2D:
         return np.array([self.x, self.y])
 
 
+@_by_value
 @dataclass
 class CsiFrame:
     """One packet's complex channel matrix plus radio metadata.
@@ -223,20 +243,8 @@ class CsiFrame:
     def n_sub(self) -> int:
         return self.csi.shape[2]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CsiFrame):
-            return NotImplemented
-        return (
-            self.csi.shape == other.csi.shape
-            and np.array_equal(self.csi, other.csi)
-            and self.rssi_dbm == other.rssi_dbm
-            and self.source_mac == other.source_mac
-            and self.seq == other.seq
-            and self.chanspec == other.chanspec
-            and self.timestamp_ns == other.timestamp_ns
-        )
 
-
+@_by_value
 @dataclass(frozen=True)
 class CalibrationMatrix:
     """Per-antenna, per-subcarrier phase corrections, radians.
@@ -293,6 +301,7 @@ class BearingEstimate:
             raise ConfigurationError("bearing strength must be >= 0")
 
 
+@_by_value
 @dataclass(frozen=True)
 class Profile2D:
     """Bearing x relative-distance likelihood grid."""

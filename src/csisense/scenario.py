@@ -3,9 +3,10 @@
 A scenario is a flat INI-style text file describing everything the
 simulator needs: channel, transmitter, receiver array, trajectory,
 injected hardware bias, reflections, and (for scanner runs) the AP
-layout.  Section and key names are validated; unknown keys are
-rejected so typos fail loudly.  `[trajectory]` takes only the keys of its
-`kind` (see `_TRAJECTORY_KEYS`).
+layout.  A section or key is accepted only if the parser reads it, so a
+typo fails loudly, and so does a key the rest of the file leaves unused:
+another trajectory kind's key, `count` under `layout = square`, `spacing`
+beside `spacing_m`, or any layout key beside `antennas`.
 
 Example::
 
@@ -71,55 +72,32 @@ from .core import (
 )
 from .synth import DEFAULT_MAC, ApSpec, Reflection, SimScenario
 
-# [trajectory] keys besides `kind`, per kind.
-_TRAJECTORY_KEYS = {
-    "disc": {"n", "rate_hz", "radius_m", "center_x", "center_y"},
-    "loop": {"n", "rate_hz", "x0", "y0", "length_m", "width_m", "laps"},
-    "line": {"n", "rate_hz", "x0", "y0", "x1", "y1"},
-    "file": {"file"},
-}
-
-_SECTIONS = {
-    "channel": {"channel", "bandwidth"},
-    "transmitter": {"x", "y", "power_dbm"},
-    "array": {"antennas", "layout", "count", "spacing", "spacing_m"},
-    "simulation": {"seed", "snr_db", "per_packet_phase", "bias", "path_loss_exponent",
-                   "source_mac"},
-    # every kind's keys; `_parse_trajectory` narrows them to the section's kind
-    "trajectory": {"kind"}.union(*_TRAJECTORY_KEYS.values()),
-    # numbered sections: [reflection.1], [ap.2], ...
-    "reflection.": {"aoa_offset_deg", "excess_delay_ns", "rel_amplitude", "random_phase"},
-    "ap.": {"x", "y", "channel", "bandwidth", "power_dbm", "mac"},
-}
-
 
 def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeometry]:
     """Parse a scenario file; `seed` overrides the file's seed when given.
 
-    A missing or malformed value raises ConfigurationError naming the
-    file, the section and the key.
+    A missing or malformed value, or a section or key nothing reads,
+    raises ConfigurationError naming the file, the section and the key.
     """
-    # a numbered section such as [ap.2] takes the keys of "ap."
-    parser = _read_ini(path, "scenario",
-                       lambda name: _SECTIONS.get("".join(name.partition(".")[:2])))
+    ini = _Ini(path, "scenario")
     for required in ("channel", "transmitter", "array", "trajectory"):
-        if not parser.has_section(required):
+        if not ini.parser.has_section(required):
             raise ConfigurationError(f"missing [{required}] section in {path}")
 
-    chan = _Section(parser, "channel", path)
+    chan = ini.section("channel")
     chanspec = ChannelSpec(chan.get("channel", int), chan.get("bandwidth", int))
 
-    tx = _Section(parser, "transmitter", path)
+    tx = ini.section("transmitter")
     tx_location = np.array([tx.get("x", float), tx.get("y", float)])
 
-    geom = _parse_array(_Section(parser, "array", path), chanspec)
+    geom = _parse_array(ini.section("array"), chanspec)
 
-    sim = _Section(parser, "simulation", path)
+    sim = ini.section("simulation")
     file_seed = sim.get("seed", int, 0)
     eff_seed = file_seed if seed is None else seed
     bias_mode = sim.get("bias", str.lower, "zero")
 
-    trajectory = _parse_trajectory(_Section(parser, "trajectory", path), tx_location, eff_seed)
+    trajectory = _parse_trajectory(ini.section("trajectory"), tx_location, eff_seed)
 
     true_cal = None
     if bias_mode == "random":
@@ -128,8 +106,8 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
         raise ConfigurationError(f"unknown bias mode {bias_mode!r}")
 
     reflections = []
-    for name in sorted(s for s in parser.sections() if s.startswith("reflection.")):
-        sec = _Section(parser, name, path)
+    for name in sorted(s for s in ini.parser.sections() if s.startswith("reflection.")):
+        sec = ini.section(name)
         reflections.append(
             Reflection(
                 aoa_offset=np.radians(sec.get("aoa_offset_deg", float)),
@@ -140,8 +118,8 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
         )
 
     aps = []
-    for k, name in enumerate(sorted(s for s in parser.sections() if s.startswith("ap."))):
-        sec = _Section(parser, name, path)
+    for k, name in enumerate(sorted(s for s in ini.parser.sections() if s.startswith("ap."))):
+        sec = ini.section(name)
         aps.append(
             ApSpec(
                 location=np.array([sec.get("x", float), sec.get("y", float)]),
@@ -165,6 +143,7 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
         source_mac=sim.get("source_mac", parse_mac, DEFAULT_MAC),
         seed=eff_seed,
     )
+    ini.refuse_unread()
     return scenario, geom
 
 
@@ -296,24 +275,6 @@ def read_poses_csv(path) -> list[tuple[int, Pose2D]]:
     return out
 
 
-def _read_ini(path, kind: str, allowed) -> configparser.ConfigParser:
-    """Parse an INI file; `allowed` maps a section name to its keys, or None.
-
-    An unknown section or key is an error, so typos fail loudly.
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
-        raise ConfigurationError(f"cannot read {kind} file {path}")
-    for section in parser.sections():
-        keys = allowed(section)
-        if keys is None:
-            raise ConfigurationError(f"unknown section [{section}] in {path}")
-        unknown = set(parser[section]) - keys
-        if unknown:
-            raise ConfigurationError(f"unknown keys {sorted(unknown)} in [{section}] of {path}")
-    return parser
-
-
 def _parse_array(section: _Section, chanspec: ChannelSpec) -> ArrayGeometry:
     antennas = section.get("antennas", parse_geometry, None)
     if antennas is not None:
@@ -337,17 +298,14 @@ def _parse_array(section: _Section, chanspec: ChannelSpec) -> ArrayGeometry:
 
 def _parse_trajectory(section: _Section, tx_location, seed) -> list[tuple[int, Pose2D]]:
     kind = section.get("kind", str.lower, "disc")
-    if kind not in _TRAJECTORY_KEYS:
-        raise ConfigurationError(f"unknown trajectory kind {kind!r}")
-    unknown = section.keys() - _TRAJECTORY_KEYS[kind] - {"kind"}
-    if unknown:
-        raise ConfigurationError(f"unknown keys {sorted(unknown)} in [trajectory] of "
-                                 f"{section.path} for kind = {kind}")
+    section.note = f" for kind = {kind}"  # each kind reads its own keys
     if kind == "file":
         poses = read_poses_csv(section.get("file", str))
         if poses:
             return poses
         raise ConfigurationError("[trajectory] file holds no poses")
+    if kind not in ("disc", "loop", "line"):
+        raise ConfigurationError(f"unknown trajectory kind {kind!r}")
     n = section.get("n", int, 200)
     rate = section.get("rate_hz", float, DEFAULT_RATE_HZ)
     if kind == "disc":
@@ -369,24 +327,52 @@ def _parse_trajectory(section: _Section, tx_location, seed) -> list[tuple[int, P
     )
 
 
+class _Ini:
+    """An INI file (scenario or CLI config) that accepts only what its reader reads.
+
+    Once the file is read, `refuse_unread` raises ConfigurationError for
+    a section that no `section` call opened, or a key no `get` read.
+    """
+
+    def __init__(self, path, kind: str):
+        self.parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        if not self.parser.read(path):
+            raise ConfigurationError(f"cannot read {kind} file {path}")
+        self.path = path
+        self.opened: dict[str, _Section] = {}
+
+    def section(self, name: str) -> _Section:
+        return self.opened.setdefault(name, _Section(self.parser, name, self.path))
+
+    def refuse_unread(self) -> None:
+        for name in self.parser.sections():
+            section = self.opened.get(name)
+            if section is None:
+                raise ConfigurationError(f"unknown section [{name}] in {self.path}")
+            unknown = set(self.parser[name]) - section.read
+            if unknown:
+                raise ConfigurationError(f"unknown keys {sorted(unknown)} in [{name}] of "
+                                         f"{self.path}{section.note}")
+
+
 _REQUIRED = object()
 
 
 class _Section:
-    """Typed reads from one section of an INI file (scenario or CLI config).
+    """Typed reads from one section of an INI file, each key recorded in `read`.
 
     A missing required key, a value its converter refuses, or a float
     that is NaN or infinite raises ConfigurationError naming the file,
-    the section and the key.
+    the section and the key.  `note` ends the file's unknown-keys error.
     """
 
     def __init__(self, parser: configparser.ConfigParser, name: str, path):
         self.parser, self.name, self.path = parser, name, path
-
-    def keys(self) -> set[str]:
-        return set(self.parser[self.name])
+        self.read: set[str] = set()
+        self.note = ""
 
     def get(self, key: str, convert, default=_REQUIRED):
+        self.read.add(key)
         where = f"{key} in [{self.name}] of {self.path}"
         if not self.parser.has_option(self.name, key):
             if default is _REQUIRED:

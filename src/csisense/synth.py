@@ -73,7 +73,7 @@ class Reflection:
     random_phase: bool = True  # new uniform phase each packet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApSpec:
     """One access point in the simulated environment."""
 
@@ -86,7 +86,7 @@ class ApSpec:
         object.__setattr__(self, "location", np.asarray(self.location, dtype=np.float64))
 
 
-@dataclass
+@dataclass(eq=False)
 class SimScenario:
     """Everything needed to synthesize a dataset or a scanner walkthrough."""
 

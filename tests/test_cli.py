@@ -493,6 +493,24 @@ class TestErrors:
         assert err[-1].endswith(f"for kind = {kind}")
 
     @pytest.mark.parametrize("command", ["simulate", "scan"])
+    @pytest.mark.parametrize("array,unread", [
+        ("layout = square\ncount = 4\nspacing_m = 0.02336", "['count']"),
+        ("layout = square\nspacing_m = 0.02336\nspacing = half-wavelength", "['spacing']"),
+        ("antennas = 0,0; 0.02336,0; 0.02336,0.02336; 0,0.02336\nlayout = linear-x\n"
+         "count = 4\nspacing = half-wavelength", "['count', 'layout', 'spacing']"),
+    ], ids=["count-under-square", "spacing-beside-spacing_m", "layout-beside-antennas"])
+    def test_array_keys_its_form_does_not_read_exit_2(self, tmp_path, capsys, command, array,
+                                                      unread):
+        argv = _trajectory_argv(tmp_path, command)
+        scenario = tmp_path / "traj.ini"
+        scenario.write_text(scenario.read_text().replace(
+            "layout = square\nspacing_m = 0.02336", array))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: unknown keys {unread} in [array] of {scenario}"]
+        assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
     def test_empty_pose_file_trajectory_exit_2(self, tmp_path, capsys, command):
         poses = tmp_path / "empty.csv"
         poses.write_text("timestamp_ns,x,y,theta\n")

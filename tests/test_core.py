@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from csisense import (
+    AoaConfig,
+    ApSpec,
     ArrayGeometry,
+    CalibrationDataset,
     CalibrationMatrix,
     ChannelSpec,
+    CoarseResult,
     ConfigurationError,
     CsiFrame,
     DegenerateGeometryError,
     DimensionMismatchError,
     FrameValidationError,
     Pose2D,
+    Profile2D,
+    SimScenario,
     apply_calibration,
     expected_csi,
     ground_truth_bearing,
@@ -289,6 +295,54 @@ class TestArrayGeometry:
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ConfigurationError):
             ArrayGeometry(np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 0.0]]))
+
+
+_CHAN20 = ChannelSpec(36, 20)
+
+
+def _frame(k):
+    return CsiFrame(csi=np.full((2, 1, 52), 1.0 + k, np.complex64), rssi_dbm=-40.0,
+                    source_mac=b"\x02\x00\x00\x00\x00\x01", seq=7, chanspec=_CHAN20,
+                    timestamp_ns=123)
+
+
+# Each factory gives equal, distinct instances for equal k, and different
+# ndarray contents (or shapes) for different k.  True: compared by value.
+_ARRAY_HOLDERS = {
+    "ArrayGeometry": (lambda k: ArrayGeometry.square(0.02 + k), True),
+    "CalibrationMatrix": (lambda k: CalibrationMatrix(np.full((2, 52), 0.5 * k), _CHAN20),
+                          True),
+    "Profile2D": (lambda k: Profile2D(np.full((3, 2), 1.0 + k), np.arange(3.0),
+                                      np.arange(2.0)), True),
+    "CsiFrame": (_frame, True),
+    "AoaConfig": (lambda k: AoaConfig(theta_grid=np.radians(np.arange(0.0, 90.0 + k, 3.0))),
+                  False),
+    "ApSpec": (lambda k: ApSpec(np.array([1.0, k]), _CHAN20, -30.0), False),
+    "SimScenario": (lambda k: SimScenario(np.array([0.0, k]), _CHAN20,
+                                          [(0, Pose2D(1, 2, 0))]), False),
+    "CalibrationDataset": (lambda k: CalibrationDataset(
+        [(Pose2D(1, 2, 0), _frame(k))], np.zeros(2), ArrayGeometry.square(0.02), _CHAN20),
+        False),
+    "CoarseResult": (lambda k: CoarseResult(np.zeros((2, 52)), np.full(104, 1.0 + k),
+                                            np.array([2.0, 1.0])), False),
+}
+
+
+class TestEquality:
+    @pytest.mark.parametrize("make,by_value", _ARRAY_HOLDERS.values(),
+                             ids=_ARRAY_HOLDERS.keys())
+    def test_array_holders_compare_without_raising_and_agree_with_hash(self, make,
+                                                                        by_value):
+        a, b, other = make(0), make(0), make(1)
+        assert a is not b and a == a
+        assert (a == b) is by_value and (a != b) is not by_value
+        assert a != other and not a == other
+        if by_value:
+            # a hash of array bytes would tell -0.0 from 0.0, which == does not
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(a)
+        else:  # compared by identity, hashed by identity
+            assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestSynthSlopeOracle:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,22 @@ class TestLoadScenario:
         path.write_text(SCENARIO.replace("radius_m = 4.0", "radius_m = 4.0\nlaps = 3"))
         with pytest.raises(ConfigurationError,
                            match=r"unknown keys \['laps'\] in \[trajectory\] .* kind = disc"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("array,unread", [
+        ("layout = square\ncount = 8\nspacing = half-wavelength", "['count']"),
+        ("layout = linear-x\ncount = 4\nspacing_m = 0.02\nspacing = half-wavelength",
+         "['spacing']"),
+        ("antennas = 0,0; 0.01,0; 0.02,0\nlayout = linear-x\ncount = 3\n"
+         "spacing = half-wavelength", "['count', 'layout', 'spacing']"),
+    ], ids=["count-under-square", "spacing-beside-spacing_m", "layout-beside-antennas"])
+    def test_array_keys_its_form_does_not_read_rejected(self, tmp_path, array, unread):
+        # `count` is read only by the linear layouts, `spacing` only without
+        # `spacing_m`, and the layout keys only without `antennas`
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO.replace("layout = square\nspacing = half-wavelength", array))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"unknown keys {unread} in [array] of {path}")):
             load_scenario(path)
 
     def test_seed_override(self, tmp_path):
