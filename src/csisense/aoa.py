@@ -58,7 +58,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def bartlett_profile(
 
 
 def music_spectrum(
-    frames: list[CsiFrame],
+    frames: Sequence[CsiFrame],
     geom: ArrayGeometry,
     cfg: AoaConfig,
 ) -> np.ndarray:
@@ -213,7 +213,7 @@ def spotfi_smoothing_dims(n_rx: int, chanspec: ChannelSpec, cfg: AoaConfig) -> t
 
 
 def spotfi_profile(
-    frames: list[CsiFrame],
+    frames: Sequence[CsiFrame],
     geom: ArrayGeometry,
     cfg: AoaConfig,
 ) -> Profile2D:
@@ -435,7 +435,7 @@ def bearing_estimator(geom: ArrayGeometry,
 
         def spectrum(frame: CsiFrame):
             recent.append(frame)
-            return over_window(list(recent), geom, cfg)
+            return over_window(recent, geom, cfg)
 
     def peak(frame: CsiFrame) -> BearingEstimate:
         return estimate_bearing(spectrum(frame), frame.rssi_dbm, cfg, frame.source_mac,
@@ -625,7 +625,7 @@ def _check_frame(frame: CsiFrame, geom: ArrayGeometry) -> None:
         )
 
 
-def _check_window(frames: list[CsiFrame], geom: ArrayGeometry) -> None:
+def _check_window(frames: Sequence[CsiFrame], geom: ArrayGeometry) -> None:
     if not frames:
         raise ConfigurationError("need at least one frame")
     for frame in frames:

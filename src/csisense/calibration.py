@@ -6,14 +6,15 @@ location, assuming the direct path dominates:
 
 1. suppress the bearing-induced phase of each frame using the expected
    direct-path CSI for its pose,
-2. normalize each frame's random common phase and remove its best-fit
-   linear phase slope across subcarriers (packet-detection phase and
-   time-of-flight, which the expected-CSI model omits),
+2. remove each frame's best-fit linear phase slope across subcarriers
+   (time-of-flight, which the expected-CSI model omits); its random
+   common phase needs no removal: a unit scalar on one column of the
+   stacked snapshots M cancels from M M^H and from the slope fit,
 3. take the phase of the first left-singular vector u0 of the stacked
-   snapshots (the dominant common structure is the hardware bias),
-4. use that phase as the calibration: for every unit-modulus-element x,
-   |u0^H x| <= sum_i |u0_i| with equality at x = exp(j*angle(u0)), so it
-   minimizes n - |u0^H x|^2 in closed form and needs no refinement.
+   snapshots (the dominant common structure is the hardware bias) as the
+   calibration: for every unit-modulus-element x, |u0^H x| <= sum_i |u0_i|
+   with equality at x = exp(j*angle(u0)), so it minimizes n - |u0^H x|^2
+   in closed form and needs no refinement.
 
 Only u0 and the spectral gap sigma_1/sigma_2 are needed, so step 3 finds
 the leading singular pair with the eigensolver SpotFi also uses, then
@@ -215,8 +216,8 @@ def calibrate(
 
     Steps 1 and 2 of the module docstring run on blocks of
     `_SLOPE_BLOCK` frames (see `_snapshot_matrix`), with every pose's
-    bearing and steering vector computed in one array pass; step 3 runs
-    on the whole data matrix.
+    bearing and steering vector computed in one array pass; step 3 and
+    its closed-form objective run on the whole data matrix.
 
     Raises CalibrationError for too few or inconsistent pairs and
     LowConfidenceError when sigma_1/sigma_2 falls below
@@ -259,10 +260,10 @@ _SLOPE_BLOCK = 64
 def _snapshot_matrix(dataset: CalibrationDataset, tx_index: int) -> np.ndarray:
     """The data matrix M (n_rx * n_sub, T): frame t's processed snapshot in column t.
 
-    Each snapshot is `suppress_bearing` of its pair, rotated so the
-    reference element has zero phase, with its time-of-flight slope
-    removed: steps 1 and 2 of the module docstring, element for element
-    the operations of one frame at a time, run on blocks of frames.
+    Each snapshot is `suppress_bearing` of its pair with its
+    time-of-flight slope removed: steps 1 and 2 of the module docstring,
+    element for element the operations of one frame at a time, run on
+    blocks of frames.
     """
     if len(dataset.pairs) < 2:
         raise CalibrationError("need at least 2 snapshots")
@@ -271,8 +272,7 @@ def _snapshot_matrix(dataset: CalibrationDataset, tx_index: int) -> np.ndarray:
     if not all(0 <= tx_index < frame.n_tx for frame in frames):
         raise DimensionMismatchError(f"tx index {tx_index} out of range")
     freqs = subcarrier_frequencies(dataset.chanspec)
-    mid = freqs.size // 2
-    rel_freq = freqs - freqs[mid]
+    rel_freq = freqs - freqs[freqs.size // 2]
     unit = np.isclose(np.diff(freqs), SUBCARRIER_SPACING_HZ)
     xy, heading = _pose_arrays(poses)
     theta = _ground_truth_bearings(xy, heading, dataset.tx_location)
@@ -285,14 +285,6 @@ def _snapshot_matrix(dataset: CalibrationDataset, tx_index: int) -> np.ndarray:
     for start in range(0, len(frames), _SLOPE_BLOCK):
         stop = min(start + _SLOPE_BLOCK, len(frames))
         sup = _suppress_block(frames[start:stop], conj_steering[start:stop], tx_index)
-        # Packet-detection/CFO phase: rotate so the reference element
-        # (antenna 0, middle subcarrier) has zero phase.  Row 0 of the
-        # expected CSI is all ones, so this equals normalizing the raw
-        # frame by the same element.  A frame whose element is 0 stays.
-        ref = sup[:, 0, mid]
-        mag = np.abs(ref)
-        rotor = np.conj(ref) / np.where(mag > 0, mag, 1.0)
-        np.multiply(sup, rotor[:, None, None], out=sup, where=(mag > 0)[:, None, None])
         # Per-frame time-of-flight slope, fitted against the first snapshot
         # so the (arbitrary) bias-phase structure cancels out of the fit.
         # The removed slopes differ from the true ones by one common value,
@@ -348,17 +340,25 @@ def load_calibration(path) -> tuple[CalibrationMatrix, ArrayGeometry]:
                 rows.append([float(v) for v in line.split(",")])
             except ValueError as exc:
                 raise CalibrationError(f"bad value on line {lineno} of {path}: {exc}") from exc
-    try:
-        chanspec = ChannelSpec(int(header["channel"]), int(header["bandwidth_mhz"]))
-        n_rx = int(header["n_rx"])
-        n_sub = int(header["n_sub"])
-        geom = parse_geometry(header["geometry"])
-    except (KeyError, ValueError) as exc:
-        raise CalibrationError(f"bad calibration file header: {exc}") from exc
+
+    def value(key: str, convert):
+        try:
+            return convert(header[key])
+        except KeyError:
+            raise CalibrationError(f"no {key} in the header of {path}") from None
+        except (ValueError, CsiSenseError) as exc:
+            raise CalibrationError(f"bad {key} in the header of {path}: {exc}") from exc
+
+    chanspec = ChannelSpec(value("channel", int), value("bandwidth_mhz", int))
+    n_rx, n_sub = value("n_rx", int), value("n_sub", int)
+    geom = value("geometry", parse_geometry)
     if len(rows) != n_rx or any(len(row) != n_sub for row in rows):
         raise CalibrationError(
             f"calibration matrix is not the {n_rx} rows of {n_sub} values the header says"
         )
+    if geom.n_antennas != n_rx:
+        raise CalibrationError(f"geometry in {path} lists {geom.n_antennas} antennas "
+                               f"for {n_rx} rows")
     phase = np.radians(np.array(rows, dtype=np.float64))
     return CalibrationMatrix(phase=phase, chanspec=chanspec), geom
 

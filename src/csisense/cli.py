@@ -73,6 +73,7 @@ from .codec import (
     write_capture,
 )
 from .core import (
+    ArrayGeometry,
     BearingEstimate,
     ConfigurationError,
     CsiFrame,
@@ -149,6 +150,14 @@ def _rssi_floor(value) -> float:
     if not np.isfinite(floor):
         raise ConfigurationError("RSSI floor must be a finite number, not NaN or infinite")
     return floor
+
+
+def _geometry_flag(text: str) -> ArrayGeometry:
+    """`--geometry`'s antenna positions; a refused value names the flag."""
+    try:
+        return parse_geometry(text)
+    except CsiSenseError as exc:
+        raise ConfigurationError(f"bad --geometry {text!r}: {exc}") from exc
 
 
 def _load_run_config(args) -> RunConfig:
@@ -325,7 +334,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     tx_location = np.array(parse_point(args.tx))
-    geom = parse_geometry(args.geometry)
+    geom = _geometry_flag(args.geometry)
     by_ts = dict(read_poses_csv(args.poses))
     pairs = []
     for frame in iter_capture(args.capture):
@@ -368,7 +377,8 @@ def _cmd_bearing(args) -> int:
     return _ingest(args, cfg, floor,
                    lambda frames: write_bearings_csv(args.out, map(bearing, frames)),
                    lambda n, stats: f"{n} bearings written to {args.out} ({stats.dropped_rssi} "
-                                    f"rejected by rssi floor, {stats.dropped_mac} by mac filter)")
+                                    f"rejected by rssi floor, {stats.dropped_mac} by mac filter, "
+                                    f"{stats.dropped_decode} undecodable)")
 
 
 def _cmd_scan(args) -> int:
@@ -392,7 +402,7 @@ def _cmd_profile(args) -> int:
         cal, geom = load_calibration(args.calibration)
         frame = apply_calibration(cal, frame)
     else:
-        geom = parse_geometry(args.geometry)
+        geom = _geometry_flag(args.geometry)
     aoa_cfg = cfg.aoa_config()
     profile = bartlett_profile(frame, geom, aoa_cfg)
     metadata = {

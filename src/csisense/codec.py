@@ -34,17 +34,21 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import (
+    MAX_ANTENNAS,
     ChannelSpec,
     ConfigurationError,
     CsiFrame,
     CsiSenseError,
     FrameValidationError,
+    usable_subcarrier_count,
 )
 
 FRAME_MAGIC = 0x57435349
 FRAME_VERSION = 1
 _HEADER = struct.Struct("<IBBBBHHbBH6sHQ")
 HEADER_SIZE = _HEADER.size  # 32
+# The largest valid frame: 4 x 4 antennas on the 234 subcarriers of 80 MHz.
+_MAX_FRAME_SIZE = HEADER_SIZE + 8 * MAX_ANTENNAS ** 2 * usable_subcarrier_count(80)
 
 CAPTURE_MAGIC = b"WCAP"
 CAPTURE_VERSION = 1
@@ -91,7 +95,6 @@ def encode_frame(frame: CsiFrame) -> bytes:
     """
     rssi = int(round(frame.rssi_dbm))
     _check_range("rssi_dbm", rssi, -128, 127)
-    _check_range("channel_number", frame.chanspec.channel_number, 0, 0xFFFF)
     _check_range("seq", frame.seq, 0, 0xFFFF)
     _check_range("timestamp_ns", frame.timestamp_ns, 0, 0xFFFFFFFFFFFFFFFF)
     header = _HEADER.pack(
@@ -133,7 +136,7 @@ def decode_frame(buf: bytes) -> CsiFrame:
         chanspec = ChannelSpec(channel, bandwidth)
     except ConfigurationError as exc:
         raise FrameFormatError(str(exc)) from exc
-    if not (1 <= n_rx <= 4 and 1 <= n_tx <= 4):
+    if not (1 <= n_rx <= MAX_ANTENNAS and 1 <= n_tx <= MAX_ANTENNAS):
         raise FrameFormatError(f"antenna counts out of range: rx={n_rx} tx={n_tx}")
     if n_sub != chanspec.n_sub:
         raise FrameFormatError(
@@ -254,7 +257,9 @@ def udp_datagrams(
         count = 0
         while max_datagrams is None or count < max_datagrams:
             try:
-                buf, _addr = sock.recvfrom(1 << 20)
+                # one byte over the largest frame: a longer datagram, cut
+                # here, still fails to decode
+                buf, _addr = sock.recvfrom(_MAX_FRAME_SIZE + 1)
             except socket.timeout:
                 return
             count += 1
@@ -327,13 +332,12 @@ def _read_capture_header(fh) -> int:
 
 def _capture_records(fh, count: int) -> Iterator[bytes]:
     """Yield the `count` length-prefixed wire frames that follow the header, undecoded."""
-    max_frame = HEADER_SIZE + 8 * 4 * 4 * 1024  # no valid frame is bigger
     for k in range(count):
         prefix = fh.read(_LENGTH_PREFIX.size)
         if len(prefix) < _LENGTH_PREFIX.size:
             raise CaptureTruncatedError(f"capture ends at frame {k} of {count}")
         (length,) = _LENGTH_PREFIX.unpack(prefix)
-        if length > max_frame:
+        if length > _MAX_FRAME_SIZE:
             raise CaptureTruncatedError(
                 f"frame {k} of {count} has implausible length {length}"
             )

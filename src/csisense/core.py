@@ -24,6 +24,8 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 SUBCARRIER_SPACING_HZ = 312.5e3
+# Most receive, and most transmit, antennas a frame carries.
+MAX_ANTENNAS = 4
 
 # Usable (data) subcarrier index sets per bandwidth: data tones only,
 # pilots excluded.  Counts: 52 / 108 / 234.
@@ -143,7 +145,8 @@ def wavelength(chanspec: ChannelSpec) -> float:
 class ArrayGeometry:
     """Relative 2-D antenna positions of the receiver array, meters.
 
-    Antenna 0 is the reference and must sit at the origin.
+    Antenna 0 is the reference and must sit at the origin.  At most
+    MAX_ANTENNAS antennas, as no frame carries more.
     """
 
     positions: np.ndarray  # (n_rx, 2) float64
@@ -152,6 +155,10 @@ class ArrayGeometry:
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ConfigurationError("antenna positions must be an (n, 2) array")
+        if pos.shape[0] > MAX_ANTENNAS:
+            raise ConfigurationError(
+                f"{pos.shape[0]} antennas; a frame carries at most {MAX_ANTENNAS}"
+            )
         if not np.allclose(pos[0], 0.0):
             raise ConfigurationError("antenna 0 must be at the origin")
         if len({(round(x, 12), round(y, 12)) for x, y in pos}) != len(pos):
@@ -218,7 +225,7 @@ class CsiFrame:
         if self.csi.ndim != 3:
             raise FrameValidationError(f"csi must be 3-D, got shape {self.csi.shape}")
         n_rx, n_tx, n_sub = self.csi.shape
-        if not (1 <= n_rx <= 4 and 1 <= n_tx <= 4):
+        if not (1 <= n_rx <= MAX_ANTENNAS and 1 <= n_tx <= MAX_ANTENNAS):
             raise FrameValidationError(f"antenna counts out of range: rx={n_rx} tx={n_tx}")
         expected = self.chanspec.n_sub
         if n_sub != expected:
@@ -389,8 +396,6 @@ def _steering_vectors(theta: np.ndarray, geom: ArrayGeometry, lambda_m: float) -
     (n_rx, 2) x (2, n) matrix product rounds differently: on an AVX-512
     OpenBLAS it changed about 40% of the phases of a square array.
     """
-    if lambda_m <= 0:
-        raise ConfigurationError("wavelength must be positive")
     directions = np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, :, None]
     phases = (2.0 * np.pi / lambda_m) * (geom.positions @ directions)[:, :, 0]
     return np.exp(1j * phases)

@@ -291,8 +291,12 @@ def _parse_array(section: _Section, chanspec: ChannelSpec) -> ArrayGeometry:
     if layout == "square":
         return ArrayGeometry.square(spacing_m)
     if layout in ("linear-x", "linear-y"):
-        count = section.get("count", int, 4)
-        return ArrayGeometry.uniform_linear(count, spacing_m, axis=layout[-1])
+        def linear(count) -> ArrayGeometry:
+            return ArrayGeometry.uniform_linear(int(count), spacing_m, axis=layout[-1])
+
+        # built inside `get`, so a count the geometry refuses names the key
+        geom = section.get("count", linear, None)
+        return linear(4) if geom is None else geom
     raise ConfigurationError(f"unknown array layout {layout!r}")
 
 
@@ -330,13 +334,22 @@ def _parse_trajectory(section: _Section, tx_location, seed) -> list[tuple[int, P
 class _Ini:
     """An INI file (scenario or CLI config) that accepts only what its reader reads.
 
-    Once the file is read, `refuse_unread` raises ConfigurationError for
-    a section that no `section` call opened, or a key no `get` read.
+    Values are taken literally (`%` is no interpolation).  A file the
+    parser refuses, such as one that repeats a key or a section or does
+    not decode as text, raises ConfigurationError naming it.  Once the
+    file is read, `refuse_unread` raises ConfigurationError for a section
+    that no `section` call opened, or a key no `get` read.
     """
 
     def __init__(self, path, kind: str):
-        self.parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not self.parser.read(path):
+        self.parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                                interpolation=None)
+        try:
+            found = self.parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            message = " ".join(str(exc).split())  # some span lines; an error takes one
+            raise ConfigurationError(f"bad {kind} file {path}: {message}") from exc
+        if not found:
             raise ConfigurationError(f"cannot read {kind} file {path}")
         self.path = path
         self.opened: dict[str, _Section] = {}

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -305,6 +306,19 @@ class TestCalibrate:
         with pytest.raises(LowConfidenceError):
             calibrate(ds)
 
+    def test_common_phase_of_each_frame_changes_nothing(self, square_geom, chan80):
+        # a packet's common phase is one unit scalar on its column of the
+        # data matrix: M M^H and the slope fit cannot see it
+        truth = random_bias(chan80, 4, seed=45)
+        ds = make_dataset(chan80, square_geom, n_pairs=100, bias=truth, seed=45)
+        base = calibrate(ds)
+        turns = np.exp(1j * np.random.default_rng(45).uniform(-np.pi, np.pi, len(ds.pairs)))
+        ds.pairs = [(pose, dataclasses.replace(frame, csi=frame.csi * turn))
+                    for (pose, frame), turn in zip(ds.pairs, turns)]
+        turned = calibrate(ds)
+        assert np.max(np.abs(wrap_angle(turned.matrix.phase - base.matrix.phase))) < 1e-6
+        assert turned.spectral_gap == pytest.approx(base.spectral_gap, rel=1e-6)
+
     def test_gauge_invariance_of_downstream_use(self, square_geom, chan80):
         # adding one constant to every element of the correction changes
         # nothing the estimators can see
@@ -323,16 +337,9 @@ class TestCalibrate:
 def frame_by_frame_columns(ds, tx_index=0):
     """Steps 1 and 2 of the calibration, one frame at a time, as M's columns."""
     freqs = subcarrier_frequencies(ds.chanspec)
-    mid = freqs.size // 2
-    sups = []
-    for pose, frame in ds.pairs:
-        sup = suppress_bearing(frame, pose, ds.tx_location, ds.geom, tx_index)
-        ref = sup[0, mid]
-        mag = np.abs(ref)
-        if mag > 0:
-            sup = sup * (np.conj(ref) / mag)
-        sups.append(sup)
-    rel_freq = freqs - freqs[mid]
+    sups = [suppress_bearing(frame, pose, ds.tx_location, ds.geom, tx_index)
+            for pose, frame in ds.pairs]
+    rel_freq = freqs - freqs[freqs.size // 2]
     unit = np.isclose(np.diff(freqs), SUBCARRIER_SPACING_HZ)
     columns = []
     for sup in sups:
@@ -372,7 +379,7 @@ class TestBatchedSnapshots:
                 "ula4": ArrayGeometry.uniform_linear(4, lam / 2)}[layout]
         ds = make_dataset(chan, geom, n_pairs=n_pairs,
                           bias=random_bias(chan, geom.n_antennas, seed=6), seed=6)
-        # a frame whose reference element is 0 keeps its common phase
+        # a zero element (antenna 0, middle subcarrier) gets no special case
         pose, frame = ds.pairs[-1]
         csi = frame.csi.copy()
         csi[0, 0, chan.n_sub // 2] = 0
@@ -412,6 +419,26 @@ class TestCalibrationFile:
         path = tmp_path / "bad.txt"
         path.write_text("channel = 155\n\n1,2,3\n")
         with pytest.raises(CalibrationError):
+            load_calibration(path)
+
+    def test_geometry_of_more_antennas_than_a_frame_carries_rejected(self, tmp_path, chan80):
+        path = tmp_path / "cal.txt"
+        save_calibration(path, CalibrationMatrix(np.zeros((4, 234)), chan80),
+                         ArrayGeometry.uniform_linear(4, 0.02))
+        text = path.read_text().replace("n_rx = 4", "n_rx = 5")
+        text = text.replace("0,0.06\n", "0,0.06; 0,0.08\n") + "0," * 233 + "0\n"
+        path.write_text(text)
+        with pytest.raises(CalibrationError, match=re.escape(
+                f"bad geometry in the header of {path}: 5 antennas; a frame carries at most 4")):
+            load_calibration(path)
+
+    def test_geometry_must_list_one_antenna_per_row(self, tmp_path, chan80):
+        path = tmp_path / "cal.txt"
+        save_calibration(path, CalibrationMatrix(np.zeros((4, 234)), chan80),
+                         ArrayGeometry.uniform_linear(4, 0.02))
+        path.write_text(path.read_text().replace("; 0,0.06\n", "\n"))
+        with pytest.raises(CalibrationError,
+                           match=re.escape(f"geometry in {path} lists 3 antennas for 4 rows")):
             load_calibration(path)
 
 

@@ -511,6 +511,61 @@ class TestErrors:
         assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "scan"])
+    def test_more_antennas_than_a_frame_carries_exit_2_at_load(self, tmp_path, capsys,
+                                                               command):
+        argv = _trajectory_argv(tmp_path, command)
+        scenario = tmp_path / "traj.ini"
+        scenario.write_text(scenario.read_text().replace(
+            "layout = square\nspacing_m = 0.02336", "layout = linear-y\ncount = 5\n"
+            "spacing_m = 0.02336"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad value '5' for count in [array] of {scenario}: "
+            "5 antennas; a frame carries at most 4"]
+        assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "profile"])
+    def test_geometry_flag_of_more_antennas_than_a_frame_carries_exit_2(
+            self, workspace, capsys, command):
+        tmp_path, scenario = workspace
+        capture, poses = tmp_path / "c.wcap", tmp_path / "p.csv"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--capture", str(capture), "--poses", str(poses)]) == 0
+        capsys.readouterr()
+        geometry = GEOMETRY + "; 0.01,0.01"
+        out = tmp_path / "out"
+        argv = {"calibrate": ["--poses", str(poses), "--tx", "0,0"], "profile": []}[command]
+        assert main([command, "--capture", str(capture), *argv, "--geometry", geometry,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad --geometry '{geometry}': 5 antennas; a frame carries at most 4"]
+        assert not out.exists()
+
+    def test_calibration_geometry_of_fewer_antennas_than_rows_exit_2_at_load(
+            self, tmp_path, capsys):
+        capture, cal = ula_capture(tmp_path, "y", [0.0, 0.5])
+        cal.write_text("; ".join(cal.read_text().split("; ")[:-1]) + "\n"
+                       + cal.read_text().partition("\n\n")[2])
+        out = tmp_path / "b.csv"
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: geometry in {cal} lists 3 antennas for 4 rows"]
+        assert not out.exists()
+
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys):
+        capture, cal = ula_capture(tmp_path, "y", [0.0])
+        config = tmp_path / "twice.ini"
+        config.write_text("[algorithm]\nwindow = 2\nwindow = 3\n")
+        out = tmp_path / "b.csv"
+        assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(out), "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: data: bad config file {config}: ")
+        assert "option 'window' in section 'algorithm' already exists" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
     def test_empty_pose_file_trajectory_exit_2(self, tmp_path, capsys, command):
         poses = tmp_path / "empty.csv"
         poses.write_text("timestamp_ns,x,y,theta\n")
@@ -868,6 +923,21 @@ class TestUdpBearing:
         err = captured.err.splitlines()
         assert err[0].startswith("2 bearings written to ")
         assert err[1].startswith("error: data: calibration chanspec") and len(err) == 2
+
+
+    def test_summary_counts_undecodable_datagrams(self, tmp_path, capsys):
+        capture, cal = ula_capture(tmp_path, "y", np.radians([10.0, 20.0, 30.0, 40.0, 50.0]))
+        wire = [codec.encode_frame(f) for f in read_capture(capture)]
+        garbage = [b"", b"junk", wire[0][:40], wire[0] + b"x", b"\0" * 32, wire[1][::-1],
+                   b"WCSI" * 9]
+        out = tmp_path / "udp.csv"
+        capsys.readouterr()
+        assert run_over_udp(["bearing", "--calibration", str(cal), "--out", str(out),
+                             "--count", "12", "--timeout", "5", "--rssi-floor", "-200"],
+                            wire[:3] + garbage + wire[3:]) == 0
+        assert capsys.readouterr().err == (f"5 bearings written to {out} (0 rejected by rssi "
+                                           "floor, 0 by mac filter, 7 undecodable)\n")
+        assert len(out.read_text().splitlines()) == 6
 
 
 class TestProfileOracle:

@@ -276,6 +276,34 @@ class TestUdp:
             sender.close()
 
 
+    def test_datagram_longer_than_any_frame_is_cut_one_byte_past_it(self, rng):
+        largest = encode_frame(random_frame(rng, n_rx=4, n_tx=4, bandwidth=80))
+        assert len(largest) == 29984
+        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        receiver = udp_datagrams(port=port, host="127.0.0.1", max_datagrams=2, timeout_s=5.0)
+        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            import threading
+            import time
+
+            got: list[bytes] = []
+            thread = threading.Thread(target=lambda: got.extend(receiver))
+            thread.start()
+            time.sleep(0.1)
+            for buf in (largest, largest + bytes(10_000)):
+                sender.sendto(buf, ("127.0.0.1", port))
+            thread.join(timeout=5.0)
+        finally:
+            sender.close()
+        assert not thread.is_alive()
+        assert got[0] == largest and got[1] == largest + b"\0"
+        with pytest.raises(FrameFormatError, match="1 trailing bytes"):
+            decode_frame(got[1])
+
+
 class TestGoldenBytes:
     def test_wire_layout_locked(self):
         # hand-written expected bytes: guards the layout against drift
@@ -302,6 +330,18 @@ class TestGoldenBytes:
         assert wire[:32].hex() == header_hex
         assert wire[32:40].hex() == first_pair_hex
         assert wire[40:] == bytes(8 * 51)
+
+
+def test_capture_length_prefix_past_the_largest_frame(tmp_path, rng):
+    largest = encode_frame(random_frame(rng, n_rx=4, n_tx=4, bandwidth=80))
+    path = tmp_path / "one.wcap"
+    write_capture(path, [decode_frame(largest)])
+    assert len(read_capture(path)) == 1
+    raw = bytearray(path.read_bytes() + b"\0")
+    raw[16:20] = (len(largest) + 1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CaptureTruncatedError, match="implausible length 29985"):
+        read_capture(path)
 
 
 def test_capture_implausible_length_prefix(tmp_path, rng):

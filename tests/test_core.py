@@ -296,6 +296,11 @@ class TestArrayGeometry:
         with pytest.raises(ConfigurationError):
             ArrayGeometry(np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 0.0]]))
 
+    def test_more_antennas_than_a_frame_carries_rejected(self):
+        assert len(ArrayGeometry.uniform_linear(core.MAX_ANTENNAS, 0.02)) == 4
+        with pytest.raises(ConfigurationError, match="5 antennas; a frame carries at most 4"):
+            ArrayGeometry.uniform_linear(core.MAX_ANTENNAS + 1, 0.02)
+
 
 _CHAN20 = ChannelSpec(36, 20)
 

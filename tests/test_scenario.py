@@ -3,7 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from csisense import ChannelSpec, ConfigurationError, Pose2D, Reflection, SimScenario
+from csisense import (
+    ChannelSpec,
+    ConfigurationError,
+    CsiSenseError,
+    Pose2D,
+    Reflection,
+    SimScenario,
+)
+from csisense.cli import load_config
 from csisense.scenario import (
     disc_trajectory,
     line_trajectory,
@@ -158,6 +166,27 @@ class TestLoadScenario:
         with pytest.raises(ConfigurationError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("array,key", [
+        ("layout = linear-y\ncount = 5\nspacing = half-wavelength", "count"),
+        ("antennas = 0,0; 0.01,0; 0.02,0; 0.03,0; 0.04,0", "antennas"),
+    ], ids=["count", "antennas"])
+    def test_more_antennas_than_a_frame_carries_rejected(self, tmp_path, array, key):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO.replace("layout = square\nspacing = half-wavelength", array))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"for {key} in [array] of {path}: 5 antennas; a frame carries at most 4")):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_count_below_one_names_the_key(self, tmp_path, count):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO.replace("layout = square\nspacing = half-wavelength",
+                                         f"layout = linear-y\ncount = {count}\n"
+                                         "spacing = half-wavelength"))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"bad value '{count}' for count in [array] of {path}")):
+            load_scenario(path)
+
     def test_explicit_antenna_positions(self, tmp_path):
         text = SCENARIO.replace(
             "layout = square\nspacing = half-wavelength",
@@ -168,6 +197,109 @@ class TestLoadScenario:
         _, geom = load_scenario(path)
         assert geom.n_antennas == 3
         assert np.allclose(geom.positions[1], [0.01, 0.0])
+
+
+def refused_by_parser(path, text, fragment: str) -> None:
+    """load_scenario of text raises one ConfigurationError line naming path and fragment."""
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ConfigurationError) as info:
+        load_scenario(path)
+    message = str(info.value)
+    assert str(path) in message and fragment in message and "\n" not in message
+
+
+class TestIniParserFaults:
+    """A file `configparser` refuses fails as ConfigurationError, never as the parser's own error."""
+
+    def test_duplicate_option(self, tmp_path):
+        refused_by_parser(tmp_path / "s.ini", SCENARIO.replace("n = 60", "n = 60\nn = 61"),
+                          "option 'n' in section 'trajectory' already exists")
+
+    def test_duplicate_section(self, tmp_path):
+        refused_by_parser(tmp_path / "s.ini", SCENARIO + "\n[channel]\nchannel = 36\n",
+                          "section 'channel' already exists")
+
+    def test_missing_section_header(self, tmp_path):
+        refused_by_parser(tmp_path / "s.ini", "channel = 155\n" + SCENARIO,
+                          "no section headers")
+
+    def test_parse_error(self, tmp_path):
+        refused_by_parser(tmp_path / "s.ini", SCENARIO.replace("n = 60", "n = 60\nn 61"),
+                          "parsing errors")
+
+    def test_not_decodable(self, tmp_path):
+        refused_by_parser(tmp_path / "s.ini", b"\xff\xfe" + SCENARIO.encode(), "decode")
+
+    def test_interpolation_syntax_is_a_bad_value(self, tmp_path):
+        refused_by_parser(tmp_path / "s.ini",
+                          SCENARIO.replace("seed = 9", "seed = 3 %(x)s"),
+                          "bad value '3 %(x)s' for seed in [simulation]")
+
+    def test_percent_is_literal(self, tmp_path):
+        poses = tmp_path / "100%(x)s.csv"
+        write_poses_csv(poses, disc_trajectory(np.zeros(2), 3.0, 5, seed=1))
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO.replace("kind = disc\nn = 60\nradius_m = 4.0\nrate_hz = 2.0",
+                                         f"kind = file\nfile = {poses}"))
+        assert len(load_scenario(path)[0].trajectory) == 5
+
+
+CONFIG = """
+[packet]
+mac_filter = 02:00:00:00:00:01
+rssi_floor_dbm = -65
+
+[algorithm]
+algorithm = music
+window = 4
+theta_step_deg = 2
+smoothing = 2,30
+
+[setup]
+scan_period_s = 30
+switch_margin_db = 6
+"""
+
+# Lines the fuzz inserts, and values it swaps in.  No value exceeds the
+# scenario's own n, so no mutant asks for a long trajectory.
+_FUZZ_LINES = ["[array]", "[extra]", "[DEFAULT]", "[packet", "count = 3", "n 5",
+               "  continued", "x = %(y)s", "= 1", "window = 2", "seed = 3 %(x)s", "%"]
+_FUZZ_VALUES = ["0", "1", "-1", "2.5", "40", "abc", "", "nan", "-inf", "%", "%(x)s",
+                "half-wavelength", "square", "linear-x", "file", "loop", "line", "random",
+                "true", "none", "0,0; 0.02,0", "02:00:00:00:00:01", "3,5"]
+
+
+def _mutant(lines: list[str], rng) -> str:
+    lines = list(lines)
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(len(lines)))
+        op = int(rng.integers(4))
+        if op == 0:
+            del lines[k]
+        elif op == 1:
+            lines.insert(k, lines[k])
+        elif op == 2:
+            lines.insert(k, _FUZZ_LINES[int(rng.integers(len(_FUZZ_LINES)))])
+        elif "=" in lines[k]:
+            key = lines[k].partition("=")[0]
+            lines[k] = f"{key}= {_FUZZ_VALUES[int(rng.integers(len(_FUZZ_VALUES)))]}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("load,text", [(load_scenario, SCENARIO), (load_config, CONFIG)],
+                         ids=["scenario", "config"])
+def test_loader_fuzz_raises_only_csisense_or_os_errors(tmp_path, load, text):
+    # deleted, repeated and inserted lines, and swapped values: each load
+    # either succeeds or fails the way the CLI turns into exit 2
+    rng = np.random.default_rng(1602)
+    lines = text.strip().splitlines()
+    path = tmp_path / "mutant.ini"
+    for _ in range(800):
+        path.write_text(_mutant(lines, rng))
+        try:
+            load(path)
+        except (CsiSenseError, OSError):
+            pass
 
 
 class TestTrajectories:
