@@ -85,7 +85,7 @@ from .core import (
     wrap_angle,
 )
 
-_ALGORITHMS = ("bartlett", "music", "spotfi")
+ALGORITHMS = ("bartlett", "music", "spotfi")
 
 
 class UnsupportedGeometryError(CsiSenseError):
@@ -127,7 +127,7 @@ class AoaConfig:
             raise ConfigurationError("theta grid must be non-empty and increasing")
         if self.dist_grid.size == 0 or np.any(np.diff(self.dist_grid) <= 0):
             raise ConfigurationError("distance grid must be non-empty and increasing")
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
         if self.window < 1:
             raise ConfigurationError("averaging window must be >= 1")

@@ -115,14 +115,13 @@ class CoarseResult:
 class CalibrationResult:
     """Recovered correction plus the fit diagnostics the CLI reports.
 
-    Closed form: both objectives are equal and `converged` is always true.
+    Closed form: no refinement runs, so `fine_objective` equals `coarse_objective`.
     """
 
     matrix: CalibrationMatrix
     spectral_gap: float
     coarse_objective: float
     fine_objective: float
-    converged: bool
     n_pairs: int
 
 
@@ -232,10 +231,9 @@ def calibrate(
             f"spectral gap {gap:.2f} below {SPECTRAL_GAP_MIN:.2f}: "
             "data does not look line-of-sight dominated"
         )
-    # Off-component power n - |u0^H exp(j*phi)|^2, already at its minimum.
+    # Off-component power n - |u0^H exp(j*phi)|^2 at its minimum, n - (sum_i |u0_i|)^2.
     phi, u0 = coarse.phi_coarse, coarse.u0
-    x = np.exp(1j * phi.ravel())
-    objective = max(float(u0.size - np.abs(np.vdot(u0, x)) ** 2), 0.0)
+    objective = max(float(u0.size - np.sum(np.abs(u0)) ** 2), 0.0)
 
     # Negate the recovered bias to get the correction, and reference it
     # to antenna 0 (row 0 becomes zero: the inter-antenna relative form).
@@ -246,7 +244,6 @@ def calibrate(
         spectral_gap=gap,
         coarse_objective=objective,
         fine_objective=objective,
-        converged=True,
         n_pairs=len(dataset.pairs),
     )
 
@@ -324,22 +321,29 @@ def save_calibration(path, cal: CalibrationMatrix, geom: ArrayGeometry) -> None:
 
 
 def load_calibration(path) -> tuple[CalibrationMatrix, ArrayGeometry]:
-    """Read a calibration file; returns the matrix and the array geometry."""
+    """Read a calibration file; returns the matrix and the array geometry.
+
+    A file that is not UTF-8 text raises CalibrationError naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise CalibrationError(f"bad calibration file {path}: {exc}") from exc
     header: dict[str, str] = {}
     rows: list[list[float]] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line and not rows:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError as exc:
-                raise CalibrationError(f"bad value on line {lineno} of {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" in line and not rows:
+            key, _, value = line.partition("=")
+            header[key.strip()] = value.strip()
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError as exc:
+            raise CalibrationError(f"bad value on line {lineno} of {path}: {exc}") from exc
 
     def value(key: str, convert):
         try:

@@ -40,6 +40,7 @@ import numpy as np
 
 from . import __version__
 from .aoa import (
+    ALGORITHMS,
     AoaConfig,
     bartlett_profile,
     bearing_estimator,
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="estimate bearings from calibrated frames")
     p.add_argument("--calibration", required=True)
     p.add_argument("--out", required=True, help="output bearings CSV")
-    p.add_argument("--algorithm", choices=["bartlett", "music", "spotfi"])
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--window", type=int)
     p.add_argument("--n-sources", type=int)
 
@@ -352,8 +353,6 @@ def _cmd_calibrate(args) -> int:
     print(f"pairs = {result.n_pairs}")
     print(f"spectral_gap = {result.spectral_gap:.4g}")
     print(f"objective_coarse = {result.coarse_objective:.6g}")
-    print(f"objective_fine = {result.fine_objective:.6g}")
-    print(f"converged = {str(result.converged).lower()}")
     print(f"calibration = {args.out}")
     return 0
 

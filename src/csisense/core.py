@@ -26,6 +26,11 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 SUBCARRIER_SPACING_HZ = 312.5e3
 # Most receive, and most transmit, antennas a frame carries.
 MAX_ANTENNAS = 4
+# Farthest an antenna may sit from antenna 0, meters: room for any
+# robot-mounted array (the largest in the tests is a 1.02 m square), and
+# it keeps each steering phase, and each layout's spacing times its
+# antenna index, finite.
+MAX_ANTENNA_DISTANCE_M = 2.0
 
 # Usable (data) subcarrier index sets per bandwidth: data tones only,
 # pilots excluded.  Counts: 52 / 108 / 234.
@@ -146,7 +151,8 @@ class ArrayGeometry:
     """Relative 2-D antenna positions of the receiver array, meters.
 
     Antenna 0 is the reference and must sit at the origin.  At most
-    MAX_ANTENNAS antennas, as no frame carries more.
+    MAX_ANTENNAS antennas, as no frame carries more, each finite and at
+    most MAX_ANTENNA_DISTANCE_M from antenna 0.
     """
 
     positions: np.ndarray  # (n_rx, 2) float64
@@ -155,12 +161,17 @@ class ArrayGeometry:
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ConfigurationError("antenna positions must be an (n, 2) array")
-        if pos.shape[0] > MAX_ANTENNAS:
-            raise ConfigurationError(
-                f"{pos.shape[0]} antennas; a frame carries at most {MAX_ANTENNAS}"
-            )
+        _check_antenna_count(pos.shape[0])
+        if not np.all(np.isfinite(pos)):
+            raise ConfigurationError("antenna positions must be finite")
         if not np.allclose(pos[0], 0.0):
             raise ConfigurationError("antenna 0 must be at the origin")
+        with np.errstate(over="ignore"):  # a distance past the float range is inf, refused
+            distance = np.hypot(*(pos - pos[0]).T)
+        if np.any(distance > MAX_ANTENNA_DISTANCE_M):
+            k = int(np.argmax(distance))
+            raise ConfigurationError(f"antenna {k} is {distance[k]:.4g} m from antenna 0; "
+                                     f"at most {MAX_ANTENNA_DISTANCE_M:g} m")
         if len({(round(x, 12), round(y, 12)) for x, y in pos}) != len(pos):
             raise ConfigurationError("antenna positions must be distinct")
         object.__setattr__(self, "positions", pos)
@@ -175,6 +186,8 @@ class ArrayGeometry:
     @staticmethod
     def uniform_linear(n: int, spacing_m: float, axis: str = "y") -> "ArrayGeometry":
         """Uniform linear array along +x or +y, antenna 0 at the origin."""
+        _check_antenna_count(n)
+        _check_spacing(spacing_m)
         pos = np.zeros((n, 2))
         col = {"x": 0, "y": 1}[axis]
         pos[:, col] = spacing_m * np.arange(n)
@@ -183,9 +196,23 @@ class ArrayGeometry:
     @staticmethod
     def square(spacing_m: float) -> "ArrayGeometry":
         """Four antennas on the corners of an axis-aligned square."""
+        _check_spacing(spacing_m)
         return ArrayGeometry(
             np.array([[0.0, 0.0], [spacing_m, 0.0], [spacing_m, spacing_m], [0.0, spacing_m]])
         )
+
+
+def _check_antenna_count(n: int) -> None:
+    if n > MAX_ANTENNAS:
+        raise ConfigurationError(f"{n} antennas; a frame carries at most {MAX_ANTENNAS}")
+
+
+def _check_spacing(spacing_m: float) -> float:
+    """A layout's antenna spacing, refused before anything multiplies it."""
+    if not abs(spacing_m) <= MAX_ANTENNA_DISTANCE_M:  # NaN compares false too
+        raise ConfigurationError(f"antenna spacing must be finite and at most "
+                                 f"{MAX_ANTENNA_DISTANCE_M:g} m, got {spacing_m:g}")
+    return spacing_m
 
 
 @dataclass(frozen=True)
@@ -198,10 +225,6 @@ class Pose2D:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @_by_value
@@ -423,7 +446,7 @@ def apply_calibration(cal: CalibrationMatrix, frame: CsiFrame) -> CsiFrame:
         raise DimensionMismatchError(
             f"calibration chanspec {cal.chanspec} does not match frame {frame.chanspec}"
         )
-    if cal.n_rx != frame.n_rx or cal.n_sub != frame.n_sub:
+    if cal.n_rx != frame.n_rx:  # equal chanspecs pin both n_sub to chanspec.n_sub
         raise DimensionMismatchError(
             f"calibration shape {cal.phase.shape} does not match frame "
             f"({frame.n_rx}, {frame.n_sub})"

@@ -68,6 +68,7 @@ from .core import (
     ConfigurationError,
     CsiSenseError,
     Pose2D,
+    _check_spacing,
     wavelength,
 )
 from .synth import DEFAULT_MAC, ApSpec, Reflection, SimScenario
@@ -253,25 +254,30 @@ def write_poses_csv(path, trajectory: list[tuple[int, Pose2D]]) -> None:
 
 
 def read_poses_csv(path) -> list[tuple[int, Pose2D]]:
+    """Pose file rows; a file that is not UTF-8 text raises ConfigurationError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"bad pose file {path}: {exc}") from exc
+    header = lines[0].strip()
+    if header.split(",")[:4] != ["timestamp_ns", "x", "y", "theta"]:
+        raise ConfigurationError(f"bad pose file header: {header!r}")
     out = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.split(",")[:4] != ["timestamp_ns", "x", "y", "theta"]:
-            raise ConfigurationError(f"bad pose file header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ts, x, y, theta = line.split(",")
-                x, y, theta = float(x), float(y), float(theta)
-                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
-                    raise ValueError("not a finite number")
-                out.append((int(ts), Pose2D(x, y, np.radians(theta))))
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"bad pose on line {lineno} of {path}: {line!r} ({exc})"
-                ) from exc
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            ts, x, y, theta = line.split(",")
+            x, y, theta = float(x), float(y), float(theta)
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+                raise ValueError("not a finite number")
+            out.append((int(ts), Pose2D(x, y, np.radians(theta))))
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"bad pose on line {lineno} of {path}: {line!r} ({exc})"
+            ) from exc
     return out
 
 
@@ -281,10 +287,16 @@ def _parse_array(section: _Section, chanspec: ChannelSpec) -> ArrayGeometry:
         return antennas
     half = wavelength(chanspec) / 2.0
 
-    def spacing(text: str) -> float:
-        return half if text.lower() in ("half-wavelength", "half-lambda") else float(text)
+    def length(text: str) -> float:
+        # checked as it is read, so a spacing no layout can hold names its
+        # key; `get` refuses NaN and inf itself
+        value = float(text)
+        return _check_spacing(value) if math.isfinite(value) else value
 
-    spacing_m = section.get("spacing_m", float, None)
+    def spacing(text: str) -> float:
+        return half if text.lower() in ("half-wavelength", "half-lambda") else length(text)
+
+    spacing_m = section.get("spacing_m", length, None)
     if spacing_m is None:
         spacing_m = section.get("spacing", spacing, half)
     layout = section.get("layout", str.lower, "square")
@@ -345,7 +357,7 @@ class _Ini:
         self.parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                                 interpolation=None)
         try:
-            found = self.parser.read(path)
+            found = self.parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
             message = " ".join(str(exc).split())  # some span lines; an error takes one
             raise ConfigurationError(f"bad {kind} file {path}: {message}") from exc

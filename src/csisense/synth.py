@@ -144,7 +144,7 @@ def synth_frame(
     signal = _ray_sum(paths, geom, chanspec, tx_geom)
     rssi = _rssi_of(signal)
     if snr_db is not None and np.isfinite(snr_db):
-        rng = _as_rng(rng_seed)
+        rng = np.random.default_rng(rng_seed)  # a Generator passes through unchanged
         signal = signal + _noise_like(signal, abs(paths[0].amplitude), snr_db, rng)
     return CsiFrame(
         csi=signal.astype(np.complex64),
@@ -267,12 +267,6 @@ def _beacons_by_channel(aps: list[ApSpec], rssi) -> dict[ChannelSpec, list[tuple
     for ap, level in zip(aps, rssi):
         obs.setdefault(ap.chanspec, []).append((ap.mac, level))
     return obs
-
-
-def _as_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
 
 
 def _ray_sum(paths, geom, chanspec, tx_geom) -> np.ndarray:

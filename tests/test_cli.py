@@ -9,11 +9,13 @@ import pytest
 
 from csisense import (
     ArrayGeometry,
+    CalibrationDataset,
     CalibrationMatrix,
     ChannelSpec,
     CsiFrame,
     PathComponent,
     apply_calibration,
+    calibrate,
     codec,
     load_calibration,
     read_capture,
@@ -32,6 +34,7 @@ from csisense.aoa import (
     spotfi_profile,
     write_bearings_csv,
 )
+from csisense.calibration import parse_geometry
 from csisense.cli import RunConfig, load_config, main
 from csisense.scanner import ScanPolicy
 from csisense.scenario import read_poses_csv
@@ -698,6 +701,163 @@ class TestErrors:
                      "--out", str(tmp_path / "cal.txt")])
         assert code == 3
         assert "error: low-confidence:" in capsys.readouterr().err
+
+
+class TestUndecodableTextInputs:
+    """A .cal or pose file that is not UTF-8 text exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize("command", ["bearing", "profile", "calibrate", "simulate"])
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, command):
+        capture, _ = ula_capture(tmp_path, "y", [0.0])
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\n0,1\n")
+        out = tmp_path / "out"
+        argv, kind = {
+            "bearing": (["bearing", "--capture", str(capture), "--calibration", str(bad),
+                         "--out", str(out)], "calibration"),
+            "profile": (["profile", "--capture", str(capture), "--calibration", str(bad),
+                         "--out", str(out)], "calibration"),
+            "calibrate": (["calibrate", "--capture", str(capture), "--poses", str(bad),
+                           "--tx", "0,0", "--geometry", GEOMETRY, "--out", str(out)], "pose"),
+            "simulate": (_trajectory_argv(tmp_path, "simulate", kind="file", file=str(bad)),
+                         "pose"),
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: data: bad {kind} file {bad}: ")
+        assert "can't decode byte 0xff" in err[0]
+        assert not out.exists() and not (tmp_path / "c.wcap").exists()
+
+
+class TestAntennaBound:
+    """An antenna position or spacing past MAX_ANTENNA_DISTANCE_M exits 2 naming its key.
+
+    In-process, tier-1 turns a RuntimeWarning into an error, so an
+    overflow on the way to the refusal fails these tests.
+    """
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    @pytest.mark.parametrize("array,key", [
+        ("layout = linear-y\ncount = 4\nspacing_m = 1e308", "spacing_m"),
+        ("layout = linear-x\ncount = 4\nspacing = -1e308", "spacing"),
+        ("layout = square\nspacing_m = 3", "spacing_m"),
+        ("antennas = 0,0; 1e308,0; 0,1e308", "antennas"),
+    ], ids=["spacing_m", "spacing", "square", "antennas"])
+    def test_scenario_array(self, tmp_path, capsys, command, array, key):
+        argv = _trajectory_argv(tmp_path, command)
+        scenario = tmp_path / "traj.ini"
+        scenario.write_text(scenario.read_text().replace(
+            "layout = square\nspacing_m = 0.02336", array))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data: bad value ")
+        assert f" for {key} in [array] of {scenario}: antenna " in err[0]
+        assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "profile"])
+    def test_geometry_flag(self, tmp_path, capsys, command):
+        capture, _ = ula_capture(tmp_path, "y", [0.0])
+        poses = tmp_path / "p.csv"
+        poses.write_text("timestamp_ns,x,y,theta\n0,1,1,0\n")
+        geometry = "0,0; 0,1e308"
+        out = tmp_path / "out"
+        argv = {"calibrate": ["--poses", str(poses), "--tx", "0,0"], "profile": []}[command]
+        assert main([command, "--capture", str(capture), *argv, "--geometry", geometry,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad --geometry '{geometry}': antenna 1 is 1e+308 m from antenna 0; "
+            "at most 2 m"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bearing", "profile"])
+    def test_calibration_file_geometry(self, tmp_path, capsys, command):
+        capture, cal = ula_capture(tmp_path, "y", [0.0])
+        text = cal.read_text()
+        geometry = next(line for line in text.splitlines() if line.startswith("geometry"))
+        cal.write_text(text.replace(geometry, geometry.rsplit(";", 1)[0] + "; 0,1e308"))
+        out = tmp_path / "out"
+        assert main([command, "--capture", str(capture), "--calibration", str(cal),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad geometry in the header of {cal}: antenna 3 is 1e+308 m "
+            "from antenna 0; at most 2 m"]
+        assert not out.exists()
+
+
+def simulated_capture(tmp_path, n: int) -> tuple[Path, Path]:
+    """`simulate` of CALIB_SCENARIO cut to n poses: its capture and pose file."""
+    scenario = tmp_path / "calib.ini"
+    scenario.write_text(CALIB_SCENARIO.replace("n = 80", f"n = {n}"))
+    capture, poses = tmp_path / "c.wcap", tmp_path / "p.csv"
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--capture", str(capture), "--poses", str(poses)]) == 0
+    return capture, poses
+
+
+def calibrate_argv(capture, poses, out, *flags: str) -> list[str]:
+    return ["calibrate", "--capture", str(capture), "--poses", str(poses), "--tx", "0,0",
+            "--geometry", GEOMETRY, "--out", str(out), *flags]
+
+
+class TestCalibrateCommand:
+    def test_prints_four_lines_each_computed(self, tmp_path, capsys):
+        capture, poses = simulated_capture(tmp_path, 80)
+        out = tmp_path / "cal.txt"
+        capsys.readouterr()
+        assert main(calibrate_argv(capture, poses, out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(" = ")[0] for line in lines] == [
+            "pairs", "spectral_gap", "objective_coarse", "calibration"]
+        assert lines[0] == "pairs = 80" and lines[-1] == f"calibration = {out}"
+
+    def test_min_pairs_above_the_pose_count_exit_2(self, tmp_path, capsys):
+        capture, poses = simulated_capture(tmp_path, 80)
+        out = tmp_path / "cal.txt"
+        capsys.readouterr()
+        assert main(calibrate_argv(capture, poses, out, "--min-pairs", "81")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: data: 80 pose/frame pairs; at least 81 required"]
+        assert not out.exists()
+
+    def test_min_pairs_below_a_small_capture_succeeds(self, tmp_path, capsys):
+        capture, poses = simulated_capture(tmp_path, 20)
+        out = tmp_path / "cal.txt"
+        assert main(calibrate_argv(capture, poses, out)) == 2  # the default asks for 50
+        capsys.readouterr()
+        assert main(calibrate_argv(capture, poses, out, "--min-pairs", "20")) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "pairs = 20"
+        assert load_calibration(out)[0].n_rx == 4
+
+    def test_tx_antenna_out_of_range_exit_2(self, tmp_path, capsys):
+        capture, poses = simulated_capture(tmp_path, 60)
+        out = tmp_path / "cal.txt"
+        capsys.readouterr()
+        assert main(calibrate_argv(capture, poses, out, "--tx-antenna", "1")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: data: tx index 1 out of range"]
+        assert not out.exists()
+
+    def test_tx_antenna_selects_the_library_slice(self, tmp_path):
+        capture, poses = simulated_capture(tmp_path, 60)
+        frames = [dataclasses.replace(f, csi=np.concatenate(
+                      [f.csi, 0.5j * f.csi[:, :, ::-1]], axis=1))
+                  for f in read_capture(capture)]
+        two_tx = tmp_path / "two_tx.wcap"
+        codec.write_capture(two_tx, frames)
+        out = tmp_path / "cal.txt"
+        assert main(calibrate_argv(two_tx, poses, out, "--tx-antenna", "1")) == 0
+        geom = parse_geometry(GEOMETRY)
+        by_ts = dict(read_poses_csv(poses))
+        dataset = CalibrationDataset([(by_ts[f.timestamp_ns], f) for f in frames],
+                                     np.zeros(2), geom, frames[0].chanspec)
+        expected = tmp_path / "expected.txt"
+        save_calibration(expected, calibrate(dataset, tx_index=1).matrix, geom)
+        assert out.read_bytes() == expected.read_bytes()
+        slice_0 = tmp_path / "slice0.txt"
+        save_calibration(slice_0, calibrate(dataset, tx_index=0).matrix, geom)
+        assert out.read_bytes() != slice_0.read_bytes()
 
 
 class TestScan:

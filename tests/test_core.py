@@ -301,6 +301,32 @@ class TestArrayGeometry:
         with pytest.raises(ConfigurationError, match="5 antennas; a frame carries at most 4"):
             ArrayGeometry.uniform_linear(core.MAX_ANTENNAS + 1, 0.02)
 
+    def test_count_refused_before_the_positions_are_allocated(self, monkeypatch):
+        monkeypatch.setattr(core.np, "zeros", None)  # a call would raise TypeError
+        with pytest.raises(ConfigurationError, match="1000000 antennas; a frame carries"):
+            ArrayGeometry.uniform_linear(10**6, 0.02)
+
+    @pytest.mark.parametrize("point", [(np.inf, 0.0), (0.0, np.nan), (1e308, 0.0),
+                                       (0.0, -1e308), (1.5e308, 1.5e308)])
+    def test_non_finite_or_far_antenna_rejected(self, point):
+        # tier-1 fails on a RuntimeWarning, so an overflowing check fails here too
+        with pytest.raises(ConfigurationError, match="finite|from antenna 0; at most 2 m"):
+            ArrayGeometry(np.array([[0.0, 0.0], point]))
+
+    def test_antenna_distance_bound_is_inclusive(self):
+        bound = core.MAX_ANTENNA_DISTANCE_M
+        assert ArrayGeometry(np.array([[0.0, 0.0], [0.0, bound]])).n_antennas == 2
+        with pytest.raises(ConfigurationError, match=r"^antenna 2 is 2\.1 m from antenna 0"):
+            ArrayGeometry(np.array([[0.0, 0.0], [0.0, bound], [bound + 0.1, 0.0]]))
+
+    @pytest.mark.parametrize("spacing", [1e308, -1e308, np.inf, np.nan, 2.5])
+    def test_layout_spacing_checked_before_it_multiplies(self, spacing):
+        for make in (lambda: ArrayGeometry.uniform_linear(4, spacing),
+                     lambda: ArrayGeometry.square(spacing)):
+            with pytest.raises(ConfigurationError,
+                               match="^antenna spacing must be finite and at most 2 m, got "):
+                make()
+
 
 _CHAN20 = ChannelSpec(36, 20)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from csisense import (
+    ArrayGeometry,
+    CalibrationMatrix,
     ChannelSpec,
     ConfigurationError,
     CsiSenseError,
@@ -11,6 +13,7 @@ from csisense import (
     Reflection,
     SimScenario,
 )
+from csisense.calibration import load_calibration, save_calibration
 from csisense.cli import load_config
 from csisense.scenario import (
     disc_trajectory,
@@ -264,7 +267,7 @@ switch_margin_db = 6
 # scenario's own n, so no mutant asks for a long trajectory.
 _FUZZ_LINES = ["[array]", "[extra]", "[DEFAULT]", "[packet", "count = 3", "n 5",
                "  continued", "x = %(y)s", "= 1", "window = 2", "seed = 3 %(x)s", "%"]
-_FUZZ_VALUES = ["0", "1", "-1", "2.5", "40", "abc", "", "nan", "-inf", "%", "%(x)s",
+_FUZZ_VALUES = ["0", "1", "-1", "2.5", "40", "1e308", "abc", "", "nan", "-inf", "%", "%(x)s",
                 "half-wavelength", "square", "linear-x", "file", "loop", "line", "random",
                 "true", "none", "0,0; 0.02,0", "02:00:00:00:00:01", "3,5"]
 
@@ -296,6 +299,68 @@ def test_loader_fuzz_raises_only_csisense_or_os_errors(tmp_path, load, text):
     path = tmp_path / "mutant.ini"
     for _ in range(800):
         path.write_text(_mutant(lines, rng))
+        try:
+            load(path)
+        except (CsiSenseError, OSError):
+            pass
+
+
+# Values the text-loader fuzz swaps in: one per way a number can be bad.
+_TEXT_FUZZ_VALUES = ["nan", "inf", "1e308", "", "abc"]
+
+
+def _text_mutant(lines: list[str], rng) -> bytes:
+    """Lines deleted, repeated, inserted or given a pool value, then 0xff inserted or a cut."""
+    lines = list(lines)
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(len(lines)))
+        value = _TEXT_FUZZ_VALUES[int(rng.integers(len(_TEXT_FUZZ_VALUES)))]
+        op = int(rng.integers(4))
+        if op == 0 and len(lines) > 1:
+            del lines[k]
+        elif op == 1:
+            lines.insert(k, lines[k])
+        elif op == 2:
+            lines.insert(k, value)
+        elif op == 3:  # one comma-separated field of the line, after any "key ="
+            head, sep, tail = lines[k].rpartition("=")
+            fields = tail.split(",")
+            fields[int(rng.integers(len(fields)))] = value
+            lines[k] = head + sep + ",".join(fields)
+    data = ("\n".join(lines) + "\n").encode()
+    cut = int(rng.integers(len(data) + 1))
+    op = int(rng.integers(3))
+    if op == 0:
+        data = data[:cut] + b"\xff" + data[cut:]
+    elif op == 1:
+        data = data[:cut]
+    return data
+
+
+def _calibration_text(path) -> str:
+    chan = ChannelSpec(36, 20)
+    rng = np.random.default_rng(5)
+    save_calibration(path, CalibrationMatrix(rng.uniform(-3, 3, (3, chan.n_sub)), chan),
+                     ArrayGeometry(np.array([[0.0, 0.0], [0.03, 0.0], [0.0, 0.03]])))
+    return path.read_text()
+
+
+def _pose_text(path) -> str:
+    write_poses_csv(path, disc_trajectory(np.zeros(2), 3.0, 12, seed=4))
+    return path.read_text()
+
+
+@pytest.mark.parametrize("load,write", [(load_calibration, _calibration_text),
+                                        (read_poses_csv, _pose_text)],
+                         ids=["calibration", "poses"])
+def test_text_loader_fuzz_raises_only_csisense_or_os_errors(tmp_path, load, write):
+    # each load either succeeds or fails the way the CLI turns into exit 2;
+    # tier-1 also fails on a RuntimeWarning, such as an overflow on the way
+    rng = np.random.default_rng(1703)
+    path = tmp_path / "mutant.txt"
+    lines = write(path).splitlines()
+    for _ in range(3000):
+        path.write_bytes(_text_mutant(lines, rng))
         try:
             load(path)
         except (CsiSenseError, OSError):
