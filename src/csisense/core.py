@@ -31,6 +31,10 @@ MAX_ANTENNAS = 4
 # it keeps each steering phase, and each layout's spacing times its
 # antenna index, finite.
 MAX_ANTENNA_DISTANCE_M = 2.0
+# Largest |x| or |y| of a pose or a transmitter, meters: 1000 km holds any
+# survey, and keeps every distance, delay and time-of-flight phase the
+# simulator derives from a position finite.
+MAX_COORDINATE_M = 1e6
 
 # Usable (data) subcarrier index sets per bandwidth: data tones only,
 # pilots excluded.  Counts: 52 / 108 / 234.

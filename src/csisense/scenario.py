@@ -62,6 +62,7 @@ import numpy as np
 from .calibration import parse_geometry
 from .codec import parse_mac
 from .core import (
+    MAX_COORDINATE_M,
     ArrayGeometry,
     CalibrationMatrix,
     ChannelSpec,
@@ -89,7 +90,7 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
     chanspec = ChannelSpec(chan.get("channel", int), chan.get("bandwidth", int))
 
     tx = ini.section("transmitter")
-    tx_location = np.array([tx.get("x", float), tx.get("y", float)])
+    tx_location = np.array([tx.get("x", _coordinate), tx.get("y", _coordinate)])
 
     geom = _parse_array(ini.section("array"), chanspec)
 
@@ -123,7 +124,7 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
         sec = ini.section(name)
         aps.append(
             ApSpec(
-                location=np.array([sec.get("x", float), sec.get("y", float)]),
+                location=np.array([sec.get("x", _coordinate), sec.get("y", _coordinate)]),
                 chanspec=ChannelSpec(sec.get("channel", int), sec.get("bandwidth", int, 80)),
                 tx_power_dbm=sec.get("power_dbm", float, -30.0),
                 mac=sec.get("mac", parse_mac, parse_mac(f"02:00:00:00:01:{k + 1:02x}")),
@@ -184,6 +185,8 @@ def disc_trajectory(
             f"[trajectory] radius_m must be finite and at least {_MIN_RADIUS_M} m, "
             f"got {radius_m}"
         )
+    cx, cy = float(center[0]), float(center[1])
+    _check_reach(cx - radius_m, cx + radius_m, cy - radius_m, cy + radius_m)
     rng = np.random.default_rng(seed ^ 0x7A7E_C70A)
     out = []
     for ts in stamps:
@@ -208,6 +211,7 @@ def loop_trajectory(
     rate_hz: float = DEFAULT_RATE_HZ,
 ) -> list[tuple[int, Pose2D]]:
     """Rectangular circuit traversed `laps` times with n poses total."""
+    _check_reach(x0, x0 + length_m, y0, y0 + width_m)
     per = 2.0 * (length_m + width_m)
     out = []
     for k, ts in enumerate(_pose_times(n, rate_hz)):
@@ -228,11 +232,29 @@ def line_trajectory(
     x0: float, y0: float, x1: float, y1: float, n: int, rate_hz: float = DEFAULT_RATE_HZ,
 ) -> list[tuple[int, Pose2D]]:
     """Straight segment from (x0, y0) to (x1, y1), heading along motion."""
+    _check_reach(x0, x1, y0, y1)
     heading = float(np.arctan2(y1 - y0, x1 - x0))
     return [
         (ts, Pose2D(x0 + t * (x1 - x0), y0 + t * (y1 - y0), heading))
         for ts, t in zip(_pose_times(n, rate_hz), np.linspace(0.0, 1.0, n))
     ]
+
+
+def _check_reach(*coordinates: float) -> None:
+    """Refuse a trajectory whose extreme x or y lies beyond MAX_COORDINATE_M."""
+    # Python floats overflow to inf quietly, and NaN compares false too
+    far = [c for c in map(float, coordinates) if not abs(c) <= MAX_COORDINATE_M]
+    if far:
+        raise ConfigurationError(f"[trajectory] poses would reach a coordinate of {far[0]:g} m; "
+                                 f"at most {MAX_COORDINATE_M:g} m")
+
+
+def _coordinate(text: str) -> float:
+    """A position coordinate in meters; its caller refuses NaN and inf."""
+    value = float(text)
+    if math.isfinite(value) and abs(value) > MAX_COORDINATE_M:
+        raise ValueError(f"coordinates are at most {MAX_COORDINATE_M:g} m")
+    return value
 
 
 def _pose_times(n: int, rate_hz: float) -> list[int]:
@@ -254,7 +276,12 @@ def write_poses_csv(path, trajectory: list[tuple[int, Pose2D]]) -> None:
 
 
 def read_poses_csv(path) -> list[tuple[int, Pose2D]]:
-    """Pose file rows; a file that is not UTF-8 text raises ConfigurationError naming it."""
+    """Pose file rows.
+
+    A file that is not UTF-8 text, or a row that does not parse, is not
+    finite or holds an x or y beyond MAX_COORDINATE_M, raises
+    ConfigurationError naming the file (and the line).
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -270,7 +297,7 @@ def read_poses_csv(path) -> list[tuple[int, Pose2D]]:
             continue
         try:
             ts, x, y, theta = line.split(",")
-            x, y, theta = float(x), float(y), float(theta)
+            x, y, theta = _coordinate(x), _coordinate(y), float(theta)
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
                 raise ValueError("not a finite number")
             out.append((int(ts), Pose2D(x, y, np.radians(theta))))
@@ -287,21 +314,26 @@ def _parse_array(section: _Section, chanspec: ChannelSpec) -> ArrayGeometry:
         return antennas
     half = wavelength(chanspec) / 2.0
 
-    def length(text: str) -> float:
-        # checked as it is read, so a spacing no layout can hold names its
-        # key; `get` refuses NaN and inf itself
-        value = float(text)
-        return _check_spacing(value) if math.isfinite(value) else value
+    def read_spacing(shape):
+        # `shape` runs inside the spacing key's `get`, so a spacing it
+        # refuses names the key; `get` refuses NaN and inf itself
+        def length(text: str):
+            value = float(text)
+            return shape(value) if math.isfinite(value) else value
 
-    def spacing(text: str) -> float:
-        return half if text.lower() in ("half-wavelength", "half-lambda") else length(text)
+        def spacing(text: str):
+            return shape(half) if text.lower() in ("half-wavelength", "half-lambda") \
+                else length(text)
 
-    spacing_m = section.get("spacing_m", length, None)
-    if spacing_m is None:
-        spacing_m = section.get("spacing", spacing, half)
+        value = section.get("spacing_m", length, None)
+        if value is None:
+            value = section.get("spacing", spacing, None)
+        return shape(half) if value is None else value
+
     layout = section.get("layout", str.lower, "square")
     if layout == "square":
-        return ArrayGeometry.square(spacing_m)
+        return read_spacing(ArrayGeometry.square)
+    spacing_m = read_spacing(_check_spacing)
     if layout in ("linear-x", "linear-y"):
         def linear(count) -> ArrayGeometry:
             return ArrayGeometry.uniform_linear(int(count), spacing_m, axis=layout[-1])

@@ -338,6 +338,54 @@ class TestSpotfi:
         # compare denominators dim - ||E_s^H v||^2, whose rounding scales with dim
         assert np.max(np.abs(1.0 / pseudo - 1.0 / ref)) <= 1e-12 * dim
 
+    @pytest.mark.parametrize("window", [1, 3])
+    @pytest.mark.parametrize("n_sources", [1, 2])
+    def test_projection_matches_explicit_joint_steering(self, ula_geom, chan80, n_sources,
+                                                        window):
+        # spotfi_profile contracts over the delay steering before the
+        # antenna steering; the reference forms every joint steering vector
+        # v = s(theta) (x) sub(tau) whole and projects it on the same
+        # signal subspace
+        cfg = AoaConfig(theta_grid=np.radians(np.arange(-89.0, 90.0, 7.0)),
+                        dist_grid=np.arange(0.0, 30.0 + 1e-9, 1.5), n_sources=n_sources)
+        frames = [synth_frame([PathComponent(aoa=0.2, delay_s=10e-9),
+                               PathComponent(aoa=-0.6, delay_s=25e-9, amplitude=0.6)],
+                              ula_geom, chan80, snr_db=20.0, rng_seed=seed)
+                  for seed in (21, 22, 23)[:window]]
+        n_ant_sub, n_sub_sub = aoa.spotfi_smoothing_dims(4, chan80, cfg)
+        dim = n_ant_sub * n_sub_sub
+        signal = aoa._spotfi_signal_subspace(frames, n_ant_sub, n_sub_sub, n_sources)
+        ant = _steering_vectors(cfg.theta_grid, ArrayGeometry(ula_geom.positions[:n_ant_sub]),
+                                wavelength(chan80))
+        sub = np.exp(-2j * np.pi * SUBCARRIER_SPACING_HZ
+                     * np.outer(np.arange(n_sub_sub), cfg.dist_grid / SPEED_OF_LIGHT))
+        # element a * n_sub_sub + j of v is s_a(theta) sub_j(tau), the
+        # order of a snapshot's sub-array elements
+        joint = np.einsum("ta,jd->tdaj", ant, sub).reshape(
+            cfg.theta_grid.size, cfg.dist_grid.size, dim)
+        sig_power = np.sum(np.abs(joint @ np.conj(signal)) ** 2, axis=-1)
+        ref = 1.0 / (dim - sig_power)
+        assert np.min(dim - sig_power) > 1e-9 * dim  # no cell on the floor
+        np.testing.assert_allclose(spotfi_profile(frames, ula_geom, cfg).values, ref,
+                                   rtol=1e-10, atol=0.0)
+
+    def test_mirror_bearings_agree_to_rounding_on_a_half_wavelength_ula(self, ula_geom,
+                                                                        chan80):
+        # a y-axis ULA sees theta and 180 deg - theta through one steering
+        # vector, up to the rounding of sin: which of a mirror pair the
+        # argmax takes is a rounding-level choice, free to change with the
+        # order of the contractions
+        cfg = AoaConfig(algorithm="spotfi")
+        frame = synth_frame([PathComponent(aoa=0.2, delay_s=10e-9),
+                             PathComponent(aoa=-0.6, delay_s=25e-9, amplitude=0.6)],
+                            ula_geom, chan80, snr_db=20.0, rng_seed=5)
+        values = spotfi_profile([frame], ula_geom, cfg).values
+        deg = np.rint(np.degrees(cfg.theta_grid)).astype(int)
+        assert np.array_equal(deg, np.arange(-179, 181))
+        mirror = (180 - deg + 179) % 360  # grid index of 180 - theta, wrapped
+        assert np.array_equal(np.sort(mirror), np.arange(360))
+        np.testing.assert_allclose(values[mirror], values, rtol=1e-12, atol=0.0)
+
     def test_alternating_grids_and_smoothing_match_cold(self, ula_geom, chan80):
         frame = single_path_frame(ula_geom, chan80, 0.3, snr_db=20.0, seed=2)
         theta = np.radians(np.arange(-89.0, 90.0, 3.0))

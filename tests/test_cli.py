@@ -732,7 +732,8 @@ class TestUndecodableTextInputs:
 
 
 class TestAntennaBound:
-    """An antenna position or spacing past MAX_ANTENNA_DISTANCE_M exits 2 naming its key.
+    """An antenna position or spacing past MAX_ANTENNA_DISTANCE_M, or a square
+    layout its spacing cannot build, exits 2 naming its key.
 
     In-process, tier-1 turns a RuntimeWarning into an error, so an
     overflow on the way to the refusal fails these tests.
@@ -754,6 +755,25 @@ class TestAntennaBound:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: data: bad value ")
         assert f" for {key} in [array] of {scenario}: antenna " in err[0]
+        assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("spacing_m", "1.9", "antenna 2 is 2.687 m from antenna 0; at most 2 m"),
+        ("spacing_m", "0", "antenna positions must be distinct"),
+        ("spacing", "-1.5", "antenna 2 is 2.121 m from antenna 0; at most 2 m"),
+        ("spacing", "0", "antenna positions must be distinct"),
+    ])
+    def test_square_geometry_names_its_spacing_key(self, tmp_path, capsys, command, key,
+                                                   value, message):
+        # 1.9 m is a spacing the bound allows, but the square's diagonal is not
+        argv = _trajectory_argv(tmp_path, command)
+        scenario = tmp_path / "traj.ini"
+        scenario.write_text(scenario.read_text().replace(
+            "layout = square\nspacing_m = 0.02336", f"layout = square\n{key} = {value}"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad value '{value}' for {key} in [array] of {scenario}: {message}"]
         assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "profile"])
@@ -784,6 +804,54 @@ class TestAntennaBound:
             f"error: data: bad geometry in the header of {cal}: antenna 3 is 1e+308 m "
             "from antenna 0; at most 2 m"]
         assert not out.exists()
+
+
+class TestCoordinateBound:
+    """A pose or transmitter coordinate past MAX_COORDINATE_M exits 2 with one
+    line naming the file, and the line or the key.
+
+    In-process, tier-1 turns a RuntimeWarning into an error, so an
+    overflow on the way to the refusal fails these tests.
+    """
+
+    @pytest.mark.parametrize("command", ["simulate", "scan", "calibrate"])
+    def test_pose_file_row(self, tmp_path, capsys, command):
+        poses = tmp_path / "far.csv"
+        poses.write_text("timestamp_ns,x,y,theta\n0,1,0,0\n1000,0,1e308,0\n")
+        if command == "calibrate":
+            capture, _ = ula_capture(tmp_path, "y", [0.0])
+            argv = calibrate_argv(capture, poses, tmp_path / "out.cal")
+        else:
+            argv = _trajectory_argv(tmp_path, command, kind="file", file=str(poses))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad pose on line 3 of {poses}: '1000,0,1e308,0' "
+            "(coordinates are at most 1e+06 m)"]
+        assert not any((tmp_path / name).exists() for name in ("c.wcap", "w.csv", "out.cal"))
+
+    @pytest.mark.parametrize("kind,keys", [
+        ("line", {"x1": "1e308"}),
+        ("loop", {"length_m": "1e308"}),
+        ("disc", {"center_x": "-1e308"}),
+    ])
+    def test_built_trajectory(self, tmp_path, capsys, kind, keys):
+        argv = _trajectory_argv(tmp_path, "simulate", kind=kind, **keys)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: data: [trajectory] poses would reach a coordinate of ")
+        assert err[0].endswith(" m; at most 1e+06 m")
+
+    def test_transmitter(self, tmp_path, capsys):
+        argv = _trajectory_argv(tmp_path, "simulate", kind="line")
+        scenario = tmp_path / "traj.ini"
+        scenario.write_text(scenario.read_text().replace("[transmitter]\nx = 0.0",
+                                                         "[transmitter]\nx = 1e308"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad value '1e308' for x in [transmitter] of {scenario}: "
+            "coordinates are at most 1e+06 m"]
 
 
 def simulated_capture(tmp_path, n: int) -> tuple[Path, Path]:

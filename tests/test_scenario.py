@@ -15,6 +15,7 @@ from csisense import (
 )
 from csisense.calibration import load_calibration, save_calibration
 from csisense.cli import load_config
+from csisense.core import MAX_COORDINATE_M
 from csisense.scenario import (
     disc_trajectory,
     line_trajectory,
@@ -402,6 +403,27 @@ class TestTrajectories:
         assert traj[-1][1].y == pytest.approx(4.0)
 
 
+    @pytest.mark.parametrize("build", [
+        lambda: disc_trajectory(np.array([0.0, 1e308]), 5.0, 3, seed=1),
+        lambda: disc_trajectory(np.zeros(2), 1e308, 3, seed=1),
+        lambda: disc_trajectory(np.array([MAX_COORDINATE_M, 0.0]), 1.0, 3, seed=1),
+        lambda: loop_trajectory(0.0, 0.0, 1e308, 4.0, laps=1, n=3),
+        lambda: loop_trajectory(-1e308, 0.0, 1e308, 4.0, laps=1, n=3),
+        lambda: line_trajectory(0.0, 0.0, 3.0, -1e308, n=3),
+        lambda: line_trajectory(0.0, 0.0, 3.0, np.nan, n=3),
+    ])
+    def test_coordinates_bounded(self, build):
+        with pytest.raises(ConfigurationError, match=r"^\[trajectory\] poses would reach "):
+            build()
+
+    def test_coordinate_bound_inclusive(self):
+        m = MAX_COORDINATE_M
+        traj = line_trajectory(-m, m, m, -m, n=3)
+        assert (traj[0][1].x, traj[-1][1].y) == (-m, -m)
+        assert len(disc_trajectory(np.array([m - 1.0, 1.0 - m]), 1.0, 3, seed=1)) == 3
+        assert len(loop_trajectory(-m, -m, 2.0 * m, 2.0 * m, laps=1, n=3)) == 3
+
+
 class TestPoseCsv:
     def test_round_trip(self, tmp_path):
         traj = disc_trajectory(np.zeros(2), 5.0, 20, seed=3)
@@ -419,6 +441,20 @@ class TestPoseCsv:
         path.write_text("time,x,y\n1,2,3\n")
         with pytest.raises(ConfigurationError):
             read_poses_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,1e308,1,0", "0,3,-1000000.5,0"])
+    def test_far_pose_rejected(self, tmp_path, row):
+        path = tmp_path / "poses.csv"
+        path.write_text(f"timestamp_ns,x,y,theta\n5,1,2,3\n{row}\n")
+        with pytest.raises(ConfigurationError,
+                           match=rf"^bad pose on line 3 of {re.escape(str(path))}: .* "
+                                 r"\(coordinates are at most 1e\+06 m\)$"):
+            read_poses_csv(path)
+
+    def test_pose_bound_inclusive(self, tmp_path):
+        path = tmp_path / "poses.csv"
+        path.write_text("timestamp_ns,x,y,theta\n5,1000000,-1e6,3\n")
+        assert read_poses_csv(path)[0][1] == Pose2D(1e6, -1e6, np.radians(3.0))
 
     @pytest.mark.parametrize("row", ["0,nan,1,0", "0,3,inf,0", "0,3,1,-inf"])
     def test_non_finite_pose_rejected(self, tmp_path, row):
