@@ -36,16 +36,19 @@ least-squares position fix for the localization case studies.
 Grid kernels that depend only on the geometry, the channel and the
 grids -- the bearing steering matrices (`core._steering_vectors`, the
 formula synthesis and calibration use), Bartlett's subcarrier x distance
-range phasors, SpotFi's subcarrier interpolation grids and its sub-array
-delay steering -- are built once per (geometry, channel, grid) by small
-private caches and handed out read-only, so a stream of frames pays for
-them once.  Each contraction
-runs in the order that meets the bearing grid last, over the antenna
-axis (the smallest) alone: Bartlett multiplies the range phasors into
-the n_rx x n_sub CSI before steering over bearings, and SpotFi
-contracts the signal subspace over the delay steering before the
-antenna steering.  The long subcarrier axis is then summed once per
-frame, not once per bearing.
+range phasors and its real Gram kernel over bearings, SpotFi's
+subcarrier interpolation grids and its sub-array delay steering -- are
+built once per (geometry, channel, grid) by small private caches and
+handed out read-only, so a stream of frames pays for them once.  Each
+contraction runs in the order that meets the bearing grid last, over
+the antenna axis (the smallest) alone.  Bartlett multiplies the range
+phasors into the n_rx x n_sub CSI, takes the n_rx^2 real products of
+the resulting antenna rows at each distance, and gets the power at
+every bearing from one real matrix product with its Gram kernel, with
+no complex bearing x distance array and no modulus.  SpotFi contracts
+the signal subspace over the delay steering before the antenna
+steering.  The long subcarrier axis is then summed once per frame, not
+once per bearing.
 
 SpotFi needs only the n_sources leading eigenvectors of its smoothed
 covariance (244 x 244 at 80 MHz).  It takes them from the numpy-only
@@ -156,20 +159,32 @@ def bartlett_profile(
     Peaks sit at each path's (bearing, c * delay); the range axis is
     relative path length with an arbitrary common offset.
 
-    The n_sub x n_dist range phasors exp(+j 2 pi f_j d / c) come from a
-    cache keyed on the channel and the distance grid.  The double sum is
-    evaluated as conj(A) @ (csi @ R): the range transform first runs on
-    the n_rx rows of the frame, so the bearing steering A contracts only
-    n_rx terms per cell instead of n_sub.
+    With m = csi @ R, R the n_sub x n_dist range phasors
+    exp(+j 2 pi f_j d / c), the power is a real Gram form in the antennas:
+
+        P(theta, d) = sum_i |a_i|^2 |m_id|^2
+                      + sum_{i<j} 2 Re(conj(a_i) a_j m_id conj(m_jd))
+
+    with a = s(theta).  Its n_rx^2 real coefficients per bearing (the
+    Gram kernel) and R come from caches keyed on the geometry, channel
+    and grids, so a frame costs the range transform, the n_rx^2 real
+    products of m, and one real (n_theta x n_rx^2) @ (n_rx^2 x n_dist)
+    matrix product: no complex bearing x distance array, no modulus.
     """
     _check_frame(frame, geom)
     csi = frame.csi[:, 0, :].astype(np.complex128)
-    a = _steering(cfg.theta_grid, geom.positions, wavelength(frame.chanspec))
-    range_phasors = _range_phasors(frame.chanspec, _grid_key(cfg.dist_grid))
-    power = np.abs(np.conj(a) @ (csi @ range_phasors)) ** 2
+    # complex csi @ R as one real product over the interleaved real/imaginary parts
+    m = (csi.view(np.float64) @ _range_phasors(frame.chanspec, _grid_key(cfg.dist_grid))
+         ).view(np.complex128)  # (n_rx, n_dist)
+    kernel = _gram_kernel(_grid_key(geom.positions), float(wavelength(frame.chanspec)),
+                          _grid_key(cfg.theta_grid))
+    power = kernel @ _gram_terms(m[:, None, :] * np.conj(m)[None, :, :])
+    # rounding can leave a null cell a few ulps below zero
+    if power.min() < 0:
+        np.maximum(power, 0.0, out=power)
     peak = power.max()
     if peak > 0:
-        power = power / peak
+        np.divide(power, peak, out=power)
     return Profile2D(values=power, theta_grid=cfg.theta_grid, dist_grid=cfg.dist_grid)
 
 
@@ -377,6 +392,21 @@ class ProfileAverager:
         self._add(profile)
         return self._normalized()
 
+    def push_curve(self, profile: Profile2D) -> np.ndarray:
+        """Add `profile` and return the window average's per-bearing peak over distance.
+
+        The curve is normalized to max 1 (all zero for an all-zero
+        window); it equals ``push(profile).values.max(axis=1)`` bit for
+        bit, since a correctly rounded division by a positive peak is
+        monotone, but it neither divides nor copies the whole grid.
+        """
+        self._add(profile)
+        curve = self._sum.max(axis=1)
+        peak = curve.max()
+        if peak > 0:
+            np.divide(curve, peak, out=curve)
+        return curve
+
     def _add(self, profile: Profile2D) -> None:
         """Add `profile` to the running sum; the oldest leaves a full window."""
         if not self._buffer:
@@ -391,7 +421,8 @@ class ProfileAverager:
             self._sum += profile.values
             # Rounding in the subtraction can leave a cell a few ulps
             # below zero where the true sum is ~0; powers are never negative.
-            np.maximum(self._sum, 0.0, out=self._sum)
+            if self._sum.min() < 0:
+                np.maximum(self._sum, 0.0, out=self._sum)
         self._buffer.append(profile)
 
     def _normalized(self) -> Profile2D:
@@ -444,13 +475,16 @@ def bearing_estimator(geom: ArrayGeometry,
     The returned function owns the averaging window: Bartlett's running
     profile average, or the last cfg.window frames, whose snapshots MUSIC
     and SpotFi stack; confine it to one stream.  Every bearing is
-    `estimate_bearing`'s argmax.  SpotFi's array check runs here, first.
+    `estimate_bearing`'s argmax; Bartlett hands it the average's
+    per-bearing peak (`ProfileAverager.push_curve`), which picks the same
+    bearing and strength as the averaged profile would.  SpotFi's array
+    check runs here, first.
     """
     if cfg.algorithm == "bartlett":
         averager = ProfileAverager(cfg.window)
 
         def spectrum(frame: CsiFrame):
-            return averager.push(bartlett_profile(frame, geom, cfg))
+            return averager.push_curve(bartlett_profile(frame, geom, cfg))
     else:
         over_window = music_spectrum
         if cfg.algorithm == "spotfi":
@@ -613,11 +647,66 @@ def _steering_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes
 
 
 @lru_cache(maxsize=8)
+def _gram_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
+    """Bartlett's real Gram kernel, shape (n_theta, n_antennas^2).
+
+    Row theta holds the `_gram_terms` of conj(a_i) a_j, a = s(theta),
+    each times its weight in the Gram form: |a_i|^2, then
+    2 Re(conj(a_i) a_j) and -2 Im(conj(a_i) a_j) for each pair i < j.
+    """
+    a = np.ascontiguousarray(_steering_kernel(positions_bytes, lambda_m, theta_bytes).T)
+    n_rx = a.shape[0]
+    n_pairs = n_rx * (n_rx - 1) // 2
+    weights = np.repeat([1.0, 2.0, -2.0], [n_rx, n_pairs, n_pairs])
+    kernel = np.ascontiguousarray(
+        (weights[:, None] * _gram_terms(np.conj(a)[:, None, :] * a[None, :, :])).T)
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _gram_terms(outer: np.ndarray) -> np.ndarray:
+    """The real rows of an antenna outer product that the Gram form uses.
+
+    From outer[i, j] (shape (n_rx, n_rx, k), C-ordered) stack, on the first
+    axis, Re outer[i, i] for each antenna, then Re outer[i, j] and
+    Im outer[i, j] for each pair i < j: shape (n_rx^2, k).
+    """
+    n_rx = outer.shape[0]
+    rows, parts = _gram_rows(n_rx)
+    flat = outer.reshape(n_rx * n_rx, -1)
+    return flat.view(np.float64).reshape(*flat.shape, 2)[rows, :, parts]
+
+
+@lru_cache(maxsize=4)
+def _gram_rows(n_rx: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_gram_terms`' picks from the flattened outer product: (row, 0 for the
+    real or 1 for the imaginary part) of each term."""
+    i, j = np.triu_indices(n_rx, 1)
+    pairs = i * n_rx + j
+    rows = np.concatenate([np.arange(n_rx) * (n_rx + 1), pairs, pairs])
+    parts = np.repeat([0, 0, 1], [n_rx, pairs.size, pairs.size])
+    rows.flags.writeable = False
+    parts.flags.writeable = False
+    return rows, parts
+
+
+@lru_cache(maxsize=8)
 def _range_phasors(chanspec: ChannelSpec, dist_bytes: bytes) -> np.ndarray:
-    """Bartlett range phasors exp(+j 2 pi f_j d / c), shape (n_sub, n_dist)."""
+    """Bartlett range phasors R = exp(+j 2 pi f_j d / c) as a real matrix,
+    shape (2 n_sub, 2 n_dist).
+
+    Rows and columns interleave real and imaginary parts, so the float64
+    view of a complex (n_rx, n_sub) CSI block times this matrix is the
+    float64 view of the complex product csi @ R.
+    """
     dist_grid = np.frombuffer(dist_bytes, dtype=np.float64)
     freqs = subcarrier_frequencies(chanspec)
-    kernel = np.exp(2j * np.pi * np.outer(freqs, dist_grid) / SPEED_OF_LIGHT)
+    phasors = np.exp(2j * np.pi * np.outer(freqs, dist_grid) / SPEED_OF_LIGHT)
+    kernel = np.empty((2 * freqs.size, 2 * dist_grid.size))
+    kernel[0::2, 0::2] = phasors.real
+    kernel[1::2, 0::2] = -phasors.imag
+    kernel[0::2, 1::2] = phasors.imag
+    kernel[1::2, 1::2] = phasors.real
     kernel.flags.writeable = False
     return kernel
 

@@ -74,6 +74,7 @@ from .codec import (
     write_capture,
 )
 from .core import (
+    MAX_COORDINATE_M,
     ArrayGeometry,
     BearingEstimate,
     ConfigurationError,
@@ -159,6 +160,18 @@ def _geometry_flag(text: str) -> ArrayGeometry:
         return parse_geometry(text)
     except CsiSenseError as exc:
         raise ConfigurationError(f"bad --geometry {text!r}: {exc}") from exc
+
+
+def _tx_flag(text: str) -> np.ndarray:
+    """`--tx`'s transmitter position; a refused value names the flag."""
+    try:
+        point = parse_point(text)
+    except CsiSenseError as exc:
+        raise ConfigurationError(f"bad --tx {text!r}: {exc}") from exc
+    if max(map(abs, point)) > MAX_COORDINATE_M:
+        raise ConfigurationError(f"bad --tx {text!r}: coordinates are at most "
+                                 f"{MAX_COORDINATE_M:g} m")
+    return np.array(point)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -334,7 +347,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    tx_location = np.array(parse_point(args.tx))
+    tx_location = _tx_flag(args.tx)
     geom = _geometry_flag(args.geometry)
     by_ts = dict(read_poses_csv(args.poses))
     pairs = []

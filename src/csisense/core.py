@@ -352,9 +352,10 @@ class Profile2D:
             raise DimensionMismatchError(
                 f"profile shape {values.shape} does not match grids ({tg.size}, {dg.size})"
             )
-        if np.any(np.diff(tg) <= 0) or np.any(np.diff(dg) <= 0):
+        if (np.diff(tg) <= 0).any() or (np.diff(dg) <= 0).any():
             raise ConfigurationError("profile grids must be strictly increasing")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
+        # min and max both propagate NaN, so NaN fails the test as well
+        if values.size and not (values.min() >= 0 and values.max() < np.inf):
             raise ConfigurationError("profile values must be finite and non-negative")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "theta_grid", tg)

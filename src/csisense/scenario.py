@@ -48,6 +48,11 @@ Example::
     bandwidth = 80
     power_dbm = -30
 
+`power_dbm`, the RSSI 1 m from the transmitter or an AP, lies in
+[-150, 50] dBm, and `path_loss_exponent` (under `[simulation]`, default
+2.2) in [0, 10]: wide of any real link, and narrow enough that no path
+level over- or underflows for poses 0.5 m to MAX_COORDINATE_M away.
+
 Pose files are CSV with header ``timestamp_ns,x,y,theta`` (theta in
 degrees, like every file in this package).
 """
@@ -126,7 +131,7 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
             ApSpec(
                 location=np.array([sec.get("x", _coordinate), sec.get("y", _coordinate)]),
                 chanspec=ChannelSpec(sec.get("channel", int), sec.get("bandwidth", int, 80)),
-                tx_power_dbm=sec.get("power_dbm", float, -30.0),
+                tx_power_dbm=sec.get("power_dbm", _power_dbm, -30.0),
                 mac=sec.get("mac", parse_mac, parse_mac(f"02:00:00:00:01:{k + 1:02x}")),
             )
         )
@@ -140,8 +145,9 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
         per_packet_phase=sim.get("per_packet_phase", _parse_bool, SimScenario.per_packet_phase),
         reflections=reflections,
         aps=aps,
-        tx_power_dbm=tx.get("power_dbm", float, SimScenario.tx_power_dbm),
-        path_loss_exponent=sim.get("path_loss_exponent", float, SimScenario.path_loss_exponent),
+        tx_power_dbm=tx.get("power_dbm", _power_dbm, SimScenario.tx_power_dbm),
+        path_loss_exponent=sim.get("path_loss_exponent", _path_loss_exponent,
+                                   SimScenario.path_loss_exponent),
         source_mac=sim.get("source_mac", parse_mac, DEFAULT_MAC),
         seed=eff_seed,
     )
@@ -255,6 +261,21 @@ def _coordinate(text: str) -> float:
     if math.isfinite(value) and abs(value) > MAX_COORDINATE_M:
         raise ValueError(f"coordinates are at most {MAX_COORDINATE_M:g} m")
     return value
+
+
+def _within(low: float, high: float):
+    """A float converter refusing finite values outside [low, high]; its caller
+    refuses NaN and inf."""
+    def convert(text: str) -> float:
+        value = float(text)
+        if math.isfinite(value) and not low <= value <= high:
+            raise ValueError(f"must lie in [{low:g}, {high:g}]")
+        return value
+    return convert
+
+
+_power_dbm = _within(-150.0, 50.0)
+_path_loss_exponent = _within(0.0, 10.0)
 
 
 def _pose_times(n: int, rate_hz: float) -> list[int]:

@@ -11,6 +11,7 @@ from csisense import (
     ArrayGeometry,
     ChannelSpec,
     ConfigurationError,
+    CsiFrame,
     DegenerateGeometryError,
     DimensionMismatchError,
     PathComponent,
@@ -32,6 +33,7 @@ from csisense.aoa import (
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
+    bearing_estimator,
     build_grids,
     estimate_bearing,
     music_spectrum,
@@ -102,11 +104,21 @@ class TestBartlett:
             bartlett_profile(frame, geom3, cfg)
 
 
+# The Gram kernel has n_rx^2 columns, so every antenna count gets its own
+# shape; the square keeps its original test ids.
+_NAIVE_CASES = [pytest.param(channel, bw, layout,
+                             id=f"{channel}-{bw}" + ("" if layout == "square" else f"-{layout}"))
+                for channel, bw in [(36, 20), (38, 40), (155, 80)]
+                for layout in ["square", "ula1", "ula2", "ula3"]]
+
+
 class TestBartlettKernels:
-    @pytest.mark.parametrize("channel,bw", [(36, 20), (38, 40), (155, 80)])
-    def test_matches_naive_double_sum(self, channel, bw):
+    @pytest.mark.parametrize("channel,bw,layout", _NAIVE_CASES)
+    def test_matches_naive_double_sum(self, channel, bw, layout):
         chan = ChannelSpec(channel, bw)
-        geom = ArrayGeometry.square(0.45 * wavelength(chan))
+        spacing = 0.45 * wavelength(chan)
+        geom = (ArrayGeometry.square(spacing) if layout == "square"
+                else ArrayGeometry.uniform_linear(int(layout[-1]), spacing, axis="x"))
         cfg = AoaConfig(theta_grid=np.radians(np.arange(-175.0, 180.0, 10.0)),
                         dist_grid=np.arange(0.0, 30.0 + 1e-9, 1.0))
         frame = synth_frame(
@@ -144,11 +156,31 @@ class TestBartlettKernels:
                     warm = bartlett_profile(frames[c], geom, AoaConfig(dist_grid=grid))
                     assert np.array_equal(warm.values, cold[c, g])
 
-    def test_cached_kernels_are_read_only(self, chan80):
-        key = build_grids()[1].tobytes()
-        for kernel in (aoa._range_phasors(chan80, key), aoa._delay_steering(122, key)):
+    def test_cached_kernels_are_read_only(self, chan80, square_geom):
+        theta, dist = (grid.tobytes() for grid in build_grids())
+        kernels = (aoa._range_phasors(chan80, dist), aoa._delay_steering(122, dist),
+                   aoa._gram_kernel(square_geom.positions.tobytes(), wavelength(chan80), theta),
+                   *aoa._gram_rows(4))
+        for kernel in kernels:
             with pytest.raises(ValueError):
-                kernel[0, 0] = 0.0
+                kernel[(0,) * kernel.ndim] = 0
+
+    @pytest.mark.parametrize("layout", ["ula2", "square"])
+    def test_exact_null_has_no_negative_cell(self, chan80, layout, rng):
+        # antennas 0 and 1 in anti-phase: their sum cancels wherever their
+        # steering agrees, and the Gram form's rounding there falls on
+        # either side of zero
+        geom = (ArrayGeometry.square(0.02) if layout == "square"
+                else ArrayGeometry.uniform_linear(2, 0.02, axis="y"))
+        for k in range(5):
+            row = rng.standard_normal(chan80.n_sub) + 1j * rng.standard_normal(chan80.n_sub)
+            csi = np.zeros((geom.n_antennas, 1, chan80.n_sub), dtype=np.complex64)
+            csi[0, 0], csi[1, 0] = row, -row
+            frame = CsiFrame(csi=csi, rssi_dbm=-40.0, source_mac=b"\x02" * 6, seq=k,
+                             chanspec=chan80, timestamp_ns=k)
+            values = bartlett_profile(frame, geom, AoaConfig()).values
+            assert values.min() >= 0.0
+            assert values.min() <= 1e-12  # the null is on the grid
 
 
 class TestSteeringCache:
@@ -614,6 +646,42 @@ class TestAveraging:
         averager.push(profiles[1])
         out = averager.push(profiles[2])
         assert np.allclose(out.values, average_profiles(profiles, 3).values, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    def test_estimator_matches_push_then_estimate(self, square_geom, chan80, window, rng):
+        # bearing_estimator reads the per-bearing peak of the running sum;
+        # it must give what the public push + estimate_bearing path gives,
+        # bit for bit, while the window fills and slides, across an
+        # all-zero frame too
+        cfg = AoaConfig(window=window)
+        frames = [synth_frame([PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=15e-9),
+                               PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=40e-9,
+                                             amplitude=0.8)],
+                              square_geom, chan80, snr_db=5.0, rng_seed=rng)
+                  for _ in range(24)]
+        frames[0].csi = np.zeros_like(frames[0].csi)
+        frames[11].csi = np.zeros_like(frames[11].csi)
+        estimator = bearing_estimator(square_geom, cfg)
+        averager = ProfileAverager(window)
+        for frame in frames:
+            got = estimator(frame)
+            want = estimate_bearing(averager.push(bartlett_profile(frame, square_geom, cfg)),
+                                    frame.rssi_dbm, cfg, frame.source_mac, frame.timestamp_ns)
+            assert got.theta == want.theta
+            assert got.strength == want.strength
+            assert got == want
+        # an all-zero first frame leaves an all-zero window of strength 0
+        first = bearing_estimator(square_geom, cfg)(frames[0])
+        assert first.strength == 0.0 and not np.signbit(first.strength)
+
+    def test_push_curve_is_per_bearing_peak_of_push(self, rng):
+        theta, dist = np.radians(np.arange(-170.0, 181.0, 30.0)), np.arange(0.0, 5.0, 0.5)
+        by_push, by_curve = ProfileAverager(window=4), ProfileAverager(window=4)
+        for _ in range(40):
+            values = rng.random((theta.size, dist.size)) ** 8
+            profile = Profile2D(values / values.max(), theta, dist)
+            curve = by_curve.push_curve(profile)
+            assert np.array_equal(curve, by_push.push(profile).values.max(axis=1))
 
     def test_suppresses_randomly_phased_reflection(self, square_geom, chan80, rng):
         # one frozen window where some per-packet argmaxes stray but the

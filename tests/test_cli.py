@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -852,6 +853,68 @@ class TestCoordinateBound:
         assert capsys.readouterr().err.splitlines() == [
             f"error: data: bad value '1e308' for x in [transmitter] of {scenario}: "
             "coordinates are at most 1e+06 m"]
+
+
+    @pytest.mark.parametrize("tx,shown", [("1e308,0", "1e308,0"), ("0,-2e6", "0,-2e6")])
+    def test_calibrate_tx_flag(self, tmp_path, capsys, tx, shown):
+        # refused before the capture is read: this capture would calibrate
+        capture, poses = simulated_capture(tmp_path, 80)
+        out = tmp_path / "cal.txt"
+        argv = calibrate_argv(capture, poses, out)
+        argv[argv.index("--tx") + 1] = tx
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad --tx '{shown}': coordinates are at most 1e+06 m"]
+        assert not out.exists()
+
+
+class TestRadioLevelBound:
+    """`power_dbm` and `path_loss_exponent` outside their bounds exit 2 with
+    one line naming the file, the section and the key.
+
+    In-process, tier-1 turns a RuntimeWarning into an error, so an
+    overflow on the way to the refusal fails these tests.
+    """
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    @pytest.mark.parametrize("section,key,value,bounds", [
+        ("simulation", "path_loss_exponent", "-1e300", "[0, 10]"),
+        ("simulation", "path_loss_exponent", "1e300", "[0, 10]"),
+        ("transmitter", "power_dbm", "1e300", "[-150, 50]"),
+        ("transmitter", "power_dbm", "-151", "[-150, 50]"),
+    ])
+    def test_scenario_key(self, tmp_path, capsys, command, section, key, value, bounds):
+        argv = _trajectory_argv(tmp_path, command)
+        scenario = tmp_path / "traj.ini"
+        scenario.write_text(_with_key(scenario.read_text(), section, key, value))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad value '{value}' for {key} in [{section}] of {scenario}: "
+            f"must lie in {bounds}"]
+        assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "w.csv").exists()
+
+    def test_ap_power(self, tmp_path, capsys):
+        argv = _trajectory_argv(tmp_path, "scan")
+        scenario = tmp_path / "traj.ini"
+        scenario.write_text(_with_key(scenario.read_text(), "ap.2", "power_dbm", "1e300"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad value '1e300' for power_dbm in [ap.2] of {scenario}: "
+            "must lie in [-150, 50]"]
+        assert not (tmp_path / "w.csv").exists()
+
+
+def _with_key(text: str, section: str, key: str, value: str) -> str:
+    """Scenario `text` with `key = value` in `section`, replacing any such key there."""
+    sections = re.split(r"(?m)^(?=\[)", text)
+    named = [k for k, body in enumerate(sections) if body.startswith(f"[{section}]\n")]
+    if not named:
+        return f"[{section}]\n{key} = {value}\n\n" + text
+    header, _, body = sections[named[0]].partition("\n")
+    body = re.sub(rf"(?m)^{key} = .*\n", "", body)
+    sections[named[0]] = f"{header}\n{key} = {value}\n{body}"
+    return "".join(sections)
 
 
 def simulated_capture(tmp_path, n: int) -> tuple[Path, Path]:

@@ -376,6 +376,23 @@ class TestEquality:
             assert hash(a) == hash(a) and len({a, b}) == 2
 
 
+class TestProfile2DValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_rejects_non_finite_and_negative_cells(self, bad):
+        values = np.full((3, 2), 0.5)
+        values[1, 1] = bad
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            Profile2D(values, np.arange(3.0), np.arange(2.0))
+
+    @pytest.mark.parametrize("fill", [-0.0, 0.0])
+    def test_accepts_signed_zero_and_an_all_zero_grid(self, fill):
+        profile = Profile2D(np.full((3, 2), fill), np.arange(3.0), np.arange(2.0))
+        assert not profile.values.any()
+
+    def test_accepts_an_empty_grid(self):
+        assert Profile2D(np.zeros((0, 2)), np.arange(0.0), np.arange(2.0)).values.size == 0
+
+
 class TestSynthSlopeOracle:
     def test_tof_phase_slope_matches_model(self, square_geom, chan80):
         # independent oracle: the ray model evaluated at two adjacent
