@@ -49,6 +49,7 @@ from .codec import (
     encode_frame,
     format_mac,
     filter_frames,
+    ingest_capture,
     ingest_stream,
     iter_capture,
     parse_mac,

@@ -16,9 +16,11 @@ output over its last `window` frames: Bartlett averages their profiles,
 MUSIC and SpotFi stack their snapshots into one covariance.
 `bearing_estimator` is that windowed stream, one frame in and one
 bearing out.  The bearing is `estimate_bearing`'s argmax, and ties
-break toward the smallest bearing index for every estimator.  That
-matters on a uniform linear array, where a bearing and its mirror
-across the array axis can tie exactly.
+break toward the smallest bearing index for every estimator.  On a
+uniform linear array a bearing and its mirror across the array axis
+agree only to rounding: their steering rows, from sin(theta) and
+sin(180 deg - theta), differ in the last bits.  So rounding, not the
+tie rule, picks between them.
 
 Each estimator reads transmit antenna 0; for the angle of departure,
 `transpose_for_aod` makes the transmit antennas the array.
@@ -84,6 +86,7 @@ from .core import (
     _dense_eigenpairs,
     _leading_eigenpairs,
     _steering_vectors,
+    _strictly_increasing,
     subcarrier_indices,
     subcarrier_frequencies,
     wavelength,
@@ -91,6 +94,8 @@ from .core import (
 )
 
 ALGORITHMS = ("bartlett", "music", "spotfi")
+# MUSIC's floor on ||E_n^H s(theta)||^2, which keeps its reciprocal finite
+_TINY = np.finfo(float).tiny
 
 
 class UnsupportedGeometryError(CsiSenseError):
@@ -128,9 +133,9 @@ class AoaConfig:
     def __post_init__(self):
         self.theta_grid = np.asarray(self.theta_grid, dtype=np.float64)
         self.dist_grid = np.asarray(self.dist_grid, dtype=np.float64)
-        if self.theta_grid.size == 0 or np.any(np.diff(self.theta_grid) <= 0):
+        if self.theta_grid.size == 0 or not _strictly_increasing(self.theta_grid):
             raise ConfigurationError("theta grid must be non-empty and increasing")
-        if self.dist_grid.size == 0 or np.any(np.diff(self.dist_grid) <= 0):
+        if self.dist_grid.size == 0 or not _strictly_increasing(self.dist_grid):
             raise ConfigurationError("distance grid must be non-empty and increasing")
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
@@ -205,12 +210,23 @@ def music_spectrum(
         raise ConfigurationError(
             f"{cfg.n_sources} sources leave no noise subspace for {n_rx} antennas"
         )
-    snapshots = np.concatenate([f.csi[:, 0, :].astype(np.complex128) for f in frames], axis=1)
+    if len(frames) == 1:
+        snapshots = frames[0].csi[:, 0, :].astype(np.complex128)
+    else:
+        snapshots = np.concatenate([f.csi[:, 0, :].astype(np.complex128) for f in frames],
+                                   axis=1)
     noise = _dense_eigenpairs(snapshots, n_rx)[1][:, : n_rx - cfg.n_sources]
-    a = _steering(cfg.theta_grid, geom.positions, wavelength(frames[0].chanspec))
-    denom = np.sum(np.abs(np.conj(a) @ noise) ** 2, axis=1)
-    denom = np.maximum(denom, np.finfo(float).tiny)
-    return 1.0 / denom
+    conj_a = _conj_steering_kernel(_grid_key(geom.positions),
+                                   float(wavelength(frames[0].chanspec)),
+                                   _grid_key(cfg.theta_grid))
+    power = np.abs(conj_a @ noise)
+    np.square(power, out=power)
+    # the noise columns summed left to right, as np.sum does over fewer than 8
+    denom = power[:, 0].copy()
+    for j in range(1, power.shape[1]):
+        denom += power[:, j]
+    np.maximum(denom, _TINY, out=denom)
+    return np.divide(1.0, denom, out=denom)
 
 
 def spotfi_smoothing_dims(n_rx: int, chanspec: ChannelSpec, cfg: AoaConfig) -> tuple[int, int]:
@@ -446,7 +462,8 @@ def estimate_bearing(
     first.  Ties break toward the smallest bearing index, so the result
     is deterministic; any monotone rescaling of the input leaves the
     returned bearing unchanged.  `rssi_dbm` is only carried into the
-    estimate: the RSSI floor is applied at ingest (`codec.filter_frames`).
+    estimate: the RSSI floor is applied at ingest, to the frame header
+    (`codec.ingest_capture`, `codec.ingest_stream`).
     """
     if isinstance(profile_or_spectrum, Profile2D):
         curve = profile_or_spectrum.values.max(axis=1)
@@ -642,6 +659,15 @@ def _steering_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes
     positions = np.frombuffer(positions_bytes, dtype=np.float64).reshape(-1, 2)
     kernel = _steering_vectors(np.frombuffer(theta_bytes, dtype=np.float64),
                                ArrayGeometry(positions), lambda_m)
+    kernel.flags.writeable = False
+    return kernel
+
+
+@lru_cache(maxsize=8)
+def _conj_steering_kernel(positions_bytes: bytes, lambda_m: float,
+                          theta_bytes: bytes) -> np.ndarray:
+    """conj of `_steering_kernel`: MUSIC's projection onto the noise subspace."""
+    kernel = np.conj(_steering_kernel(positions_bytes, lambda_m, theta_bytes))
     kernel.flags.writeable = False
     return kernel
 

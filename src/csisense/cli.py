@@ -64,8 +64,8 @@ from .calibration import (
 from .codec import (
     DEFAULT_UDP_PORT,
     IngestStats,
-    filter_frames,
     format_mac,
+    ingest_capture,
     ingest_stream,
     iter_capture,
     parse_mac,
@@ -311,7 +311,7 @@ def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None,
     stats = IngestStats()
     mac_allow = cfg.mac_filter or None
     if args.capture:
-        source = filter_frames(iter_capture(args.capture), mac_allow, rssi_floor_dbm, stats)
+        source = ingest_capture(args.capture, mac_allow, rssi_floor_dbm, stats)
     else:
         datagrams = udp_datagrams(port=args.udp, max_datagrams=args.count,
                                   timeout_s=args.timeout)

@@ -22,6 +22,14 @@ pairs in rx-major, then tx, then subcarrier order.
 
 Capture files (".wcap"): a 16-byte header (magic "WCAP", u32 version = 1,
 u64 frame count) followed by `count` length-prefixed (u32) wire frames.
+
+Ingest (`ingest_capture`, `ingest_stream`) takes each wire frame in this
+order: every header and length check of `decode_frame`; then the MAC
+allow-list and the RSSI floor, read from the header; then the payload's
+finite check, on every frame, dropped or kept; then a `CsiFrame`, only
+for a kept frame.  A frame that fails a check is undecodable whether or
+not the filter would have dropped it: fatal in a capture, counted as
+`dropped_decode` in a stream.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -124,6 +133,15 @@ def decode_frame(buf: bytes) -> CsiFrame:
     read-only view of the payload in `buf`, so encode_frame gives back
     the same bytes.
     """
+    return _build_frame(buf, _parse_header(buf))
+
+
+def _parse_header(buf: bytes) -> tuple:
+    """Every header and length check of a wire frame, in `decode_frame`'s order.
+
+    Returns the fields (n_rx, n_tx, n_sub, chanspec, seq, rssi, mac,
+    timestamp); rssi is the wire's integer.  The payload is unread.
+    """
     if len(buf) < HEADER_SIZE:
         raise TruncatedFrameError(f"buffer too short for header: {len(buf)} bytes")
     (magic, version, n_rx, n_tx, bandwidth, channel, seq, rssi, _pad, n_sub,
@@ -133,20 +151,36 @@ def decode_frame(buf: bytes) -> CsiFrame:
     if version != FRAME_VERSION:
         raise UnsupportedVersionError(f"unsupported frame version {version}")
     try:
-        chanspec = ChannelSpec(channel, bandwidth)
+        chanspec, expected_sub = _channel(channel, bandwidth)
     except ConfigurationError as exc:
         raise FrameFormatError(str(exc)) from exc
     if not (1 <= n_rx <= MAX_ANTENNAS and 1 <= n_tx <= MAX_ANTENNAS):
         raise FrameFormatError(f"antenna counts out of range: rx={n_rx} tx={n_tx}")
-    if n_sub != chanspec.n_sub:
+    if n_sub != expected_sub:
         raise FrameFormatError(
-            f"n_sub={n_sub} inconsistent with {bandwidth} MHz (expected {chanspec.n_sub})"
+            f"n_sub={n_sub} inconsistent with {bandwidth} MHz (expected {expected_sub})"
         )
     expected = HEADER_SIZE + 8 * n_rx * n_tx * n_sub
     if len(buf) < expected:
         raise TruncatedFrameError(f"payload truncated: {len(buf)} of {expected} bytes")
     if len(buf) > expected:
         raise FrameFormatError(f"{len(buf) - expected} trailing bytes")
+    return n_rx, n_tx, n_sub, chanspec, seq, rssi, mac, timestamp
+
+
+@lru_cache(maxsize=None)
+def _channel(channel: int, bandwidth: int) -> tuple[ChannelSpec, int]:
+    """A header's (frozen) ChannelSpec and its subcarrier count, built once per
+    valid pair: at most 200 x 3 entries, as a pair that fails raises and is
+    not cached."""
+    chanspec = ChannelSpec(channel, bandwidth)
+    return chanspec, chanspec.n_sub
+
+
+def _build_frame(buf: bytes, header: tuple) -> CsiFrame:
+    """The frame of a buffer `_parse_header` passed: csi is a read-only
+    view of its payload, and CsiFrame runs the finite check."""
+    n_rx, n_tx, n_sub, chanspec, seq, rssi, mac, timestamp = header
     csi = np.frombuffer(buf, dtype="<c8", offset=HEADER_SIZE).reshape(n_rx, n_tx, n_sub)
     try:
         return CsiFrame(
@@ -159,6 +193,12 @@ def decode_frame(buf: bytes) -> CsiFrame:
         )
     except FrameValidationError as exc:
         raise FrameFormatError(str(exc)) from exc
+
+
+def _check_finite(buf: bytes) -> None:
+    """The payload check a dropped frame gets instead of a CsiFrame (same message)."""
+    if not np.isfinite(np.frombuffer(buf, "<f4", offset=HEADER_SIZE)).all():
+        raise FrameFormatError("csi entries must be finite")
 
 
 def parse_mac(text: str) -> bytes:
@@ -221,23 +261,46 @@ def ingest_stream(
     """Decode datagrams (one frame each), filter, preserve arrival order.
 
     Malformed datagrams are counted as received and dropped, never
-    fatal; the decoded frames go through `filter_frames`.
+    fatal.  The filter reads the header, as `filter_frames` would read
+    the decoded frame.
     """
     if stats is None:
         stats = IngestStats()
-    return filter_frames(_decode_datagrams(datagrams, stats), mac_allow, rssi_floor_dbm,
-                         stats)
+    return _ingest(datagrams, mac_allow, rssi_floor_dbm, stats, lambda k, exc: None)
 
 
-def _decode_datagrams(datagrams: Iterable[bytes], stats: IngestStats) -> Iterator[CsiFrame]:
-    for buf in datagrams:
+def _ingest(
+    records: Iterable[bytes],
+    mac_allow: set[bytes] | None,
+    rssi_floor_dbm: float | None,
+    stats: IngestStats,
+    undecodable: Callable[[int, CodecError], None],
+) -> Iterator[CsiFrame]:
+    """The ingest loop of captures and streams, in the module docstring's order.
+
+    `undecodable(k, exc)` sees record k's CodecError first: a capture
+    raises from it, and a stream returns, so the record counts as
+    dropped_decode.  The filter compares what `filter_frames` compares.
+    """
+    for k, buf in enumerate(records):
         try:
-            frame = decode_frame(buf)
-        except CodecError:
-            stats.received += 1
-            stats.dropped_decode += 1
-            continue
-        yield frame
+            header = _parse_header(buf)
+            rssi, mac = header[5], header[6]
+            if mac_allow and mac not in mac_allow:
+                outcome = "dropped_mac"
+            elif rssi_floor_dbm is not None and float(rssi) < rssi_floor_dbm:
+                outcome = "dropped_rssi"
+            else:
+                outcome, frame = "delivered", _build_frame(buf, header)
+            if outcome != "delivered":
+                _check_finite(buf)
+        except CodecError as exc:
+            undecodable(k, exc)
+            outcome = "dropped_decode"
+        stats.received += 1
+        setattr(stats, outcome, getattr(stats, outcome) + 1)
+        if outcome == "delivered":
+            yield frame
 
 
 def udp_datagrams(
@@ -283,13 +346,31 @@ def iter_capture(path) -> Iterator[CsiFrame]:
     """Yield frames from a capture in stored order.
 
     Raises CaptureFormatError on a corrupt header and
-    CaptureTruncatedError when the file ends mid-frame (frames already
-    yielded remain valid).
+    CaptureTruncatedError when the file ends mid-frame or holds an
+    undecodable frame (frames already yielded remain valid).
     """
+    return ingest_capture(path)
+
+
+def ingest_capture(
+    path,
+    mac_allow: set[bytes] | None = None,
+    rssi_floor_dbm: float | None = None,
+    stats: IngestStats | None = None,
+) -> Iterator[CsiFrame]:
+    """The capture's frames that pass the MAC allow-list and the RSSI floor, in order.
+
+    Counts as `ingest_stream` does, and yields what
+    `filter_frames(iter_capture(path), ...)` would, but builds no frame
+    the filter drops.  A frame that fails to decode raises as in
+    `iter_capture`, dropped or not.
+    """
+    if stats is None:
+        stats = IngestStats()
     with open(path, "rb") as fh:
         count = _read_capture_header(fh)
-        for k, buf in enumerate(_capture_records(fh, count)):
-            yield _decode_record(buf, k, count)
+        yield from _ingest(_capture_records(fh, count), mac_allow, rssi_floor_dbm, stats,
+                           lambda k, exc: _undecodable(k, count, exc))
 
 
 def read_capture(path) -> list[CsiFrame]:
@@ -353,7 +434,12 @@ def _decode_record(buf: bytes, k: int, count: int) -> CsiFrame:
     try:
         return decode_frame(buf)
     except CodecError as exc:
-        raise CaptureTruncatedError(f"frame {k} of {count} undecodable: {exc}") from exc
+        _undecodable(k, count, exc)
+
+
+def _undecodable(k: int, count: int, exc: CodecError) -> None:
+    """Raise the CodecError of record k of a capture as the capture's fault."""
+    raise CaptureTruncatedError(f"frame {k} of {count} undecodable: {exc}") from exc
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> None:

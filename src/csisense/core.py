@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -260,7 +260,7 @@ class CsiFrame:
                 f"n_sub={n_sub} does not match chanspec "
                 f"({self.chanspec.bandwidth_mhz} MHz expects {expected})"
             )
-        if not np.all(np.isfinite(self.csi.view(np.float32))):
+        if not np.isfinite(self.csi.view(np.float32)).all():
             raise FrameValidationError("csi entries must be finite")
         if len(self.source_mac) != 6:
             raise FrameValidationError("source_mac must be 6 bytes")
@@ -352,7 +352,7 @@ class Profile2D:
             raise DimensionMismatchError(
                 f"profile shape {values.shape} does not match grids ({tg.size}, {dg.size})"
             )
-        if (np.diff(tg) <= 0).any() or (np.diff(dg) <= 0).any():
+        if not (_strictly_increasing(tg) and _strictly_increasing(dg)):
             raise ConfigurationError("profile grids must be strictly increasing")
         # min and max both propagate NaN, so NaN fails the test as well
         if values.size and not (values.min() >= 0 and values.max() < np.inf):
@@ -365,6 +365,13 @@ class Profile2D:
         """Indices of the global maximum (first occurrence on ties)."""
         flat = int(np.argmax(self.values))
         return np.unravel_index(flat, self.values.shape)
+
+
+def _strictly_increasing(grid: np.ndarray) -> bool:
+    """A float64 grid that rises at every step between finite ends, so is
+    finite throughout; NaN fails every comparison.  An empty grid passes."""
+    return grid.size == 0 or bool(-np.inf < grid.flat[0] and grid.flat[-1] < np.inf
+                                  and (np.diff(grid) > 0).all())
 
 
 def ground_truth_bearing(robot: Pose2D, tx) -> float:
@@ -456,7 +463,11 @@ def apply_calibration(cal: CalibrationMatrix, frame: CsiFrame) -> CsiFrame:
             f"calibration shape {cal.phase.shape} does not match frame "
             f"({frame.n_rx}, {frame.n_sub})"
         )
-    return replace(frame, csi=(frame.csi * cal.rotor).astype(np.complex64))
+    # CsiFrame checks the product, and its finite check can fire:
+    # FLT_MAX * (1 + 1j) rotated 45 degrees overflows
+    return CsiFrame(csi=(frame.csi * cal.rotor).astype(np.complex64),
+                    rssi_dbm=frame.rssi_dbm, source_mac=frame.source_mac, seq=frame.seq,
+                    chanspec=frame.chanspec, timestamp_ns=frame.timestamp_ns)
 
 
 # Block Krylov settings for `_leading_eigenpairs`.  The start block is

@@ -44,7 +44,12 @@ from csisense.aoa import (
     triangulate,
     write_profile_pgm,
 )
-from csisense.core import SPEED_OF_LIGHT, SUBCARRIER_SPACING_HZ, _steering_vectors
+from csisense.core import (
+    SPEED_OF_LIGHT,
+    SUBCARRIER_SPACING_HZ,
+    _dense_eigenpairs,
+    _steering_vectors,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,6 +62,16 @@ def cfg():
 def single_path_frame(geom, chan, theta, tau=10e-9, snr_db=None, seed=None):
     return synth_frame([PathComponent(aoa=theta, delay_s=tau)], geom, chan,
                        snr_db=snr_db, rng_seed=seed)
+
+
+class TestAoaConfig:
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [np.nan], [0.0, np.inf], [],
+                                      [1.0, 0.0]])
+    def test_rejects_an_empty_non_finite_or_falling_grid(self, grid):
+        with pytest.raises(ConfigurationError, match="theta grid must be non-empty and "):
+            AoaConfig(theta_grid=grid)
+        with pytest.raises(ConfigurationError, match="distance grid must be non-empty and "):
+            AoaConfig(dist_grid=grid)
 
 
 class TestBartlett:
@@ -259,6 +274,25 @@ class TestMusic:
     def test_no_frames_rejected(self, square_geom, cfg):
         with pytest.raises(ConfigurationError):
             music_spectrum([], square_geom, cfg)
+
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("n_rx,n_sources", [(4, 1), (4, 2), (4, 3), (2, 1)])
+    def test_equals_the_reference_formula_bit_for_bit(self, chan80, window, n_rx, n_sources):
+        lam = wavelength(chan80)
+        geom = (ArrayGeometry.square(0.45 * lam) if n_rx == 4
+                else ArrayGeometry.uniform_linear(2, lam / 2.0))
+        paths = [PathComponent(aoa=0.4, delay_s=10e-9),
+                 PathComponent(aoa=-1.9, delay_s=45e-9, amplitude=0.5)]
+        frames = [synth_frame(paths, geom, chan80, snr_db=20.0, rng_seed=seed)
+                  for seed in range(window)]
+        cfg = AoaConfig(n_sources=n_sources)
+        snapshots = np.concatenate([f.csi[:, 0, :].astype(np.complex128) for f in frames],
+                                   axis=1)
+        noise = _dense_eigenpairs(snapshots, n_rx)[1][:, :n_rx - n_sources]
+        a = _steering_vectors(cfg.theta_grid, geom, lam)
+        expected = 1 / np.maximum(np.sum(np.abs(np.conj(a) @ noise) ** 2, axis=1),
+                                  np.finfo(float).tiny)
+        assert np.array_equal(music_spectrum(frames, geom, cfg), expected)
 
 
 class TestSpotfi:

@@ -255,10 +255,16 @@ class TestDecode:
         assert len(out.read_text().splitlines()) == 80  # header + 79 frames
 
     def test_capture_decoded_once(self, workspace, monkeypatch):
+        """One header parse per capture record, one CsiFrame per delivered frame
+        (none for a MAC-dropped one) and no re-encoding, for every capture reader."""
         tmp_path, scenario = workspace
         capture, poses, cal, _ = run_pipeline(tmp_path, scenario)
-        n_frames = len(read_capture(capture))
-        calls = {"decode": 0, "encode": 0}
+        frames = read_capture(capture)
+        mixed = tmp_path / "mixed.wcap"
+        codec.write_capture(mixed, [dataclasses.replace(f, source_mac=FOREIGN_MAC)
+                                    if k % 4 == 1 else f for k, f in enumerate(frames)])
+        keep = codec.format_mac(frames[0].source_mac)
+        calls = {"header": 0, "frame": 0, "encode": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -266,16 +272,28 @@ class TestDecode:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(codec, "decode_frame", counted("decode", codec.decode_frame))
+        monkeypatch.setattr(codec, "_parse_header", counted("header", codec._parse_header))
+        monkeypatch.setattr(codec, "CsiFrame", counted("frame", codec.CsiFrame))
         monkeypatch.setattr(codec, "encode_frame", counted("encode", codec.encode_frame))
-        for argv in (["decode", "--capture", str(capture), "--csv", str(tmp_path / "f.csv")],
-                     ["bearing", "--capture", str(capture), "--calibration", str(cal),
-                      "--out", str(tmp_path / "b.csv")],
-                     ["calibrate", "--capture", str(capture), "--poses", str(poses),
-                      "--tx", "0,0", "--geometry", GEOMETRY, "--out", str(tmp_path / "c.txt")]):
-            calls.update(decode=0, encode=0)
+        rows, bearings = tmp_path / "f.csv", tmp_path / "b.csv"
+        for argv, delivered in (
+                (["decode", "--capture", str(capture), "--csv", str(rows)], rows),
+                (["decode", "--capture", str(mixed), "--csv", str(rows), "--mac-filter", keep],
+                 rows),
+                (["bearing", "--capture", str(capture), "--calibration", str(cal),
+                  "--out", str(bearings)], bearings),
+                (["bearing", "--capture", str(mixed), "--calibration", str(cal),
+                  "--out", str(bearings), "--mac-filter", keep], bearings),
+                (["calibrate", "--capture", str(capture), "--poses", str(poses),
+                  "--tx", "0,0", "--geometry", GEOMETRY, "--out", str(tmp_path / "c.txt")],
+                 None)):
+            calls.update(header=0, frame=0, encode=0)
             assert main(argv) == 0
-            assert calls == {"decode": n_frames, "encode": 0}
+            built = (len(frames) if delivered is None
+                     else len(delivered.read_text().splitlines()) - 1)
+            if "--mac-filter" in argv:
+                assert built == len(frames) - len(frames[1::4])
+            assert calls == {"header": len(frames), "frame": built, "encode": 0}
 
     def test_rssi_floor_filters(self, workspace, capsys):
         tmp_path, scenario = workspace
@@ -285,6 +303,20 @@ class TestDecode:
                      "--rssi-floor", "-41"]) == 0
         rows = out.read_text().splitlines()[1:]
         assert all(float(r.rsplit(",", 1)[1]) >= -41 for r in rows)
+
+
+FOREIGN_MAC = bytes.fromhex("020000000099")
+
+
+def with_nan_payload(path, k):
+    """Overwrite the first payload float of frame k of a capture whose frames
+    are all one length with NaN, leaving every header intact."""
+    raw = bytearray(path.read_bytes())
+    length = int.from_bytes(raw[codec.CAPTURE_HEADER_SIZE:codec.CAPTURE_HEADER_SIZE + 4],
+                            "little")
+    at = codec.CAPTURE_HEADER_SIZE + k * (4 + length) + 4 + codec.HEADER_SIZE
+    raw[at:at + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
 
 
 def foreign_frame(n_rx: int, timestamp_ns: int) -> CsiFrame:
@@ -344,6 +376,35 @@ class TestIngestFaults:
         assert err[0].startswith("50 bearings written to ")
         assert err[1].startswith("error: data: calibration chanspec")
         assert out.read_text().splitlines() == clean.read_text().splitlines()[:51]
+
+    @pytest.mark.parametrize("dropped_by", ["mac", "rssi"])
+    @pytest.mark.parametrize("command", ["decode", "bearing"])
+    def test_filtered_frame_still_checked_finite(self, tmp_path, capsys, capture60,
+                                                 command, dropped_by):
+        """A frame the filter drops still fails on a NaN payload, where it fails
+        unfiltered: rows and summary before it stay, then the error, exit 2."""
+        capture, cal, _ = capture60
+        frames = read_capture(capture)
+        keep, k = codec.format_mac(frames[0].source_mac), 40
+        changed = {"mac": {"source_mac": FOREIGN_MAC}, "rssi": {"rssi_dbm": -90.0}}
+        frames = [dataclasses.replace(f, **changed[dropped_by]) if j % 3 == 1 else f
+                  for j, f in enumerate(frames)]
+        prefix, bad = tmp_path / "prefix.wcap", tmp_path / "bad.wcap"
+        codec.write_capture(prefix, frames[:k])
+        codec.write_capture(bad, frames)
+        with_nan_payload(bad, k)
+        out = tmp_path / "out.csv"
+        flags = ["--mac-filter", keep, "--rssi-floor", "-80",
+                 *(["--csv", str(out)] if command == "decode"
+                   else ["--calibration", str(cal), "--out", str(out)])]
+        capsys.readouterr()
+        assert main([command, "--capture", str(prefix), *flags]) == 0
+        summary, rows = capsys.readouterr().err.splitlines(), out.read_text()
+        assert len(summary) == 1 and len(rows.splitlines()) == 1 + k - len(frames[1:k:3])
+        assert main([command, "--capture", str(bad), *flags]) == 2
+        assert capsys.readouterr().err.splitlines() == summary + [
+            f"error: data: frame {k} of 60 undecodable: csi entries must be finite"]
+        assert out.read_text() == rows
 
     def test_missing_capture_leaves_header_only_csv(self, tmp_path, capsys, capture60):
         _, cal, rows = capture60

@@ -18,6 +18,7 @@ from csisense.codec import (
     encode_frame,
     filter_frames,
     format_mac,
+    ingest_capture,
     ingest_stream,
     iter_capture,
     parse_mac,
@@ -246,6 +247,40 @@ class TestIngest:
         assert by_frame.received == 30 and by_frame.dropped_decode == 0
         assert by_frame.delivered + by_frame.dropped_mac + by_frame.dropped_rssi == 30
         assert by_frame.dropped_mac > 0 and by_frame.dropped_rssi > 0
+
+    @pytest.mark.parametrize("dropped_by", ["mac", "rssi"])
+    def test_filtered_datagram_with_nan_payload_is_undecodable(self, rng, dropped_by):
+        frames = [random_frame(rng) for _ in range(3)]
+        for f in frames:
+            f.rssi_dbm = -50.0
+        if dropped_by == "mac":
+            frames[1].source_mac = bytes(6)
+        else:
+            frames[1].rssi_dbm = -90.0
+        datagrams = [encode_frame(f) for f in frames]
+        datagrams[1] = (datagrams[1][:HEADER_SIZE] + np.float32(np.nan).tobytes()
+                        + datagrams[1][HEADER_SIZE + 4:])
+        stats = IngestStats()
+        out = list(ingest_stream(datagrams, mac_allow={frames[0].source_mac,
+                                                       frames[2].source_mac},
+                                 rssi_floor_dbm=-80.0, stats=stats))
+        assert out == [frames[0], frames[2]]
+        assert stats == IngestStats(received=3, delivered=2, dropped_decode=1)
+
+    def test_ingest_capture_is_filter_frames_over_iter_capture(self, tmp_path, rng):
+        frames = [random_frame(rng) for _ in range(30)]
+        for f in frames[::4]:
+            f.source_mac = bytes(6)
+        for f in frames[1::5]:
+            f.rssi_dbm = -90.0
+        allow = {f.source_mac for f in frames} - {bytes(6)}
+        path = tmp_path / "mixed.wcap"
+        write_capture(path, frames)
+        by_header, by_frame = IngestStats(), IngestStats()
+        out = list(ingest_capture(path, allow, -80.0, by_header))
+        assert out == list(filter_frames(iter_capture(path), allow, -80.0, by_frame))
+        assert by_header == by_frame and by_frame.dropped_mac and by_frame.dropped_rssi
+        assert all(not f.csi.flags.writeable for f in out)
 
 
 class TestUdp:

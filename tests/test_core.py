@@ -264,6 +264,14 @@ class TestApplyCalibration:
         assert out.csi.dtype == np.complex64
         assert out.csi.tobytes() == reference.tobytes()
 
+    def test_product_that_overflows_complex64_rejected(self, chan20):
+        big = np.finfo(np.float32).max * (1 + 1j)
+        frame = CsiFrame(np.full((1, 1, 52), big, dtype=np.complex64), -40.0, bytes(6), 0,
+                         chan20, 0)
+        cal = CalibrationMatrix(phase=np.full((1, 52), np.pi / 4), chanspec=chan20)
+        with np.errstate(over="ignore"), pytest.raises(FrameValidationError, match="finite"):
+            apply_calibration(cal, frame)
+
     def test_phase_and_rotor_read_only_and_detached(self, chan20, rng):
         phase = rng.uniform(-np.pi, np.pi, (4, 52))
         cal = CalibrationMatrix(phase=phase, chanspec=chan20)
@@ -391,6 +399,14 @@ class TestProfile2DValues:
 
     def test_accepts_an_empty_grid(self):
         assert Profile2D(np.zeros((0, 2)), np.arange(0.0), np.arange(2.0)).values.size == 0
+
+    @pytest.mark.parametrize("grid", [[np.nan, np.nan], [0.0, np.nan, 1.0], [np.nan],
+                                      [np.inf], [-np.inf, 0.0], [0.0, np.inf]])
+    def test_rejects_a_non_finite_grid(self, grid):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            Profile2D(np.zeros((len(grid), 2)), grid, [0.0, 1.0])
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            Profile2D(np.zeros((2, len(grid))), [0.0, 1.0], grid)
 
 
 class TestSynthSlopeOracle:
