@@ -16,11 +16,13 @@ location, assuming the direct path dominates:
    with equality at x = exp(j*angle(u0)), so it minimizes n - |u0^H x|^2
    in closed form and needs no refinement.
 
-Only u0 and the spectral gap sigma_1/sigma_2 are needed, so step 3 finds
-the leading singular pair with the eigensolver SpotFi also uses, then
-sigma_2 as the leading singular value of the matrix with u0 deflated
-out.  No SVD runs: when either solve does not separate, the solver's
-own dense fallback is an `eigh` of the smaller Gram matrix.
+Only u0 and the spectral gap sigma_1/sigma_2 are needed, so step 3 runs
+the eigensolver SpotFi also uses on M M^H / T, with one Krylov basis for
+both values: u0 and sigma_1 are taken where they converge, and the basis
+keeps growing until the next Ritz vector v2 has converged.  sigma_2 is
+then one Rayleigh quotient, at v2, of M with u0 deflated out.  No SVD
+runs: when u0 or v2 does not converge, an `eigh` of the smaller Gram
+matrix (of M, or of the deflated M) stands in.
 
 The recovered bias is returned *negated* and referenced to antenna 0
 (row 0 identically zero), so the stored matrix is the correction that
@@ -45,6 +47,7 @@ from .core import (
     DimensionMismatchError,
     Pose2D,
     SUBCARRIER_SPACING_HZ,
+    _dense_eigenpairs,
     _ground_truth_bearings,
     _leading_eigenpairs,
     _pose_arrays,
@@ -162,9 +165,11 @@ def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
 
     * u0 and sigma_1 = sqrt(T * lambda_1) come from
       `core._leading_eigenpairs` on M, as the top eigenpair of M M^H / T;
-    * sigma_2 is the top singular value of the deflated M - u0 (u0^H M),
-      from the same solver, which ends in one `eigh` of the T x T Gram
-      matrix when sigma_2 does not separate (inside a noise bulk, say).
+    * sigma_2 is the top singular value of the deflated M - u0 (u0^H M).
+      The same Krylov basis, grown on past u0, gives its singular vector
+      v2, and one Rayleigh quotient of the deflated matrix at v2 gives
+      its value.  When v2 does not converge (inside a noise bulk, say),
+      one `eigh` of the deflated matrix's T x T Gram matrix does.
     """
     if len(sups) < 2:
         raise CalibrationError("need at least 2 snapshots")
@@ -178,23 +183,42 @@ def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
 def _coarse_from_columns(stacked: np.ndarray, shape: tuple[int, ...]) -> CoarseResult:
     """`coarse_calibration` of the data matrix M itself, one snapshot per column.
 
-    The deflated matrix is computed into the buffer of the rank-1 term,
-    so M, that term and the solver's own arrays are all it holds at once.
+    One Krylov basis serves both values: u0 and lambda_1 are taken at the
+    step where they converge, and the basis keeps growing until the next
+    Ritz vector v2 is converged to rounding.  sigma_2 is then the
+    Rayleigh quotient of the deflated D = M - u0 (u0^H M) at v2,
+    ||D^H v2|| / ||v2||: the Ritz value of M M^H itself carries an error
+    of ~eps * sigma_1^2, too coarse for a small sigma_2.  When v2 does
+    not converge, the deflated matrix is formed, into the buffer of its
+    rank-1 term, for one `eigh` of its smaller Gram matrix.
     """
     if not np.any(stacked):
         raise CalibrationError("degenerate all-zero snapshots")
     n_pairs = stacked.shape[1]
     try:
-        lambda_1, leading = _leading_eigenpairs(stacked, 1)
+        lambda_1, leading, following = _leading_eigenpairs(stacked, 1, then_next=True)
         u0 = leading[:, 0]
-        deflated = np.outer(u0, u0.conj() @ stacked)
-        np.subtract(stacked, deflated, out=deflated)
-        lambda_2 = _leading_eigenpairs(deflated, 1)[0]
+        if following is None:
+            deflated = np.outer(u0, u0.conj() @ stacked)
+            np.subtract(stacked, deflated, out=deflated)
+            sigma_2 = _singular_value(n_pairs, _dense_eigenpairs(deflated, 1)[0][0])
+        else:
+            sigma_2 = _deflated_rayleigh(stacked, u0, following)
     except np.linalg.LinAlgError as exc:
         raise CalibrationError(f"eigensolver failed: {exc}") from exc
-    sv = np.array([_singular_value(n_pairs, lambda_1[0]),
-                   _singular_value(n_pairs, lambda_2[0])])
+    sv = np.array([_singular_value(n_pairs, lambda_1[0]), sigma_2])
     return CoarseResult(phi_coarse=np.angle(u0).reshape(shape), u0=u0, singular_values=sv)
+
+
+def _deflated_rayleigh(stacked: np.ndarray, u0: np.ndarray, v: np.ndarray) -> float:
+    """||D^H v|| / ||v|| for D = M - u0 (u0^H M): one pass over M for both products.
+
+    D^H v = M^H v - (M^H u0)(u0^H v), conjugated as a whole (the norm
+    does not see it) so that M^T, a view, does the products.
+    """
+    products = stacked.T @ np.conj(np.stack([v, u0], axis=1))
+    image = products[:, 0] - products[:, 1] * np.vdot(v, u0)
+    return float(np.linalg.norm(image) / np.linalg.norm(v))
 
 
 def _singular_value(n_pairs: int, eigenvalue: float) -> float:
@@ -404,7 +428,7 @@ def _fit_common_slopes(ratios: np.ndarray, unit: np.ndarray) -> np.ndarray:
     multiply is not bitwise commutative.
     """
     pairs = np.flatnonzero(unit)
-    by_subcarrier = ratios.transpose(0, 2, 1)
+    by_subcarrier = np.ascontiguousarray(ratios.transpose(0, 2, 1))
     upper = np.take(by_subcarrier, pairs + 1, axis=1)
     lower = np.conj(np.take(by_subcarrier, pairs, axis=1))
     z = np.sum(upper * lower, axis=(1, 2))

@@ -482,15 +482,16 @@ _KRYLOV_TOL = 1e-13
 # SpotFi's 80 MHz frames (dim 244, one BLAS thread) a resolvable subspace
 # converged within 4-7 vectors at k = 1, 8-14 at 2 and 15-27 at 3, and
 # each vector costs ~0.25 ms against ~20-25 ms for the dense covariance +
-# eigh.  The calibration's 936 x 500 snapshot matrix converged within 4
-# vectors for u0 and 11 for sigma_2, at ~1.2-1.4 ms per vector against
-# ~210 ms for the 500 x 500 Gram + eigh.  24 vectors bound the time lost
-# on a weak last eigenvalue that converges too slowly; one inside a noise
-# bulk is usually caught earlier by the rounding test.
+# eigh.  On the calibration's 936 x 500 snapshot matrix u0 converged
+# within 4 vectors and, on the same basis continued, sigma_2's vector
+# within 8-9, at ~0.65 ms per vector against ~210 ms for the 500 x 500
+# Gram + eigh.  24 vectors bound the time lost on a weak last eigenvalue
+# that converges too slowly; one inside a noise bulk is usually caught
+# earlier by the rounding test.
 _KRYLOV_MAX_BASIS = 24
 
 
-def _leading_eigenpairs(snapshots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _leading_eigenpairs(snapshots: np.ndarray, k: int, then_next: bool = False):
     """Top k eigenpairs of C = X X^H / n, X = snapshots (dim, n).
 
     Returns (values, vectors): the k largest eigenvalues in ascending
@@ -505,15 +506,29 @@ def _leading_eigenpairs(snapshots: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     pairs do not separate from the rest of the spectrum), or the basis
     reaches _KRYLOV_MAX_BASIS unconverged, `_dense_eigenpairs` solves
     instead.  np.linalg.LinAlgError propagates.
+
+    With then_next, a third item follows: the Ritz vector y of the next
+    eigenvalue down, theta.  The k pairs are still returned as taken at
+    the step where they converged, but the same basis keeps growing until
+    theta is converged to rounding: ||C y - theta y||^2 <= eps * theta *
+    (theta - theta'), theta' the Ritz value below it (theta's error is at
+    most that residual squared over the gap), or theta <= eps * theta_1
+    (exactly rank-k data).  Theta itself is not returned: its rounding
+    error is ~eps * theta_1, so a caller takes a Rayleigh quotient at y
+    of the operator it wants instead.  The item is None when the k pairs
+    came from the dense solve, or theta reached the basis limit or a
+    rounding floor (eps * theta_1)^2 under its residual test first.
     """
     dim, n = snapshots.shape
     rows = snapshots.T  # X^H V = conj(X^T conj(V)) without a conjugated copy of X
     limit = min(_KRYLOV_MAX_BASIS, dim)
     rng = np.random.default_rng(_KRYLOV_SEED)
+    eps = np.finfo(float).eps
     basis = np.empty((dim, limit), dtype=np.complex128)
     images = np.empty_like(basis)  # C @ basis
     gram = np.empty((limit, limit), dtype=np.complex128)  # basis^H C basis, upper half
     block = snapshots @ _gaussian(rng, (n, k))
+    leading = None
     m = 0
     while m + k <= limit:
         start = m
@@ -523,17 +538,33 @@ def _leading_eigenpairs(snapshots: np.ndarray, k: int) -> tuple[np.ndarray, np.n
         images[:, start:m] = snapshots @ np.conj(rows @ np.conj(new)) / n
         gram[:m, start:m] = basis[:, :m].conj().T @ images[:, start:m]
         ritz_vals, ritz_coef = np.linalg.eigh(gram[:m, :m], UPLO="U")
-        if m > k:
+        if leading is None and m > k:
             gap = ritz_vals[m - k] - ritz_vals[m - k - 1]
-            if _KRYLOV_TOL * gap <= np.finfo(float).eps * ritz_vals[-1]:
+            if _KRYLOV_TOL * gap <= eps * ritz_vals[-1]:
                 break  # the test would ask for less than rounding in C y leaves
             top = ritz_coef[:, m - k:]
             vectors = basis[:, :m] @ top
             residual = images[:, :m] @ top - vectors * ritz_vals[m - k:]
             if np.linalg.norm(residual) <= _KRYLOV_TOL * gap:
-                return ritz_vals[m - k:], vectors
+                if not then_next:
+                    return ritz_vals[m - k:], vectors
+                leading = ritz_vals[m - k:], vectors
+        if leading is not None:
+            theta, coef = ritz_vals[m - k - 1], ritz_coef[:, m - k - 1]
+            if theta <= eps * ritz_vals[-1]:
+                return (*leading, basis[:, :m] @ coef)
+            if m > k + 1:
+                gap = theta - ritz_vals[m - k - 2]
+                if theta * gap <= eps * ritz_vals[-1] ** 2:
+                    break  # as above, for the squared residual test
+                following = basis[:, :m] @ coef
+                residual = images[:, :m] @ coef - following * theta
+                if np.vdot(residual, residual).real <= eps * theta * gap:
+                    return (*leading, following)
         block = images[:, start:m]
-    return _dense_eigenpairs(snapshots, k)
+    if leading is None:
+        leading = _dense_eigenpairs(snapshots, k)
+    return (*leading, None) if then_next else leading
 
 
 def _dense_eigenpairs(snapshots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

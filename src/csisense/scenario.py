@@ -52,6 +52,11 @@ Example::
 [-150, 50] dBm, and `path_loss_exponent` (under `[simulation]`, default
 2.2) in [0, 10]: wide of any real link, and narrow enough that no path
 level over- or underflows for poses 0.5 m to MAX_COORDINATE_M away.
+A `[reflection.N]` path's `rel_amplitude` is non-zero with magnitude at
+most 100, its `excess_delay_ns` lies in [0, 10000] and its
+`aoa_offset_deg` in [-360, 360]: wide of any real reflection, and
+narrow enough that its level stays finite in the capture's float32 and
+its phase is more than rounding noise.
 
 Pose files are CSV with header ``timestamp_ns,x,y,theta`` (theta in
 degrees, like every file in this package).
@@ -83,8 +88,9 @@ from .synth import DEFAULT_MAC, ApSpec, Reflection, SimScenario
 def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeometry]:
     """Parse a scenario file; `seed` overrides the file's seed when given.
 
-    A missing or malformed value, or a section or key nothing reads,
-    raises ConfigurationError naming the file, the section and the key.
+    Both seeds must be non-negative.  A missing or malformed value, or a
+    section or key nothing reads, raises ConfigurationError naming the
+    file, the section and the key.
     """
     ini = _Ini(path, "scenario")
     for required in ("channel", "transmitter", "array", "trajectory"):
@@ -100,7 +106,9 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
     geom = _parse_array(ini.section("array"), chanspec)
 
     sim = ini.section("simulation")
-    file_seed = sim.get("seed", int, 0)
+    file_seed = sim.get("seed", _seed, 0)
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     eff_seed = file_seed if seed is None else seed
     bias_mode = sim.get("bias", str.lower, "zero")
 
@@ -117,9 +125,9 @@ def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeom
         sec = ini.section(name)
         reflections.append(
             Reflection(
-                aoa_offset=np.radians(sec.get("aoa_offset_deg", float)),
-                excess_delay_s=sec.get("excess_delay_ns", float) * 1e-9,
-                rel_amplitude=sec.get("rel_amplitude", float),
+                aoa_offset=np.radians(sec.get("aoa_offset_deg", _aoa_offset_deg)),
+                excess_delay_s=sec.get("excess_delay_ns", _excess_delay_ns) * 1e-9,
+                rel_amplitude=sec.get("rel_amplitude", _rel_amplitude),
                 random_phase=sec.get("random_phase", _parse_bool, Reflection.random_phase),
             )
         )
@@ -276,6 +284,25 @@ def _within(low: float, high: float):
 
 _power_dbm = _within(-150.0, 50.0)
 _path_loss_exponent = _within(0.0, 10.0)
+_excess_delay_ns = _within(0.0, 10_000.0)
+_aoa_offset_deg = _within(-360.0, 360.0)
+
+
+def _seed(text: str) -> int:
+    """A simulation seed: a non-negative integer, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be a non-negative integer")
+    return value
+
+
+def _rel_amplitude(text: str) -> float:
+    """A reflection's gain relative to the direct path: non-zero, |a| <= 100;
+    its caller refuses NaN and inf."""
+    value = float(text)
+    if math.isfinite(value) and not 0.0 < abs(value) <= 100.0:
+        raise ValueError("must be non-zero and lie in [-100, 100]")
+    return value
 
 
 def _pose_times(n: int, rate_hz: float) -> list[int]:

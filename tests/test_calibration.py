@@ -200,6 +200,25 @@ class TestCoarseLeadingPair:
         assert max(s[0] for s in shapes[:-1]) <= core._KRYLOV_MAX_BASIS
         assert_matches_economy_svd(coarse, sups)
 
+    def test_survey_like_grows_one_basis_for_u0_and_sigma_2(self, rng, square_geom, chan80,
+                                                             monkeypatch):
+        sups = coarse_case("survey-like", rng, square_geom, chan80)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", recording)
+            coarse = coarse_calibration(sups)
+        # one Ritz problem per basis vector, never restarted for sigma_2
+        assert sizes == list(range(1, len(sizes) + 1))
+        stacked = np.stack([s.ravel() for s in sups], axis=1)
+        u0 = core._leading_eigenpairs(stacked, 1)[1][:, 0]
+        assert coarse.u0.tobytes() == u0.tobytes()
+
     @pytest.mark.parametrize("case", COARSE_CASES)
     def test_no_input_calls_svd(self, rng, square_geom, chan80, monkeypatch, case):
         sups = coarse_case(case, rng, square_geom, chan80)

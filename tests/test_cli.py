@@ -966,6 +966,51 @@ class TestRadioLevelBound:
         assert not (tmp_path / "w.csv").exists()
 
 
+# A [reflection.1] section that `simulate` accepts.
+_REFLECTION = {"aoa_offset_deg": "30", "excess_delay_ns": "8", "rel_amplitude": "0.7"}
+
+
+class TestReflectionBound:
+    """`[reflection.N]` keys outside their bounds exit 2 with one line naming
+    the file, the section and the key, and nothing is simulated.
+
+    In-process, tier-1 turns a RuntimeWarning into an error, so an
+    overflow on the way to the refusal fails these tests.
+    """
+
+    @staticmethod
+    def _argv(tmp_path, **keys: str) -> tuple[list[str], Path]:
+        argv = _trajectory_argv(tmp_path, "simulate")
+        scenario = tmp_path / "traj.ini"
+        text = scenario.read_text()
+        for key, value in {**_REFLECTION, **keys}.items():
+            text = _with_key(text, "reflection.1", key, value)
+        scenario.write_text(text)
+        return argv, scenario
+
+    @pytest.mark.parametrize("key,value,bounds", [
+        ("rel_amplitude", "1e300", "must be non-zero and lie in [-100, 100]"),
+        ("rel_amplitude", "-1e300", "must be non-zero and lie in [-100, 100]"),
+        ("rel_amplitude", "0", "must be non-zero and lie in [-100, 100]"),
+        ("excess_delay_ns", "1e300", "must lie in [0, 10000]"),
+        ("excess_delay_ns", "-50", "must lie in [0, 10000]"),
+        ("aoa_offset_deg", "1e300", "must lie in [-360, 360]"),
+        ("aoa_offset_deg", "-361", "must lie in [-360, 360]"),
+    ])
+    def test_key_out_of_bounds(self, tmp_path, capsys, key, value, bounds):
+        argv, scenario = self._argv(tmp_path, **{key: value})
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: data: bad value '{value}' for {key} in [reflection.1] of {scenario}: "
+            f"{bounds}"]
+        assert not (tmp_path / "c.wcap").exists()
+
+    def test_bounds_are_inclusive(self, tmp_path):
+        argv, _ = self._argv(tmp_path, rel_amplitude="-100", excess_delay_ns="10000",
+                             aoa_offset_deg="-360")
+        assert main(argv) == 0
+
+
 def _with_key(text: str, section: str, key: str, value: str) -> str:
     """Scenario `text` with `key = value` in `section`, replacing any such key there."""
     sections = re.split(r"(?m)^(?=\[)", text)

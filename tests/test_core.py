@@ -501,3 +501,65 @@ class TestLeadingEigenpairs:
             assert np.array_equal(a, b)
         assert before[0] == after[0] and np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_without_then_next_bytes_match_the_plain_loop(self, rng, k):
+        # SpotFi's k-pair solve keeps its arithmetic: the same bytes as the
+        # loop had before it could continue past the k pairs, and the same
+        # k pairs when it is asked to continue
+        x = _low_rank_plus_noise(rng, 150, 300, [3.0, 2.0, 1.2][:k] + [0.5])
+        values, vectors = core._leading_eigenpairs(x, k)
+        ref_values, ref_vectors = _plain_krylov(x, k)
+        assert values.tobytes() == ref_values.tobytes()
+        assert vectors.tobytes() == ref_vectors.tobytes()
+        cont_values, cont_vectors, _following = core._leading_eigenpairs(x, k, then_next=True)
+        assert cont_values.tobytes() == values.tobytes()
+        assert cont_vectors.tobytes() == vectors.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_then_next_gives_the_next_eigenvector(self, rng, k):
+        x = _low_rank_plus_noise(rng, 150, 300, [3.0, 2.0, 1.2][:k + 1] + [0.5])
+        following = core._leading_eigenpairs(x, k, then_next=True)[2]
+        ref_vecs = np.linalg.eigh(x @ x.conj().T / x.shape[1])[1]
+        ref = ref_vecs[:, -k - 1]
+        assert np.linalg.norm(following) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(ref, following)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_then_next_in_a_noise_bulk_gives_none(self, rng):
+        x = _low_rank_plus_noise(rng, 200, 400, [3.0], noise=1.0)
+        values, vectors, following = core._leading_eigenpairs(x, 1, then_next=True)
+        assert following is None
+        ref_vals = np.linalg.eigvalsh(x @ x.conj().T / x.shape[1])
+        assert abs(values[0] - ref_vals[-1]) <= 1e-12 * ref_vals[-1]
+
+
+def _plain_krylov(snapshots, k):
+    """`core._leading_eigenpairs` as it was before it could continue past k pairs."""
+    dim, n = snapshots.shape
+    rows = snapshots.T
+    limit = min(core._KRYLOV_MAX_BASIS, dim)
+    rng = np.random.default_rng(core._KRYLOV_SEED)
+    basis = np.empty((dim, limit), dtype=np.complex128)
+    images = np.empty_like(basis)
+    gram = np.empty((limit, limit), dtype=np.complex128)
+    block = snapshots @ core._gaussian(rng, (n, k))
+    m = 0
+    while m + k <= limit:
+        start = m
+        for v in block.T:
+            m = core._append_orthonormal(basis, m, v, rng)
+        new = basis[:, start:m]
+        images[:, start:m] = snapshots @ np.conj(rows @ np.conj(new)) / n
+        gram[:m, start:m] = basis[:, :m].conj().T @ images[:, start:m]
+        ritz_vals, ritz_coef = np.linalg.eigh(gram[:m, :m], UPLO="U")
+        if m > k:
+            gap = ritz_vals[m - k] - ritz_vals[m - k - 1]
+            if core._KRYLOV_TOL * gap <= np.finfo(float).eps * ritz_vals[-1]:
+                break
+            top = ritz_coef[:, m - k:]
+            vectors = basis[:, :m] @ top
+            residual = images[:, :m] @ top - vectors * ritz_vals[m - k:]
+            if np.linalg.norm(residual) <= core._KRYLOV_TOL * gap:
+                return ritz_vals[m - k:], vectors
+        block = images[:, start:m]
+    return core._dense_eigenpairs(snapshots, k)

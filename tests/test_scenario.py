@@ -248,6 +248,15 @@ class TestIniParserFaults:
         assert len(load_scenario(path)[0].trajectory) == 5
 
 
+def test_negative_seed_refused_in_file_and_override(tmp_path):
+    # numpy's generators take no negative seed; its ValueError must not escape
+    refused_by_parser(tmp_path / "s.ini", SCENARIO.replace("seed = 9", "seed = -1"),
+                      "bad value '-1' for seed in [simulation]")
+    (tmp_path / "s.ini").write_text(SCENARIO)
+    with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+        load_scenario(tmp_path / "s.ini", seed=-1)
+
+
 CONFIG = """
 [packet]
 mac_filter = 02:00:00:00:00:01
@@ -267,10 +276,13 @@ switch_margin_db = 6
 # Lines the fuzz inserts, and values it swaps in.  No value exceeds the
 # scenario's own n, so no mutant asks for a long trajectory.
 _FUZZ_LINES = ["[array]", "[extra]", "[DEFAULT]", "[packet", "count = 3", "n 5",
-               "  continued", "x = %(y)s", "= 1", "window = 2", "seed = 3 %(x)s", "%"]
+               "  continued", "x = %(y)s", "= 1", "window = 2", "seed = 3 %(x)s", "%",
+               "[reflection.2]", "rel_amplitude = 1e300", "excess_delay_ns = 1e300",
+               "aoa_offset_deg = 1e300"]
 _FUZZ_VALUES = ["0", "1", "-1", "2.5", "40", "1e308", "abc", "", "nan", "-inf", "%", "%(x)s",
                 "half-wavelength", "square", "linear-x", "file", "loop", "line", "random",
-                "true", "none", "0,0; 0.02,0", "02:00:00:00:00:01", "3,5"]
+                "true", "none", "0,0; 0.02,0", "02:00:00:00:00:01", "3,5",
+                "1e300", "-1e300", "-50", "-361", "10000.5", "0.7"]
 
 
 def _mutant(lines: list[str], rng) -> str:
