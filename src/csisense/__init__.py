@@ -48,7 +48,6 @@ from .codec import (
     decode_frame,
     encode_frame,
     format_mac,
-    filter_frames,
     ingest_capture,
     ingest_stream,
     iter_capture,
@@ -76,6 +75,7 @@ from .aoa import (
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
+    bearing_block_estimator,
     bearing_estimator,
     estimate_bearing,
     music_spectrum,

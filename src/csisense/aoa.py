@@ -14,8 +14,16 @@ Estimators:
 A stream of frames gets one bearing per frame from the estimator's
 output over its last `window` frames: Bartlett averages their profiles,
 MUSIC and SpotFi stack their snapshots into one covariance.
-`bearing_estimator` is that windowed stream, one frame in and one
-bearing out.  The bearing is `estimate_bearing`'s argmax, and ties
+`bearing_block_estimator` is that windowed stream taken a block of
+frames at a time, and `bearing_estimator` is the same function on
+blocks of one; a frame's bearing does not depend on where the blocks
+are cut.  MUSIC solves a block's windows as stacks: one matmul for
+their Gram matrices, one `np.linalg.eigh` over the stack
+(`core._dense_eigenpairs` takes a leading stack axis) and one noise
+projection, each acting on every window as it would on that window
+alone, so every bearing and strength is `music_spectrum`'s bit for bit.
+Bartlett and SpotFi take a block's frames one by one.  The bearing is
+the curve's argmax, as `estimate_bearing` takes it, and ties still
 break toward the smallest bearing index for every estimator.  On a
 uniform linear array a bearing and its mirror across the array axis
 agree only to rounding: their steering rows, from sin(theta) and
@@ -62,6 +70,7 @@ spectrum (more sources asked for than the frame has paths).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -96,6 +105,9 @@ from .core import (
 ALGORITHMS = ("bartlett", "music", "spotfi")
 # MUSIC's floor on ||E_n^H s(theta)||^2, which keeps its reciprocal finite
 _TINY = np.finfo(float).tiny
+# The most bytes one MUSIC stack of `bearing_block_estimator` may hold in
+# window snapshots and noise projections; the projections dominate at window 1
+_MUSIC_STACK_BYTES = 1 << 18
 
 
 class UnsupportedGeometryError(CsiSenseError):
@@ -205,35 +217,87 @@ def music_spectrum(
     n_antennas - n_sources smallest eigenvectors (`core._dense_eigenpairs`).
     """
     _check_window(frames, geom)
-    n_rx = geom.n_antennas
-    if cfg.n_sources >= n_rx:
-        raise ConfigurationError(
-            f"{cfg.n_sources} sources leave no noise subspace for {n_rx} antennas"
-        )
+    _check_music_sources(geom, cfg)
     if len(frames) == 1:
         snapshots = frames[0].csi[:, 0, :].astype(np.complex128)
     else:
         snapshots = np.concatenate([f.csi[:, 0, :].astype(np.complex128) for f in frames],
                                    axis=1)
-    noise = _dense_eigenpairs(snapshots, n_rx)[1][:, : n_rx - cfg.n_sources]
-    conj_a = _conj_steering_kernel(_grid_key(geom.positions),
-                                   float(wavelength(frames[0].chanspec)),
+    return _music_spectra(snapshots, geom, frames[0].chanspec, cfg)
+
+
+def _check_music_sources(geom: ArrayGeometry, cfg: AoaConfig) -> None:
+    if cfg.n_sources >= geom.n_antennas:
+        raise ConfigurationError(
+            f"{cfg.n_sources} sources leave no noise subspace for {geom.n_antennas} antennas"
+        )
+
+
+def _music_spectra(snapshots: np.ndarray, geom: ArrayGeometry, chanspec: ChannelSpec,
+                   cfg: AoaConfig) -> np.ndarray:
+    """MUSIC pseudospectra of snapshot matrices stacked on leading axes.
+
+    snapshots (..., n_rx, n) gives (..., n_theta).  Every step acts on
+    each matrix of the stack as it would on that matrix alone (one Gram
+    product, `eigh` and noise projection each), so a stack of one is
+    `music_spectrum` bit for bit.
+    """
+    n_rx = geom.n_antennas
+    noise = _dense_eigenpairs(snapshots, n_rx)[1][..., : n_rx - cfg.n_sources]
+    conj_a = _conj_steering_kernel(_grid_key(geom.positions), float(wavelength(chanspec)),
                                    _grid_key(cfg.theta_grid))
     power = np.abs(conj_a @ noise)
     np.square(power, out=power)
     # the noise columns summed left to right, as np.sum does over fewer than 8
-    denom = power[:, 0].copy()
-    for j in range(1, power.shape[1]):
-        denom += power[:, j]
+    denom = power[..., 0].copy()
+    for j in range(1, power.shape[-1]):
+        denom += power[..., j]
     np.maximum(denom, _TINY, out=denom)
     return np.divide(1.0, denom, out=denom)
+
+
+def _music_stream_spectra(history: Sequence[CsiFrame], frames: Sequence[CsiFrame],
+                          geom: ArrayGeometry, cfg: AoaConfig) -> np.ndarray:
+    """MUSIC over consecutive frames of one channel, each frame over its window.
+
+    A frame's window is it and the cfg.window - 1 frames before it, from
+    `history` (the stream's frames before `frames`, oldest first) on; its
+    snapshots are the ones `music_spectrum` concatenates, so each row is
+    `music_spectrum` of that window bit for bit.  Full windows are solved
+    in stacks of at most _MUSIC_STACK_BYTES; window 1 stacks the frames
+    without copying them again.  Returns (len(frames), n_theta).
+    """
+    n_rx, window, chanspec = geom.n_antennas, cfg.window, frames[0].chanspec
+    snaps = np.array([f.csi[:, 0, :] for f in (*history, *frames)], dtype=np.complex128)
+    n_sub = snaps.shape[-1]
+    out = np.empty((len(frames), cfg.theta_grid.size))
+    # the stream's first frames have fewer than `window` frames to stack
+    partial = min(max(window - 1 - len(history), 0), len(frames))
+    for i in range(partial):
+        shorter = snaps[: len(history) + i + 1]
+        out[i] = _music_spectra(shorter.transpose(1, 0, 2).reshape(n_rx, -1), geom, chanspec,
+                                cfg)
+    if partial == len(frames):
+        return out
+    # (n, n_rx, window, n_sub): frame-major columns, as concatenated
+    full = np.lib.stride_tricks.sliding_window_view(
+        snaps[len(history) + partial - (window - 1):], window, axis=0).transpose(0, 1, 3, 2)
+    # per frame: complex snapshots; complex projections and their moduli
+    frame_bytes = 16 * n_rx * window * n_sub + 24 * cfg.theta_grid.size * (n_rx - cfg.n_sources)
+    step = max(1, _MUSIC_STACK_BYTES // frame_bytes)
+    for lo in range(0, len(full), step):
+        stack = full[lo: lo + step]
+        out[partial + lo: partial + lo + len(stack)] = _music_spectra(
+            stack.reshape(len(stack), n_rx, window * n_sub), geom, chanspec, cfg)
+    return out
 
 
 def spotfi_smoothing_dims(n_rx: int, chanspec: ChannelSpec, cfg: AoaConfig) -> tuple[int, int]:
     """Effective sub-array size: configured, or (2, n_cols // 2).
 
     n_cols is the channel's subcarrier count after interpolation onto the
-    full uniform index grid, pilot and DC holes included.
+    full uniform index grid, pilot and DC holes included.  The sub-array
+    must fit the array and leave a noise subspace for cfg.n_sources.
     """
     n_cols = _subcarrier_grid(chanspec)[1].size
     dims = cfg.smoothing if cfg.smoothing is not None else (2, n_cols // 2)
@@ -242,6 +306,8 @@ def spotfi_smoothing_dims(n_rx: int, chanspec: ChannelSpec, cfg: AoaConfig) -> t
         raise ConfigurationError(
             f"smoothing dims {dims} exceed array dimensions ({n_rx}, {n_cols})"
         )
+    if cfg.n_sources >= n_ant_sub * n_sub_sub:
+        raise ConfigurationError("source count leaves no noise subspace")
     return n_ant_sub, n_sub_sub
 
 
@@ -268,8 +334,6 @@ def spotfi_profile(
     n_ant_sub, n_sub_sub = spotfi_smoothing_dims(geom.n_antennas, chanspec, cfg)
     dim = n_ant_sub * n_sub_sub
     n_sources = cfg.n_sources
-    if n_sources >= dim:
-        raise ConfigurationError("source count leaves no noise subspace")
     signal = _spotfi_signal_subspace(frames, n_ant_sub, n_sub_sub, n_sources)
 
     ant = _steering(cfg.theta_grid, geom.positions[:n_ant_sub], wavelength(chanspec))
@@ -485,38 +549,92 @@ def estimate_bearing(
     )
 
 
-def bearing_estimator(geom: ArrayGeometry,
-                      cfg: AoaConfig) -> Callable[[CsiFrame], BearingEstimate]:
-    """One calibrated frame -> its bearing, for cfg.algorithm.
+def bearing_block_estimator(
+        geom: ArrayGeometry,
+        cfg: AoaConfig) -> Callable[[Sequence[CsiFrame]], list[BearingEstimate]]:
+    """Calibrated frames of one stream, a block at a time -> their bearings, in order.
 
     The returned function owns the averaging window: Bartlett's running
     profile average, or the last cfg.window frames, whose snapshots MUSIC
-    and SpotFi stack; confine it to one stream.  Every bearing is
-    `estimate_bearing`'s argmax; Bartlett hands it the average's
-    per-bearing peak (`ProfileAverager.push_curve`), which picks the same
-    bearing and strength as the averaged profile would.  SpotFi's array
-    check runs here, first.
+    and SpotFi stack; confine it to one stream.  A frame's bearing does
+    not depend on how the stream is cut into blocks.  It is the argmax
+    of the frame's curve over the bearing grid, as `estimate_bearing`
+    takes it: Bartlett's curve is the average's per-bearing peak
+    (`ProfileAverager.push_curve`), which picks the same bearing and
+    strength as the averaged profile would; MUSIC's is its
+    pseudospectrum; SpotFi's is the profile's per-bearing peak.  MUSIC
+    solves the block's windows as stacks (`_music_stream_spectra`);
+    Bartlett and SpotFi take the block's frames one by one.
+
+    SpotFi's array check and MUSIC's source count check run here, first.
+    Every frame of a block is checked before any is estimated: a frame
+    the estimator refuses raises for the whole block, and the window then
+    holds the frames up to it, as if they had come one by one.
     """
-    if cfg.algorithm == "bartlett":
-        averager = ProfileAverager(cfg.window)
+    algorithm, n_rx = cfg.algorithm, geom.n_antennas
+    if algorithm == "music":
+        _check_music_sources(geom, cfg)
+    if algorithm == "spotfi":
+        _require_ula(geom)
+    # the window's frames before the block (bartlett keeps its own)
+    recent: deque[CsiFrame] = deque(maxlen=cfg.window - 1)
+    averager = ProfileAverager(cfg.window)
 
-        def spectrum(frame: CsiFrame):
-            return averager.push_curve(bartlett_profile(frame, geom, cfg))
-    else:
-        over_window = music_spectrum
-        if cfg.algorithm == "spotfi":
-            _require_ula(geom)
-            over_window = spotfi_profile
-        recent: deque[CsiFrame] = deque(maxlen=cfg.window)
+    def check(frames: Sequence[CsiFrame]) -> None:
+        if algorithm == "bartlett" or cfg.window == 1:
+            for frame in frames:
+                _check_frame(frame, geom)
+        else:
+            stream = [*recent, *frames]
+            for end in range(len(recent) + 1, len(stream) + 1):
+                try:
+                    _check_window(stream[max(0, end - cfg.window): end], geom)
+                except DimensionMismatchError:
+                    # the refused frame enters the window, as it did frame by frame
+                    recent.extend(stream[len(recent): end])
+                    raise
+        if algorithm == "spotfi":
+            for chanspec in dict.fromkeys(frame.chanspec for frame in frames):
+                spotfi_smoothing_dims(n_rx, chanspec, cfg)
 
-        def spectrum(frame: CsiFrame):
+    def curves(frames: Sequence[CsiFrame]) -> np.ndarray:
+        if algorithm == "bartlett":
+            return np.array([averager.push_curve(bartlett_profile(frame, geom, cfg))
+                             for frame in frames])
+        out = np.empty((len(frames), cfg.theta_grid.size))
+        if algorithm == "music":
+            # window 1 may change channel between frames; a longer window may not
+            start = 0
+            for _, run in itertools.groupby(frames, key=lambda frame: frame.chanspec):
+                run = list(run)
+                out[start: start + len(run)] = _music_stream_spectra(recent, run, geom, cfg)
+                recent.extend(run)
+                start += len(run)
+            return out
+        for i, frame in enumerate(frames):
+            out[i] = spotfi_profile([*recent, frame], geom, cfg).values.max(axis=1)
             recent.append(frame)
-            return over_window(recent, geom, cfg)
+        return out
 
-    def peak(frame: CsiFrame) -> BearingEstimate:
-        return estimate_bearing(spectrum(frame), frame.rssi_dbm, cfg, frame.source_mac,
-                                frame.timestamp_ns)
-    return peak
+    def estimate_block(frames: Sequence[CsiFrame]) -> list[BearingEstimate]:
+        if not frames:
+            return []
+        check(frames)
+        values = curves(frames)
+        peaks = np.argmax(values, axis=1)  # ties: the smallest bearing index
+        strengths = values[np.arange(len(frames)), peaks]
+        return [BearingEstimate(theta=theta, strength=strength, rssi_dbm=frame.rssi_dbm,
+                                source_mac=frame.source_mac, timestamp_ns=frame.timestamp_ns)
+                for theta, strength, frame in zip(cfg.theta_grid[peaks].tolist(),
+                                                  strengths.tolist(), frames)]
+    return estimate_block
+
+
+def bearing_estimator(geom: ArrayGeometry,
+                      cfg: AoaConfig) -> Callable[[CsiFrame], BearingEstimate]:
+    """One calibrated frame -> its bearing: `bearing_block_estimator` on blocks of one."""
+    estimate_block = bearing_block_estimator(geom, cfg)
+    return lambda frame: estimate_block([frame])[0]
 
 
 def transpose_for_aod(frame: CsiFrame) -> CsiFrame:

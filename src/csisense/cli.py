@@ -14,8 +14,10 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 line to stderr: ``error: <kind>: <message>``.
 
 `decode` and `bearing` share their ingest flags and one pipeline that
-writes each row as it is made.  A fault mid-stream keeps the rows before
-it and prints the summary line, then the error line, and exits 2.
+writes each row as it is made; `bearing` makes a capture's rows a block
+of frames at a time (`codec.REPLAY_BLOCK`), a UDP stream's one datagram
+at a time.  A fault mid-stream keeps the rows before it and prints the
+summary line, then the error line, and exits 2.
 
 Configuration files (--config) are INI-style: [packet] (MAC allow-list,
 RSSI floor) is read by `decode` and `bearing`, [algorithm] by `bearing`
@@ -34,7 +36,7 @@ import functools
 import inspect
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .aoa import (
     ALGORITHMS,
     AoaConfig,
     bartlett_profile,
-    bearing_estimator,
+    bearing_block_estimator,
     bearing_row,
     build_grids,
     spotfi_smoothing_dims,
@@ -63,6 +65,7 @@ from .calibration import (
 )
 from .codec import (
     DEFAULT_UDP_PORT,
+    REPLAY_BLOCK,
     IngestStats,
     format_mac,
     ingest_capture,
@@ -291,9 +294,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None,
-            write: Callable[[Iterator[CsiFrame]], None],
+            write: Callable[[Iterator[CsiFrame], Callable[[Iterable], Iterator]], None],
             summary: Callable[[int, IngestStats], str]) -> int:
-    """`decode` and `bearing`: `write` turns each filtered frame into one row as it comes.
+    """`decode` and `bearing`: `write(frames, counted)` turns the filtered frames
+    into rows, one row per frame, and writes each row it draws from `counted`.
 
     A UDP port, --count or --timeout that no listen can use is refused
     before any socket is bound.  The MAC allow-list and the RSSI floor
@@ -318,13 +322,13 @@ def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None,
         source = ingest_stream(datagrams, mac_allow, rssi_floor_dbm, stats)
     written = 0
 
-    def frames() -> Iterator[CsiFrame]:
+    def counted(rows: Iterable) -> Iterator:
         nonlocal written
-        for frame in source:
-            yield frame
-            written += 1  # `write` asks for the next frame only once this one's row is out
+        for row in rows:
+            yield row
+            written += 1  # `write` asks for the next row only once this one is out
     try:
-        write(frames())
+        write(source, counted)
     finally:
         print(summary(written, stats), file=sys.stderr)
     return 0
@@ -333,13 +337,14 @@ def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None,
 def _cmd_decode(args) -> int:
     cfg = _load_run_config(args)
 
-    def write(frames: Iterator[CsiFrame]) -> None:
+    def write(frames: Iterator[CsiFrame], counted) -> None:
         with open(args.csv, "w") if args.csv else contextlib.nullcontext(sys.stdout) as out:
             out.write("timestamp_ns,seq,source_mac,channel,bandwidth_mhz,n_rx,n_tx,n_sub,"
                       "rssi_dbm\n")
             out.writelines(f"{f.timestamp_ns},{f.seq},{format_mac(f.source_mac)},"
                            f"{f.chanspec.channel_number},{f.chanspec.bandwidth_mhz},"
-                           f"{f.n_rx},{f.n_tx},{f.n_sub},{f.rssi_dbm:.1f}\n" for f in frames)
+                           f"{f.n_rx},{f.n_tx},{f.n_sub},{f.rssi_dbm:.1f}\n"
+                           for f in counted(frames))
 
     return _ingest(args, cfg, cfg.rssi_floor_dbm, write,
                    lambda n, stats: f"decoded {n} frames (dropped: {stats.dropped_decode} "
@@ -377,17 +382,37 @@ def _cmd_bearing(args) -> int:
     if aoa_cfg.algorithm == "spotfi":
         dims = spotfi_smoothing_dims(geom.n_antennas, cal.chanspec, aoa_cfg)
         print(f"spotfi smoothing = {dims[0]},{dims[1]}", file=sys.stderr)
-    estimate = bearing_estimator(geom, aoa_cfg)
+    estimate_block = bearing_block_estimator(geom, aoa_cfg)
     floor = _BEARING_RSSI_FLOOR_DBM if cfg.rssi_floor_dbm is None else cfg.rssi_floor_dbm
+    # a UDP row is echoed as its datagram arrives
+    block = REPLAY_BLOCK if args.udp is None else 1
 
-    def bearing(frame: CsiFrame) -> BearingEstimate:
-        result = estimate(apply_calibration(cal, frame))
-        if args.udp is not None:
-            print(bearing_row(result))
-        return result
+    def estimated(pending: list[CsiFrame]) -> Iterator[BearingEstimate]:
+        results = estimate_block(pending)
+        pending.clear()
+        for result in results:
+            if args.udp is not None:
+                print(bearing_row(result))
+            yield result
+
+    def bearings(frames: Iterator[CsiFrame]) -> Iterator[BearingEstimate]:
+        """Calibrate each frame as it comes, and estimate the pending frames once
+        they fill a block, once the source ends, or before a fault of the source
+        or of the calibration goes on."""
+        pending: list[CsiFrame] = []
+        try:
+            for frame in frames:
+                pending.append(apply_calibration(cal, frame))
+                if len(pending) == block:
+                    yield from estimated(pending)
+        except (CsiSenseError, OSError):  # what `main` reports as a data error
+            yield from estimated(pending)
+            raise
+        yield from estimated(pending)
 
     return _ingest(args, cfg, floor,
-                   lambda frames: write_bearings_csv(args.out, map(bearing, frames)),
+                   lambda frames, counted: write_bearings_csv(args.out,
+                                                              counted(bearings(frames))),
                    lambda n, stats: f"{n} bearings written to {args.out} ({stats.dropped_rssi} "
                                     f"rejected by rssi floor, {stats.dropped_mac} by mac filter, "
                                     f"{stats.dropped_decode} undecodable)")

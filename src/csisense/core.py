@@ -575,18 +575,29 @@ def _dense_eigenpairs(snapshots: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     X v, normalized; an X v that is exactly zero lies in the null space of
     X, so its eigenvalue is reported as 0 and its column stays zero.
     Fewer snapshots than the k pairs asked for leave C itself to solve.
+
+    Snapshot matrices stacked on leading axes, (..., dim, n), are solved
+    one by one in a single call each of matmul and `eigh`, giving values
+    (..., k) and vectors (..., dim, k); each matrix's pairs are those it
+    would get alone, bit for bit.
     """
-    dim, n = snapshots.shape
+    dim, n = snapshots.shape[-2:]
     wide = k <= n < dim
-    x = snapshots.conj().T if wide else snapshots
-    gram = x @ x.conj().T / n
-    values, vectors = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    values, vectors = values[-k:], vectors[:, -k:]
+    x = _adjoint(snapshots) if wide else snapshots
+    gram = x @ _adjoint(x) / n
+    values, vectors = np.linalg.eigh(0.5 * (gram + _adjoint(gram)))
+    values, vectors = values[..., -k:], vectors[..., -k:]
     if not wide:
         return values, vectors
     vectors = snapshots @ vectors
-    norms = np.linalg.norm(vectors, axis=0)
-    return np.where(norms > 0, values, 0.0), vectors / np.where(norms > 0, norms, 1.0)
+    norms = np.linalg.norm(vectors, axis=-2)
+    return (np.where(norms > 0, values, 0.0),
+            vectors / np.where(norms > 0, norms, 1.0)[..., None, :])
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix on the last two axes."""
+    return np.swapaxes(x.conj(), -1, -2)
 
 
 def _append_orthonormal(basis: np.ndarray, m: int, v: np.ndarray, rng) -> int:

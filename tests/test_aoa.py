@@ -33,6 +33,7 @@ from csisense.aoa import (
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
+    bearing_block_estimator,
     bearing_estimator,
     build_grids,
     estimate_bearing,
@@ -293,6 +294,47 @@ class TestMusic:
         expected = 1 / np.maximum(np.sum(np.abs(np.conj(a) @ noise) ** 2, axis=1),
                                   np.finfo(float).tiny)
         assert np.array_equal(music_spectrum(frames, geom, cfg), expected)
+
+
+    def test_source_count_checked_when_the_estimator_is_built(self, square_geom):
+        with pytest.raises(ConfigurationError, match="no noise subspace"):
+            bearing_estimator(square_geom, AoaConfig(algorithm="music", n_sources=4))
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_block_is_frame_by_frame_across_channel_runs(self, square_geom, chan80, chan20,
+                                                         window):
+        # window 1 may switch channel between frames: a block stacks each
+        # run of one channel; a longer window refuses a block that mixes
+        # channels within a window, and the refused frame enters the window
+        paths = [PathComponent(aoa=0.7, delay_s=10e-9),
+                 PathComponent(aoa=-1.2, delay_s=35e-9, amplitude=0.6)]
+        chans = [chan80] * 5 + [chan20] * 3 + [chan80] * 4
+        frames = [synth_frame(paths, square_geom, chan, snr_db=15.0, rng_seed=seed,
+                              timestamp_ns=seed) for seed, chan in enumerate(chans)]
+        cfg = AoaConfig(algorithm="music", window=window, n_sources=2)
+        by_frame = bearing_estimator(square_geom, cfg)
+        by_block = bearing_block_estimator(square_geom, cfg)
+        if window == 1:
+            assert by_block(frames[:2]) + by_block(frames[2:]) == list(map(by_frame, frames))
+            return
+        assert by_block(frames[:3]) == list(map(by_frame, frames[:3]))
+        with pytest.raises(DimensionMismatchError, match="share one channel"):
+            by_block(frames[3:7])
+        for frame in frames[3:5]:
+            by_frame(frame)
+        with pytest.raises(DimensionMismatchError, match="share one channel"):
+            by_frame(frames[5])
+        refused = 0
+        for frame in frames[6:]:
+            try:
+                want = by_frame(frame)
+            except DimensionMismatchError:
+                refused += 1
+                with pytest.raises(DimensionMismatchError):
+                    by_block([frame])
+            else:
+                assert by_block([frame]) == [want]
+        assert refused == 3  # frames 6, 8 and 9: their windows span both channels
 
 
 class TestSpotfi:

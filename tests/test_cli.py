@@ -406,6 +406,77 @@ class TestIngestFaults:
             f"error: data: frame {k} of 60 undecodable: csi entries must be finite"]
         assert out.read_text() == rows
 
+    @pytest.fixture(scope="class")
+    def capture150(self, tmp_path_factory):
+        """A ULA capture of 150 frames (more than two blocks), with every third
+        record dropped, by MAC or by RSSI in turn, and its calibration."""
+        tmp_path = tmp_path_factory.mktemp("capture150")
+        capture, cal = ula_capture(tmp_path, "y",
+                                   np.radians(12.0 + 4.0 * np.sin(np.arange(150) / 9.0)))
+        dropped = [{"source_mac": FOREIGN_MAC}, {"rssi_dbm": -90.0}]
+        frames = [dataclasses.replace(f, **dropped[j % 2]) if j % 3 == 1 else f
+                  for j, f in enumerate(read_capture(capture))]
+        return frames, cal
+
+    @staticmethod
+    def _faulty_run(tmp_path, capsys, frames, cal, command, k, damage):
+        """Run `command` on frames[:k], then on all the frames with record k
+        damaged; returns the first run's stderr and the second's, and asserts
+        that both write the same rows and the second exits 2."""
+        prefix, bad = tmp_path / "prefix.wcap", tmp_path / "bad.wcap"
+        codec.write_capture(prefix, frames[:k])
+        damage(bad)
+        out = tmp_path / "out.csv"
+        flags = ["--mac-filter", codec.format_mac(frames[0].source_mac), "--rssi-floor", "-80",
+                 *(["--csv", str(out)] if command == "decode"
+                   else ["--calibration", str(cal), "--out", str(out), "--algorithm", command])]
+        run = "decode" if command == "decode" else "bearing"
+        capsys.readouterr()
+        assert main([run, "--capture", str(prefix), *flags]) == 0
+        first, rows = capsys.readouterr().err.splitlines(), out.read_text()
+        assert len(rows.splitlines()) == 1 + sum(j % 3 != 1 for j in range(k))
+        assert main([run, "--capture", str(bad), *flags]) == 2
+        second = capsys.readouterr().err.splitlines()
+        assert out.read_text() == rows
+        return first, second
+
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("command", ["decode", "bartlett", "music", "spotfi"])
+    def test_nan_in_a_dropped_record_anywhere_in_a_block(self, tmp_path, capsys, capture150,
+                                                         command, at):
+        """A dropped record's NaN payload fails where it is, whichever record
+        of its block it is: the rows and summary are the capture's cut there."""
+        frames, cal = capture150
+        block = codec.REPLAY_BLOCK
+        k = {"first": block, "middle": block + block // 2, "last": 2 * block - 1}[at]
+        frames = list(frames)
+        frames[k] = dataclasses.replace(frames[k], source_mac=FOREIGN_MAC)
+
+        def damage(path):
+            codec.write_capture(path, frames)
+            with_nan_payload(path, k)
+        summary, err = self._faulty_run(tmp_path, capsys, frames, cal, command, k, damage)
+        assert len(summary) == 1 + (command == "spotfi")
+        assert err == summary + [
+            f"error: data: frame {k} of 150 undecodable: csi entries must be finite"]
+
+    @pytest.mark.parametrize("algorithm", ["bartlett", "music", "spotfi"])
+    def test_foreign_channel_frame_counts_no_record_read_ahead(self, tmp_path, capsys,
+                                                              capture150, algorithm):
+        """Record 70, a kept frame from another channel, fails its calibration;
+        the dropped records after it in its block, read with it, are not
+        counted.  (`decode` has no calibration and writes that frame's row.)"""
+        frames, cal = capture150
+        k = 70
+        assert k % codec.REPLAY_BLOCK < codec.REPLAY_BLOCK - 3
+        foreign = dataclasses.replace(foreign_frame(4, frames[k].timestamp_ns),
+                                      source_mac=frames[0].source_mac)
+        summary, err = self._faulty_run(
+            tmp_path, capsys, frames, cal, algorithm, k,
+            lambda path: codec.write_capture(path, frames[:k] + [foreign] + frames[k + 1:]))
+        assert err[:-1] == summary
+        assert err[-1].startswith("error: data: calibration chanspec")
+
     def test_missing_capture_leaves_header_only_csv(self, tmp_path, capsys, capture60):
         _, cal, rows = capture60
         out = tmp_path / "none.csv"
@@ -1156,20 +1227,42 @@ class TestBearingAlgorithms:
         write_bearings_csv(reference, expected)
         assert out.read_text() == reference.read_text()
 
-    @pytest.mark.parametrize("algorithm, window", [("bartlett", 4), ("music", 3),
-                                                   ("spotfi", 2)])
-    def test_library_estimator_writes_the_cli_bytes(self, tmp_path, algorithm, window):
-        capture, cal = ula_capture(tmp_path, "y", np.radians([12.0, 14.0, 17.0, 15.0, 13.0]))
+    @pytest.fixture(scope="class")
+    def ula150(self, tmp_path_factory):
+        return ula_capture(tmp_path_factory.mktemp("ula150"), "y",
+                           np.radians(14.0 + 3.0 * np.sin(np.arange(150) / 7.0)))
+
+    @pytest.mark.parametrize("algorithm, window, n_sources", [
+        *[(algorithm, window, 1) for algorithm in ("bartlett", "music") for window in (1, 4, 8)],
+        *[("music", window, n_sources) for window in (1, 4, 8) for n_sources in (2, 3)],
+        ("spotfi", 1, 1), ("spotfi", 2, 1)])
+    def test_library_estimator_writes_the_cli_bytes(self, tmp_path, ula150, algorithm, window,
+                                                    n_sources):
+        """The CLI estimates blocks of frames; the library, one frame at a time
+        and, for MUSIC and SpotFi, from each window's own spectrum.  On a
+        capture of more than two blocks all of them write the same bytes."""
+        capture, cal = ula150
         out = tmp_path / "cli.csv"
         assert main(["bearing", "--capture", str(capture), "--calibration", str(cal),
-                     "--out", str(out), "--algorithm", algorithm, "--window", str(window)]) == 0
+                     "--out", str(out), "--algorithm", algorithm, "--window", str(window),
+                     "--n-sources", str(n_sources)]) == 0
         correction, geom = load_calibration(str(cal))
-        estimate = bearing_estimator(geom, AoaConfig(algorithm=algorithm, window=window))
+        cfg = AoaConfig(algorithm=algorithm, window=window, n_sources=n_sources)
+        estimate = bearing_estimator(geom, cfg)
+        frames = [apply_calibration(correction, frame) for frame in read_capture(capture)]
+        assert len(frames) > 2 * codec.REPLAY_BLOCK
         reference = tmp_path / "library.csv"
-        write_bearings_csv(reference, (estimate(apply_calibration(correction, frame))
-                                       for frame in read_capture(capture)))
-        assert len(out.read_bytes().splitlines()) == 6
+        write_bearings_csv(reference, map(estimate, frames))
+        assert len(out.read_bytes().splitlines()) == 151
         assert out.read_bytes() == reference.read_bytes()
+        if algorithm != "bartlett":
+            spectrum = music_spectrum if algorithm == "music" else spotfi_profile
+            by_window = tmp_path / "windows.csv"
+            write_bearings_csv(by_window, (
+                estimate_bearing(spectrum(frames[max(0, i + 1 - window): i + 1], geom, cfg),
+                                 frame.rssi_dbm, cfg, frame.source_mac, frame.timestamp_ns)
+                for i, frame in enumerate(frames)))
+            assert out.read_bytes() == by_window.read_bytes()
 
     def test_spotfi_mirror_tie_takes_the_smaller_grid_index(self, tmp_path):
         # an x-axis ULA cannot tell theta from -theta: the two steering
@@ -1321,6 +1414,39 @@ class TestUdpBearing:
         assert err[0].startswith("2 bearings written to ")
         assert err[1].startswith("error: data: calibration chanspec") and len(err) == 2
 
+
+    def test_each_row_is_echoed_before_the_next_datagram(self, tmp_path, capsys):
+        # a stream is estimated one datagram at a time, never a capture's block
+        import socket
+        import threading
+        import time
+
+        capture, cal = ula_capture(tmp_path, "y", np.radians([10.0, 20.0]))
+        wire = [codec.encode_frame(f) for f in read_capture(capture)]
+        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        argv = ["bearing", "--calibration", str(cal), "--out", str(tmp_path / "udp.csv"),
+                "--count", "2", "--timeout", "5", "--rssi-floor", "-200", "--udp", str(port)]
+        result = {}
+        thread = threading.Thread(target=lambda: result.update(code=main(argv)))
+        capsys.readouterr()
+        thread.start()
+        time.sleep(0.3)
+        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sender.sendto(wire[0], ("127.0.0.1", port))
+            echoed, deadline = "", time.monotonic() + 5.0
+            while not echoed and time.monotonic() < deadline:
+                time.sleep(0.02)
+                echoed = capsys.readouterr().out
+            sender.sendto(wire[1], ("127.0.0.1", port))
+        finally:
+            sender.close()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive() and result.get("code") == 0
+        assert len(echoed.splitlines()) == 1
 
     def test_summary_counts_undecodable_datagrams(self, tmp_path, capsys):
         capture, cal = ula_capture(tmp_path, "y", np.radians([10.0, 20.0, 30.0, 40.0, 50.0]))

@@ -16,7 +16,6 @@ from csisense.codec import (
     UnsupportedVersionError,
     decode_frame,
     encode_frame,
-    filter_frames,
     format_mac,
     ingest_capture,
     ingest_stream,
@@ -26,6 +25,24 @@ from csisense.codec import (
     udp_datagrams,
     write_capture,
 )
+
+
+def filter_frames(frames, mac_allow=None, rssi_floor_dbm=None, stats=None):
+    """The MAC/RSSI rule ingest applies to headers, restated on decoded frames:
+    the oracle the ingest tests compare with.  Every frame counts as received,
+    the dropped ones by reason; an empty/None allow-list passes every MAC."""
+    if stats is None:
+        stats = IngestStats()
+    for frame in frames:
+        stats.received += 1
+        if mac_allow and frame.source_mac not in mac_allow:
+            stats.dropped_mac += 1
+            continue
+        if rssi_floor_dbm is not None and frame.rssi_dbm < rssi_floor_dbm:
+            stats.dropped_rssi += 1
+            continue
+        stats.delivered += 1
+        yield frame
 
 
 def random_frame(rng, n_rx=None, n_tx=None, bandwidth=None) -> CsiFrame:

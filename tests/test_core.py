@@ -485,6 +485,18 @@ class TestLeadingEigenpairs:
         top = ref_vecs[:, -k:]
         assert np.max(np.abs(vectors @ vectors.conj().T - top @ top.conj().T)) <= 1e-12
 
+    @pytest.mark.parametrize("dim, n, k", [(4, 52, 4), (4, 208, 2), (30, 6, 3)])
+    def test_dense_stack_solves_each_matrix_as_alone(self, rng, dim, n, k):
+        # a leading stack axis, the tall and the wide branch, and an
+        # all-zero matrix in the stack: each member's pairs bit for bit
+        stack = rng.standard_normal((5, dim, n)) + 1j * rng.standard_normal((5, dim, n))
+        stack[3] = 0.0
+        values, vectors = core._dense_eigenpairs(stack, k)
+        assert values.shape == (5, k) and vectors.shape == (5, dim, k)
+        for member, (vals, vecs) in zip(stack, zip(values, vectors)):
+            alone = core._dense_eigenpairs(member, k)
+            assert np.array_equal(vals, alone[0]) and np.array_equal(vecs, alone[1])
+
     def test_dense_zero_image_gives_zero_value_not_nan(self):
         # every Gram eigenvector maps to X v = 0: no division by a zero norm
         values, vectors = core._dense_eigenpairs(np.zeros((12, 5), np.complex128), 2)
