@@ -22,13 +22,19 @@ their Gram matrices, one `np.linalg.eigh` over the stack
 (`core._dense_eigenpairs` takes a leading stack axis) and one noise
 projection, each acting on every window as it would on that window
 alone, so every bearing and strength is `music_spectrum`'s bit for bit.
-Bartlett and SpotFi take a block's frames one by one.  The bearing is
-the curve's argmax, as `estimate_bearing` takes it, and ties still
-break toward the smallest bearing index for every estimator.  On a
-uniform linear array a bearing and its mirror across the array axis
-agree only to rounding: their steering rows, from sin(theta) and
-sin(180 deg - theta), differ in the last bits.  So rounding, not the
-tie rule, picks between them.
+Bartlett averages in Gram-term space: a profile is linear in its
+frame's n_rx^2 x n_dist Gram terms, so the window's average of
+max-normalized profiles is the Gram kernel times the sum of the frames'
+terms, each over its profile's peak.  A frame then costs one product
+with the kernel for its peak and, in a window of more than one frame,
+one for its window's power.  No profile is kept or averaged, and the
+bearings equal those of `ProfileAverager.push` and `estimate_bearing`
+up to rounding.  SpotFi takes a block's frames one by one.  Every estimator picks the bearing
+by `estimate_bearing`'s rule: the curve's argmax, ties to the smallest
+bearing index.  On a uniform linear array a bearing and its mirror
+across the array axis agree only to rounding: their steering rows, from
+sin(theta) and sin(180 deg - theta), differ in the last bits.  So
+rounding, not the tie rule, picks between them.
 
 Each estimator reads transmit antenna 0; for the angle of departure,
 `transpose_for_aod` makes the transmit antennas the array.
@@ -195,7 +201,7 @@ def bartlett_profile(
          ).view(np.complex128)  # (n_rx, n_dist)
     kernel = _gram_kernel(_grid_key(geom.positions), float(wavelength(frame.chanspec)),
                           _grid_key(cfg.theta_grid))
-    power = kernel @ _gram_terms(m[:, None, :] * np.conj(m)[None, :, :])
+    power = kernel @ _gram_terms(m, np.conj(m))
     # rounding can leave a null cell a few ulps below zero
     if power.min() < 0:
         np.maximum(power, 0.0, out=power)
@@ -290,6 +296,76 @@ def _music_stream_spectra(history: Sequence[CsiFrame], frames: Sequence[CsiFrame
         out[partial + lo: partial + lo + len(stack)] = _music_spectra(
             stack.reshape(len(stack), n_rx, window * n_sub), geom, chanspec, cfg)
     return out
+
+
+def _bartlett_stream_curves(window: deque, frames: Sequence[CsiFrame], geom: ArrayGeometry,
+                            cfg: AoaConfig) -> np.ndarray:
+    """Bartlett over consecutive frames, each over its window: (len(frames), n_theta).
+
+    Bartlett power is linear in the Gram terms: a frame's profile is K @ T,
+    with K the channel's `_gram_kernel` and T the frame's `_gram_terms` of
+    m = csi @ R.  So the sum of a window's profiles, each over its peak p,
+    is the sum over the window's channels of K @ sum(T / p), each channel's
+    T / p summed oldest to newest and the products added in channel order.
+    A frame costs one product with K for its peak and, in a window of more
+    than one frame, one per channel for the window's power; no profile is
+    kept.  A frame whose peak is not positive adds zeros.  Each curve is
+    the power's per-bearing peak over distance, over the curve's own peak
+    (all zero for an all-zero window).
+
+    `window` holds the stream's last cfg.window - 1 frames before `frames`
+    as (chanspec, T / p), oldest first, and takes in `frames`.  Every
+    product has one frame's shape, so no curve depends on how the stream
+    is cut into blocks.
+    """
+    power = np.empty((cfg.dist_grid.size, cfg.theta_grid.size))  # a row per distance
+    part = np.empty_like(power)
+    curves = np.empty((len(frames), cfg.theta_grid.size))
+    positions_key, theta_key, dist_key = (_grid_key(grid) for grid in (
+        geom.positions, cfg.theta_grid, cfg.dist_grid))
+
+    def kernel(chanspec: ChannelSpec) -> np.ndarray:
+        return _gram_kernel_t(positions_key, float(wavelength(chanspec)), theta_key)
+
+    # every frame's range transform first, while the range phasors stay in
+    # cache, then the products with K, while K and the power grid do
+    block_terms = []
+    for frame in frames:
+        csi = frame.csi[:, 0, :].astype(np.complex128)
+        m = (csi.view(np.float64) @ _range_phasors(frame.chanspec, dist_key)
+             ).view(np.complex128)
+        block_terms.append(_gram_terms(m, np.conj(m)))
+    for k, (frame, terms) in enumerate(zip(frames, block_terms)):
+        np.matmul(terms.T, kernel(frame.chanspec), out=power)
+        if cfg.window == 1:
+            _curve_over_peak(power, curves[k])
+            continue
+        peak = power.max()
+        newest = (frame.chanspec, terms / peak if peak > 0 else np.zeros_like(terms))
+        totals: dict[ChannelSpec, np.ndarray] = {}
+        for chanspec, scaled in (*window, newest):
+            if chanspec in totals:
+                totals[chanspec] += scaled
+            else:
+                totals[chanspec] = scaled.copy()
+        window.append(newest)
+        first, *others = sorted(totals, key=lambda c: (c.channel_number, c.bandwidth_mhz))
+        np.matmul(totals[first].T, kernel(first), out=power)
+        for chanspec in others:
+            power += np.matmul(totals[chanspec].T, kernel(chanspec), out=part)
+        _curve_over_peak(power, curves[k])
+    return curves
+
+
+def _curve_over_peak(power: np.ndarray, out: np.ndarray) -> None:
+    """Into `out`: the per-bearing peak of `power` (n_dist, n_theta) over its
+    own peak, or zeros if that is not positive."""
+    np.max(power, axis=0, out=out)
+    peak = out.max()
+    if peak > 0:
+        np.divide(out, peak, out=out)
+    else:
+        out[:] = 0.0
 
 
 def spotfi_smoothing_dims(n_rx: int, chanspec: ChannelSpec, cfg: AoaConfig) -> tuple[int, int]:
@@ -445,8 +521,8 @@ def average_profiles(profiles: list[Profile2D], window: int) -> Profile2D:
         raise ConfigurationError("no profiles to average")
     averager = ProfileAverager(window)
     for profile in profiles[-window:]:
-        averager._add(profile)
-    return averager._normalized()
+        average = averager.push(profile)
+    return average
 
 
 class ProfileAverager:
@@ -466,32 +542,14 @@ class ProfileAverager:
         self._sum: np.ndarray | None = None
 
     def push(self, profile: Profile2D) -> Profile2D:
-        # Keep the leaving profile alive until the average is allocated; freeing
-        # it first cost a Bartlett `bearing` run 2.5x the minor page faults.
-        leaving = self._buffer[0] if len(self._buffer) == self.window else None  # noqa: F841
-        self._add(profile)
-        return self._normalized()
-
-    def push_curve(self, profile: Profile2D) -> np.ndarray:
-        """Add `profile` and return the window average's per-bearing peak over distance.
-
-        The curve is normalized to max 1 (all zero for an all-zero
-        window); it equals ``push(profile).values.max(axis=1)`` bit for
-        bit, since a correctly rounded division by a positive peak is
-        monotone, but it neither divides nor copies the whole grid.
-        """
-        self._add(profile)
-        curve = self._sum.max(axis=1)
-        peak = curve.max()
-        if peak > 0:
-            np.divide(curve, peak, out=curve)
-        return curve
-
-    def _add(self, profile: Profile2D) -> None:
-        """Add `profile` to the running sum; the oldest leaves a full window."""
+        """Add `profile`, the oldest leaving a full window; return the window's
+        average, normalized to max 1 (as is for an all-zero window)."""
         if not self._buffer:
             self._sum = np.array(profile.values, dtype=np.float64)
         else:
+            # Bound here, the leaving profile stays alive until the average is
+            # allocated; freeing it first cost a Bartlett `bearing` run, which
+            # then pushed every frame, 2.5x the minor page faults.
             oldest = self._buffer[0]
             if not (np.array_equal(profile.theta_grid, oldest.theta_grid)
                     and np.array_equal(profile.dist_grid, oldest.dist_grid)):
@@ -504,13 +562,9 @@ class ProfileAverager:
             if self._sum.min() < 0:
                 np.maximum(self._sum, 0.0, out=self._sum)
         self._buffer.append(profile)
-
-    def _normalized(self) -> Profile2D:
-        """The running sum over its peak, on the window's grids."""
         peak = self._sum.max()
         values = self._sum / peak if peak > 0 else self._sum.copy()
-        newest = self._buffer[-1]
-        return Profile2D(values, newest.theta_grid, newest.dist_grid)
+        return Profile2D(values, profile.theta_grid, profile.dist_grid)
 
 
 def estimate_bearing(
@@ -539,14 +593,21 @@ def estimate_bearing(
             raise DimensionMismatchError(
                 f"spectrum length {curve.shape} does not match theta grid {grid.shape}"
             )
-    k = int(np.argmax(curve))
+    k, strength = _pick_bearing(curve)
     return BearingEstimate(
         theta=float(grid[k]),
-        strength=float(curve[k]),
+        strength=float(strength),
         rssi_dbm=rssi_dbm,
         source_mac=source_mac,
         timestamp_ns=timestamp_ns,
     )
+
+
+def _pick_bearing(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each curve's argmax over the bearing grid (the last axis), ties to the
+    smallest index, and the curve's value there."""
+    k = np.argmax(curves, axis=-1)
+    return k, np.take_along_axis(curves, k[..., None], axis=-1)[..., 0]
 
 
 def bearing_block_estimator(
@@ -554,17 +615,19 @@ def bearing_block_estimator(
         cfg: AoaConfig) -> Callable[[Sequence[CsiFrame]], list[BearingEstimate]]:
     """Calibrated frames of one stream, a block at a time -> their bearings, in order.
 
-    The returned function owns the averaging window: Bartlett's running
-    profile average, or the last cfg.window frames, whose snapshots MUSIC
-    and SpotFi stack; confine it to one stream.  A frame's bearing does
-    not depend on how the stream is cut into blocks.  It is the argmax
-    of the frame's curve over the bearing grid, as `estimate_bearing`
-    takes it: Bartlett's curve is the average's per-bearing peak
-    (`ProfileAverager.push_curve`), which picks the same bearing and
-    strength as the averaged profile would; MUSIC's is its
-    pseudospectrum; SpotFi's is the profile's per-bearing peak.  MUSIC
-    solves the block's windows as stacks (`_music_stream_spectra`);
-    Bartlett and SpotFi take the block's frames one by one.
+    The returned function owns the averaging window, the stream's last
+    cfg.window - 1 frames: Bartlett keeps their Gram terms, each over its
+    profile's peak, and MUSIC and SpotFi their frames, whose snapshots
+    they stack; confine it to one stream.  A frame's bearing does not
+    depend on how the stream is cut into blocks.  It is the argmax of the
+    frame's curve over the bearing grid, by `estimate_bearing`'s rule.
+    Bartlett's curve is the per-bearing peak of the window's average
+    profile, formed from the summed terms (`_bartlett_stream_curves`);
+    it picks the bearing that `ProfileAverager.push` and
+    `estimate_bearing` pick, up to rounding, with the same strength.
+    MUSIC's curve is its pseudospectrum, from the block's windows solved
+    as stacks (`_music_stream_spectra`); SpotFi's is the profile's
+    per-bearing peak, one frame at a time.
 
     SpotFi's array check and MUSIC's source count check run here, first.
     Every frame of a block is checked before any is estimated: a frame
@@ -576,9 +639,8 @@ def bearing_block_estimator(
         _check_music_sources(geom, cfg)
     if algorithm == "spotfi":
         _require_ula(geom)
-    # the window's frames before the block (bartlett keeps its own)
-    recent: deque[CsiFrame] = deque(maxlen=cfg.window - 1)
-    averager = ProfileAverager(cfg.window)
+    # the window's frames before the block (bartlett keeps their Gram terms)
+    recent: deque = deque(maxlen=cfg.window - 1)
 
     def check(frames: Sequence[CsiFrame]) -> None:
         if algorithm == "bartlett" or cfg.window == 1:
@@ -599,8 +661,7 @@ def bearing_block_estimator(
 
     def curves(frames: Sequence[CsiFrame]) -> np.ndarray:
         if algorithm == "bartlett":
-            return np.array([averager.push_curve(bartlett_profile(frame, geom, cfg))
-                             for frame in frames])
+            return _bartlett_stream_curves(recent, frames, geom, cfg)
         out = np.empty((len(frames), cfg.theta_grid.size))
         if algorithm == "music":
             # window 1 may change channel between frames; a longer window may not
@@ -620,9 +681,7 @@ def bearing_block_estimator(
         if not frames:
             return []
         check(frames)
-        values = curves(frames)
-        peaks = np.argmax(values, axis=1)  # ties: the smallest bearing index
-        strengths = values[np.arange(len(frames)), peaks]
+        peaks, strengths = _pick_bearing(curves(frames))
         return [BearingEstimate(theta=theta, strength=strength, rssi_dbm=frame.rssi_dbm,
                                 source_mac=frame.source_mac, timestamp_ns=frame.timestamp_ns)
                 for theta, strength, frame in zip(cfg.theta_grid[peaks].tolist(),
@@ -803,35 +862,42 @@ def _gram_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) ->
     n_pairs = n_rx * (n_rx - 1) // 2
     weights = np.repeat([1.0, 2.0, -2.0], [n_rx, n_pairs, n_pairs])
     kernel = np.ascontiguousarray(
-        (weights[:, None] * _gram_terms(np.conj(a)[:, None, :] * a[None, :, :])).T)
+        (weights[:, None] * _gram_terms(np.conj(a), a)).T)
     kernel.flags.writeable = False
     return kernel
 
 
-def _gram_terms(outer: np.ndarray) -> np.ndarray:
-    """The real rows of an antenna outer product that the Gram form uses.
+@lru_cache(maxsize=8)
+def _gram_kernel_t(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
+    """`_gram_kernel` transposed, shape (n_antennas^2, n_theta), C-ordered: the
+    block estimator's products put the bearings along rows."""
+    kernel = np.ascontiguousarray(_gram_kernel(positions_bytes, lambda_m, theta_bytes).T)
+    kernel.flags.writeable = False
+    return kernel
 
-    From outer[i, j] (shape (n_rx, n_rx, k), C-ordered) stack, on the first
-    axis, Re outer[i, i] for each antenna, then Re outer[i, j] and
-    Im outer[i, j] for each pair i < j: shape (n_rx^2, k).
+
+def _gram_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The real rows of the antenna outer product x_i y_j that the Gram form uses.
+
+    From x and y of shape (n_rx, k) stack Re x_i y_i for each antenna, then
+    Re x_i y_j and Im x_i y_j for each pair i < j: shape (n_rx^2, k).  Only
+    those n_rx (n_rx + 1) / 2 products are formed.
     """
-    n_rx = outer.shape[0]
-    rows, parts = _gram_rows(n_rx)
-    flat = outer.reshape(n_rx * n_rx, -1)
-    return flat.view(np.float64).reshape(*flat.shape, 2)[rows, :, parts]
+    n_rx = x.shape[0]
+    rows, cols = _gram_rows(n_rx)
+    product = x[rows] * y[cols]
+    return np.concatenate([product.real, product[n_rx:].imag])
 
 
 @lru_cache(maxsize=4)
 def _gram_rows(n_rx: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_gram_terms`' picks from the flattened outer product: (row, 0 for the
-    real or 1 for the imaginary part) of each term."""
+    """`_gram_terms`' antenna pairs (i, j): each (i, i), then each i < j."""
     i, j = np.triu_indices(n_rx, 1)
-    pairs = i * n_rx + j
-    rows = np.concatenate([np.arange(n_rx) * (n_rx + 1), pairs, pairs])
-    parts = np.repeat([0, 0, 1], [n_rx, pairs.size, pairs.size])
+    rows = np.concatenate([np.arange(n_rx), i])
+    cols = np.concatenate([np.arange(n_rx), j])
     rows.flags.writeable = False
-    parts.flags.writeable = False
-    return rows, parts
+    cols.flags.writeable = False
+    return rows, cols
 
 
 @lru_cache(maxsize=8)

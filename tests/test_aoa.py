@@ -750,14 +750,59 @@ class TestAveraging:
         first = bearing_estimator(square_geom, cfg)(frames[0])
         assert first.strength == 0.0 and not np.signbit(first.strength)
 
-    def test_push_curve_is_per_bearing_peak_of_push(self, rng):
-        theta, dist = np.radians(np.arange(-170.0, 181.0, 30.0)), np.arange(0.0, 5.0, 0.5)
-        by_push, by_curve = ProfileAverager(window=4), ProfileAverager(window=4)
-        for _ in range(40):
-            values = rng.random((theta.size, dist.size)) ** 8
-            profile = Profile2D(values / values.max(), theta, dist)
-            curve = by_curve.push_curve(profile)
-            assert np.array_equal(curve, by_push.push(profile).values.max(axis=1))
+    @staticmethod
+    def _push_then_estimate(frames, geom, cfg):
+        """The reference: each frame's profile pushed, the average's bearing picked."""
+        averager = ProfileAverager(cfg.window)
+        return [estimate_bearing(averager.push(bartlett_profile(frame, geom, cfg)),
+                                 frame.rssi_dbm, cfg, frame.source_mac, frame.timestamp_ns)
+                for frame in frames]
+
+    def test_window_across_channels_matches_push_then_estimate(self, square_geom, chan80,
+                                                                chan20, rng):
+        # a library stream may alternate channels: each window then holds
+        # both, and each channel's frames meet that channel's kernel
+        cfg = AoaConfig(window=4)
+        frames = [synth_frame([PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=15e-9),
+                               PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=40e-9,
+                                             amplitude=0.8)],
+                              square_geom, chan80 if k % 2 == 0 else chan20, snr_db=5.0,
+                              rng_seed=rng, timestamp_ns=k)
+                  for k in range(24)]
+        estimate = bearing_estimator(square_geom, cfg)
+        assert list(map(estimate, frames)) == self._push_then_estimate(frames, square_geom, cfg)
+
+    def test_a_strong_frame_weighs_as_much_as_a_weak_one(self, square_geom, chan80, rng):
+        # every profile enters the average over its own peak: one frame 40 dB
+        # above the other three of its window does not outvote them
+        cfg = AoaConfig(window=4)
+        weak, strong = np.radians(35.0), np.radians(-110.0)
+        frames = [synth_frame([PathComponent(aoa=strong, delay_s=25e-9, amplitude=100.0)
+                               if k == 5 else PathComponent(aoa=weak, delay_s=15e-9)],
+                              square_geom, chan80, snr_db=10.0, rng_seed=rng, timestamp_ns=k)
+                  for k in range(8)]
+        got = list(map(bearing_estimator(square_geom, cfg), frames))
+        assert got == self._push_then_estimate(frames, square_geom, cfg)
+        assert [round(np.degrees(est.theta)) for est in got] == [35] * 8
+
+    @pytest.mark.parametrize("window", [1, 4, 8])
+    @pytest.mark.parametrize("cut", [1, 5, 32])
+    def test_block_cuts_match_push_then_estimate(self, square_geom, chan80, window, cut, rng):
+        # all-zero frames at the start, alone and in a run: their windows
+        # add zeros, and an all-zero window has strength 0
+        cfg = AoaConfig(window=window)
+        frames = [synth_frame([PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=15e-9),
+                               PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=40e-9,
+                                             amplitude=0.8)],
+                              square_geom, chan80, snr_db=5.0, rng_seed=rng, timestamp_ns=k)
+                  for k in range(70)]
+        for k in (0, 1, 20, 41, 42, 43):
+            frames[k].csi = np.zeros_like(frames[k].csi)
+        estimate_block = bearing_block_estimator(square_geom, cfg)
+        got = [est for lo in range(0, len(frames), cut)
+               for est in estimate_block(frames[lo: lo + cut])]
+        assert got == self._push_then_estimate(frames, square_geom, cfg)
+        assert got[0].strength == 0.0 and not np.signbit(got[0].strength)
 
     def test_suppresses_randomly_phased_reflection(self, square_geom, chan80, rng):
         # one frozen window where some per-packet argmaxes stray but the
