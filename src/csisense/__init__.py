@@ -22,6 +22,7 @@ from .core import (
     Pose2D,
     Profile2D,
     apply_calibration,
+    apply_calibration_block,
     expected_csi,
     ground_truth_bearing,
     steering_vector,
@@ -44,12 +45,15 @@ from .synth import (
 from .codec import (
     CodecError,
     CaptureTruncatedError,
+    FrameBlock,
     IngestStats,
     decode_frame,
     encode_frame,
     format_mac,
     ingest_capture,
+    ingest_capture_blocks,
     ingest_stream,
+    ingest_stream_blocks,
     iter_capture,
     parse_mac,
     read_capture,
@@ -76,6 +80,7 @@ from .aoa import (
     average_profiles,
     bartlett_profile,
     bearing_block_estimator,
+    bearing_csi_estimator,
     bearing_estimator,
     estimate_bearing,
     music_spectrum,

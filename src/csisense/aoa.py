@@ -14,9 +14,11 @@ Estimators:
 A stream of frames gets one bearing per frame from the estimator's
 output over its last `window` frames: Bartlett averages their profiles,
 MUSIC and SpotFi stack their snapshots into one covariance.
-`bearing_block_estimator` is that windowed stream taken a block of
-frames at a time, and `bearing_estimator` is the same function on
-blocks of one; a frame's bearing does not depend on where the blocks
+`bearing_csi_estimator` is that windowed stream taken a block of frames
+of one channel at a time, as one csi array (the CLI's `codec.FrameBlock`
+after calibration); `bearing_block_estimator` takes a block of
+`CsiFrame`s to the same curve code, and `bearing_estimator` is that on
+blocks of one.  A frame's bearing does not depend on where the blocks
 are cut.  MUSIC solves a block's windows as stacks: one matmul for
 their Gram matrices, one `np.linalg.eigh` over the stack
 (`core._dense_eigenpairs` takes a leading stack axis) and one noise
@@ -194,7 +196,7 @@ def bartlett_profile(
     products of m, and one real (n_theta x n_rx^2) @ (n_rx^2 x n_dist)
     matrix product: no complex bearing x distance array, no modulus.
     """
-    _check_frame(frame, geom)
+    _check_frame(frame.n_rx, geom)
     csi = frame.csi[:, 0, :].astype(np.complex128)
     # complex csi @ R as one real product over the interleaved real/imaginary parts
     m = (csi.view(np.float64) @ _range_phasors(frame.chanspec, _grid_key(cfg.dist_grid))
@@ -222,7 +224,7 @@ def music_spectrum(
     across subcarriers and frames; the noise subspace holds the
     n_antennas - n_sources smallest eigenvectors (`core._dense_eigenpairs`).
     """
-    _check_window(frames, geom)
+    _check_window([(f.chanspec, f.n_rx) for f in frames], geom)
     _check_music_sources(geom, cfg)
     if len(frames) == 1:
         snapshots = frames[0].csi[:, 0, :].astype(np.complex128)
@@ -262,19 +264,25 @@ def _music_spectra(snapshots: np.ndarray, geom: ArrayGeometry, chanspec: Channel
     return np.divide(1.0, denom, out=denom)
 
 
-def _music_stream_spectra(history: Sequence[CsiFrame], frames: Sequence[CsiFrame],
-                          geom: ArrayGeometry, cfg: AoaConfig) -> np.ndarray:
+def _music_stream_spectra(history: Sequence[np.ndarray], chanspec: ChannelSpec,
+                          frames: np.ndarray, geom: ArrayGeometry,
+                          cfg: AoaConfig) -> np.ndarray:
     """MUSIC over consecutive frames of one channel, each frame over its window.
 
-    A frame's window is it and the cfg.window - 1 frames before it, from
-    `history` (the stream's frames before `frames`, oldest first) on; its
-    snapshots are the ones `music_spectrum` concatenates, so each row is
-    `music_spectrum` of that window bit for bit.  Full windows are solved
-    in stacks of at most _MUSIC_STACK_BYTES; window 1 stacks the frames
-    without copying them again.  Returns (len(frames), n_theta).
+    `frames` holds the frames' (n_rx, n_sub) snapshots of transmit antenna
+    0, (n, n_rx, n_sub).  A frame's window is it and the cfg.window - 1
+    frames before it, from `history` (the stream's snapshots before
+    `frames`, oldest first) on; its snapshots are the ones
+    `music_spectrum` concatenates, so each row is `music_spectrum` of
+    that window bit for bit.  Full windows are solved in stacks of at
+    most _MUSIC_STACK_BYTES; window 1 stacks the frames without copying
+    them again.  Returns (n, n_theta).
     """
-    n_rx, window, chanspec = geom.n_antennas, cfg.window, frames[0].chanspec
-    snaps = np.array([f.csi[:, 0, :] for f in (*history, *frames)], dtype=np.complex128)
+    n_rx, window = geom.n_antennas, cfg.window
+    if history:
+        snaps = np.concatenate([np.array(history), frames]).astype(np.complex128)
+    else:
+        snaps = frames.astype(np.complex128)
     n_sub = snaps.shape[-1]
     out = np.empty((len(frames), cfg.theta_grid.size))
     # the stream's first frames have fewer than `window` frames to stack
@@ -286,8 +294,9 @@ def _music_stream_spectra(history: Sequence[CsiFrame], frames: Sequence[CsiFrame
     if partial == len(frames):
         return out
     # (n, n_rx, window, n_sub): frame-major columns, as concatenated
-    full = np.lib.stride_tricks.sliding_window_view(
-        snaps[len(history) + partial - (window - 1):], window, axis=0).transpose(0, 1, 3, 2)
+    tail = snaps[len(history) + partial - (window - 1):]
+    full = (tail[:, :, None, :] if window == 1 else np.lib.stride_tricks.sliding_window_view(
+        tail, window, axis=0).transpose(0, 1, 3, 2))
     # per frame: complex snapshots; complex projections and their moduli
     frame_bytes = 16 * n_rx * window * n_sub + 24 * cfg.theta_grid.size * (n_rx - cfg.n_sources)
     step = max(1, _MUSIC_STACK_BYTES // frame_bytes)
@@ -298,17 +307,19 @@ def _music_stream_spectra(history: Sequence[CsiFrame], frames: Sequence[CsiFrame
     return out
 
 
-def _bartlett_stream_curves(window: deque, frames: Sequence[CsiFrame], geom: ArrayGeometry,
-                            cfg: AoaConfig) -> np.ndarray:
-    """Bartlett over consecutive frames, each over its window: (len(frames), n_theta).
+def _bartlett_stream_curves(window: deque, chanspec: ChannelSpec, frames: np.ndarray,
+                            geom: ArrayGeometry, cfg: AoaConfig) -> np.ndarray:
+    """Bartlett over consecutive frames, each over its window: (n, n_theta).
 
-    Bartlett power is linear in the Gram terms: a frame's profile is K @ T,
-    with K the channel's `_gram_kernel` and T the frame's `_gram_terms` of
-    m = csi @ R.  So the sum of a window's profiles, each over its peak p,
-    is the sum over the window's channels of K @ sum(T / p), each channel's
-    T / p summed oldest to newest and the products added in channel order.
-    A frame costs one product with K for its peak and, in a window of more
-    than one frame, one per channel for the window's power; no profile is
+    `frames` holds the frames' (n_rx, n_sub) snapshots of transmit antenna
+    0, (n, n_rx, n_sub), all on `chanspec`.  Bartlett power is linear in
+    the Gram terms: a frame's profile is K @ T, with K the channel's
+    `_gram_kernel` and T the frame's `_gram_terms` of m = csi @ R.  So the
+    sum of a window's profiles, each over its peak p, is the sum over the
+    window's channels of K @ sum(T / p), each channel's T / p summed
+    oldest to newest and the products added in channel order.  A frame
+    costs one product with K for its peak and, in a window of more than
+    one frame, one per channel for the window's power; no profile is
     kept.  A frame whose peak is not positive adds zeros.  Each curve is
     the power's per-bearing peak over distance, over the curve's own peak
     (all zero for an all-zero window).
@@ -329,30 +340,29 @@ def _bartlett_stream_curves(window: deque, frames: Sequence[CsiFrame], geom: Arr
 
     # every frame's range transform first, while the range phasors stay in
     # cache, then the products with K, while K and the power grid do
+    phasors = _range_phasors(chanspec, dist_key)
     block_terms = []
-    for frame in frames:
-        csi = frame.csi[:, 0, :].astype(np.complex128)
-        m = (csi.view(np.float64) @ _range_phasors(frame.chanspec, dist_key)
-             ).view(np.complex128)
+    for snap in frames:
+        m = (snap.astype(np.complex128).view(np.float64) @ phasors).view(np.complex128)
         block_terms.append(_gram_terms(m, np.conj(m)))
-    for k, (frame, terms) in enumerate(zip(frames, block_terms)):
-        np.matmul(terms.T, kernel(frame.chanspec), out=power)
+    for k, terms in enumerate(block_terms):
+        np.matmul(terms.T, kernel(chanspec), out=power)
         if cfg.window == 1:
             _curve_over_peak(power, curves[k])
             continue
         peak = power.max()
-        newest = (frame.chanspec, terms / peak if peak > 0 else np.zeros_like(terms))
+        newest = (chanspec, terms / peak if peak > 0 else np.zeros_like(terms))
         totals: dict[ChannelSpec, np.ndarray] = {}
-        for chanspec, scaled in (*window, newest):
-            if chanspec in totals:
-                totals[chanspec] += scaled
+        for spec, scaled in (*window, newest):
+            if spec in totals:
+                totals[spec] += scaled
             else:
-                totals[chanspec] = scaled.copy()
+                totals[spec] = scaled.copy()
         window.append(newest)
         first, *others = sorted(totals, key=lambda c: (c.channel_number, c.bandwidth_mhz))
         np.matmul(totals[first].T, kernel(first), out=power)
-        for chanspec in others:
-            power += np.matmul(totals[chanspec].T, kernel(chanspec), out=part)
+        for spec in others:
+            power += np.matmul(totals[spec].T, kernel(spec), out=part)
         _curve_over_peak(power, curves[k])
     return curves
 
@@ -405,12 +415,19 @@ def spotfi_profile(
     The geometry must be a uniform linear array with at least two
     antennas; `spotfi_estimate` and `bearing_estimator` check it once.
     """
-    _check_window(frames, geom)
-    chanspec = frames[0].chanspec
+    _check_window([(f.chanspec, f.n_rx) for f in frames], geom)
+    pseudo = _spotfi_pseudo(frames[0].chanspec, [f.csi[:, 0, :] for f in frames], geom, cfg)
+    return Profile2D(values=pseudo, theta_grid=cfg.theta_grid, dist_grid=cfg.dist_grid)
+
+
+def _spotfi_pseudo(chanspec: ChannelSpec, snaps: Sequence[np.ndarray], geom: ArrayGeometry,
+                   cfg: AoaConfig) -> np.ndarray:
+    """`spotfi_profile`'s values from its frames' (n_rx, n_sub) snapshots of
+    transmit antenna 0, all on `chanspec`: (n_theta, n_dist)."""
     n_ant_sub, n_sub_sub = spotfi_smoothing_dims(geom.n_antennas, chanspec, cfg)
     dim = n_ant_sub * n_sub_sub
     n_sources = cfg.n_sources
-    signal = _spotfi_signal_subspace(frames, n_ant_sub, n_sub_sub, n_sources)
+    signal = _spotfi_signal_subspace(chanspec, snaps, n_ant_sub, n_sub_sub, n_sources)
 
     ant = _steering(cfg.theta_grid, geom.positions[:n_ant_sub], wavelength(chanspec))
     sub = _delay_steering(n_sub_sub, _grid_key(cfg.dist_grid))
@@ -431,20 +448,19 @@ def spotfi_profile(
     np.subtract(dim, pseudo, out=pseudo)
     np.maximum(pseudo, 1e-9 * dim, out=pseudo)
     np.divide(1.0, pseudo, out=pseudo)
-    return Profile2D(values=pseudo, theta_grid=cfg.theta_grid, dist_grid=cfg.dist_grid)
+    return pseudo
 
 
-def _spotfi_signal_subspace(frames: Sequence[CsiFrame], n_ant_sub: int, n_sub_sub: int,
-                            n_sources: int) -> np.ndarray:
+def _spotfi_signal_subspace(chanspec: ChannelSpec, snaps: Sequence[np.ndarray],
+                            n_ant_sub: int, n_sub_sub: int, n_sources: int) -> np.ndarray:
     """The leading eigenvectors of the window's smoothed covariance, (dim, n_sources).
 
     The snapshot matrix lives only inside this call, so it is freed
     before the caller evaluates the grid.
     """
-    chanspec = frames[0].chanspec
     windows = [np.lib.stride_tricks.sliding_window_view(
-        _interpolate_subcarriers(frame.csi[:, 0, :].astype(np.complex128), chanspec),
-        (n_ant_sub, n_sub_sub)) for frame in frames]
+        _interpolate_subcarriers(snap.astype(np.complex128), chanspec),
+        (n_ant_sub, n_sub_sub)) for snap in snaps]
     # np.stack copies every frame's sub-arrays once, straight from the
     # sliding views, into a C-ordered block: (n_windows, dim) rows one
     # frame after another, which the reshape below only views.  Left to
@@ -606,8 +622,91 @@ def estimate_bearing(
 def _pick_bearing(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each curve's argmax over the bearing grid (the last axis), ties to the
     smallest index, and the curve's value there."""
-    k = np.argmax(curves, axis=-1)
-    return k, np.take_along_axis(curves, k[..., None], axis=-1)[..., 0]
+    rows = curves.reshape(-1, curves.shape[-1])
+    k = np.argmax(rows, axis=1)
+    return k.reshape(curves.shape[:-1]), rows[np.arange(len(rows)), k].reshape(curves.shape[:-1])
+
+
+def _stream_estimator(geom: ArrayGeometry, cfg: AoaConfig) -> tuple[Callable, Callable]:
+    """The window state of one stream of calibrated frames, and its two steps.
+
+    `check(entries)` refuses frames, given as (chanspec, snapshot) with the
+    (n_rx, n_sub) snapshot of transmit antenna 0, as the frame-by-frame
+    estimator would; a refused frame raises, and for MUSIC and SpotFi at
+    windows above 1 it and the frames before it enter the window, as they
+    did one by one.  `curves(chanspec, snapshots)` gives the curves of
+    checked consecutive frames of one channel, (n, n_rx, n_sub) ->
+    (n, n_theta), and takes them into the window: Bartlett keeps their
+    Gram terms, each over its profile's peak, and MUSIC and SpotFi their
+    snapshots.  SpotFi's array check and MUSIC's source count check run
+    here, first.
+    """
+    algorithm, n_rx = cfg.algorithm, geom.n_antennas
+    if algorithm == "music":
+        _check_music_sources(geom, cfg)
+    if algorithm == "spotfi":
+        _require_ula(geom)
+    # the window's frames before the next ones (bartlett keeps their Gram terms)
+    recent: deque = deque(maxlen=cfg.window - 1)
+
+    def check(entries: Sequence[tuple[ChannelSpec, np.ndarray]]) -> None:
+        if algorithm == "bartlett" or cfg.window == 1:
+            for _, snap in entries:
+                _check_frame(snap.shape[0], geom)
+        else:
+            stream = [*recent, *entries]
+            for end in range(len(recent) + 1, len(stream) + 1):
+                try:
+                    _check_window([(chanspec, snap.shape[0]) for chanspec, snap
+                                   in stream[max(0, end - cfg.window): end]], geom)
+                except DimensionMismatchError:
+                    # the refused frame enters the window, as it did frame by frame
+                    recent.extend(stream[len(recent): end])
+                    raise
+        if algorithm == "spotfi":
+            for chanspec in dict.fromkeys(chanspec for chanspec, _ in entries):
+                spotfi_smoothing_dims(n_rx, chanspec, cfg)
+
+    def curves(chanspec: ChannelSpec, snaps: np.ndarray) -> np.ndarray:
+        if algorithm == "bartlett":
+            return _bartlett_stream_curves(recent, chanspec, snaps, geom, cfg)
+        if algorithm == "music":
+            out = _music_stream_spectra([snap for _, snap in recent], chanspec, snaps, geom, cfg)
+            recent.extend((chanspec, snap) for snap in snaps)
+            return out
+        out = np.empty((len(snaps), cfg.theta_grid.size))
+        for i, snap in enumerate(snaps):
+            out[i] = _spotfi_pseudo(chanspec, [*(old for _, old in recent), snap], geom,
+                                    cfg).max(axis=1)
+            recent.append((chanspec, snap))
+        return out
+
+    return check, curves
+
+
+def bearing_csi_estimator(
+        geom: ArrayGeometry,
+        cfg: AoaConfig) -> Callable[[ChannelSpec, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Calibrated frames of one stream, a block of one channel at a time -> their bearings.
+
+    The returned function takes a block's channel and its csi,
+    (frames, n_rx, n_tx, n_sub), and gives each frame's bearing as its
+    index into cfg.theta_grid, picked as `estimate_bearing` picks it, and
+    its strength, as arrays.  It is `bearing_block_estimator` without the
+    frames: the same window state and curves, and the same bearing for
+    every frame.  Every frame of a block shares the window of the first,
+    so the block is checked by its first frame.
+    """
+    check, curves = _stream_estimator(geom, cfg)
+
+    def estimate(chanspec: ChannelSpec, csi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        snaps = csi[:, :, 0, :]
+        if not len(snaps):
+            return np.empty(0, dtype=np.intp), np.empty(0)
+        check([(chanspec, snaps[0])])
+        return _pick_bearing(curves(chanspec, snaps))
+
+    return estimate
 
 
 def bearing_block_estimator(
@@ -616,76 +715,41 @@ def bearing_block_estimator(
     """Calibrated frames of one stream, a block at a time -> their bearings, in order.
 
     The returned function owns the averaging window, the stream's last
-    cfg.window - 1 frames: Bartlett keeps their Gram terms, each over its
-    profile's peak, and MUSIC and SpotFi their frames, whose snapshots
-    they stack; confine it to one stream.  A frame's bearing does not
-    depend on how the stream is cut into blocks.  It is the argmax of the
-    frame's curve over the bearing grid, by `estimate_bearing`'s rule.
-    Bartlett's curve is the per-bearing peak of the window's average
-    profile, formed from the summed terms (`_bartlett_stream_curves`);
-    it picks the bearing that `ProfileAverager.push` and
-    `estimate_bearing` pick, up to rounding, with the same strength.
-    MUSIC's curve is its pseudospectrum, from the block's windows solved
-    as stacks (`_music_stream_spectra`); SpotFi's is the profile's
-    per-bearing peak, one frame at a time.
+    cfg.window - 1 frames (`_stream_estimator`); confine it to one
+    stream.  A frame's bearing does not depend on how the stream is cut
+    into blocks.  It is the argmax of the frame's curve over the bearing
+    grid, by `estimate_bearing`'s rule.  Bartlett's curve is the
+    per-bearing peak of the window's average profile, formed from the
+    summed terms (`_bartlett_stream_curves`); it picks the bearing that
+    `ProfileAverager.push` and `estimate_bearing` pick, up to rounding,
+    with the same strength.  MUSIC's curve is its pseudospectrum, from
+    the block's windows solved as stacks (`_music_stream_spectra`);
+    SpotFi's is the profile's per-bearing peak, one frame at a time.
 
-    SpotFi's array check and MUSIC's source count check run here, first.
     Every frame of a block is checked before any is estimated: a frame
     the estimator refuses raises for the whole block, and the window then
-    holds the frames up to it, as if they had come one by one.
+    holds the frames up to it, as if they had come one by one.  The
+    checked frames' snapshots then go to the curve code a run of one
+    channel at a time, as `bearing_csi_estimator` sends a block's.
     """
-    algorithm, n_rx = cfg.algorithm, geom.n_antennas
-    if algorithm == "music":
-        _check_music_sources(geom, cfg)
-    if algorithm == "spotfi":
-        _require_ula(geom)
-    # the window's frames before the block (bartlett keeps their Gram terms)
-    recent: deque = deque(maxlen=cfg.window - 1)
-
-    def check(frames: Sequence[CsiFrame]) -> None:
-        if algorithm == "bartlett" or cfg.window == 1:
-            for frame in frames:
-                _check_frame(frame, geom)
-        else:
-            stream = [*recent, *frames]
-            for end in range(len(recent) + 1, len(stream) + 1):
-                try:
-                    _check_window(stream[max(0, end - cfg.window): end], geom)
-                except DimensionMismatchError:
-                    # the refused frame enters the window, as it did frame by frame
-                    recent.extend(stream[len(recent): end])
-                    raise
-        if algorithm == "spotfi":
-            for chanspec in dict.fromkeys(frame.chanspec for frame in frames):
-                spotfi_smoothing_dims(n_rx, chanspec, cfg)
-
-    def curves(frames: Sequence[CsiFrame]) -> np.ndarray:
-        if algorithm == "bartlett":
-            return _bartlett_stream_curves(recent, frames, geom, cfg)
-        out = np.empty((len(frames), cfg.theta_grid.size))
-        if algorithm == "music":
-            # window 1 may change channel between frames; a longer window may not
-            start = 0
-            for _, run in itertools.groupby(frames, key=lambda frame: frame.chanspec):
-                run = list(run)
-                out[start: start + len(run)] = _music_stream_spectra(recent, run, geom, cfg)
-                recent.extend(run)
-                start += len(run)
-            return out
-        for i, frame in enumerate(frames):
-            out[i] = spotfi_profile([*recent, frame], geom, cfg).values.max(axis=1)
-            recent.append(frame)
-        return out
+    check, curves = _stream_estimator(geom, cfg)
 
     def estimate_block(frames: Sequence[CsiFrame]) -> list[BearingEstimate]:
         if not frames:
             return []
-        check(frames)
-        peaks, strengths = _pick_bearing(curves(frames))
-        return [BearingEstimate(theta=theta, strength=strength, rssi_dbm=frame.rssi_dbm,
-                                source_mac=frame.source_mac, timestamp_ns=frame.timestamp_ns)
-                for theta, strength, frame in zip(cfg.theta_grid[peaks].tolist(),
-                                                  strengths.tolist(), frames)]
+        check([(frame.chanspec, frame.csi[:, 0, :]) for frame in frames])
+        estimates = []
+        for chanspec, run in itertools.groupby(frames, key=lambda frame: frame.chanspec):
+            run = list(run)
+            peaks, strengths = _pick_bearing(
+                curves(chanspec, np.stack([frame.csi[:, 0, :] for frame in run])))
+            estimates += [BearingEstimate(theta=theta, strength=strength,
+                                          rssi_dbm=frame.rssi_dbm, source_mac=frame.source_mac,
+                                          timestamp_ns=frame.timestamp_ns)
+                          for theta, strength, frame in zip(cfg.theta_grid[peaks].tolist(),
+                                                            strengths.tolist(), run)]
+        return estimates
+
     return estimate_block
 
 
@@ -745,10 +809,21 @@ def triangulate(
     return point, residual
 
 
-def bearing_row(est: BearingEstimate) -> str:
-    """One bearings CSV row, without its newline (columns as in `write_bearings_csv`)."""
-    return (f"{est.timestamp_ns},{format_mac(est.source_mac)},"
-            f"{np.degrees(est.theta):.4f},{est.strength:.6g},{est.rssi_dbm:.2f}")
+BEARINGS_CSV_HEADER = "timestamp_ns,source_mac,theta_deg,strength,rssi_dbm\n"
+
+
+def bearing_rows(timestamps_ns: Sequence[int], source_macs: Sequence[bytes],
+                 theta_deg: np.ndarray, strength: Sequence[float],
+                 rssi_dbm: Sequence[float]) -> list[str]:
+    """Bearings CSV rows, each with its newline, from per-frame columns.
+
+    theta_deg is each bearing in degrees, from the radians wrapped to
+    (-pi, pi] as `BearingEstimate` wraps them: `np.degrees(wrap_angle(..))`.
+    """
+    return [f"{ts},{format_mac(mac)},{deg:.4f},{power:.6g},{rssi:.2f}\n"
+            for ts, mac, deg, power, rssi in zip(timestamps_ns, source_macs,
+                                                 np.asarray(theta_deg).tolist(),
+                                                 np.asarray(strength).tolist(), rssi_dbm)]
 
 
 def write_bearings_csv(path, estimates: Iterable[BearingEstimate]) -> None:
@@ -759,9 +834,10 @@ def write_bearings_csv(path, estimates: Iterable[BearingEstimate]) -> None:
     header and every row before the fault.
     """
     with open(path, "w") as fh:
-        fh.write("timestamp_ns,source_mac,theta_deg,strength,rssi_dbm\n")
+        fh.write(BEARINGS_CSV_HEADER)
         for est in estimates:
-            fh.write(bearing_row(est) + "\n")
+            fh.writelines(bearing_rows([est.timestamp_ns], [est.source_mac],
+                                       np.degrees([est.theta]), [est.strength], [est.rssi_dbm]))
 
 
 def write_profile_pgm(path, profile: Profile2D, metadata: dict | None = None) -> None:
@@ -942,19 +1018,21 @@ def _delay_steering(n_sub_sub: int, dist_bytes: bytes) -> np.ndarray:
     return kernel
 
 
-def _check_frame(frame: CsiFrame, geom: ArrayGeometry) -> None:
-    if frame.n_rx != geom.n_antennas:
+def _check_frame(n_rx: int, geom: ArrayGeometry) -> None:
+    if n_rx != geom.n_antennas:
         raise DimensionMismatchError(
-            f"frame has {frame.n_rx} antennas, geometry has {geom.n_antennas}"
+            f"frame has {n_rx} antennas, geometry has {geom.n_antennas}"
         )
 
 
-def _check_window(frames: Sequence[CsiFrame], geom: ArrayGeometry) -> None:
+def _check_window(frames: Sequence[tuple[ChannelSpec, int]], geom: ArrayGeometry) -> None:
+    """Refuse a window, given as each frame's (chanspec, n_rx), that is empty,
+    mixes channels or has a frame the geometry does not fit."""
     if not frames:
         raise ConfigurationError("need at least one frame")
-    for frame in frames:
-        _check_frame(frame, geom)
-        if frame.chanspec != frames[0].chanspec:
+    for chanspec, n_rx in frames:
+        _check_frame(n_rx, geom)
+        if chanspec != frames[0][0]:
             raise DimensionMismatchError("window frames must share one channel")
 
 

@@ -14,9 +14,10 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 line to stderr: ``error: <kind>: <message>``.
 
 `decode` and `bearing` share their ingest flags and one pipeline that
-writes each row as it is made; `bearing` makes a capture's rows a block
-of frames at a time (`codec.REPLAY_BLOCK`), a UDP stream's one datagram
-at a time.  A fault mid-stream keeps the rows before it and prints the
+takes a capture a `codec.FrameBlock` at a time (the kept frames of
+`codec.REPLAY_BLOCK` records that share a channel and antenna counts), a
+UDP stream one datagram at a time, and writes each block's rows as it is
+made.  A fault mid-stream keeps the rows before it and prints the
 summary line, then the error line, and exits 2.
 
 Configuration files (--config) are INI-style: [packet] (MAC allow-list,
@@ -36,20 +37,20 @@ import functools
 import inspect
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .aoa import (
     ALGORITHMS,
+    BEARINGS_CSV_HEADER,
     AoaConfig,
     bartlett_profile,
-    bearing_block_estimator,
-    bearing_row,
+    bearing_csi_estimator,
+    bearing_rows,
     build_grids,
     spotfi_smoothing_dims,
-    write_bearings_csv,
     write_profile_pgm,
 )
 from .calibration import (
@@ -65,11 +66,11 @@ from .calibration import (
 )
 from .codec import (
     DEFAULT_UDP_PORT,
-    REPLAY_BLOCK,
+    FrameBlock,
     IngestStats,
     format_mac,
-    ingest_capture,
-    ingest_stream,
+    ingest_capture_blocks,
+    ingest_stream_blocks,
     iter_capture,
     parse_mac,
     read_capture_frame,
@@ -79,11 +80,12 @@ from .codec import (
 from .core import (
     MAX_COORDINATE_M,
     ArrayGeometry,
-    BearingEstimate,
     ConfigurationError,
-    CsiFrame,
     CsiSenseError,
+    FrameValidationError,
     apply_calibration,
+    apply_calibration_block,
+    wrap_angle,
 )
 from .scanner import ScanPolicy, run_walkthrough, write_walkthrough_csv
 from .scenario import _Ini, _Section, load_scenario, read_poses_csv, write_poses_csv
@@ -293,12 +295,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None,
-            write: Callable[[Iterator[CsiFrame], Callable[[Iterable], Iterator]], None],
+def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None, out_path: str | None,
+            header: str, rows: Callable[[FrameBlock], tuple[list[str], Exception | None]],
             summary: Callable[[int, IngestStats], str]) -> int:
-    """`decode` and `bearing`: `write(frames, counted)` turns the filtered frames
-    into rows, one row per frame, and writes each row it draws from `counted`.
+    """`decode` and `bearing`: write `header`, then each ingested block's rows,
+    to `out_path` (stdout if None).
 
+    A capture comes a `codec.FrameBlock` at a time, a UDP stream a
+    datagram at a time.  `rows(block)` gives the rows of the block's
+    frames before its first fault, and that fault or None; the rows are
+    written and the frames up to the fault counted before it is raised.
     A UDP port, --count or --timeout that no listen can use is refused
     before any socket is bound.  The MAC allow-list and the RSSI floor
     apply here and nowhere else, so a dropped frame reaches no estimator
@@ -315,20 +321,23 @@ def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None,
     stats = IngestStats()
     mac_allow = cfg.mac_filter or None
     if args.capture:
-        source = ingest_capture(args.capture, mac_allow, rssi_floor_dbm, stats)
+        blocks = ingest_capture_blocks(args.capture, mac_allow, rssi_floor_dbm, stats)
     else:
         datagrams = udp_datagrams(port=args.udp, max_datagrams=args.count,
                                   timeout_s=args.timeout)
-        source = ingest_stream(datagrams, mac_allow, rssi_floor_dbm, stats)
+        blocks = ingest_stream_blocks(datagrams, mac_allow, rssi_floor_dbm, stats)
     written = 0
-
-    def counted(rows: Iterable) -> Iterator:
-        nonlocal written
-        for row in rows:
-            yield row
-            written += 1  # `write` asks for the next row only once this one is out
     try:
-        write(source, counted)
+        with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as out:
+            out.write(header)
+            for block in blocks:
+                made, fault = rows(block)
+                out.writelines(made)
+                written += len(made)
+                if fault is not None:
+                    stats.count(block, 0, len(made) + 1)  # the faulty frame was delivered
+                    raise fault
+                stats.count(block)
     finally:
         print(summary(written, stats), file=sys.stderr)
     return 0
@@ -337,16 +346,16 @@ def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None,
 def _cmd_decode(args) -> int:
     cfg = _load_run_config(args)
 
-    def write(frames: Iterator[CsiFrame], counted) -> None:
-        with open(args.csv, "w") if args.csv else contextlib.nullcontext(sys.stdout) as out:
-            out.write("timestamp_ns,seq,source_mac,channel,bandwidth_mhz,n_rx,n_tx,n_sub,"
-                      "rssi_dbm\n")
-            out.writelines(f"{f.timestamp_ns},{f.seq},{format_mac(f.source_mac)},"
-                           f"{f.chanspec.channel_number},{f.chanspec.bandwidth_mhz},"
-                           f"{f.n_rx},{f.n_tx},{f.n_sub},{f.rssi_dbm:.1f}\n"
-                           for f in counted(frames))
+    def rows(block: FrameBlock) -> tuple[list[str], None]:
+        chanspec, (_, n_rx, n_tx, n_sub) = block.chanspec, block.csi.shape
+        shared = f"{chanspec.channel_number},{chanspec.bandwidth_mhz},{n_rx},{n_tx},{n_sub}"
+        return [f"{ts},{seq},{format_mac(mac)},{shared},{rssi:.1f}\n"
+                for ts, seq, mac, rssi in zip(block.timestamp_ns, block.seq, block.source_mac,
+                                              block.rssi_dbm)], None
 
-    return _ingest(args, cfg, cfg.rssi_floor_dbm, write,
+    return _ingest(args, cfg, cfg.rssi_floor_dbm, args.csv,
+                   "timestamp_ns,seq,source_mac,channel,bandwidth_mhz,n_rx,n_tx,n_sub,rssi_dbm\n",
+                   rows,
                    lambda n, stats: f"decoded {n} frames (dropped: {stats.dropped_decode} "
                                     f"decode, {stats.dropped_mac} mac, {stats.dropped_rssi} rssi)")
 
@@ -382,37 +391,30 @@ def _cmd_bearing(args) -> int:
     if aoa_cfg.algorithm == "spotfi":
         dims = spotfi_smoothing_dims(geom.n_antennas, cal.chanspec, aoa_cfg)
         print(f"spotfi smoothing = {dims[0]},{dims[1]}", file=sys.stderr)
-    estimate_block = bearing_block_estimator(geom, aoa_cfg)
+    estimate = bearing_csi_estimator(geom, aoa_cfg)
+    # each grid bearing as a row shows it, wrapped as `BearingEstimate` wraps it
+    theta_deg = np.degrees(wrap_angle(aoa_cfg.theta_grid))
     floor = _BEARING_RSSI_FLOOR_DBM if cfg.rssi_floor_dbm is None else cfg.rssi_floor_dbm
-    # a UDP row is echoed as its datagram arrives
-    block = REPLAY_BLOCK if args.udp is None else 1
 
-    def estimated(pending: list[CsiFrame]) -> Iterator[BearingEstimate]:
-        results = estimate_block(pending)
-        pending.clear()
-        for result in results:
-            if args.udp is not None:
-                print(bearing_row(result))
-            yield result
-
-    def bearings(frames: Iterator[CsiFrame]) -> Iterator[BearingEstimate]:
-        """Calibrate each frame as it comes, and estimate the pending frames once
-        they fill a block, once the source ends, or before a fault of the source
-        or of the calibration goes on."""
-        pending: list[CsiFrame] = []
+    def rows(block: FrameBlock) -> tuple[list[str], Exception | None]:
+        """Calibrate the block with one multiply, estimate the frames before
+        the first whose product overflows, and make their rows; a UDP row is
+        echoed as its datagram arrives."""
         try:
-            for frame in frames:
-                pending.append(apply_calibration(cal, frame))
-                if len(pending) == block:
-                    yield from estimated(pending)
-        except (CsiSenseError, OSError):  # what `main` reports as a data error
-            yield from estimated(pending)
-            raise
-        yield from estimated(pending)
+            csi, finite = apply_calibration_block(cal, block.chanspec, block.csi)
+        except CsiSenseError as exc:
+            return [], exc
+        fault = None if finite == len(block) else FrameValidationError(
+            f"frame {block.index[finite]} (timestamp_ns {block.timestamp_ns[finite]}): "
+            "calibrated csi overflows complex64: csi entries must be finite")
+        peaks, strength = estimate(block.chanspec, csi[:finite])
+        made = bearing_rows(block.timestamp_ns, block.source_mac, theta_deg[peaks], strength,
+                            block.rssi_dbm)
+        if args.udp is not None:
+            sys.stdout.writelines(made)
+        return made, fault
 
-    return _ingest(args, cfg, floor,
-                   lambda frames, counted: write_bearings_csv(args.out,
-                                                              counted(bearings(frames))),
+    return _ingest(args, cfg, floor, args.out, BEARINGS_CSV_HEADER, rows,
                    lambda n, stats: f"{n} bearings written to {args.out} ({stats.dropped_rssi} "
                                     f"rejected by rssi floor, {stats.dropped_mac} by mac filter, "
                                     f"{stats.dropped_decode} undecodable)")

@@ -23,21 +23,32 @@ pairs in rx-major, then tx, then subcarrier order.
 Capture files (".wcap"): a 16-byte header (magic "WCAP", u32 version = 1,
 u64 frame count) followed by `count` length-prefixed (u32) wire frames.
 
-Ingest (`ingest_capture`, `ingest_stream`) takes each wire frame in this
-order: every header and length check of `decode_frame`; then the MAC
-allow-list and the RSSI floor, read from the header; then the payload's
-finite check, on every frame, dropped or kept; then a `CsiFrame`, only
-for a kept frame.  A frame that fails a check is undecodable whether or
-not the filter would have dropped it: fatal in a capture, counted as
-`dropped_decode` in a stream.
+Ingest (`ingest_capture_blocks`, `ingest_stream_blocks`) takes each wire
+frame in this order: every header and length check of `decode_frame`;
+then the MAC allow-list and the RSSI floor, read from the header; then
+the payload's finite check, on every frame, dropped or kept.  A frame
+that fails a check is undecodable whether or not the filter would have
+dropped it: fatal in a capture, counted as `dropped_decode` in a stream.
 
 A capture is ingested `REPLAY_BLOCK` records at a time (a stream one
-datagram at a time): the headers of a block are parsed and filtered, and
-the payloads of its dropped records share one finite check.  Counting,
-yielding and faults still go record by record, in record order: a
-record is counted only as it is reached, and the first faulty record
-raises after every record before it was counted and yielded, so the
-counts and frames seen before a fault do not depend on the block.
+datagram at a time).  The payloads of an ingest block's parsed records,
+kept and dropped, are joined once and share one finite check; only when
+it fails are they checked one by one, to find the faulty ones.  The kept
+frames come out as `FrameBlock`s: the consecutive delivered frames of
+one ingest block that share (chanspec, n_rx, n_tx), their csi one
+(frames, n_rx, n_tx, n_sub) array over the joined payloads and their
+header fields per-frame sequences.  A block ends at a change of
+(chanspec, n_rx, n_tx), at the end of its ingest block, and before the
+first faulty record; that record raises only after every block before it
+was yielded and every record before it counted.  A record is counted
+only once everything before it was consumed: each block carries, per
+frame, the drops since the block before, and its consumer counts the
+frames it used (`IngestStats.count`), so the counts seen at a fault do
+not depend on how the records were cut into blocks.
+
+`ingest_capture`, `ingest_stream` and `iter_capture` are the same
+pipeline a frame at a time: they build one `CsiFrame` per delivered
+frame of each block.
 """
 
 from __future__ import annotations
@@ -75,9 +86,14 @@ _LENGTH_PREFIX = struct.Struct("<I")
 
 DEFAULT_UDP_PORT = 5500
 
-# Records per block when a capture is replayed: ingest checks a block's
-# dropped payloads at once, and `bearing` estimates a block's frames at once.
+# Records per ingest block when a capture is replayed: ingest checks a
+# block's payloads at once, and `bearing` calibrates and estimates each
+# `FrameBlock` of it at once.
 REPLAY_BLOCK = 32
+# Capture files are read through a 64 KiB buffer: with the default
+# (st_blksize, often 4 KiB) each 7.5 KB record of an 80 MHz capture is
+# its own read system call.
+_READ_BUFFER = 1 << 16
 
 
 class CodecError(CsiSenseError):
@@ -207,10 +223,8 @@ def _build_frame(buf: bytes, header: tuple) -> CsiFrame:
         raise FrameFormatError(str(exc)) from exc
 
 
-def _all_finite(bufs: list[bytes]) -> bool:
-    """The payload check dropped frames get instead of a CsiFrame: whether every
-    payload float of the parsed records `bufs` is finite, in one check."""
-    payloads = b"".join(memoryview(buf)[HEADER_SIZE:] for buf in bufs)
+def _all_finite(payloads: bytes) -> bool:
+    """Whether every float of the joined payloads is finite, in one check."""
     return bool(np.isfinite(np.frombuffer(payloads, "<f4")).all())
 
 
@@ -226,7 +240,40 @@ def parse_mac(text: str) -> bytes:
 
 
 def format_mac(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
+    """Format 6 bytes as "aa:bb:cc:dd:ee:ff"."""
+    return mac.hex(":")
+
+
+@dataclass(eq=False)
+class FrameBlock:
+    """Consecutive delivered frames of one ingest block that share
+    (chanspec, n_rx, n_tx), as arrays.
+
+    csi is (frames, n_rx, n_tx, n_sub) complex64, a read-only view of the
+    joined payloads.  The header fields are per-frame sequences, and
+    `index` is each frame's record number in its capture or stream.
+    `drops[i]` counts the (decode, mac, rssi) drops from the delivered
+    frame before the block up to frame i, which `IngestStats.count` adds
+    with the frames.
+    """
+
+    csi: np.ndarray
+    chanspec: ChannelSpec
+    index: list[int]
+    seq: list[int]
+    rssi_dbm: list[float]
+    source_mac: list[bytes]
+    timestamp_ns: list[int]
+    drops: list[tuple[int, int, int]]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def frame(self, i: int) -> CsiFrame:
+        """Frame i of the block, its csi a read-only view of the block's.  Ingest
+        ran every check of a `CsiFrame` on it, so none runs again."""
+        return CsiFrame._from_checked(self.csi[i], self.rssi_dbm[i], self.source_mac[i],
+                                      self.seq[i], self.chanspec, self.timestamp_ns[i])
 
 
 @dataclass
@@ -238,6 +285,22 @@ class IngestStats:
     dropped_decode: int = 0
     dropped_mac: int = 0
     dropped_rssi: int = 0
+
+    def count(self, block: FrameBlock, start: int = 0, stop: int | None = None) -> None:
+        """Count frames start to stop - 1 of `block` as delivered, each with the
+        records dropped before it (all the block's frames by default)."""
+        stop = len(block) if stop is None else stop
+        if stop <= start:
+            return
+        decode, mac, rssi = block.drops[stop - 1]
+        if start:
+            before = block.drops[start - 1]
+            decode, mac, rssi = decode - before[0], mac - before[1], rssi - before[2]
+        self.received += stop - start + decode + mac + rssi
+        self.delivered += stop - start
+        self.dropped_decode += decode
+        self.dropped_mac += mac
+        self.dropped_rssi += rssi
 
 
 def ingest_stream(
@@ -251,33 +314,67 @@ def ingest_stream(
     Every datagram counts as received; the dropped ones are counted by
     reason.  An empty/None allow-list passes every MAC, and a frame
     passes the floor unless its header's RSSI is below it.  Malformed
-    datagrams are counted as received and dropped, never fatal.  Each
-    datagram is its own block: a frame is yielded before the next
-    datagram is waited for.
+    datagrams are counted as received and dropped, never fatal.  A frame
+    is yielded before the next datagram is waited for.
     """
     if stats is None:
         stats = IngestStats()
-    return _ingest(datagrams, mac_allow, rssi_floor_dbm, stats, lambda k, exc: None, 1)
+    return _frames(ingest_stream_blocks(datagrams, mac_allow, rssi_floor_dbm, stats), stats)
 
 
-def _ingest(
+def ingest_stream_blocks(
+    datagrams: Iterable[bytes],
+    mac_allow: set[bytes] | None = None,
+    rssi_floor_dbm: float | None = None,
+    stats: IngestStats | None = None,
+) -> Iterator[FrameBlock]:
+    """`ingest_stream` as blocks: each datagram is its own ingest block, so a
+    delivered frame comes out, a block of one, before the next datagram is
+    waited for.  The caller counts each block's frames with
+    `stats.count(block)`; the records no frame carries are counted here."""
+    if stats is None:
+        stats = IngestStats()
+    return _ingest_blocks(datagrams, mac_allow, rssi_floor_dbm, stats, lambda k, exc: None, 1)
+
+
+def _frames(blocks: Iterable[FrameBlock], stats: IngestStats) -> Iterator[CsiFrame]:
+    """The blocks' frames one at a time, each counted as it is yielded."""
+    for block in blocks:
+        for i in range(len(block)):
+            frame = block.frame(i)
+            stats.count(block, i, i + 1)
+            yield frame
+
+
+def _ingest_blocks(
     records: Iterable[bytes],
     mac_allow: set[bytes] | None,
     rssi_floor_dbm: float | None,
     stats: IngestStats,
     undecodable: Callable[[int, CodecError], None],
     block: int,
-) -> Iterator[CsiFrame]:
+) -> Iterator[FrameBlock]:
     """The ingest loop of captures and streams, `block` records at a time.
 
     Checks run in the module docstring's order.  `undecodable(k, exc)`
-    sees record k's CodecError first: a capture raises from it, and a
+    sees record k's CodecError once the blocks before it were yielded
+    and the records before it counted: a capture raises from it, and a
     stream returns, so the record counts as dropped_decode.  A
     CodecError or OSError that `records` raises (a capture cut short) is
-    raised once the records read before it have been counted and yielded.
+    raised the same way.  A dropped record is counted with the next
+    delivered frame (`FrameBlock.drops`), or here, before a fault and at
+    the end.
     """
     records = iter(records)
-    k = 0
+    k = 0  # record number of the next record
+    pending = (0, 0, 0)  # (decode, mac, rssi) drops since the last delivered frame
+
+    def count_pending() -> None:
+        stats.received += sum(pending)
+        stats.dropped_decode += pending[0]
+        stats.dropped_mac += pending[1]
+        stats.dropped_rssi += pending[2]
+
     while True:
         bufs, fault = [], None
         try:
@@ -287,46 +384,81 @@ def _ingest(
                     break
         except (CodecError, OSError) as exc:
             fault = exc
-        # each record's outcome, with its parsed header or its CodecError
-        checked: list[tuple[str, object]] = []
-        for buf in bufs:
-            try:
-                header = _parse_header(buf)
-            except CodecError as exc:
-                checked.append(("dropped_decode", exc))
-                continue
-            rssi, mac = header[5], header[6]
-            if mac_allow and mac not in mac_allow:
-                checked.append(("dropped_mac", header))
-            elif rssi_floor_dbm is not None and float(rssi) < rssi_floor_dbm:
-                checked.append(("dropped_rssi", header))
-            else:
-                checked.append(("delivered", header))
-        dropped = [j for j, (outcome, _) in enumerate(checked)
-                   if outcome in ("dropped_mac", "dropped_rssi")]
-        if dropped and not _all_finite([bufs[j] for j in dropped]):
-            for j in dropped:  # which of them failed: a fault path only
-                if not _all_finite([bufs[j]]):  # CsiFrame's message
-                    checked[j] = ("dropped_decode",
-                                  FrameFormatError("csi entries must be finite"))
-        for j, (outcome, detail) in enumerate(checked):
-            buf, bufs[j] = bufs[j], None  # a frame's record lives no longer than the frame
-            if outcome == "delivered":
-                try:
-                    frame = _build_frame(buf, detail)
-                except CodecError as exc:
-                    outcome, detail = "dropped_decode", exc
-            if outcome == "dropped_decode":
-                undecodable(k, detail)
-            k += 1
-            stats.received += 1
-            setattr(stats, outcome, getattr(stats, outcome) + 1)
-            if outcome == "delivered":
-                yield frame
-        if fault is not None:
-            raise fault
-        if len(bufs) < block:
+        n_read, first = len(bufs), k  # `first`: record number of bufs[0]
+        while True:
+            runs, joined, pending, stop, exc = _gather(bufs, mac_allow, rssi_floor_dbm, pending)
+            offset = 0  # of each run's payloads in `joined`
+            for (n_rx, n_tx, n_sub, chanspec), js, headers, drops in runs:
+                csi = np.frombuffer(joined, dtype="<c8", count=len(js) * n_rx * n_tx * n_sub,
+                                    offset=offset).reshape(len(js), n_rx, n_tx, n_sub)
+                offset += csi.nbytes
+                yield FrameBlock(csi, chanspec, [first + j for j in js], [h[4] for h in headers],
+                                 [float(h[5]) for h in headers], [h[6] for h in headers],
+                                 [h[7] for h in headers], drops)
+            if stop is None:
+                break
+            count_pending()
+            undecodable(first + stop, exc)
+            pending = (1, 0, 0)  # a stream's undecodable record, counted with the next frame
+            first, bufs = first + stop + 1, bufs[stop + 1:]
+        k += n_read
+        if fault is not None or n_read < block:
+            count_pending()
+            if fault is not None:
+                raise fault
             return
+
+
+def _gather(bufs: list[bytes], mac_allow: set[bytes] | None, rssi_floor_dbm: float | None,
+            pending: tuple[int, int, int]) -> tuple:
+    """Parse and filter records up to the first undecodable one.
+
+    Returns (runs, joined, pending, stop, exc).  `runs` are the delivered
+    frames, cut at each change of (n_rx, n_tx, n_sub, chanspec), as (that
+    key, record positions, headers, cumulative drops).  `joined` holds the
+    runs' payloads in order, all of them finite, as are the dropped
+    records' payloads, which share its one check.  `pending` (decode,
+    mac, rssi) goes in as the drops before the first record and comes out
+    as those after the last frame.  `stop` is the position of the first
+    undecodable record, or None, and `exc` its CodecError.
+    """
+    runs: list[tuple] = []
+    kept, dropped = [], []
+    decode, mac, rssi = pending
+    stop = exc = None
+    for j, buf in enumerate(bufs):
+        try:
+            header = _parse_header(buf)
+        except CodecError as err:
+            stop, exc = j, err
+            break
+        if mac_allow and header[6] not in mac_allow:
+            mac += 1
+            dropped.append(buf[HEADER_SIZE:])
+        elif rssi_floor_dbm is not None and float(header[5]) < rssi_floor_dbm:
+            rssi += 1
+            dropped.append(buf[HEADER_SIZE:])
+        else:
+            key = header[:4]
+            if not runs or runs[-1][0] != key:
+                runs.append((key, [], [], []))
+                total = (0, 0, 0)
+            _, js, headers, drops = runs[-1]
+            total = (total[0] + decode, total[1] + mac, total[2] + rssi)
+            js.append(j)
+            headers.append(header)
+            drops.append(total)
+            decode = mac = rssi = 0
+            kept.append(buf[HEADER_SIZE:])
+    joined = b"".join(kept + dropped)
+    if not _all_finite(joined):
+        # the first record whose payload is not: a fault path only
+        bad = next(j for j, buf in enumerate(bufs[:stop]) if not _all_finite(buf[HEADER_SIZE:]))
+        runs, joined, after, _, _ = _gather(bufs[:bad], mac_allow, rssi_floor_dbm, pending)
+        return runs, joined, after, bad, FrameFormatError("csi entries must be finite")
+    if dropped:  # a frame's csi keeps `joined` alive: keep no dropped payload in it
+        joined = joined[:len(joined) - sum(map(len, dropped))]
+    return runs, joined, (decode, mac, rssi), stop, exc
 
 
 def udp_datagrams(
@@ -389,14 +521,32 @@ def ingest_capture(
     Filters and counts as `ingest_stream` does, but builds no frame the
     filter drops.  A frame that fails to decode raises as in
     `iter_capture`, dropped or not.  Records are read and checked
-    `REPLAY_BLOCK` at a time.
+    `REPLAY_BLOCK` at a time (`ingest_capture_blocks`).
     """
     if stats is None:
         stats = IngestStats()
-    with open(path, "rb") as fh:
+    return _frames(ingest_capture_blocks(path, mac_allow, rssi_floor_dbm, stats), stats)
+
+
+def ingest_capture_blocks(
+    path,
+    mac_allow: set[bytes] | None = None,
+    rssi_floor_dbm: float | None = None,
+    stats: IngestStats | None = None,
+) -> Iterator[FrameBlock]:
+    """`ingest_capture` as blocks of up to `REPLAY_BLOCK` frames.
+
+    The caller counts each block's frames with `stats.count(block)`, and
+    a caller that stops at frame i of a block counts `stats.count(block,
+    0, i + 1)`; the records no frame carries are counted here.
+    """
+    if stats is None:
+        stats = IngestStats()
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
         count = _read_capture_header(fh)
-        yield from _ingest(_capture_records(fh, count), mac_allow, rssi_floor_dbm, stats,
-                           lambda k, exc: _undecodable(k, count, exc), REPLAY_BLOCK)
+        yield from _ingest_blocks(_capture_records(fh, count), mac_allow, rssi_floor_dbm,
+                                  stats, lambda k, exc: _undecodable(k, count, exc),
+                                  REPLAY_BLOCK)
 
 
 def read_capture(path) -> list[CsiFrame]:
@@ -412,7 +562,7 @@ def read_capture_frame(path, index: int) -> CsiFrame:
     truncated file or trailing bytes fail as in `read_capture`.  An index
     outside the header's frame count raises ConfigurationError.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
         count = _read_capture_header(fh)
         if not 0 <= index < count:
             raise ConfigurationError(

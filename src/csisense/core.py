@@ -265,6 +265,16 @@ class CsiFrame:
         if len(self.source_mac) != 6:
             raise FrameValidationError("source_mac must be 6 bytes")
 
+    @classmethod
+    def _from_checked(cls, csi: np.ndarray, rssi_dbm: float, source_mac: bytes, seq: int,
+                      chanspec: ChannelSpec, timestamp_ns: int) -> CsiFrame:
+        """A frame of fields that already passed every check of `__post_init__`,
+        built without running them again: ingest checks a block of frames at once."""
+        frame = cls.__new__(cls)
+        frame.__dict__.update(csi=csi, rssi_dbm=rssi_dbm, source_mac=source_mac, seq=seq,
+                              chanspec=chanspec, timestamp_ns=timestamp_ns)
+        return frame
+
     @property
     def n_rx(self) -> int:
         return self.csi.shape[0]
@@ -452,22 +462,41 @@ def apply_calibration(cal: CalibrationMatrix, frame: CsiFrame) -> CsiFrame:
 
     Magnitudes are preserved exactly; metadata is unchanged.  Applying
     phase and then its negation recovers the original frame to float32
-    rounding.
+    rounding.  `apply_calibration_block` on a block of one frame.
     """
-    if cal.chanspec != frame.chanspec:
+    csi, finite = apply_calibration_block(cal, frame.chanspec, frame.csi[None])
+    if not finite:
+        raise FrameValidationError("calibrated csi overflows complex64: "
+                                   "csi entries must be finite")
+    return CsiFrame(csi=csi[0], rssi_dbm=frame.rssi_dbm, source_mac=frame.source_mac,
+                    seq=frame.seq, chanspec=frame.chanspec, timestamp_ns=frame.timestamp_ns)
+
+
+def apply_calibration_block(cal: CalibrationMatrix, chanspec: ChannelSpec,
+                            csi: np.ndarray) -> tuple[np.ndarray, int]:
+    """Calibrate a block of frames of one channel, (frames, n_rx, n_tx, n_sub).
+
+    Returns the complex64 product with `cal.rotor`, from one multiply,
+    and how many of its leading frames are finite, from one check.  The
+    product of finite csi and a unit rotor stops being finite only by
+    overflowing complex64 (FLT_MAX * (1 + 1j) rotated 45 degrees), which
+    the caller reports; it raises no warning.
+    """
+    n_frames, n_rx, _, n_sub = csi.shape
+    if cal.chanspec != chanspec:
         raise DimensionMismatchError(
-            f"calibration chanspec {cal.chanspec} does not match frame {frame.chanspec}"
+            f"calibration chanspec {cal.chanspec} does not match frame {chanspec}"
         )
-    if cal.n_rx != frame.n_rx:  # equal chanspecs pin both n_sub to chanspec.n_sub
+    if cal.n_rx != n_rx:  # equal chanspecs pin both n_sub to chanspec.n_sub
         raise DimensionMismatchError(
-            f"calibration shape {cal.phase.shape} does not match frame "
-            f"({frame.n_rx}, {frame.n_sub})"
+            f"calibration shape {cal.phase.shape} does not match frame ({n_rx}, {n_sub})"
         )
-    # CsiFrame checks the product, and its finite check can fire:
-    # FLT_MAX * (1 + 1j) rotated 45 degrees overflows
-    return CsiFrame(csi=(frame.csi * cal.rotor).astype(np.complex64),
-                    rssi_dbm=frame.rssi_dbm, source_mac=frame.source_mac, seq=frame.seq,
-                    chanspec=frame.chanspec, timestamp_ns=frame.timestamp_ns)
+    with np.errstate(over="ignore"):
+        calibrated = (csi * cal.rotor).astype(np.complex64)
+    floats = calibrated.view(np.float32)
+    if np.isfinite(floats).all():
+        return calibrated, n_frames
+    return calibrated, int(np.argmin(np.isfinite(floats.reshape(n_frames, -1)).all(axis=1)))
 
 
 # Block Krylov settings for `_leading_eigenpairs`.  The start block is

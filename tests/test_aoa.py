@@ -462,7 +462,8 @@ class TestSpotfi:
                   for seed in (21, 22, 23)[:window]]
         n_ant_sub, n_sub_sub = aoa.spotfi_smoothing_dims(4, chan80, cfg)
         dim = n_ant_sub * n_sub_sub
-        signal = aoa._spotfi_signal_subspace(frames, n_ant_sub, n_sub_sub, n_sources)
+        signal = aoa._spotfi_signal_subspace(chan80, [f.csi[:, 0, :] for f in frames],
+                                             n_ant_sub, n_sub_sub, n_sources)
         ant = _steering_vectors(cfg.theta_grid, ArrayGeometry(ula_geom.positions[:n_ant_sub]),
                                 wavelength(chan80))
         sub = np.exp(-2j * np.pi * SUBCARRIER_SPACING_HZ

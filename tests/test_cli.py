@@ -255,8 +255,9 @@ class TestDecode:
         assert len(out.read_text().splitlines()) == 80  # header + 79 frames
 
     def test_capture_decoded_once(self, workspace, monkeypatch):
-        """One header parse per capture record, one CsiFrame per delivered frame
-        (none for a MAC-dropped one) and no re-encoding, for every capture reader."""
+        """One header parse per capture record and no re-encoding, for every
+        capture reader; `decode` and `bearing` build no frame (their rows
+        come from blocks), and `calibrate` one per frame."""
         tmp_path, scenario = workspace
         capture, poses, cal, _ = run_pipeline(tmp_path, scenario)
         frames = read_capture(capture)
@@ -273,7 +274,7 @@ class TestDecode:
             return wrapper
 
         monkeypatch.setattr(codec, "_parse_header", counted("header", codec._parse_header))
-        monkeypatch.setattr(codec, "CsiFrame", counted("frame", codec.CsiFrame))
+        monkeypatch.setattr(codec.FrameBlock, "frame", counted("frame", codec.FrameBlock.frame))
         monkeypatch.setattr(codec, "encode_frame", counted("encode", codec.encode_frame))
         rows, bearings = tmp_path / "f.csv", tmp_path / "b.csv"
         for argv, delivered in (
@@ -293,7 +294,8 @@ class TestDecode:
                      else len(delivered.read_text().splitlines()) - 1)
             if "--mac-filter" in argv:
                 assert built == len(frames) - len(frames[1::4])
-            assert calls == {"header": len(frames), "frame": built, "encode": 0}
+            assert calls == {"header": len(frames), "frame": 0 if delivered else built,
+                             "encode": 0}
 
     def test_rssi_floor_filters(self, workspace, capsys):
         tmp_path, scenario = workspace
@@ -476,6 +478,82 @@ class TestIngestFaults:
             lambda path: codec.write_capture(path, frames[:k] + [foreign] + frames[k + 1:]))
         assert err[:-1] == summary
         assert err[-1].startswith("error: data: calibration chanspec")
+
+    @pytest.mark.parametrize("k", [40, 32])
+    @pytest.mark.parametrize("algorithm", ["bartlett", "music"])
+    def test_calibration_overflow_names_its_frame(self, tmp_path, capsys, capture60,
+                                                  algorithm, k):
+        """A finite frame whose calibrated product overflows complex64 stops
+        `bearing` there: the rows and summary before it, then one error line
+        that names it, and no warning.  Record 32 starts an ingest block."""
+        capture, cal, _ = capture60
+        frames = read_capture(capture)
+        frames[k] = dataclasses.replace(
+            frames[k], csi=np.full_like(frames[k].csi, np.finfo(np.float32).max * (1 + 1j)))
+        prefix, bad, out = tmp_path / "prefix.wcap", tmp_path / "bad.wcap", tmp_path / "out.csv"
+        codec.write_capture(prefix, frames[:k])
+        codec.write_capture(bad, frames)
+        flags = ["--calibration", str(cal), "--out", str(out), "--algorithm", algorithm]
+        capsys.readouterr()
+        assert main(["bearing", "--capture", str(prefix), *flags]) == 0
+        summary, rows = capsys.readouterr().err.splitlines(), out.read_text()
+        assert len(rows.splitlines()) == 1 + k
+        assert main(["bearing", "--capture", str(bad), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        assert err.splitlines() == summary + [
+            f"error: data: frame {k} (timestamp_ns {frames[k].timestamp_ns}): calibrated csi "
+            "overflows complex64: csi entries must be finite"]
+        assert out.read_text() == rows
+
+    @pytest.mark.parametrize("command,window", [("decode", 1), ("bartlett", 1), ("bartlett", 4),
+                                                ("music", 1), ("music", 4)])
+    def test_shape_runs_across_blocks_match_frame_by_frame(self, tmp_path, capsys, capture60,
+                                                            command, window):
+        """Runs of 20 MHz frames and of 2-antenna frames, each across a
+        REPLAY_BLOCK boundary: `decode` writes every frame's row, and
+        `bearing` the rows before the first 20 MHz frame, then its error,
+        each byte for byte as a frame-by-frame reference."""
+        capture, cal, _ = capture60
+        frames = read_capture(capture)
+        block = codec.REPLAY_BLOCK
+
+        def odd(n_rx, chanspec, timestamp_ns):
+            rng = np.random.default_rng(timestamp_ns)
+            shape = (n_rx, 1, chanspec.n_sub)
+            return CsiFrame((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                             ).astype(np.complex64), -40.0, FOREIGN_MAC, 7, chanspec, timestamp_ns)
+        narrow = [odd(4, ChannelSpec(36, 20), 10**12 + j) for j in range(6)]
+        two = [odd(2, frames[0].chanspec, 2 * 10**12 + j) for j in range(6)]
+        mixed = (frames[:block - 3] + narrow + frames[block - 3: 2 * block - 9] + two
+                 + frames[2 * block - 9:])
+        assert [len(mixed), mixed.index(narrow[0]), mixed.index(two[0])] == [
+            72, block - 3, 2 * block - 3]
+        path, out = tmp_path / "mixed.wcap", tmp_path / "out.csv"
+        codec.write_capture(path, mixed)
+        capsys.readouterr()
+        if command == "decode":
+            assert main(["decode", "--capture", str(path), "--csv", str(out)]) == 0
+            assert capsys.readouterr().err == ("decoded 72 frames (dropped: 0 decode, 0 mac, "
+                                               "0 rssi)\n")
+            assert out.read_text() == "timestamp_ns,seq,source_mac,channel,bandwidth_mhz,n_rx," \
+                "n_tx,n_sub,rssi_dbm\n" + "".join(
+                    f"{f.timestamp_ns},{f.seq},{codec.format_mac(f.source_mac)},"
+                    f"{f.chanspec.channel_number},{f.chanspec.bandwidth_mhz},{f.n_rx},{f.n_tx},"
+                    f"{f.n_sub},{f.rssi_dbm:.1f}\n" for f in read_capture(path))
+            return
+        matrix, geom = load_calibration(cal)
+        estimate = bearing_estimator(geom, AoaConfig(algorithm=command, window=window))
+        reference = tmp_path / "reference.csv"
+        write_bearings_csv(reference, [estimate(apply_calibration(matrix, f))
+                                       for f in read_capture(path)[:block - 3]])
+        assert main(["bearing", "--capture", str(path), "--calibration", str(cal), "--out",
+                     str(out), "--algorithm", command, "--window", str(window)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (f"{block - 3} bearings written to {out} (0 rejected by rssi floor, "
+                          "0 by mac filter, 0 undecodable)")
+        assert err[1].startswith("error: data: calibration chanspec") and len(err) == 2
+        assert out.read_bytes() == reference.read_bytes()
 
     def test_missing_capture_leaves_header_only_csv(self, tmp_path, capsys, capture60):
         _, cal, rows = capture60

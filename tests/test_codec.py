@@ -3,7 +3,7 @@ import socket
 import numpy as np
 import pytest
 
-from csisense import ChannelSpec, CsiFrame
+from csisense import ChannelSpec, CsiFrame, codec
 from csisense.codec import (
     BadMagicError,
     CaptureFormatError,
@@ -298,6 +298,42 @@ class TestIngest:
         assert out == list(filter_frames(iter_capture(path), allow, -80.0, by_frame))
         assert by_header == by_frame and by_frame.dropped_mac and by_frame.dropped_rssi
         assert all(not f.csi.flags.writeable for f in out)
+
+
+    def test_filtered_capture_frames_are_decode_frame_of_each_kept_record(self, tmp_path, rng):
+        # runs of one shape and of mixed shapes, with dropped records among
+        # them, over several REPLAY_BLOCK-record ingest blocks
+        same = [random_frame(rng, n_rx=4, n_tx=1, bandwidth=80) for _ in range(50)]
+        frames = same[:25] + [random_frame(rng) for _ in range(60)] + same[25:]
+        macs = [bytes(6), bytes.fromhex("020000000001"), bytes.fromhex("020000000002")]
+        for frame in frames:
+            frame.source_mac = macs[int(rng.integers(0, 3))]
+        records = [encode_frame(f) for f in frames]
+        path = tmp_path / "mixed.wcap"
+        write_capture(path, frames)
+        allow, floor = set(macs[1:]), -60.0
+        decoded = [decode_frame(buf) for buf in records]
+        expected = [f for f in decoded if f.source_mac in allow and f.rssi_dbm >= floor]
+        stats = IngestStats()
+        got = list(ingest_capture(path, allow, floor, stats))
+        assert len(expected) > 2 * codec.REPLAY_BLOCK // 3 and len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.csi.dtype == e.csi.dtype and g.csi.shape == e.csi.shape
+            assert g.csi.tobytes() == e.csi.tobytes()
+            assert (g.rssi_dbm, g.source_mac, g.seq, g.chanspec, g.timestamp_ns) == (
+                e.rssi_dbm, e.source_mac, e.seq, e.chanspec, e.timestamp_ns)
+            assert type(g.rssi_dbm) is float and not g.csi.flags.writeable
+        held = {}  # the buffers the frames keep alive: no dropped record's payload
+        for g in got:
+            base = g.csi
+            while isinstance(base, np.ndarray):
+                base = base.base
+            held[id(base)] = len(base)
+        assert sum(held.values()) <= sum(len(encode_frame(e)) for e in expected)
+        assert stats == IngestStats(
+            received=len(frames), delivered=len(expected),
+            dropped_mac=sum(f.source_mac not in allow for f in decoded),
+            dropped_rssi=sum(f.source_mac in allow and f.rssi_dbm < floor for f in decoded))
 
 
 class TestUdp:
