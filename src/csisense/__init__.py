@@ -79,14 +79,12 @@ from .aoa import (
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
-    bearing_block_estimator,
     bearing_csi_estimator,
     bearing_estimator,
     estimate_bearing,
     music_spectrum,
     spotfi_estimate,
     spotfi_profile,
-    transpose_for_aod,
     triangulate,
     write_bearings_csv,
     write_profile_pgm,

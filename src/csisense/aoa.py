@@ -14,13 +14,13 @@ Estimators:
 A stream of frames gets one bearing per frame from the estimator's
 output over its last `window` frames: Bartlett averages their profiles,
 MUSIC and SpotFi stack their snapshots into one covariance.
-`bearing_csi_estimator` is that windowed stream taken a block of frames
-of one channel at a time, as one csi array (the CLI's `codec.FrameBlock`
-after calibration); `bearing_block_estimator` takes a block of
-`CsiFrame`s to the same curve code, and `bearing_estimator` is that on
-blocks of one.  A frame's bearing does not depend on where the blocks
-are cut.  MUSIC solves a block's windows as stacks: one matmul for
-their Gram matrices, one `np.linalg.eigh` over the stack
+`bearing_csi_estimator` is the one estimator of such a stream: it owns
+the window and takes the stream a block at a time, one csi array of
+frames that share a channel and an antenna count (the CLI's
+`codec.FrameBlock` after calibration); `bearing_estimator` is it on
+blocks of one `CsiFrame`.  A frame's bearing does not depend on where
+the blocks are cut.  MUSIC solves a block's windows as stacks: one
+matmul for their Gram matrices, one `np.linalg.eigh` over the stack
 (`core._dense_eigenpairs` takes a leading stack axis) and one noise
 projection, each acting on every window as it would on that window
 alone, so every bearing and strength is `music_spectrum`'s bit for bit.
@@ -31,15 +31,14 @@ terms, each over its profile's peak.  A frame then costs one product
 with the kernel for its peak and, in a window of more than one frame,
 one for its window's power.  No profile is kept or averaged, and the
 bearings equal those of `ProfileAverager.push` and `estimate_bearing`
-up to rounding.  SpotFi takes a block's frames one by one.  Every estimator picks the bearing
-by `estimate_bearing`'s rule: the curve's argmax, ties to the smallest
-bearing index.  On a uniform linear array a bearing and its mirror
-across the array axis agree only to rounding: their steering rows, from
-sin(theta) and sin(180 deg - theta), differ in the last bits.  So
-rounding, not the tie rule, picks between them.
+up to rounding.  SpotFi takes a block's frames one by one.  Every
+estimator picks the bearing by `estimate_bearing`'s rule: the curve's
+argmax, ties to the smallest bearing index.  On a uniform linear array a
+bearing and its mirror across the array axis agree only to rounding:
+their steering rows, from sin(theta) and sin(180 deg - theta), differ in
+the last bits.  So rounding, not the tie rule, picks between them.
 
-Each estimator reads transmit antenna 0; for the angle of departure,
-`transpose_for_aod` makes the transmit antennas the array.
+Each estimator reads transmit antenna 0.
 
 All estimators are invariant to a global unit-phase factor on the input.
 Only MUSIC, which estimates bearing alone, is also blind to a
@@ -78,7 +77,7 @@ spectrum (more sources asked for than the frame has paths).
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -113,9 +112,17 @@ from .core import (
 ALGORITHMS = ("bartlett", "music", "spotfi")
 # MUSIC's floor on ||E_n^H s(theta)||^2, which keeps its reciprocal finite
 _TINY = np.finfo(float).tiny
-# The most bytes one MUSIC stack of `bearing_block_estimator` may hold in
+# The most bytes one MUSIC stack of `bearing_csi_estimator` may hold in
 # window snapshots and noise projections; the projections dominate at window 1
 _MUSIC_STACK_BYTES = 1 << 18
+# The most frames one bearing may average.  MUSIC and SpotFi stack every
+# window frame's snapshots; SpotFi's smoothed sub-arrays take ~1.5 MB a
+# frame at 80 MHz, so its window holds ~1.5 GB at this bound.
+MAX_WINDOW = 1024
+# The most bearing x distance cells the grids may hold.  A profile takes
+# 8 bytes a cell and SpotFi's projection 16 a cell per source; 2^22 cells,
+# ~100x the default grids, keep each under ~70 MB.
+MAX_GRID_CELLS = 1 << 22
 
 
 class UnsupportedGeometryError(CsiSenseError):
@@ -135,8 +142,21 @@ def build_grids(
     """
     if not (theta_step_deg > 0 and dist_step_m > 0):
         raise ConfigurationError("theta_step_deg and dist_step_m must be positive")
+    n_theta = _arange_length(theta_min_deg, theta_max_deg + 1e-9, theta_step_deg)
+    n_dist = _arange_length(0.0, dist_max_m + 1e-9, dist_step_m)
+    if n_theta * n_dist > MAX_GRID_CELLS:
+        raise ConfigurationError(f"the grids hold {n_theta:.4g} bearings x {n_dist:.4g} "
+                                 f"distances; at most {MAX_GRID_CELLS} cells are allowed")
     theta = np.radians(np.arange(theta_min_deg, theta_max_deg + 1e-9, theta_step_deg))
     return theta, np.arange(0.0, dist_max_m + 1e-9, dist_step_m)
+
+
+def _arange_length(start: float, stop: float, step: float) -> float:
+    """How many points np.arange(start, stop, step) makes, counted without
+    making them: inf if too many to count, and 1 for none (`AoaConfig`
+    refuses an empty grid)."""
+    span = (float(stop) - float(start)) / float(step)
+    return float(max(math.ceil(span), 1)) if math.isfinite(span) else math.inf
 
 
 @dataclass(eq=False)
@@ -159,8 +179,9 @@ class AoaConfig:
             raise ConfigurationError("distance grid must be non-empty and increasing")
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if self.window < 1:
-            raise ConfigurationError("averaging window must be >= 1")
+        if not 1 <= self.window <= MAX_WINDOW:
+            raise ConfigurationError(f"averaging window must be 1 to {MAX_WINDOW} frames, "
+                                     f"got {self.window}")
         if self.n_sources < 1:
             raise ConfigurationError("source count must be >= 1")
 
@@ -413,7 +434,7 @@ def spotfi_profile(
     s_i(theta) * exp(-j 2 pi f_j tau) with tau = cfg.dist_grid / c.
 
     The geometry must be a uniform linear array with at least two
-    antennas; `spotfi_estimate` and `bearing_estimator` check it once.
+    antennas; `spotfi_estimate` and `bearing_csi_estimator` check it once.
     """
     _check_window([(f.chanspec, f.n_rx) for f in frames], geom)
     pseudo = _spotfi_pseudo(frames[0].chanspec, [f.csi[:, 0, :] for f in frames], geom, cfg)
@@ -627,155 +648,85 @@ def _pick_bearing(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k.reshape(curves.shape[:-1]), rows[np.arange(len(rows)), k].reshape(curves.shape[:-1])
 
 
-def _stream_estimator(geom: ArrayGeometry, cfg: AoaConfig) -> tuple[Callable, Callable]:
-    """The window state of one stream of calibrated frames, and its two steps.
+def bearing_csi_estimator(
+        geom: ArrayGeometry,
+        cfg: AoaConfig) -> Callable[[ChannelSpec, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Calibrated frames of one stream, a block at a time -> their bearings.
 
-    `check(entries)` refuses frames, given as (chanspec, snapshot) with the
-    (n_rx, n_sub) snapshot of transmit antenna 0, as the frame-by-frame
-    estimator would; a refused frame raises, and for MUSIC and SpotFi at
-    windows above 1 it and the frames before it enter the window, as they
-    did one by one.  `curves(chanspec, snapshots)` gives the curves of
-    checked consecutive frames of one channel, (n, n_rx, n_sub) ->
-    (n, n_theta), and takes them into the window: Bartlett keeps their
-    Gram terms, each over its profile's peak, and MUSIC and SpotFi their
-    snapshots.  SpotFi's array check and MUSIC's source count check run
-    here, first.
+    The returned function takes a block's channel and its csi,
+    (frames, n_rx, n_tx, n_sub), all frames on that channel with one
+    antenna count, and gives each frame's bearing as its index into
+    cfg.theta_grid, picked as `estimate_bearing` picks it, and its
+    strength, as arrays.  It owns the averaging window, the stream's last
+    cfg.window - 1 frames; confine it to one stream.  MUSIC and SpotFi
+    keep those frames as views of `csi`, so a block's array must not be
+    written to once it has been passed in.  A frame's bearing
+    does not depend on how the stream is cut into blocks.  Bartlett's
+    curve is the per-bearing peak of the window's average profile, formed
+    from the summed Gram terms (`_bartlett_stream_curves`); it picks the
+    bearing that `ProfileAverager.push` and `estimate_bearing` pick, up to
+    rounding, with the same strength.  MUSIC's curve is its
+    pseudospectrum, from the block's windows solved as stacks
+    (`_music_stream_spectra`); SpotFi's is the profile's per-bearing peak,
+    one frame at a time.
+
+    Every frame of a block shares the first's channel and antenna count,
+    so the block is checked by its first frame: against the geometry, and
+    for MUSIC and SpotFi against the window's channel.  A refused block
+    raises; at MUSIC and SpotFi windows above 1 its first frame enters the
+    window, as it would one frame at a time.  SpotFi's array check and
+    MUSIC's source count check run when the estimator is built.
     """
-    algorithm, n_rx = cfg.algorithm, geom.n_antennas
+    algorithm = cfg.algorithm
     if algorithm == "music":
         _check_music_sources(geom, cfg)
     if algorithm == "spotfi":
         _require_ula(geom)
-    # the window's frames before the next ones (bartlett keeps their Gram terms)
+    # the window's frames before the next block, as (chanspec, snapshot);
+    # bartlett keeps (chanspec, Gram terms over the profile's peak)
     recent: deque = deque(maxlen=cfg.window - 1)
-
-    def check(entries: Sequence[tuple[ChannelSpec, np.ndarray]]) -> None:
-        if algorithm == "bartlett" or cfg.window == 1:
-            for _, snap in entries:
-                _check_frame(snap.shape[0], geom)
-        else:
-            stream = [*recent, *entries]
-            for end in range(len(recent) + 1, len(stream) + 1):
-                try:
-                    _check_window([(chanspec, snap.shape[0]) for chanspec, snap
-                                   in stream[max(0, end - cfg.window): end]], geom)
-                except DimensionMismatchError:
-                    # the refused frame enters the window, as it did frame by frame
-                    recent.extend(stream[len(recent): end])
-                    raise
-        if algorithm == "spotfi":
-            for chanspec in dict.fromkeys(chanspec for chanspec, _ in entries):
-                spotfi_smoothing_dims(n_rx, chanspec, cfg)
-
-    def curves(chanspec: ChannelSpec, snaps: np.ndarray) -> np.ndarray:
-        if algorithm == "bartlett":
-            return _bartlett_stream_curves(recent, chanspec, snaps, geom, cfg)
-        if algorithm == "music":
-            out = _music_stream_spectra([snap for _, snap in recent], chanspec, snaps, geom, cfg)
-            recent.extend((chanspec, snap) for snap in snaps)
-            return out
-        out = np.empty((len(snaps), cfg.theta_grid.size))
-        for i, snap in enumerate(snaps):
-            out[i] = _spotfi_pseudo(chanspec, [*(old for _, old in recent), snap], geom,
-                                    cfg).max(axis=1)
-            recent.append((chanspec, snap))
-        return out
-
-    return check, curves
-
-
-def bearing_csi_estimator(
-        geom: ArrayGeometry,
-        cfg: AoaConfig) -> Callable[[ChannelSpec, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Calibrated frames of one stream, a block of one channel at a time -> their bearings.
-
-    The returned function takes a block's channel and its csi,
-    (frames, n_rx, n_tx, n_sub), and gives each frame's bearing as its
-    index into cfg.theta_grid, picked as `estimate_bearing` picks it, and
-    its strength, as arrays.  It is `bearing_block_estimator` without the
-    frames: the same window state and curves, and the same bearing for
-    every frame.  Every frame of a block shares the window of the first,
-    so the block is checked by its first frame.
-    """
-    check, curves = _stream_estimator(geom, cfg)
 
     def estimate(chanspec: ChannelSpec, csi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         snaps = csi[:, :, 0, :]
         if not len(snaps):
             return np.empty(0, dtype=np.intp), np.empty(0)
-        check([(chanspec, snaps[0])])
-        return _pick_bearing(curves(chanspec, snaps))
+        if algorithm == "bartlett":
+            _check_frame(snaps.shape[1], geom)
+            return _pick_bearing(_bartlett_stream_curves(recent, chanspec, snaps, geom, cfg))
+        first = (chanspec, snaps[0])
+        try:
+            _check_window([(spec, snap.shape[0]) for spec, snap in (*recent, first)], geom)
+        except DimensionMismatchError:
+            recent.append(first)
+            raise
+        if algorithm == "music":
+            curves = _music_stream_spectra([snap for _, snap in recent], chanspec, snaps,
+                                           geom, cfg)
+            recent.extend((chanspec, snap) for snap in snaps)
+            return _pick_bearing(curves)
+        spotfi_smoothing_dims(geom.n_antennas, chanspec, cfg)
+        curves = np.empty((len(snaps), cfg.theta_grid.size))
+        for i, snap in enumerate(snaps):
+            curves[i] = _spotfi_pseudo(chanspec, [*(old for _, old in recent), snap], geom,
+                                       cfg).max(axis=1)
+            recent.append((chanspec, snap))
+        return _pick_bearing(curves)
 
     return estimate
 
 
-def bearing_block_estimator(
-        geom: ArrayGeometry,
-        cfg: AoaConfig) -> Callable[[Sequence[CsiFrame]], list[BearingEstimate]]:
-    """Calibrated frames of one stream, a block at a time -> their bearings, in order.
-
-    The returned function owns the averaging window, the stream's last
-    cfg.window - 1 frames (`_stream_estimator`); confine it to one
-    stream.  A frame's bearing does not depend on how the stream is cut
-    into blocks.  It is the argmax of the frame's curve over the bearing
-    grid, by `estimate_bearing`'s rule.  Bartlett's curve is the
-    per-bearing peak of the window's average profile, formed from the
-    summed terms (`_bartlett_stream_curves`); it picks the bearing that
-    `ProfileAverager.push` and `estimate_bearing` pick, up to rounding,
-    with the same strength.  MUSIC's curve is its pseudospectrum, from
-    the block's windows solved as stacks (`_music_stream_spectra`);
-    SpotFi's is the profile's per-bearing peak, one frame at a time.
-
-    Every frame of a block is checked before any is estimated: a frame
-    the estimator refuses raises for the whole block, and the window then
-    holds the frames up to it, as if they had come one by one.  The
-    checked frames' snapshots then go to the curve code a run of one
-    channel at a time, as `bearing_csi_estimator` sends a block's.
-    """
-    check, curves = _stream_estimator(geom, cfg)
-
-    def estimate_block(frames: Sequence[CsiFrame]) -> list[BearingEstimate]:
-        if not frames:
-            return []
-        check([(frame.chanspec, frame.csi[:, 0, :]) for frame in frames])
-        estimates = []
-        for chanspec, run in itertools.groupby(frames, key=lambda frame: frame.chanspec):
-            run = list(run)
-            peaks, strengths = _pick_bearing(
-                curves(chanspec, np.stack([frame.csi[:, 0, :] for frame in run])))
-            estimates += [BearingEstimate(theta=theta, strength=strength,
-                                          rssi_dbm=frame.rssi_dbm, source_mac=frame.source_mac,
-                                          timestamp_ns=frame.timestamp_ns)
-                          for theta, strength, frame in zip(cfg.theta_grid[peaks].tolist(),
-                                                            strengths.tolist(), run)]
-        return estimates
-
-    return estimate_block
-
-
 def bearing_estimator(geom: ArrayGeometry,
                       cfg: AoaConfig) -> Callable[[CsiFrame], BearingEstimate]:
-    """One calibrated frame -> its bearing: `bearing_block_estimator` on blocks of one."""
-    estimate_block = bearing_block_estimator(geom, cfg)
-    return lambda frame: estimate_block([frame])[0]
+    """One calibrated frame -> its bearing: `bearing_csi_estimator` on blocks of one."""
+    estimate_csi = bearing_csi_estimator(geom, cfg)
 
+    def estimate(frame: CsiFrame) -> BearingEstimate:
+        peaks, strengths = estimate_csi(frame.chanspec, frame.csi[None])
+        return BearingEstimate(theta=float(cfg.theta_grid[peaks[0]]),
+                               strength=float(strengths[0]), rssi_dbm=frame.rssi_dbm,
+                               source_mac=frame.source_mac, timestamp_ns=frame.timestamp_ns)
 
-def transpose_for_aod(frame: CsiFrame) -> CsiFrame:
-    """View rx antenna 0's measurements as an array over tx antennas.
-
-    Lets every estimator run on the transmit side (angle of departure)
-    when the transmitter has multiple antennas; the caller must supply
-    the transmitter's array geometry to the estimator.
-    """
-    swapped = frame.csi[0][:, None, :]
-    return CsiFrame(
-        csi=swapped,
-        rssi_dbm=frame.rssi_dbm,
-        source_mac=frame.source_mac,
-        seq=frame.seq,
-        chanspec=frame.chanspec,
-        timestamp_ns=frame.timestamp_ns,
-    )
+    return estimate
 
 
 def triangulate(

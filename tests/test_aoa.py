@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from csisense.aoa import (
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
-    bearing_block_estimator,
+    bearing_csi_estimator,
     bearing_estimator,
     build_grids,
     estimate_bearing,
@@ -41,7 +42,6 @@ from csisense.aoa import (
     read_profile_pgm,
     spotfi_estimate,
     spotfi_profile,
-    transpose_for_aod,
     triangulate,
     write_profile_pgm,
 )
@@ -65,6 +65,21 @@ def single_path_frame(geom, chan, theta, tau=10e-9, snr_db=None, seed=None):
                        snr_db=snr_db, rng_seed=seed)
 
 
+def estimate_runs(estimate, frames, cfg):
+    """`estimate`, a `bearing_csi_estimator`, on `frames` cut into runs of one
+    channel and antenna count, as `codec.FrameBlock` cuts them: their bearings."""
+    estimates = []
+    runs = itertools.groupby(frames, key=lambda frame: (frame.chanspec, frame.csi.shape))
+    for (chanspec, _), run in runs:
+        run = list(run)
+        peaks, strengths = estimate(chanspec, np.stack([frame.csi for frame in run]))
+        estimates += [BearingEstimate(theta=float(cfg.theta_grid[k]), strength=float(strength),
+                                      rssi_dbm=frame.rssi_dbm, source_mac=frame.source_mac,
+                                      timestamp_ns=frame.timestamp_ns)
+                      for k, strength, frame in zip(peaks, strengths, run)]
+    return estimates
+
+
 class TestAoaConfig:
     @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [np.nan], [0.0, np.inf], [],
                                       [1.0, 0.0]])
@@ -73,6 +88,25 @@ class TestAoaConfig:
             AoaConfig(theta_grid=grid)
         with pytest.raises(ConfigurationError, match="distance grid must be non-empty and "):
             AoaConfig(dist_grid=grid)
+
+    def test_window_bounded(self):
+        assert AoaConfig(window=aoa.MAX_WINDOW).window == aoa.MAX_WINDOW
+        with pytest.raises(ConfigurationError, match="averaging window must be 1 to "):
+            AoaConfig(window=aoa.MAX_WINDOW + 1)
+
+    @pytest.mark.parametrize("kwargs", [{"theta_step_deg": 1e-300}, {"theta_max_deg": 1e300},
+                                        {"dist_max_m": 1e300},
+                                        {"theta_min_deg": -1e308, "theta_max_deg": 1e308},
+                                        {"theta_step_deg": 0.01, "dist_step_m": 0.001}])
+    def test_grid_cells_bounded_before_they_are_made(self, kwargs):
+        with pytest.raises(ConfigurationError, match="cells are allowed"):
+            build_grids(**kwargs)
+
+    def test_grid_at_the_bound_is_made(self):
+        # 1024 bearings x 4096 distances: MAX_GRID_CELLS exactly
+        theta, dist = build_grids(theta_min_deg=0.0, theta_max_deg=1023.0,
+                                  dist_max_m=4095.0, dist_step_m=1.0)
+        assert theta.size * dist.size == aoa.MAX_GRID_CELLS
 
 
 class TestBartlett:
@@ -303,9 +337,9 @@ class TestMusic:
     @pytest.mark.parametrize("window", [1, 3])
     def test_block_is_frame_by_frame_across_channel_runs(self, square_geom, chan80, chan20,
                                                          window):
-        # window 1 may switch channel between frames: a block stacks each
-        # run of one channel; a longer window refuses a block that mixes
-        # channels within a window, and the refused frame enters the window
+        # window 1 may switch channel between frames: a mixed block goes in
+        # as its runs of one channel; a longer window refuses a run whose
+        # window spans both channels, and the refused frame enters the window
         paths = [PathComponent(aoa=0.7, delay_s=10e-9),
                  PathComponent(aoa=-1.2, delay_s=35e-9, amplitude=0.6)]
         chans = [chan80] * 5 + [chan20] * 3 + [chan80] * 4
@@ -313,7 +347,11 @@ class TestMusic:
                               timestamp_ns=seed) for seed, chan in enumerate(chans)]
         cfg = AoaConfig(algorithm="music", window=window, n_sources=2)
         by_frame = bearing_estimator(square_geom, cfg)
-        by_block = bearing_block_estimator(square_geom, cfg)
+        estimate = bearing_csi_estimator(square_geom, cfg)
+
+        def by_block(block):
+            return estimate_runs(estimate, block, cfg)
+
         if window == 1:
             assert by_block(frames[:2]) + by_block(frames[2:]) == list(map(by_frame, frames))
             return
@@ -799,9 +837,9 @@ class TestAveraging:
                   for k in range(70)]
         for k in (0, 1, 20, 41, 42, 43):
             frames[k].csi = np.zeros_like(frames[k].csi)
-        estimate_block = bearing_block_estimator(square_geom, cfg)
+        estimate = bearing_csi_estimator(square_geom, cfg)
         got = [est for lo in range(0, len(frames), cut)
-               for est in estimate_block(frames[lo: lo + cut])]
+               for est in estimate_runs(estimate, frames[lo: lo + cut], cfg)]
         assert got == self._push_then_estimate(frames, square_geom, cfg)
         assert got[0].strength == 0.0 and not np.signbit(got[0].strength)
 
@@ -847,19 +885,6 @@ class TestEstimateBearing:
     def test_spectrum_length_checked(self, cfg):
         with pytest.raises(DimensionMismatchError):
             estimate_bearing(np.ones(7), -40.0, cfg)
-
-
-class TestTransposeForAod:
-    def test_aod_estimable_from_tx_axis(self, square_geom, chan80):
-        cfg = AoaConfig()
-        aod = np.radians(31.0)
-        frame = synth_frame([PathComponent(aoa=0.9, aod=aod, delay_s=10e-9)],
-                            square_geom, chan80, tx_geom=square_geom)
-        swapped = transpose_for_aod(frame)
-        assert swapped.n_rx == 4 and swapped.n_tx == 1
-        spectrum = music_spectrum([swapped], square_geom, cfg)
-        k = int(np.argmax(spectrum))
-        assert abs(wrap_angle(cfg.theta_grid[k] - aod)) <= np.radians(1.0)
 
 
 class TestTriangulate:

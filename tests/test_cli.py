@@ -637,8 +637,28 @@ class TestErrors:
         ("algorithm", "theta_min_deg = nan"),
         ("algorithm", "dist_max_m = inf"),
         ("packet", "rssi_floor_dbm = -inf"),
+        # refused by their bounds, before the window or the grids are allocated
+        ("algorithm", "window = 100000000000000000000"),
+        ("algorithm", "theta_max_deg = 1e300"),
+        ("algorithm", "dist_max_m = 1e300"),
+        ("algorithm", "theta_step_deg = 1e-300"),
     ])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, section, line):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{section}]\n{line}\n")
+        code = main([*self._empty_bearing_argv(tmp_path), "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: data:")
+
+    def test_window_flag_beyond_bound_exit_2(self, tmp_path, capsys):
+        code = main([*self._empty_bearing_argv(tmp_path), "--window", "100000000000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data: averaging window ")
+
+    @staticmethod
+    def _empty_bearing_argv(tmp_path) -> list[str]:
+        """`bearing` on an empty capture with a zero calibration."""
         from csisense import ArrayGeometry, CalibrationMatrix, ChannelSpec, save_calibration
 
         chan = ChannelSpec(155, 80)
@@ -647,12 +667,8 @@ class TestErrors:
                          ArrayGeometry.square(0.02336))
         capture = tmp_path / "empty.wcap"
         codec.write_capture(capture, [])
-        config = tmp_path / "bad.ini"
-        config.write_text(f"[{section}]\n{line}\n")
-        code = main(["bearing", "--capture", str(capture), "--calibration", str(cal),
-                     "--out", str(tmp_path / "b.csv"), "--config", str(config)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: data:")
+        return ["bearing", "--capture", str(capture), "--calibration", str(cal),
+                "--out", str(tmp_path / "b.csv")]
 
     @pytest.mark.parametrize("text,named", [
         ("[channel]\nchannel = 36\n", "[channel]"),
