@@ -54,7 +54,6 @@ from .codec import (
     ingest_capture_blocks,
     ingest_stream,
     ingest_stream_blocks,
-    iter_capture,
     parse_mac,
     read_capture,
     read_capture_frame,

@@ -179,11 +179,15 @@ class AoaConfig:
             raise ConfigurationError("distance grid must be non-empty and increasing")
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if not 1 <= self.window <= MAX_WINDOW:
-            raise ConfigurationError(f"averaging window must be 1 to {MAX_WINDOW} frames, "
-                                     f"got {self.window}")
+        _check_averaging_window(self.window)
         if self.n_sources < 1:
             raise ConfigurationError("source count must be >= 1")
+
+
+def _check_averaging_window(window: int) -> None:
+    """Refuse a window outside 1 to `MAX_WINDOW` frames."""
+    if not 1 <= window <= MAX_WINDOW:
+        raise ConfigurationError(f"averaging window must be 1 to {MAX_WINDOW} frames, got {window}")
 
 
 class PathEstimate(NamedTuple):
@@ -572,8 +576,7 @@ class ProfileAverager:
     """
 
     def __init__(self, window: int):
-        if window < 1:
-            raise ConfigurationError("window must be >= 1")
+        _check_averaging_window(window)
         self.window = window
         self._buffer: deque[Profile2D] = deque(maxlen=window)
         self._sum: np.ndarray | None = None

@@ -34,10 +34,12 @@ estimation; comparisons against ground truth must quotient it out.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import REPLAY_BLOCK
 from .core import (
     ArrayGeometry,
     CalibrationMatrix,
@@ -86,17 +88,6 @@ class CalibrationDataset:
 
     def __post_init__(self):
         self.tx_location = np.asarray(self.tx_location, dtype=np.float64)
-
-    def validate(self, min_pairs: int = MIN_PAIRS) -> None:
-        if len(self.pairs) < min_pairs:
-            raise CalibrationError(
-                f"{len(self.pairs)} pose/frame pairs; at least {min_pairs} required"
-            )
-        for _, frame in self.pairs:
-            if frame.chanspec != self.chanspec:
-                raise CalibrationError("all frames must share the dataset chanspec")
-            if frame.n_rx != self.geom.n_antennas:
-                raise CalibrationError("frame antenna count does not match geometry")
 
 
 @dataclass(eq=False)
@@ -235,20 +226,49 @@ def calibrate(
     min_pairs: int = MIN_PAIRS,
     tx_index: int = 0,
 ) -> CalibrationResult:
-    """Run the full pipeline on a pose/frame dataset.
-
-    Steps 1 and 2 of the module docstring run on blocks of
-    `_SLOPE_BLOCK` frames (see `_snapshot_matrix`), with every pose's
-    bearing and steering vector computed in one array pass; step 3 and
-    its closed-form objective run on the whole data matrix.
+    """Run the full pipeline on a pose/frame dataset: its frames stacked in
+    blocks as ingest cuts a capture, then `_calibrate_blocks`.
 
     Raises CalibrationError for too few or inconsistent pairs and
     LowConfidenceError when sigma_1/sigma_2 falls below
     `SPECTRAL_GAP_MIN` (the line-of-sight dominance check).
     """
-    dataset.validate(min_pairs)
-    shape = (dataset.geom.n_antennas, dataset.chanspec.n_sub)
-    coarse = _coarse_from_columns(_snapshot_matrix(dataset, tx_index), shape)
+    frames = [frame for _, frame in dataset.pairs]
+    runs = itertools.groupby(range(len(frames)), lambda k: (
+        k // REPLAY_BLOCK, frames[k].chanspec, frames[k].n_rx, frames[k].n_tx))
+    blocks = [(chanspec, np.stack([frames[k].csi for k in ks]))
+              for (_, chanspec, _, _), ks in runs]
+    xy, heading = _pose_arrays(pose for pose, _ in dataset.pairs)
+    return _calibrate_blocks(blocks, xy, heading, dataset.tx_location, dataset.geom,
+                             dataset.chanspec, min_pairs, tx_index)
+
+
+def _calibrate_blocks(blocks: list[tuple[ChannelSpec, np.ndarray]], xy: np.ndarray,
+                      heading: np.ndarray, tx_location: np.ndarray, geom: ArrayGeometry,
+                      chanspec: ChannelSpec, min_pairs: int, tx_index: int) -> CalibrationResult:
+    """`calibrate` of frames in blocks, each (its chanspec, its csi (frames, n_rx,
+    n_tx, n_sub)), frame t of them taken at position xy[t] and heading heading[t].
+
+    The checks run in the order they would frame by frame.  Steps 1 and 2
+    of the module docstring run a block at a time (`_snapshot_matrix`),
+    every pose's bearing and steering vector in one array pass; step 3
+    and its closed-form objective run on the whole data matrix.
+    """
+    n_pairs = sum(len(csi) for _, csi in blocks)
+    if n_pairs < min_pairs:
+        raise CalibrationError(f"{n_pairs} pose/frame pairs; at least {min_pairs} required")
+    for block_chanspec, csi in blocks:
+        if block_chanspec != chanspec:
+            raise CalibrationError("all frames must share the dataset chanspec")
+        if csi.shape[1] != geom.n_antennas:
+            raise CalibrationError("frame antenna count does not match geometry")
+    if n_pairs < 2:
+        raise CalibrationError("need at least 2 snapshots")
+    if not all(0 <= tx_index < csi.shape[2] for _, csi in blocks):
+        raise DimensionMismatchError(f"tx index {tx_index} out of range")
+    columns = _snapshot_matrix([csi[:, :, tx_index, :] for _, csi in blocks], xy, heading,
+                               tx_location, geom, chanspec)
+    coarse = _coarse_from_columns(columns, (geom.n_antennas, chanspec.n_sub))
     gap = coarse.spectral_gap
     if gap < SPECTRAL_GAP_MIN:
         raise LowConfidenceError(
@@ -262,50 +282,42 @@ def calibrate(
     # Negate the recovered bias to get the correction, and reference it
     # to antenna 0 (row 0 becomes zero: the inter-antenna relative form).
     correction = wrap_angle(-(phi - phi[0:1, :]))
-    matrix = CalibrationMatrix(phase=correction, chanspec=dataset.chanspec)
+    matrix = CalibrationMatrix(phase=correction, chanspec=chanspec)
     return CalibrationResult(
         matrix=matrix,
         spectral_gap=gap,
         coarse_objective=objective,
         fine_objective=objective,
-        n_pairs=len(dataset.pairs),
+        n_pairs=n_pairs,
     )
 
 
-# Frames per block of `_snapshot_matrix`.  The slope fit's temporaries
-# grow with the block: one block of all 500 frames raised the peak memory
-# of the survey-sq80 benchmark (simulate, calibrate, scan) from 71 to 98 MB.
-_SLOPE_BLOCK = 64
-
-
-def _snapshot_matrix(dataset: CalibrationDataset, tx_index: int) -> np.ndarray:
+def _snapshot_matrix(slices: list[np.ndarray], xy: np.ndarray, heading: np.ndarray,
+                     tx_location: np.ndarray, geom: ArrayGeometry,
+                     chanspec: ChannelSpec) -> np.ndarray:
     """The data matrix M (n_rx * n_sub, T): frame t's processed snapshot in column t.
 
-    Each snapshot is `suppress_bearing` of its pair with its
-    time-of-flight slope removed: steps 1 and 2 of the module docstring,
-    element for element the operations of one frame at a time, run on
-    blocks of frames.
+    `slices` are the frames' tx slices, (frames, n_rx, n_sub) a block, frame
+    t taken at (xy[t], heading[t]).  Each snapshot is `suppress_bearing` of
+    its frame with its time-of-flight slope removed: element for element
+    the operations of one frame at a time, run a block at a time.  The slope
+    fit's temporaries grow with the block (one block of all 500 frames raised
+    the survey-sq80 benchmark's peak memory from 71 to 98 MB), so callers
+    pass blocks of at most `REPLAY_BLOCK` frames.
     """
-    if len(dataset.pairs) < 2:
-        raise CalibrationError("need at least 2 snapshots")
-    poses = [pose for pose, _ in dataset.pairs]
-    frames = [frame for _, frame in dataset.pairs]
-    if not all(0 <= tx_index < frame.n_tx for frame in frames):
-        raise DimensionMismatchError(f"tx index {tx_index} out of range")
-    freqs = subcarrier_frequencies(dataset.chanspec)
+    freqs = subcarrier_frequencies(chanspec)
     rel_freq = freqs - freqs[freqs.size // 2]
     unit = np.isclose(np.diff(freqs), SUBCARRIER_SPACING_HZ)
-    xy, heading = _pose_arrays(poses)
-    theta = _ground_truth_bearings(xy, heading, dataset.tx_location)
-    conj_steering = np.conj(_steering_vectors(theta, dataset.geom,
-                                              wavelength(dataset.chanspec)))
+    theta = _ground_truth_bearings(xy, heading, tx_location)
+    conj_steering = np.conj(_steering_vectors(theta, geom, wavelength(chanspec)))
 
-    columns = np.empty((dataset.geom.n_antennas * freqs.size, len(frames)),
-                       dtype=np.complex128)
+    columns = np.empty((geom.n_antennas * freqs.size, theta.size), dtype=np.complex128)
     ref_conj = None
-    for start in range(0, len(frames), _SLOPE_BLOCK):
-        stop = min(start + _SLOPE_BLOCK, len(frames))
-        sup = _suppress_block(frames[start:stop], conj_steering[start:stop], tx_index)
+    stop = 0
+    for csi in slices:
+        start, stop = stop, stop + len(csi)
+        sup = csi.astype(np.complex128)
+        sup *= conj_steering[start:stop, :, None]
         # Per-frame time-of-flight slope, fitted against the first snapshot
         # so the (arbitrary) bias-phase structure cancels out of the fit.
         # The removed slopes differ from the true ones by one common value,
@@ -316,14 +328,6 @@ def _snapshot_matrix(dataset: CalibrationDataset, tx_index: int) -> np.ndarray:
         sup *= np.exp(-1j * slopes[:, None] * rel_freq)[:, None, :]
         columns[:, start:stop] = sup.reshape(stop - start, -1).T
     return columns
-
-
-def _suppress_block(frames: list[CsiFrame], conj_steering: np.ndarray,
-                    tx_index: int) -> np.ndarray:
-    """`suppress_bearing` of each frame, given its conjugated steering row: (B, n_rx, n_sub)."""
-    csi = np.array([frame.csi[:, tx_index, :] for frame in frames], dtype=np.complex128)
-    csi *= conj_steering[:, :, None]
-    return csi
 
 
 def save_calibration(path, cal: CalibrationMatrix, geom: ArrayGeometry) -> None:

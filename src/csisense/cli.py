@@ -18,7 +18,8 @@ takes a capture a `codec.FrameBlock` at a time (the kept frames of
 `codec.REPLAY_BLOCK` records that share a channel and antenna counts), a
 UDP stream one datagram at a time, and writes each block's rows as it is
 made.  A fault mid-stream keeps the rows before it and prints the
-summary line, then the error line, and exits 2.
+summary line, then the error line, and exits 2.  `calibrate` reads a
+capture through the same blocks, unfiltered, and builds no per-frame object.
 
 Configuration files (--config) are INI-style: [packet] (MAC allow-list,
 RSSI floor) is read by `decode` and `bearing`, [algorithm] by `bearing`
@@ -54,11 +55,10 @@ from .aoa import (
     write_profile_pgm,
 )
 from .calibration import (
-    CalibrationDataset,
     CalibrationError,
     MIN_PAIRS,
     LowConfidenceError,
-    calibrate,
+    _calibrate_blocks,
     load_calibration,
     parse_geometry,
     parse_point,
@@ -71,7 +71,6 @@ from .codec import (
     format_mac,
     ingest_capture_blocks,
     ingest_stream_blocks,
-    iter_capture,
     parse_mac,
     read_capture_frame,
     udp_datagrams,
@@ -83,6 +82,7 @@ from .core import (
     ConfigurationError,
     CsiSenseError,
     FrameValidationError,
+    _pose_arrays,
     apply_calibration,
     apply_calibration_block,
     wrap_angle,
@@ -364,18 +364,20 @@ def _cmd_calibrate(args) -> int:
     tx_location = _tx_flag(args.tx)
     geom = _geometry_flag(args.geometry)
     by_ts = dict(read_poses_csv(args.poses))
-    pairs = []
-    for frame in iter_capture(args.capture):
-        pose = by_ts.get(frame.timestamp_ns)
-        if pose is None:
-            raise CalibrationError(f"no pose with timestamp {frame.timestamp_ns}; "
-                                   "poses and capture must be time-aligned")
-        pairs.append((pose, frame))
-    if not pairs:
+    blocks, poses = [], []
+    for block in ingest_capture_blocks(args.capture):
+        for ts in block.timestamp_ns:
+            pose = by_ts.get(ts)
+            if pose is None:
+                raise CalibrationError(f"no pose with timestamp {ts}; "
+                                       "poses and capture must be time-aligned")
+            poses.append(pose)
+        blocks.append((block.chanspec, block.csi))
+    if not blocks:
         raise CalibrationError("capture holds no frames")
-    dataset = CalibrationDataset(pairs=pairs, tx_location=tx_location, geom=geom,
-                                 chanspec=pairs[0][1].chanspec)
-    result = calibrate(dataset, min_pairs=args.min_pairs, tx_index=args.tx_antenna)
+    xy, heading = _pose_arrays(poses)
+    result = _calibrate_blocks(blocks, xy, heading, tx_location, geom, blocks[0][0],
+                               args.min_pairs, args.tx_antenna)
     save_calibration(args.out, result.matrix, geom)
     print(f"pairs = {result.n_pairs}")
     print(f"spectral_gap = {result.spectral_gap:.4g}")

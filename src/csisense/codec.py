@@ -46,9 +46,8 @@ frame, the drops since the block before, and its consumer counts the
 frames it used (`IngestStats.count`), so the counts seen at a fault do
 not depend on how the records were cut into blocks.
 
-`ingest_capture`, `ingest_stream` and `iter_capture` are the same
-pipeline a frame at a time: they build one `CsiFrame` per delivered
-frame of each block.
+`ingest_capture` and `ingest_stream` are the same pipeline a frame at a
+time: they build one `CsiFrame` per delivered frame of each block.
 """
 
 from __future__ import annotations
@@ -500,16 +499,6 @@ def write_capture(path, frames: Iterable[CsiFrame]) -> int:
     return len(encoded)
 
 
-def iter_capture(path) -> Iterator[CsiFrame]:
-    """Yield frames from a capture in stored order.
-
-    Raises CaptureFormatError on a corrupt header and
-    CaptureTruncatedError when the file ends mid-frame or holds an
-    undecodable frame (frames already yielded remain valid).
-    """
-    return ingest_capture(path)
-
-
 def ingest_capture(
     path,
     mac_allow: set[bytes] | None = None,
@@ -519,9 +508,10 @@ def ingest_capture(
     """The capture's frames that pass the MAC allow-list and the RSSI floor, in order.
 
     Filters and counts as `ingest_stream` does, but builds no frame the
-    filter drops.  A frame that fails to decode raises as in
-    `iter_capture`, dropped or not.  Records are read and checked
-    `REPLAY_BLOCK` at a time (`ingest_capture_blocks`).
+    filter drops.  A corrupt header raises CaptureFormatError, and a file
+    that ends mid-frame or holds an undecodable frame, dropped or not,
+    CaptureTruncatedError (frames already yielded remain valid).  Records
+    are read and checked `REPLAY_BLOCK` at a time (`ingest_capture_blocks`).
     """
     if stats is None:
         stats = IngestStats()
@@ -550,8 +540,8 @@ def ingest_capture_blocks(
 
 
 def read_capture(path) -> list[CsiFrame]:
-    """Read a whole capture; raises as `iter_capture` does."""
-    return list(iter_capture(path))
+    """Read a whole capture; raises as `ingest_capture` does."""
+    return list(ingest_capture(path))
 
 
 def read_capture_frame(path, index: int) -> CsiFrame:

@@ -734,6 +734,15 @@ class TestAveraging:
         raw_mean = np.mean([p.values for p in profiles[-4:]], axis=0)
         assert np.allclose(out.values, raw_mean / raw_mean.max(), atol=1e-12)
 
+    @pytest.mark.parametrize("window", [0, aoa.MAX_WINDOW + 1, 10**20])
+    def test_window_bounded_as_aoa_config_bounds_it(self, window):
+        profile = Profile2D(np.ones((3, 2)), np.arange(3.0), np.arange(2.0))
+        message = f"averaging window must be 1 to {aoa.MAX_WINDOW} frames, got {window}"
+        with pytest.raises(ConfigurationError, match=message):
+            ProfileAverager(window)
+        with pytest.raises(ConfigurationError, match=message):
+            average_profiles([profile], window)
+
     def test_running_sum_matches_batch_after_1000_pushes(self, rng):
         theta, dist = np.radians(np.arange(-170.0, 181.0, 30.0)), np.arange(0.0, 5.0, 0.5)
         profiles = []

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from csisense import calibration, core
+from csisense import calibration, codec, core
 from csisense import (
     ArrayGeometry,
     CalibrationDataset,
@@ -113,8 +113,19 @@ def pipeline_snapshots(chan, geom, n_pairs=120, seed=31):
     """The suppressed, slope-removed snapshots whose matrix `calibrate` decomposes."""
     ds = make_dataset(chan, geom, n_pairs=n_pairs, bias=random_bias(chan, 4, seed=seed),
                       seed=seed)
-    columns = calibration._snapshot_matrix(ds, 0)
+    columns = snapshot_matrix(ds)
     return [columns[:, t].reshape(4, -1) for t in range(n_pairs)]
+
+
+def snapshot_matrix(ds, tx_index=0, cut=codec.REPLAY_BLOCK):
+    """`calibration._snapshot_matrix` of a dataset, its frames' tx slices
+    fed as blocks of `cut` frames, as `calibrate` feeds them."""
+    frames = [frame for _, frame in ds.pairs]
+    slices = [np.stack([frame.csi[:, tx_index, :] for frame in frames[k:k + cut]])
+              for k in range(0, len(frames), cut)]
+    xy, heading = core._pose_arrays(pose for pose, _ in ds.pairs)
+    return calibration._snapshot_matrix(slices, xy, heading, ds.tx_location, ds.geom,
+                                        ds.chanspec)
 
 
 def noisy_snapshots(rng, shape, n, noise):
@@ -310,6 +321,14 @@ class TestCalibrate:
         with pytest.raises(CalibrationError):
             calibrate(ds)
 
+    def test_frame_of_another_antenna_count_rejected(self, square_geom, chan80):
+        ds = make_dataset(chan80, square_geom, n_pairs=60, seed=11)
+        pose, frame = ds.pairs[40]
+        ds.pairs[40] = (pose, dataclasses.replace(frame, csi=frame.csi[:3]))
+        with pytest.raises(CalibrationError,
+                           match="frame antenna count does not match geometry"):
+            calibrate(ds)
+
     def test_low_confidence_on_noise_only_data(self, square_geom, chan80, rng):
         # frames of pure noise share no dominant component: gap below 3
         traj = disc_trajectory(np.array([0.0, 0.0]), 5.0, 60, seed=14)
@@ -369,25 +388,10 @@ def frame_by_frame_columns(ds, tx_index=0):
     return np.stack(columns, axis=1)
 
 
-def batched_conj_steering(ds):
-    xy, heading = core._pose_arrays(pose for pose, _ in ds.pairs)
-    theta = core._ground_truth_bearings(xy, heading, ds.tx_location)
-    return np.conj(core._steering_vectors(theta, ds.geom, wavelength(ds.chanspec)))
-
-
 class TestBatchedSnapshots:
     """calibrate's block pass equals the frame-by-frame pipeline bit for bit."""
 
-    def test_suppressed_block_matches_suppress_bearing(self, square_geom, chan80):
-        ds = make_dataset(chan80, square_geom, n_pairs=70, seed=5)
-        ds.tx_location = np.array([0.3, -0.2])
-        frames = [frame for _, frame in ds.pairs]
-        block = calibration._suppress_block(frames, batched_conj_steering(ds), 0)
-        for sup, (pose, frame) in zip(block, ds.pairs):
-            ref = suppress_bearing(frame, pose, ds.tx_location, square_geom)
-            assert sup.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("n_pairs", [2, calibration._SLOPE_BLOCK, 150])
+    @pytest.mark.parametrize("n_pairs", [2, 64, 150])
     @pytest.mark.parametrize("channel,bw,layout", [(155, 80, "square"), (36, 20, "ula3"),
                                                    (38, 40, "ula4")])
     def test_snapshot_matrix_matches_frame_by_frame(self, n_pairs, channel, bw, layout):
@@ -403,7 +407,13 @@ class TestBatchedSnapshots:
         csi = frame.csi.copy()
         csi[0, 0, chan.n_sub // 2] = 0
         ds.pairs[-1] = (pose, dataclasses.replace(frame, csi=csi))
-        columns = calibration._snapshot_matrix(ds, 0)
+        assert snapshot_matrix(ds).tobytes() == frame_by_frame_columns(ds).tobytes()
+
+    @pytest.mark.parametrize("cut", [1, 5, 32, 71])
+    def test_block_cuts_give_identical_bytes(self, square_geom, chan80, cut):
+        ds = make_dataset(chan80, square_geom, n_pairs=71,
+                          bias=random_bias(chan80, 4, seed=12), seed=12)
+        columns = snapshot_matrix(ds, cut=cut)
         assert columns.tobytes() == frame_by_frame_columns(ds).tobytes()
 
     def test_selected_tx_slice(self, square_geom, chan80):
@@ -411,7 +421,7 @@ class TestBatchedSnapshots:
         ds.pairs = [(pose, dataclasses.replace(frame, csi=np.concatenate(
                         [frame.csi, 0.5j * frame.csi[:, :, ::-1]], axis=1)))
                     for pose, frame in ds.pairs]
-        columns = calibration._snapshot_matrix(ds, 1)
+        columns = snapshot_matrix(ds, 1)
         assert columns.tobytes() == frame_by_frame_columns(ds, 1).tobytes()
         with pytest.raises(DimensionMismatchError):
             calibrate(ds, min_pairs=20, tx_index=2)

@@ -256,8 +256,8 @@ class TestDecode:
 
     def test_capture_decoded_once(self, workspace, monkeypatch):
         """One header parse per capture record and no re-encoding, for every
-        capture reader; `decode` and `bearing` build no frame (their rows
-        come from blocks), and `calibrate` one per frame."""
+        capture reader; `decode`, `bearing` and `calibrate` build no frame
+        (they read the capture's blocks)."""
         tmp_path, scenario = workspace
         capture, poses, cal, _ = run_pipeline(tmp_path, scenario)
         frames = read_capture(capture)
@@ -290,12 +290,10 @@ class TestDecode:
                  None)):
             calls.update(header=0, frame=0, encode=0)
             assert main(argv) == 0
-            built = (len(frames) if delivered is None
-                     else len(delivered.read_text().splitlines()) - 1)
             if "--mac-filter" in argv:
+                built = len(delivered.read_text().splitlines()) - 1
                 assert built == len(frames) - len(frames[1::4])
-            assert calls == {"header": len(frames), "frame": 0 if delivered else built,
-                             "encode": 0}
+            assert calls == {"header": len(frames), "frame": 0, "encode": 0}
 
     def test_rssi_floor_filters(self, workspace, capsys):
         tmp_path, scenario = workspace
@@ -1260,6 +1258,53 @@ class TestCalibrateCommand:
         slice_0 = tmp_path / "slice0.txt"
         save_calibration(slice_0, calibrate(dataset, tx_index=0).matrix, geom)
         assert out.read_bytes() != slice_0.read_bytes()
+
+    @pytest.mark.parametrize("case", ["missing pose before undecodable record",
+                                      "foreign channel", "three antennas", "tx antenna",
+                                      "min pairs before foreign channel", "empty capture",
+                                      "one frame", "cut short"])
+    def test_fault_prints_one_data_line(self, tmp_path, capsys, case):
+        """Each fault prints one line and exits 2.  Where two meet, the line is
+        the one a frame-by-frame pass meets first: the missing pose of record
+        40 before the undecodable record 45 of the same ingest block, and the
+        pair count before the foreign channel of record 70."""
+        capture, poses = simulated_capture(tmp_path, 1 if case == "one frame" else 80)
+        frames = read_capture(capture)
+        flags = {"tx antenna": ["--tx-antenna", "1"], "one frame": ["--min-pairs", "1"],
+                 "min pairs before foreign channel": ["--min-pairs", "81"]}.get(case, [])
+        if "foreign channel" in case:
+            foreign = ChannelSpec(36, 20)
+            frames[70] = dataclasses.replace(frames[70], chanspec=foreign,
+                                             csi=frames[70].csi[:, :, :foreign.n_sub])
+        elif case == "three antennas":
+            frames[10] = dataclasses.replace(frames[10], csi=frames[10].csi[:3])
+        codec.write_capture(capture, [] if case == "empty capture" else frames)
+        raw = capture.read_bytes()
+        expected = {
+            "foreign channel": "all frames must share the dataset chanspec",
+            "three antennas": "frame antenna count does not match geometry",
+            "tx antenna": "tx index 1 out of range",
+            "min pairs before foreign channel": "80 pose/frame pairs; at least 81 required",
+            "empty capture": "capture holds no frames",
+            "one frame": "need at least 2 snapshots",
+            "cut short": "frame 79 of 80 cut short",
+        }.get(case)
+        if case == "cut short":
+            capture.write_bytes(raw[:-100])
+        elif case.startswith("missing pose"):
+            lines = poses.read_text().splitlines(keepends=True)
+            poses.write_text("".join(lines[:41] + lines[42:]))  # line 41: record 40
+            record = len(codec.encode_frame(frames[0])) + 4
+            at = codec.CAPTURE_HEADER_SIZE + 45 * record + 4
+            capture.write_bytes(raw[:at] + b"NOPE" + raw[at + 4:])
+            expected = (f"no pose with timestamp {frames[40].timestamp_ns}; "
+                        "poses and capture must be time-aligned")
+        out = tmp_path / "cal.txt"
+        capsys.readouterr()
+        assert main(calibrate_argv(capture, poses, out, *flags)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: data: {expected}"]
+        assert captured.out == "" and not out.exists()
 
 
 class TestScan:

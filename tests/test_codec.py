@@ -19,7 +19,6 @@ from csisense.codec import (
     format_mac,
     ingest_capture,
     ingest_stream,
-    iter_capture,
     parse_mac,
     read_capture,
     udp_datagrams,
@@ -186,7 +185,7 @@ class TestCapture:
         cut.write_bytes(raw[: len(raw) - 10])
         decoded = []
         with pytest.raises(CaptureTruncatedError):
-            for frame in iter_capture(cut):
+            for frame in ingest_capture(cut):
                 decoded.append(frame)
         assert decoded == frames[:4]
 
@@ -194,7 +193,7 @@ class TestCapture:
         path = tmp_path / "bad.wcap"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(CaptureFormatError):
-            list(iter_capture(path))
+            read_capture(path)
 
     def test_trailing_garbage_rejected(self, tmp_path, rng):
         path = tmp_path / "g.wcap"
@@ -202,7 +201,7 @@ class TestCapture:
         with open(path, "ab") as fh:
             fh.write(b"\xff")
         with pytest.raises(CaptureFormatError):
-            list(iter_capture(path))
+            read_capture(path)
 
 
 class TestIngest:
@@ -284,7 +283,7 @@ class TestIngest:
         assert out == [frames[0], frames[2]]
         assert stats == IngestStats(received=3, delivered=2, dropped_decode=1)
 
-    def test_ingest_capture_is_filter_frames_over_iter_capture(self, tmp_path, rng):
+    def test_ingest_capture_is_filter_frames_over_read_capture(self, tmp_path, rng):
         frames = [random_frame(rng) for _ in range(30)]
         for f in frames[::4]:
             f.source_mac = bytes(6)
@@ -295,7 +294,7 @@ class TestIngest:
         write_capture(path, frames)
         by_header, by_frame = IngestStats(), IngestStats()
         out = list(ingest_capture(path, allow, -80.0, by_header))
-        assert out == list(filter_frames(iter_capture(path), allow, -80.0, by_frame))
+        assert out == list(filter_frames(read_capture(path), allow, -80.0, by_frame))
         assert by_header == by_frame and by_frame.dropped_mac and by_frame.dropped_rssi
         assert all(not f.csi.flags.writeable for f in out)
 
