@@ -77,8 +77,9 @@ cfg = AoaConfig()
 
 
 def median_bearing_error(use_calibration):
-    # estimate_bearing only picks the argmax; the RSSI floor belongs to
-    # ingest (ingest_capture, ingest_stream), and every frame here is within 5 m anyway.
+    # estimate_bearing only picks the argmax; the RSSI floor belongs to ingest
+    # (ingest_capture_blocks, ingest_stream_blocks), and every frame here is within 5 m
+    # anyway.
     errors = []
     for pose, frame in held_out:
         used = apply_calibration(result.matrix, frame) if use_calibration else frame

@@ -37,7 +37,6 @@ from .synth import (
     PathComponent,
     Reflection,
     SimScenario,
-    environment_beacons,
     rssi_at,
     synth_frame,
     synth_trajectory,
@@ -50,9 +49,7 @@ from .codec import (
     decode_frame,
     encode_frame,
     format_mac,
-    ingest_capture,
     ingest_capture_blocks,
-    ingest_stream,
     ingest_stream_blocks,
     parse_mac,
     read_capture,
@@ -74,18 +71,15 @@ from .calibration import (
 from .aoa import (
     AoaConfig,
     PathEstimate,
-    ProfileAverager,
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
     bearing_csi_estimator,
-    bearing_estimator,
     estimate_bearing,
     music_spectrum,
     spotfi_estimate,
     spotfi_profile,
     triangulate,
-    write_bearings_csv,
     write_profile_pgm,
 )
 from .scanner import (

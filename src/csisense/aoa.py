@@ -17,8 +17,8 @@ MUSIC and SpotFi stack their snapshots into one covariance.
 `bearing_csi_estimator` is the one estimator of such a stream: it owns
 the window and takes the stream a block at a time, one csi array of
 frames that share a channel and an antenna count (the CLI's
-`codec.FrameBlock` after calibration); `bearing_estimator` is it on
-blocks of one `CsiFrame`.  A frame's bearing does not depend on where
+`codec.FrameBlock` after calibration; a single frame is a block of
+one).  A frame's bearing does not depend on where
 the blocks are cut.  MUSIC solves a block's windows as stacks: one
 matmul for their Gram matrices, one `np.linalg.eigh` over the stack
 (`core._dense_eigenpairs` takes a leading stack axis) and one noise
@@ -30,7 +30,7 @@ max-normalized profiles is the Gram kernel times the sum of the frames'
 terms, each over its profile's peak.  A frame then costs one product
 with the kernel for its peak and, in a window of more than one frame,
 one for its window's power.  No profile is kept or averaged, and the
-bearings equal those of `ProfileAverager.push` and `estimate_bearing`
+bearings equal those of `average_profiles` and `estimate_bearing`
 up to rounding.  SpotFi takes a block's frames one by one.  Every
 estimator picks the bearing by `estimate_bearing`'s rule: the curve's
 argmax, ties to the smallest bearing index.  On a uniform linear array a
@@ -81,7 +81,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -553,58 +553,26 @@ def _max_filter3(values: np.ndarray) -> np.ndarray:
 
 
 def average_profiles(profiles: list[Profile2D], window: int) -> Profile2D:
-    """Element-wise mean over the trailing `window` profiles, max-normalized.
+    """Element-wise mean over the trailing `window` profiles, max-normalized
+    (as is for an all-zero window).
 
     Incoherent (power-domain) averaging: stationary-path peaks reinforce
     while randomly phased reflections average toward their mean level.
+    The profiles must share the first one's grids.
     """
     if not profiles:
         raise ConfigurationError("no profiles to average")
-    averager = ProfileAverager(window)
-    for profile in profiles[-window:]:
-        average = averager.push(profile)
-    return average
-
-
-class ProfileAverager:
-    """Sliding-window incoherent averager for one consumer stream.
-
-    Keeps a running sum of the profiles in the window: each push adds
-    the new profile and subtracts the one leaving, so a push costs the
-    same at any window length.  Holds per-source mutable state; confine
-    each instance to a single stream of profiles.
-    """
-
-    def __init__(self, window: int):
-        _check_averaging_window(window)
-        self.window = window
-        self._buffer: deque[Profile2D] = deque(maxlen=window)
-        self._sum: np.ndarray | None = None
-
-    def push(self, profile: Profile2D) -> Profile2D:
-        """Add `profile`, the oldest leaving a full window; return the window's
-        average, normalized to max 1 (as is for an all-zero window)."""
-        if not self._buffer:
-            self._sum = np.array(profile.values, dtype=np.float64)
-        else:
-            # Bound here, the leaving profile stays alive until the average is
-            # allocated; freeing it first cost a Bartlett `bearing` run, which
-            # then pushed every frame, 2.5x the minor page faults.
-            oldest = self._buffer[0]
-            if not (np.array_equal(profile.theta_grid, oldest.theta_grid)
-                    and np.array_equal(profile.dist_grid, oldest.dist_grid)):
-                raise DimensionMismatchError("profiles must share identical grids")
-            if len(self._buffer) == self.window:
-                self._sum -= oldest.values
-            self._sum += profile.values
-            # Rounding in the subtraction can leave a cell a few ulps
-            # below zero where the true sum is ~0; powers are never negative.
-            if self._sum.min() < 0:
-                np.maximum(self._sum, 0.0, out=self._sum)
-        self._buffer.append(profile)
-        peak = self._sum.max()
-        values = self._sum / peak if peak > 0 else self._sum.copy()
-        return Profile2D(values, profile.theta_grid, profile.dist_grid)
+    _check_averaging_window(window)
+    first, *rest = profiles[-window:]
+    total = np.array(first.values, dtype=np.float64)
+    for profile in rest:
+        if not (np.array_equal(profile.theta_grid, first.theta_grid)
+                and np.array_equal(profile.dist_grid, first.dist_grid)):
+            raise DimensionMismatchError("profiles must share identical grids")
+        total += profile.values
+    peak = total.max()
+    values = total / peak if peak > 0 else total
+    return Profile2D(values, profiles[-1].theta_grid, profiles[-1].dist_grid)
 
 
 def estimate_bearing(
@@ -621,7 +589,7 @@ def estimate_bearing(
     is deterministic; any monotone rescaling of the input leaves the
     returned bearing unchanged.  `rssi_dbm` is only carried into the
     estimate: the RSSI floor is applied at ingest, to the frame header
-    (`codec.ingest_capture`, `codec.ingest_stream`).
+    (`codec.ingest_capture_blocks`, `codec.ingest_stream_blocks`).
     """
     if isinstance(profile_or_spectrum, Profile2D):
         curve = profile_or_spectrum.values.max(axis=1)
@@ -667,8 +635,8 @@ def bearing_csi_estimator(
     does not depend on how the stream is cut into blocks.  Bartlett's
     curve is the per-bearing peak of the window's average profile, formed
     from the summed Gram terms (`_bartlett_stream_curves`); it picks the
-    bearing that `ProfileAverager.push` and `estimate_bearing` pick, up to
-    rounding, with the same strength.  MUSIC's curve is its
+    bearing that `average_profiles` over the window and `estimate_bearing`
+    pick, up to rounding, with the same strength.  MUSIC's curve is its
     pseudospectrum, from the block's windows solved as stacks
     (`_music_stream_spectra`); SpotFi's is the profile's per-bearing peak,
     one frame at a time.
@@ -714,20 +682,6 @@ def bearing_csi_estimator(
                                        cfg).max(axis=1)
             recent.append((chanspec, snap))
         return _pick_bearing(curves)
-
-    return estimate
-
-
-def bearing_estimator(geom: ArrayGeometry,
-                      cfg: AoaConfig) -> Callable[[CsiFrame], BearingEstimate]:
-    """One calibrated frame -> its bearing: `bearing_csi_estimator` on blocks of one."""
-    estimate_csi = bearing_csi_estimator(geom, cfg)
-
-    def estimate(frame: CsiFrame) -> BearingEstimate:
-        peaks, strengths = estimate_csi(frame.chanspec, frame.csi[None])
-        return BearingEstimate(theta=float(cfg.theta_grid[peaks[0]]),
-                               strength=float(strengths[0]), rssi_dbm=frame.rssi_dbm,
-                               source_mac=frame.source_mac, timestamp_ns=frame.timestamp_ns)
 
     return estimate
 
@@ -778,20 +732,6 @@ def bearing_rows(timestamps_ns: Sequence[int], source_macs: Sequence[bytes],
             for ts, mac, deg, power, rssi in zip(timestamps_ns, source_macs,
                                                  np.asarray(theta_deg).tolist(),
                                                  np.asarray(strength).tolist(), rssi_dbm)]
-
-
-def write_bearings_csv(path, estimates: Iterable[BearingEstimate]) -> None:
-    """Bearing output file: timestamp_ns, source_mac, theta_deg, strength, rssi_dbm.
-
-    `estimates` may be any iterable, a lazy stream included: each row is
-    written as it is drawn, so if the stream raises, the file keeps the
-    header and every row before the fault.
-    """
-    with open(path, "w") as fh:
-        fh.write(BEARINGS_CSV_HEADER)
-        for est in estimates:
-            fh.writelines(bearing_rows([est.timestamp_ns], [est.source_mac],
-                                       np.degrees([est.theta]), [est.strength], [est.rssi_dbm]))
 
 
 def write_profile_pgm(path, profile: Profile2D, metadata: dict | None = None) -> None:

@@ -335,7 +335,7 @@ def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None, out_path: str | 
                 out.writelines(made)
                 written += len(made)
                 if fault is not None:
-                    stats.count(block, 0, len(made) + 1)  # the faulty frame was delivered
+                    stats.count(block, len(made) + 1)  # the faulty frame was delivered
                     raise fault
                 stats.count(block)
     finally:

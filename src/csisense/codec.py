@@ -45,9 +45,6 @@ only once everything before it was consumed: each block carries, per
 frame, the drops since the block before, and its consumer counts the
 frames it used (`IngestStats.count`), so the counts seen at a fault do
 not depend on how the records were cut into blocks.
-
-`ingest_capture` and `ingest_stream` are the same pipeline a frame at a
-time: they build one `CsiFrame` per delivered frame of each block.
 """
 
 from __future__ import annotations
@@ -285,40 +282,18 @@ class IngestStats:
     dropped_mac: int = 0
     dropped_rssi: int = 0
 
-    def count(self, block: FrameBlock, start: int = 0, stop: int | None = None) -> None:
-        """Count frames start to stop - 1 of `block` as delivered, each with the
+    def count(self, block: FrameBlock, stop: int | None = None) -> None:
+        """Count the first `stop` frames of `block` as delivered, each with the
         records dropped before it (all the block's frames by default)."""
         stop = len(block) if stop is None else stop
-        if stop <= start:
+        if stop <= 0:
             return
         decode, mac, rssi = block.drops[stop - 1]
-        if start:
-            before = block.drops[start - 1]
-            decode, mac, rssi = decode - before[0], mac - before[1], rssi - before[2]
-        self.received += stop - start + decode + mac + rssi
-        self.delivered += stop - start
+        self.received += stop + decode + mac + rssi
+        self.delivered += stop
         self.dropped_decode += decode
         self.dropped_mac += mac
         self.dropped_rssi += rssi
-
-
-def ingest_stream(
-    datagrams: Iterable[bytes],
-    mac_allow: set[bytes] | None = None,
-    rssi_floor_dbm: float | None = None,
-    stats: IngestStats | None = None,
-) -> Iterator[CsiFrame]:
-    """Decode datagrams (one frame each), filter, preserve arrival order.
-
-    Every datagram counts as received; the dropped ones are counted by
-    reason.  An empty/None allow-list passes every MAC, and a frame
-    passes the floor unless its header's RSSI is below it.  Malformed
-    datagrams are counted as received and dropped, never fatal.  A frame
-    is yielded before the next datagram is waited for.
-    """
-    if stats is None:
-        stats = IngestStats()
-    return _frames(ingest_stream_blocks(datagrams, mac_allow, rssi_floor_dbm, stats), stats)
 
 
 def ingest_stream_blocks(
@@ -327,22 +302,18 @@ def ingest_stream_blocks(
     rssi_floor_dbm: float | None = None,
     stats: IngestStats | None = None,
 ) -> Iterator[FrameBlock]:
-    """`ingest_stream` as blocks: each datagram is its own ingest block, so a
-    delivered frame comes out, a block of one, before the next datagram is
-    waited for.  The caller counts each block's frames with
-    `stats.count(block)`; the records no frame carries are counted here."""
+    """Decode datagrams (one frame each), filter, preserve arrival order.
+
+    Each datagram is its own ingest block: a delivered frame comes out, a
+    block of one, before the next is waited for.  An empty/None allow-list
+    passes every MAC, and a frame passes the floor unless its header's
+    RSSI is below it.  A malformed datagram is dropped, never fatal.  The
+    caller counts each block's frames with `stats.count(block)`; the
+    datagrams no frame carries are counted here, dropped ones by reason.
+    """
     if stats is None:
         stats = IngestStats()
     return _ingest_blocks(datagrams, mac_allow, rssi_floor_dbm, stats, lambda k, exc: None, 1)
-
-
-def _frames(blocks: Iterable[FrameBlock], stats: IngestStats) -> Iterator[CsiFrame]:
-    """The blocks' frames one at a time, each counted as it is yielded."""
-    for block in blocks:
-        for i in range(len(block)):
-            frame = block.frame(i)
-            stats.count(block, i, i + 1)
-            yield frame
 
 
 def _ingest_blocks(
@@ -499,36 +470,22 @@ def write_capture(path, frames: Iterable[CsiFrame]) -> int:
     return len(encoded)
 
 
-def ingest_capture(
-    path,
-    mac_allow: set[bytes] | None = None,
-    rssi_floor_dbm: float | None = None,
-    stats: IngestStats | None = None,
-) -> Iterator[CsiFrame]:
-    """The capture's frames that pass the MAC allow-list and the RSSI floor, in order.
-
-    Filters and counts as `ingest_stream` does, but builds no frame the
-    filter drops.  A corrupt header raises CaptureFormatError, and a file
-    that ends mid-frame or holds an undecodable frame, dropped or not,
-    CaptureTruncatedError (frames already yielded remain valid).  Records
-    are read and checked `REPLAY_BLOCK` at a time (`ingest_capture_blocks`).
-    """
-    if stats is None:
-        stats = IngestStats()
-    return _frames(ingest_capture_blocks(path, mac_allow, rssi_floor_dbm, stats), stats)
-
-
 def ingest_capture_blocks(
     path,
     mac_allow: set[bytes] | None = None,
     rssi_floor_dbm: float | None = None,
     stats: IngestStats | None = None,
 ) -> Iterator[FrameBlock]:
-    """`ingest_capture` as blocks of up to `REPLAY_BLOCK` frames.
+    """The capture's frames that pass the MAC allow-list and the RSSI floor,
+    in order, as blocks of up to `REPLAY_BLOCK` frames.
 
-    The caller counts each block's frames with `stats.count(block)`, and
-    a caller that stops at frame i of a block counts `stats.count(block,
-    0, i + 1)`; the records no frame carries are counted here.
+    Filters and counts as `ingest_stream_blocks` does.  A corrupt header
+    raises CaptureFormatError, and a file that ends mid-frame or holds an
+    undecodable frame, dropped or not, CaptureTruncatedError (blocks
+    already yielded remain valid).  The caller counts each block's frames
+    with `stats.count(block)`, and a caller that stops at frame i of a
+    block counts `stats.count(block, i + 1)`; the records no frame
+    carries are counted here.
     """
     if stats is None:
         stats = IngestStats()
@@ -540,8 +497,8 @@ def ingest_capture_blocks(
 
 
 def read_capture(path) -> list[CsiFrame]:
-    """Read a whole capture; raises as `ingest_capture` does."""
-    return list(ingest_capture(path))
+    """Read a whole capture; raises as `ingest_capture_blocks` does."""
+    return [block.frame(i) for block in ingest_capture_blocks(path) for i in range(len(block))]
 
 
 def read_capture_frame(path, index: int) -> CsiFrame:

@@ -41,6 +41,12 @@ class ApRecord:
     last_seen_ns: int
 
 
+# The longest scan period and stale timeout (in nanoseconds, each fits an
+# int64) and the longest dwell per channel: wide of any real scanner.
+MAX_PERIOD_S = 1e9
+MAX_DWELL_MS = 60_000
+
+
 @dataclass(frozen=True)
 class ScanPolicy:
     """Timing and hysteresis constants for the scanner; the CLI's [setup] keys."""
@@ -54,8 +60,14 @@ class ScanPolicy:
     def __post_init__(self):
         values = (self.scan_period_s, self.dwell_ms, self.switch_margin_db,
                   self.switch_cost_ms, self.stale_timeout_s)
-        if not all(math.isfinite(v) for v in values):
+        # an int is finite, and math.isfinite cannot take one past float range
+        if not all(isinstance(v, int) or math.isfinite(v) for v in values):
             raise ConfigurationError("scan policy values must be finite")
+        for name, bound in (("scan_period_s", MAX_PERIOD_S), ("stale_timeout_s", MAX_PERIOD_S),
+                            ("dwell_ms", MAX_DWELL_MS)):
+            value = getattr(self, name)
+            if value > bound:
+                raise ConfigurationError(f"{name} must be at most {bound:g}, got {value}")
         if not (0 < self.switch_cost_ms < 500):
             raise ConfigurationError("switch cost must be positive and under 500 ms")
         if min(self.scan_period_s, self.dwell_ms, self.switch_margin_db,
@@ -179,9 +191,9 @@ def run_walkthrough(scenario: SimScenario, policy: ScanPolicy) -> WalkthroughRes
     the tuned one but does not yet beat it by the switch margin.
 
     Every beacon level the walk hears is computed up front, as one
-    (poses x APs) RSSI matrix whose rows equal `environment_beacons` at
-    each pose; a step reads its row.  The nearest AP is the strongest in
-    the row, the earliest in `scenario.aps` on ties.
+    (poses x APs) RSSI matrix (`synth._beacon_rssi`); a step reads its
+    row.  The nearest AP is the strongest in the row, the earliest in
+    `scenario.aps` on ties.
     """
     aps = scenario.aps
     if len({ap.chanspec for ap in aps}) < 2:

@@ -172,6 +172,9 @@ def random_bias(chanspec: ChannelSpec, n_rx: int, seed: int) -> CalibrationMatri
 
 # Pose rate of the built-in trajectory kinds when a scenario gives none.
 DEFAULT_RATE_HZ = 1.0
+# The most poses a built-in trajectory may hold (11.6 days at 1 Hz), and the
+# most laps a loop may run either way: more laps than poses only alias.
+MAX_POSES = 1_000_000
 
 # Disc poses nearer the center than this are drawn again, so path loss stays finite.
 _MIN_DISTANCE_M = 0.5
@@ -226,6 +229,9 @@ def loop_trajectory(
 ) -> list[tuple[int, Pose2D]]:
     """Rectangular circuit traversed `laps` times with n poses total."""
     _check_reach(x0, x0 + length_m, y0, y0 + width_m)
+    if not -MAX_POSES <= laps <= MAX_POSES:
+        raise ConfigurationError(f"[trajectory] laps must lie in [-{MAX_POSES}, {MAX_POSES}], "
+                                 f"got {laps}")
     per = 2.0 * (length_m + width_m)
     out = []
     for k, ts in enumerate(_pose_times(n, rate_hz)):
@@ -306,9 +312,9 @@ def _rel_amplitude(text: str) -> float:
 
 
 def _pose_times(n: int, rate_hz: float) -> list[int]:
-    """Timestamps (ns) of n poses from 0 at rate_hz; a bad n or rate_hz raises."""
-    if n < 1:
-        raise ConfigurationError(f"[trajectory] n must be at least 1, got {n}")
+    """Timestamps (ns) of n poses from 0 at rate_hz; a bad n or rate_hz raises first."""
+    if not 1 <= n <= MAX_POSES:
+        raise ConfigurationError(f"[trajectory] n must be 1 to {MAX_POSES}, got {n}")
     period_ns = 1e9 / rate_hz if rate_hz > 0 else 0.0  # NaN > 0 is false
     if not 1.0 <= period_ns < np.inf:
         raise ConfigurationError(f"[trajectory] rate_hz must be in (0, 1e9], got {rate_hz}")

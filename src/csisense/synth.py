@@ -235,15 +235,6 @@ def synth_trajectory(
     return out
 
 
-def environment_beacons(
-    aps: list[ApSpec],
-    position: np.ndarray,
-    exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
-) -> dict[ChannelSpec, list[tuple[bytes, float]]]:
-    """Beacon observations per channel at a position: {chanspec: [(mac, rssi)]}."""
-    return _beacons_by_channel(aps, _beacon_rssi(aps, np.reshape(position, (1, 2)), exponent)[0])
-
-
 def _beacon_rssi(aps: list[ApSpec], positions: np.ndarray, exponent: float) -> np.ndarray:
     """RSSI of every AP's beacon at every position: (n_positions, n_aps) dBm.
 

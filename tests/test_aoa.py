@@ -30,12 +30,10 @@ from csisense import (
 from csisense import aoa
 from csisense.aoa import (
     AoaConfig,
-    ProfileAverager,
     UnsupportedGeometryError,
     average_profiles,
     bartlett_profile,
     bearing_csi_estimator,
-    bearing_estimator,
     build_grids,
     estimate_bearing,
     music_spectrum,
@@ -332,7 +330,7 @@ class TestMusic:
 
     def test_source_count_checked_when_the_estimator_is_built(self, square_geom):
         with pytest.raises(ConfigurationError, match="no noise subspace"):
-            bearing_estimator(square_geom, AoaConfig(algorithm="music", n_sources=4))
+            bearing_csi_estimator(square_geom, AoaConfig(algorithm="music", n_sources=4))
 
     @pytest.mark.parametrize("window", [1, 3])
     def test_block_is_frame_by_frame_across_channel_runs(self, square_geom, chan80, chan20,
@@ -346,8 +344,11 @@ class TestMusic:
         frames = [synth_frame(paths, square_geom, chan, snr_db=15.0, rng_seed=seed,
                               timestamp_ns=seed) for seed, chan in enumerate(chans)]
         cfg = AoaConfig(algorithm="music", window=window, n_sources=2)
-        by_frame = bearing_estimator(square_geom, cfg)
+        estimate_frame = bearing_csi_estimator(square_geom, cfg)
         estimate = bearing_csi_estimator(square_geom, cfg)
+
+        def by_frame(frame):
+            return estimate_runs(estimate_frame, [frame], cfg)[0]
 
         def by_block(block):
             return estimate_runs(estimate, block, cfg)
@@ -723,60 +724,28 @@ class TestAveraging:
         with pytest.raises(DimensionMismatchError):
             average_profiles([a, b], 2)
 
-    def test_averager_matches_batch(self, square_geom, chan80, cfg):
-        frames = [single_path_frame(square_geom, chan80, -0.2, snr_db=5.0, seed=s)
-                  for s in range(6)]
-        profiles = [bartlett_profile(f, square_geom, cfg) for f in frames]
-        averager = ProfileAverager(window=4)
-        out = None
-        for p in profiles:
-            out = averager.push(p)
-        raw_mean = np.mean([p.values for p in profiles[-4:]], axis=0)
-        assert np.allclose(out.values, raw_mean / raw_mean.max(), atol=1e-12)
-
     @pytest.mark.parametrize("window", [0, aoa.MAX_WINDOW + 1, 10**20])
     def test_window_bounded_as_aoa_config_bounds_it(self, window):
         profile = Profile2D(np.ones((3, 2)), np.arange(3.0), np.arange(2.0))
         message = f"averaging window must be 1 to {aoa.MAX_WINDOW} frames, got {window}"
         with pytest.raises(ConfigurationError, match=message):
-            ProfileAverager(window)
-        with pytest.raises(ConfigurationError, match=message):
             average_profiles([profile], window)
 
-    def test_running_sum_matches_batch_after_1000_pushes(self, rng):
-        theta, dist = np.radians(np.arange(-170.0, 181.0, 30.0)), np.arange(0.0, 5.0, 0.5)
-        profiles = []
-        for _ in range(1000):
-            values = rng.random((theta.size, dist.size)) ** 8  # cells spanning decades
-            profiles.append(Profile2D(values / values.max(), theta, dist))
-        averager = ProfileAverager(window=8)
-        for k, p in enumerate(profiles, start=1):
-            out = averager.push(p)
-            if k % 100 == 0:
-                batch = average_profiles(profiles[:k], 8)
-                assert np.max(np.abs(out.values - batch.values)) <= 1e-12
-        assert np.all(out.values >= 0)
-
-    def test_averager_rejects_grid_mismatch_and_keeps_state(self, square_geom, chan80, cfg):
+    def test_averager_rejects_grid_mismatch(self, square_geom, chan80, cfg):
         frames = [single_path_frame(square_geom, chan80, 0.5, snr_db=5.0, seed=s)
                   for s in range(3)]
         profiles = [bartlett_profile(f, square_geom, cfg) for f in frames]
         other = bartlett_profile(frames[0], square_geom,
                                  AoaConfig(dist_grid=np.arange(0.0, 10.0, 0.5)))
-        averager = ProfileAverager(window=3)
-        averager.push(profiles[0])
         with pytest.raises(DimensionMismatchError):
-            averager.push(other)
-        averager.push(profiles[1])
-        out = averager.push(profiles[2])
-        assert np.allclose(out.values, average_profiles(profiles, 3).values, atol=1e-12)
+            average_profiles([profiles[0], other, profiles[1]], 3)
 
     @pytest.mark.parametrize("window", [1, 3, 8])
     def test_estimator_matches_push_then_estimate(self, square_geom, chan80, window, rng):
-        # bearing_estimator reads the per-bearing peak of the running sum;
-        # it must give what the public push + estimate_bearing path gives,
-        # bit for bit, while the window fills and slides, across an
-        # all-zero frame too
+        # the estimator, fed one frame at a time, reads the per-bearing peak
+        # of the window's summed Gram terms; it must give what the public
+        # average_profiles + estimate_bearing path gives, bit for bit, while
+        # the window fills and slides, across an all-zero frame too
         cfg = AoaConfig(window=window)
         frames = [synth_frame([PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=15e-9),
                                PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=40e-9,
@@ -785,26 +754,31 @@ class TestAveraging:
                   for _ in range(24)]
         frames[0].csi = np.zeros_like(frames[0].csi)
         frames[11].csi = np.zeros_like(frames[11].csi)
-        estimator = bearing_estimator(square_geom, cfg)
-        averager = ProfileAverager(window)
-        for frame in frames:
-            got = estimator(frame)
-            want = estimate_bearing(averager.push(bartlett_profile(frame, square_geom, cfg)),
-                                    frame.rssi_dbm, cfg, frame.source_mac, frame.timestamp_ns)
+        estimate = bearing_csi_estimator(square_geom, cfg)
+        wants = self._push_then_estimate(frames, square_geom, cfg)
+        for frame, want in zip(frames, wants):
+            [got] = estimate_runs(estimate, [frame], cfg)
             assert got.theta == want.theta
             assert got.strength == want.strength
             assert got == want
         # an all-zero first frame leaves an all-zero window of strength 0
-        first = bearing_estimator(square_geom, cfg)(frames[0])
+        [first] = estimate_runs(bearing_csi_estimator(square_geom, cfg), frames[:1], cfg)
         assert first.strength == 0.0 and not np.signbit(first.strength)
 
     @staticmethod
     def _push_then_estimate(frames, geom, cfg):
-        """The reference: each frame's profile pushed, the average's bearing picked."""
-        averager = ProfileAverager(cfg.window)
-        return [estimate_bearing(averager.push(bartlett_profile(frame, geom, cfg)),
+        """The reference: each frame's profile added to the window, the
+        average's bearing picked."""
+        profiles = [bartlett_profile(frame, geom, cfg) for frame in frames]
+        return [estimate_bearing(average_profiles(profiles[:k + 1], cfg.window),
                                  frame.rssi_dbm, cfg, frame.source_mac, frame.timestamp_ns)
-                for frame in frames]
+                for k, frame in enumerate(frames)]
+
+    @staticmethod
+    def _frame_by_frame(frames, geom, cfg):
+        """Each frame's bearing from one `bearing_csi_estimator`, fed a frame at a time."""
+        estimate = bearing_csi_estimator(geom, cfg)
+        return [est for frame in frames for est in estimate_runs(estimate, [frame], cfg)]
 
     def test_window_across_channels_matches_push_then_estimate(self, square_geom, chan80,
                                                                 chan20, rng):
@@ -817,8 +791,8 @@ class TestAveraging:
                               square_geom, chan80 if k % 2 == 0 else chan20, snr_db=5.0,
                               rng_seed=rng, timestamp_ns=k)
                   for k in range(24)]
-        estimate = bearing_estimator(square_geom, cfg)
-        assert list(map(estimate, frames)) == self._push_then_estimate(frames, square_geom, cfg)
+        assert (self._frame_by_frame(frames, square_geom, cfg)
+                == self._push_then_estimate(frames, square_geom, cfg))
 
     def test_a_strong_frame_weighs_as_much_as_a_weak_one(self, square_geom, chan80, rng):
         # every profile enters the average over its own peak: one frame 40 dB
@@ -829,7 +803,7 @@ class TestAveraging:
                                if k == 5 else PathComponent(aoa=weak, delay_s=15e-9)],
                               square_geom, chan80, snr_db=10.0, rng_seed=rng, timestamp_ns=k)
                   for k in range(8)]
-        got = list(map(bearing_estimator(square_geom, cfg), frames))
+        got = self._frame_by_frame(frames, square_geom, cfg)
         assert got == self._push_then_estimate(frames, square_geom, cfg)
         assert [round(np.degrees(est.theta)) for est in got] == [35] * 8
 

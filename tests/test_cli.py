@@ -10,6 +10,7 @@ import pytest
 
 from csisense import (
     ArrayGeometry,
+    BearingEstimate,
     CalibrationDataset,
     CalibrationMatrix,
     ChannelSpec,
@@ -25,15 +26,17 @@ from csisense import (
     wavelength,
     wrap_angle,
 )
+from csisense import scenario as scenario_module
 from csisense.aoa import (
+    BEARINGS_CSV_HEADER,
     AoaConfig,
-    bearing_estimator,
+    bearing_csi_estimator,
+    bearing_rows,
     build_grids,
     estimate_bearing,
     music_spectrum,
     read_profile_pgm,
     spotfi_profile,
-    write_bearings_csv,
 )
 from csisense.calibration import parse_geometry
 from csisense.cli import RunConfig, load_config, main
@@ -143,6 +146,27 @@ def ula_capture(tmp_path, axis, bearings):
     codec.write_capture(capture, frames)
     save_calibration(cal, CalibrationMatrix(np.zeros((4, chan.n_sub)), chan), ula)
     return capture, cal
+
+
+def frame_by_frame(geom, cfg, frames) -> list[BearingEstimate]:
+    """Each frame's bearing from one `bearing_csi_estimator`, fed a frame at a time."""
+    estimate = bearing_csi_estimator(geom, cfg)
+    estimates = []
+    for frame in frames:
+        [k], [strength] = estimate(frame.chanspec, frame.csi[None])
+        estimates.append(BearingEstimate(
+            theta=float(cfg.theta_grid[k]), strength=float(strength), rssi_dbm=frame.rssi_dbm,
+            source_mac=frame.source_mac, timestamp_ns=frame.timestamp_ns))
+    return estimates
+
+
+def bearings_csv(estimates) -> bytes:
+    """The bearings CSV of `estimates`, as `bearing` writes it."""
+    estimates = list(estimates)
+    return (BEARINGS_CSV_HEADER + "".join(bearing_rows(
+        [est.timestamp_ns for est in estimates], [est.source_mac for est in estimates],
+        np.degrees([est.theta for est in estimates]), [est.strength for est in estimates],
+        [est.rssi_dbm for est in estimates]))).encode()
 
 
 def run_pipeline(tmp_path, scenario):
@@ -541,17 +565,16 @@ class TestIngestFaults:
                     f"{f.n_sub},{f.rssi_dbm:.1f}\n" for f in read_capture(path))
             return
         matrix, geom = load_calibration(cal)
-        estimate = bearing_estimator(geom, AoaConfig(algorithm=command, window=window))
-        reference = tmp_path / "reference.csv"
-        write_bearings_csv(reference, [estimate(apply_calibration(matrix, f))
-                                       for f in read_capture(path)[:block - 3]])
+        reference = bearings_csv(frame_by_frame(
+            geom, AoaConfig(algorithm=command, window=window),
+            [apply_calibration(matrix, f) for f in read_capture(path)[:block - 3]]))
         assert main(["bearing", "--capture", str(path), "--calibration", str(cal), "--out",
                      str(out), "--algorithm", command, "--window", str(window)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0] == (f"{block - 3} bearings written to {out} (0 rejected by rssi floor, "
                           "0 by mac filter, 0 undecodable)")
         assert err[1].startswith("error: data: calibration chanspec") and len(err) == 2
-        assert out.read_bytes() == reference.read_bytes()
+        assert out.read_bytes() == reference
 
     def test_missing_capture_leaves_header_only_csv(self, tmp_path, capsys, capture60):
         _, cal, rows = capture60
@@ -640,6 +663,10 @@ class TestErrors:
         ("algorithm", "theta_max_deg = 1e300"),
         ("algorithm", "dist_max_m = 1e300"),
         ("algorithm", "theta_step_deg = 1e-300"),
+        ("setup", "scan_period_s = 1e308"),
+        ("setup", "stale_timeout_s = 1e308"),
+        pytest.param("setup", f"dwell_ms = {10**400}", id="setup-dwell_ms = 10**400"),
+        pytest.param("setup", f"dwell_ms = {10**305}", id="setup-dwell_ms = 10**305"),
     ])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, section, line):
         config = tmp_path / "bad.ini"
@@ -691,6 +718,18 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("error: data: [trajectory]") and f" {key} " in err[-1]
         assert not (tmp_path / "c.wcap").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    @pytest.mark.parametrize("kind,key", [("disc", "n"), ("loop", "n"), ("line", "n"),
+                                          ("loop", "laps")])
+    def test_oversized_trajectory_integer_exit_2(self, tmp_path, capsys, command, kind, key):
+        # one pose past the bound, refused before any is made; a lap count no
+        # float holds
+        value = scenario_module.MAX_POSES + 1 if key == "n" else 10**330
+        assert main(_trajectory_argv(tmp_path, command, kind=kind, **{key: str(value)})) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: data: [trajectory] {key} must ")
+        assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "scan"])
     def test_disc_inside_keep_out_exit_2(self, tmp_path, command):
@@ -1345,9 +1384,7 @@ class TestBearingAlgorithms:
             expected.append(estimate_bearing(spectrum, frame.rssi_dbm, cfg,
                                              source_mac=frame.source_mac,
                                              timestamp_ns=frame.timestamp_ns))
-        reference = tmp_path / "expected.csv"
-        write_bearings_csv(reference, expected)
-        assert out.read_text() == reference.read_text()
+        assert out.read_bytes() == bearings_csv(expected)
 
     def test_spotfi_window_uses_last_frames(self, tmp_path, capsys):
         capture, cal = ula_capture(tmp_path, "y", np.radians([12.0, 14.0, 17.0, 15.0]))
@@ -1362,9 +1399,7 @@ class TestBearingAlgorithms:
                                      frame.rssi_dbm, cfg, source_mac=frame.source_mac,
                                      timestamp_ns=frame.timestamp_ns)
                     for k, frame in enumerate(calibrated)]
-        reference = tmp_path / "expected.csv"
-        write_bearings_csv(reference, expected)
-        assert out.read_text() == reference.read_text()
+        assert out.read_bytes() == bearings_csv(expected)
 
     @pytest.fixture(scope="class")
     def ula150(self, tmp_path_factory):
@@ -1387,21 +1422,16 @@ class TestBearingAlgorithms:
                      "--n-sources", str(n_sources)]) == 0
         correction, geom = load_calibration(str(cal))
         cfg = AoaConfig(algorithm=algorithm, window=window, n_sources=n_sources)
-        estimate = bearing_estimator(geom, cfg)
         frames = [apply_calibration(correction, frame) for frame in read_capture(capture)]
         assert len(frames) > 2 * codec.REPLAY_BLOCK
-        reference = tmp_path / "library.csv"
-        write_bearings_csv(reference, map(estimate, frames))
         assert len(out.read_bytes().splitlines()) == 151
-        assert out.read_bytes() == reference.read_bytes()
+        assert out.read_bytes() == bearings_csv(frame_by_frame(geom, cfg, frames))
         if algorithm != "bartlett":
             spectrum = music_spectrum if algorithm == "music" else spotfi_profile
-            by_window = tmp_path / "windows.csv"
-            write_bearings_csv(by_window, (
+            assert out.read_bytes() == bearings_csv(
                 estimate_bearing(spectrum(frames[max(0, i + 1 - window): i + 1], geom, cfg),
                                  frame.rssi_dbm, cfg, frame.source_mac, frame.timestamp_ns)
-                for i, frame in enumerate(frames)))
-            assert out.read_bytes() == by_window.read_bytes()
+                for i, frame in enumerate(frames))
 
     def test_spotfi_mirror_tie_takes_the_smaller_grid_index(self, tmp_path):
         # an x-axis ULA cannot tell theta from -theta: the two steering

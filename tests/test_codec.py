@@ -17,13 +17,23 @@ from csisense.codec import (
     decode_frame,
     encode_frame,
     format_mac,
-    ingest_capture,
-    ingest_stream,
+    ingest_capture_blocks,
+    ingest_stream_blocks,
     parse_mac,
     read_capture,
     udp_datagrams,
     write_capture,
 )
+
+
+def ingest(blocks_of, source, mac_allow=None, rssi_floor_dbm=None, stats=None):
+    """`blocks_of` (`ingest_capture_blocks` or `ingest_stream_blocks`) on
+    `source`, its frames one at a time; each block is counted in `stats`
+    once its frames are drawn, as the CLI counts it."""
+    stats = IngestStats() if stats is None else stats
+    for block in blocks_of(source, mac_allow, rssi_floor_dbm, stats):
+        yield from map(block.frame, range(len(block)))
+        stats.count(block)
 
 
 def filter_frames(frames, mac_allow=None, rssi_floor_dbm=None, stats=None):
@@ -185,7 +195,7 @@ class TestCapture:
         cut.write_bytes(raw[: len(raw) - 10])
         decoded = []
         with pytest.raises(CaptureTruncatedError):
-            for frame in ingest_capture(cut):
+            for frame in ingest(ingest_capture_blocks, cut):
                 decoded.append(frame)
         assert decoded == frames[:4]
 
@@ -208,7 +218,8 @@ class TestIngest:
     def test_all_pass_filter_passes_everything(self, rng):
         frames = [random_frame(rng) for _ in range(10)]
         stats = IngestStats()
-        out = list(ingest_stream((encode_frame(f) for f in frames), stats=stats))
+        out = list(ingest(ingest_stream_blocks, (encode_frame(f) for f in frames),
+                          stats=stats))
         assert out == frames
         assert stats.delivered == 10
 
@@ -216,7 +227,8 @@ class TestIngest:
         frame = random_frame(rng)
         frame.rssi_dbm = -70.0
         stats = IngestStats()
-        out = list(ingest_stream([encode_frame(frame)], rssi_floor_dbm=-65.0, stats=stats))
+        out = list(ingest(ingest_stream_blocks, [encode_frame(frame)], rssi_floor_dbm=-65.0,
+                          stats=stats))
         assert out == [] and stats.dropped_rssi == 1
 
     def test_mac_allow_list(self, rng):
@@ -224,8 +236,8 @@ class TestIngest:
         drop = random_frame(rng)
         drop.source_mac = bytes(6)
         stats = IngestStats()
-        out = list(ingest_stream([encode_frame(keep), encode_frame(drop)],
-                                 mac_allow={keep.source_mac}, stats=stats))
+        out = list(ingest(ingest_stream_blocks, [encode_frame(keep), encode_frame(drop)],
+                          mac_allow={keep.source_mac}, stats=stats))
         assert out == [keep] and stats.dropped_mac == 1
 
     def test_malformed_datagram_isolated(self, rng):
@@ -233,13 +245,13 @@ class TestIngest:
         datagrams = [encode_frame(good[0]), b"junk", encode_frame(good[1]),
                      b"", encode_frame(good[2])]
         stats = IngestStats()
-        out = list(ingest_stream(datagrams, stats=stats))
+        out = list(ingest(ingest_stream_blocks, datagrams, stats=stats))
         assert out == good
         assert stats.dropped_decode == 2
 
     def test_order_preserved(self, rng):
         frames = [random_frame(rng) for _ in range(25)]
-        out = list(ingest_stream([encode_frame(f) for f in frames]))
+        out = list(ingest(ingest_stream_blocks, [encode_frame(f) for f in frames]))
         assert [f.seq for f in out] == [f.seq for f in frames]
 
     def test_filter_frames_counts_like_ingest(self, rng):
@@ -252,8 +264,8 @@ class TestIngest:
         datagrams = [encode_frame(f) for f in frames]
         datagrams[7:7] = [b"junk", b""]
         by_bytes, by_frame = IngestStats(), IngestStats()
-        out_bytes = list(ingest_stream(datagrams, mac_allow=allow, rssi_floor_dbm=-80.0,
-                                       stats=by_bytes))
+        out_bytes = list(ingest(ingest_stream_blocks, datagrams, mac_allow=allow,
+                                rssi_floor_dbm=-80.0, stats=by_bytes))
         out_frames = list(filter_frames(frames, mac_allow=allow, rssi_floor_dbm=-80.0,
                                         stats=by_frame))
         assert out_frames == out_bytes
@@ -277,9 +289,9 @@ class TestIngest:
         datagrams[1] = (datagrams[1][:HEADER_SIZE] + np.float32(np.nan).tobytes()
                         + datagrams[1][HEADER_SIZE + 4:])
         stats = IngestStats()
-        out = list(ingest_stream(datagrams, mac_allow={frames[0].source_mac,
-                                                       frames[2].source_mac},
-                                 rssi_floor_dbm=-80.0, stats=stats))
+        out = list(ingest(ingest_stream_blocks, datagrams,
+                          mac_allow={frames[0].source_mac, frames[2].source_mac},
+                          rssi_floor_dbm=-80.0, stats=stats))
         assert out == [frames[0], frames[2]]
         assert stats == IngestStats(received=3, delivered=2, dropped_decode=1)
 
@@ -293,7 +305,7 @@ class TestIngest:
         path = tmp_path / "mixed.wcap"
         write_capture(path, frames)
         by_header, by_frame = IngestStats(), IngestStats()
-        out = list(ingest_capture(path, allow, -80.0, by_header))
+        out = list(ingest(ingest_capture_blocks, path, allow, -80.0, by_header))
         assert out == list(filter_frames(read_capture(path), allow, -80.0, by_frame))
         assert by_header == by_frame and by_frame.dropped_mac and by_frame.dropped_rssi
         assert all(not f.csi.flags.writeable for f in out)
@@ -314,7 +326,7 @@ class TestIngest:
         decoded = [decode_frame(buf) for buf in records]
         expected = [f for f in decoded if f.source_mac in allow and f.rssi_dbm >= floor]
         stats = IngestStats()
-        got = list(ingest_capture(path, allow, floor, stats))
+        got = list(ingest(ingest_capture_blocks, path, allow, floor, stats))
         assert len(expected) > 2 * codec.REPLAY_BLOCK // 3 and len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.csi.dtype == e.csi.dtype and g.csi.shape == e.csi.shape

@@ -25,10 +25,15 @@ from csisense.scanner import (
     write_walkthrough_csv,
 )
 from csisense.scenario import loop_trajectory
-from csisense.synth import _beacon_rssi, environment_beacons
+from csisense.synth import DEFAULT_PATH_LOSS_EXPONENT, _beacon_rssi, _beacons_by_channel
 
 CH = [ChannelSpec(c, 80) for c in (42, 58, 106, 122)]
 MACS = [bytes([2, 0, 0, 0, 9, k]) for k in range(6)]
+
+
+def environment_beacons(aps, position, exponent=DEFAULT_PATH_LOSS_EXPONENT):
+    """Beacon observations per channel at one position: {chanspec: [(mac, rssi)]}."""
+    return _beacons_by_channel(aps, _beacon_rssi(aps, np.reshape(position, (1, 2)), exponent)[0])
 
 
 def corridor_aps():
@@ -52,6 +57,18 @@ class TestScanPolicy:
     def test_non_finite_value_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match="finite"):
             ScanPolicy(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("scan_period_s", 1e308), ("stale_timeout_s", 1e308), ("scan_period_s", 1.5e9),
+        pytest.param("dwell_ms", 10**400, id="dwell_ms-10**400"),
+        pytest.param("dwell_ms", 10**305, id="dwell_ms-10**305"), ("dwell_ms", 60_001),
+    ])
+    def test_value_beyond_bound_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be at most "):
+            ScanPolicy(**{field: value})
+
+    def test_values_at_bound_accepted(self):
+        ScanPolicy(scan_period_s=1e9, stale_timeout_s=1e9, dwell_ms=60_000)
 
 
 class TestScanAll:

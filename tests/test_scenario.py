@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from csisense import (
     Reflection,
     SimScenario,
 )
+from csisense import scenario
 from csisense.calibration import load_calibration, save_calibration
 from csisense.cli import load_config
 from csisense.core import MAX_COORDINATE_M
@@ -434,6 +436,30 @@ class TestTrajectories:
         assert (traj[0][1].x, traj[-1][1].y) == (-m, -m)
         assert len(disc_trajectory(np.array([m - 1.0, 1.0 - m]), 1.0, 3, seed=1)) == 3
         assert len(loop_trajectory(-m, -m, 2.0 * m, 2.0 * m, laps=1, n=3)) == 3
+
+    @pytest.mark.parametrize("build", [
+        lambda n: disc_trajectory(np.zeros(2), 5.0, n, seed=1),
+        lambda n: loop_trajectory(0.0, 0.0, 10.0, 4.0, laps=1, n=n),
+        lambda n: line_trajectory(0.0, 0.0, 3.0, 4.0, n=n),
+    ], ids=["disc", "loop", "line"])
+    def test_pose_count_bounded_before_any_pose_is_made(self, build):
+        n = scenario.MAX_POSES + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=rf"^\[trajectory\] n must be 1 to "
+                                                         rf"{n - 1}, got {n}$"):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("laps", [10**330, -10**330, 1_000_001, -1_000_001],
+                             ids=["10**330", "-10**330", "1000001", "-1000001"])
+    def test_loop_laps_bounded(self, laps):
+        with pytest.raises(ConfigurationError, match=r"^\[trajectory\] laps must lie in "):
+            loop_trajectory(0.0, 0.0, 10.0, 4.0, laps=laps, n=3)
+        assert len(loop_trajectory(0.0, 0.0, 10.0, 4.0, laps=scenario.MAX_POSES, n=3)) == 3
 
 
 class TestPoseCsv:
