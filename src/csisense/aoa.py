@@ -50,22 +50,27 @@ subcarriers to separate coherent paths.
 `triangulate` turns bearings taken from known sensor poses into a
 least-squares position fix for the localization case studies.
 
-Grid kernels that depend only on the geometry, the channel and the
-grids -- the bearing steering matrices (`core._steering_vectors`, the
-formula synthesis and calibration use), Bartlett's subcarrier x distance
-range phasors and its real Gram kernel over bearings, SpotFi's
-subcarrier interpolation grids and its sub-array delay steering -- are
-built once per (geometry, channel, grid) by small private caches and
-handed out read-only, so a stream of frames pays for them once.  Each
-contraction runs in the order that meets the bearing grid last, over
-the antenna axis (the smallest) alone.  Bartlett multiplies the range
-phasors into the n_rx x n_sub CSI, takes the n_rx^2 real products of
-the resulting antenna rows at each distance, and gets the power at
-every bearing from one real matrix product with its Gram kernel, with
-no complex bearing x distance array and no modulus.  SpotFi contracts
-the signal subspace over the delay steering before the antenna
-steering.  The long subcarrier axis is then summed once per frame, not
-once per bearing.
+Grid kernels that depend only on the geometry, the channel and the grids
+are built once per (geometry, channel, grid) by small private caches and
+handed out read-only, so a stream of frames pays for them once.  Every
+estimator steers in bearing with one kernel, `_steering_kernel`
+(`core._steering_vectors`, the formula synthesis and calibration use,
+over the whole array): MUSIC projects it onto the conjugated noise
+subspace, SpotFi takes its first n_ant_sub columns as its sub-array, and
+Bartlett's real Gram kernel over bearings (`_gram_kernel`, and
+`_gram_kernel_t`, its transpose for the stream's products) is formed
+from it.  The other caches are Bartlett's subcarrier x distance range
+phasors (`_range_phasors`) and SpotFi's subcarrier interpolation grids
+(`_subcarrier_grid`) and sub-array delay steering (`_delay_steering`).
+Each contraction runs in the order that meets the bearing grid last,
+over the antenna axis (the smallest) alone.  Bartlett multiplies the
+range phasors into the n_rx x n_sub CSI, takes the n_rx^2 real products
+of the resulting antenna rows at each distance, and gets the power at
+every bearing from one real matrix product with its Gram kernel, with no
+complex bearing x distance array and no modulus.  SpotFi contracts the
+signal subspace over the delay steering before the antenna steering.
+The long subcarrier axis is then summed once per frame, not once per
+bearing.
 
 SpotFi needs only the n_sources leading eigenvectors of its smoothed
 covariance (244 x 244 at 80 MHz).  It takes them from the numpy-only
@@ -251,11 +256,7 @@ def music_spectrum(
     """
     _check_window([(f.chanspec, f.n_rx) for f in frames], geom)
     _check_music_sources(geom, cfg)
-    if len(frames) == 1:
-        snapshots = frames[0].csi[:, 0, :].astype(np.complex128)
-    else:
-        snapshots = np.concatenate([f.csi[:, 0, :].astype(np.complex128) for f in frames],
-                                   axis=1)
+    snapshots = np.concatenate([f.csi[:, 0, :].astype(np.complex128) for f in frames], axis=1)
     return _music_spectra(snapshots, geom, frames[0].chanspec, cfg)
 
 
@@ -277,11 +278,13 @@ def _music_spectra(snapshots: np.ndarray, geom: ArrayGeometry, chanspec: Channel
     """
     n_rx = geom.n_antennas
     noise = _dense_eigenpairs(snapshots, n_rx)[1][..., : n_rx - cfg.n_sources]
-    conj_a = _conj_steering_kernel(_grid_key(geom.positions), float(wavelength(chanspec)),
-                                   _grid_key(cfg.theta_grid))
-    power = np.abs(conj_a @ noise)
+    a = _steering_kernel(_grid_key(geom.positions), float(wavelength(chanspec)),
+                         _grid_key(cfg.theta_grid))
+    # |s^H e| = |s^T conj(e)|: the conjugate goes on the few noise columns
+    power = np.abs(a @ np.conj(noise))
     np.square(power, out=power)
-    # the noise columns summed left to right, as np.sum does over fewer than 8
+    # the noise columns summed left to right, the order of power.sum(axis=-1),
+    # which reduces a last axis this short several times slower
     denom = power[..., 0].copy()
     for j in range(1, power.shape[-1]):
         denom += power[..., j]
@@ -454,7 +457,9 @@ def _spotfi_pseudo(chanspec: ChannelSpec, snaps: Sequence[np.ndarray], geom: Arr
     n_sources = cfg.n_sources
     signal = _spotfi_signal_subspace(chanspec, snaps, n_ant_sub, n_sub_sub, n_sources)
 
-    ant = _steering(cfg.theta_grid, geom.positions[:n_ant_sub], wavelength(chanspec))
+    # the sub-array's antennas are the first n_ant_sub of the array's
+    ant = _steering_kernel(_grid_key(geom.positions), float(wavelength(chanspec)),
+                           _grid_key(cfg.theta_grid))[:, :n_ant_sub]
     sub = _delay_steering(n_sub_sub, _grid_key(cfg.dist_grid))
     # ||E_n^H v||^2 = dim - ||E_s^H v||^2 for unit-modulus-element v:
     # project onto the n_sources signal vectors instead of dim-K noise ones.
@@ -796,25 +801,12 @@ def _grid_key(grid: np.ndarray) -> bytes:
     return np.asarray(grid, dtype=np.float64).tobytes()
 
 
-def _steering(theta_grid: np.ndarray, positions: np.ndarray, lambda_m: float) -> np.ndarray:
-    return _steering_kernel(_grid_key(positions), float(lambda_m), _grid_key(theta_grid))
-
-
 @lru_cache(maxsize=8)
 def _steering_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
     """Bearing steering `core._steering_vectors`, shape (n_theta, n_antennas)."""
     positions = np.frombuffer(positions_bytes, dtype=np.float64).reshape(-1, 2)
     kernel = _steering_vectors(np.frombuffer(theta_bytes, dtype=np.float64),
                                ArrayGeometry(positions), lambda_m)
-    kernel.flags.writeable = False
-    return kernel
-
-
-@lru_cache(maxsize=8)
-def _conj_steering_kernel(positions_bytes: bytes, lambda_m: float,
-                          theta_bytes: bytes) -> np.ndarray:
-    """conj of `_steering_kernel`: MUSIC's projection onto the noise subspace."""
-    kernel = np.conj(_steering_kernel(positions_bytes, lambda_m, theta_bytes))
     kernel.flags.writeable = False
     return kernel
 

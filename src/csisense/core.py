@@ -434,8 +434,10 @@ def _ground_truth_bearings(xy: np.ndarray, heading: np.ndarray, tx) -> np.ndarra
 def _steering_vectors(theta: np.ndarray, geom: ArrayGeometry, lambda_m: float) -> np.ndarray:
     """`steering_vector` of each angle in theta, one row per angle: (n, n_rx).
 
-    Synthesis, the calibration and the bearing estimators' cached grid
-    kernel (`aoa._steering_kernel`) all build their steering here.  The
+    Synthesis, the calibration and the bearing estimators all build their
+    steering here.  The estimators read it through one cache,
+    `aoa._steering_kernel`, which MUSIC and SpotFi use as it is and
+    Bartlett's `aoa._gram_kernel` and `aoa._gram_kernel_t` derive from.  The
     projections are a stack of matrix-vector products, one per angle,
     which round as `steering_vector`'s own product does.  One
     (n_rx, 2) x (2, n) matrix product rounds differently: on an AVX-512

@@ -333,8 +333,8 @@ def read_poses_csv(path) -> list[tuple[int, Pose2D]]:
     """Pose file rows.
 
     A file that is not UTF-8 text, or a row that does not parse, is not
-    finite or holds an x or y beyond MAX_COORDINATE_M, raises
-    ConfigurationError naming the file (and the line).
+    finite, holds an x or y beyond MAX_COORDINATE_M or repeats a timestamp,
+    raises ConfigurationError naming the file (and the line).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -345,6 +345,7 @@ def read_poses_csv(path) -> list[tuple[int, Pose2D]]:
     if header.split(",")[:4] != ["timestamp_ns", "x", "y", "theta"]:
         raise ConfigurationError(f"bad pose file header: {header!r}")
     out = []
+    seen: dict[int, int] = {}  # timestamp -> its line
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
@@ -354,7 +355,10 @@ def read_poses_csv(path) -> list[tuple[int, Pose2D]]:
             x, y, theta = _coordinate(x), _coordinate(y), float(theta)
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
                 raise ValueError("not a finite number")
-            out.append((int(ts), Pose2D(x, y, np.radians(theta))))
+            ts = int(ts)
+            if seen.setdefault(ts, lineno) != lineno:
+                raise ValueError(f"timestamp repeats line {seen[ts]}")
+            out.append((ts, Pose2D(x, y, np.radians(theta))))
         except ValueError as exc:
             raise ConfigurationError(
                 f"bad pose on line {lineno} of {path}: {line!r} ({exc})"

@@ -257,12 +257,23 @@ class TestSteeringCache:
                 for warm, ref in zip(outputs(*case), cold[case]):
                     assert np.array_equal(warm, ref)
 
+    def test_every_estimator_reads_one_steering_kernel(self, ula_geom, chan80):
+        # SpotFi's 2-antenna sub-array steers with the array's first columns
+        cfg = AoaConfig()
+        frame = single_path_frame(ula_geom, chan80, 0.4, snr_db=15.0, seed=3)
+        aoa._steering_kernel.cache_clear()
+        bartlett_profile(frame, ula_geom, cfg)
+        music_spectrum([frame], ula_geom, cfg)
+        spotfi_profile([frame], ula_geom, cfg)
+        assert aoa._steering_kernel.cache_info().currsize == 1
+
     def test_cached_steering_equals_uncached_and_is_read_only(self, square_geom, chan80):
         theta = AoaConfig().theta_grid
         lam = wavelength(chan80)
-        cached = aoa._steering(theta, square_geom.positions, lam)
+        key = (square_geom.positions.tobytes(), lam, theta.tobytes())
+        cached = aoa._steering_kernel(*key)
         assert np.array_equal(cached, _steering_vectors(theta, square_geom, lam))
-        assert aoa._steering(theta, square_geom.positions, lam) is cached
+        assert aoa._steering_kernel(*key) is cached
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
 
@@ -277,7 +288,8 @@ class TestSteeringCache:
                 else ArrayGeometry.uniform_linear(4, lam / 2.0, axis=size))
         theta = AoaConfig().theta_grid
         per_angle = np.array([steering_vector(t, geom, lam) for t in theta])
-        assert np.array_equal(aoa._steering(theta, geom.positions, lam), per_angle)
+        assert np.array_equal(aoa._steering_kernel(geom.positions.tobytes(), lam,
+                                                   theta.tobytes()), per_angle)
 
 
 class TestMusic:

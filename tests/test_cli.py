@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -328,6 +329,25 @@ class TestDecode:
         rows = out.read_text().splitlines()[1:]
         assert all(float(r.rsplit(",", 1)[1]) >= -41 for r in rows)
 
+    @pytest.mark.parametrize("command", ["decode", "bearing"])
+    def test_mac_filter_matching_no_frame_leaves_the_header(self, tmp_path, capsys, command):
+        capture, cal = ula_capture(tmp_path, "y", np.zeros(60))
+        out = tmp_path / "b.csv"
+        argv, header, summary = {
+            "decode": (["decode"], "timestamp_ns,seq,source_mac,channel,bandwidth_mhz,n_rx,"
+                                   "n_tx,n_sub,rssi_dbm\n",
+                       "decoded 0 frames (dropped: 0 decode, 60 mac, 0 rssi)"),
+            "bearing": (["bearing", "--calibration", str(cal), "--out", str(out)],
+                        BEARINGS_CSV_HEADER, f"0 bearings written to {out} (0 rejected by "
+                                             "rssi floor, 60 by mac filter, 0 undecodable)"),
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--capture", str(capture),
+                     "--mac-filter", codec.format_mac(FOREIGN_MAC)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == summary + "\n"
+        assert (captured.out if command == "decode" else out.read_text()) == header
+
 
 FOREIGN_MAC = bytes.fromhex("020000000099")
 
@@ -588,6 +608,12 @@ class TestIngestFaults:
         assert out.read_text().splitlines() == rows[:1]
 
 
+def _bad_config(section: str, line: str, message: str, id: str | None = None):
+    """A config file case: its one line in `section`, and how the error line
+    after `error: data: ` starts."""
+    return pytest.param(section, line, message, id=id or f"{section}-{line}")
+
+
 class TestErrors:
     def test_parser_built_once_per_process(self, capsys):
         from csisense import cli
@@ -647,33 +673,46 @@ class TestErrors:
         assert err[-1].startswith("error: data:") and f'"{chunk}"' in err[-1]
         assert not (tmp_path / "cal.txt").exists()
 
-    @pytest.mark.parametrize("section,line", [
-        ("algorithm", "window = abc"),
-        ("algorithm", "smoothing = 2"),
-        ("packet", "rssi_floor_dbm = low"),
-        ("packet", "rssi_floor_dbm = nan"),
-        ("setup", "dwell_ms = x"),
-        ("algorithm", "theta_step_deg = 0"),
-        ("algorithm", "dist_step_m = 0"),
-        ("algorithm", "theta_min_deg = nan"),
-        ("algorithm", "dist_max_m = inf"),
-        ("packet", "rssi_floor_dbm = -inf"),
+    @pytest.mark.parametrize("section,line,message", [
+        _bad_config("algorithm", "window = abc", "bad value 'abc' for window in [algorithm] of "),
+        _bad_config("algorithm", "smoothing = 2",
+                    "bad value '2' for smoothing in [algorithm] of "),
+        _bad_config("packet", "rssi_floor_dbm = low",
+                    "bad value 'low' for rssi_floor_dbm in [packet] of "),
+        _bad_config("packet", "rssi_floor_dbm = nan",
+                    "bad value 'nan' for rssi_floor_dbm in [packet] of "),
+        _bad_config("setup", "dwell_ms = x", "bad value 'x' for dwell_ms in [setup] of "),
+        _bad_config("algorithm", "theta_step_deg = 0",
+                    "theta_step_deg and dist_step_m must be positive"),
+        _bad_config("algorithm", "dist_step_m = 0",
+                    "theta_step_deg and dist_step_m must be positive"),
+        _bad_config("algorithm", "theta_min_deg = nan",
+                    "[algorithm] theta_min_deg must be a finite number, got 'nan' in "),
+        _bad_config("algorithm", "dist_max_m = inf",
+                    "[algorithm] dist_max_m must be a finite number, got 'inf' in "),
+        _bad_config("packet", "rssi_floor_dbm = -inf",
+                    "bad value '-inf' for rssi_floor_dbm in [packet] of "),
         # refused by their bounds, before the window or the grids are allocated
-        ("algorithm", "window = 100000000000000000000"),
-        ("algorithm", "theta_max_deg = 1e300"),
-        ("algorithm", "dist_max_m = 1e300"),
-        ("algorithm", "theta_step_deg = 1e-300"),
-        ("setup", "scan_period_s = 1e308"),
-        ("setup", "stale_timeout_s = 1e308"),
-        pytest.param("setup", f"dwell_ms = {10**400}", id="setup-dwell_ms = 10**400"),
-        pytest.param("setup", f"dwell_ms = {10**305}", id="setup-dwell_ms = 10**305"),
+        _bad_config("algorithm", "window = 100000000000000000000", "averaging window "),
+        _bad_config("algorithm", "theta_max_deg = 1e300", "the grids hold 1e+300 bearings "),
+        _bad_config("algorithm", "dist_max_m = 1e300", "the grids hold 360 bearings x 4e+300 "),
+        _bad_config("algorithm", "theta_step_deg = 1e-300", "the grids hold 3.59e+302 "),
+        _bad_config("setup", "scan_period_s = 1e308", "scan_period_s must be at most "),
+        _bad_config("setup", "stale_timeout_s = 1e308", "stale_timeout_s must be at most "),
+        _bad_config("setup", f"dwell_ms = {10**400}", "dwell_ms must be at most ",
+                    id="setup-dwell_ms = 10**400"),
+        _bad_config("setup", f"dwell_ms = {10**305}", "dwell_ms must be at most ",
+                    id="setup-dwell_ms = 10**305"),
     ])
-    def test_malformed_config_value_exit_2(self, tmp_path, capsys, section, line):
+    def test_malformed_config_value_exit_2(self, tmp_path, capsys, section, line, message):
+        # [setup] is read by `scan`, the rest by `bearing`
         config = tmp_path / "bad.ini"
         config.write_text(f"[{section}]\n{line}\n")
-        code = main([*self._empty_bearing_argv(tmp_path), "--config", str(config)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: data:")
+        argv = (_trajectory_argv(tmp_path, "scan") if section == "setup"
+                else self._empty_bearing_argv(tmp_path))
+        assert main([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: data: {message}")
 
     def test_window_flag_beyond_bound_exit_2(self, tmp_path, capsys):
         code = main([*self._empty_bearing_argv(tmp_path), "--window", "100000000000000000000"])
@@ -1269,6 +1308,22 @@ class TestCalibrateCommand:
         assert capsys.readouterr().out.splitlines()[0] == "pairs = 20"
         assert load_calibration(out)[0].n_rx == 4
 
+    def test_repeated_pose_timestamp_exit_2(self, tmp_path, capsys):
+        # a later pose for a timestamp must not replace the earlier one
+        # unnoticed: five wrong repeats would still calibrate, to another file
+        capture, poses = simulated_capture(tmp_path, 80)
+        lines = poses.read_text().splitlines()
+        repeats = [f"{row.split(',')[0]},3,4,0" for row in lines[1:6]]
+        poses.write_text("\n".join(lines + repeats) + "\n")
+        out = tmp_path / "cal.txt"
+        capsys.readouterr()
+        assert main(calibrate_argv(capture, poses, out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: data: bad pose on line 82 of {poses}: '{repeats[0]}' "
+            "(timestamp repeats line 2)"]
+        assert captured.out == "" and not out.exists()
+
     def test_tx_antenna_out_of_range_exit_2(self, tmp_path, capsys):
         capture, poses = simulated_capture(tmp_path, 60)
         out = tmp_path / "cal.txt"
@@ -1409,7 +1464,7 @@ class TestBearingAlgorithms:
     @pytest.mark.parametrize("algorithm, window, n_sources", [
         *[(algorithm, window, 1) for algorithm in ("bartlett", "music") for window in (1, 4, 8)],
         *[("music", window, n_sources) for window in (1, 4, 8) for n_sources in (2, 3)],
-        ("spotfi", 1, 1), ("spotfi", 2, 1)])
+        ("spotfi", 1, 1), ("spotfi", 2, 1), ("spotfi", 1, 2)])
     def test_library_estimator_writes_the_cli_bytes(self, tmp_path, ula150, algorithm, window,
                                                     n_sources):
         """The CLI estimates blocks of frames; the library, one frame at a time
@@ -1656,12 +1711,84 @@ class TestProfileOracle:
         assert abs(dist_grid[di] - 299792458.0 * tau) <= 0.25
 
 
+# Runs each argv of the JSON list in sys.argv[1] through `main`, in order,
+# the k-th call's stdout and stderr into k.out and k.err; prints the exit codes.
+RERUN_DRIVER = """
+import contextlib, json, sys
+from csisense.cli import main
+
+codes = []
+for k, argv in enumerate(json.loads(sys.argv[1])):
+    with open(f"{k}.out", "w") as out, open(f"{k}.err", "w") as err, \\
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+class TestFreshInterpreterRerun:
+    def test_every_subcommand_writes_the_same_bytes(self, tmp_path):
+        """Criterion 8d across processes: two fresh interpreters, each with its
+        own hash seed, run every subcommand and write the same files, stdout
+        and stderr, byte for byte."""
+        # a y-axis ULA survey of 150 frames (five ingest blocks), and for
+        # `scan` the same walk past SCAN_SCENARIO's access points
+        survey = CALIB_SCENARIO.replace("n = 80", "n = 150").replace(
+            "layout = square\nspacing_m = 0.02336",
+            "layout = linear-y\ncount = 4\nspacing_m = 0.025")
+        # the simulated source and three MACs no frame carries: a set that
+        # the two hash seeds iterate in different orders
+        macs = ",".join(f"02:00:00:00:00:{last}" for last in ("01", "97", "98", "99"))
+        filters = ["--mac-filter", macs, "--rssi-floor", "-42.5"]
+        bearing = ["bearing", "--capture", "long.wcap", "--calibration", "long.cal"]
+        calls = [
+            ["simulate", "--scenario", "long.ini", "--capture", "long.wcap", "--poses", "long.csv"],
+            ["decode", "--capture", "long.wcap", *filters, "--csv", "frames.csv"],
+            ["calibrate", "--capture", "long.wcap", "--poses", "long.csv", "--tx", "0,0",
+             "--geometry", "0,0; 0,0.025; 0,0.05; 0,0.075", "--out", "long.cal"],
+            [*bearing, "--out", "bartlett.csv", "--algorithm", "bartlett", "--window", "8"],
+            [*bearing, "--out", "music.csv", "--algorithm", "music", *filters],
+            ["profile", "--capture", "long.wcap", "--index", "2", "--calibration", "long.cal",
+             "--out", "profile.pgm"],
+            ["scan", "--scenario", "walk.ini", "--out", "walk.csv"],
+        ]
+        runs = []
+        for hash_seed in ("0", "1"):
+            work = tmp_path / f"hash-seed-{hash_seed}"
+            work.mkdir()
+            (work / "long.ini").write_text(survey)
+            (work / "walk.ini").write_text(survey + "[ap." + SCAN_SCENARIO.partition("[ap.")[2])
+            proc = subprocess.run([sys.executable, "-c", RERUN_DRIVER, json.dumps(calls)],
+                                  cwd=work, env=_src_env(PYTHONHASHSEED=hash_seed),
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == [0] * len(calls)
+            runs.append({path.name: path.read_bytes() for path in work.iterdir()})
+        first, second = runs
+        assert sorted(first) == sorted(second)
+        assert [name for name in sorted(first) if first[name] != second[name]] == []
+        # the filters keep the same frames for `decode` and `bearing`, not all
+        kept = len(first["frames.csv"].splitlines()) - 1
+        assert 40 <= kept < 150 and len(first["music.csv"].splitlines()) == 1 + kept
+        assert first["1.err"].decode() == (f"decoded {kept} frames (dropped: 0 decode, 0 mac, "
+                                           f"{150 - kept} rssi)\n")
+        assert first["4.err"].decode() == (f"{kept} bearings written to music.csv ({150 - kept} "
+                                           "rejected by rssi floor, 0 by mac filter, "
+                                           "0 undecodable)\n")
+        assert len(first["bartlett.csv"].splitlines()) == 151
+
+
+def _src_env(**overrides: str) -> dict[str, str]:
+    """This process's environment, with the package's sources first on PYTHONPATH."""
+    path = os.pathsep.join([str(SRC)] + ([os.environ["PYTHONPATH"]]
+                                         if os.environ.get("PYTHONPATH") else []))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
 def _assert_radius_rejected(tmp_path, command: str, radius_m: str) -> None:
     """The CLI exits 2 naming radius_m; a subprocess with a timeout turns a hang into a failure."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     argv = _trajectory_argv(tmp_path, command, radius_m=radius_m)
-    proc = subprocess.run([sys.executable, "-m", "csisense.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "csisense.cli", *argv], env=_src_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: data: [trajectory] radius_m ")
