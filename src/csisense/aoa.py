@@ -12,31 +12,33 @@ Estimators:
   frame's strongest (bearing, delay) paths.
 
 A stream of frames gets one bearing per frame from the estimator's
-output over its last `window` frames: Bartlett averages their profiles,
-MUSIC and SpotFi stack their snapshots into one covariance.
-`bearing_csi_estimator` is the one estimator of such a stream: it owns
-the window and takes the stream a block at a time, one csi array of
-frames that share a channel and an antenna count (the CLI's
-`codec.FrameBlock` after calibration; a single frame is a block of
-one).  A frame's bearing does not depend on where
-the blocks are cut.  MUSIC solves a block's windows as stacks: one
-matmul for their Gram matrices, one `np.linalg.eigh` over the stack
-(`core._dense_eigenpairs` takes a leading stack axis) and one noise
-projection, each acting on every window as it would on that window
-alone, so every bearing and strength is `music_spectrum`'s bit for bit.
-Bartlett averages in Gram-term space: a profile is linear in its
-frame's n_rx^2 x n_dist Gram terms, so the window's average of
-max-normalized profiles is the Gram kernel times the sum of the frames'
-terms, each over its profile's peak.  A frame then costs one product
-with the kernel for its peak and, in a window of more than one frame,
-one for its window's power.  No profile is kept or averaged, and the
-bearings equal those of `average_profiles` and `estimate_bearing`
-up to rounding.  SpotFi takes a block's frames one by one.  Every
-estimator picks the bearing by `estimate_bearing`'s rule: the curve's
-argmax, ties to the smallest bearing index.  On a uniform linear array a
-bearing and its mirror across the array axis agree only to rounding:
-their steering rows, from sin(theta) and sin(180 deg - theta), differ in
-the last bits.  So rounding, not the tie rule, picks between them.
+output over its last `window` frames on its current channel: Bartlett
+averages their profiles, MUSIC and SpotFi stack their snapshots into one
+covariance.  `bearing_csi_estimator` is the one estimator of such a
+stream: it owns the window and takes the stream a block at a time, one
+csi array of frames that share a channel and an antenna count (the CLI's
+`codec.FrameBlock` after calibration; a single frame is a block of one).
+The window restarts when the channel changes, as each channel has its
+own calibration, and a refused block leaves it as it was.  A frame's
+bearing does not depend on where the blocks are cut.  MUSIC solves a
+block's windows as stacks: one matmul for their Gram matrices, one
+`np.linalg.eigh` over the stack (`core._dense_eigenpairs` takes a
+leading stack axis) and one noise projection, each acting on every
+window as it would on that window alone, so every bearing and strength
+is `music_spectrum`'s bit for bit.  Bartlett averages in Gram-term
+space: a profile is linear in its frame's n_rx^2 x n_dist Gram terms, so
+the window's average of max-normalized profiles is the Gram kernel times
+the sum of the frames' terms, each over its profile's peak.  A frame
+then costs one product with the kernel for its peak and, in a window of
+more than one frame, one for its window's power.  No profile is kept or
+averaged, and the bearings equal those of `average_profiles` and
+`estimate_bearing` up to rounding.  SpotFi takes a block's frames one by
+one.  Every estimator picks the bearing by `estimate_bearing`'s rule:
+the curve's argmax, ties to the smallest bearing index.  On a uniform
+linear array a bearing and its mirror across the array axis agree only
+to rounding: their steering rows, from sin(theta) and
+sin(180 deg - theta), differ in the last bits.  So rounding, not the tie
+rule, picks between them.
 
 Each estimator reads transmit antenna 0.
 
@@ -57,10 +59,9 @@ estimator steers in bearing with one kernel, `_steering_kernel`
 (`core._steering_vectors`, the formula synthesis and calibration use,
 over the whole array): MUSIC projects it onto the conjugated noise
 subspace, SpotFi takes its first n_ant_sub columns as its sub-array, and
-Bartlett's real Gram kernel over bearings (`_gram_kernel`, and
-`_gram_kernel_t`, its transpose for the stream's products) is formed
-from it.  The other caches are Bartlett's subcarrier x distance range
-phasors (`_range_phasors`) and SpotFi's subcarrier interpolation grids
+Bartlett's one real Gram kernel (`_gram_kernel_t`) is formed from it.
+The other caches are Bartlett's subcarrier x distance range phasors
+(`_range_phasors`) and SpotFi's subcarrier interpolation grids
 (`_subcarrier_grid`) and sub-array delay steering (`_delay_steering`).
 Each contraction runs in the order that meets the bearing grid last,
 over the antenna axis (the smallest) alone.  Bartlett multiplies the
@@ -223,17 +224,15 @@ def bartlett_profile(
     with a = s(theta).  Its n_rx^2 real coefficients per bearing (the
     Gram kernel) and R come from caches keyed on the geometry, channel
     and grids, so a frame costs the range transform, the n_rx^2 real
-    products of m, and one real (n_theta x n_rx^2) @ (n_rx^2 x n_dist)
+    products of m, and one real (n_dist x n_rx^2) @ (n_rx^2 x n_theta)
     matrix product: no complex bearing x distance array, no modulus.
     """
     _check_frame(frame.n_rx, geom)
-    csi = frame.csi[:, 0, :].astype(np.complex128)
-    # complex csi @ R as one real product over the interleaved real/imaginary parts
-    m = (csi.view(np.float64) @ _range_phasors(frame.chanspec, _grid_key(cfg.dist_grid))
-         ).view(np.complex128)  # (n_rx, n_dist)
-    kernel = _gram_kernel(_grid_key(geom.positions), float(wavelength(frame.chanspec)),
-                          _grid_key(cfg.theta_grid))
-    power = kernel @ _gram_terms(m, np.conj(m))
+    terms = _range_gram_terms(frame.csi[:, 0, :],
+                              _range_phasors(frame.chanspec, _grid_key(cfg.dist_grid)))
+    kernel = _gram_kernel_t(_grid_key(geom.positions), float(wavelength(frame.chanspec)),
+                            _grid_key(cfg.theta_grid))
+    power = (terms.T @ kernel).T
     # rounding can leave a null cell a few ulps below zero
     if power.min() < 0:
         np.maximum(power, 0.0, out=power)
@@ -241,6 +240,13 @@ def bartlett_profile(
     if peak > 0:
         np.divide(power, peak, out=power)
     return Profile2D(values=power, theta_grid=cfg.theta_grid, dist_grid=cfg.dist_grid)
+
+
+def _range_gram_terms(snap: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+    """`_gram_terms` of m = snap @ R, snap (n_rx, n_sub), R `_range_phasors`: (n_rx^2, n_dist)."""
+    # complex snap @ R as one real product over the interleaved real/imaginary parts
+    m = (snap.astype(np.complex128).view(np.float64) @ phasors).view(np.complex128)
+    return _gram_terms(m, np.conj(m))
 
 
 def music_spectrum(
@@ -254,7 +260,7 @@ def music_spectrum(
     across subcarriers and frames; the noise subspace holds the
     n_antennas - n_sources smallest eigenvectors (`core._dense_eigenpairs`).
     """
-    _check_window([(f.chanspec, f.n_rx) for f in frames], geom)
+    _check_window(frames, geom)
     _check_music_sources(geom, cfg)
     snapshots = np.concatenate([f.csi[:, 0, :].astype(np.complex128) for f in frames], axis=1)
     return _music_spectra(snapshots, geom, frames[0].chanspec, cfg)
@@ -341,56 +347,40 @@ def _bartlett_stream_curves(window: deque, chanspec: ChannelSpec, frames: np.nda
 
     `frames` holds the frames' (n_rx, n_sub) snapshots of transmit antenna
     0, (n, n_rx, n_sub), all on `chanspec`.  Bartlett power is linear in
-    the Gram terms: a frame's profile is K @ T, with K the channel's
-    `_gram_kernel` and T the frame's `_gram_terms` of m = csi @ R.  So the
-    sum of a window's profiles, each over its peak p, is the sum over the
-    window's channels of K @ sum(T / p), each channel's T / p summed
-    oldest to newest and the products added in channel order.  A frame
-    costs one product with K for its peak and, in a window of more than
-    one frame, one per channel for the window's power; no profile is
-    kept.  A frame whose peak is not positive adds zeros.  Each curve is
-    the power's per-bearing peak over distance, over the curve's own peak
-    (all zero for an all-zero window).
+    the Gram terms: a frame's profile is K @ T, with K the Gram kernel
+    (`_gram_kernel_t`) and T the frame's `_range_gram_terms`.  So a
+    window's profiles, each over its peak p, sum to K @ sum(T / p), the
+    T / p added oldest to newest.  A frame costs one product with K for
+    its peak and, in a window of more than one frame, one for the window's
+    power; no profile is kept.  A frame whose peak is not positive adds
+    zeros.  Each curve is the power's per-bearing peak over distance, over
+    the curve's own peak (all zero for an all-zero window).
 
-    `window` holds the stream's last cfg.window - 1 frames before `frames`
-    as (chanspec, T / p), oldest first, and takes in `frames`.  Every
-    product has one frame's shape, so no curve depends on how the stream
-    is cut into blocks.
+    `window` holds the T / p of the stream's last cfg.window - 1 frames on
+    `chanspec`, oldest first, and takes in `frames`.  Every product has one
+    frame's shape, so no curve depends on how the stream is cut into blocks.
     """
     power = np.empty((cfg.dist_grid.size, cfg.theta_grid.size))  # a row per distance
-    part = np.empty_like(power)
     curves = np.empty((len(frames), cfg.theta_grid.size))
-    positions_key, theta_key, dist_key = (_grid_key(grid) for grid in (
-        geom.positions, cfg.theta_grid, cfg.dist_grid))
-
-    def kernel(chanspec: ChannelSpec) -> np.ndarray:
-        return _gram_kernel_t(positions_key, float(wavelength(chanspec)), theta_key)
-
+    kernel = _gram_kernel_t(_grid_key(geom.positions), float(wavelength(chanspec)),
+                            _grid_key(cfg.theta_grid))
     # every frame's range transform first, while the range phasors stay in
     # cache, then the products with K, while K and the power grid do
-    phasors = _range_phasors(chanspec, dist_key)
-    block_terms = []
-    for snap in frames:
-        m = (snap.astype(np.complex128).view(np.float64) @ phasors).view(np.complex128)
-        block_terms.append(_gram_terms(m, np.conj(m)))
+    phasors = _range_phasors(chanspec, _grid_key(cfg.dist_grid))
+    block_terms = [_range_gram_terms(snap, phasors) for snap in frames]
     for k, terms in enumerate(block_terms):
-        np.matmul(terms.T, kernel(chanspec), out=power)
+        np.matmul(terms.T, kernel, out=power)
         if cfg.window == 1:
             _curve_over_peak(power, curves[k])
             continue
         peak = power.max()
-        newest = (chanspec, terms / peak if peak > 0 else np.zeros_like(terms))
-        totals: dict[ChannelSpec, np.ndarray] = {}
-        for spec, scaled in (*window, newest):
-            if spec in totals:
-                totals[spec] += scaled
-            else:
-                totals[spec] = scaled.copy()
+        newest = terms / peak if peak > 0 else np.zeros_like(terms)
+        first, *later = (*window, newest)
+        total = first.copy()
+        for scaled in later:
+            total += scaled
         window.append(newest)
-        first, *others = sorted(totals, key=lambda c: (c.channel_number, c.bandwidth_mhz))
-        np.matmul(totals[first].T, kernel(first), out=power)
-        for spec in others:
-            power += np.matmul(totals[spec].T, kernel(spec), out=part)
+        np.matmul(total.T, kernel, out=power)
         _curve_over_peak(power, curves[k])
     return curves
 
@@ -443,7 +433,7 @@ def spotfi_profile(
     The geometry must be a uniform linear array with at least two
     antennas; `spotfi_estimate` and `bearing_csi_estimator` check it once.
     """
-    _check_window([(f.chanspec, f.n_rx) for f in frames], geom)
+    _check_window(frames, geom)
     pseudo = _spotfi_pseudo(frames[0].chanspec, [f.csi[:, 0, :] for f in frames], geom, cfg)
     return Profile2D(values=pseudo, theta_grid=cfg.theta_grid, dist_grid=cfg.dist_grid)
 
@@ -634,58 +624,54 @@ def bearing_csi_estimator(
     antenna count, and gives each frame's bearing as its index into
     cfg.theta_grid, picked as `estimate_bearing` picks it, and its
     strength, as arrays.  It owns the averaging window, the stream's last
-    cfg.window - 1 frames; confine it to one stream.  MUSIC and SpotFi
-    keep those frames as views of `csi`, so a block's array must not be
-    written to once it has been passed in.  A frame's bearing
-    does not depend on how the stream is cut into blocks.  Bartlett's
-    curve is the per-bearing peak of the window's average profile, formed
-    from the summed Gram terms (`_bartlett_stream_curves`); it picks the
-    bearing that `average_profiles` over the window and `estimate_bearing`
-    pick, up to rounding, with the same strength.  MUSIC's curve is its
+    cfg.window - 1 frames on its current channel, which a block on another
+    channel clears; confine it to one stream.  MUSIC and SpotFi keep those
+    frames as views of `csi`, so a block's array must not be written to
+    once it has been passed in.  A frame's bearing does not depend on how
+    the stream is cut into blocks.  Bartlett's curve is the per-bearing
+    peak of the window's average profile, formed from the summed Gram
+    terms (`_bartlett_stream_curves`); it picks the bearing that
+    `average_profiles` over the window and `estimate_bearing` pick, up to
+    rounding, with the same strength.  MUSIC's curve is its
     pseudospectrum, from the block's windows solved as stacks
     (`_music_stream_spectra`); SpotFi's is the profile's per-bearing peak,
     one frame at a time.
 
-    Every frame of a block shares the first's channel and antenna count,
-    so the block is checked by its first frame: against the geometry, and
-    for MUSIC and SpotFi against the window's channel.  A refused block
-    raises; at MUSIC and SpotFi windows above 1 its first frame enters the
-    window, as it would one frame at a time.  SpotFi's array check and
-    MUSIC's source count check run when the estimator is built.
+    A block is checked before anything changes: its antenna count against
+    the geometry and, for SpotFi, the smoothing against its channel.  A
+    refused block raises and leaves the window as it was.  SpotFi's array
+    check and MUSIC's source count check run when the estimator is built.
     """
     algorithm = cfg.algorithm
     if algorithm == "music":
         _check_music_sources(geom, cfg)
     if algorithm == "spotfi":
         _require_ula(geom)
-    # the window's frames before the next block, as (chanspec, snapshot);
-    # bartlett keeps (chanspec, Gram terms over the profile's peak)
+    # the window on `current`: snapshots, or Bartlett's Gram terms over their peak
     recent: deque = deque(maxlen=cfg.window - 1)
+    current = None
 
     def estimate(chanspec: ChannelSpec, csi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal current
         snaps = csi[:, :, 0, :]
         if not len(snaps):
             return np.empty(0, dtype=np.intp), np.empty(0)
+        _check_frame(snaps.shape[1], geom)
+        if algorithm == "spotfi":
+            spotfi_smoothing_dims(geom.n_antennas, chanspec, cfg)
+        if chanspec != current:
+            recent.clear()
+            current = chanspec
         if algorithm == "bartlett":
-            _check_frame(snaps.shape[1], geom)
             return _pick_bearing(_bartlett_stream_curves(recent, chanspec, snaps, geom, cfg))
-        first = (chanspec, snaps[0])
-        try:
-            _check_window([(spec, snap.shape[0]) for spec, snap in (*recent, first)], geom)
-        except DimensionMismatchError:
-            recent.append(first)
-            raise
         if algorithm == "music":
-            curves = _music_stream_spectra([snap for _, snap in recent], chanspec, snaps,
-                                           geom, cfg)
-            recent.extend((chanspec, snap) for snap in snaps)
+            curves = _music_stream_spectra(recent, chanspec, snaps, geom, cfg)
+            recent.extend(snaps)
             return _pick_bearing(curves)
-        spotfi_smoothing_dims(geom.n_antennas, chanspec, cfg)
         curves = np.empty((len(snaps), cfg.theta_grid.size))
         for i, snap in enumerate(snaps):
-            curves[i] = _spotfi_pseudo(chanspec, [*(old for _, old in recent), snap], geom,
-                                       cfg).max(axis=1)
-            recent.append((chanspec, snap))
+            curves[i] = _spotfi_pseudo(chanspec, [*recent, snap], geom, cfg).max(axis=1)
+            recent.append(snap)
         return _pick_bearing(curves)
 
     return estimate
@@ -812,28 +798,19 @@ def _steering_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes
 
 
 @lru_cache(maxsize=8)
-def _gram_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
-    """Bartlett's real Gram kernel, shape (n_theta, n_antennas^2).
+def _gram_kernel_t(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
+    """Bartlett's real Gram kernel, shape (n_antennas^2, n_theta), C-ordered.
 
-    Row theta holds the `_gram_terms` of conj(a_i) a_j, a = s(theta),
+    Column theta holds the `_gram_terms` of conj(a_i) a_j, a = s(theta),
     each times its weight in the Gram form: |a_i|^2, then
     2 Re(conj(a_i) a_j) and -2 Im(conj(a_i) a_j) for each pair i < j.
+    Bartlett's products put the bearings along rows: terms.T @ kernel.
     """
     a = np.ascontiguousarray(_steering_kernel(positions_bytes, lambda_m, theta_bytes).T)
     n_rx = a.shape[0]
     n_pairs = n_rx * (n_rx - 1) // 2
     weights = np.repeat([1.0, 2.0, -2.0], [n_rx, n_pairs, n_pairs])
-    kernel = np.ascontiguousarray(
-        (weights[:, None] * _gram_terms(np.conj(a), a)).T)
-    kernel.flags.writeable = False
-    return kernel
-
-
-@lru_cache(maxsize=8)
-def _gram_kernel_t(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
-    """`_gram_kernel` transposed, shape (n_antennas^2, n_theta), C-ordered: the
-    block estimator's products put the bearings along rows."""
-    kernel = np.ascontiguousarray(_gram_kernel(positions_bytes, lambda_m, theta_bytes).T)
+    kernel = weights[:, None] * _gram_terms(np.conj(a), a)
     kernel.flags.writeable = False
     return kernel
 
@@ -911,14 +888,13 @@ def _check_frame(n_rx: int, geom: ArrayGeometry) -> None:
         )
 
 
-def _check_window(frames: Sequence[tuple[ChannelSpec, int]], geom: ArrayGeometry) -> None:
-    """Refuse a window, given as each frame's (chanspec, n_rx), that is empty,
-    mixes channels or has a frame the geometry does not fit."""
+def _check_window(frames: Sequence[CsiFrame], geom: ArrayGeometry) -> None:
+    """Refuse an empty window, one that mixes channels, or a frame the geometry does not fit."""
     if not frames:
         raise ConfigurationError("need at least one frame")
-    for chanspec, n_rx in frames:
-        _check_frame(n_rx, geom)
-        if chanspec != frames[0][0]:
+    for frame in frames:
+        _check_frame(frame.n_rx, geom)
+        if frame.chanspec != frames[0].chanspec:
             raise DimensionMismatchError("window frames must share one channel")
 
 

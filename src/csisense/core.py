@@ -437,7 +437,7 @@ def _steering_vectors(theta: np.ndarray, geom: ArrayGeometry, lambda_m: float) -
     Synthesis, the calibration and the bearing estimators all build their
     steering here.  The estimators read it through one cache,
     `aoa._steering_kernel`, which MUSIC and SpotFi use as it is and
-    Bartlett's `aoa._gram_kernel` and `aoa._gram_kernel_t` derive from.  The
+    Bartlett's one Gram kernel, `aoa._gram_kernel_t`, derives from.  The
     projections are a stack of matrix-vector products, one per angle,
     which round as `steering_vector`'s own product does.  One
     (n_rx, 2) x (2, n) matrix product rounds differently: on an AVX-512

@@ -52,6 +52,8 @@ Example::
 [-150, 50] dBm, and `path_loss_exponent` (under `[simulation]`, default
 2.2) in [0, 10]: wide of any real link, and narrow enough that no path
 level over- or underflows for poses 0.5 m to MAX_COORDINATE_M away.
+`snr_db` lies in [-100, 300] dB, so the noise stays finite in the
+capture's complex64; `none`, `inf` or `off` turn the noise off.
 A `[reflection.N]` path's `rel_amplitude` is non-zero with magnitude at
 most 100, its `excess_delay_ns` lies in [0, 10000] and its
 `aoa_offset_deg` in [-360, 360]: wide of any real reflection, and
@@ -227,7 +229,15 @@ def loop_trajectory(
     n: int,
     rate_hz: float = DEFAULT_RATE_HZ,
 ) -> list[tuple[int, Pose2D]]:
-    """Rectangular circuit traversed `laps` times with n poses total."""
+    """Rectangular circuit traversed `laps` times with n poses total.
+
+    Neither side may be negative, and the perimeter must be positive.
+    """
+    for key, side in (("length_m", length_m), ("width_m", width_m)):
+        if not side >= 0.0:
+            raise ConfigurationError(f"[trajectory] {key} must not be negative, got {side:g}")
+    if length_m + width_m == 0.0:
+        raise ConfigurationError("[trajectory] length_m and width_m must not both be 0")
     _check_reach(x0, x0 + length_m, y0, y0 + width_m)
     if not -MAX_POSES <= laps <= MAX_POSES:
         raise ConfigurationError(f"[trajectory] laps must lie in [-{MAX_POSES}, {MAX_POSES}], "
@@ -292,6 +302,7 @@ _power_dbm = _within(-150.0, 50.0)
 _path_loss_exponent = _within(0.0, 10.0)
 _excess_delay_ns = _within(0.0, 10_000.0)
 _aoa_offset_deg = _within(-360.0, 360.0)
+_snr_db = _within(-100.0, 300.0)
 
 
 def _seed(text: str) -> int:
@@ -506,7 +517,7 @@ class _Section:
 
 def _parse_snr(text: str) -> float | None:
     """SNR in dB; "none", "inf" or "off" turn the noise off (any other value must be finite)."""
-    return None if text.lower() in ("none", "inf", "off") else float(text)
+    return None if text.lower() in ("none", "inf", "off") else _snr_db(text)
 
 
 def _parse_bool(text: str) -> bool:

@@ -207,7 +207,8 @@ class TestBartlettKernels:
     def test_cached_kernels_are_read_only(self, chan80, square_geom):
         theta, dist = (grid.tobytes() for grid in build_grids())
         kernels = (aoa._range_phasors(chan80, dist), aoa._delay_steering(122, dist),
-                   aoa._gram_kernel(square_geom.positions.tobytes(), wavelength(chan80), theta),
+                   aoa._gram_kernel_t(square_geom.positions.tobytes(), wavelength(chan80),
+                                      theta),
                    *aoa._gram_rows(4))
         for kernel in kernels:
             with pytest.raises(ValueError):
@@ -344,48 +345,20 @@ class TestMusic:
         with pytest.raises(ConfigurationError, match="no noise subspace"):
             bearing_csi_estimator(square_geom, AoaConfig(algorithm="music", n_sources=4))
 
-    @pytest.mark.parametrize("window", [1, 3])
-    def test_block_is_frame_by_frame_across_channel_runs(self, square_geom, chan80, chan20,
-                                                         window):
+    def test_mixed_block_at_window_one_is_frame_by_frame(self, square_geom, chan80, chan20):
         # window 1 may switch channel between frames: a mixed block goes in
-        # as its runs of one channel; a longer window refuses a run whose
-        # window spans both channels, and the refused frame enters the window
+        # as its runs of one channel
         paths = [PathComponent(aoa=0.7, delay_s=10e-9),
                  PathComponent(aoa=-1.2, delay_s=35e-9, amplitude=0.6)]
         chans = [chan80] * 5 + [chan20] * 3 + [chan80] * 4
         frames = [synth_frame(paths, square_geom, chan, snr_db=15.0, rng_seed=seed,
                               timestamp_ns=seed) for seed, chan in enumerate(chans)]
-        cfg = AoaConfig(algorithm="music", window=window, n_sources=2)
+        cfg = AoaConfig(algorithm="music", n_sources=2)
         estimate_frame = bearing_csi_estimator(square_geom, cfg)
         estimate = bearing_csi_estimator(square_geom, cfg)
-
-        def by_frame(frame):
-            return estimate_runs(estimate_frame, [frame], cfg)[0]
-
-        def by_block(block):
-            return estimate_runs(estimate, block, cfg)
-
-        if window == 1:
-            assert by_block(frames[:2]) + by_block(frames[2:]) == list(map(by_frame, frames))
-            return
-        assert by_block(frames[:3]) == list(map(by_frame, frames[:3]))
-        with pytest.raises(DimensionMismatchError, match="share one channel"):
-            by_block(frames[3:7])
-        for frame in frames[3:5]:
-            by_frame(frame)
-        with pytest.raises(DimensionMismatchError, match="share one channel"):
-            by_frame(frames[5])
-        refused = 0
-        for frame in frames[6:]:
-            try:
-                want = by_frame(frame)
-            except DimensionMismatchError:
-                refused += 1
-                with pytest.raises(DimensionMismatchError):
-                    by_block([frame])
-            else:
-                assert by_block([frame]) == [want]
-        assert refused == 3  # frames 6, 8 and 9: their windows span both channels
+        by_frame = [estimate_runs(estimate_frame, [frame], cfg)[0] for frame in frames]
+        assert (estimate_runs(estimate, frames[:2], cfg) + estimate_runs(estimate, frames[2:], cfg)
+                == by_frame)
 
 
 class TestSpotfi:
@@ -792,20 +765,6 @@ class TestAveraging:
         estimate = bearing_csi_estimator(geom, cfg)
         return [est for frame in frames for est in estimate_runs(estimate, [frame], cfg)]
 
-    def test_window_across_channels_matches_push_then_estimate(self, square_geom, chan80,
-                                                                chan20, rng):
-        # a library stream may alternate channels: each window then holds
-        # both, and each channel's frames meet that channel's kernel
-        cfg = AoaConfig(window=4)
-        frames = [synth_frame([PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=15e-9),
-                               PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=40e-9,
-                                             amplitude=0.8)],
-                              square_geom, chan80 if k % 2 == 0 else chan20, snr_db=5.0,
-                              rng_seed=rng, timestamp_ns=k)
-                  for k in range(24)]
-        assert (self._frame_by_frame(frames, square_geom, cfg)
-                == self._push_then_estimate(frames, square_geom, cfg))
-
     def test_a_strong_frame_weighs_as_much_as_a_weak_one(self, square_geom, chan80, rng):
         # every profile enters the average over its own peak: one frame 40 dB
         # above the other three of its window does not outvote them
@@ -860,6 +819,56 @@ class TestAveraging:
             profiles.append(bartlett_profile(frame, square_geom, cfg))
         ai, aj = average_profiles(profiles, 20).argmax_cell()
         assert abs(ai - ti) <= 1 and abs(aj - di) <= 1
+
+
+class TestStreamWindow:
+    """`bearing_csi_estimator`'s window, the same rule for every algorithm: it
+    holds the stream's last frames on its current channel, and a refused
+    block leaves it as it was."""
+
+    @staticmethod
+    def _stream(algorithm, chans, square_geom, ula_geom, rng, **cfg_keys):
+        geom = ula_geom if algorithm == "spotfi" else square_geom
+        cfg = AoaConfig(algorithm=algorithm, window=3, n_sources=2, **cfg_keys)
+        frames = [synth_frame([PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=15e-9),
+                               PathComponent(aoa=rng.uniform(-np.pi, np.pi), delay_s=40e-9,
+                                             amplitude=0.8)],
+                              geom, chan, snr_db=5.0, rng_seed=rng, timestamp_ns=k)
+                  for k, chan in enumerate(chans)]
+        return geom, cfg, frames
+
+    @pytest.mark.parametrize("algorithm", aoa.ALGORITHMS)
+    def test_window_restarts_at_a_channel_change(self, algorithm, square_geom, ula_geom,
+                                                 chan80, chan20, rng):
+        geom, cfg, frames = self._stream(algorithm, [chan80] * 5 + [chan20] * 3 + [chan80] * 4,
+                                         square_geom, ula_geom, rng)
+        runs = (frames[:5], frames[5:8], frames[8:])
+        want = [est for run in runs
+                for est in estimate_runs(bearing_csi_estimator(geom, cfg), run, cfg)]
+        for cut in (1, 2, 5, len(frames)):
+            estimate = bearing_csi_estimator(geom, cfg)
+            got = [est for lo in range(0, len(frames), cut)
+                   for est in estimate_runs(estimate, frames[lo: lo + cut], cfg)]
+            assert got == want, cut
+
+    @pytest.mark.parametrize("algorithm", aoa.ALGORITHMS)
+    def test_refused_block_leaves_the_window_untouched(self, algorithm, square_geom, ula_geom,
+                                                       chan80, chan20, rng):
+        # SpotFi's sub-array of 100 subcarriers fits 80 MHz but not 20 MHz
+        smoothing = {"smoothing": (2, 100)} if algorithm == "spotfi" else {}
+        geom, cfg, frames = self._stream(algorithm, [chan80] * 8, square_geom, ula_geom, rng,
+                                         **smoothing)
+        refused = [(chan80, frames[4].csi[None, 1:], DimensionMismatchError, "antennas")]
+        if algorithm == "spotfi":
+            narrow = single_path_frame(geom, chan20, 0.3, snr_db=15.0, seed=1)
+            refused.append((chan20, narrow.csi[None], ConfigurationError, "smoothing dims"))
+        want = estimate_runs(bearing_csi_estimator(geom, cfg), frames, cfg)
+        estimate = bearing_csi_estimator(geom, cfg)
+        got = estimate_runs(estimate, frames[:4], cfg)
+        for chanspec, csi, error, match in refused:
+            with pytest.raises(error, match=match):
+                estimate(chanspec, csi)
+        assert got + estimate_runs(estimate, frames[4:], cfg) == want
 
 
 class TestEstimateBearing:

@@ -770,6 +770,18 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith(f"error: data: [trajectory] {key} must ")
         assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "w.csv").exists()
 
+    @pytest.mark.parametrize("length,width,message", [
+        ("0", "0", "length_m and width_m must not both be 0"),
+        ("-5", "5", "length_m must not be negative, got -5"),
+        ("-10", "2", "length_m must not be negative, got -10"),
+    ])
+    def test_degenerate_loop_exit_2(self, tmp_path, capsys, length, width, message):
+        argv = _trajectory_argv(tmp_path, "simulate", kind="loop", length_m=length,
+                                width_m=width)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: data: [trajectory] {message}"]
+        assert not (tmp_path / "c.wcap").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "scan"])
     def test_disc_inside_keep_out_exit_2(self, tmp_path, command):
         # No pose of a 0.1 m disc clears the 0.5 m keep-out around its center.
@@ -1172,8 +1184,8 @@ class TestCoordinateBound:
 
 
 class TestRadioLevelBound:
-    """`power_dbm` and `path_loss_exponent` outside their bounds exit 2 with
-    one line naming the file, the section and the key.
+    """`power_dbm`, `path_loss_exponent` and `snr_db` outside their bounds exit
+    2 with one line naming the file, the section and the key.
 
     In-process, tier-1 turns a RuntimeWarning into an error, so an
     overflow on the way to the refusal fails these tests.
@@ -1185,6 +1197,7 @@ class TestRadioLevelBound:
         ("simulation", "path_loss_exponent", "1e300", "[0, 10]"),
         ("transmitter", "power_dbm", "1e300", "[-150, 50]"),
         ("transmitter", "power_dbm", "-151", "[-150, 50]"),
+        ("simulation", "snr_db", "-4000", "[-100, 300]"),
     ])
     def test_scenario_key(self, tmp_path, capsys, command, section, key, value, bounds):
         argv = _trajectory_argv(tmp_path, command)

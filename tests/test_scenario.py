@@ -410,6 +410,19 @@ class TestTrajectories:
         assert min(xs) >= -1e-9 and max(xs) <= 10.0 + 1e-9
         assert min(ys) >= -1e-9 and max(ys) <= 4.0 + 1e-9
 
+    @pytest.mark.parametrize("length,width,refused", [
+        (0.0, 0.0, "length_m and width_m must not both be 0"),
+        (-5.0, 5.0, "length_m must not be negative"),
+        (-10.0, 2.0, "length_m must not be negative"),
+        (10.0, -2.0, "width_m must not be negative"),
+    ])
+    def test_loop_refuses_a_negative_side_or_zero_perimeter(self, length, width, refused):
+        with pytest.raises(ConfigurationError, match=rf"^\[trajectory\] {refused}"):
+            loop_trajectory(0.0, 0.0, length, width, laps=1, n=3)
+        # a zero width with a positive length is a segment run back and forth
+        traj = loop_trajectory(0.0, 0.0, 10.0, 0.0, laps=1, n=20)
+        assert all(0.0 <= p.x <= 10.0 and p.y == 0.0 for _, p in traj)
+
     def test_line_endpoints(self):
         traj = line_trajectory(0.0, 0.0, 3.0, 4.0, n=5)
         assert traj[0][1].x == pytest.approx(0.0)
