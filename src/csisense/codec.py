@@ -28,23 +28,26 @@ frame in this order: every header and length check of `decode_frame`;
 then the MAC allow-list and the RSSI floor, read from the header; then
 the payload's finite check, on every frame, dropped or kept.  A frame
 that fails a check is undecodable whether or not the filter would have
-dropped it: fatal in a capture, counted as `dropped_decode` in a stream.
+dropped it.  The frame count sets the fault policy: a capture (its
+header gives the count) is ingested `REPLAY_BLOCK` records at a time,
+and its first undecodable record is fatal, as a file that ends early
+is; a stream (no count) is ingested one datagram at a time, and an
+undecodable datagram is counted as `dropped_decode`.
 
-A capture is ingested `REPLAY_BLOCK` records at a time (a stream one
-datagram at a time).  The payloads of an ingest block's parsed records,
-kept and dropped, are joined once and share one finite check; only when
-it fails are they checked one by one, to find the faulty ones.  The kept
-frames come out as `FrameBlock`s: the consecutive delivered frames of
-one ingest block that share (chanspec, n_rx, n_tx), their csi one
-(frames, n_rx, n_tx, n_sub) array over the joined payloads and their
-header fields per-frame sequences.  A block ends at a change of
-(chanspec, n_rx, n_tx), at the end of its ingest block, and before the
-first faulty record; that record raises only after every block before it
-was yielded and every record before it counted.  A record is counted
-only once everything before it was consumed: each block carries, per
-frame, the drops since the block before, and its consumer counts the
-frames it used (`IngestStats.count`), so the counts seen at a fault do
-not depend on how the records were cut into blocks.
+The payloads of an ingest block's parsed records, kept and dropped, are
+joined once and share one finite check; only when it fails are they
+checked one by one, to find the faulty ones.  The kept frames come out
+as `FrameBlock`s: the consecutive delivered frames of one ingest block
+that share (chanspec, n_rx, n_tx), their csi one (frames, n_rx, n_tx,
+n_sub) array over the joined payloads and their header fields per-frame
+sequences.  A block ends at a change of (chanspec, n_rx, n_tx), at the
+end of its ingest block, and before the first faulty record; a capture
+raises at that record only after every block before it was yielded and
+every record before it counted.  A record is counted only once
+everything before it was consumed: each block carries, per frame, the
+drops since the block before, and its consumer counts the frames it
+used (`IngestStats.count`), so the counts seen at a fault do not depend
+on how the records were cut into blocks.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import socket
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,7 +66,6 @@ from .core import (
     ConfigurationError,
     CsiFrame,
     CsiSenseError,
-    FrameValidationError,
     usable_subcarrier_count,
 )
 
@@ -153,11 +155,17 @@ def decode_frame(buf: bytes) -> CsiFrame:
     """Decode one wire frame; raises a structured CodecError on any defect.
 
     Never reads past the buffer and never raises anything that is not a
-    CodecError, no matter the input bytes.  The frame's csi is a
+    CodecError, no matter the input bytes.  The checks are ingest's:
+    `_parse_header`, then the payload's finite check, so the frame is
+    built without running `CsiFrame`'s checks again.  Its csi is a
     read-only view of the payload in `buf`, so encode_frame gives back
     the same bytes.
     """
-    return _build_frame(buf, _parse_header(buf))
+    n_rx, n_tx, n_sub, chanspec, seq, rssi, mac, timestamp = _parse_header(buf)
+    if not _all_finite(buf[HEADER_SIZE:]):
+        raise FrameFormatError("csi entries must be finite")
+    csi = np.frombuffer(buf, dtype="<c8", offset=HEADER_SIZE).reshape(n_rx, n_tx, n_sub)
+    return CsiFrame._from_checked(csi, float(rssi), mac, seq, chanspec, timestamp)
 
 
 def _parse_header(buf: bytes) -> tuple:
@@ -199,24 +207,6 @@ def _channel(channel: int, bandwidth: int) -> tuple[ChannelSpec, int]:
     not cached."""
     chanspec = ChannelSpec(channel, bandwidth)
     return chanspec, chanspec.n_sub
-
-
-def _build_frame(buf: bytes, header: tuple) -> CsiFrame:
-    """The frame of a buffer `_parse_header` passed: csi is a read-only
-    view of its payload, and CsiFrame runs the finite check."""
-    n_rx, n_tx, n_sub, chanspec, seq, rssi, mac, timestamp = header
-    csi = np.frombuffer(buf, dtype="<c8", offset=HEADER_SIZE).reshape(n_rx, n_tx, n_sub)
-    try:
-        return CsiFrame(
-            csi=csi,
-            rssi_dbm=float(rssi),
-            source_mac=mac,
-            seq=seq,
-            chanspec=chanspec,
-            timestamp_ns=timestamp,
-        )
-    except FrameValidationError as exc:
-        raise FrameFormatError(str(exc)) from exc
 
 
 def _all_finite(payloads: bytes) -> bool:
@@ -286,11 +276,15 @@ class IngestStats:
         """Count the first `stop` frames of `block` as delivered, each with the
         records dropped before it (all the block's frames by default)."""
         stop = len(block) if stop is None else stop
-        if stop <= 0:
-            return
-        decode, mac, rssi = block.drops[stop - 1]
-        self.received += stop + decode + mac + rssi
-        self.delivered += stop
+        if stop > 0:
+            self.received += stop
+            self.delivered += stop
+            self._add_drops(block.drops[stop - 1])
+
+    def _add_drops(self, drops: tuple[int, int, int]) -> None:
+        """Count (decode, mac, rssi) dropped records as received and dropped."""
+        decode, mac, rssi = drops
+        self.received += decode + mac + rssi
         self.dropped_decode += decode
         self.dropped_mac += mac
         self.dropped_rssi += rssi
@@ -313,7 +307,7 @@ def ingest_stream_blocks(
     """
     if stats is None:
         stats = IngestStats()
-    return _ingest_blocks(datagrams, mac_allow, rssi_floor_dbm, stats, lambda k, exc: None, 1)
+    return _ingest_blocks(datagrams, mac_allow, rssi_floor_dbm, stats, None)
 
 
 def _ingest_blocks(
@@ -321,76 +315,61 @@ def _ingest_blocks(
     mac_allow: set[bytes] | None,
     rssi_floor_dbm: float | None,
     stats: IngestStats,
-    undecodable: Callable[[int, CodecError], None],
-    block: int,
+    count: int | None,
 ) -> Iterator[FrameBlock]:
-    """The ingest loop of captures and streams, `block` records at a time.
+    """The ingest loop of a capture of `count` records, or of a stream (None).
 
-    Checks run in the module docstring's order.  `undecodable(k, exc)`
-    sees record k's CodecError once the blocks before it were yielded
-    and the records before it counted: a capture raises from it, and a
-    stream returns, so the record counts as dropped_decode.  A
-    CodecError or OSError that `records` raises (a capture cut short) is
-    raised the same way.  A dropped record is counted with the next
-    delivered frame (`FrameBlock.drops`), or here, before a fault and at
-    the end.
+    Checks run in the module docstring's order.  A capture is read
+    `REPLAY_BLOCK` records at a time; at an undecodable record it raises
+    CaptureTruncatedError once the blocks before it were yielded and the
+    records before it counted, and a CodecError or OSError that
+    `records` raises (a capture cut short) is raised the same way.  A
+    stream is read one datagram at a time, so nothing follows an
+    undecodable datagram in its ingest block: it counts as
+    dropped_decode.  A dropped record is counted with the next delivered
+    frame (`FrameBlock.drops`), or here, before a fault and at the end.
     """
+    size = 1 if count is None else REPLAY_BLOCK
     records = iter(records)
-    k = 0  # record number of the next record
+    first = 0  # record number of the ingest block's first record
     pending = (0, 0, 0)  # (decode, mac, rssi) drops since the last delivered frame
-
-    def count_pending() -> None:
-        stats.received += sum(pending)
-        stats.dropped_decode += pending[0]
-        stats.dropped_mac += pending[1]
-        stats.dropped_rssi += pending[2]
-
     while True:
         bufs, fault = [], None
         try:
             for buf in records:
                 bufs.append(buf)
-                if len(bufs) == block:
+                if len(bufs) == size:
                     break
         except (CodecError, OSError) as exc:
             fault = exc
-        n_read, first = len(bufs), k  # `first`: record number of bufs[0]
-        while True:
-            runs, joined, pending, stop, exc = _gather(bufs, mac_allow, rssi_floor_dbm, pending)
-            offset = 0  # of each run's payloads in `joined`
-            for (n_rx, n_tx, n_sub, chanspec), js, headers, drops in runs:
-                csi = np.frombuffer(joined, dtype="<c8", count=len(js) * n_rx * n_tx * n_sub,
-                                    offset=offset).reshape(len(js), n_rx, n_tx, n_sub)
-                offset += csi.nbytes
-                yield FrameBlock(csi, chanspec, [first + j for j in js], [h[4] for h in headers],
-                                 [float(h[5]) for h in headers], [h[6] for h in headers],
-                                 [h[7] for h in headers], drops)
-            if stop is None:
-                break
-            count_pending()
-            undecodable(first + stop, exc)
-            pending = (1, 0, 0)  # a stream's undecodable record, counted with the next frame
-            first, bufs = first + stop + 1, bufs[stop + 1:]
-        k += n_read
-        if fault is not None or n_read < block:
-            count_pending()
+        blocks, pending, stop, exc = _gather(bufs, first, mac_allow, rssi_floor_dbm, pending)
+        yield from blocks
+        if stop is not None:
+            stats._add_drops(pending)
+            if count is not None:
+                _undecodable(first + stop, count, exc)
+            pending = (1, 0, 0)  # the undecodable datagram, counted with the next frame
+        first += len(bufs)
+        if fault is not None or len(bufs) < size:
+            stats._add_drops(pending)
             if fault is not None:
                 raise fault
             return
 
 
-def _gather(bufs: list[bytes], mac_allow: set[bytes] | None, rssi_floor_dbm: float | None,
-            pending: tuple[int, int, int]) -> tuple:
-    """Parse and filter records up to the first undecodable one.
+def _gather(bufs: list[bytes], first: int, mac_allow: set[bytes] | None,
+            rssi_floor_dbm: float | None, pending: tuple[int, int, int]) -> tuple:
+    """Parse, filter and check records up to the first undecodable one.
 
-    Returns (runs, joined, pending, stop, exc).  `runs` are the delivered
-    frames, cut at each change of (n_rx, n_tx, n_sub, chanspec), as (that
-    key, record positions, headers, cumulative drops).  `joined` holds the
-    runs' payloads in order, all of them finite, as are the dropped
-    records' payloads, which share its one check.  `pending` (decode,
-    mac, rssi) goes in as the drops before the first record and comes out
-    as those after the last frame.  `stop` is the position of the first
-    undecodable record, or None, and `exc` its CodecError.
+    Returns (blocks, pending, stop, exc).  `blocks` are the delivered
+    frames as `FrameBlock`s, cut at each change of (chanspec, n_rx,
+    n_tx); `first` is the record number of bufs[0].  The payloads of the
+    kept frames, then of the dropped records, are joined and share one
+    finite check, and the blocks' csi are views of the kept part.
+    `pending` (decode, mac, rssi) goes in as the drops before the first
+    record and comes out as those after the last frame.  `stop` is the
+    position of the first undecodable record, or None, and `exc` its
+    CodecError.
     """
     runs: list[tuple] = []
     kept, dropped = [], []
@@ -413,9 +392,9 @@ def _gather(bufs: list[bytes], mac_allow: set[bytes] | None, rssi_floor_dbm: flo
             if not runs or runs[-1][0] != key:
                 runs.append((key, [], [], []))
                 total = (0, 0, 0)
-            _, js, headers, drops = runs[-1]
+            _, index, headers, drops = runs[-1]
             total = (total[0] + decode, total[1] + mac, total[2] + rssi)
-            js.append(j)
+            index.append(first + j)
             headers.append(header)
             drops.append(total)
             decode = mac = rssi = 0
@@ -424,11 +403,19 @@ def _gather(bufs: list[bytes], mac_allow: set[bytes] | None, rssi_floor_dbm: flo
     if not _all_finite(joined):
         # the first record whose payload is not: a fault path only
         bad = next(j for j, buf in enumerate(bufs[:stop]) if not _all_finite(buf[HEADER_SIZE:]))
-        runs, joined, after, _, _ = _gather(bufs[:bad], mac_allow, rssi_floor_dbm, pending)
-        return runs, joined, after, bad, FrameFormatError("csi entries must be finite")
+        blocks, after, _, _ = _gather(bufs[:bad], first, mac_allow, rssi_floor_dbm, pending)
+        return blocks, after, bad, FrameFormatError("csi entries must be finite")
     if dropped:  # a frame's csi keeps `joined` alive: keep no dropped payload in it
         joined = joined[:len(joined) - sum(map(len, dropped))]
-    return runs, joined, (decode, mac, rssi), stop, exc
+    blocks, offset = [], 0  # of each block's payloads in `joined`
+    for (n_rx, n_tx, n_sub, chanspec), index, headers, drops in runs:
+        csi = np.frombuffer(joined, dtype="<c8", count=len(index) * n_rx * n_tx * n_sub,
+                            offset=offset).reshape(len(index), n_rx, n_tx, n_sub)
+        offset += csi.nbytes
+        blocks.append(FrameBlock(csi, chanspec, index, [h[4] for h in headers],
+                                 [float(h[5]) for h in headers], [h[6] for h in headers],
+                                 [h[7] for h in headers], drops))
+    return blocks, (decode, mac, rssi), stop, exc
 
 
 def udp_datagrams(
@@ -492,8 +479,7 @@ def ingest_capture_blocks(
     with open(path, "rb", buffering=_READ_BUFFER) as fh:
         count = _read_capture_header(fh)
         yield from _ingest_blocks(_capture_records(fh, count), mac_allow, rssi_floor_dbm,
-                                  stats, lambda k, exc: _undecodable(k, count, exc),
-                                  REPLAY_BLOCK)
+                                  stats, count)
 
 
 def read_capture(path) -> list[CsiFrame]:
@@ -517,7 +503,10 @@ def read_capture_frame(path, index: int) -> CsiFrame:
             )
         for k, buf in enumerate(_capture_records(fh, count)):
             if k == index:
-                frame = _decode_record(buf, k, count)
+                try:
+                    frame = decode_frame(buf)
+                except CodecError as exc:
+                    _undecodable(k, count, exc)
     return frame
 
 
@@ -557,13 +546,6 @@ def _capture_records(fh, count: int) -> Iterator[bytes]:
         yield buf
     if fh.read(1):
         raise CaptureFormatError("trailing bytes after final frame")
-
-
-def _decode_record(buf: bytes, k: int, count: int) -> CsiFrame:
-    try:
-        return decode_frame(buf)
-    except CodecError as exc:
-        _undecodable(k, count, exc)
 
 
 def _undecodable(k: int, count: int, exc: CodecError) -> None:

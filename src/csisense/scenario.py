@@ -84,7 +84,7 @@ from .core import (
     _check_spacing,
     wavelength,
 )
-from .synth import DEFAULT_MAC, ApSpec, Reflection, SimScenario
+from .synth import DEFAULT_MAC, SNR_DB_RANGE, ApSpec, Reflection, SimScenario
 
 
 def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeometry]:
@@ -302,7 +302,7 @@ _power_dbm = _within(-150.0, 50.0)
 _path_loss_exponent = _within(0.0, 10.0)
 _excess_delay_ns = _within(0.0, 10_000.0)
 _aoa_offset_deg = _within(-360.0, 360.0)
-_snr_db = _within(-100.0, 300.0)
+_snr_db = _within(*SNR_DB_RANGE)
 
 
 def _seed(text: str) -> int:

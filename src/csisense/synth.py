@@ -45,6 +45,9 @@ REFERENCE_RSSI_DBM = -30.0
 DEFAULT_PATH_LOSS_EXPONENT = 2.2
 
 DEFAULT_MAC = bytes.fromhex("020000000001")
+# The SNRs, dB, that noise may take: wide of any real link, and narrow
+# enough that the noise stays finite in a frame's complex64 csi.
+SNR_DB_RANGE = (-100.0, 300.0)
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,7 @@ class SimScenario:
         stamps = [ts for ts, _ in self.trajectory]
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ConfigurationError("trajectory timestamps must be strictly increasing")
+        _check_snr(self.snr_db)
 
 
 def rssi_at(ap_power_dbm: float, distance_m: float,
@@ -135,12 +139,14 @@ def synth_frame(
     """Synthesize one CsiFrame from an explicit path list.
 
     paths[0] is the direct path; the noise level is scaled so that path
-    alone achieves `snr_db` per element (None = noiseless).  RSSI is the
+    alone achieves `snr_db` per element (None or +inf = noiseless; any
+    other value must lie in SNR_DB_RANGE, as in a SimScenario).  RSSI is the
     noiseless mean element power referenced to REFERENCE_RSSI_DBM.
     Deterministic for a fixed seed.
     """
     if not paths:
         raise ConfigurationError("need at least one path")
+    _check_snr(snr_db)
     signal = _ray_sum(paths, geom, chanspec, tx_geom)
     rssi = _rssi_of(signal)
     if snr_db is not None and np.isfinite(snr_db):
@@ -287,6 +293,14 @@ def _rssi_of(signal) -> float:
     # below the reference so degenerate all-zero frames stay encodable
     power = max(float(np.mean(np.abs(signal) ** 2)), 1e-9)
     return REFERENCE_RSSI_DBM + 10.0 * np.log10(power)
+
+
+def _check_snr(snr_db: float | None) -> None:
+    """Refuse an SNR that is not None, +inf (both noiseless) or within SNR_DB_RANGE."""
+    low, high = SNR_DB_RANGE
+    if snr_db is not None and snr_db != np.inf and not low <= snr_db <= high:
+        raise ConfigurationError(
+            f"snr_db must be None, +inf or lie in [{low:g}, {high:g}] dB, got {snr_db:g}")
 
 
 def _noise_like(signal, direct_amp, snr_db, rng) -> np.ndarray:

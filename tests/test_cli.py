@@ -608,6 +608,77 @@ class TestIngestFaults:
         assert out.read_text().splitlines() == rows[:1]
 
 
+class TestCaptureFaultPaths:
+    """A 40-frame capture cut, or damaged, where each capture check fails:
+    the rows before the fault, the summary, one `error: data:` line, exit 2."""
+
+    @pytest.fixture()
+    def capture40(self, tmp_path):
+        """The capture's path, its bytes, and the offset of record k's length
+        prefix (its records are all one length)."""
+        capture, _ = simulated_capture(tmp_path, 40)
+        raw = capture.read_bytes()
+        head = codec.CAPTURE_HEADER_SIZE
+        length = int.from_bytes(raw[head:head + 4], "little")
+        return capture, raw, lambda k: head + k * (4 + length)
+
+    @staticmethod
+    def _decode(tmp_path, capsys, raw: bytes):
+        """`decode` of a capture of bytes `raw`: exit code, CSV lines, stderr lines."""
+        path, out = tmp_path / "bad.wcap", tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        capsys.readouterr()
+        code = main(["decode", "--capture", str(path), "--csv", str(out)])
+        return code, out.read_text().splitlines(), capsys.readouterr().err.splitlines()
+
+    def test_cut_inside_a_length_prefix(self, tmp_path, capsys, capture40):
+        capture, raw, at = capture40
+        clean = tmp_path / "clean.csv"
+        assert main(["decode", "--capture", str(capture), "--csv", str(clean)]) == 0
+        code, rows, err = self._decode(tmp_path, capsys, raw[:at(5) + 2])
+        assert code == 2
+        assert rows == clean.read_text().splitlines()[:6]
+        assert err == ["decoded 5 frames (dropped: 0 decode, 0 mac, 0 rssi)",
+                       "error: data: capture ends at frame 5 of 40"]
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+         "unsupported capture version 2"),
+        (lambda raw: raw[:10], "file too short for capture header"),
+    ], ids=["version-2", "10-bytes"])
+    def test_bad_capture_header(self, tmp_path, capsys, capture40, damage, message):
+        _, raw, _ = capture40
+        code, rows, err = self._decode(tmp_path, capsys, damage(raw))
+        assert code == 2
+        assert len(rows) == 1
+        assert err == ["decoded 0 frames (dropped: 0 decode, 0 mac, 0 rssi)",
+                       f"error: data: {message}"]
+
+    def test_bad_magic_fails_its_frame_only(self, tmp_path, capsys, capture40):
+        """`profile` decodes its frame alone: frame 7's bad magic fails
+        `--index 7`, and `--index 2` writes the clean capture's profile."""
+        capture, raw, at = capture40
+        bad = bytearray(raw)
+        bad[at(7) + 4:at(7) + 8] = b"XXXX"
+        code, rows, err = self._decode(tmp_path, capsys, bytes(bad))
+        message = "error: data: frame 7 of 40 undecodable: bad magic 0x58585858"
+        assert (code, len(rows), err) == (
+            2, 8, ["decoded 7 frames (dropped: 0 decode, 0 mac, 0 rssi)", message])
+
+        def profile(path, index, out):
+            capsys.readouterr()
+            code = main(["profile", "--capture", str(path), "--index", str(index),
+                         "--geometry", GEOMETRY, "--out", str(out)])
+            return code, capsys.readouterr()
+
+        path = tmp_path / "bad.wcap"
+        code, captured = profile(path, 7, tmp_path / "p7.pgm")
+        assert (code, captured.err) == (2, message + "\n")
+        assert profile(path, 2, tmp_path / "p2.pgm")[0] == 0
+        assert profile(capture, 2, tmp_path / "clean.pgm")[0] == 0
+        assert (tmp_path / "p2.pgm").read_bytes() == (tmp_path / "clean.pgm").read_bytes()
+
+
 def _bad_config(section: str, line: str, message: str, id: str | None = None):
     """A config file case: its one line in `section`, and how the error line
     after `error: data: ` starts."""

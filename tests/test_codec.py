@@ -140,6 +140,16 @@ class TestDecodeErrors:
         with pytest.raises(TruncatedFrameError):
             decode_frame(b"\x00" * (HEADER_SIZE - 1))
 
+    @pytest.mark.parametrize("at,value,message", [
+        (5, b"\x00", "antenna counts out of range: rx=0 tx=1"),
+        (8, b"\x00\x00", "channel number 0 out of range"),
+    ], ids=["n_rx-0", "channel-0"])
+    def test_out_of_range_header_field(self, rng, at, value, message):
+        buf = bytearray(encode_frame(random_frame(rng, n_tx=1)))
+        buf[at:at + len(value)] = value
+        with pytest.raises(FrameFormatError, match=message):
+            decode_frame(bytes(buf))
+
     def test_fuzz_raises_only_codec_errors(self, rng):
         for _ in range(2000):
             n = int(rng.integers(0, 256))

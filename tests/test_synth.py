@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from csisense import (
     wavelength,
     wrap_angle,
 )
+from csisense import scenario as scenario_module
 from csisense import synth
 from csisense.scenario import disc_trajectory, random_bias
 from csisense.synth import REFERENCE_RSSI_DBM, SPEED_OF_LIGHT
@@ -232,3 +235,36 @@ class TestBatchedTrajectory:
 
     def test_empty_trajectory_gives_no_frames(self, chan80, square_geom):
         assert synth_trajectory(_scenario(chan80, square_geom, trajectory=[]), square_geom) == []
+
+
+class TestSnrBound:
+    """`synth_frame` and `SimScenario` take an SNR that is None, +inf (both
+    noiseless) or within `SNR_DB_RANGE`, the bound the scenario file keeps,
+    and refuse any other with an error that names it."""
+
+    @pytest.mark.parametrize("snr_db,shown", [
+        (-4000.0, "-4000"), (-800.0, "-800"), (-100.5, "-100.5"), (300.5, "300.5"),
+        (-np.inf, "-inf"), (np.nan, "nan")])
+    def test_out_of_range_refused(self, square_geom, chan80, snr_db, shown):
+        message = f"snr_db must be None, +inf or lie in [-100, 300] dB, got {shown}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            synth_frame([PathComponent(aoa=0.3, delay_s=0.0)], square_geom, chan80,
+                        snr_db=snr_db, rng_seed=1)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            _scenario(chan80, square_geom, snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [None, np.inf, -100.0, 300.0])
+    def test_bounds_and_noiseless_accepted(self, square_geom, chan80, snr_db):
+        paths = [PathComponent(aoa=0.3, delay_s=0.0)]
+        frame = synth_frame(paths, square_geom, chan80, snr_db=snr_db, rng_seed=1)
+        assert np.isfinite(frame.csi.view(np.float32)).all()
+        if snr_db is None or snr_db == np.inf:
+            assert frame == synth_frame(paths, square_geom, chan80)
+        assert len(synth_trajectory(_scenario(chan80, square_geom, snr_db=snr_db),
+                                    square_geom)) == 60
+
+    def test_scenario_file_keeps_the_same_bound(self):
+        assert synth.SNR_DB_RANGE == (-100.0, 300.0)
+        assert scenario_module._snr_db("300") == 300.0
+        with pytest.raises(ValueError, match=re.escape("must lie in [-100, 300]")):
+            scenario_module._snr_db("-100.5")

@@ -1,0 +1,222 @@
+"""Byte-identity harness: hash every output of a fixed set of seeded CLI calls.
+
+    python tools/golden.py --out DIR [--root TREE] [--seeds 1,2,3,7,101] [--tiny]
+    python tools/golden.py --compare A B
+
+`--out` imports the package from TREE/src (default: this checkout) and
+the benchmark's workloads from this checkout's perfbench/, runs the calls
+below in-process, and writes DIR/manifest.json: the sha256 of every file
+each call writes or changes, of its stdout and stderr, and its exit code.
+Each call runs in a fresh temporary work directory, which is replaced by
+`<work>` before hashing, inside file contents too, so runs in different
+places compare equal.  The CSVs, stdouts and stderrs are also kept under
+DIR/files, so that `--compare` can show the rows that differ.
+
+The calls, per seed:
+- every workload's set-up (each file it writes and its metadata) and one
+  pass;
+- `decode` on the ingest workload's capture, with and without its filters;
+- `bearing` with Bartlett and MUSIC at windows 1, 4 and 8 on the Bartlett
+  workload's capture and, filtered, on the ingest capture, and with
+  SpotFi at the same windows on the ULA capture;
+- `decode`, and `profile` of frames 7 and 2, on fault captures made from
+  the first 40 records of the ingest capture: intact, cut inside frame
+  5's length prefix, with capture version 2, cut to 10 bytes, and with
+  frame 7's magic overwritten.
+
+`--compare A B` lists the entries that differ between two such
+directories and, for the kept text entries, the rows that differ.  It
+exits 1 if anything differs.  To compare with another commit, run `--out`
+with `--root` on a `git archive` of that commit.  The bytes depend on
+numpy, BLAS and the CPU, so no hashes are checked in: compare two runs
+made on one host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import hashlib
+import json
+import shutil
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3, 7, 101)
+WINDOWS = (1, 4, 8)
+TEXT_SUFFIXES = (".csv", "/stdout", "/stderr")
+MAX_ROWS_SHOWN = 20  # differing rows shown per entry
+
+
+def _hash(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _bearing(work: Path, label: str, capture: str, calibration: str, algorithms,
+             filters=()) -> list[tuple[str, list[str]]]:
+    return [(f"{label}-{algorithm}-w{window}",
+             ["bearing", "--capture", str(work / capture), "--calibration",
+              str(work / calibration), "--algorithm", algorithm, "--window", str(window),
+              *filters, "--out", str(work / f"{label}-{algorithm}-w{window}.csv")])
+            for algorithm in algorithms for window in WINDOWS]
+
+
+def _fault_captures(work: Path, capture: str) -> list[str]:
+    """Write the fault captures of the first 40 records of `capture`; their names."""
+    raw = (work / capture).read_bytes()
+    magic, version, _ = struct.unpack_from("<4sIQ", raw)
+    starts, at = [], 16  # offset of each record's length prefix
+    for _ in range(40):
+        starts.append(at)
+        at += 4 + struct.unpack_from("<I", raw, at)[0]
+    clean = struct.pack("<4sIQ", magic, version, 40) + raw[16:at]
+    magic7 = bytearray(clean)
+    magic7[starts[7] + 4:starts[7] + 8] = b"XXXX"
+    faults = {"intact": clean, "cut": clean[:starts[5] + 2],
+              "version2": struct.pack("<4sIQ", magic, 2, 40) + clean[16:],
+              "short": clean[:10], "magic7": bytes(magic7)}
+    for name, data in faults.items():
+        (work / f"fault-{name}.wcap").write_bytes(data)
+    return list(faults)
+
+
+def _extra_calls(name: str, work: Path, meta: dict) -> list[tuple[str, list[str]]]:
+    """The workload's calls beyond its pass, as (label, argv)."""
+    if name == "replay-bartlett-sq80":
+        return _bearing(work, "square", meta["capture"], meta["calibration"],
+                        ("bartlett", "music"))
+    if name == "replay-spotfi-ula80":
+        return _bearing(work, "ula", meta["capture"], meta["calibration"], ("spotfi",))
+    if name != "ingest-music-sq20":
+        return []
+    filters = ["--mac-filter", meta["keep_mac"], "--rssi-floor", repr(meta["rssi_floor"])]
+    calls = [(f"decode-{label}", ["decode", "--capture", str(work / meta["capture"]), *flags,
+                                  "--csv", str(work / f"decode-{label}.csv")])
+             for label, flags in (("all", []), ("filtered", filters))]
+    calls += _bearing(work, "filtered", meta["capture"], meta["calibration"],
+                      ("bartlett", "music"), filters)
+    for fault in meta["faults"]:
+        capture = str(work / f"fault-{fault}.wcap")
+        calls.append((f"fault-{fault}-decode", ["decode", "--capture", capture, "--csv",
+                                                str(work / f"fault-{fault}.csv")]))
+        calls += [(f"fault-{fault}-profile{index}",
+                   ["profile", "--capture", capture, "--index", str(index), "--calibration",
+                    str(work / meta["calibration"]),
+                    "--out", str(work / f"fault-{fault}-{index}.pgm")]) for index in (7, 2)]
+    return calls
+
+
+class _Recorder:
+    """The manifest entries of one workload's work directory, and the kept texts."""
+
+    def __init__(self, work: Path, prefix: str, entries: dict, keep: Path):
+        self.work, self.prefix, self.entries, self.keep = work, prefix, entries, keep
+        self.marker = str(work).encode()
+
+    def normalise(self, data: bytes) -> bytes:
+        return data.replace(self.marker, b"<work>")
+
+    def snapshot(self) -> dict[str, bytes]:
+        return {path.relative_to(self.work).as_posix(): self.normalise(path.read_bytes())
+                for path in sorted(self.work.rglob("*")) if path.is_file()}
+
+    def add(self, name: str, data: bytes) -> None:
+        entry = f"{self.prefix}/{name}"
+        self.entries[entry] = _hash(data)
+        if entry.endswith(TEXT_SUFFIXES):
+            path = self.keep / entry
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+
+    def call(self, label: str, argv: list[str], run_cli) -> None:
+        """Run one CLI call; record its exit code, output streams and changed files."""
+        before = self.snapshot()
+        code, out, err = run_cli(argv)
+        self.entries[f"{self.prefix}/{label}/exit"] = f"exit {code}"
+        self.add(f"{label}/stdout", self.normalise(out.encode()))
+        self.add(f"{label}/stderr", self.normalise(err.encode()))
+        for rel, data in self.snapshot().items():
+            if before.get(rel) != data:
+                self.add(f"{label}/{rel}", data)
+
+
+def run(out: Path, root: Path, seeds, tiny: bool) -> dict[str, str]:
+    """Run every call under the package in `root`; write and return the manifest."""
+    sys.path.insert(0, str(root / "src"))
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import csisense
+    from workloads import WORKLOADS, run_cli
+
+    if Path(csisense.__file__).resolve().parent != (root / "src" / "csisense").resolve():
+        raise SystemExit(f"csisense imported from {csisense.__file__}, not from {root}/src")
+    entries: dict[str, str] = {}
+    shutil.rmtree(out / "files", ignore_errors=True)
+    for seed in seeds:
+        for name, workload in WORKLOADS.items():
+            with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
+                work = Path(tmp)
+                rec = _Recorder(work, f"seed{seed}/{name}", entries, out / "files")
+                meta = workload.setup(work, seed, tiny)
+                if name == "ingest-music-sq20":
+                    meta["faults"] = _fault_captures(work, meta["capture"])
+                rec.add("setup/meta.json",
+                        rec.normalise(json.dumps(meta, sort_keys=True).encode()))
+                for rel, data in rec.snapshot().items():
+                    rec.add(f"setup/{rel}", data)
+                for k, step in enumerate(workload.steps(work, meta)):
+                    rec.call(f"pass{k}-{step.command}", step.argv, run_cli)
+                for label, argv in _extra_calls(name, work, meta):
+                    rec.call(label, argv, run_cli)
+    manifest = {"seeds": list(seeds), "tiny": tiny, "entries": dict(sorted(entries.items()))}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    return manifest["entries"]
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    """The report lines for every entry that differs between runs `a` and `b`."""
+    ea = json.loads((a / "manifest.json").read_text())["entries"]
+    eb = json.loads((b / "manifest.json").read_text())["entries"]
+    lines = []
+    for entry in sorted(set(ea) | set(eb)):
+        if entry not in eb or entry not in ea:
+            lines.append(f"only in {a if entry in ea else b}: {entry}")
+        elif ea[entry] != eb[entry]:
+            lines.append(f"differs: {entry}")
+            if entry.endswith(TEXT_SUFFIXES):
+                rows = difflib.unified_diff(
+                    (a / "files" / entry).read_text().splitlines(),
+                    (b / "files" / entry).read_text().splitlines(), lineterm="", n=0)
+                shown = [row for row in rows if row[:1] in "-+" and row[:3] not in ("---", "+++")]
+                lines += [f"  {row}" for row in shown[:MAX_ROWS_SHOWN]]
+                if len(shown) > MAX_ROWS_SHOWN:
+                    lines.append(f"  ... {len(shown) - MAX_ROWS_SHOWN} more rows")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="write the manifest of one run to this directory")
+    mode.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                      help="list the entries that differ between two runs")
+    parser.add_argument("--root", type=Path, default=REPO,
+                        help="checkout whose src/ is run (default: this one)")
+    parser.add_argument("--seeds", default=",".join(map(str, SEEDS)))
+    parser.add_argument("--tiny", action="store_true", help="the workloads' tiny inputs")
+    args = parser.parse_args(argv)
+    if args.compare:
+        lines = compare(*args.compare)
+        print("\n".join(lines) if lines else "no entry differs")
+        return 1 if lines else 0
+    args.out.mkdir(parents=True, exist_ok=True)
+    entries = run(args.out, args.root.resolve(), [int(s) for s in args.seeds.split(",")],
+                  args.tiny)
+    print(f"{len(entries)} entries in {args.out / 'manifest.json'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
