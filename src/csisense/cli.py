@@ -286,7 +286,7 @@ def _cmd_simulate(args) -> int:
     scenario, geom = load_scenario(args.scenario, seed=args.seed)
     pairs = synth_trajectory(scenario, geom)
     write_capture(args.capture, (frame for _, frame in pairs))
-    write_poses_csv(args.poses, [(f.timestamp_ns, p) for p, f in pairs])
+    write_poses_csv(args.poses, scenario.trajectory)
     print(f"simulated {len(pairs)} frames on channel "
           f"{scenario.chanspec.channel_number}/{scenario.chanspec.bandwidth_mhz} MHz "
           f"(seed {scenario.seed})")

@@ -84,7 +84,16 @@ from .core import (
     _check_spacing,
     wavelength,
 )
-from .synth import DEFAULT_MAC, SNR_DB_RANGE, ApSpec, Reflection, SimScenario
+from .synth import (
+    AOA_OFFSET_RANGE,
+    DEFAULT_MAC,
+    EXCESS_DELAY_RANGE_S,
+    MAX_REL_AMPLITUDE,
+    SNR_DB_RANGE,
+    ApSpec,
+    Reflection,
+    SimScenario,
+)
 
 
 def load_scenario(path, seed: int | None = None) -> tuple[SimScenario, ArrayGeometry]:
@@ -300,8 +309,8 @@ def _within(low: float, high: float):
 
 _power_dbm = _within(-150.0, 50.0)
 _path_loss_exponent = _within(0.0, 10.0)
-_excess_delay_ns = _within(0.0, 10_000.0)
-_aoa_offset_deg = _within(-360.0, 360.0)
+_excess_delay_ns = _within(*(1e9 * bound for bound in EXCESS_DELAY_RANGE_S))
+_aoa_offset_deg = _within(*np.degrees(AOA_OFFSET_RANGE))
 _snr_db = _within(*SNR_DB_RANGE)
 
 
@@ -314,11 +323,12 @@ def _seed(text: str) -> int:
 
 
 def _rel_amplitude(text: str) -> float:
-    """A reflection's gain relative to the direct path: non-zero, |a| <= 100;
-    its caller refuses NaN and inf."""
+    """A reflection's gain relative to the direct path: non-zero, |a| <=
+    MAX_REL_AMPLITUDE; its caller refuses NaN and inf."""
     value = float(text)
-    if math.isfinite(value) and not 0.0 < abs(value) <= 100.0:
-        raise ValueError("must be non-zero and lie in [-100, 100]")
+    if math.isfinite(value) and not 0.0 < abs(value) <= MAX_REL_AMPLITUDE:
+        raise ValueError(f"must be non-zero and lie in [-{MAX_REL_AMPLITUDE:g}, "
+                         f"{MAX_REL_AMPLITUDE:g}]")
     return value
 
 

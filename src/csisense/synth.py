@@ -12,11 +12,13 @@ Channel model per path p (ray sum):
 
 The time-of-flight term uses each subcarrier's absolute frequency; the
 array term uses the center wavelength only, mirroring the narrowband
-model the calibration pipeline assumes.
+model the calibration pipeline assumes.  Both synthesizers add their paths
+in one ray sum (`_sum_paths`) and finish each frame in one place (`_frame`).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +30,11 @@ from .core import (
     ChannelSpec,
     ConfigurationError,
     CsiFrame,
+    FrameValidationError,
     Pose2D,
     _ground_truth_bearings,
     _pose_arrays,
     _steering_vectors,
-    steering_vector,
     subcarrier_frequencies,
     wavelength,
     wrap_angle,
@@ -48,11 +50,21 @@ DEFAULT_MAC = bytes.fromhex("020000000001")
 # The SNRs, dB, that noise may take: wide of any real link, and narrow
 # enough that the noise stays finite in a frame's complex64 csi.
 SNR_DB_RANGE = (-100.0, 300.0)
+# The reflections a Reflection may describe: wide of any real one, and
+# narrow enough that its level stays finite in a frame's complex64 csi and
+# its phase is more than rounding noise.
+MAX_REL_AMPLITUDE = 100.0
+EXCESS_DELAY_RANGE_S = (0.0, 10e-6)
+AOA_OFFSET_RANGE = (-2.0 * np.pi, 2.0 * np.pi)
 
 
 @dataclass(frozen=True)
 class PathComponent:
-    """One propagation path: arrival/departure angles, absolute delay, gain."""
+    """One propagation path: arrival/departure angles, absolute delay, gain.
+
+    Every field must be finite, the delay non-negative and the amplitude
+    non-zero.
+    """
 
     aoa: float  # radians, arrival angle at the receiver
     aod: float = 0.0  # radians, departure angle (used when n_tx > 1)
@@ -60,6 +72,9 @@ class PathComponent:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        for name in ("aoa", "aod", "delay_s", "amplitude"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"path {name} must be finite, got {getattr(self, name)}")
         if self.delay_s < 0:
             raise ConfigurationError("path delay must be >= 0")
         if abs(self.amplitude) == 0:
@@ -68,12 +83,28 @@ class PathComponent:
 
 @dataclass(frozen=True)
 class Reflection:
-    """Scenario-level reflected path, relative to the direct path."""
+    """Scenario-level reflected path, relative to the direct path.
+
+    `rel_amplitude` is non-zero with magnitude at most MAX_REL_AMPLITUDE,
+    and `excess_delay_s` and `aoa_offset` lie in EXCESS_DELAY_RANGE_S and
+    AOA_OFFSET_RANGE, the bounds a scenario file's `[reflection.N]` keeps.
+    """
 
     aoa_offset: float  # radians added to the direct path's arrival angle
     excess_delay_s: float  # seconds added to the direct path's delay
     rel_amplitude: float  # linear gain relative to the direct path
     random_phase: bool = True  # new uniform phase each packet
+
+    def __post_init__(self):
+        if not 0.0 < abs(self.rel_amplitude) <= MAX_REL_AMPLITUDE:  # NaN compares false
+            raise ConfigurationError(
+                f"reflection rel_amplitude must be non-zero and lie in "
+                f"[-{MAX_REL_AMPLITUDE:g}, {MAX_REL_AMPLITUDE:g}], got {self.rel_amplitude:g}")
+        for name, (low, high) in (("excess_delay_s", EXCESS_DELAY_RANGE_S),
+                                  ("aoa_offset", AOA_OFFSET_RANGE)):
+            if not low <= getattr(self, name) <= high:
+                raise ConfigurationError(f"reflection {name} must lie in [{low:g}, {high:g}], "
+                                         f"got {getattr(self, name):g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,24 +173,16 @@ def synth_frame(
     alone achieves `snr_db` per element (None or +inf = noiseless; any
     other value must lie in SNR_DB_RANGE, as in a SimScenario).  RSSI is the
     noiseless mean element power referenced to REFERENCE_RSSI_DBM.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  A frame whose csi overflows complex64
+    raises ConfigurationError naming its timestamp_ns.
     """
     if not paths:
         raise ConfigurationError("need at least one path")
     _check_snr(snr_db)
-    signal = _ray_sum(paths, geom, chanspec, tx_geom)
-    rssi = _rssi_of(signal)
-    if snr_db is not None and np.isfinite(snr_db):
-        rng = np.random.default_rng(rng_seed)  # a Generator passes through unchanged
-        signal = signal + _noise_like(signal, abs(paths[0].amplitude), snr_db, rng)
-    return CsiFrame(
-        csi=signal.astype(np.complex64),
-        rssi_dbm=float(rssi),
-        source_mac=source_mac,
-        seq=seq,
-        chanspec=chanspec,
-        timestamp_ns=timestamp_ns,
-    )
+    rng = None if snr_db in (None, np.inf) else np.random.default_rng(rng_seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # as _frame asks
+        return _frame(_ray_sum(paths, geom, chanspec, tx_geom), abs(paths[0].amplitude), rng,
+                      snr_db, chanspec, source_mac, seq, timestamp_ns)
 
 
 def synth_trajectory(
@@ -176,10 +199,11 @@ def synth_trajectory(
     by pose, in this order: a uniform phase for each reflection with
     `random_phase` set (scenario order), then the common phase when
     `per_packet_phase` is set, then the noise (real parts, then imaginary
-    parts).  The direct path's distance, bearing, amplitude, steering
-    vector and time-of-flight phasors draw nothing, so they are computed
-    for all poses in one array pass first; batching them must never move
-    a draw.
+    parts).  No path's geometry draws anything: the bearing, delay,
+    steering and time-of-flight phasors of every path of every pose come
+    from one array pass first, which leaves that draw order unchanged.  A
+    pose whose path amplitude or csi overflows is refused, naming its
+    timestamp_ns.
     """
     rng = np.random.default_rng(scenario.seed)
     chanspec = scenario.chanspec
@@ -192,52 +216,37 @@ def synth_trajectory(
             raise ConfigurationError("true_calibration antenna count does not match geometry")
         bias = cal.rotor
 
-    freqs = subcarrier_frequencies(chanspec)
-    lam = wavelength(chanspec)
     tx = scenario.tx_location
     xy, heading = _pose_arrays(pose for _, pose in scenario.trajectory)
-    theta = _ground_truth_bearings(xy, heading, tx)  # raises if a pose is on tx
+    theta = _ground_truth_bearings(xy, heading, tx)[:, None]  # raises if a pose is on tx
     dist = np.hypot(xy[:, 0] - tx[0], xy[:, 1] - tx[1])
-    delay = dist / SPEED_OF_LIGHT
     level = (rssi_at(scenario.tx_power_dbm, dist, scenario.path_loss_exponent)
              - REFERENCE_RSSI_DBM) / 20.0
-    steering = _steering_vectors(theta, geom, lam)
-    tof = np.exp(-2j * np.pi * freqs * delay[:, None])
-
+    reflections = scenario.reflections
+    # (pose, path) arrays, the direct path first
+    aoa = np.hstack([theta, wrap_angle(theta + [r.aoa_offset for r in reflections])])
+    delay = (dist / SPEED_OF_LIGHT)[:, None] + [0.0, *(r.excess_delay_s for r in reflections)]
+    steering = _steering_vectors(aoa.ravel(), geom, wavelength(chanspec)).reshape(
+        *aoa.shape, geom.n_antennas)
+    tof = _tof(chanspec, delay)
+    one_tx = np.ones((aoa.shape[1], 1))
+    rows = zip(scenario.trajectory, aoa.tolist(), delay.tolist(), steering, tof)
     out = []
-    for k, (ts, pose) in enumerate(scenario.trajectory):
-        # Built, as each reflection is, so a zero amplitude is refused; its
-        # power is scalar, as np.power over an array rounds some entries
-        # differently.
-        direct = PathComponent(aoa=theta[k], delay_s=delay[k], amplitude=10.0 ** level[k])
-        amp = direct.amplitude
-        signal = _add_path(np.zeros((geom.n_antennas, 1, freqs.size), dtype=np.complex128),
-                           amp, steering[k], _NO_TX_ARRAY, tof[k])
-        for refl in scenario.reflections:
-            phase = rng.uniform(0.0, 2.0 * np.pi) if refl.random_phase else 0.0
-            path = PathComponent(
-                aoa=wrap_angle(theta[k] + refl.aoa_offset),
-                delay_s=delay[k] + refl.excess_delay_s,
-                amplitude=amp * refl.rel_amplitude * np.exp(1j * phase),
-            )
-            _add_path(signal, path.amplitude, steering_vector(path.aoa, geom, lam),
-                      _NO_TX_ARRAY, np.exp(-2j * np.pi * freqs * path.delay_s))
-        rssi = _rssi_of(signal)
-        if bias is not None:
-            signal = signal * bias
-        if scenario.per_packet_phase:
-            signal = signal * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        if scenario.snr_db is not None and np.isfinite(scenario.snr_db):
-            signal = signal + _noise_like(signal, amp, scenario.snr_db, rng)
-        frame = CsiFrame(
-            csi=signal.astype(np.complex64),
-            rssi_dbm=float(rssi),
-            source_mac=scenario.source_mac,
-            seq=k & 0xFFFF,
-            chanspec=chanspec,
-            timestamp_ns=ts,
-        )
-        out.append((pose, frame))
+    with np.errstate(over="ignore", invalid="ignore"):  # as _frame asks
+        for k, ((ts, pose), aoa_k, delay_k, rx, tof_k) in enumerate(rows):
+            # scalar, as np.power over an array rounds some entries differently
+            amp = 10.0 ** level[k]
+            phases = [rng.uniform(0.0, 2.0 * np.pi) if r.random_phase else 0.0 for r in reflections]
+            amps = [amp, *(amp * r.rel_amplitude * np.exp(1j * phase)
+                           for r, phase in zip(reflections, phases))]
+            if not all(map(cmath.isfinite, amps)):
+                raise ConfigurationError(f"pose at timestamp_ns {ts}: a path amplitude "
+                                         f"overflows the float range")
+            for a, d, g in zip(aoa_k, delay_k, amps):
+                PathComponent(aoa=a, delay_s=d, amplitude=g)  # its checks: a zero gain is refused
+            out.append((pose, _frame(_sum_paths(amps, rx, one_tx, tof_k), amp, rng,
+                                     scenario.snr_db, chanspec, scenario.source_mac,
+                                     k & 0xFFFF, ts, bias, scenario.per_packet_phase)))
     return out
 
 
@@ -267,25 +276,50 @@ def _beacons_by_channel(aps: list[ApSpec], rssi) -> dict[ChannelSpec, list[tuple
 
 
 def _ray_sum(paths, geom, chanspec, tx_geom) -> np.ndarray:
-    freqs = subcarrier_frequencies(chanspec)
+    """The noiseless ray sum (n_rx, n_tx, n_sub) of an explicit path list."""
     lam = wavelength(chanspec)
-    n_tx = tx_geom.n_antennas if tx_geom is not None else 1
-    csi = np.zeros((geom.n_antennas, n_tx, freqs.size), dtype=np.complex128)
-    for p in paths:
-        tx = steering_vector(p.aod, tx_geom, lam) if tx_geom is not None else _NO_TX_ARRAY
-        _add_path(csi, p.amplitude, steering_vector(p.aoa, geom, lam), tx,
-                  np.exp(-2j * np.pi * freqs * p.delay_s))
+    rx = _steering_vectors(np.array([p.aoa for p in paths]), geom, lam)
+    tx = (np.ones((len(paths), 1)) if tx_geom is None
+          else _steering_vectors(np.array([p.aod for p in paths]), tx_geom, lam))
+    return _sum_paths([p.amplitude for p in paths], rx, tx,
+                      _tof(chanspec, np.array([p.delay_s for p in paths])))
+
+
+def _tof(chanspec: ChannelSpec, delays: np.ndarray) -> np.ndarray:
+    """exp(-j 2 pi f delay) at every subcarrier f of each delay: (*delays.shape, n_sub)."""
+    return np.exp(-2j * np.pi * subcarrier_frequencies(chanspec) * delays[..., None])
+
+
+def _sum_paths(amplitudes, rx, tx, tof) -> np.ndarray:
+    """Sum amplitudes[p] * rx[p]_i * tx[p]_t * tof[p]_j over paths p, in order."""
+    csi = np.zeros((rx.shape[1], tx.shape[1], tof.shape[1]), dtype=np.complex128)
+    for p, amplitude in enumerate(amplitudes):
+        csi += amplitude * rx[p, :, None, None] * tx[p, None, :, None] * tof[p, None, None, :]
     return csi
 
 
-# The transmit steering of a single-antenna transmitter.
-_NO_TX_ARRAY = np.ones(1)
-
-
-def _add_path(csi, amplitude, rx, tx, tof) -> np.ndarray:
-    """Add one path's term amplitude * rx_i * tx_t * tof_j to csi in place."""
-    csi += amplitude * rx[:, None, None] * tx[None, :, None] * tof[None, None, :]
-    return csi
+def _frame(signal, direct_amp, rng, snr_db, chanspec, source_mac, seq, timestamp_ns,
+           bias=None, per_packet_phase=False) -> CsiFrame:
+    """Finish a noiseless ray sum: its RSSI, then the bias, a drawn common
+    phase, the noise and the complex64 CsiFrame.  Call it under
+    np.errstate(over="ignore", invalid="ignore"): a frame an overflow left
+    non-finite is refused, naming its timestamp."""
+    rssi = _rssi_of(signal)
+    if bias is not None:
+        signal = signal * bias
+    if per_packet_phase:
+        signal = signal * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    if snr_db is not None and np.isfinite(snr_db):
+        signal = signal + _noise_like(signal, direct_amp, snr_db, rng)
+    csi = signal.astype(np.complex64)
+    try:
+        return CsiFrame(csi=csi, rssi_dbm=float(rssi), source_mac=source_mac, seq=seq,
+                        chanspec=chanspec, timestamp_ns=timestamp_ns)
+    except FrameValidationError:
+        if np.isfinite(csi.view(np.float32)).all():
+            raise
+        raise ConfigurationError(f"frame at timestamp_ns {timestamp_ns}: csi overflows "
+                                 f"complex64") from None
 
 
 def _rssi_of(signal) -> float:

@@ -403,6 +403,24 @@ class TestSpotfi:
         with pytest.raises(UnsupportedGeometryError):
             spotfi_estimate(frame, square_geom, cfg)
 
+    def test_profile_refuses_a_non_ula(self, square_geom, chan80, cfg):
+        # on the 0.45 lambda square it would peak at -27 deg for this 28.6 deg path
+        frame = single_path_frame(square_geom, chan80, 0.5)
+        with pytest.raises(UnsupportedGeometryError, match="requires a uniform linear array"):
+            spotfi_profile([frame], square_geom, cfg)
+
+    def test_one_antenna_rejected(self, chan80, cfg):
+        geom = ArrayGeometry(np.zeros((1, 2)))
+        frame = single_path_frame(geom, chan80, 0.3)
+        with pytest.raises(UnsupportedGeometryError,
+                           match="^spatial smoothing needs at least two antennas$"):
+            spotfi_estimate(frame, geom, cfg)
+
+    def test_smoothing_that_leaves_no_noise_subspace_rejected(self, chan80):
+        cfg = AoaConfig(algorithm="spotfi", smoothing=(1, 2), n_sources=2)
+        with pytest.raises(ConfigurationError, match="^source count leaves no noise subspace$"):
+            aoa.spotfi_smoothing_dims(4, chan80, cfg)
+
     def test_window_stacks_every_frames_snapshots(self, ula_geom, chan80):
         cfg = AoaConfig(theta_grid=np.radians(np.arange(-89.0, 90.0, 2.0)), n_sources=2,
                         algorithm="spotfi", window=3)

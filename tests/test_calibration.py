@@ -83,6 +83,17 @@ class TestSuppressBearing:
         assert np.allclose(np.abs(sup), np.abs(frame.csi[:, 0, :]), rtol=1e-6)
 
 
+    @pytest.mark.parametrize("n_rx,tx_index,message", [
+        (3, 0, "frame has 3 antennas, geometry has 4"),
+        (4, 1, "tx index 1 out of range"),
+    ], ids=["antennas", "tx-index"])
+    def test_frame_must_fit(self, square_geom, chan80, n_rx, tx_index, message):
+        geom = ArrayGeometry(square_geom.positions[:n_rx])
+        frame = synth_frame([PathComponent(aoa=0.4)], geom, chan80)
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            suppress_bearing(frame, Pose2D(1, 1, 0), (0, 0), square_geom, tx_index)
+
+
 class TestCoarseCalibration:
     def test_rank_one_recovers_phase_up_to_constant(self, rng):
         phi = rng.uniform(-np.pi, np.pi, (4, 52))
@@ -107,6 +118,10 @@ class TestCoarseCalibration:
     def test_all_zero_rejected(self):
         with pytest.raises(CalibrationError):
             coarse_calibration([np.zeros((2, 5), complex)] * 4)
+
+    def test_snapshot_shapes_must_match(self):
+        with pytest.raises(CalibrationError, match="^snapshots must share one shape$"):
+            coarse_calibration([np.ones((2, 5), complex), np.ones((2, 4), complex)])
 
 
 def pipeline_snapshots(chan, geom, n_pairs=120, seed=31):

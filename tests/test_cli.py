@@ -1291,6 +1291,36 @@ class TestRadioLevelBound:
         assert not (tmp_path / "w.csv").exists()
 
 
+class TestPoseNextToTransmitter:
+    """A pose so near the transmitter that its path level or its csi
+    overflows exits 2 with one line naming the pose's timestamp_ns, warns
+    of nothing and writes no capture.
+
+    In-process, tier-1 turns a RuntimeWarning into an error, so an
+    overflow on the way to the refusal fails these tests.
+    """
+
+    @pytest.mark.parametrize("x,power_dbm,exponent,message", [
+        ("1e-9", "50", "10", "frame at timestamp_ns 1000: csi overflows complex64"),
+        ("1e-300", "-30", "2.2",
+         "pose at timestamp_ns 1000: a path amplitude overflows the float range"),
+    ])
+    def test_refused_naming_the_pose(self, tmp_path, capsys, x, power_dbm, exponent,
+                                     message):
+        poses = tmp_path / "near.csv"
+        poses.write_text(f"timestamp_ns,x,y,theta\n0,1,0,0\n1000,{x},0,0\n")
+        argv = _trajectory_argv(tmp_path, "simulate", kind="file", file=str(poses))
+        scenario = tmp_path / "traj.ini"
+        text = _with_key(scenario.read_text(), "transmitter", "power_dbm", power_dbm)
+        scenario.write_text(_with_key(text, "simulation", "path_loss_exponent", exponent))
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: data: {message}"]
+        assert "Warning" not in captured.out + captured.err
+        assert not (tmp_path / "c.wcap").exists() and not (tmp_path / "p.csv").exists()
+
+
 # A [reflection.1] section that `simulate` accepts.
 _REFLECTION = {"aoa_offset_deg": "30", "excess_delay_ns": "8", "rel_amplitude": "0.7"}
 

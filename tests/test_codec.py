@@ -140,6 +140,12 @@ class TestDecodeErrors:
         with pytest.raises(TruncatedFrameError):
             decode_frame(b"\x00" * (HEADER_SIZE - 1))
 
+    def test_nan_payload_rejected(self, rng):
+        buf = bytearray(encode_frame(random_frame(rng)))
+        buf[-4:] = np.float32(np.nan).tobytes()
+        with pytest.raises(FrameFormatError, match="^csi entries must be finite$"):
+            decode_frame(bytes(buf))
+
     @pytest.mark.parametrize("at,value,message", [
         (5, b"\x00", "antenna counts out of range: rx=0 tx=1"),
         (8, b"\x00\x00", "channel number 0 out of range"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csisense import (
+    ChannelSpec,
     ConfigurationError,
     DegenerateGeometryError,
     PathComponent,
@@ -165,6 +166,17 @@ class TestSynthTrajectory:
             _scenario(chan80, square_geom,
                       trajectory=[(0, Pose2D(1, 0, 0)), (0, Pose2D(2, 0, 0))])
 
+    @pytest.mark.parametrize("cal,message", [
+        (random_bias(ChannelSpec(42, 80), 4, 1),
+         "true_calibration chanspec does not match scenario"),
+        (random_bias(ChannelSpec(155, 80), 3, 1),
+         "true_calibration antenna count does not match geometry"),
+    ], ids=["channel", "antennas"])
+    def test_true_calibration_must_fit(self, chan80, square_geom, cal, message):
+        scen = _scenario(chan80, square_geom, true_calibration=cal)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            synth_trajectory(scen, square_geom)
+
 
 def direct_and_reflections(scen, pose, phases):
     """The path list of one pose, built one pose at a time from the scalar functions."""
@@ -235,6 +247,60 @@ class TestBatchedTrajectory:
 
     def test_empty_trajectory_gives_no_frames(self, chan80, square_geom):
         assert synth_trajectory(_scenario(chan80, square_geom, trajectory=[]), square_geom) == []
+
+
+class TestPathBounds:
+    """`PathComponent` and `Reflection` refuse a field outside its bound with
+    ConfigurationError naming the field.
+
+    Tier-1 turns a RuntimeWarning into an error, so an overflow on the way
+    to a refusal fails these tests.
+    """
+
+    def test_negative_delay(self):
+        with pytest.raises(ConfigurationError, match="^path delay must be >= 0$"):
+            PathComponent(aoa=0.1, delay_s=-1e-9)
+
+    @pytest.mark.parametrize("name", ["aoa", "aod", "delay_s", "amplitude"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_path_field_not_finite(self, name, value):
+        fields = {"aoa": 0.1, name: value}
+        with pytest.raises(ConfigurationError, match=f"^path {name} must be finite, got "):
+            PathComponent(**fields)
+
+    @pytest.mark.parametrize("name,value,bounds", [
+        ("rel_amplitude", np.nan, "must be non-zero and lie in [-100, 100], got nan"),
+        ("rel_amplitude", 1e300, "must be non-zero and lie in [-100, 100], got 1e+300"),
+        ("rel_amplitude", -np.inf, "must be non-zero and lie in [-100, 100], got -inf"),
+        ("rel_amplitude", 0.0, "must be non-zero and lie in [-100, 100], got 0"),
+        ("excess_delay_s", np.nan, "must lie in [0, 1e-05], got nan"),
+        ("excess_delay_s", -1e-12, "must lie in [0, 1e-05], got -1e-12"),
+        ("excess_delay_s", 2e-5, "must lie in [0, 1e-05], got 2e-05"),
+        ("aoa_offset", np.inf, "must lie in [-6.28319, 6.28319], got inf"),
+        ("aoa_offset", -7.0, "must lie in [-6.28319, 6.28319], got -7"),
+    ])
+    def test_reflection_field_out_of_bounds(self, name, value, bounds):
+        fields = {"aoa_offset": 0.5, "excess_delay_s": 10e-9, "rel_amplitude": 0.5,
+                  name: value}
+        with pytest.raises(ConfigurationError, match=re.escape(f"reflection {name} {bounds}")):
+            Reflection(**fields)
+
+    def test_reflection_bounds_are_inclusive_and_the_scenario_file_keeps_them(self):
+        assert synth.MAX_REL_AMPLITUDE == 100.0
+        Reflection(aoa_offset=-2 * np.pi, excess_delay_s=1e-5, rel_amplitude=-100.0)
+        Reflection(aoa_offset=2 * np.pi, excess_delay_s=0.0, rel_amplitude=100.0)
+        assert np.radians(scenario_module._aoa_offset_deg("360")) == synth.AOA_OFFSET_RANGE[1]
+        assert scenario_module._excess_delay_ns("10000") * 1e-9 == synth.EXCESS_DELAY_RANGE_S[1]
+        with pytest.raises(ValueError, match=re.escape("must lie in [-360, 360]")):
+            scenario_module._aoa_offset_deg("-360.5")
+        with pytest.raises(ValueError, match=re.escape("must lie in [0, 10000]")):
+            scenario_module._excess_delay_ns("10000.5")
+
+    def test_frame_overflowing_complex64_names_its_timestamp(self, square_geom, chan80):
+        with pytest.raises(ConfigurationError,
+                           match="^frame at timestamp_ns 7: csi overflows complex64$"):
+            synth_frame([PathComponent(aoa=0.3, amplitude=1e39)], square_geom, chan80,
+                        snr_db=20.0, rng_seed=1, timestamp_ns=7)
 
 
 class TestSnrBound:

@@ -22,7 +22,12 @@ The calls, per seed:
 - `decode`, and `profile` of frames 7 and 2, on fault captures made from
   the first 40 records of the ingest capture: intact, cut inside frame
   5's length prefix, with capture version 2, cut to 10 bytes, and with
-  frame 7's magic overwritten.
+  frame 7's magic overwritten;
+- `simulate` on scenarios that reach every branch of the simulator, each
+  with two reflections, one of them with `random_phase = false`: as they
+  are, with `snr_db = none`, with `per_packet_phase = false`, with
+  `bias = zero`, and on loop and line trajectories with a `linear-x`
+  array.
 
 `--compare A B` lists the entries that differ between two such
 directories and, for the kept text entries, the rows that differ.  It
@@ -48,6 +53,27 @@ REPO = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 7, 101)
 WINDOWS = (1, 4, 8)
 TEXT_SUFFIXES = (".csv", "/stdout", "/stderr")
+# The simulate call set: a base scenario and, per call, the sections it replaces.
+SIMULATION = {"snr_db": 30, "per_packet_phase": "true", "bias": "random"}
+SIM_BASE = {
+    "channel": {"channel": 155, "bandwidth": 80},
+    "transmitter": {"x": 3.0, "y": 4.0, "power_dbm": -30},
+    "array": {"layout": "square", "spacing_m": 0.0233},
+    "simulation": SIMULATION,
+    "trajectory": {"kind": "disc", "radius_m": 5.0},
+    "reflection.1": {"aoa_offset_deg": 40, "excess_delay_ns": 25, "rel_amplitude": 0.5},
+    "reflection.2": {"aoa_offset_deg": -70, "excess_delay_ns": 60, "rel_amplitude": -0.3,
+                     "random_phase": "false"},
+}
+LINEAR_X = {"layout": "linear-x", "count": 3, "spacing": "half-wavelength"}
+SIM_CALLS = {
+    "reflections": {},
+    "noiseless": {"simulation": {**SIMULATION, "snr_db": "none"}},
+    "fixed-phase": {"simulation": {**SIMULATION, "per_packet_phase": "false"}},
+    "zero-bias": {"simulation": {**SIMULATION, "bias": "zero"}},
+    "loop-linear-x": {"array": LINEAR_X, "trajectory": {"kind": "loop", "length_m": 8.0}},
+    "line-linear-x": {"array": LINEAR_X, "trajectory": {"kind": "line", "y0": -1.0}},
+}
 MAX_ROWS_SHOWN = 20  # differing rows shown per entry
 
 
@@ -106,6 +132,23 @@ def _extra_calls(name: str, work: Path, meta: dict) -> list[tuple[str, list[str]
                    ["profile", "--capture", capture, "--index", str(index), "--calibration",
                     str(work / meta["calibration"]),
                     "--out", str(work / f"fault-{fault}-{index}.pgm")]) for index in (7, 2)]
+    return calls
+
+
+def _simulate_calls(work: Path, seed: int, tiny: bool) -> list[tuple[str, list[str]]]:
+    """Write the simulate call set's scenarios to `work`; its calls as (label, argv)."""
+    calls = []
+    for label, changes in SIM_CALLS.items():
+        sections = {**SIM_BASE, **changes}
+        sections["simulation"] = {**sections["simulation"], "seed": seed}
+        sections["trajectory"] = {**sections["trajectory"], "n": 12 if tiny else 300}
+        (work / f"{label}.ini").write_text("".join(
+            f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+            for name, keys in sections.items()))
+        calls.append((f"simulate-{label}",
+                      ["simulate", "--scenario", str(work / f"{label}.ini"),
+                       "--capture", str(work / f"{label}.wcap"),
+                       "--poses", str(work / f"{label}.poses.csv")]))
     return calls
 
 
@@ -170,6 +213,14 @@ def run(out: Path, root: Path, seeds, tiny: bool) -> dict[str, str]:
                     rec.call(f"pass{k}-{step.command}", step.argv, run_cli)
                 for label, argv in _extra_calls(name, work, meta):
                     rec.call(label, argv, run_cli)
+        with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
+            work = Path(tmp)
+            rec = _Recorder(work, f"seed{seed}/simulate", entries, out / "files")
+            calls = _simulate_calls(work, seed, tiny)
+            for rel, data in rec.snapshot().items():
+                rec.add(f"setup/{rel}", data)
+            for label, argv in calls:
+                rec.call(label, argv, run_cli)
     manifest = {"seeds": list(seeds), "tiny": tiny, "entries": dict(sorted(entries.items()))}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     return manifest["entries"]
