@@ -84,6 +84,7 @@ spectrum (more sources asked for than the frame has paths).
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -150,11 +151,15 @@ def build_grids(
         raise ConfigurationError("theta_step_deg and dist_step_m must be positive")
     n_theta = _arange_length(theta_min_deg, theta_max_deg + 1e-9, theta_step_deg)
     n_dist = _arange_length(0.0, dist_max_m + 1e-9, dist_step_m)
+    _check_grid_cells(n_theta, n_dist)
+    theta = np.radians(np.arange(theta_min_deg, theta_max_deg + 1e-9, theta_step_deg))
+    return theta, np.arange(0.0, dist_max_m + 1e-9, dist_step_m)
+
+
+def _check_grid_cells(n_theta: float, n_dist: float) -> None:
     if n_theta * n_dist > MAX_GRID_CELLS:
         raise ConfigurationError(f"the grids hold {n_theta:.4g} bearings x {n_dist:.4g} "
                                  f"distances; at most {MAX_GRID_CELLS} cells are allowed")
-    theta = np.radians(np.arange(theta_min_deg, theta_max_deg + 1e-9, theta_step_deg))
-    return theta, np.arange(0.0, dist_max_m + 1e-9, dist_step_m)
 
 
 def _arange_length(start: float, stop: float, step: float) -> float:
@@ -183,17 +188,29 @@ class AoaConfig:
             raise ConfigurationError("theta grid must be non-empty and increasing")
         if self.dist_grid.size == 0 or not _strictly_increasing(self.dist_grid):
             raise ConfigurationError("distance grid must be non-empty and increasing")
+        _check_grid_cells(self.theta_grid.size, self.dist_grid.size)
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        _check_averaging_window(self.window)
+        self.window = _check_averaging_window(self.window)
+        self.n_sources = _integer("source count", self.n_sources)
         if self.n_sources < 1:
             raise ConfigurationError("source count must be >= 1")
 
 
-def _check_averaging_window(window: int) -> None:
-    """Refuse a window outside 1 to `MAX_WINDOW` frames."""
+def _check_averaging_window(window: int) -> int:
+    """The window as an int; refuse one that is not an integer 1 to `MAX_WINDOW` frames."""
+    window = _integer("averaging window", window)
     if not 1 <= window <= MAX_WINDOW:
         raise ConfigurationError(f"averaging window must be 1 to {MAX_WINDOW} frames, got {window}")
+    return window
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int, through operator.index: a NumPy integer will do, a float will not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 class PathEstimate(NamedTuple):
@@ -559,7 +576,7 @@ def average_profiles(profiles: list[Profile2D], window: int) -> Profile2D:
     """
     if not profiles:
         raise ConfigurationError("no profiles to average")
-    _check_averaging_window(window)
+    window = _check_averaging_window(window)
     first, *rest = profiles[-window:]
     total = np.array(first.values, dtype=np.float64)
     for profile in rest:
@@ -689,13 +706,17 @@ def triangulate(
     to all rays.  Also returns the RMS perpendicular residual.
 
     Raises DegenerateGeometryError for fewer than two rays or an
-    all-parallel bundle.
+    all-parallel bundle, and ConfigurationError, naming the observation's
+    index, for a bearing or pose field that is NaN or infinite.
     """
     if len(observations) < 2:
         raise DegenerateGeometryError("need at least two bearing observations")
     normals = np.empty((len(observations), 2))
     offsets = np.empty(len(observations))
     for k, (pose, bearing) in enumerate(observations):
+        if not all(map(math.isfinite, (bearing, pose.x, pose.y, pose.theta))):
+            raise ConfigurationError(f"observation {k}: bearing and pose must be finite, "
+                                     f"got bearing {bearing} at {pose}")
         # Invert the bearing convention: the world azimuth of the
         # sensor->target direction.
         azimuth = wrap_angle(np.pi / 2.0 - bearing + pose.theta + np.pi)

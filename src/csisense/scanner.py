@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ChannelSpec, ConfigurationError, CsiSenseError, Pose2D, _pose_arrays
-from .synth import SimScenario, _beacon_rssi, _beacons_by_channel
+from .synth import SimScenario, _beacon_rssi
 
 
 class ScannerError(CsiSenseError):
@@ -143,21 +143,21 @@ def step(
     if now_ns - state.last_scan_ns >= int(policy.scan_period_s * 1e9):
         return Rescan()
 
+    # one pass; as in max(), only a strictly greater RSSI replaces a kept record
     stale_ns = int(policy.stale_timeout_s * 1e9)
-    fresh = [r for r in state.records.values() if now_ns - r.last_seen_ns <= stale_ns]
-    current = [r for r in fresh if r.chanspec == state.current_chanspec]
-    others = [r for r in fresh if r.chanspec != state.current_chanspec]
+    current = other = None
+    for r in state.records.values():
+        if now_ns - r.last_seen_ns <= stale_ns:
+            if r.chanspec == state.current_chanspec:
+                if current is None or r.last_rssi_dbm > current.last_rssi_dbm:
+                    current = r
+            elif other is None or r.last_rssi_dbm > other.last_rssi_dbm:
+                other = r
 
-    if not current:
-        if others:
-            return Switch(max(others, key=lambda r: r.last_rssi_dbm).chanspec)
-        return Rescan()
-
-    cur_best = max(current, key=lambda r: r.last_rssi_dbm)
-    if others:
-        other_best = max(others, key=lambda r: r.last_rssi_dbm)
-        if other_best.last_rssi_dbm >= cur_best.last_rssi_dbm + policy.switch_margin_db:
-            return Switch(other_best.chanspec)
+    if current is None:
+        return Rescan() if other is None else Switch(other.chanspec)
+    if other is not None and other.last_rssi_dbm >= current.last_rssi_dbm + policy.switch_margin_db:
+        return Switch(other.chanspec)
     return Stay()
 
 
@@ -193,35 +193,43 @@ def run_walkthrough(scenario: SimScenario, policy: ScanPolicy) -> WalkthroughRes
     Every beacon level the walk hears is computed up front, as one
     (poses x APs) RSSI matrix (`synth._beacon_rssi`); a step reads its
     row.  The nearest AP is the strongest in the row, the earliest in
-    `scenario.aps` on ties.
+    `scenario.aps` on ties.  One table, built once, maps each channel (in
+    order of first appearance) to its APs' indices; steps, sweeps and the
+    tuned RSSI read it.
     """
     aps = scenario.aps
-    if len({ap.chanspec for ap in aps}) < 2:
+    channels: dict[ChannelSpec, list[int]] = {}
+    for i, ap in enumerate(aps):
+        channels.setdefault(ap.chanspec, []).append(i)
+    if len(channels) < 2:
         raise ScannerError("walkthrough needs at least 2 APs on distinct channels")
     positions, _heading = _pose_arrays(pose for _, pose in scenario.trajectory)
     levels = _beacon_rssi(aps, positions, scenario.path_loss_exponent)
     nearest = np.argmax(levels, axis=1).tolist()  # first maximum: the earliest AP on ties
+
+    def beacons(row, chanspec):
+        return [(aps[i].mac, row[i]) for i in channels[chanspec]]
+
+    def sweep(row):
+        return {chanspec: beacons(row, chanspec) for chanspec in channels}
+
     rssi = levels.tolist()
     t0 = scenario.trajectory[0][0]
-
-    records, downtime = scan_all(_beacons_by_channel(aps, rssi[0]), policy, t0)
+    records, downtime_ns = scan_all(sweep(rssi[0]), policy, t0)
     state = ScannerState(current_chanspec=records[0].chanspec,
                          records={r.mac: r for r in records},
                          last_scan_ns=t0)
-    downtime_ns = downtime
     switch_count = 0
     scan_count = 1
 
     log: list[WalkthroughEntry] = []
     matched = 0
     transitions = 0
-    for k, (ts, pose) in enumerate(scenario.trajectory):
-        env = _beacons_by_channel(aps, rssi[k])
-        heard = env.get(state.current_chanspec, [])
-        action = step(state, heard, policy, ts)
+    for k, ((ts, pose), row) in enumerate(zip(scenario.trajectory, rssi)):
+        action = step(state, beacons(row, state.current_chanspec), policy, ts)
         label = "stay"
         if isinstance(action, Rescan):
-            records, dt = scan_all(env, policy, ts)
+            records, dt = scan_all(sweep(row), policy, ts)
             state.records = {r.mac: r for r in records}
             state.last_scan_ns = ts
             downtime_ns += dt
@@ -235,8 +243,7 @@ def run_walkthrough(scenario: SimScenario, policy: ScanPolicy) -> WalkthroughRes
             label = "switch" if label == "stay" else "rescan+switch"
 
         nearest_ap = aps[nearest[k]]
-        tuned_rssi = max((level for _mac, level in env.get(state.current_chanspec, [])),
-                         default=float("-inf"))
+        tuned_rssi = max(row[i] for i in channels[state.current_chanspec])
         entry = WalkthroughEntry(
             time_s=ts / 1e9, pose=pose, tuned=state.current_chanspec,
             nearest=nearest_ap.chanspec, rssi_dbm=tuned_rssi, action=label,
@@ -244,7 +251,7 @@ def run_walkthrough(scenario: SimScenario, policy: ScanPolicy) -> WalkthroughRes
         log.append(entry)
         if entry.tuned == entry.nearest:
             matched += 1
-        elif rssi[k][nearest[k]] - tuned_rssi < policy.switch_margin_db:
+        elif row[nearest[k]] - tuned_rssi < policy.switch_margin_db:
             transitions += 1
 
     denom = max(len(log) - transitions, 1)

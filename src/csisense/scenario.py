@@ -89,6 +89,8 @@ from .synth import (
     DEFAULT_MAC,
     EXCESS_DELAY_RANGE_S,
     MAX_REL_AMPLITUDE,
+    PATH_LOSS_EXPONENT_RANGE,
+    POWER_DBM_RANGE,
     SNR_DB_RANGE,
     ApSpec,
     Reflection,
@@ -307,8 +309,8 @@ def _within(low: float, high: float):
     return convert
 
 
-_power_dbm = _within(-150.0, 50.0)
-_path_loss_exponent = _within(0.0, 10.0)
+_power_dbm = _within(*POWER_DBM_RANGE)
+_path_loss_exponent = _within(*PATH_LOSS_EXPONENT_RANGE)
 _excess_delay_ns = _within(*(1e9 * bound for bound in EXCESS_DELAY_RANGE_S))
 _aoa_offset_deg = _within(*np.degrees(AOA_OFFSET_RANGE))
 _snr_db = _within(*SNR_DB_RANGE)

@@ -19,11 +19,13 @@ in one ray sum (`_sum_paths`) and finish each frame in one place (`_frame`).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
+    MAX_COORDINATE_M,
     SPEED_OF_LIGHT,
     ArrayGeometry,
     CalibrationMatrix,
@@ -45,6 +47,12 @@ from .core import (
 REFERENCE_RSSI_DBM = -30.0
 
 DEFAULT_PATH_LOSS_EXPONENT = 2.2
+# The powers, dBm 1 m from a transmitter or an AP, that ApSpec, SimScenario
+# and a scenario file take, and the path-loss exponents a scenario file
+# takes: wide of any real link, and narrow enough that no path level over-
+# or underflows for poses 0.5 m to MAX_COORDINATE_M away.
+POWER_DBM_RANGE = (-150.0, 50.0)
+PATH_LOSS_EXPONENT_RANGE = (0.0, 10.0)
 
 DEFAULT_MAC = bytes.fromhex("020000000001")
 # The SNRs, dB, that noise may take: wide of any real link, and narrow
@@ -100,16 +108,17 @@ class Reflection:
             raise ConfigurationError(
                 f"reflection rel_amplitude must be non-zero and lie in "
                 f"[-{MAX_REL_AMPLITUDE:g}, {MAX_REL_AMPLITUDE:g}], got {self.rel_amplitude:g}")
-        for name, (low, high) in (("excess_delay_s", EXCESS_DELAY_RANGE_S),
-                                  ("aoa_offset", AOA_OFFSET_RANGE)):
-            if not low <= getattr(self, name) <= high:
-                raise ConfigurationError(f"reflection {name} must lie in [{low:g}, {high:g}], "
-                                         f"got {getattr(self, name):g}")
+        _check_range("reflection excess_delay_s", self.excess_delay_s, EXCESS_DELAY_RANGE_S)
+        _check_range("reflection aoa_offset", self.aoa_offset, AOA_OFFSET_RANGE)
 
 
 @dataclass(frozen=True, eq=False)
 class ApSpec:
-    """One access point in the simulated environment."""
+    """One access point in the simulated environment.
+
+    Its location lies within MAX_COORDINATE_M of the origin on each axis
+    and its power in POWER_DBM_RANGE.
+    """
 
     location: np.ndarray  # (2,) meters
     chanspec: ChannelSpec
@@ -118,11 +127,20 @@ class ApSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "location", np.asarray(self.location, dtype=np.float64))
+        _check_location("ap location", self.location)
+        _check_range("ap tx_power_dbm", self.tx_power_dbm, POWER_DBM_RANGE)
 
 
 @dataclass(eq=False)
 class SimScenario:
-    """Everything needed to synthesize a dataset or a scanner walkthrough."""
+    """Everything needed to synthesize a dataset or a scanner walkthrough.
+
+    The transmitter lies within MAX_COORDINATE_M of the origin on each
+    axis, every pose is finite, the power lies in POWER_DBM_RANGE and the
+    path-loss exponent is finite.  An exponent outside the scenario file's
+    PATH_LOSS_EXPONENT_RANGE is kept: a path level it under- or overflows
+    is refused by `synth_trajectory`, naming its pose.
+    """
 
     tx_location: np.ndarray  # (2,) meters
     chanspec: ChannelSpec
@@ -139,10 +157,20 @@ class SimScenario:
 
     def __post_init__(self):
         self.tx_location = np.asarray(self.tx_location, dtype=np.float64)
-        stamps = [ts for ts, _ in self.trajectory]
+        _check_location("tx_location", self.tx_location)
+        stamps = []
+        for ts, pose in self.trajectory:
+            if not (math.isfinite(pose.x) and math.isfinite(pose.y) and math.isfinite(pose.theta)):
+                raise ConfigurationError(f"trajectory pose at timestamp_ns {ts} must be finite, "
+                                         f"got {pose}")
+            stamps.append(ts)
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ConfigurationError("trajectory timestamps must be strictly increasing")
         _check_snr(self.snr_db)
+        _check_range("tx_power_dbm", self.tx_power_dbm, POWER_DBM_RANGE)
+        if not math.isfinite(self.path_loss_exponent):
+            raise ConfigurationError(f"path_loss_exponent must be finite, "
+                                     f"got {self.path_loss_exponent}")
 
 
 def rssi_at(ap_power_dbm: float, distance_m: float,
@@ -267,14 +295,6 @@ def _beacon_rssi(aps: list[ApSpec], positions: np.ndarray, exponent: float) -> n
     return rssi_at(powers, np.maximum(dist, 1e-6), exponent)
 
 
-def _beacons_by_channel(aps: list[ApSpec], rssi) -> dict[ChannelSpec, list[tuple[bytes, float]]]:
-    """One position's beacons, {chanspec: [(mac, rssi)]}, APs in scenario order."""
-    obs: dict[ChannelSpec, list[tuple[bytes, float]]] = {}
-    for ap, level in zip(aps, rssi):
-        obs.setdefault(ap.chanspec, []).append((ap.mac, level))
-    return obs
-
-
 def _ray_sum(paths, geom, chanspec, tx_geom) -> np.ndarray:
     """The noiseless ray sum (n_rx, n_tx, n_sub) of an explicit path list."""
     lam = wavelength(chanspec)
@@ -329,6 +349,20 @@ def _rssi_of(signal) -> float:
     return REFERENCE_RSSI_DBM + 10.0 * np.log10(power)
 
 
+def _check_range(name: str, value: float, bounds: tuple[float, float]) -> None:
+    """Refuse a value outside [low, high]; NaN compares false, so it is refused too."""
+    low, high = bounds
+    if not low <= value <= high:
+        raise ConfigurationError(f"{name} must lie in [{low:g}, {high:g}], got {value:g}")
+
+
+def _check_location(name: str, location: np.ndarray) -> None:
+    """Refuse a location that is not finite or lies beyond MAX_COORDINATE_M on an axis."""
+    if not np.all(np.abs(location) <= MAX_COORDINATE_M):  # NaN compares false
+        raise ConfigurationError(f"{name} must be finite and within {MAX_COORDINATE_M:g} m "
+                                 f"of the origin on each axis, got {location.tolist()}")
+
+
 def _check_snr(snr_db: float | None) -> None:
     """Refuse an SNR that is not None, +inf (both noiseless) or within SNR_DB_RANGE."""
     low, high = SNR_DB_RANGE
@@ -338,6 +372,8 @@ def _check_snr(snr_db: float | None) -> None:
 
 
 def _noise_like(signal, direct_amp, snr_db, rng) -> np.ndarray:
-    sigma2 = (direct_amp ** 2) * 10.0 ** (-snr_db / 10.0)
+    # squared as a numpy float, with the same C pow: an overflow gives inf,
+    # which _frame refuses, where a Python float raises OverflowError
+    sigma2 = (np.float64(direct_amp) ** 2) * 10.0 ** (-snr_db / 10.0)
     scale = np.sqrt(sigma2 / 2.0)
     return scale * (rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,48 @@ class TestAoaConfig:
         theta, dist = build_grids(theta_min_deg=0.0, theta_max_deg=1023.0,
                                   dist_max_m=4095.0, dist_step_m=1.0)
         assert theta.size * dist.size == aoa.MAX_GRID_CELLS
+
+
+    @pytest.mark.parametrize("window", [2.5, np.float64(4.0), "4", np.nan],
+                             ids=["float", "float64", "str", "nan"])
+    def test_window_must_be_an_integer(self, window):
+        message = f"^averaging window must be an integer, got {re.escape(repr(window))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            AoaConfig(window=window)
+        profile = Profile2D(np.ones((3, 2)), np.arange(3.0), np.arange(2.0))
+        with pytest.raises(ConfigurationError, match=message):
+            average_profiles([profile, profile], window)
+
+    @pytest.mark.parametrize("algorithm", ["music", "spotfi"])
+    def test_source_count_must_be_an_integer(self, algorithm):
+        with pytest.raises(ConfigurationError,
+                           match="^source count must be an integer, got 1.5$"):
+            AoaConfig(algorithm=algorithm, n_sources=1.5)
+
+    @pytest.mark.parametrize("algorithm", aoa.ALGORITHMS)
+    def test_numpy_integers_are_taken_as_ints(self, ula_geom, chan80, algorithm):
+        frames = np.stack([single_path_frame(ula_geom, chan80, theta, snr_db=20.0, seed=k).csi
+                           for k, theta in enumerate(np.linspace(0.2, 1.2, 6))])
+        cfg = AoaConfig(algorithm=algorithm, window=np.int64(4), n_sources=np.int64(1))
+        assert (type(cfg.window), type(cfg.n_sources)) == (int, int)
+        bearings = bearing_csi_estimator(ula_geom, cfg)(chan80, frames)
+        expected = bearing_csi_estimator(ula_geom, AoaConfig(algorithm=algorithm, window=4))(
+            chan80, frames)
+        assert all(np.array_equal(a, b) for a, b in zip(bearings, expected))
+        profile = Profile2D(np.ones((3, 2)), np.arange(3.0), np.arange(2.0))
+        assert average_profiles([profile] * 3, np.int64(2)) == average_profiles([profile] * 3, 2)
+
+    def test_grid_cells_bounded_in_the_config(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "the grids hold 5000 bearings x 1000 distances; at most 4194304 cells")):
+            AoaConfig(theta_grid=np.linspace(-np.pi, np.pi, 5000), dist_grid=np.arange(1000.0))
+        AoaConfig(theta_grid=np.arange(1024.0), dist_grid=np.arange(4096.0))
+
+    def test_unknown_algorithm_and_no_source_refused(self):
+        with pytest.raises(ConfigurationError, match="^unknown algorithm 'capon'$"):
+            AoaConfig(algorithm="capon")
+        with pytest.raises(ConfigurationError, match="^source count must be >= 1$"):
+            AoaConfig(n_sources=0)
 
 
 class TestBartlett:
@@ -734,6 +777,10 @@ class TestAveraging:
         with pytest.raises(ConfigurationError, match=message):
             average_profiles([profile], window)
 
+    def test_no_profiles_refused(self):
+        with pytest.raises(ConfigurationError, match="^no profiles to average$"):
+            average_profiles([], 1)
+
     def test_averager_rejects_grid_mismatch(self, square_geom, chan80, cfg):
         frames = [single_path_frame(square_geom, chan80, 0.5, snr_db=5.0, seed=s)
                   for s in range(3)]
@@ -937,6 +984,19 @@ class TestTriangulate:
         assert np.linalg.norm(point - target) < 0.3
 
 
+    @pytest.mark.parametrize("k,pose,bearing", [
+        (0, Pose2D(0.0, 0.0, 0.0), np.nan), (1, Pose2D(1.0, 0.0, 0.0), np.inf),
+        (1, Pose2D(np.nan, 0.0, 0.0), 0.3), (1, Pose2D(1.0, -np.inf, 0.0), 0.3),
+        (1, Pose2D(1.0, 0.0, np.nan), 0.3)])
+    def test_non_finite_observation_refused(self, k, pose, bearing):
+        obs = [(Pose2D(0.0, 0.0, 0.0), 0.1), (Pose2D(1.0, 0.0, 0.0), 0.3),
+               (Pose2D(0.0, 1.0, 0.0), 1.0)]
+        obs[k] = (pose, bearing)
+        with pytest.raises(ConfigurationError,
+                           match=f"^observation {k}: bearing and pose must be finite, got "):
+            triangulate(obs)
+
+
 class TestProfilePgm:
     def test_round_trip_reconstructs_unique_peak_exactly(self, tmp_path, rng):
         # argmax survives 8-bit scaling whenever the peak is unique by
@@ -972,6 +1032,23 @@ class TestProfilePgm:
         write_profile_pgm(path, profile)
         image, _, _, _ = read_profile_pgm(path)
         assert np.all(image == 255)
+
+
+    @pytest.mark.parametrize("header,message", [
+        (b"P2\n2 3\n255\n", "not a binary PGM file"),
+        (b"P5\n2 3\n65535\n", "expected 8-bit PGM")])
+    def test_other_images_refused(self, tmp_path, header, message):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            read_profile_pgm(path)
+
+
+def test_spotfi_refuses_antennas_too_close_to_tell_apart():
+    # distinct to ArrayGeometry (1e-10 m apart), equal to the ULA check
+    geom = ArrayGeometry(positions=[[0.0, 0.0], [1e-10, 0.0], [2e-10, 0.0]])
+    with pytest.raises(UnsupportedGeometryError, match="^array spacing must be non-zero$"):
+        bearing_csi_estimator(geom, AoaConfig(algorithm="spotfi"))
 
 
 class TestOtherBandwidths:

@@ -265,6 +265,13 @@ class TestIngest:
         assert out == good
         assert stats.dropped_decode == 2
 
+    def test_stream_without_stats_delivers_and_skips_a_malformed_datagram(self, rng):
+        good = [random_frame(rng) for _ in range(3)]
+        datagrams = [encode_frame(good[0]), b"junk", encode_frame(good[1]), encode_frame(good[2])]
+        blocks = list(ingest_stream_blocks(datagrams))
+        assert [len(block) for block in blocks] == [1, 1, 1]
+        assert [block.frame(0) for block in blocks] == good
+
     def test_order_preserved(self, rng):
         frames = [random_frame(rng) for _ in range(25)]
         out = list(ingest(ingest_stream_blocks, [encode_frame(f) for f in frames]))

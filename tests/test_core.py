@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from csisense import (
     AoaConfig,
     ApSpec,
     ArrayGeometry,
+    BearingEstimate,
     CalibrationDataset,
     CalibrationMatrix,
     ChannelSpec,
@@ -407,6 +410,47 @@ class TestProfile2DValues:
             Profile2D(np.zeros((len(grid), 2)), grid, [0.0, 1.0])
         with pytest.raises(ConfigurationError, match="strictly increasing"):
             Profile2D(np.zeros((2, len(grid))), [0.0, 1.0], grid)
+
+
+class TestRefusals:
+    """Each core type's refusal of a malformed field, with its message."""
+
+    def test_by_value_types_compare_unequal_to_another_type(self, chan20, rng):
+        frame = _small_frame(chan20, rng)
+        assert frame.__eq__("frame") is NotImplemented
+        assert frame != "frame" and not frame == 3
+
+    def test_unsupported_bandwidth(self):
+        with pytest.raises(ConfigurationError, match="^unsupported bandwidth 30 MHz$"):
+            usable_subcarrier_count(30)
+
+    def test_csi_must_be_3d(self, chan20):
+        with pytest.raises(FrameValidationError, match=r"^csi must be 3-D, got shape \(1, 52\)$"):
+            CsiFrame(csi=np.ones((1, 52), np.complex64), rssi_dbm=-40,
+                     source_mac=b"\x00" * 6, seq=0, chanspec=chan20, timestamp_ns=0)
+
+    def test_calibration_phase_shape(self, chan20):
+        with pytest.raises(ConfigurationError,
+                           match=r"^calibration phase must be 2-D \(n_rx, n_sub\)$"):
+            CalibrationMatrix(np.zeros(52), chan20)
+        with pytest.raises(ConfigurationError,
+                           match="^calibration has 51 subcarriers, chanspec expects 52$"):
+            CalibrationMatrix(np.zeros((4, 51)), chan20)
+
+    def test_negative_bearing_strength(self):
+        with pytest.raises(ConfigurationError, match="^bearing strength must be >= 0$"):
+            BearingEstimate(theta=0.1, strength=-1e-9, rssi_dbm=-40.0,
+                            source_mac=b"\x00" * 6, timestamp_ns=0)
+
+    def test_profile_shape_must_match_its_grids(self):
+        with pytest.raises(DimensionMismatchError, match=re.escape(
+                "profile shape (3, 2) does not match grids (3, 3)")):
+            Profile2D(np.zeros((3, 2)), np.arange(3.0), np.arange(3.0))
+
+    @pytest.mark.parametrize("lambda_m", [0.0, -0.05])
+    def test_steering_vector_needs_a_positive_wavelength(self, lambda_m):
+        with pytest.raises(ConfigurationError, match="^wavelength must be positive$"):
+            steering_vector(0.3, ArrayGeometry.square(0.02), lambda_m)
 
 
 class TestSynthSlopeOracle:

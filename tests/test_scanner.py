@@ -25,15 +25,19 @@ from csisense.scanner import (
     write_walkthrough_csv,
 )
 from csisense.scenario import loop_trajectory
-from csisense.synth import DEFAULT_PATH_LOSS_EXPONENT, _beacon_rssi, _beacons_by_channel
+from csisense.synth import DEFAULT_PATH_LOSS_EXPONENT, _beacon_rssi
 
 CH = [ChannelSpec(c, 80) for c in (42, 58, 106, 122)]
 MACS = [bytes([2, 0, 0, 0, 9, k]) for k in range(6)]
 
 
 def environment_beacons(aps, position, exponent=DEFAULT_PATH_LOSS_EXPONENT):
-    """Beacon observations per channel at one position: {chanspec: [(mac, rssi)]}."""
-    return _beacons_by_channel(aps, _beacon_rssi(aps, np.reshape(position, (1, 2)), exponent)[0])
+    """Beacon observations per channel at one position: {chanspec: [(mac, rssi)]},
+    APs in list order."""
+    obs = {}
+    for ap, level in zip(aps, _beacon_rssi(aps, np.reshape(position, (1, 2)), exponent)[0]):
+        obs.setdefault(ap.chanspec, []).append((ap.mac, level))
+    return obs
 
 
 def corridor_aps():
@@ -165,6 +169,49 @@ class TestStep:
         a = step(copy.deepcopy(fresh_state()), [(MACS[0], -42.0)], policy, 5 * 10**9)
         b = step(copy.deepcopy(fresh_state()), [(MACS[0], -42.0)], policy, 5 * 10**9)
         assert a == b
+
+
+    def test_equal_strongest_others_switch_to_the_earlier_record(self):
+        now = 5 * 10**9
+        records = [ApRecord(MACS[0], CH[0], -50.0, now), ApRecord(MACS[1], CH[1], -40.0, now),
+                   ApRecord(MACS[2], CH[2], -40.0, now)]
+        for order, chanspec in (((0, 1, 2), CH[1]), ((0, 2, 1), CH[2])):
+            state = ScannerState(CH[0], {records[k].mac: records[k] for k in order},
+                                 last_scan_ns=now - 10**9)
+            assert step(state, [], ScanPolicy(), now) == Switch(chanspec)
+
+    def test_one_pass_decides_as_max_over_the_filtered_records(self, rng):
+        # ties, a NaN level, stale records and a gap of exactly the margin
+        policy = ScanPolicy()
+        now = 200 * 10**9
+        levels = [-40.0, -46.0, -52.0, float("nan")]
+        for _ in range(500):
+            records = {}
+            for mac in MACS[:rng.integers(1, len(MACS) + 1)]:
+                age_s = int(rng.choice([0, 100, 121]))
+                records[mac] = ApRecord(mac, CH[rng.integers(3)], levels[rng.integers(4)],
+                                        now - age_s * 10**9)
+            state = ScannerState(CH[rng.integers(3)], records, last_scan_ns=now - 10**9)
+            assert step(state, [], policy, now) == three_filter_step(state, policy, now)
+
+
+def three_filter_step(state, policy, now_ns):
+    """The decision rules after the rescan check, restated with three filters
+    of the record table and max(): the oracle the one-pass `step` meets."""
+    stale_ns = int(policy.stale_timeout_s * 1e9)
+    fresh = [r for r in state.records.values() if now_ns - r.last_seen_ns <= stale_ns]
+    current = [r for r in fresh if r.chanspec == state.current_chanspec]
+    others = [r for r in fresh if r.chanspec != state.current_chanspec]
+
+    def best(records):
+        return max(records, key=lambda r: r.last_rssi_dbm)
+
+    if not current:
+        return Switch(best(others).chanspec) if others else Rescan()
+    if others and (best(others).last_rssi_dbm
+                   >= best(current).last_rssi_dbm + policy.switch_margin_db):
+        return Switch(best(others).chanspec)
+    return Stay()
 
 
 class TestWalkthrough:

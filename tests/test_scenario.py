@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -13,10 +14,12 @@ from csisense import (
     Pose2D,
     Reflection,
     SimScenario,
+    synth_trajectory,
 )
-from csisense import scenario
+from csisense import cli, scenario
 from csisense.calibration import load_calibration, save_calibration
 from csisense.cli import load_config
+from csisense.codec import write_capture
 from csisense.core import MAX_COORDINATE_M
 from csisense.scenario import (
     disc_trajectory,
@@ -100,6 +103,30 @@ class TestLoadScenario:
         assert scenario.path_loss_exponent == DEFAULT_PATH_LOSS_EXPONENT
         refl = scenario.reflections[0]
         assert refl.random_phase is Reflection(0.0, 0.0, 1.0).random_phase is True
+
+    def test_false_booleans_reach_the_capture(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO.replace("per_packet_phase = true", "per_packet_phase = false")
+                        .replace("random_phase = true", "random_phase = false"))
+        scenario, geom = load_scenario(path)
+        assert scenario.per_packet_phase is False
+        assert scenario.reflections[0].random_phase is False
+        capture = tmp_path / "s.wcap"
+        assert cli.main(["simulate", "--scenario", str(path), "--capture", str(capture),
+                         "--poses", str(tmp_path / "s.csv")]) == 0
+        path.write_text(SCENARIO)
+        by_hand, _ = load_scenario(path)
+        by_hand = dataclasses.replace(
+            by_hand, per_packet_phase=False,
+            reflections=[dataclasses.replace(r, random_phase=False) for r in by_hand.reflections])
+        write_capture(tmp_path / "by_hand.wcap", (f for _, f in synth_trajectory(by_hand, geom)))
+        assert capture.read_bytes() == (tmp_path / "by_hand.wcap").read_bytes()
+
+    def test_missing_file_refused(self, tmp_path):
+        path = tmp_path / "absent.ini"
+        message = f"^cannot read scenario file {re.escape(str(path))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            load_scenario(path)
 
     def test_trajectory_keys_of_another_kind_rejected(self, tmp_path):
         path = tmp_path / "s.ini"

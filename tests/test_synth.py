@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from csisense import (
+    ApSpec,
     ChannelSpec,
     ConfigurationError,
     DegenerateGeometryError,
+    FrameValidationError,
     PathComponent,
     Pose2D,
     Reflection,
@@ -24,6 +26,7 @@ from csisense import (
 from csisense import scenario as scenario_module
 from csisense import synth
 from csisense.scenario import disc_trajectory, random_bias
+from csisense.core import MAX_COORDINATE_M
 from csisense.synth import REFERENCE_RSSI_DBM, SPEED_OF_LIGHT
 
 
@@ -301,6 +304,94 @@ class TestPathBounds:
                            match="^frame at timestamp_ns 7: csi overflows complex64$"):
             synth_frame([PathComponent(aoa=0.3, amplitude=1e39)], square_geom, chan80,
                         snr_db=20.0, rng_seed=1, timestamp_ns=7)
+
+
+class TestOverflowingAmplitude:
+    """A direct path whose noise level overflows is refused as the csi
+    overflow it causes, whatever the type of its amplitude."""
+
+    @pytest.mark.parametrize("amplitude", [1e200, 1e200 + 1e199j, np.float64(1e200)],
+                             ids=["float", "complex", "float64"])
+    def test_refused_naming_the_frame(self, square_geom, chan80, amplitude):
+        with pytest.raises(ConfigurationError,
+                           match="^frame at timestamp_ns 0: csi overflows complex64$"):
+            synth_frame([PathComponent(aoa=0.3, amplitude=amplitude)], square_geom, chan80,
+                        snr_db=20)
+
+    @pytest.mark.parametrize("amplitude", [0.37, 2.5, 1e-30, 1e30])
+    def test_python_and_numpy_amplitudes_give_the_same_bytes(self, square_geom, chan80,
+                                                              amplitude):
+        frames = [synth_frame([PathComponent(aoa=0.3, amplitude=a)], square_geom, chan80,
+                              snr_db=20, rng_seed=5) for a in (amplitude, np.float64(amplitude))]
+        assert frames[0].csi.tobytes() == frames[1].csi.tobytes()
+
+    def test_short_source_mac_refused(self, square_geom, chan80):
+        with pytest.raises(FrameValidationError, match="^source_mac must be 6 bytes$"):
+            synth_frame([PathComponent(aoa=0.3)], square_geom, chan80, source_mac=b"\x01")
+
+
+def _ap(**kw):
+    return ApSpec(**{"location": [1.0, 2.0], "chanspec": ChannelSpec(36, 20),
+                     "tx_power_dbm": -30.0, **kw})
+
+
+class TestScenarioBounds:
+    """`ApSpec` and `SimScenario` refuse what a scenario file refuses, naming
+    the field, before any RSSI or path is computed.
+
+    Tier-1 turns a RuntimeWarning into an error, so an overflow on the way
+    to a refusal fails these tests.
+    """
+
+    @pytest.mark.parametrize("location,shown", [
+        ([np.nan, 0.0], "[nan, 0.0]"), ([0.0, -np.inf], "[0.0, -inf]"),
+        ([1e6 + 1, 0.0], "[1000001.0, 0.0]")])
+    def test_location_not_finite_or_too_far(self, chan80, square_geom, location, shown):
+        bound = "must be finite and within 1e+06 m of the origin on each axis, got "
+        with pytest.raises(ConfigurationError, match=re.escape(f"ap location {bound}{shown}")):
+            _ap(location=location)
+        with pytest.raises(ConfigurationError, match=re.escape(f"tx_location {bound}{shown}")):
+            _scenario(chan80, square_geom, tx_location=location)
+
+    @pytest.mark.parametrize("power,shown", [(np.nan, "nan"), (np.inf, "inf"),
+                                             (-150.5, "-150.5"), (50.5, "50.5")])
+    def test_power_outside_its_range(self, chan80, square_geom, power, shown):
+        message = re.escape(f"tx_power_dbm must lie in [-150, 50], got {shown}")
+        with pytest.raises(ConfigurationError, match=f"^ap {message}$"):
+            _ap(tx_power_dbm=power)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            _scenario(chan80, square_geom, tx_power_dbm=power)
+
+    @pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf])
+    def test_path_loss_exponent_not_finite(self, chan80, square_geom, exponent):
+        with pytest.raises(ConfigurationError,
+                           match=f"^path_loss_exponent must be finite, got {exponent}$"):
+            _scenario(chan80, square_geom, path_loss_exponent=exponent)
+
+    @pytest.mark.parametrize("pose", [Pose2D(np.nan, 1.0, 0.0), Pose2D(1.0, np.inf, 0.0),
+                                      Pose2D(1.0, 2.0, np.nan)])
+    def test_pose_not_finite(self, chan80, square_geom, pose):
+        trajectory = [(0, Pose2D(1.0, 1.0, 0.0)), (5, pose)]
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"trajectory pose at timestamp_ns 5 must be finite, "
+                                           f"got {pose}")):
+            _scenario(chan80, square_geom, trajectory=trajectory)
+
+    def test_bounds_are_inclusive(self, chan80, square_geom):
+        for power in (-150.0, 50.0):
+            _ap(location=[MAX_COORDINATE_M, -MAX_COORDINATE_M], tx_power_dbm=power)
+            _scenario(chan80, square_geom, tx_location=[-MAX_COORDINATE_M, MAX_COORDINATE_M],
+                      tx_power_dbm=power)
+
+    def test_scenario_file_reads_the_same_ranges(self):
+        assert synth.POWER_DBM_RANGE == (-150.0, 50.0)
+        assert synth.PATH_LOSS_EXPONENT_RANGE == (0.0, 10.0)
+        assert scenario_module._power_dbm("-150") == -150.0
+        assert scenario_module._path_loss_exponent("10") == 10.0
+        with pytest.raises(ValueError, match=re.escape("must lie in [-150, 50]")):
+            scenario_module._power_dbm("50.5")
+        with pytest.raises(ValueError, match=re.escape("must lie in [0, 10]")):
+            scenario_module._path_loss_exponent("10.5")
 
 
 class TestSnrBound:

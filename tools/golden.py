@@ -23,6 +23,12 @@ The calls, per seed:
   the first 40 records of the ingest capture: intact, cut inside frame
   5's length prefix, with capture version 2, cut to 10 bytes, and with
   frame 7's magic overwritten;
+- `scan` on variants of the survey workload's walk that reach every
+  branch of the scanner: with `scan_period_s = 5` (a rescan every 50
+  poses), with `switch_margin_db` 0.5 and 20, with a fifth AP on a channel
+  that already has one, with two equal-strength APs on new channels
+  placed symmetrically about the walk's x = 0 side (every pose on it is
+  an exact tie), and with a robot that stands still;
 - `simulate` on scenarios that reach every branch of the simulator, each
   with two reflections, one of them with `random_phase = false`: as they
   are, with `snr_db = none`, with `per_packet_phase = false`, with
@@ -40,6 +46,7 @@ made on one host.
 from __future__ import annotations
 
 import argparse
+import configparser
 import difflib
 import hashlib
 import json
@@ -73,6 +80,18 @@ SIM_CALLS = {
     "zero-bias": {"simulation": {**SIMULATION, "bias": "zero"}},
     "loop-linear-x": {"array": LINEAR_X, "trajectory": {"kind": "loop", "length_m": 8.0}},
     "line-linear-x": {"array": LINEAR_X, "trajectory": {"kind": "line", "y0": -1.0}},
+}
+# The scan call set, on the survey workload's walk: per call, the [setup]
+# keys of its config and the scenario sections it adds or replaces.
+SCAN_CALLS = {
+    "rescan-5s": ({"scan_period_s": 5}, {}),
+    "margin-0.5": ({"switch_margin_db": 0.5}, {}),
+    "margin-20": ({"switch_margin_db": 20}, {}),
+    "shared-channel": ({}, {"ap.5": {"x": 20, "y": 5, "channel": 52, "bandwidth": 20}}),
+    "tie": ({}, {"ap.5": {"x": -1, "y": 5, "channel": 60, "bandwidth": 20},
+                 "ap.6": {"x": 1, "y": 5, "channel": 64, "bandwidth": 20}}),
+    "still": ({}, {"trajectory": {"kind": "line", "x0": 12, "y0": 3, "x1": 12, "y1": 3,
+                                  "rate_hz": 10}}),
 }
 MAX_ROWS_SHOWN = 20  # differing rows shown per entry
 
@@ -109,8 +128,36 @@ def _fault_captures(work: Path, capture: str) -> list[str]:
     return list(faults)
 
 
+def _write_ini(path: Path, sections: dict[str, dict]) -> None:
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+        for name, keys in sections.items()))
+
+
+def _scan_calls(work: Path, meta: dict) -> list[tuple[str, list[str]]]:
+    """Write the scan call set's scenarios and configs to `work`; its calls."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(work / "scan.ini")
+    base = {name: dict(parser[name]) for name in parser.sections()}
+    calls = []
+    for label, (setup, changes) in SCAN_CALLS.items():
+        sections = {**base, **changes}
+        if "trajectory" in changes:  # the same number of poses
+            sections["trajectory"] = {**changes["trajectory"], "n": base["trajectory"]["n"]}
+        _write_ini(work / f"scan-{label}.ini", sections)
+        _write_ini(work / f"scan-{label}.cfg", {"setup": setup})
+        calls.append((f"scan-{label}",
+                      ["--seed", str(meta["seed"]), "scan", "--scenario",
+                       str(work / f"scan-{label}.ini"), "--config",
+                       str(work / f"scan-{label}.cfg"), "--out",
+                       str(work / f"walk-{label}.csv")]))
+    return calls
+
+
 def _extra_calls(name: str, work: Path, meta: dict) -> list[tuple[str, list[str]]]:
     """The workload's calls beyond its pass, as (label, argv)."""
+    if name == "survey-sq80":
+        return _scan_calls(work, meta)
     if name == "replay-bartlett-sq80":
         return _bearing(work, "square", meta["capture"], meta["calibration"],
                         ("bartlett", "music"))
@@ -142,9 +189,7 @@ def _simulate_calls(work: Path, seed: int, tiny: bool) -> list[tuple[str, list[s
         sections = {**SIM_BASE, **changes}
         sections["simulation"] = {**sections["simulation"], "seed": seed}
         sections["trajectory"] = {**sections["trajectory"], "n": 12 if tiny else 300}
-        (work / f"{label}.ini").write_text("".join(
-            f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
-            for name, keys in sections.items()))
+        _write_ini(work / f"{label}.ini", sections)
         calls.append((f"simulate-{label}",
                       ["simulate", "--scenario", str(work / f"{label}.ini"),
                        "--capture", str(work / f"{label}.wcap"),
