@@ -27,18 +27,29 @@ leading stack axis) and one noise projection, each acting on every
 window as it would on that window alone, so every bearing and strength
 is `music_spectrum`'s bit for bit.  Bartlett averages in Gram-term
 space: a profile is linear in its frame's n_rx^2 x n_dist Gram terms, so
-the window's average of max-normalized profiles is the Gram kernel times
-the sum of the frames' terms, each over its profile's peak.  A frame
-then costs one product with the kernel for its peak and, in a window of
-more than one frame, one for its window's power.  No profile is kept or
-averaged, and the bearings equal those of `average_profiles` and
-`estimate_bearing` up to rounding.  SpotFi takes a block's frames one by
-one.  Every estimator picks the bearing by `estimate_bearing`'s rule:
-the curve's argmax, ties to the smallest bearing index.  On a uniform
-linear array a bearing and its mirror across the array axis agree only
-to rounding: their steering rows, from sin(theta) and
-sin(180 deg - theta), differ in the last bits.  So rounding, not the tie
-rule, picks between them.
+the window's sum of max-normalized profiles is the Gram kernel times the
+sum of the frames' terms, each over its profile's peak.  Only the
+largest cell's bearing is needed, and for unit-modulus steering
+Cauchy-Schwarz bounds a range row's cells by n_rx sum_i |m_id|^2, m the
+frame's range product.  So a bounded search (`_peak_search`) evaluates
+rows in falling bound order, four at a time, until the next bound falls
+below the best cell.  Where one path dominates, the bound is tight and
+each search stops after its first four rows: a frame then costs its
+range product and Gram terms, its window's sum of terms, and four rows
+of kernel products for its own peak and four for its window's, where a
+full grid takes 121 each.  Where paths are of equal strength or the SNR
+is low, searches take more rounds, up to every row.  It picks what the
+full grid picks, bit for bit: the bounds carry a margin far above
+rounding, and every product holds two rows or more, which the BLAS is
+taken to round row by row as it rounds the full grid (`_peak_search`
+says where that was checked).  No profile is kept or averaged, and the
+bearings equal those of `average_profiles` and `estimate_bearing` up to
+rounding.  SpotFi takes a block's frames one by one.  Every estimator
+picks the bearing by `estimate_bearing`'s rule: the curve's argmax, ties
+to the smallest bearing index.  On a uniform linear array a bearing and
+its mirror across the array axis agree only to rounding: their steering
+rows, from sin(theta) and sin(180 deg - theta), differ in the last bits.
+So rounding, not the tie rule, picks between them.
 
 Each estimator reads transmit antenna 0.
 
@@ -130,6 +141,17 @@ MAX_WINDOW = 1024
 # 8 bytes a cell and SpotFi's projection 16 a cell per source; 2^22 cells,
 # ~100x the default grids, keep each under ~70 MB.
 MAX_GRID_CELLS = 1 << 22
+# Bartlett's peak search (`_peak_search`): the range rows each round takes;
+# the frames or windows one array operation takes at a time, which keeps
+# each temporary near 100 KB; the share and the floor a row's bound is
+# inflated by, far above the ~1e-14 rounding of its products and the
+# subnormal rounding of its terms; and the bound above which the Gram
+# terms could overflow
+_SEARCH_ROWS = 4
+_BATCH = 8
+_BOUND_MARGIN = 1e-9
+_BOUND_FLOOR = 1e-300
+_BOUND_LIMIT = 1e300
 
 
 class UnsupportedGeometryError(CsiSenseError):
@@ -259,11 +281,14 @@ def bartlett_profile(
     return Profile2D(values=power, theta_grid=cfg.theta_grid, dist_grid=cfg.dist_grid)
 
 
-def _range_gram_terms(snap: np.ndarray, phasors: np.ndarray) -> np.ndarray:
-    """`_gram_terms` of m = snap @ R, snap (n_rx, n_sub), R `_range_phasors`: (n_rx^2, n_dist)."""
+def _range_gram_terms(snap: np.ndarray, phasors: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """`_gram_terms` of m = snap @ R, snap (..., n_rx, n_sub), R
+    `_range_phasors`: (..., n_rx^2, n_dist), into `out` if given.  Each
+    snap's m is rounded as its own product."""
     # complex snap @ R as one real product over the interleaved real/imaginary parts
     m = (snap.astype(np.complex128).view(np.float64) @ phasors).view(np.complex128)
-    return _gram_terms(m, np.conj(m))
+    return _gram_terms(m, np.conj(m), out)
 
 
 def music_spectrum(
@@ -360,59 +385,153 @@ def _music_stream_spectra(history: Sequence[np.ndarray], chanspec: ChannelSpec,
     return out
 
 
-def _bartlett_stream_curves(window: deque, chanspec: ChannelSpec, frames: np.ndarray,
-                            geom: ArrayGeometry, cfg: AoaConfig) -> np.ndarray:
-    """Bartlett over consecutive frames, each over its window: (n, n_theta).
+def _bartlett_stream_picks(window: deque, chanspec: ChannelSpec, frames: np.ndarray,
+                           geom: ArrayGeometry, cfg: AoaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Bartlett over consecutive frames, each over its window: each frame's
+    bearing index and strength.
 
     `frames` holds the frames' (n_rx, n_sub) snapshots of transmit antenna
-    0, (n, n_rx, n_sub), all on `chanspec`.  Bartlett power is linear in
-    the Gram terms: a frame's profile is K @ T, with K the Gram kernel
-    (`_gram_kernel_t`) and T the frame's `_range_gram_terms`.  So a
-    window's profiles, each over its peak p, sum to K @ sum(T / p), the
-    T / p added oldest to newest.  A frame costs one product with K for
-    its peak and, in a window of more than one frame, one for the window's
-    power; no profile is kept.  A frame whose peak is not positive adds
-    zeros.  Each curve is the power's per-bearing peak over distance, over
-    the curve's own peak (all zero for an all-zero window).
+    0, (n, n_rx, n_sub), all on `chanspec`.  A frame's (n_dist, n_theta)
+    power grid is T.T @ K, with K the Gram kernel (`_gram_kernel_t`) and T
+    its `_range_gram_terms`, so a window's profiles, each over its frame's
+    peak p, sum to (sum T / p).T @ K, the T / p added oldest to newest.  A
+    frame whose peak is not positive enters its windows as zeros.  The
+    bearing is the largest cell's, ties to the smallest bearing index, with
+    strength 1, or index 0 and strength 0 for a grid whose peak is not
+    positive; `_peak_search` finds each peak from a few rows of the grid.
 
-    `window` holds the T / p of the stream's last cfg.window - 1 frames on
-    `chanspec`, oldest first, and takes in `frames`.  Every product has one
-    frame's shape, so no curve depends on how the stream is cut into blocks.
+    `window` holds the stream's last cfg.window - 1 frames on `chanspec`,
+    oldest first and zeros before the stream's first, each as its T / p
+    and its `_row_reach` over p, and takes in `frames`.  The kernel
+    products are stacked a frame or a window to an item, which numpy
+    rounds as it rounds that item alone, so no pick depends on how the
+    stream is cut into blocks.
     """
-    power = np.empty((cfg.dist_grid.size, cfg.theta_grid.size))  # a row per distance
-    curves = np.empty((len(frames), cfg.theta_grid.size))
+    n_rx, depth, n = geom.n_antennas, cfg.window, len(frames)
+    past = depth - 1
     kernel = _gram_kernel_t(_grid_key(geom.positions), float(wavelength(chanspec)),
                             _grid_key(cfg.theta_grid))
-    # every frame's range transform first, while the range phasors stay in
-    # cache, then the products with K, while K and the power grid do
     phasors = _range_phasors(chanspec, _grid_key(cfg.dist_grid))
-    block_terms = [_range_gram_terms(snap, phasors) for snap in frames]
-    for k, terms in enumerate(block_terms):
-        np.matmul(terms.T, kernel, out=power)
-        if cfg.window == 1:
-            _curve_over_peak(power, curves[k])
-            continue
-        peak = power.max()
-        newest = terms / peak if peak > 0 else np.zeros_like(terms)
-        first, *later = (*window, newest)
-        total = first.copy()
-        for scaled in later:
-            total += scaled
-        window.append(newest)
-        np.matmul(total.T, kernel, out=power)
-        _curve_over_peak(power, curves[k])
-    return curves
+    while len(window) < past:
+        window.appendleft((np.zeros((n_rx * n_rx, cfg.dist_grid.size)),
+                           np.zeros(cfg.dist_grid.size)))
+    # the window's T / p and bounds over p, then each frame's T and bounds
+    terms = np.empty((past + n, n_rx * n_rx, cfg.dist_grid.size))
+    reach = np.empty((past + n, cfg.dist_grid.size))
+    if past:
+        np.stack([scaled for scaled, _ in window], out=terms[:past])
+        np.stack([bound for _, bound in window], out=reach[:past])
+        window.clear()
+    for lo in range(0, n, _BATCH):
+        _range_gram_terms(frames[lo: lo + _BATCH], phasors, terms[past + lo: past + lo + _BATCH])
+    block = terms[past:]
+    reach[past:] = _row_reach(block, n_rx)
+    slots = np.arange(n_rx * n_rx)[:, None]
+
+    def curves(items: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # `_peak_search`'s curves from the Gram terms in `block`, the
+        # frames' and then, summed in place, the windows'
+        out = np.empty((len(items), kernel.shape[1]))
+        for lo in range(0, len(items), _BATCH):
+            at = slice(lo, lo + _BATCH)
+            picked = block[items[at, None, None], slots, rows[at, None, :]]
+            np.max(picked.transpose(0, 2, 1) @ kernel, axis=1, out=out[at])
+        return out
+
+    k, peak = _peak_search(reach[past:], curves)
+    if past:
+        kept = peak > 0
+        scale = np.where(kept, peak, 1.0)[:, None]
+        block[~kept] = 0.0
+        block /= scale[:, :, None]
+        reach[past:][~kept] = 0.0
+        reach[past:] /= scale
+        window.extend(zip(terms[-past:].copy(), reach[-past:].copy()))
+        # each window's sum of T / p, oldest first, into its newest frame's
+        # slot, the newest windows first and _BATCH at a time: a window
+        # reads only slots at or before its own, so none reads a slot
+        # already written
+        for hi in range(n, 0, -_BATCH):
+            lo = max(hi - _BATCH, 0)
+            total = terms[lo:hi].copy()
+            for j in range(1, depth):
+                total += terms[lo + j: hi + j]
+            block[lo:hi] = total
+        # a window's cells are bounded by the sum of its frames' bounds over their peaks
+        sums = np.lib.stride_tricks.sliding_window_view(reach, depth, axis=0)
+        k, peak = _peak_search(sums.sum(axis=-1), curves)
+    kept = peak > 0
+    # the curve's value at its peak over that peak: 1 for a finite peak
+    return np.where(kept, k, 0), np.divide(peak, peak, out=np.zeros(len(peak)), where=kept)
 
 
-def _curve_over_peak(power: np.ndarray, out: np.ndarray) -> None:
-    """Into `out`: the per-bearing peak of `power` (n_dist, n_theta) over its
-    own peak, or zeros if that is not positive."""
-    np.max(power, axis=0, out=out)
-    peak = out.max()
-    if peak > 0:
-        np.divide(out, peak, out=out)
-    else:
-        out[:] = 0.0
+def _row_reach(terms: np.ndarray, n_rx: int) -> np.ndarray:
+    """A bound on the power grid cells of each range row, for `_gram_terms`
+    stacked as (n, n_rx^2, n_dist): (n, n_dist).
+
+    For unit-modulus steering a and the range product m, Cauchy-Schwarz
+    gives |a^H m_d|^2 <= n_rx sum_i |m_id|^2, and the first n_rx terms are
+    the |m_id|^2.  The bound is inflated by the share _BOUND_MARGIN, far
+    above the ~1e-14 rounding of a cell's 16-term product, and by
+    _BOUND_FLOOR, far above the rounding of subnormal terms.  A row of zero
+    energy, whose Gram terms and cells are all zero, keeps the bound 0.
+    """
+    energy = terms[:, :n_rx].sum(axis=1)
+    bound = n_rx * (1.0 + _BOUND_MARGIN) * energy + _BOUND_FLOOR
+    bound[energy == 0] = 0.0
+    return bound
+
+
+def _peak_search(reach: np.ndarray, curves: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The largest cell of each of n Bartlett power grids, from only the
+    range rows that can hold it: its smallest bearing index and its value,
+    as np.argmax of the per-bearing peaks and np.max of the grid give them.
+
+    `curves(items, rows)` gives, for grids `items` and distance indices
+    `rows` (one row of `rows` per item), each grid's per-bearing peak over
+    those rows, from one kernel product per grid: (len(items), n_theta).
+    `reach` (n, n_dist) bounds each row's cells, rounding included
+    (`_row_reach`).  Each round evaluates the next _SEARCH_ROWS rows of
+    every grid still pending, in falling bound order, and a grid stops
+    once its next bound falls below the best cell found.  A grid whose
+    bound is not finite or nears overflow takes every row at once; one
+    whose bound is zero throughout is zero.
+
+    The picks are the full grid's bit for bit if the BLAS rounds each row
+    of a product of two rows or more as it rounds that row in the full
+    grid's product.  That is a property of the BLAS, not of numpy.  It was
+    checked with numpy 2.4's bundled OpenBLAS 0.3.31 on its SkylakeX
+    (AVX-512) kernels, where a one-row product alone (a matrix-vector
+    path) rounds differently; `TestBartlettPeakSearch` fails on a BLAS
+    that breaks it.  So no round takes one row: a round that would leave
+    one row takes it too, and a 1-row grid is a one-row product on both
+    sides.
+    """
+    n, n_dist = reach.shape
+    k = np.zeros(n, dtype=np.intp)
+    best = np.zeros(n)
+    top = reach.max(axis=1)
+    for i in np.flatnonzero(~(top <= _BOUND_LIMIT)):
+        curve = curves(np.array([i]), np.arange(n_dist)[None])[0]
+        k[i], best[i] = np.argmax(curve), curve.max()
+    order = np.argsort(-reach, axis=1, kind="stable")
+    pending = np.flatnonzero((top > 0) & (top <= _BOUND_LIMIT))
+    best[pending] = -np.inf
+    lo = 0
+    while pending.size:
+        hi = lo + _SEARCH_ROWS if lo + _SEARCH_ROWS < n_dist - 1 else n_dist
+        found = curves(pending, order[pending, lo:hi])
+        j = np.argmax(found, axis=1)
+        value = found[np.arange(pending.size), j]
+        better = (value > best[pending]) | ((value == best[pending]) & (j < k[pending]))
+        k[pending[better]] = j[better]
+        best[pending[better]] = value[better]
+        if hi == n_dist:
+            break
+        lo = hi
+        pending = pending[reach[pending, order[pending, lo]] >= best[pending]]
+    return k, best
 
 
 def spotfi_smoothing_dims(n_rx: int, chanspec: ChannelSpec, cfg: AoaConfig) -> tuple[int, int]:
@@ -647,9 +766,14 @@ def bearing_csi_estimator(
     channel clears; confine it to one stream.  MUSIC and SpotFi keep those
     frames as views of `csi`, so a block's array must not be written to
     once it has been passed in.  A frame's bearing does not depend on how
-    the stream is cut into blocks.  Bartlett's curve is the per-bearing
-    peak of the window's average profile, formed from the summed Gram
-    terms (`_bartlett_stream_curves`); it picks the bearing that
+    the stream is cut into blocks.  Bartlett picks the largest cell of the
+    window's summed profiles, each over its peak, from the summed Gram
+    terms (`_bartlett_stream_picks`): a bounded search evaluates only the
+    range rows that can hold that cell, and picks what the full grid
+    picks, bit for bit.  Where one path dominates, a frame costs its range
+    product, its Gram terms and a few rows of kernel products; where none
+    does, the search takes more rows, up to all of them.  That is the
+    bearing that
     `average_profiles` over the window and `estimate_bearing` pick, up to
     rounding, with the same strength.  MUSIC's curve is its
     pseudospectrum, from the block's windows solved as stacks
@@ -666,7 +790,7 @@ def bearing_csi_estimator(
         _check_music_sources(geom, cfg)
     if algorithm == "spotfi":
         _require_ula(geom)
-    # the window on `current`: snapshots, or Bartlett's Gram terms over their peak
+    # the window on `current`: snapshots, or Bartlett's Gram terms and bounds over their peaks
     recent: deque = deque(maxlen=cfg.window - 1)
     current = None
 
@@ -682,7 +806,7 @@ def bearing_csi_estimator(
             recent.clear()
             current = chanspec
         if algorithm == "bartlett":
-            return _pick_bearing(_bartlett_stream_curves(recent, chanspec, snaps, geom, cfg))
+            return _bartlett_stream_picks(recent, chanspec, snaps, geom, cfg)
         if algorithm == "music":
             curves = _music_stream_spectra(recent, chanspec, snaps, geom, cfg)
             recent.extend(snaps)
@@ -838,17 +962,19 @@ def _gram_kernel_t(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) 
     return kernel
 
 
-def _gram_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _gram_terms(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The real rows of the antenna outer product x_i y_j that the Gram form uses.
 
-    From x and y of shape (n_rx, k) stack Re x_i y_i for each antenna, then
-    Re x_i y_j and Im x_i y_j for each pair i < j: shape (n_rx^2, k).  Only
-    those n_rx (n_rx + 1) / 2 products are formed.
+    From x and y of shape (..., n_rx, k) stack Re x_i y_i for each antenna,
+    then Re x_i y_j and Im x_i y_j for each pair i < j: shape
+    (..., n_rx^2, k), into `out` if given.  Only those n_rx (n_rx + 1) / 2
+    products are formed.
     """
-    n_rx = x.shape[0]
+    n_rx = x.shape[-2]
     rows, cols = _gram_rows(n_rx)
-    product = x[rows] * y[cols]
-    return np.concatenate([product.real, product[n_rx:].imag])
+    product = x[..., rows, :]
+    product *= y[..., cols, :]
+    return np.concatenate([product.real, product[..., n_rx:, :].imag], axis=-2, out=out)
 
 
 @lru_cache(maxsize=4)

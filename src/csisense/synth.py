@@ -48,9 +48,10 @@ REFERENCE_RSSI_DBM = -30.0
 
 DEFAULT_PATH_LOSS_EXPONENT = 2.2
 # The powers, dBm 1 m from a transmitter or an AP, that ApSpec, SimScenario
-# and a scenario file take, and the path-loss exponents a scenario file
-# takes: wide of any real link, and narrow enough that no path level over-
-# or underflows for poses 0.5 m to MAX_COORDINATE_M away.
+# and a scenario file take, and the path-loss exponents SimScenario and a
+# scenario file take: wide of any real link, and narrow enough that no
+# direct path's level over- or underflows for poses 0.5 m to
+# MAX_COORDINATE_M away.
 POWER_DBM_RANGE = (-150.0, 50.0)
 PATH_LOSS_EXPONENT_RANGE = (0.0, 10.0)
 
@@ -137,9 +138,9 @@ class SimScenario:
 
     The transmitter lies within MAX_COORDINATE_M of the origin on each
     axis, every pose is finite, the power lies in POWER_DBM_RANGE and the
-    path-loss exponent is finite.  An exponent outside the scenario file's
-    PATH_LOSS_EXPONENT_RANGE is kept: a path level it under- or overflows
-    is refused by `synth_trajectory`, naming its pose.
+    path-loss exponent in PATH_LOSS_EXPONENT_RANGE, the scenario file's
+    bounds.  A reflection's level can still underflow far away, which
+    `synth_trajectory` refuses, naming its pose.
     """
 
     tx_location: np.ndarray  # (2,) meters
@@ -171,6 +172,7 @@ class SimScenario:
         if not math.isfinite(self.path_loss_exponent):
             raise ConfigurationError(f"path_loss_exponent must be finite, "
                                      f"got {self.path_loss_exponent}")
+        _check_range("path_loss_exponent", self.path_loss_exponent, PATH_LOSS_EXPONENT_RANGE)
 
 
 def rssi_at(ap_power_dbm: float, distance_m: float,

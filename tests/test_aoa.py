@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+from collections import deque
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -884,6 +886,191 @@ class TestAveraging:
             profiles.append(bartlett_profile(frame, square_geom, cfg))
         ai, aj = average_profiles(profiles, 20).argmax_cell()
         assert abs(ai - ti) <= 1 and abs(aj - di) <= 1
+
+
+def full_grid_estimator(geom, cfg):
+    """The reference for Bartlett's bounded peak search: the stream
+    estimator with every range row in each product.  Each frame's power grid
+    is its Gram terms times the kernel over all n_dist rows; a window sums
+    its frames' terms over their peaks, oldest first; each curve is the
+    per-bearing peak over its own peak, picked by `aoa._pick_bearing`."""
+    window = deque(maxlen=cfg.window - 1)
+    current = []
+
+    def estimate(chanspec, csi):
+        if current != [chanspec]:
+            window.clear()
+            current[:] = [chanspec]
+        kernel = aoa._gram_kernel_t(aoa._grid_key(geom.positions),
+                                    float(wavelength(chanspec)), aoa._grid_key(cfg.theta_grid))
+        phasors = aoa._range_phasors(chanspec, aoa._grid_key(cfg.dist_grid))
+        power = np.empty((cfg.dist_grid.size, cfg.theta_grid.size))
+        curves = np.empty((len(csi), cfg.theta_grid.size))
+        for k, snap in enumerate(csi[:, :, 0, :]):
+            terms = aoa._range_gram_terms(snap, phasors)
+            np.matmul(terms.T, kernel, out=power)
+            if cfg.window > 1:
+                peak = power.max()
+                newest = terms / peak if peak > 0 else np.zeros_like(terms)
+                first, *later = (*window, newest)
+                total = first.copy()
+                for scaled in later:
+                    total += scaled
+                window.append(newest)
+                np.matmul(total.T, kernel, out=power)
+            curve_over_peak(power, curves[k])
+        return aoa._pick_bearing(curves)
+
+    return estimate
+
+
+def curve_over_peak(power, out):
+    """Into `out`: the per-bearing peak of `power` over its own peak, or
+    zeros if that is not positive."""
+    np.max(power, axis=0, out=out)
+    peak = out.max()
+    if peak > 0:
+        np.divide(out, peak, out=out)
+    else:
+        out[:] = 0.0
+
+
+_SEARCH_GEOMETRIES = {
+    "square": lambda lam: ArrayGeometry.square(0.45 * lam),
+    "ula4-y": lambda lam: ArrayGeometry.uniform_linear(4, lam / 2.0, axis="y"),
+    "ula3-x": lambda lam: ArrayGeometry.uniform_linear(3, lam / 2.0, axis="x"),
+}
+
+
+@lru_cache(maxsize=None)
+def search_stream(layout, bw):
+    """A seeded stream at every SNR from -10 to 30 dB: random one- to
+    three-path frames, single paths on grid bearings (on a ULA their mirror
+    is on the grid too, and rounding picks between them) and all-zero
+    frames alone and in a run.  (geometry, channel, csi)."""
+    chan = ChannelSpec(155, 80) if bw == 80 else ChannelSpec(36, 20)
+    geom = _SEARCH_GEOMETRIES[layout](wavelength(chan))
+    rng = np.random.default_rng([bw, len(layout)])
+    csi = []
+    for snr_db in (-10.0, 0.0, 10.0, 20.0, 30.0):
+        for k in range(8):
+            if k % 3 == 0:
+                paths = [PathComponent(aoa=np.radians(rng.choice([0.0, 30.0, 45.0, -60.0, 90.0])),
+                                       delay_s=12e-9)]
+            else:
+                paths = [PathComponent(aoa=rng.uniform(-np.pi, np.pi),
+                                       delay_s=rng.uniform(0.0, 60e-9),
+                                       amplitude=rng.uniform(0.2, 1.0)
+                                       * np.exp(2j * np.pi * rng.uniform()))
+                         for _ in range(rng.integers(1, 4))]
+            csi.append(synth_frame(paths, geom, chan, snr_db=snr_db, rng_seed=rng).csi)
+    for k in (0, 17, 18, 19):
+        csi[k] = np.zeros_like(csi[k])
+    return geom, chan, np.stack(csi)
+
+
+def assert_picks_match(geom, cfg, chan, csi, cut):
+    """`bearing_csi_estimator` and the full-grid reference, fed `csi` in
+    blocks of `cut`, give equal indices and strengths, zero signs included."""
+    estimate, reference = bearing_csi_estimator(geom, cfg), full_grid_estimator(geom, cfg)
+    for lo in range(0, len(csi), cut):
+        (k, strength), (want_k, want_strength) = (
+            run(chan, csi[lo: lo + cut]) for run in (estimate, reference))
+        assert np.array_equal(k, want_k), lo
+        assert np.array_equal(strength, want_strength, equal_nan=True), lo
+        assert np.array_equal(np.signbit(strength), np.signbit(want_strength)), lo
+
+
+class TestBartlettPeakSearch:
+    """Bartlett's bounded peak search picks what the full grid picks, bit
+    for bit, and evaluates fewer rows than the grid holds."""
+
+    @pytest.mark.parametrize("bw", [20, 80])
+    @pytest.mark.parametrize("layout", sorted(_SEARCH_GEOMETRIES))
+    @pytest.mark.parametrize("window", [1, 4, 8, 32])
+    @pytest.mark.parametrize("cut", [1, 5, 32])
+    def test_picks_equal_the_full_grid(self, layout, bw, window, cut):
+        geom, chan, csi = search_stream(layout, bw)
+        assert_picks_match(geom, AoaConfig(window=window), chan, csi, cut)
+
+    @pytest.mark.parametrize("layout", sorted(_SEARCH_GEOMETRIES))
+    @pytest.mark.parametrize("window", [4, 8])
+    def test_a_frame_60_db_above_its_window(self, layout, window):
+        geom, chan, csi = search_stream(layout, 80)
+        csi = csi[20:].copy()
+        csi[5] *= 1e3
+        assert_picks_match(geom, AoaConfig(window=window), chan, csi, 5)
+
+    @pytest.mark.parametrize("grids", [
+        {"dist_grid": [3.0]},
+        {"dist_grid": [0.0, 5.0]},
+        {"dist_grid": np.arange(0.0, 4.5, 1.0)},
+        {"theta_grid": np.radians(np.arange(-40.0, 60.5, 0.5))},
+    ], ids=["1-point", "2-point", "5-point", "partial-theta"])
+    @pytest.mark.parametrize("window", [1, 8])
+    def test_picks_equal_the_full_grid_on_other_grids(self, grids, window):
+        for layout in ("square", "ula4-y"):
+            geom, chan, csi = search_stream(layout, 80)
+            assert_picks_match(geom, AoaConfig(window=window, **grids), chan, csi, 5)
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_non_finite_and_overflowing_frames_take_every_row(self, square_geom, chan80,
+                                                              window):
+        # |m|^2 overflows at 1e155, and a NaN or an infinity poisons a
+        # frame's grid: those grids are evaluated whole, as np.max sees them
+        _, _, csi = search_stream("square", 80)
+        csi = csi[20:].astype(np.complex128)
+        csi[2] *= 1e155
+        csi[6, 0, 0, 3] = np.nan
+        csi[10, 1, 0, 7] = np.inf
+        csi[14] *= 1e-160
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_picks_match(square_geom, AoaConfig(window=window), chan80, csi, 5)
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_a_single_path_frame_takes_one_chunk_of_rows(self, square_geom, chan80, window,
+                                                         monkeypatch):
+        # the bound is tight on a single path, so each search stops after
+        # its first chunk of rows: one search for the frame's own peak and,
+        # at window 4, one for its window's
+        cfg = AoaConfig(window=window)
+        frame = single_path_frame(square_geom, chan80, 0.6, snr_db=30.0, seed=4)
+        estimate = bearing_csi_estimator(square_geom, cfg)
+        chunks = []
+        search = aoa._peak_search
+
+        def counted(reach, curves):
+            def recorded(items, rows):
+                chunks.append(rows.shape)
+                return curves(items, rows)
+            return search(reach, recorded)
+
+        monkeypatch.setattr(aoa, "_peak_search", counted)
+        estimate(chan80, frame.csi[None])
+        assert chunks == [(1, aoa._SEARCH_ROWS)] * (1 if window == 1 else 2)
+        assert aoa._SEARCH_ROWS < cfg.dist_grid.size
+
+    def test_every_product_holds_two_rows_or_more(self, square_geom, chan80):
+        # bounds that never fall below a cell take every row: 121 rows in
+        # chunks of 4 would leave one, so the last chunk takes five
+        _, _, csi = search_stream("square", 80)
+        terms = np.array([aoa._range_gram_terms(snap, aoa._range_phasors(
+            chan80, aoa._grid_key(AoaConfig().dist_grid))) for snap in csi[20:24, :, 0, :]])
+        kernel = aoa._gram_kernel_t(aoa._grid_key(square_geom.positions),
+                                    float(wavelength(chan80)),
+                                    aoa._grid_key(AoaConfig().theta_grid))
+        shapes = []
+
+        def curves(items, rows):
+            shapes.append(rows.shape)
+            picked = np.take_along_axis(terms[items], rows[:, None, :], axis=2)
+            return (picked.transpose(0, 2, 1) @ kernel).max(axis=1)
+
+        k, peak = aoa._peak_search(np.full((4, terms.shape[-1]), 1e300), curves)
+        assert [rows for _, rows in shapes] == [4] * 29 + [5]
+        full = terms.transpose(0, 2, 1) @ kernel
+        assert np.array_equal(peak, full.max(axis=(1, 2)))
+        assert np.array_equal(k, np.argmax(full.max(axis=1), axis=1))
 
 
 class TestStreamWindow:

@@ -244,7 +244,13 @@ class TestBatchedTrajectory:
             synth_trajectory(_scenario(chan80, square_geom, trajectory=traj), square_geom)
 
     def test_direct_path_amplitude_underflow_refused(self, chan80, square_geom):
-        scen = _scenario(chan80, square_geom, path_loss_exponent=1000.0)
+        # within the exponent's bound the direct path cannot underflow, but a
+        # faint reflection can: 1e5 m from a -150 dBm transmitter at exponent
+        # 10 the direct path is at 1e-31, and 1e-300 of it underflows to zero
+        scen = _scenario(chan80, square_geom, tx_power_dbm=-150.0, path_loss_exponent=10.0,
+                         trajectory=[(0, Pose2D(1e5, 0.0, 0.0))],
+                         reflections=[Reflection(aoa_offset=0.5, excess_delay_s=10e-9,
+                                                 rel_amplitude=1e-300)])
         with pytest.raises(ConfigurationError, match="amplitude must be non-zero"):
             synth_trajectory(scen, square_geom)
 
@@ -366,6 +372,13 @@ class TestScenarioBounds:
     def test_path_loss_exponent_not_finite(self, chan80, square_geom, exponent):
         with pytest.raises(ConfigurationError,
                            match=f"^path_loss_exponent must be finite, got {exponent}$"):
+            _scenario(chan80, square_geom, path_loss_exponent=exponent)
+
+    @pytest.mark.parametrize("exponent", [-5.0, 10.5, 1000.0])
+    def test_path_loss_exponent_outside_its_range(self, chan80, square_geom, exponent):
+        # at -5 a farther AP would read stronger than a nearer one
+        message = re.escape(f"path_loss_exponent must lie in [0, 10], got {exponent:g}")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
             _scenario(chan80, square_geom, path_loss_exponent=exponent)
 
     @pytest.mark.parametrize("pose", [Pose2D(np.nan, 1.0, 0.0), Pose2D(1.0, np.inf, 0.0),

@@ -17,8 +17,9 @@ The calls, per seed:
   pass;
 - `decode` on the ingest workload's capture, with and without its filters;
 - `bearing` with Bartlett and MUSIC at windows 1, 4 and 8 on the Bartlett
-  workload's capture and, filtered, on the ingest capture, and with
-  SpotFi at the same windows on the ULA capture;
+  workload's capture and, filtered, on the ingest capture, and with all
+  three algorithms at the same windows on the ULA capture, where rounding
+  picks between a bearing and its mirror;
 - `decode`, and `profile` of frames 7 and 2, on fault captures made from
   the first 40 records of the ingest capture: intact, cut inside frame
   5's length prefix, with capture version 2, cut to 10 bytes, and with
@@ -40,7 +41,7 @@ directories and, for the kept text entries, the rows that differ.  It
 exits 1 if anything differs.  To compare with another commit, run `--out`
 with `--root` on a `git archive` of that commit.  The bytes depend on
 numpy, BLAS and the CPU, so no hashes are checked in: compare two runs
-made on one host.
+made on one host.  Both run with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -50,11 +51,18 @@ import configparser
 import difflib
 import hashlib
 import json
+import os
 import shutil
 import struct
 import sys
 import tempfile
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads BLAS, as the benchmark sets it:
+# SpotFi's bearings on the ULA capture differ in some rows between one and
+# two OpenBLAS threads, and a manifest must not depend on the thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 7, 101)
@@ -162,7 +170,8 @@ def _extra_calls(name: str, work: Path, meta: dict) -> list[tuple[str, list[str]
         return _bearing(work, "square", meta["capture"], meta["calibration"],
                         ("bartlett", "music"))
     if name == "replay-spotfi-ula80":
-        return _bearing(work, "ula", meta["capture"], meta["calibration"], ("spotfi",))
+        return _bearing(work, "ula", meta["capture"], meta["calibration"],
+                        ("bartlett", "music", "spotfi"))
     if name != "ingest-music-sq20":
         return []
     filters = ["--mac-filter", meta["keep_mac"], "--rssi-floor", repr(meta["rssi_floor"])]
