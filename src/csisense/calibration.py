@@ -16,6 +16,11 @@ location, assuming the direct path dominates:
    with equality at x = exp(j*angle(u0)), so it minimizes n - |u0^H x|^2
    in closed form and needs no refinement.
 
+Steps 1 and 2 run as the frames arrive, a block at a time, into the
+columns of M, which is allocated once for the whole dataset; a block is
+dropped once its columns are written, so that a capture's csi is never
+held whole.  Step 3 runs on the whole of M.
+
 Only u0 and the spectral gap sigma_1/sigma_2 are needed, so step 3 runs
 the eigensolver SpotFi also uses on M M^H / T, with one Krylov basis for
 both values: u0 and sigma_1 are taken where they converge, and the basis
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -46,6 +52,7 @@ from .core import (
     ChannelSpec,
     CsiFrame,
     CsiSenseError,
+    DegenerateGeometryError,
     DimensionMismatchError,
     Pose2D,
     SUBCARRIER_SPACING_HZ,
@@ -67,6 +74,12 @@ SPECTRAL_GAP_MIN = 3.0
 
 # Least pose/frame pairs `calibrate` accepts by default.
 MIN_PAIRS = 50
+
+# Frames per batch of steps 1 and 2 (`_SnapshotMatrix.add`).  On the
+# survey-sq80 benchmark's 500 frames (80 MHz, 4 antennas; M is 7.5 MB)
+# `calibrate`'s traced peak was 8.9 MB at 8, 11.0 MB at 32 and 8.8 MB at
+# 4, where the call ran ~5% slower.
+_SNAPSHOT_BATCH = 8
 
 
 class CalibrationError(CsiSenseError):
@@ -168,6 +181,8 @@ def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
     if any(s.shape != shape for s in sups):
         raise CalibrationError("snapshots must share one shape")
     stacked = np.stack([np.asarray(s, dtype=np.complex128).ravel() for s in sups], axis=1)
+    if not np.any(stacked):
+        raise CalibrationError("degenerate all-zero snapshots")
     return _coarse_from_columns(stacked, shape)
 
 
@@ -183,8 +198,6 @@ def _coarse_from_columns(stacked: np.ndarray, shape: tuple[int, ...]) -> CoarseR
     not converge, the deflated matrix is formed, into the buffer of its
     rank-1 term, for one `eigh` of its smaller Gram matrix.
     """
-    if not np.any(stacked):
-        raise CalibrationError("degenerate all-zero snapshots")
     n_pairs = stacked.shape[1]
     try:
         lambda_1, leading, following = _leading_eigenpairs(stacked, 1, then_next=True)
@@ -227,47 +240,70 @@ def calibrate(
     tx_index: int = 0,
 ) -> CalibrationResult:
     """Run the full pipeline on a pose/frame dataset: its frames stacked in
-    blocks as ingest cuts a capture, then `_calibrate_blocks`.
+    blocks as ingest cuts a capture, each as `_calibrate_blocks` asks for it.
 
     Raises CalibrationError for too few or inconsistent pairs and
     LowConfidenceError when sigma_1/sigma_2 falls below
     `SPECTRAL_GAP_MIN` (the line-of-sight dominance check).
     """
-    frames = [frame for _, frame in dataset.pairs]
-    runs = itertools.groupby(range(len(frames)), lambda k: (
-        k // REPLAY_BLOCK, frames[k].chanspec, frames[k].n_rx, frames[k].n_tx))
-    blocks = [(chanspec, np.stack([frames[k].csi for k in ks]))
-              for (_, chanspec, _, _), ks in runs]
-    xy, heading = _pose_arrays(pose for pose, _ in dataset.pairs)
-    return _calibrate_blocks(blocks, xy, heading, dataset.tx_location, dataset.geom,
+    pairs = dataset.pairs
+    runs = (list(ks) for _, ks in itertools.groupby(range(len(pairs)), lambda k: (
+        k // REPLAY_BLOCK, pairs[k][1].chanspec, pairs[k][1].n_rx, pairs[k][1].n_tx)))
+    blocks = ((pairs[ks[0]][1].chanspec, np.stack([pairs[k][1].csi for k in ks]),
+               *_pose_arrays(pairs[k][0] for k in ks)) for ks in runs)
+    return _calibrate_blocks(blocks, len(pairs), dataset.tx_location, dataset.geom,
                              dataset.chanspec, min_pairs, tx_index)
 
 
-def _calibrate_blocks(blocks: list[tuple[ChannelSpec, np.ndarray]], xy: np.ndarray,
-                      heading: np.ndarray, tx_location: np.ndarray, geom: ArrayGeometry,
-                      chanspec: ChannelSpec, min_pairs: int, tx_index: int) -> CalibrationResult:
-    """`calibrate` of frames in blocks, each (its chanspec, its csi (frames, n_rx,
-    n_tx, n_sub)), frame t of them taken at position xy[t] and heading heading[t].
+def _calibrate_blocks(blocks: Iterable[tuple[ChannelSpec, np.ndarray, np.ndarray, np.ndarray]],
+                      n_frames: int, tx_location: np.ndarray, geom: ArrayGeometry,
+                      chanspec: ChannelSpec | None, min_pairs: int,
+                      tx_index: int) -> CalibrationResult:
+    """`calibrate` of at most `n_frames` frames that come in blocks, each (its
+    chanspec, its csi (frames, n_rx, n_tx, n_sub), its frames' positions
+    (frames, 2) and headings (frames,)), on the dataset chanspec `chanspec`
+    (None: the first block's).
 
-    The checks run in the order they would frame by frame.  Steps 1 and 2
-    of the module docstring run a block at a time (`_snapshot_matrix`),
-    every pose's bearing and steering vector in one array pass; step 3
-    and its closed-form objective run on the whole data matrix.
+    Steps 1 and 2 of the module docstring run as each block arrives
+    (`_SnapshotMatrix.add`), into M's columns, so no block is kept once
+    its columns are written; step 3 and its closed-form objective run on
+    the whole of M.  The checks fail in the order they would frame by
+    frame: whatever raises while `blocks` is read (an ingest fault, a
+    missing pose) first; then the pair count, a block of another chanspec
+    or antenna count, fewer than 2 snapshots, the tx index, a pose on the
+    transmitter and all-zero snapshots.  A block that fails a check stops
+    the computing but not the reading, and its error waits for its turn.
     """
-    n_pairs = sum(len(csi) for _, csi in blocks)
+    snapshots, n_pairs, misfit, tx_fault, degenerate = None, 0, None, None, None
+    for block_chanspec, csi, xy, heading in blocks:
+        if snapshots is None:
+            chanspec = block_chanspec if chanspec is None else chanspec
+            snapshots = _SnapshotMatrix(n_frames, tx_location, geom, chanspec)
+        n_pairs += len(csi)
+        if misfit is None and block_chanspec != chanspec:
+            misfit = CalibrationError("all frames must share the dataset chanspec")
+        elif misfit is None and csi.shape[1] != geom.n_antennas:
+            misfit = CalibrationError("frame antenna count does not match geometry")
+        if tx_fault is None and not 0 <= tx_index < csi.shape[2]:
+            tx_fault = DimensionMismatchError(f"tx index {tx_index} out of range")
+        if misfit is None and tx_fault is None and degenerate is None:
+            try:
+                snapshots.add(csi[:, :, tx_index, :], xy, heading)
+            except DegenerateGeometryError as exc:
+                degenerate = exc
     if n_pairs < min_pairs:
         raise CalibrationError(f"{n_pairs} pose/frame pairs; at least {min_pairs} required")
-    for block_chanspec, csi in blocks:
-        if block_chanspec != chanspec:
-            raise CalibrationError("all frames must share the dataset chanspec")
-        if csi.shape[1] != geom.n_antennas:
-            raise CalibrationError("frame antenna count does not match geometry")
+    if misfit is not None:
+        raise misfit
     if n_pairs < 2:
         raise CalibrationError("need at least 2 snapshots")
-    if not all(0 <= tx_index < csi.shape[2] for _, csi in blocks):
-        raise DimensionMismatchError(f"tx index {tx_index} out of range")
-    columns = _snapshot_matrix([csi[:, :, tx_index, :] for _, csi in blocks], xy, heading,
-                               tx_location, geom, chanspec)
+    if tx_fault is not None:
+        raise tx_fault
+    if degenerate is not None:
+        raise degenerate
+    if not snapshots.nonzero:
+        raise CalibrationError("degenerate all-zero snapshots")
+    columns = snapshots.columns[:, :n_pairs]
     coarse = _coarse_from_columns(columns, (geom.n_antennas, chanspec.n_sub))
     gap = coarse.spectral_gap
     if gap < SPECTRAL_GAP_MIN:
@@ -292,42 +328,49 @@ def _calibrate_blocks(blocks: list[tuple[ChannelSpec, np.ndarray]], xy: np.ndarr
     )
 
 
-def _snapshot_matrix(slices: list[np.ndarray], xy: np.ndarray, heading: np.ndarray,
-                     tx_location: np.ndarray, geom: ArrayGeometry,
-                     chanspec: ChannelSpec) -> np.ndarray:
-    """The data matrix M (n_rx * n_sub, T): frame t's processed snapshot in column t.
+class _SnapshotMatrix:
+    """The data matrix M (n_rx * n_sub, n_frames), filled as frames arrive:
+    frame t's processed snapshot in column t.
 
-    `slices` are the frames' tx slices, (frames, n_rx, n_sub) a block, frame
-    t taken at (xy[t], heading[t]).  Each snapshot is `suppress_bearing` of
-    its frame with its time-of-flight slope removed: element for element
-    the operations of one frame at a time, run a block at a time.  The slope
-    fit's temporaries grow with the block (one block of all 500 frames raised
-    the survey-sq80 benchmark's peak memory from 71 to 98 MB), so callers
-    pass blocks of at most `REPLAY_BLOCK` frames.
+    Each snapshot is `suppress_bearing` of its frame with its time-of-flight
+    slope removed: element for element the operations of one frame at a
+    time, run `_SNAPSHOT_BATCH` frames at a time, which bounds the slope
+    fit's temporaries.  `nonzero` tells whether any column written holds a
+    nonzero value: each batch is tested just before it is written, until
+    one does.
     """
-    freqs = subcarrier_frequencies(chanspec)
-    rel_freq = freqs - freqs[freqs.size // 2]
-    unit = np.isclose(np.diff(freqs), SUBCARRIER_SPACING_HZ)
-    theta = _ground_truth_bearings(xy, heading, tx_location)
-    conj_steering = np.conj(_steering_vectors(theta, geom, wavelength(chanspec)))
 
-    columns = np.empty((geom.n_antennas * freqs.size, theta.size), dtype=np.complex128)
-    ref_conj = None
-    stop = 0
-    for csi in slices:
-        start, stop = stop, stop + len(csi)
-        sup = csi.astype(np.complex128)
-        sup *= conj_steering[start:stop, :, None]
-        # Per-frame time-of-flight slope, fitted against the first snapshot
-        # so the (arbitrary) bias-phase structure cancels out of the fit.
-        # The removed slopes differ from the true ones by one common value,
-        # which lands in the unobservable gauge.
-        if ref_conj is None:
-            ref_conj = np.conj(sup[0])
-        slopes = _fit_common_slopes(sup * ref_conj, unit)
-        sup *= np.exp(-1j * slopes[:, None] * rel_freq)[:, None, :]
-        columns[:, start:stop] = sup.reshape(stop - start, -1).T
-    return columns
+    def __init__(self, n_frames: int, tx_location: np.ndarray, geom: ArrayGeometry,
+                 chanspec: ChannelSpec):
+        freqs = subcarrier_frequencies(chanspec)
+        self.rel_freq = freqs - freqs[freqs.size // 2]
+        self.unit = np.isclose(np.diff(freqs), SUBCARRIER_SPACING_HZ)
+        self.lambda_m = wavelength(chanspec)
+        self.tx_location, self.geom = tx_location, geom
+        self.columns = np.empty((geom.n_antennas * freqs.size, n_frames), dtype=np.complex128)
+        self.stop = 0  # columns written
+        self.nonzero = False
+        self.ref_conj = None
+
+    def add(self, slices: np.ndarray, xy: np.ndarray, heading: np.ndarray) -> None:
+        """Write the snapshots of frames with tx slices (frames, n_rx, n_sub),
+        taken at positions xy and headings heading, into the next columns."""
+        theta = _ground_truth_bearings(xy, heading, self.tx_location)
+        conj_steering = np.conj(_steering_vectors(theta, self.geom, self.lambda_m))
+        for k in range(0, len(slices), _SNAPSHOT_BATCH):
+            sup = slices[k:k + _SNAPSHOT_BATCH].astype(np.complex128)
+            sup *= conj_steering[k:k + _SNAPSHOT_BATCH, :, None]
+            # Per-frame time-of-flight slope, fitted against the first snapshot
+            # so the (arbitrary) bias-phase structure cancels out of the fit.
+            # The removed slopes differ from the true ones by one common value,
+            # which lands in the unobservable gauge.
+            if self.ref_conj is None:
+                self.ref_conj = np.conj(sup[0])
+            slopes = _fit_common_slopes(sup * self.ref_conj, self.unit)
+            sup *= np.exp(-1j * slopes[:, None] * self.rel_freq)[:, None, :]
+            self.nonzero = self.nonzero or bool(np.any(sup))
+            start, self.stop = self.stop, self.stop + len(sup)
+            self.columns[:, start:self.stop] = sup.reshape(len(sup), -1).T
 
 
 def save_calibration(path, cal: CalibrationMatrix, geom: ArrayGeometry) -> None:

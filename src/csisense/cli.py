@@ -19,7 +19,11 @@ takes a capture a `codec.FrameBlock` at a time (the kept frames of
 UDP stream one datagram at a time, and writes each block's rows as it is
 made.  A fault mid-stream keeps the rows before it and prints the
 summary line, then the error line, and exits 2.  `calibrate` reads a
-capture through the same blocks, unfiltered, and builds no per-frame object.
+capture through the same blocks, unfiltered, and builds no per-frame
+object: each block becomes its columns of the calibration's data matrix
+as it arrives and is then dropped, the matrix sized once by the count in
+the capture's header (read before the blocks, so the capture is a file,
+not a pipe).
 
 Configuration files (--config) are INI-style: [packet] (MAC allow-list,
 RSSI floor) is read by `decode` and `bearing`, [algorithm] by `bearing`
@@ -38,7 +42,7 @@ import functools
 import inspect
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -68,6 +72,7 @@ from .codec import (
     DEFAULT_UDP_PORT,
     FrameBlock,
     IngestStats,
+    capture_frame_count,
     format_mac,
     ingest_capture_blocks,
     ingest_stream_blocks,
@@ -364,20 +369,25 @@ def _cmd_calibrate(args) -> int:
     tx_location = _tx_flag(args.tx)
     geom = _geometry_flag(args.geometry)
     by_ts = dict(read_poses_csv(args.poses))
-    blocks, poses = [], []
-    for block in ingest_capture_blocks(args.capture):
-        for ts in block.timestamp_ns:
-            pose = by_ts.get(ts)
-            if pose is None:
-                raise CalibrationError(f"no pose with timestamp {ts}; "
-                                       "poses and capture must be time-aligned")
-            poses.append(pose)
-        blocks.append((block.chanspec, block.csi))
-    if not blocks:
-        raise CalibrationError("capture holds no frames")
-    xy, heading = _pose_arrays(poses)
-    result = _calibrate_blocks(blocks, xy, heading, tx_location, geom, blocks[0][0],
-                               args.min_pairs, args.tx_antenna)
+    n_frames = capture_frame_count(args.capture)
+
+    def posed(blocks: Iterator[FrameBlock]):
+        """Each block as (chanspec, csi, its frames' positions and headings)."""
+        block = None
+        for block in blocks:
+            poses = []
+            for ts in block.timestamp_ns:
+                pose = by_ts.get(ts)
+                if pose is None:
+                    raise CalibrationError(f"no pose with timestamp {ts}; "
+                                           "poses and capture must be time-aligned")
+                poses.append(pose)
+            yield (block.chanspec, block.csi, *_pose_arrays(poses))
+        if block is None:
+            raise CalibrationError("capture holds no frames")
+
+    result = _calibrate_blocks(posed(ingest_capture_blocks(args.capture)), n_frames,
+                               tx_location, geom, None, args.min_pairs, args.tx_antenna)
     save_calibration(args.out, result.matrix, geom)
     print(f"pairs = {result.n_pairs}")
     print(f"spectral_gap = {result.spectral_gap:.4g}")

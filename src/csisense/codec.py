@@ -52,6 +52,7 @@ on how the records were cut into blocks.
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 from dataclasses import dataclass
@@ -81,6 +82,7 @@ CAPTURE_VERSION = 1
 _CAPTURE_HEADER = struct.Struct("<4sIQ")
 CAPTURE_HEADER_SIZE = _CAPTURE_HEADER.size  # 16
 _LENGTH_PREFIX = struct.Struct("<I")
+_MIN_RECORD_SIZE = _LENGTH_PREFIX.size + HEADER_SIZE + 8 * usable_subcarrier_count(20)
 
 DEFAULT_UDP_PORT = 5500
 
@@ -128,10 +130,6 @@ def encode_frame(frame: CsiFrame) -> bytes:
     The rssi field is rounded to the nearest integer dB; every other
     field round-trips bit-exactly.
     """
-    rssi = int(round(frame.rssi_dbm))
-    _check_range("rssi_dbm", rssi, -128, 127)
-    _check_range("seq", frame.seq, 0, 0xFFFF)
-    _check_range("timestamp_ns", frame.timestamp_ns, 0, 0xFFFFFFFFFFFFFFFF)
     header = _HEADER.pack(
         FRAME_MAGIC,
         FRAME_VERSION,
@@ -140,7 +138,7 @@ def encode_frame(frame: CsiFrame) -> bytes:
         frame.chanspec.bandwidth_mhz,
         frame.chanspec.channel_number,
         frame.seq,
-        rssi,
+        _wire_rssi(frame),
         0,
         frame.n_sub,
         frame.source_mac,
@@ -149,6 +147,16 @@ def encode_frame(frame: CsiFrame) -> bytes:
     )
     payload = np.ascontiguousarray(frame.csi, dtype=np.complex64).view(np.float32)
     return header + payload.tobytes()
+
+
+def _wire_rssi(frame: CsiFrame) -> int:
+    """The frame's rssi as the wire's integer, once its rssi, seq and
+    timestamp are checked to fit the wire layout."""
+    rssi = int(round(frame.rssi_dbm))
+    _check_range("rssi_dbm", rssi, -128, 127)
+    _check_range("seq", frame.seq, 0, 0xFFFF)
+    _check_range("timestamp_ns", frame.timestamp_ns, 0, 0xFFFFFFFFFFFFFFFF)
+    return rssi
 
 
 def decode_frame(buf: bytes) -> CsiFrame:
@@ -447,14 +455,36 @@ def udp_datagrams(
 
 
 def write_capture(path, frames: Iterable[CsiFrame]) -> int:
-    """Write frames to a .wcap capture file; returns the frame count."""
-    encoded = [encode_frame(f) for f in frames]
+    """Write frames to a .wcap capture file; returns the frame count.
+
+    Every frame's fields are checked against the wire layout before the
+    file is opened, so a frame that does not fit leaves no file; then each
+    frame is encoded and written in turn.
+    """
+    frames = list(frames)
+    for frame in frames:
+        _wire_rssi(frame)
     with open(path, "wb") as fh:
-        fh.write(_CAPTURE_HEADER.pack(CAPTURE_MAGIC, CAPTURE_VERSION, len(encoded)))
-        for buf in encoded:
+        fh.write(_CAPTURE_HEADER.pack(CAPTURE_MAGIC, CAPTURE_VERSION, len(frames)))
+        for frame in frames:
+            buf = encode_frame(frame)
             fh.write(_LENGTH_PREFIX.pack(len(buf)))
             fh.write(buf)
-    return len(encoded)
+    return len(frames)
+
+
+def capture_frame_count(path) -> int:
+    """The frame count in a capture's header, which is checked as ingest checks it.
+
+    A count larger than the file could hold, at the smallest valid record
+    (1 x 1 antennas at 20 MHz), is cut to what it could hold, so that a
+    caller may size an array by it: ingest still raises where such a
+    capture ends.
+    """
+    with open(path, "rb") as fh:
+        count = _read_capture_header(fh)
+        size = os.fstat(fh.fileno()).st_size
+    return min(count, max(size - CAPTURE_HEADER_SIZE, 0) // _MIN_RECORD_SIZE)
 
 
 def ingest_capture_blocks(

@@ -133,14 +133,16 @@ def pipeline_snapshots(chan, geom, n_pairs=120, seed=31):
 
 
 def snapshot_matrix(ds, tx_index=0, cut=codec.REPLAY_BLOCK):
-    """`calibration._snapshot_matrix` of a dataset, its frames' tx slices
-    fed as blocks of `cut` frames, as `calibrate` feeds them."""
-    frames = [frame for _, frame in ds.pairs]
-    slices = [np.stack([frame.csi[:, tx_index, :] for frame in frames[k:k + cut]])
-              for k in range(0, len(frames), cut)]
-    xy, heading = core._pose_arrays(pose for pose, _ in ds.pairs)
-    return calibration._snapshot_matrix(slices, xy, heading, ds.tx_location, ds.geom,
-                                        ds.chanspec)
+    """`calibration._SnapshotMatrix` of a dataset, its frames' tx slices and
+    poses added as blocks of `cut` frames, as `calibrate` adds them."""
+    snapshots = calibration._SnapshotMatrix(len(ds.pairs), ds.tx_location, ds.geom,
+                                            ds.chanspec)
+    for k in range(0, len(ds.pairs), cut):
+        block = ds.pairs[k:k + cut]
+        snapshots.add(np.stack([frame.csi[:, tx_index, :] for _, frame in block]),
+                      *core._pose_arrays(pose for pose, _ in block))
+    assert snapshots.stop == len(ds.pairs)
+    return snapshots.columns
 
 
 def noisy_snapshots(rng, shape, n, noise):
@@ -422,7 +424,10 @@ class TestBatchedSnapshots:
         csi = frame.csi.copy()
         csi[0, 0, chan.n_sub // 2] = 0
         ds.pairs[-1] = (pose, dataclasses.replace(frame, csi=csi))
-        assert snapshot_matrix(ds).tobytes() == frame_by_frame_columns(ds).tobytes()
+        expected = frame_by_frame_columns(ds).tobytes()
+        # batches of 8 cut blocks of 32 (150 frames end in 8, 8, 6); cuts 1 and 5 stay whole
+        for cut in (1, 5, 32):
+            assert snapshot_matrix(ds, cut=cut).tobytes() == expected
 
     @pytest.mark.parametrize("cut", [1, 5, 32, 71])
     def test_block_cuts_give_identical_bytes(self, square_geom, chan80, cut):

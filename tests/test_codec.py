@@ -1,3 +1,4 @@
+import dataclasses
 import socket
 
 import numpy as np
@@ -182,6 +183,29 @@ class TestCapture:
         path = tmp_path / "x.wcap"
         assert write_capture(path, frames) == 20
         assert read_capture(path) == frames
+
+    def test_frame_that_does_not_fit_leaves_no_file(self, tmp_path, rng):
+        # frames are written one at a time, but every field is checked first
+        frames = [random_frame(rng) for _ in range(3)]
+        frames.append(dataclasses.replace(frames[0], rssi_dbm=200.0))
+        path = tmp_path / "x.wcap"
+        with pytest.raises(FrameFormatError, match="rssi_dbm=200 does not fit"):
+            write_capture(path, iter(frames))
+        assert not path.exists()
+
+    def test_frame_count_is_the_header_count_or_what_the_file_can_hold(self, tmp_path, rng):
+        path = tmp_path / "x.wcap"
+        # the smallest valid frames: 1 x 1 antennas on the 52 subcarriers of 20 MHz
+        write_capture(path, [random_frame(rng, 1, 1, 20) for _ in range(5)])
+        assert codec.capture_frame_count(path) == 5
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + (2 ** 40).to_bytes(8, "little") + raw[16:])
+        assert codec.capture_frame_count(path) == 5
+        path.write_bytes(raw[:8] + (2 ** 40).to_bytes(8, "little"))
+        assert codec.capture_frame_count(path) == 0
+        path.write_bytes(b"NOPE" + raw[4:])
+        with pytest.raises(CaptureFormatError):
+            codec.capture_frame_count(path)
 
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.wcap"

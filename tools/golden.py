@@ -24,6 +24,11 @@ The calls, per seed:
   the first 40 records of the ingest capture: intact, cut inside frame
   5's length prefix, with capture version 2, cut to 10 bytes, and with
   frame 7's magic overwritten;
+- `calibrate` on variants of the survey workload's capture and poses: a
+  missing pose, a record on a foreign channel, the two together (the
+  pose missing after the foreign record), `--min-pairs` above the frame
+  count, `--tx-antenna 1` and all-zero csi, so that each error line is
+  compared;
 - `scan` on variants of the survey workload's walk that reach every
   branch of the scanner: with `scan_period_s = 5` (a rescan every 50
   poses), with `switch_margin_db` 0.5 and 20, with a fifth AP on a channel
@@ -117,14 +122,20 @@ def _bearing(work: Path, label: str, capture: str, calibration: str, algorithms,
             for algorithm in algorithms for window in WINDOWS]
 
 
+def _record_starts(raw: bytes, count: int) -> list[int]:
+    """The offsets of the length prefixes of a capture's first `count` records,
+    and the offset after the last of them."""
+    starts = [16]
+    for _ in range(count):
+        starts.append(starts[-1] + 4 + struct.unpack_from("<I", raw, starts[-1])[0])
+    return starts
+
+
 def _fault_captures(work: Path, capture: str) -> list[str]:
     """Write the fault captures of the first 40 records of `capture`; their names."""
     raw = (work / capture).read_bytes()
     magic, version, _ = struct.unpack_from("<4sIQ", raw)
-    starts, at = [], 16  # offset of each record's length prefix
-    for _ in range(40):
-        starts.append(at)
-        at += 4 + struct.unpack_from("<I", raw, at)[0]
+    *starts, at = _record_starts(raw, 40)
     clean = struct.pack("<4sIQ", magic, version, 40) + raw[16:at]
     magic7 = bytearray(clean)
     magic7[starts[7] + 4:starts[7] + 8] = b"XXXX"
@@ -162,10 +173,42 @@ def _scan_calls(work: Path, meta: dict) -> list[tuple[str, list[str]]]:
     return calls
 
 
+def _calibrate_calls(work: Path, meta: dict) -> list[tuple[str, list[str]]]:
+    """Write the calibrate call set's captures and poses, made from the survey
+    workload's pass; its calls."""
+    raw = (work / "survey.wcap").read_bytes()
+    frames = meta["frames"]
+    starts = _record_starts(raw, frames)
+    foreign, missing = frames - 30, frames - 25  # records
+    records = [raw[a + 4:b] for a, b in zip(starts, starts[1:])]
+    zeros = [record[:32] + bytes(len(record) - 32) for record in records]
+    header = bytearray(records[foreign][:32])
+    struct.pack_into("<BH", header, 7, 20, 36)  # channel 36 at 20 MHz: 52 subcarriers
+    struct.pack_into("<H", header, 14, 52)
+    records[foreign] = bytes(header) + records[foreign][32:32 + 8 * header[5] * header[6] * 52]
+    for label, kept in (("foreign", records), ("zero", zeros)):
+        (work / f"calibrate-{label}.wcap").write_bytes(raw[:16] + b"".join(
+            struct.pack("<I", len(record)) + record for record in kept))
+    lines = (work / "survey.poses.csv").read_text().splitlines(keepends=True)
+    (work / "calibrate-missing.csv").write_text("".join(lines[:missing + 1] + lines[missing + 2:]))
+    cases = {"missing-pose": ("survey.wcap", "calibrate-missing.csv", []),
+             "foreign-channel": ("calibrate-foreign.wcap", "survey.poses.csv", []),
+             "missing-pose-after-foreign": ("calibrate-foreign.wcap", "calibrate-missing.csv", []),
+             "min-pairs": ("survey.wcap", "survey.poses.csv", ["--min-pairs", str(frames + 1)]),
+             "tx-antenna": ("survey.wcap", "survey.poses.csv", ["--tx-antenna", "1"]),
+             "zero": ("calibrate-zero.wcap", "survey.poses.csv", [])}
+    tx = f"{meta['tx'][0]!r},{meta['tx'][1]!r}"
+    return [(f"calibrate-{label}",
+             ["calibrate", "--capture", str(work / capture), "--poses", str(work / poses),
+              f"--tx={tx}", "--geometry", meta["geometry"], *flags,
+              "--out", str(work / f"calibrate-{label}.cal")])
+            for label, (capture, poses, flags) in cases.items()]
+
+
 def _extra_calls(name: str, work: Path, meta: dict) -> list[tuple[str, list[str]]]:
     """The workload's calls beyond its pass, as (label, argv)."""
     if name == "survey-sq80":
-        return _scan_calls(work, meta)
+        return _scan_calls(work, meta) + _calibrate_calls(work, meta)
     if name == "replay-bartlett-sq80":
         return _bearing(work, "square", meta["capture"], meta["calibration"],
                         ("bartlett", "music"))
