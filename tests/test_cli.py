@@ -1530,7 +1530,6 @@ class TestCalibrateCommand:
         assert captured.err.splitlines() == [f"error: data: {expected}"]
         assert captured.out == "" and not out.exists()
 
-
     def test_traced_peak_holds_little_beyond_the_snapshot_matrix(self, tmp_path):
         """Each ingest block becomes its columns of the data matrix M as it
         arrives, and no block is kept once they are written.  On 200 frames
