@@ -9,7 +9,6 @@ from csisense import (
     ArrayGeometry,
     ChannelSpec,
     Pose2D,
-    expected_csi,
     ground_truth_bearing,
     steering_vector,
     subcarrier_frequencies,
@@ -47,8 +46,3 @@ bearing = ground_truth_bearing(robot, tx)
 print(f"robot at (3, 1) heading 20 deg sees the transmitter at "
       f"{np.degrees(bearing):.1f} deg in its own frame")
 
-# The expected CSI for that pose: pure bearing phase, identical on every
-# subcarrier (a narrowband model at the center wavelength).
-model = expected_csi(robot, tx, geom, chan)
-print(f"expected CSI shape {model.shape}; row 0 is the reference antenna: "
-      f"{model[0, :3]}")

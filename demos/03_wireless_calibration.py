@@ -16,10 +16,9 @@ from csisense import (
     CalibrationDataset,
     ChannelSpec,
     SimScenario,
-    apply_calibration,
-    bartlett_profile,
+    apply_calibration_block,
+    bearing_csi_estimator,
     calibrate,
-    estimate_bearing,
     ground_truth_bearing,
     synth_trajectory,
     wavelength,
@@ -74,18 +73,17 @@ held_out = synth_trajectory(
     geom,
 )
 cfg = AoaConfig()
+csi = np.stack([frame.csi for _, frame in held_out])
+truth_theta = np.array([ground_truth_bearing(pose, tx) for pose, _ in held_out])
 
 
 def median_bearing_error(use_calibration):
-    # estimate_bearing only picks the argmax; the RSSI floor belongs to ingest
-    # (ingest_capture_blocks, ingest_stream_blocks), and every frame here is within 5 m
-    # anyway.
-    errors = []
-    for pose, frame in held_out:
-        used = apply_calibration(result.matrix, frame) if use_calibration else frame
-        est = estimate_bearing(bartlett_profile(used, geom, cfg), frame.rssi_dbm, cfg)
-        errors.append(abs(wrap_angle(est.theta - ground_truth_bearing(pose, tx))))
-    return np.degrees(np.median(errors))
+    # the path `csisense bearing` runs: one multiply calibrates the block, and
+    # the stream estimator gives each frame's bearing as an index into the grid
+    # (the RSSI floor belongs to ingest, and every frame here is within 5 m)
+    used = apply_calibration_block(result.matrix, chan, csi)[0] if use_calibration else csi
+    peaks, _strength = bearing_csi_estimator(geom, cfg)(chan, used)
+    return np.degrees(np.median(np.abs(wrap_angle(cfg.theta_grid[peaks] - truth_theta))))
 
 
 print(f"median bearing error without calibration: "

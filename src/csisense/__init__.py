@@ -23,7 +23,6 @@ from .core import (
     Profile2D,
     apply_calibration,
     apply_calibration_block,
-    expected_csi,
     ground_truth_bearing,
     steering_vector,
     subcarrier_frequencies,
@@ -66,7 +65,6 @@ from .calibration import (
     coarse_calibration,
     load_calibration,
     save_calibration,
-    suppress_bearing,
 )
 from .aoa import (
     AoaConfig,
@@ -78,7 +76,6 @@ from .aoa import (
     estimate_bearing,
     music_spectrum,
     spotfi_estimate,
-    spotfi_profile,
     triangulate,
     write_profile_pgm,
 )

@@ -6,10 +6,10 @@ Estimators:
   cheap real-time option and the source of the profile visualizations.
 * `music_spectrum` -- subspace pseudospectrum over bearing only, from the
   antenna covariance averaged across subcarriers and frames.
-* `spotfi_profile` -- joint (bearing, delay) pseudospectrum via 2-D MUSIC
-  on spatially smoothed antenna/subcarrier sub-arrays of one or more
-  frames (uniform linear arrays only); `spotfi_estimate` lists one
-  frame's strongest (bearing, delay) paths.
+* `spotfi_estimate` -- one frame's strongest (bearing, delay) paths from a
+  joint pseudospectrum via 2-D MUSIC on spatially smoothed
+  antenna/subcarrier sub-arrays (uniform linear arrays only); the stream
+  estimator evaluates the same pseudospectrum over a window's frames.
 
 A stream of frames gets one bearing per frame from the estimator's
 output over its last `window` frames on its current channel: Bartlett
@@ -67,7 +67,7 @@ Grid kernels that depend only on the geometry, the channel and the grids
 are built once per (geometry, channel, grid) by small private caches and
 handed out read-only, so a stream of frames pays for them once.  Every
 estimator steers in bearing with one kernel, `_steering_kernel`
-(`core._steering_vectors`, the formula synthesis and calibration use,
+(`core.steering_vector`, the formula synthesis and calibration use,
 over the whole array): MUSIC projects it onto the conjugated noise
 subspace, SpotFi takes its first n_ant_sub columns as its sub-array, and
 Bartlett's one real Gram kernel (`_gram_kernel_t`) is formed from it.
@@ -119,8 +119,8 @@ from .core import (
     Profile2D,
     _dense_eigenpairs,
     _leading_eigenpairs,
-    _steering_vectors,
     _strictly_increasing,
+    steering_vector,
     subcarrier_indices,
     subcarrier_frequencies,
     wavelength,
@@ -553,12 +553,11 @@ def spotfi_smoothing_dims(n_rx: int, chanspec: ChannelSpec, cfg: AoaConfig) -> t
     return n_ant_sub, n_sub_sub
 
 
-def spotfi_profile(
-    frames: Sequence[CsiFrame],
-    geom: ArrayGeometry,
-    cfg: AoaConfig,
-) -> Profile2D:
-    """Smoothed 2-D MUSIC pseudospectrum over (theta grid, dist grid).
+def _spotfi_pseudo(chanspec: ChannelSpec, snaps: Sequence[np.ndarray], geom: ArrayGeometry,
+                   cfg: AoaConfig) -> np.ndarray:
+    """Smoothed 2-D MUSIC pseudospectrum over (cfg.theta_grid, cfg.dist_grid)
+    from a window's (n_rx, n_sub) snapshots of transmit antenna 0, all on
+    `chanspec`: (n_theta, n_dist).
 
     Overlapping sub-arrays of n_ant_sub antennas x n_sub_sub subcarriers
     (stepped by one antenna / one subcarrier) decorrelate coherent
@@ -566,21 +565,10 @@ def spotfi_profile(
     smoothed covariance X X^H / n; its n_sources leading eigenvectors
     (`core._leading_eigenpairs`) span the signal subspace, and the
     pseudospectrum is evaluated over joint steering
-    s_i(theta) * exp(-j 2 pi f_j tau) with tau = cfg.dist_grid / c.
-
-    The geometry must be a uniform linear array with at least two
-    antennas; any other raises UnsupportedGeometryError.
+    s_i(theta) * exp(-j 2 pi f_j tau) with tau = cfg.dist_grid / c.  The
+    caller checks the geometry: a uniform linear array (`_require_ula`)
+    whose antenna count the snapshots share.
     """
-    _require_ula(geom)
-    _check_window(frames, geom)
-    pseudo = _spotfi_pseudo(frames[0].chanspec, [f.csi[:, 0, :] for f in frames], geom, cfg)
-    return Profile2D(values=pseudo, theta_grid=cfg.theta_grid, dist_grid=cfg.dist_grid)
-
-
-def _spotfi_pseudo(chanspec: ChannelSpec, snaps: Sequence[np.ndarray], geom: ArrayGeometry,
-                   cfg: AoaConfig) -> np.ndarray:
-    """`spotfi_profile`'s values from its frames' (n_rx, n_sub) snapshots of
-    transmit antenna 0, all on `chanspec`: (n_theta, n_dist)."""
     n_ant_sub, n_sub_sub = spotfi_smoothing_dims(geom.n_antennas, chanspec, cfg)
     dim = n_ant_sub * n_sub_sub
     n_sources = cfg.n_sources
@@ -636,16 +624,23 @@ def spotfi_estimate(
     geom: ArrayGeometry,
     cfg: AoaConfig,
 ) -> list[PathEstimate]:
-    """One frame's joint (bearing, delay) paths from `spotfi_profile`.
+    """One frame's joint (bearing, delay) paths from its SpotFi
+    pseudospectrum (`_spotfi_pseudo`).
 
     Up to n_sources local maxima of the pseudospectrum are returned,
     strongest first.  Equal powers keep grid order (a stable sort), so
     the first path has the bearing `estimate_bearing` picks from the same
-    profile.  Delays are relative (the grid is cfg.dist_grid / c).
+    pseudospectrum.  Delays are relative (the grid is cfg.dist_grid / c).
 
-    Requires a uniform linear array with at least two antennas.
+    Requires a uniform linear array with at least two antennas
+    (UnsupportedGeometryError otherwise) whose antenna count the frame has.
     """
-    pseudo = spotfi_profile([frame], geom, cfg).values
+    _require_ula(geom)
+    _check_frame(frame.n_rx, geom)
+    pseudo = _spotfi_pseudo(frame.chanspec, [frame.csi[:, 0, :]], geom, cfg)
+    # min and max both propagate NaN, so NaN fails the test as well
+    if not (pseudo.min() >= 0 and pseudo.max() < np.inf):
+        raise ConfigurationError("profile values must be finite and non-negative")
     tau_grid = cfg.dist_grid / SPEED_OF_LIGHT
 
     local_max = pseudo == _max_filter3(pseudo)
@@ -902,30 +897,6 @@ def write_profile_pgm(path, profile: Profile2D, metadata: dict | None = None) ->
         fh.write("\n".join(lines) + "\n")
 
 
-def read_profile_pgm(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Read a profile image and its sidecar back: (uint8 image, grids, meta)."""
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P5":
-            raise ConfigurationError("not a binary PGM file")
-        n_dist, n_theta = (int(v) for v in fh.readline().split())
-        maxval = int(fh.readline())
-        if maxval != 255:
-            raise ConfigurationError("expected 8-bit PGM")
-        image = np.frombuffer(fh.read(n_theta * n_dist), dtype=np.uint8)
-        image = image.reshape(n_theta, n_dist)
-    meta: dict[str, str] = {}
-    with open(str(path) + ".txt") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-    theta = np.radians([float(v) for v in meta.pop("theta_deg").split(",")])
-    dist = np.array([float(v) for v in meta.pop("dist_m").split(",")])
-    return image, theta, dist, meta
-
-
 # Kernels are keyed on the float64 bytes of their grids and antenna
 # positions (arrays are unhashable) and returned read-only, since every
 # caller shares the cached array.  A few entries cover every (geometry,
@@ -936,10 +907,10 @@ def _grid_key(grid: np.ndarray) -> bytes:
 
 @lru_cache(maxsize=8)
 def _steering_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
-    """Bearing steering `core._steering_vectors`, shape (n_theta, n_antennas)."""
+    """Bearing steering `core.steering_vector`, shape (n_theta, n_antennas)."""
     positions = np.frombuffer(positions_bytes, dtype=np.float64).reshape(-1, 2)
-    kernel = _steering_vectors(np.frombuffer(theta_bytes, dtype=np.float64),
-                               ArrayGeometry(positions), lambda_m)
+    kernel = steering_vector(np.frombuffer(theta_bytes, dtype=np.float64),
+                             ArrayGeometry(positions), lambda_m)
     kernel.flags.writeable = False
     return kernel
 

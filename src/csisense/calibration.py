@@ -4,10 +4,12 @@ Recovers per-antenna, per-subcarrier phase corrections from a dataset of
 robot poses and raw CSI frames collected around a transmitter at a known
 location, assuming the direct path dominates:
 
-1. suppress the bearing-induced phase of each frame using the expected
-   direct-path CSI for its pose,
+1. suppress the bearing-induced phase of each frame: multiply every
+   subcarrier by the conjugate steering vector at the frame's
+   ground-truth bearing (the expected direct-path CSI of a narrowband
+   model), which leaves magnitudes as they are,
 2. remove each frame's best-fit linear phase slope across subcarriers
-   (time-of-flight, which the expected-CSI model omits); its random
+   (time-of-flight, which that model omits); its random
    common phase needs no removal: a unit scalar on one column of the
    stacked snapshots M cancels from M M^H and from the slope fit,
 3. take the phase of the first left-singular vector u0 of the stacked
@@ -60,8 +62,6 @@ from .core import (
     _ground_truth_bearings,
     _leading_eigenpairs,
     _pose_arrays,
-    _steering_vectors,
-    ground_truth_bearing,
     steering_vector,
     subcarrier_frequencies,
     wavelength,
@@ -130,32 +130,6 @@ class CalibrationResult:
     coarse_objective: float
     fine_objective: float
     n_pairs: int
-
-
-def suppress_bearing(
-    frame: CsiFrame,
-    pose: Pose2D,
-    tx_location,
-    geom: ArrayGeometry,
-    tx_index: int = 0,
-) -> np.ndarray:
-    """Element-wise product of one tx slice with conj(expected CSI).
-
-    Removes the bearing-induced inter-antenna phase, leaving bias, common
-    phase and the per-subcarrier time-of-flight slope.  Magnitudes are
-    unchanged (the expected CSI is unit modulus).  The expected CSI is one
-    steering vector repeated over subcarriers, so its conjugate is
-    broadcast across them rather than materialized.
-    """
-    if frame.n_rx != geom.n_antennas:
-        raise DimensionMismatchError(
-            f"frame has {frame.n_rx} antennas, geometry has {geom.n_antennas}"
-        )
-    if not 0 <= tx_index < frame.n_tx:
-        raise DimensionMismatchError(f"tx index {tx_index} out of range")
-    theta = ground_truth_bearing(pose, tx_location)
-    steering = steering_vector(theta, geom, wavelength(frame.chanspec))
-    return frame.csi[:, tx_index, :].astype(np.complex128) * np.conj(steering)[:, None]
 
 
 def coarse_calibration(sups: list[np.ndarray]) -> CoarseResult:
@@ -332,12 +306,13 @@ class _SnapshotMatrix:
     """The data matrix M (n_rx * n_sub, n_frames), filled as frames arrive:
     frame t's processed snapshot in column t.
 
-    Each snapshot is `suppress_bearing` of its frame with its time-of-flight
-    slope removed: element for element the operations of one frame at a
-    time, run `_SNAPSHOT_BATCH` frames at a time, which bounds the slope
-    fit's temporaries.  `nonzero` tells whether any column written holds a
-    nonzero value: each batch is tested just before it is written, until
-    one does.
+    Each snapshot is its frame's tx slice times the conjugate steering at
+    the frame's ground-truth bearing (step 1), with its time-of-flight
+    slope removed (step 2): element for element the operations of one
+    frame at a time, run `_SNAPSHOT_BATCH` frames at a time, which bounds
+    the slope fit's temporaries.  `nonzero` tells whether any column
+    written holds a nonzero value: each batch is tested just before it is
+    written, until one does.
     """
 
     def __init__(self, n_frames: int, tx_location: np.ndarray, geom: ArrayGeometry,
@@ -356,7 +331,7 @@ class _SnapshotMatrix:
         """Write the snapshots of frames with tx slices (frames, n_rx, n_sub),
         taken at positions xy and headings heading, into the next columns."""
         theta = _ground_truth_bearings(xy, heading, self.tx_location)
-        conj_steering = np.conj(_steering_vectors(theta, self.geom, self.lambda_m))
+        conj_steering = np.conj(steering_vector(theta, self.geom, self.lambda_m))
         for k in range(0, len(slices), _SNAPSHOT_BATCH):
             sup = slices[k:k + _SNAPSHOT_BATCH].astype(np.complex128)
             sup *= conj_steering[k:k + _SNAPSHOT_BATCH, :, None]

@@ -10,14 +10,20 @@ Subcommands:
     profile    one frame -> PGM profile image + sidecar
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 algorithm low confidence.  Every failure prints one machine-parsable
-line to stderr: ``error: <kind>: <message>``.
+3 algorithm low confidence, 130 stopped by SIGINT and 143 stopped by
+SIGTERM (128 plus the signal number, as shells report it).  Every failure
+prints one machine-parsable line to stderr: ``error: <kind>: <message>``.
+A signal ends a run the way --count and --timeout end a listener: the
+rows written stay, and `decode` and `bearing` print their summary line,
+with no error line and no traceback.
 
 `decode` and `bearing` share their ingest flags and one pipeline that
 takes a capture a `codec.FrameBlock` at a time (the kept frames of
 `codec.REPLAY_BLOCK` records that share a channel and antenna counts), a
 UDP stream one datagram at a time, and writes each block's rows as it is
-made.  A fault mid-stream keeps the rows before it and prints the
+made; a stream's rows are flushed as each datagram's are written, so a
+consumer reading a pipe or the output file sees them while the listener
+runs.  A fault mid-stream keeps the rows before it and prints the
 summary line, then the error line, and exits 2.  `calibrate` reads a
 capture through the same blocks, unfiltered, and builds no per-frame
 object: each block becomes its columns of the calibration's data matrix
@@ -40,7 +46,9 @@ import argparse
 import contextlib
 import functools
 import inspect
+import signal
 import sys
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
@@ -263,6 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stopped(BaseException):
+    """A stop signal's number, raised where the run is: not an error, so no
+    handler below `main` catches it, and every `finally` on the way runs."""
+
+
+def _stop(signum, _frame) -> None:
+    raise _Stopped(signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -277,14 +294,23 @@ def main(argv=None) -> int:
         "scan": _cmd_scan,
         "profile": _cmd_profile,
     }[args.command]
+    # Only the main thread may set signal handlers; a `main` run in another
+    # thread leaves the process's signals to their owner.
+    previous = ({sig: signal.signal(sig, _stop) for sig in (signal.SIGINT, signal.SIGTERM)}
+                if threading.current_thread() is threading.main_thread() else {})
     try:
         return handler(args)
+    except _Stopped as exc:
+        return 128 + exc.args[0]
     except LowConfidenceError as exc:
         print(f"error: low-confidence: {exc}", file=sys.stderr)
         return 3
     except (CsiSenseError, OSError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for sig, before in previous.items():
+            signal.signal(sig, signal.SIG_DFL if before is None else before)
 
 
 def _cmd_simulate(args) -> int:
@@ -302,9 +328,9 @@ def _cmd_simulate(args) -> int:
 
 def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None, out_path: str | None,
             header: str, rows: Callable[[FrameBlock], tuple[list[str], Exception | None]],
-            summary: Callable[[int, IngestStats], str]) -> int:
+            summary: Callable[[int, IngestStats], str], echo: bool = False) -> int:
     """`decode` and `bearing`: write `header`, then each ingested block's rows,
-    to `out_path` (stdout if None).
+    to `out_path` (stdout if None), and with `echo` a stream's rows to stdout too.
 
     A capture comes a `codec.FrameBlock` at a time, a UDP stream a
     datagram at a time.  `rows(block)` gives the rows of the block's
@@ -315,7 +341,10 @@ def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None, out_path: str | 
     apply here and nowhere else, so a dropped frame reaches no estimator
     and is counted once.  If anything raises mid-stream, the rows written
     stay, and the summary of rows written and ingest counts is printed
-    before the exception goes on to `main`.
+    before the exception goes on to `main`.  A stream's rows are flushed
+    once per block, after they are counted, and only then echoed, so a row
+    that a consumer has seen is in the file and the summary even when a
+    signal stops the run; a capture's rows are left to the file's buffer.
     """
     if args.udp is not None and not 0 <= args.udp <= 65535:
         raise ConfigurationError(f"--udp port must be 0-65535, got {args.udp}")
@@ -339,10 +368,15 @@ def _ingest(args, cfg: RunConfig, rssi_floor_dbm: float | None, out_path: str | 
                 made, fault = rows(block)
                 out.writelines(made)
                 written += len(made)
+                # a faulty frame was delivered, and is counted with the rows before it
+                stats.count(block, None if fault is None else len(made) + 1)
+                if args.udp is not None:
+                    out.flush()
+                    if echo:
+                        sys.stdout.writelines(made)
+                        sys.stdout.flush()
                 if fault is not None:
-                    stats.count(block, len(made) + 1)  # the faulty frame was delivered
                     raise fault
-                stats.count(block)
     finally:
         print(summary(written, stats), file=sys.stderr)
     return 0
@@ -410,8 +444,7 @@ def _cmd_bearing(args) -> int:
 
     def rows(block: FrameBlock) -> tuple[list[str], Exception | None]:
         """Calibrate the block with one multiply, estimate the frames before
-        the first whose product overflows, and make their rows; a UDP row is
-        echoed as its datagram arrives."""
+        the first whose product overflows, and make their rows."""
         try:
             csi, finite = apply_calibration_block(cal, block.chanspec, block.csi)
         except CsiSenseError as exc:
@@ -422,14 +455,12 @@ def _cmd_bearing(args) -> int:
         peaks, strength = estimate(block.chanspec, csi[:finite])
         made = bearing_rows(block.timestamp_ns, block.source_mac, theta_deg[peaks], strength,
                             block.rssi_dbm)
-        if args.udp is not None:
-            sys.stdout.writelines(made)
         return made, fault
 
     return _ingest(args, cfg, floor, args.out, BEARINGS_CSV_HEADER, rows,
                    lambda n, stats: f"{n} bearings written to {args.out} ({stats.dropped_rssi} "
                                     f"rejected by rssi floor, {stats.dropped_mac} by mac filter, "
-                                    f"{stats.dropped_decode} undecodable)")
+                                    f"{stats.dropped_decode} undecodable)", echo=True)
 
 
 def _cmd_scan(args) -> int:

@@ -7,7 +7,9 @@ Conventions used throughout the package:
 * CSI tensors are indexed [rx_antenna][tx_antenna][subcarrier] and stored
   as complex64 (the wire format carries float32 pairs).
 * Antenna 0 is the phase reference: its position is the origin, so its
-  steering-vector element is exactly 1.
+  steering-vector element is exactly 1.  Synthesis, calibration and every
+  bearing estimator steer with the one `steering_vector`, at a single
+  bearing or at an array of them.
 * A bearing of theta means the transmitter direction whose steering
   phases are (2*pi/lambda) * [cos(theta), sin(theta)] . a_i.  The
   ground-truth bearing formula below is applied literally; whether 0 rad
@@ -399,21 +401,33 @@ def ground_truth_bearing(robot: Pose2D, tx) -> float:
     return wrap_angle(np.pi / 2.0 - (np.arctan2(dy, dx) - robot.theta))
 
 
-def steering_vector(theta: float, geom: ArrayGeometry, lambda_m: float) -> np.ndarray:
-    """Plane-wave steering vector exp(j*(2*pi/lambda)*[cos t, sin t].a_i).
+def steering_vector(theta, geom: ArrayGeometry, lambda_m: float) -> np.ndarray:
+    """Plane-wave steering exp(j*(2*pi/lambda)*[cos t, sin t].a_i) at a
+    bearing t, shape (n_rx,), or at each bearing of an array of them, one
+    row per bearing: (n, n_rx) for n bearings (an array of any shape gets
+    that shape plus the antenna axis).
 
-    Element 0 is exactly 1 (antenna 0 sits at the origin).
+    Element 0 is exactly 1 (antenna 0 sits at the origin).  The bearing
+    estimators read it through one cache, `aoa._steering_kernel`, which
+    MUSIC and SpotFi use as it is and Bartlett's one Gram kernel,
+    `aoa._gram_kernel_t`, derives from.  The projections are a stack of
+    matrix-vector products, one per bearing, so each row is rounded as a
+    bearing on its own is.  One (n_rx, 2) x (2, n) matrix product rounds
+    differently: on an AVX-512 OpenBLAS it changed about 40% of the phases
+    of a square array.
     """
     if lambda_m <= 0:
         raise ConfigurationError("wavelength must be positive")
-    direction = np.array([np.cos(theta), np.sin(theta)])
-    phases = (2.0 * np.pi / lambda_m) * (geom.positions @ direction)
-    return np.exp(1j * phases)
+    theta = np.asarray(theta, dtype=np.float64)
+    angles = theta.reshape(-1)
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=-1)[:, :, None]
+    phases = (2.0 * np.pi / lambda_m) * (geom.positions @ directions)[:, :, 0]
+    return np.exp(1j * phases).reshape(*theta.shape, geom.n_antennas)
 
 
-# Array forms of the two functions above, for code that handles a whole
-# trajectory at once.  Each runs the scalar function's operations element
-# by element, so every entry equals the scalar result bit for bit.
+# The array form of `ground_truth_bearing`, for code that handles a whole
+# trajectory at once.  It runs the scalar function's operations element by
+# element, so every entry equals the scalar result bit for bit.
 
 def _pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
     """Positions (n, 2) and headings (n,) of a sequence of Pose2D."""
@@ -429,34 +443,6 @@ def _ground_truth_bearings(xy: np.ndarray, heading: np.ndarray, tx) -> np.ndarra
     if np.any((dx == 0.0) & (dy == 0.0)):
         raise DegenerateGeometryError("robot position coincides with transmitter")
     return wrap_angle(np.pi / 2.0 - (np.arctan2(dy, dx) - heading))
-
-
-def _steering_vectors(theta: np.ndarray, geom: ArrayGeometry, lambda_m: float) -> np.ndarray:
-    """`steering_vector` of each angle in theta, one row per angle: (n, n_rx).
-
-    Synthesis, the calibration and the bearing estimators all build their
-    steering here.  The estimators read it through one cache,
-    `aoa._steering_kernel`, which MUSIC and SpotFi use as it is and
-    Bartlett's one Gram kernel, `aoa._gram_kernel_t`, derives from.  The
-    projections are a stack of matrix-vector products, one per angle,
-    which round as `steering_vector`'s own product does.  One
-    (n_rx, 2) x (2, n) matrix product rounds differently: on an AVX-512
-    OpenBLAS it changed about 40% of the phases of a square array.
-    """
-    directions = np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, :, None]
-    phases = (2.0 * np.pi / lambda_m) * (geom.positions @ directions)[:, :, 0]
-    return np.exp(1j * phases)
-
-
-def expected_csi(robot: Pose2D, tx, geom: ArrayGeometry, chanspec: ChannelSpec) -> np.ndarray:
-    """Expected direct-path CSI (n_rx, n_sub) for a pose/transmitter pair.
-
-    Pure bearing phase at the center wavelength; identical across
-    subcarriers (narrowband model, no time-of-flight term).
-    """
-    theta = ground_truth_bearing(robot, tx)
-    sv = steering_vector(theta, geom, wavelength(chanspec))
-    return np.repeat(sv[:, None], chanspec.n_sub, axis=1)
 
 
 def apply_calibration(cal: CalibrationMatrix, frame: CsiFrame) -> CsiFrame:

@@ -36,7 +36,7 @@ from .core import (
     Pose2D,
     _ground_truth_bearings,
     _pose_arrays,
-    _steering_vectors,
+    steering_vector,
     subcarrier_frequencies,
     wavelength,
     wrap_angle,
@@ -256,8 +256,7 @@ def synth_trajectory(
     # (pose, path) arrays, the direct path first
     aoa = np.hstack([theta, wrap_angle(theta + [r.aoa_offset for r in reflections])])
     delay = (dist / SPEED_OF_LIGHT)[:, None] + [0.0, *(r.excess_delay_s for r in reflections)]
-    steering = _steering_vectors(aoa.ravel(), geom, wavelength(chanspec)).reshape(
-        *aoa.shape, geom.n_antennas)
+    steering = steering_vector(aoa, geom, wavelength(chanspec))
     tof = _tof(chanspec, delay)
     one_tx = np.ones((aoa.shape[1], 1))
     rows = zip(scenario.trajectory, aoa.tolist(), delay.tolist(), steering, tof)
@@ -300,9 +299,9 @@ def _beacon_rssi(aps: list[ApSpec], positions: np.ndarray, exponent: float) -> n
 def _ray_sum(paths, geom, chanspec, tx_geom) -> np.ndarray:
     """The noiseless ray sum (n_rx, n_tx, n_sub) of an explicit path list."""
     lam = wavelength(chanspec)
-    rx = _steering_vectors(np.array([p.aoa for p in paths]), geom, lam)
+    rx = steering_vector(np.array([p.aoa for p in paths]), geom, lam)
     tx = (np.ones((len(paths), 1)) if tx_geom is None
-          else _steering_vectors(np.array([p.aod for p in paths]), tx_geom, lam))
+          else steering_vector(np.array([p.aod for p in paths]), tx_geom, lam))
     return _sum_paths([p.amplitude for p in paths], rx, tx,
                       _tof(chanspec, np.array([p.delay_s for p in paths])))
 

@@ -19,6 +19,7 @@ from csisense import (
     Pose2D,
     SimScenario,
     apply_calibration,
+    apply_calibration_block,
     calibrate,
     ground_truth_bearing,
     rssi_at,
@@ -31,6 +32,7 @@ from csisense.aoa import (
     AoaConfig,
     average_profiles,
     bartlett_profile,
+    bearing_csi_estimator,
     estimate_bearing,
     music_spectrum,
     spotfi_estimate,
@@ -157,9 +159,28 @@ def test_criterion_3_calibrated_vs_uncalibrated_bearings(calibration_run):
     without_cal = median_error(False)
     assert with_cal < 1.0, f"calibrated median {with_cal:.2f} deg"
     assert without_cal > 30.0, f"uncalibrated median {without_cal:.2f} deg"
+
+    # the same bounds on the path `csisense bearing` runs: the block calibrated
+    # with one multiply, then the stream estimator at window 1
+    csi = np.stack([frame.csi for _, frame in held_out])
+    truth_theta = np.array([ground_truth_bearing(pose, TX) for pose, _ in held_out])
+    calibrated, finite = apply_calibration_block(result.matrix, CHAN, csi)
+    assert finite == len(held_out)
+
+    def shipped_median_error(block: np.ndarray) -> float:
+        peaks, _strength = bearing_csi_estimator(GEOM, AoaConfig(window=1))(CHAN, block)
+        errors = np.abs(wrap_angle(cfg.theta_grid[peaks] - truth_theta))
+        return float(np.degrees(np.median(errors)))
+
+    shipped_with_cal = shipped_median_error(calibrated)
+    shipped_without_cal = shipped_median_error(csi)
+    assert shipped_with_cal < 1.0, f"shipped calibrated median {shipped_with_cal:.2f} deg"
+    assert shipped_without_cal > 30.0, (
+        f"shipped uncalibrated median {shipped_without_cal:.2f} deg")
     _report(
         f"criterion 3: bearings {with_cal:.2f} deg calibrated vs "
-        f"{without_cal:.0f} deg uncalibrated",
+        f"{without_cal:.0f} deg uncalibrated (shipped path {shipped_with_cal:.2f} vs "
+        f"{shipped_without_cal:.0f} deg)",
         started, budget_s=60.0,
     )
 

@@ -37,13 +37,12 @@ from csisense.aoa import (
     build_grids,
     estimate_bearing,
     music_spectrum,
-    read_profile_pgm,
-    spotfi_profile,
 )
 from csisense.calibration import parse_geometry
 from csisense.cli import RunConfig, load_config, main
 from csisense.scanner import ScanPolicy
 from csisense.scenario import read_poses_csv
+from helpers import read_profile_pgm, spotfi_pseudo
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -1598,7 +1597,8 @@ class TestBearingAlgorithms:
         correction, geom = load_calibration(str(cal))
         cfg = AoaConfig(algorithm="spotfi", window=2)
         calibrated = [apply_calibration(correction, f) for f in read_capture(capture)]
-        expected = [estimate_bearing(spotfi_profile(calibrated[max(0, k - 1): k + 1], geom, cfg),
+        expected = [estimate_bearing(spotfi_pseudo(calibrated[max(0, k - 1): k + 1], geom,
+                                                   cfg).max(axis=1),
                                      frame.rssi_dbm, cfg, source_mac=frame.source_mac,
                                      timestamp_ns=frame.timestamp_ns)
                     for k, frame in enumerate(calibrated)]
@@ -1630,7 +1630,8 @@ class TestBearingAlgorithms:
         assert len(out.read_bytes().splitlines()) == 151
         assert out.read_bytes() == bearings_csv(frame_by_frame(geom, cfg, frames))
         if algorithm != "bartlett":
-            spectrum = music_spectrum if algorithm == "music" else spotfi_profile
+            spectrum = (music_spectrum if algorithm == "music"
+                        else lambda *args: spotfi_pseudo(*args).max(axis=1))
             assert out.read_bytes() == bearings_csv(
                 estimate_bearing(spectrum(frames[max(0, i + 1 - window): i + 1], geom, cfg),
                                  frame.rssi_dbm, cfg, frame.source_mac, frame.timestamp_ns)
@@ -1694,16 +1695,24 @@ class TestBearingAlgorithms:
         assert len(written[0].splitlines()) == 1 + n_above
 
 
+def _free_udp_port() -> int:
+    """A loopback UDP port that no socket holds."""
+    import socket
+
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
 def run_over_udp(argv: list[str], datagrams: list[bytes]):
     """`main(argv + ["--udp", port])` in a thread, fed `datagrams` over loopback; its exit code."""
     import socket
     import threading
     import time
 
-    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
+    port = _free_udp_port()
     result = {}
     thread = threading.Thread(
         target=lambda: result.update(code=main([*argv, "--udp", str(port)])))
@@ -1795,10 +1804,7 @@ class TestUdpBearing:
 
         capture, cal = ula_capture(tmp_path, "y", np.radians([10.0, 20.0]))
         wire = [codec.encode_frame(f) for f in read_capture(capture)]
-        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
+        port = _free_udp_port()
         argv = ["bearing", "--calibration", str(cal), "--out", str(tmp_path / "udp.csv"),
                 "--count", "2", "--timeout", "5", "--rssi-floor", "-200", "--udp", str(port)]
         result = {}
@@ -1833,6 +1839,101 @@ class TestUdpBearing:
         assert capsys.readouterr().err == (f"5 bearings written to {out} (0 rejected by rssi "
                                            "floor, 0 by mac filter, 7 undecodable)\n")
         assert len(out.read_text().splitlines()) == 6
+
+
+def _send_to_listener(port: int, datagrams: list[bytes], timeout_s: float = 60.0) -> None:
+    """Send each datagram once to a listener that another process is starting.
+
+    The first is sent again until the port stops refusing it: on a connected
+    loopback socket a refusal comes back at once, as an error on the next
+    receive, and a delivered datagram raises none."""
+    import socket
+    import time
+
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sender.connect(("127.0.0.1", port))
+    sender.settimeout(0.2)
+    deadline = time.monotonic() + timeout_s
+    try:
+        while True:
+            sender.send(datagrams[0])
+            try:
+                sender.recv(1)
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline, "the listener never bound its port"
+                time.sleep(0.05)
+            except socket.timeout:
+                break
+        for buf in datagrams[1:]:
+            sender.send(buf)
+    finally:
+        sender.close()
+
+
+def _read_lines(pipe, n: int, timeout_s: float) -> list[str]:
+    """The first n lines readable from a pipe, or all that came before the timeout."""
+    import select
+    import time
+
+    data, deadline = b"", time.monotonic() + timeout_s
+    while data.count(b"\n") < n:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([pipe], [], [], left)[0]:
+            break
+        chunk = os.read(pipe.fileno(), 1 << 16)
+        if not chunk:
+            break
+        data += chunk
+    return data.decode().splitlines()
+
+
+class TestUdpListenerProcess:
+    """`bearing --udp` as a node runs it: its own process, stdout a pipe, and a
+    supervisor that stops it with a signal.  PYTHONUNBUFFERED is removed from
+    its environment, since it would make stdout unbuffered."""
+
+    @pytest.fixture()
+    def listener(self, tmp_path):
+        capture, cal = ula_capture(tmp_path, "y", np.radians([10.0, 20.0, 30.0, 40.0, 50.0]))
+        wire = [codec.encode_frame(f) for f in read_capture(capture)]
+        out = tmp_path / "live.csv"
+        port = _free_udp_port()
+        env = _src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "csisense.cli", "bearing", "--udp", str(port),
+             "--calibration", str(cal), "--out", str(out), "--timeout", "60",
+             "--rssi-floor", "-200"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            _send_to_listener(port, wire)
+            yield proc, out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate(timeout=30)
+
+    def test_rows_arrive_while_it_listens(self, listener):
+        proc, out = listener
+        echoed = _read_lines(proc.stdout, 5, 20.0)
+        assert len(echoed) == 5
+        assert proc.poll() is None  # still listening
+        # a row is echoed only once it is flushed to the file
+        assert out.read_text() == BEARINGS_CSV_HEADER + "".join(f"{row}\n" for row in echoed)
+
+    @pytest.mark.parametrize("signum, status", [("SIGTERM", 143), ("SIGINT", 130)])
+    def test_a_signal_keeps_the_rows_and_prints_the_summary(self, listener, signum, status):
+        import signal
+
+        proc, out = listener
+        echoed = _read_lines(proc.stdout, 5, 20.0)
+        proc.send_signal(getattr(signal, signum))
+        rest, err = proc.communicate(timeout=30)
+        assert proc.returncode == status
+        rows = out.read_text().splitlines()
+        assert len(rows) == 6 and rows[1:] == echoed + rest.decode().splitlines()
+        assert err.decode() == (f"5 bearings written to {out} (0 rejected by rssi floor, "
+                                "0 by mac filter, 0 undecodable)\n")
 
 
 class TestProfileOracle:

@@ -21,7 +21,6 @@ from csisense import (
     Profile2D,
     SimScenario,
     apply_calibration,
-    expected_csi,
     ground_truth_bearing,
     steering_vector,
     subcarrier_frequencies,
@@ -33,6 +32,7 @@ from csisense import (
 from csisense import core
 from csisense.core import SPEED_OF_LIGHT, SUBCARRIER_SPACING_HZ
 from csisense.synth import synth_frame, PathComponent
+from helpers import expected_csi
 
 
 class TestChannelSpec:
@@ -169,15 +169,20 @@ class TestBatchedGeometry:
                                                      rng.uniform(-0.1, 0.1, (2, 2))])),
         }[layout]
         theta = np.concatenate([rng.uniform(-np.pi, np.pi, 500), [0.0, np.pi, -np.pi / 2]])
-        batched = core._steering_vectors(theta, geom, lam)
+        batched = steering_vector(theta, geom, lam)
         assert batched.shape == (theta.size, geom.n_antennas)
+        # the per-angle formula: one matrix-vector product for each bearing
+        per_angle = np.array([np.exp(1j * ((2.0 * np.pi / lam)
+                                           * (geom.positions @ np.array([np.cos(t), np.sin(t)]))))
+                              for t in theta])
+        assert bits(batched) == bits(per_angle)
         scalar = np.array([steering_vector(t, geom, lam) for t in theta])
-        assert bits(batched) == bits(scalar)
+        assert bits(scalar) == bits(per_angle)
 
     def test_empty_trajectory(self, square_geom, chan80):
         xy, heading = core._pose_arrays([])
         theta = core._ground_truth_bearings(xy, heading, (0.0, 0.0))
-        assert core._steering_vectors(theta, square_geom, wavelength(chan80)).shape == (0, 4)
+        assert steering_vector(theta, square_geom, wavelength(chan80)).shape == (0, 4)
 
     def test_pose_on_transmitter_raises(self):
         xy, heading = core._pose_arrays([Pose2D(3.0, 1.0, 0.0), Pose2D(1.0, 2.0, 0.5)])

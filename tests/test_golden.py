@@ -26,6 +26,9 @@ def test_two_tiny_runs_compare_empty_and_a_changed_row_is_reported(tmp_path):
         "exit 2", "exit 0"]
     assert (b / "files" / f"{fault}profile7/stderr").read_text() == (
         "error: data: frame 7 of 40 undecodable: bad magic 0x58585858\n")
+    # the stream set's 41 datagrams: the 40 records and one cut short
+    assert (b / "files" / "seed1/ingest-music-sq20/stream-decode/stderr").read_text() == (
+        "decoded 40 frames (dropped: 1 decode, 0 mac, 0 rssi)\n")
     proc = golden("--compare", str(a), str(b))
     assert (proc.returncode, proc.stdout) == (0, "no entry differs\n")
 

@@ -13,7 +13,6 @@ from csisense import (
     Pose2D,
     Reflection,
     SimScenario,
-    expected_csi,
     ground_truth_bearing,
     rssi_at,
     steering_vector,
@@ -28,6 +27,7 @@ from csisense import synth
 from csisense.scenario import disc_trajectory, random_bias
 from csisense.core import MAX_COORDINATE_M
 from csisense.synth import REFERENCE_RSSI_DBM, SPEED_OF_LIGHT
+from helpers import expected_csi
 
 
 class TestSynthFrame:

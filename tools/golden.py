@@ -24,6 +24,12 @@ The calls, per seed:
   the first 40 records of the ingest capture: intact, cut inside frame
   5's length prefix, with capture version 2, cut to 10 bytes, and with
   frame 7's magic overwritten;
+- a stream set: `decode --udp` and, filtered, `bearing --udp` with
+  Bartlett and MUSIC at windows 1 and 4, each fed the same 40 records as
+  datagrams, with one undecodable datagram (record 5 cut short) after
+  record 5.  `csisense.cli.udp_datagrams` is replaced for the call by an
+  iterator over them, so no socket is opened and the set is
+  deterministic;
 - `calibrate` on variants of the survey workload's capture and poses: a
   missing pose, a record on a foreign channel, the two together (the
   pose missing after the foreign record), `--min-pairs` above the frame
@@ -72,6 +78,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 7, 101)
 WINDOWS = (1, 4, 8)
+STREAM_WINDOWS = (1, 4)
 TEXT_SUFFIXES = (".csv", "/stdout", "/stderr")
 # The simulate call set: a base scenario and, per call, the sections it replaces.
 SIMULATION = {"snr_db": 30, "per_packet_phase": "true", "bias": "random"}
@@ -145,6 +152,36 @@ def _fault_captures(work: Path, capture: str) -> list[str]:
     for name, data in faults.items():
         (work / f"fault-{name}.wcap").write_bytes(data)
     return list(faults)
+
+
+def _stream_calls(work: Path, meta: dict) -> tuple[list[bytes], list[tuple[str, list[str]]]]:
+    """The stream call set on the ingest capture: its datagrams and its calls."""
+    raw = (work / meta["capture"]).read_bytes()
+    starts = _record_starts(raw, 40)
+    records = [raw[a + 4:b] for a, b in zip(starts, starts[1:])]
+    datagrams = records[:6] + [records[5][:40]] + records[6:]
+    filters = ["--mac-filter", meta["keep_mac"], "--rssi-floor", repr(meta["rssi_floor"])]
+    calls = [("stream-decode", ["decode", "--udp", "0"])]
+    calls += [(f"stream-{algorithm}-w{window}",
+               ["bearing", "--udp", "0", "--calibration", str(work / meta["calibration"]),
+                "--algorithm", algorithm, "--window", str(window), *filters,
+                "--out", str(work / f"stream-{algorithm}-w{window}.csv")])
+              for algorithm in ("bartlett", "music") for window in STREAM_WINDOWS]
+    return datagrams, calls
+
+
+def _streaming(run_cli, datagrams: list[bytes]):
+    """`run_cli` with `csisense.cli.udp_datagrams` yielding `datagrams` for the call."""
+    from csisense import cli
+
+    def run(argv: list[str]) -> tuple[int, str, str]:
+        listen = cli.udp_datagrams
+        cli.udp_datagrams = lambda **_: iter(datagrams)
+        try:
+            return run_cli(argv)
+        finally:
+            cli.udp_datagrams = listen
+    return run
 
 
 def _write_ini(path: Path, sections: dict[str, dict]) -> None:
@@ -310,6 +347,10 @@ def run(out: Path, root: Path, seeds, tiny: bool) -> dict[str, str]:
                     rec.call(f"pass{k}-{step.command}", step.argv, run_cli)
                 for label, argv in _extra_calls(name, work, meta):
                     rec.call(label, argv, run_cli)
+                if name == "ingest-music-sq20":
+                    datagrams, calls = _stream_calls(work, meta)
+                    for label, argv in calls:
+                        rec.call(label, argv, _streaming(run_cli, datagrams))
         with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
             work = Path(tmp)
             rec = _Recorder(work, f"seed{seed}/simulate", entries, out / "files")
