@@ -69,20 +69,26 @@ handed out read-only, so a stream of frames pays for them once.  Every
 estimator steers in bearing with one kernel, `_steering_kernel`
 (`core.steering_vector`, the formula synthesis and calibration use,
 over the whole array): MUSIC projects it onto the conjugated noise
-subspace, SpotFi takes its first n_ant_sub columns as its sub-array, and
-Bartlett's one real Gram kernel (`_gram_kernel_t`) is formed from it.
-The other caches are Bartlett's subcarrier x distance range phasors
-(`_range_phasors`) and SpotFi's subcarrier interpolation grids
-(`_subcarrier_grid`) and sub-array delay steering (`_delay_steering`).
-Each contraction runs in the order that meets the bearing grid last,
-over the antenna axis (the smallest) alone.  Bartlett multiplies the
-range phasors into the n_rx x n_sub CSI, takes the n_rx^2 real products
-of the resulting antenna rows at each distance, and gets the power at
-every bearing from one real matrix product with its Gram kernel, with no
-complex bearing x distance array and no modulus.  SpotFi contracts the
-signal subspace over the delay steering before the antenna steering.
-The long subcarrier axis is then summed once per frame, not once per
-bearing.
+subspace, and the real Gram kernel (`_gram_kernel_t`) is formed from it,
+over the whole array for Bartlett and over its first n_ant_sub antennas,
+SpotFi's sub-array.  The other caches are Bartlett's subcarrier x
+distance range phasors (`_range_phasors`) and SpotFi's subcarrier
+interpolation grids and hole indices (`_subcarrier_grid`,
+`_subcarrier_holes`) and conjugated sub-array delay steering
+(`_delay_steering`).  Each contraction runs in the order that meets the
+bearing grid last, over the antenna axis (the smallest) alone.  Bartlett
+multiplies the range phasors into the n_rx x n_sub CSI, takes the n_rx^2
+real products of the resulting antenna rows at each distance, and gets
+the power at every bearing from one real matrix product with its Gram
+kernel, with no complex bearing x distance array and no modulus.  SpotFi
+does the same with its signal eigenvectors: it multiplies the delay
+steering into each one's n_ant_sub x n_sub_sub block (so the long
+subcarrier axis is summed once per frame, not once per bearing), sums
+the blocks' Gram terms over the vectors, and gets the signal power from
+one real product with the sub-array's Gram kernel.  The stream
+estimator maps only each bearing's largest signal power to the
+pseudospectrum, a map that never decreases; `spotfi_estimate` maps the
+whole grid.
 
 SpotFi needs only the n_sources leading eigenvectors of its smoothed
 covariance (244 x 244 at 80 MHz).  It takes them from the numpy-only
@@ -137,9 +143,9 @@ _MUSIC_STACK_BYTES = 1 << 18
 # window frame's snapshots; SpotFi's smoothed sub-arrays take ~1.5 MB a
 # frame at 80 MHz, so its window holds ~1.5 GB at this bound.
 MAX_WINDOW = 1024
-# The most bearing x distance cells the grids may hold.  A profile takes
-# 8 bytes a cell and SpotFi's projection 16 a cell per source; 2^22 cells,
-# ~100x the default grids, keep each under ~70 MB.
+# The most bearing x distance cells the grids may hold.  A profile and
+# SpotFi's pseudospectrum take 8 bytes a cell; 2^22 cells, ~100x the
+# default grids, keep each under ~35 MB.
 MAX_GRID_CELLS = 1 << 22
 # Bartlett's peak search (`_peak_search`): the range rows each round takes;
 # the frames or windows one array operation takes at a time, which keeps
@@ -564,38 +570,49 @@ def _spotfi_pseudo(chanspec: ChannelSpec, snaps: Sequence[np.ndarray], geom: Arr
     multipath.  Every frame's sub-arrays are snapshots (columns) of one
     smoothed covariance X X^H / n; its n_sources leading eigenvectors
     (`core._leading_eigenpairs`) span the signal subspace, and the
-    pseudospectrum is evaluated over joint steering
-    s_i(theta) * exp(-j 2 pi f_j tau) with tau = cfg.dist_grid / c.  The
-    caller checks the geometry: a uniform linear array (`_require_ula`)
-    whose antenna count the snapshots share.
+    pseudospectrum over joint steering s_i(theta) * exp(-j 2 pi f_j tau),
+    tau = cfg.dist_grid / c, is 1 / max(dim - s, 1e-9 dim), s the signal
+    power in Bartlett's real Gram form (`_spotfi_power`).  The caller
+    checks the geometry: a uniform linear array (`_require_ula`) whose
+    antenna count the snapshots share.
+    """
+    power, dim = _spotfi_power(chanspec, snaps, geom, cfg)
+    return _spotfi_reciprocal(power, dim).T
+
+
+def _spotfi_power(chanspec: ChannelSpec, snaps: Sequence[np.ndarray], geom: ArrayGeometry,
+                  cfg: AoaConfig) -> tuple[np.ndarray, int]:
+    """`_spotfi_pseudo`'s signal power s = ||E_s^H v||^2 at every (distance,
+    bearing) cell, (n_dist, n_theta), and the sub-array size dim.
+
+    ||E_n^H v||^2 = dim - s for unit-modulus-element v, so the n_sources
+    signal vectors stand in for the dim - n_sources noise ones.  The joint
+    steering v = a(theta) (x) sub(tau) is separable: with p_k(d) source
+    k's n_ant_sub x n_sub_sub block times the delay steering,
+    s = sum_k |a^H p_k|^2, Bartlett's Gram form in the sub-array's
+    antennas, so s is one real product of the summed `_gram_terms` of the
+    p_k with the sub-array's `_gram_kernel_t`.
     """
     n_ant_sub, n_sub_sub = spotfi_smoothing_dims(geom.n_antennas, chanspec, cfg)
-    dim = n_ant_sub * n_sub_sub
     n_sources = cfg.n_sources
     signal = _spotfi_signal_subspace(chanspec, snaps, n_ant_sub, n_sub_sub, n_sources)
+    per_ant = signal.T.reshape(n_sources, n_ant_sub, n_sub_sub) @ _delay_steering(
+        n_sub_sub, _grid_key(cfg.dist_grid))
+    terms = _gram_terms(per_ant, np.conj(per_ant)).sum(axis=0)
+    kernel = _gram_kernel_t(_grid_key(geom.positions), float(wavelength(chanspec)),
+                            _grid_key(cfg.theta_grid), n_ant_sub)
+    return terms.T @ kernel, n_ant_sub * n_sub_sub
 
-    # the sub-array's antennas are the first n_ant_sub of the array's
-    ant = _steering_kernel(_grid_key(geom.positions), float(wavelength(chanspec)),
-                           _grid_key(cfg.theta_grid))[:, :n_ant_sub]
-    sub = _delay_steering(n_sub_sub, _grid_key(cfg.dist_grid))
-    # ||E_n^H v||^2 = dim - ||E_s^H v||^2 for unit-modulus-element v:
-    # project onto the n_sources signal vectors instead of dim-K noise ones.
-    # The joint steering v = s(theta) (x) sub(tau) is separable, so E_s^H v
-    # is two matmuls.  The delay goes first: each source's n_ant_sub x
-    # n_sub_sub block meets the delay steering once, and the bearings then
-    # contract only n_ant_sub terms per cell.  Antennas first would
-    # contract all n_sub_sub subcarriers again for every bearing, ~45x the
-    # multiply-adds on the default grids.
-    per_ant = signal.T.reshape(n_sources, n_ant_sub, n_sub_sub) @ np.conj(sub)
-    projection = np.conj(ant) @ per_ant  # (n_sources, n_theta, n_dist)
-    # 1 / max(dim - sum_k |projection_k|^2, 1e-9 dim), carried in one array
-    power = np.abs(projection)
-    np.square(power, out=power)
-    pseudo = np.sum(power, axis=0)
-    np.subtract(dim, pseudo, out=pseudo)
-    np.maximum(pseudo, 1e-9 * dim, out=pseudo)
-    np.divide(1.0, pseudo, out=pseudo)
-    return pseudo
+
+def _spotfi_reciprocal(power: np.ndarray, dim: int) -> np.ndarray:
+    """1 / max(dim - s, 1e-9 dim) for each s of `power`, in place.
+
+    Each step rounds monotonically, so the map never decreases: the
+    largest of a set of s maps to the largest result, bit for bit.
+    """
+    np.subtract(dim, power, out=power)
+    np.maximum(power, 1e-9 * dim, out=power)
+    return np.divide(1.0, power, out=power)
 
 
 def _spotfi_signal_subspace(chanspec: ChannelSpec, snaps: Sequence[np.ndarray],
@@ -606,8 +623,7 @@ def _spotfi_signal_subspace(chanspec: ChannelSpec, snaps: Sequence[np.ndarray],
     before the caller evaluates the grid.
     """
     windows = [np.lib.stride_tricks.sliding_window_view(
-        _interpolate_subcarriers(snap.astype(np.complex128), chanspec),
-        (n_ant_sub, n_sub_sub)) for snap in snaps]
+        _interpolate_subcarriers(snap, chanspec), (n_ant_sub, n_sub_sub)) for snap in snaps]
     # np.stack copies every frame's sub-arrays once, straight from the
     # sliding views, into a C-ordered block: (n_windows, dim) rows one
     # frame after another, which the reshape below only views.  Left to
@@ -664,12 +680,23 @@ def _interpolate_subcarriers(csi_slice: np.ndarray, chanspec: ChannelSpec) -> np
 
     Pilot and DC holes are filled by linear interpolation so that
     adjacent columns are exactly one subcarrier spacing apart -- the
-    shift structure spatial smoothing relies on.
+    shift structure spatial smoothing relies on.  The measured columns
+    are copied and each hole's real and imaginary parts are
+    slope (x - x_j) + f_j from its neighbours j and j + 1, np.interp's
+    formula in its order, so the result is a per-row np.interp of each
+    part (`_subcarrier_holes` holds the indices), complex128.
     """
-    idx, full = _subcarrier_grid(chanspec)
-    out = np.empty((csi_slice.shape[0], full.size), dtype=np.complex128)
-    for i, row in enumerate(csi_slice):
-        out[i] = np.interp(full, idx, row.real) + 1j * np.interp(full, idx, row.imag)
+    measured, holes, left, offset, span = _subcarrier_holes(chanspec)
+    out = np.empty((csi_slice.shape[0], _subcarrier_grid(chanspec)[1].size),
+                   dtype=np.complex128)
+    out[:, measured] = csi_slice
+    lo = csi_slice[:, left].astype(np.complex128, order="C").view(np.float64)
+    hi = csi_slice[:, left + 1].astype(np.complex128, order="C").view(np.float64)
+    hi -= lo
+    hi /= span
+    hi *= offset
+    hi += lo
+    out.view(np.float64)[:, holes] = hi
     return out
 
 
@@ -806,11 +833,16 @@ def bearing_csi_estimator(
             curves = _music_stream_spectra(recent, chanspec, snaps, geom, cfg)
             recent.extend(snaps)
             return _pick_bearing(curves)
-        curves = np.empty((len(snaps), cfg.theta_grid.size))
+        # each bearing's largest signal power, then the pseudospectrum's
+        # map of only those: it never decreases, so each is the bearing's
+        # largest pseudospectrum cell bit for bit
+        peaks = np.empty((len(snaps), cfg.theta_grid.size))
         for i, snap in enumerate(snaps):
-            curves[i] = _spotfi_pseudo(chanspec, [*recent, snap], geom, cfg).max(axis=1)
+            power, dim = _spotfi_power(chanspec, [*recent, snap], geom, cfg)
+            np.max(power, axis=0, out=peaks[i])
+            del power  # freed before the next frame's snapshot matrix is built
             recent.append(snap)
-        return _pick_bearing(curves)
+        return _pick_bearing(_spotfi_reciprocal(peaks, dim))
 
     return estimate
 
@@ -916,15 +948,19 @@ def _steering_kernel(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes
 
 
 @lru_cache(maxsize=8)
-def _gram_kernel_t(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes) -> np.ndarray:
-    """Bartlett's real Gram kernel, shape (n_antennas^2, n_theta), C-ordered.
+def _gram_kernel_t(positions_bytes: bytes, lambda_m: float, theta_bytes: bytes,
+                   n_ant: int | None = None) -> np.ndarray:
+    """The real Gram kernel of the first n_ant antennas (all by default),
+    shape (n_ant^2, n_theta), C-ordered.
 
-    Column theta holds the `_gram_terms` of conj(a_i) a_j, a = s(theta),
-    each times its weight in the Gram form: |a_i|^2, then
-    2 Re(conj(a_i) a_j) and -2 Im(conj(a_i) a_j) for each pair i < j.
-    Bartlett's products put the bearings along rows: terms.T @ kernel.
+    Column theta holds the `_gram_terms` of conj(a_i) a_j, a = s(theta)
+    (`_steering_kernel`'s first n_ant columns), each times its weight in
+    the Gram form: |a_i|^2, then 2 Re(conj(a_i) a_j) and
+    -2 Im(conj(a_i) a_j) for each pair i < j.  Bartlett's and SpotFi's
+    products put the bearings along rows: terms.T @ kernel.
     """
-    a = np.ascontiguousarray(_steering_kernel(positions_bytes, lambda_m, theta_bytes).T)
+    steering = _steering_kernel(positions_bytes, lambda_m, theta_bytes)
+    a = np.ascontiguousarray(steering[:, :n_ant].T)
     n_rx = a.shape[0]
     n_pairs = n_rx * (n_rx - 1) // 2
     weights = np.repeat([1.0, 2.0, -2.0], [n_rx, n_pairs, n_pairs])
@@ -992,11 +1028,33 @@ def _subcarrier_grid(chanspec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
+def _subcarrier_holes(chanspec: ChannelSpec) -> tuple[np.ndarray, ...]:
+    """`_interpolate_subcarriers`' indices: each measured subcarrier's column
+    on the full grid; and on the float64 view of a complex row, where each
+    hole's real and imaginary parts go, its left neighbour j's column in
+    the measured slice, x - x_j and x_{j+1} - x_j, one entry per part."""
+    idx, full = _subcarrier_grid(chanspec)
+    measured = (idx - idx[0]).astype(np.intp)
+    # a boolean mask, as np.isin and np.setdiff1d import numpy.ma on first use
+    is_hole = np.ones(full.size, dtype=bool)
+    is_hole[measured] = False
+    hole = np.flatnonzero(is_hole)
+    left = np.searchsorted(idx, full[hole], side="right") - 1
+    parts = (2 * hole[:, None] + [0, 1]).ravel()
+    plan = (measured, parts, left, np.repeat(full[hole] - idx[left], 2),
+            np.repeat(idx[left + 1] - idx[left], 2))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+@lru_cache(maxsize=8)
 def _delay_steering(n_sub_sub: int, dist_bytes: bytes) -> np.ndarray:
-    """SpotFi sub-array delay steering exp(-j 2 pi k df tau), shape (n_sub_sub, n_dist)."""
+    """SpotFi sub-array delay steering, conjugated as SpotFi uses it:
+    conj(exp(-j 2 pi k df tau)), shape (n_sub_sub, n_dist)."""
     tau_grid = np.frombuffer(dist_bytes, dtype=np.float64) / SPEED_OF_LIGHT
-    kernel = np.exp(-2j * np.pi * SUBCARRIER_SPACING_HZ
-                    * np.outer(np.arange(n_sub_sub), tau_grid))
+    kernel = np.conj(np.exp(-2j * np.pi * SUBCARRIER_SPACING_HZ
+                            * np.outer(np.arange(n_sub_sub), tau_grid)))
     kernel.flags.writeable = False
     return kernel
 

@@ -10,12 +10,14 @@ Subcommands:
     profile    one frame -> PGM profile image + sidecar
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 algorithm low confidence, 130 stopped by SIGINT and 143 stopped by
-SIGTERM (128 plus the signal number, as shells report it).  Every failure
-prints one machine-parsable line to stderr: ``error: <kind>: <message>``.
-A signal ends a run the way --count and --timeout end a listener: the
-rows written stay, and `decode` and `bearing` print their summary line,
-with no error line and no traceback.
+3 algorithm low confidence, 130 stopped by SIGINT, 143 stopped by
+SIGTERM and 141 when the reader of an output pipe closes it (128 plus
+the signal number, SIGPIPE for a closed pipe, as shells report it).
+Every failure prints one machine-parsable line to stderr:
+``error: <kind>: <message>``.  A signal or a closed pipe ends a run the
+way --count and --timeout end a listener: the rows written stay, and
+`decode` and `bearing` print their summary line, with no error line and
+no traceback.
 
 `decode` and `bearing` share their ingest flags and one pipeline that
 takes a capture a `codec.FrameBlock` at a time (the kept frames of
@@ -46,6 +48,7 @@ import argparse
 import contextlib
 import functools
 import inspect
+import os
 import signal
 import sys
 import threading
@@ -302,6 +305,12 @@ def main(argv=None) -> int:
         return handler(args)
     except _Stopped as exc:
         return 128 + exc.args[0]
+    except BrokenPipeError:
+        # the reader is gone, as for `decode ... | head`: end as SIGPIPE's
+        # status, and give stdout's unwritten rows to the null device, or
+        # the interpreter's exit flush would meet the closed pipe again
+        _discard_stdout()
+        return 128 + signal.SIGPIPE
     except LowConfidenceError as exc:
         print(f"error: low-confidence: {exc}", file=sys.stderr)
         return 3
@@ -311,6 +320,17 @@ def main(argv=None) -> int:
     finally:
         for sig, before in previous.items():
             signal.signal(sig, signal.SIG_DFL if before is None else before)
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, if it has one."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: a caller's in-memory stream
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _cmd_simulate(args) -> int:

@@ -488,11 +488,11 @@ def apply_calibration_block(cal: CalibrationMatrix, chanspec: ChannelSpec,
 
 
 # Block Krylov settings for `_leading_eigenpairs`.  The start block is
-# drawn from its own seeded generator, so results repeat bit for bit and
-# the global np.random state is never touched.  A residual of 1e-13 times
-# the gap below the subspace bounds the projector error by 1e-13
-# (sin-theta theorem), well inside the 1e-12 the SpotFi pseudospectrum
-# denominators and the calibration phase need.
+# drawn from its own seeded generator, once per shape (`_start_block`), so
+# results repeat bit for bit and the global np.random state is never
+# touched.  A residual of 1e-13 times the gap below the subspace bounds
+# the projector error by 1e-13 (sin-theta theorem), well inside the 1e-12
+# the SpotFi pseudospectrum denominators and the calibration phase need.
 _KRYLOV_SEED = 2015
 _KRYLOV_TOL = 1e-13
 # Basis size at which the Krylov solve gives up for the dense solve.  On
@@ -539,12 +539,12 @@ def _leading_eigenpairs(snapshots: np.ndarray, k: int, then_next: bool = False):
     dim, n = snapshots.shape
     rows = snapshots.T  # X^H V = conj(X^T conj(V)) without a conjugated copy of X
     limit = min(_KRYLOV_MAX_BASIS, dim)
-    rng = np.random.default_rng(_KRYLOV_SEED)
+    rng = _ReplacementRng((n, k))
     eps = np.finfo(float).eps
     basis = np.empty((dim, limit), dtype=np.complex128)
     images = np.empty_like(basis)  # C @ basis
     gram = np.empty((limit, limit), dtype=np.complex128)  # basis^H C basis, upper half
-    block = snapshots @ _gaussian(rng, (n, k))
+    block = snapshots @ _start_block(n, k)
     leading = None
     m = 0
     while m + k <= limit:
@@ -645,3 +645,27 @@ def _project_out(v: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _gaussian(rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@lru_cache(maxsize=4)
+def _start_block(n: int, k: int) -> np.ndarray:
+    """`_leading_eigenpairs`' seeded Gaussian start block G, (n, k), read-only."""
+    block = _gaussian(np.random.default_rng(_KRYLOV_SEED), (n, k))
+    block.flags.writeable = False
+    return block
+
+
+class _ReplacementRng:
+    """The generator `_append_orthonormal` draws replacement directions
+    from, made on its first draw: the seeded generator advanced past the
+    (n, k) start block, as if that block had just been drawn from it."""
+
+    def __init__(self, start_shape: tuple[int, int]):
+        self._start_shape = start_shape
+        self._rng = None
+
+    def standard_normal(self, shape) -> np.ndarray:
+        if self._rng is None:
+            self._rng = np.random.default_rng(_KRYLOV_SEED)
+            _gaussian(self._rng, self._start_shape)
+        return self._rng.standard_normal(shape)

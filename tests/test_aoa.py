@@ -747,6 +747,57 @@ def spotfi_einsum_reference(frames, geom, cfg):
     return 1.0 / np.maximum(dim - sig_power, 1e-9 * dim), dim
 
 
+class TestSpotfiExactParts:
+    """The parts of SpotFi's frame that are rewritten forms of a plainer
+    computation, each pinned to that computation bit for bit."""
+
+    @pytest.mark.parametrize("chan", [ChannelSpec(36, 20), ChannelSpec(38, 40),
+                                      ChannelSpec(155, 80)], ids=["20", "40", "80"])
+    def test_interpolation_is_np_interp_per_row(self, chan, rng):
+        idx = subcarrier_indices(chan).astype(np.float64)
+        full = np.arange(idx[0], idx[-1] + 1)
+        for trial in range(40):
+            parts = rng.standard_normal((2, 4, chan.n_sub))
+            if trial == 0:  # zeros of both signs next to the holes
+                parts[:, :2] = np.where(rng.random((2, 2, chan.n_sub)) < 0.5, -0.0, 0.0)
+            csi = np.zeros((4, 2, chan.n_sub), dtype=np.complex64)
+            csi[:, 1] = parts[0] + 1j * parts[1]
+            snap = csi[:, 1, :]  # a strided slice, as the estimators pass it
+            ref = np.empty((4, full.size), dtype=np.complex128)
+            for i, row in enumerate(snap.astype(np.complex128)):
+                ref[i].real = np.interp(full, idx, row.real)
+                ref[i].imag = np.interp(full, idx, row.imag)
+            for given in (snap, snap.astype(np.complex128)):
+                got = aoa._interpolate_subcarriers(given, chan)
+                assert got.dtype == np.complex128 and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("window", [1, 3])
+    @pytest.mark.parametrize("n_sources", [1, 2, 3])
+    def test_stream_curve_is_the_pseudospectrum_peak(self, ula_geom, chan80, window,
+                                                     n_sources, monkeypatch):
+        # the stream maps each bearing's peak signal power to the
+        # pseudospectrum; `spotfi_estimate` maps every cell and takes no max
+        cfg = AoaConfig(algorithm="spotfi", window=window, n_sources=n_sources,
+                        theta_grid=np.radians(np.arange(-179.0, 181.0, 3.0)))
+        frames = [synth_frame([PathComponent(aoa=0.2, delay_s=10e-9),
+                               PathComponent(aoa=-0.6, delay_s=25e-9, amplitude=0.6),
+                               PathComponent(aoa=1.0, delay_s=40e-9, amplitude=0.4)],
+                              ula_geom, chan80, snr_db=20.0, rng_seed=seed)
+                  for seed in range(30, 35)]
+        curves = []
+        pick = aoa._pick_bearing
+        monkeypatch.setattr(aoa, "_pick_bearing", lambda c: curves.append(c.copy()) or pick(c))
+        estimate = bearing_csi_estimator(ula_geom, cfg)
+        csi = np.stack([f.csi for f in frames])
+        estimate(chan80, csi[:2])
+        estimate(chan80, csi[2:])
+        stream = np.concatenate(curves)
+        for i in range(len(frames)):
+            ref = spotfi_pseudo(frames[max(0, i + 1 - window): i + 1], ula_geom, cfg)
+            assert stream[i].tobytes() == ref.max(axis=1).tobytes()
+
+
 class TestAveraging:
     def test_window_one_is_identity(self, square_geom, chan80, cfg):
         frame = single_path_frame(square_geom, chan80, 0.4)

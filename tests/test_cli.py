@@ -1936,6 +1936,54 @@ class TestUdpListenerProcess:
                                 "0 by mac filter, 0 undecodable)\n")
 
 
+class TestClosedPipe:
+    """A consumer that stops reading, as `| head -1` does, ends the run with
+    SIGPIPE's status 141: the summary line, and no error line, traceback or
+    failed flush at interpreter exit."""
+
+    @staticmethod
+    def assert_quiet_end(proc: subprocess.Popen) -> str:
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        for text in ("error:", "Traceback", "Exception ignored"):
+            assert text not in err
+        return err
+
+    def test_decode_to_a_closed_pipe(self, tmp_path):
+        # 3000 rows outgrow the pipe's buffer, so a write meets the closed pipe
+        frame = synth_frame([PathComponent(aoa=0.3)], ArrayGeometry.square(0.02),
+                            ChannelSpec(36, 20))
+        capture = tmp_path / "long.wcap"
+        codec.write_capture(capture, [frame] * 3000)
+        proc = subprocess.Popen([sys.executable, "-m", "csisense.cli", "decode", "--capture",
+                                 str(capture)],
+                                env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"timestamp_ns,seq,")
+        proc.stdout.close()
+        assert self.assert_quiet_end(proc).startswith("decoded ")
+
+    def test_bearing_echo_to_a_closed_pipe(self, tmp_path):
+        capture, cal = ula_capture(tmp_path, "y", np.radians([10.0, 20.0, 30.0]))
+        wire = [codec.encode_frame(f) for f in read_capture(capture)]
+        port = _free_udp_port()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "csisense.cli", "bearing", "--udp", str(port),
+             "--calibration", str(cal), "--out", str(tmp_path / "live.csv"), "--timeout", "60",
+             "--rssi-floor", "-200"],
+            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            _send_to_listener(port, wire[:1])
+            assert len(_read_lines(proc.stdout, 1, 20.0)) == 1
+            proc.stdout.close()
+            # the next echo meets the closed pipe
+            _send_to_listener(port, wire[1:])
+            self.assert_quiet_end(proc)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+
+
 class TestProfileOracle:
     def test_brightest_pixel_at_true_cell(self, tmp_path):
         # bias-free single-path capture: the profile's brightest pixel

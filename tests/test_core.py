@@ -586,6 +586,28 @@ class TestLeadingEigenpairs:
         assert np.linalg.norm(following) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(ref, following)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("then_next", [False, True])
+    @pytest.mark.parametrize("rank", ["full", "rank-1"])
+    def test_cold_and_warm_start_block_give_the_same_bytes(self, rng, rank, then_next):
+        # the start block is drawn once per shape.  On rank-1 data the
+        # second basis vector, C u, has nothing left once projected, so it
+        # is a direction from the generator advanced past the block, as a
+        # per-call draw left it, and the pairs depend on its bits
+        if rank == "full":
+            k, x = 2, _low_rank_plus_noise(rng, 60, 90, [3.0, 2.0, 0.5])
+        else:
+            k, x = 1, np.outer(rng.standard_normal(60) + 1j * rng.standard_normal(60),
+                               rng.standard_normal(90) + 1j * rng.standard_normal(90))
+        core._start_block.cache_clear()
+        cold = core._leading_eigenpairs(x, k, then_next=then_next)
+        warm = core._leading_eigenpairs(x, k, then_next=then_next)
+        assert core._start_block.cache_info().hits == 1
+        assert len(cold) == len(warm) == (3 if then_next else 2)
+        for a, b in zip(cold, warm):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(cold, _plain_krylov(x, k)):
+            assert a.tobytes() == b.tobytes()
+
     def test_then_next_in_a_noise_bulk_gives_none(self, rng):
         x = _low_rank_plus_noise(rng, 200, 400, [3.0], noise=1.0)
         values, vectors, following = core._leading_eigenpairs(x, 1, then_next=True)

@@ -44,3 +44,10 @@ def test_two_tiny_runs_compare_empty_and_a_changed_row_is_reported(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.splitlines() == [f"differs: {entry}", f"  -{row}",
                                         f"  +{row.replace(',', ';', 1)}"]
+
+
+def test_blas_threads_outside_one_to_the_cpu_count_is_a_usage_error(tmp_path):
+    proc = golden("--out", str(tmp_path / "a"), "--tiny", "--blas-threads", "0")
+    assert proc.returncode == 2
+    assert "--blas-threads must be 1 to" in proc.stderr
+    assert not (tmp_path / "a").exists()

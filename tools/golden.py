@@ -1,6 +1,7 @@
 """Byte-identity harness: hash every output of a fixed set of seeded CLI calls.
 
     python tools/golden.py --out DIR [--root TREE] [--seeds 1,2,3,7,101] [--tiny]
+                           [--blas-threads N]
     python tools/golden.py --compare A B
 
 `--out` imports the package from TREE/src (default: this checkout) and
@@ -19,7 +20,9 @@ The calls, per seed:
 - `bearing` with Bartlett and MUSIC at windows 1, 4 and 8 on the Bartlett
   workload's capture and, filtered, on the ingest capture, and with all
   three algorithms at the same windows on the ULA capture, where rounding
-  picks between a bearing and its mirror;
+  picks between a bearing and its mirror, and there SpotFi at 2 and 3
+  sources (`--n-sources`) at windows 1 and 4: at 3 the eigensolver takes
+  its dense fallback;
 - `decode`, and `profile` of frames 7 and 2, on fault captures made from
   the first 40 records of the ingest capture: intact, cut inside frame
   5's length prefix, with capture version 2, cut to 10 bytes, and with
@@ -52,7 +55,11 @@ directories and, for the kept text entries, the rows that differ.  It
 exits 1 if anything differs.  To compare with another commit, run `--out`
 with `--root` on a `git archive` of that commit.  The bytes depend on
 numpy, BLAS and the CPU, so no hashes are checked in: compare two runs
-made on one host.  Both run with one BLAS thread.
+made on one host.  `--out` runs with one BLAS thread unless
+`--blas-threads` says otherwise: SpotFi's bearings on the ULA capture
+have differed in some rows between one and two OpenBLAS threads, so
+compare runs made at one thread count, or compare two counts to see
+which rows the count moves.
 """
 
 from __future__ import annotations
@@ -69,16 +76,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-# One BLAS thread, set before numpy loads BLAS, as the benchmark sets it:
-# SpotFi's bearings on the ULA capture differ in some rows between one and
-# two OpenBLAS threads, and a manifest must not depend on the thread count.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
+# The BLAS thread variables `--blas-threads` sets before numpy loads BLAS
+# (the benchmark sets them to 1)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 7, 101)
 WINDOWS = (1, 4, 8)
 STREAM_WINDOWS = (1, 4)
+SPOTFI_SOURCES = (2, 3)  # SpotFi's extra source counts on the ULA capture, at STREAM_WINDOWS
 TEXT_SUFFIXES = (".csv", "/stdout", "/stderr")
 # The simulate call set: a base scenario and, per call, the sections it replaces.
 SIMULATION = {"snr_db": 30, "per_packet_phase": "true", "bias": "random"}
@@ -121,12 +126,12 @@ def _hash(data: bytes) -> str:
 
 
 def _bearing(work: Path, label: str, capture: str, calibration: str, algorithms,
-             filters=()) -> list[tuple[str, list[str]]]:
+             filters=(), windows=WINDOWS) -> list[tuple[str, list[str]]]:
     return [(f"{label}-{algorithm}-w{window}",
              ["bearing", "--capture", str(work / capture), "--calibration",
               str(work / calibration), "--algorithm", algorithm, "--window", str(window),
               *filters, "--out", str(work / f"{label}-{algorithm}-w{window}.csv")])
-            for algorithm in algorithms for window in WINDOWS]
+            for algorithm in algorithms for window in windows]
 
 
 def _record_starts(raw: bytes, count: int) -> list[int]:
@@ -250,8 +255,12 @@ def _extra_calls(name: str, work: Path, meta: dict) -> list[tuple[str, list[str]
         return _bearing(work, "square", meta["capture"], meta["calibration"],
                         ("bartlett", "music"))
     if name == "replay-spotfi-ula80":
-        return _bearing(work, "ula", meta["capture"], meta["calibration"],
-                        ("bartlett", "music", "spotfi"))
+        calls = _bearing(work, "ula", meta["capture"], meta["calibration"],
+                         ("bartlett", "music", "spotfi"))
+        for sources in SPOTFI_SOURCES:
+            calls += _bearing(work, f"ula-s{sources}", meta["capture"], meta["calibration"],
+                              ("spotfi",), ["--n-sources", str(sources)], STREAM_WINDOWS)
+        return calls
     if name != "ingest-music-sq20":
         return []
     filters = ["--mac-filter", meta["keep_mac"], "--rssi-floor", repr(meta["rssi_floor"])]
@@ -395,11 +404,19 @@ def main(argv=None) -> int:
                         help="checkout whose src/ is run (default: this one)")
     parser.add_argument("--seeds", default=",".join(map(str, SEEDS)))
     parser.add_argument("--tiny", action="store_true", help="the workloads' tiny inputs")
+    parser.add_argument("--blas-threads", type=int, default=1,
+                        help="BLAS threads of the --out run, at most the CPU count (default: 1)")
     args = parser.parse_args(argv)
+    if not 1 <= args.blas_threads <= (os.cpu_count() or 1):
+        parser.error(f"--blas-threads must be 1 to {os.cpu_count() or 1}, the CPU count")
     if args.compare:
         lines = compare(*args.compare)
         print("\n".join(lines) if lines else "no entry differs")
         return 1 if lines else 0
+    if "numpy" in sys.modules:
+        raise SystemExit("numpy is loaded already, with its BLAS thread count")
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = str(args.blas_threads)
     args.out.mkdir(parents=True, exist_ok=True)
     entries = run(args.out, args.root.resolve(), [int(s) for s in args.seeds.split(",")],
                   args.tiny)
